@@ -625,11 +625,7 @@ func BenchmarkParallelScan(b *testing.B) {
 		cfg.EnableQueryCache = false // every iteration must really scan
 		cfg.SimulatedScanIOWait = 2 * time.Millisecond
 		cfg.ParallelScanMinRows = 1
-		if workers > 1 {
-			cfg.MaxScanWorkers = workers
-		} else {
-			cfg.DisableParallelScan = true
-		}
+		cfg.MaxScanWorkers = workers // below 2 every scan stays serial
 		e, err := engine.New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -668,66 +664,57 @@ func BenchmarkParallelScan(b *testing.B) {
 }
 
 // BenchmarkCostedPlanning times uncached statements end to end under
-// the cost-based access-path selector vs the legacy first-matching-
-// index rule. The plan cache is disabled so every Execute pays the
-// full lower-and-cost path; the table carries several secondary
-// indexes (a low-selectivity one alphabetically first) so the pricing
-// overhead and the better path's execution savings both show up.
+// the cost-based access-path selector. The plan cache is disabled so
+// every Execute pays the full lower-and-cost path; the table carries
+// several secondary indexes (a low-selectivity one alphabetically
+// first) so the pricing overhead and the better path's execution
+// savings both show up.
 func BenchmarkCostedPlanning(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"cost-based", false},
-		{"first-match", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := engine.Defaults()
-			cfg.DisablePlanCache = true // time planning, not cache hits
-			cfg.EnableQueryCache = false
-			cfg.DisableCostBasedPlanner = mode.disable
-			e, err := engine.New(cfg)
+	b.Run("cost-based", func(b *testing.B) {
+		cfg := engine.Defaults()
+		cfg.DisablePlanCache = true // time planning, not cache hits
+		cfg.EnableQueryCache = false
+		e, err := engine.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := e.Connect("bench")
+		defer s.Close()
+		setup := []string{
+			"CREATE TABLE costed (id INT PRIMARY KEY, grp INT, ref INT, flag INT, score INT)",
+			"CREATE INDEX idx_a_grp ON costed (grp)",
+			"CREATE INDEX idx_b_flag ON costed (flag)",
+			"CREATE INDEX idx_c_ref ON costed (ref)",
+			"CREATE INDEX idx_d_score ON costed (score)",
+		}
+		for _, stmt := range setup {
+			if _, err := s.Execute(stmt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < 512; i++ {
+			stmt := fmt.Sprintf(
+				"INSERT INTO costed (id, grp, ref, flag, score) VALUES (%d, %d, %d, %d, %d)",
+				i, i%2, i, i%4, (i*13)%100)
+			if _, err := s.Execute(stmt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := s.Execute("ANALYZE TABLE costed"); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := s.Execute(fmt.Sprintf("SELECT id FROM costed WHERE grp = %d AND ref = %d", i%2, i%512))
 			if err != nil {
 				b.Fatal(err)
 			}
-			s := e.Connect("bench")
-			defer s.Close()
-			setup := []string{
-				"CREATE TABLE costed (id INT PRIMARY KEY, grp INT, ref INT, flag INT, score INT)",
-				"CREATE INDEX idx_a_grp ON costed (grp)",
-				"CREATE INDEX idx_b_flag ON costed (flag)",
-				"CREATE INDEX idx_c_ref ON costed (ref)",
-				"CREATE INDEX idx_d_score ON costed (score)",
+			if len(res.Rows) != 1 {
+				b.Fatalf("rows = %d, want 1", len(res.Rows))
 			}
-			for _, stmt := range setup {
-				if _, err := s.Execute(stmt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for i := 0; i < 512; i++ {
-				stmt := fmt.Sprintf(
-					"INSERT INTO costed (id, grp, ref, flag, score) VALUES (%d, %d, %d, %d, %d)",
-					i, i%2, i, i%4, (i*13)%100)
-				if _, err := s.Execute(stmt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := s.Execute("ANALYZE TABLE costed"); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := s.Execute(fmt.Sprintf("SELECT id FROM costed WHERE grp = %d AND ref = %d", i%2, i%512))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 1 {
-					b.Fatalf("rows = %d, want 1", len(res.Rows))
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkMVCCReadersVsWriter measures point-SELECT throughput while

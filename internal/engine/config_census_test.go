@@ -1,0 +1,63 @@
+package engine
+
+import (
+	"reflect"
+	"testing"
+)
+
+// configReaders is the knob census: every Config field, and who outside
+// this package's own tests needs it to be settable — an experiment, the
+// hardening profile (internal/mitigate), a snapdbd flag, snapbench, or a
+// differential test that uses it as its reference arm. A field with no
+// such reader is a constant in waiting, and the entry says so. A new
+// field must arrive with its line here, or the test below fails.
+var configReaders = map[string]string{
+	"BufferPoolPages":   "ablation: BenchmarkAblationBufferPoolSize sweeps it (E1's LRU/dump surface scales with it)",
+	"RedoCapacity":      "sizing: no caller sets it — a constant in waiting",
+	"UndoCapacity":      "sizing: no caller sets it — a constant in waiting",
+	"EnableBinlog":      "internal/mitigate (Harden keeps or drops the binlog; E11)",
+	"EnableGeneralLog":  "internal/mitigate; E14 and E15 switch it on to read arrivals",
+	"EnableQueryCache":  "internal/mitigate; E15/E16 switch it off so every statement really scans",
+	"QueryCacheEntries": "sizing: no caller sets it — a constant in waiting",
+	"DisablePlanCache":  "reference arm of TestDifferentialLegacyVsOperator, TestPlanCacheLeakageEquivalence(+Parallel); BenchmarkPlanCache",
+	"PlanCacheEntries":  "sizing: no caller sets it — a constant in waiting",
+	"HistoryPerThread":  "ablation: BenchmarkAblationHistorySize sweeps it; E10 reports the ring size",
+	"SlowThreshold":     "sizing: no caller sets it — a constant in waiting",
+	"DisableSlowLog":    "internal/mitigate",
+	"StatementTimeout":  "snapdbd -stmt-timeout",
+
+	"MaxScanWorkers":      "snapdbd -scan-workers; E15 (0 is the serial arm)",
+	"ParallelScanMinRows": "E15 lowers it so its small ledger fans out",
+	"SimulatedScanIOWait": "E15 (the yield point that interleaves partition workers); BenchmarkParallelScan",
+
+	"SecureHeapDelete":  "internal/mitigate (E11)",
+	"DisablePerfSchema": "internal/mitigate; snapbench's perfschema.us_per_stmt probe",
+	"ScrubProcesslist":  "internal/mitigate",
+
+	"DisableMVCC":   "E17 (keeps version-store bytes out of its checkpoint diffs); reference arm of TestDifferentialMVCCVsLocking",
+	"DisablePurge":  "E16 retain-everything arm",
+	"PurgeEvery":    "E16 inline/aggressive purge arms",
+	"PurgeBatch":    "sizing: no caller sets it — a constant in waiting",
+	"PurgeInterval": "operator: background purge cadence; no caller sets it yet — a constant in waiting",
+
+	"SimulatedIOWait": "E12 (overlapping device waits is the scaling it measures)",
+
+	"FS":                 "snapdbd -datadir; snapbench; E13/E16/E17",
+	"EncryptAtRest":      "snapdbd -encrypt; snapbench write_crypt; E17",
+	"EncryptionKey":      "snapdbd SNAPDB_ENCRYPTION_KEY; snapbench write_crypt; E17",
+	"DeterministicPages": "snapdbd -fresh-iv; E17 fresh-IV ablation",
+}
+
+func TestConfigKnobCensus(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; configReaders[name] == "" {
+			t.Errorf("Config.%s has no entry in the knob census: name who reads it (experiment, internal/mitigate, snapdbd flag, snapbench, or the test whose reference arm it is) or do not add it", name)
+		}
+	}
+	for name := range configReaders {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("knob census lists Config.%s, which no longer exists", name)
+		}
+	}
+}

@@ -73,31 +73,15 @@ type Config struct {
 	// disables the timeout, like MySQL's max_execution_time=0.
 	StatementTimeout time.Duration
 
-	// DisableSortOptimizations forces every ORDER BY back to the full
-	// Sort (+ separate Limit) plan shape, turning off the TopN
-	// substitution and index-order absorption. The differential tests
-	// use it to prove the optimized plans produce byte-identical
-	// results, forensic artifacts, and buffer-pool fetch traces.
-	DisableSortOptimizations bool
-
 	// Parallel scan knobs. MaxScanWorkers caps the worker goroutines a
 	// clustered full/range scan may split into; 0 or 1 keeps every scan
 	// serial (the default — parallelism is opt-in because it reorders
 	// the buffer-pool fetch trace, a leakage-profile change E15
-	// measures). DisableParallelScan forces serial plans even when
-	// MaxScanWorkers allows more, so differential tests can diff the
-	// two shapes on one config. ParallelScanMinRows is the estimated
-	// row count below which splitting isn't worth the goroutine
-	// machinery (default 4096).
+	// measures). ParallelScanMinRows is the estimated row count below
+	// which splitting isn't worth the goroutine machinery (default
+	// 4096).
 	MaxScanWorkers      int
-	DisableParallelScan bool
 	ParallelScanMinRows int64
-
-	// DisableCostBasedPlanner reverts access-path selection to the
-	// pre-statistics behavior: first index whose column matches the
-	// WHERE clause wins. The cost-model tests use it as the control
-	// arm.
-	DisableCostBasedPlanner bool
 
 	// SimulatedScanIOWait, when positive, models per-page-batch device
 	// latency inside scan leaves: every scanIOInterval examined rows
@@ -672,11 +656,14 @@ func (e *Engine) simulateIO() {
 	}
 }
 
-// execute takes the locks the statement class needs and dispatches. The
-// plan (parsed AST plus bindings) comes from the statement pipeline's
-// front half; a parse failure is surfaced here, after the pre-statement
-// artifacts have been recorded, exactly where the inline Parse used to
-// fail.
+// execute dispatches on the statement class. DML and SELECT go to their
+// entry functions, which own the class's guard, locks and device wait —
+// EXPLAIN ANALYZE calls the same functions, so the two dispatchers
+// cannot disagree about them; the single-dispatcher classes (DDL,
+// ANALYZE, transaction control) take their locks here. The plan (parsed
+// AST plus bindings) comes from the statement pipeline's front half; a
+// parse failure is surfaced here, after the pre-statement artifacts
+// have been recorded, exactly where the inline Parse used to fail.
 func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts int64) (*Result, error) {
 	if parseErr != nil {
 		return nil, parseErr
@@ -693,41 +680,12 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 		e.simulateIO()
 		return e.execCreateIndex(s, st, query, ts)
 	case *sqlparse.Insert:
-		if err := s.rejectReadOnlyTxn("INSERT"); err != nil {
-			return nil, err
-		}
-		mu := e.locks.exclusive(st.Table)
-		defer mu.Unlock()
-		e.simulateIO()
 		return e.execInsert(s, st, pl, query, ts)
 	case *sqlparse.Select:
-		if isSystemTable(st.Table) {
-			return e.execSelect(s, st, pl, query)
-		}
-		if e.versions != nil {
-			// MVCC consistent read: no table lock at all — visibility
-			// comes from the statement's read view (see mvcc.go).
-			return e.execSelectMVCC(s, st, pl, query)
-		}
-		mu := e.locks.shared(st.Table)
-		defer mu.RUnlock()
-		e.simulateIO()
-		return e.execSelect(s, st, pl, query)
+		return e.execSelect(s, st, pl, query, false)
 	case *sqlparse.Update:
-		if err := s.rejectReadOnlyTxn("UPDATE"); err != nil {
-			return nil, err
-		}
-		mu := e.locks.exclusive(st.Table)
-		defer mu.Unlock()
-		e.simulateIO()
 		return e.execUpdate(s, st, pl, query, ts)
 	case *sqlparse.Delete:
-		if err := s.rejectReadOnlyTxn("DELETE"); err != nil {
-			return nil, err
-		}
-		mu := e.locks.exclusive(st.Table)
-		defer mu.Unlock()
-		e.simulateIO()
 		return e.execDelete(s, st, pl, query, ts)
 	case *sqlparse.AnalyzeTable:
 		// ANALYZE only reads the table (one clustered scan) and writes
@@ -762,8 +720,8 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 		return e.execDrop(st, query, ts)
 	case *sqlparse.Explain:
 		if st.Analyze {
-			// EXPLAIN ANALYZE runs the wrapped statement for real, so it
-			// takes the wrapped statement's locks (in execExplainAnalyze).
+			// EXPLAIN ANALYZE runs the wrapped statement for real, through
+			// the wrapped statement's own entry function.
 			return e.execExplainAnalyze(s, st, ts)
 		}
 		// Plain EXPLAIN plans only, reading just the catalog
@@ -908,7 +866,15 @@ func (e *Engine) Tables() []*Table {
 	return out
 }
 
+// execInsert is the INSERT entry function: read-only guard, exclusive
+// stripe, device wait, then the mutation.
 func (e *Engine) execInsert(s *Session, st *sqlparse.Insert, pl *plan, query string, ts int64) (*Result, error) {
+	if err := s.rejectReadOnlyTxn("INSERT"); err != nil {
+		return nil, err
+	}
+	mu := e.locks.exclusive(st.Table)
+	defer mu.Unlock()
+	e.simulateIO()
 	t, err := e.planTable(pl, st.Table)
 	if err != nil {
 		return nil, err
@@ -1010,51 +976,134 @@ func checkType(col sqlparse.ColumnDef, v sqlparse.Value) error {
 	return nil
 }
 
-// execSelect is a thin driver over the operator tree: resolve the
-// table, consult the query cache, fetch (or build) the physical
-// template, instantiate, drain, and package the result. The access
-// path, predicate evaluation, sorting, aggregation, projection, and
-// LIMIT all live in the operators now (internal/engine/exec); the
-// planning lives in logical.go/physical.go.
-func (e *Engine) execSelect(s *Session, st *sqlparse.Select, pl *plan, query string) (*Result, error) {
+// readAccess is what a SELECT holds while it runs, and the only place
+// the two isolation modes differ. Under MVCC (the default) that is the
+// table's read latch plus, when the table has live version chains, the
+// statement's visibility filter — and no stripe, so the read sails past
+// open transactions. With Config.DisableMVCC it is the table's shared
+// stripe and a nil filter: the tree is the truth.
+type readAccess struct {
+	table  *Table
+	vf     *versionFilter // nil: the tree is exactly what the statement may see
+	stripe *sync.RWMutex  // locking mode only
+	view   *readView      // MVCC mode: the ephemeral view to unregister, if any
+}
+
+// acquireRead resolves the table and takes the read access the engine's
+// isolation mode calls for. On success the caller must release.
+func (e *Engine) acquireRead(s *Session, pl *plan, name string) (readAccess, error) {
+	var ra readAccess
+	var err error
+	if e.versions == nil {
+		ra.stripe = e.locks.shared(name)
+		e.simulateIO()
+		if ra.table, err = e.planTable(pl, name); err != nil {
+			ra.stripe.RUnlock()
+		}
+		return ra, err
+	}
+	if ra.table, err = e.planTable(pl, name); err != nil {
+		return ra, err
+	}
+	// Device latency is paid before the latch so a sleeping reader
+	// never holds writers up.
+	e.simulateIO()
+	ra.table.latch.RLock()
+	view, ephemeral := e.selectView(s, ra.table)
+	if view != nil {
+		ra.vf = e.versions.filterFor(ra.table, view)
+		if ephemeral {
+			ra.view = view
+		}
+	}
+	return ra, nil
+}
+
+func (ra *readAccess) release(e *Engine) {
+	if ra.stripe != nil {
+		ra.stripe.RUnlock()
+		return
+	}
+	if ra.view != nil {
+		e.versions.release(ra.view)
+	}
+	ra.table.latch.RUnlock()
+}
+
+// execSelect is the one SELECT driver: resolve the table and acquire
+// read access, consult the query cache, fetch (or build) the physical
+// template, run it, and package the result. The access path, predicate
+// evaluation, sorting, aggregation, projection, and LIMIT all live in
+// the operators (internal/engine/exec); the planning lives in
+// logical.go/physical.go. The query cache holds current reads, so it is
+// consulted and filled only when no version filter is in play — and
+// never for EXPLAIN ANALYZE (noCache), which wants genuine counters and
+// whose rendered tree is useless to cache. EXPLAIN ANALYZE also passes
+// pl == nil, which plans fresh.
+func (e *Engine) execSelect(s *Session, st *sqlparse.Select, pl *plan, query string, noCache bool) (*Result, error) {
 	if res, ok := e.systemSelect(st); ok {
+		// Served straight from the internally synchronized substrate
+		// packages: no table, no lock.
 		return res, nil
 	}
-	t, err := e.planTable(pl, st.Table)
+	ra, err := e.acquireRead(s, pl, st.Table)
 	if err != nil {
 		return nil, err
 	}
-	if cached, ok := e.qcache.Get(query); ok {
-		return &Result{Columns: selectColumns(t, st), Rows: cached, FromCache: true}, nil
+	defer ra.release(e)
+	t := ra.table
+	useCache := ra.vf == nil && !noCache
+	if useCache {
+		if cached, ok := e.qcache.Get(query); ok {
+			return &Result{Columns: selectColumns(t, st), Rows: cached, FromCache: true}, nil
+		}
 	}
 	pp := e.physSelect(pl, t, st)
+	res, err := e.runScan(s, pp, ra.vf)
+	if err != nil {
+		return nil, err
+	}
+	res.Columns = selectColumns(t, st)
+	res.AccessPath = pp.path
+	if useCache {
+		e.qcache.Put(query, t.Name, res.Rows)
+	}
+	return res, nil
+}
+
+// runScan executes a template's operator tree — all of a SELECT, the
+// scan half of an UPDATE or DELETE — and returns the drained rows with
+// the execution's counters. Unknown WHERE columns are reported before
+// any page is fetched; aggregate, projection, ORDER BY and SET-clause
+// resolution errors surface after the scan has run, as they always did.
+// The deadline arms only the scan: a timed-out UPDATE/DELETE aborts
+// here, before any WAL record or index mutation, so it has no partial
+// effects and is safe to resubmit.
+func (e *Engine) runScan(s *Session, pp *physicalPlan, vf *versionFilter) (*Result, error) {
 	if pp.whereErr != nil {
-		// Unknown WHERE column: reported before any page is fetched.
 		return nil, pp.whereErr
 	}
 	pi := pp.instantiate(e.fc)
-	pi.armDeadline(s.deadlineCheck())
+	// Only the leaf runs an unbounded loop (its Open-time traversal), so
+	// arming it bounds the whole tree; with no timeout the check is nil
+	// and the leaf runs exactly as the pre-deadline executor did.
+	pi.leaf.SetDeadlineCheck(s.deadlineCheck())
+	pi.armVisibility(pp, vf)
 	rows, err := pi.drain()
 	if err != nil {
 		return nil, err
 	}
 	if pp.deferredErr != nil {
-		// Aggregate/projection/ORDER BY resolution errors surface after
-		// the scan has run, as they always did.
 		return nil, pp.deferredErr
 	}
-	res := &Result{
-		Columns:      selectColumns(t, st),
+	return &Result{
 		Rows:         rows,
 		RowsExamined: pi.examined(),
-		AccessPath:   pp.path,
 		stages:       pi.stages(),
 		estRows:      pp.estRows,
 		estCost:      pp.estCost,
 		scanDesc:     pi.leaf.Describe(),
-	}
-	e.qcache.Put(query, t.Name, rows)
-	return res, nil
+	}, nil
 }
 
 // pkBounds extracts [lo, hi] bounds on the primary key from the WHERE
@@ -1122,32 +1171,28 @@ func projection(t *Table, exprs []sqlparse.SelectExpr) ([]int, error) {
 	return out, nil
 }
 
-// execUpdate drives the scan half through the operator tree (the same
-// planner and operators as SELECT, minus projection), then applies the
-// mutation loop to the matched rows.
+// execUpdate is the UPDATE entry function: read-only guard, exclusive
+// stripe, device wait; then the scan half through the operator tree
+// (the same planner and operators as SELECT, minus projection) and the
+// mutation loop over the matched rows.
 func (e *Engine) execUpdate(s *Session, st *sqlparse.Update, pl *plan, query string, ts int64) (*Result, error) {
+	if err := s.rejectReadOnlyTxn("UPDATE"); err != nil {
+		return nil, err
+	}
+	mu := e.locks.exclusive(st.Table)
+	defer mu.Unlock()
+	e.simulateIO()
 	t, err := e.planTable(pl, st.Table)
 	if err != nil {
 		return nil, err
 	}
 	pp := e.physUpdate(pl, t, st)
-	if pp.whereErr != nil {
-		return nil, pp.whereErr
-	}
-	pi := pp.instantiate(e.fc)
-	// The deadline arms only the scan half: a timed-out UPDATE aborts
-	// here, before any WAL record or index mutation, so it has no
-	// partial effects and is safe to resubmit.
-	pi.armDeadline(s.deadlineCheck())
-	rows, err := pi.drain()
+	res, err := e.runScan(s, pp, nil)
 	if err != nil {
 		return nil, err
 	}
-	if pp.deferredErr != nil {
-		// SET-clause validation failures surface after the scan, where
-		// the inline validation loop used to run.
-		return nil, pp.deferredErr
-	}
+	rows := res.Rows
+	res.Rows, res.RowsAffected = nil, len(rows)
 	txn, auto := s.stmtTxn(e)
 	touched := false
 	if auto && e.versions != nil {
@@ -1201,29 +1246,28 @@ func (e *Engine) execUpdate(s *Session, st *sqlparse.Update, pl *plan, query str
 			}
 		}
 	}
-	return &Result{RowsAffected: len(rows), RowsExamined: pi.examined(), stages: pi.stages(),
-		estRows: pp.estRows, estCost: pp.estCost, scanDesc: pi.leaf.Describe()}, nil
+	return res, nil
 }
 
-// execDelete drives the scan half through the operator tree, then
-// removes the matched rows.
+// execDelete is the DELETE entry function: guard, stripe and scan half
+// as in execUpdate, then the matched rows are removed.
 func (e *Engine) execDelete(s *Session, st *sqlparse.Delete, pl *plan, query string, ts int64) (*Result, error) {
+	if err := s.rejectReadOnlyTxn("DELETE"); err != nil {
+		return nil, err
+	}
+	mu := e.locks.exclusive(st.Table)
+	defer mu.Unlock()
+	e.simulateIO()
 	t, err := e.planTable(pl, st.Table)
 	if err != nil {
 		return nil, err
 	}
-	pp := e.physDelete(pl, t, st)
-	if pp.whereErr != nil {
-		return nil, pp.whereErr
-	}
-	pi := pp.instantiate(e.fc)
-	// Scan-half only, like UPDATE: no row is deleted once the deadline
-	// fires mid-scan.
-	pi.armDeadline(s.deadlineCheck())
-	rows, err := pi.drain()
+	res, err := e.runScan(s, e.physDelete(pl, t, st), nil)
 	if err != nil {
 		return nil, err
 	}
+	rows := res.Rows
+	res.Rows, res.RowsAffected = nil, len(rows)
 	txn, auto := s.stmtTxn(e)
 	touched := false
 	if auto && e.versions != nil {
@@ -1271,6 +1315,5 @@ func (e *Engine) execDelete(s *Session, st *sqlparse.Delete, pl *plan, query str
 			}
 		}
 	}
-	return &Result{RowsAffected: len(rows), RowsExamined: pi.examined(), stages: pi.stages(),
-		estRows: pp.estRows, estCost: pp.estCost, scanDesc: pi.leaf.Describe()}, nil
+	return res, nil
 }

@@ -63,7 +63,8 @@ func drainAll(t *testing.T, op Operator) []storage.Record {
 
 func TestLimitStopsAtN(t *testing.T) {
 	src := &rowSource{rows: intRows(1, 2, 3, 4, 5)}
-	l := NewLimit(src, 3, "Limit: 3")
+	l := new(Limit)
+	l.Init(src, 3, "Limit: 3")
 	out := drainAll(t, l)
 	if len(out) != 3 {
 		t.Fatalf("emitted %d rows, want 3", len(out))
@@ -87,7 +88,8 @@ func TestLimitStopsAtN(t *testing.T) {
 }
 
 func TestLimitLargerThanInput(t *testing.T) {
-	l := NewLimit(&rowSource{rows: intRows(7, 8)}, 10, "Limit: 10")
+	l := new(Limit)
+	l.Init(&rowSource{rows: intRows(7, 8)}, 10, "Limit: 10")
 	if got := drainAll(t, l); len(got) != 2 {
 		t.Fatalf("emitted %d rows, want 2", len(got))
 	}
@@ -95,7 +97,8 @@ func TestLimitLargerThanInput(t *testing.T) {
 
 func TestLimitZeroRows(t *testing.T) {
 	src := &rowSource{rows: intRows(1, 2)}
-	l := NewLimit(src, 0, "Limit: 0")
+	l := new(Limit)
+	l.Init(src, 0, "Limit: 0")
 	if got := drainAll(t, l); len(got) != 0 {
 		t.Fatalf("emitted %d rows, want 0", len(got))
 	}
@@ -106,7 +109,8 @@ func TestLimitZeroRows(t *testing.T) {
 
 func TestFilterCountsExaminedAndReturned(t *testing.T) {
 	src := &rowSource{rows: intRows(1, 5, 3, 9, 2)}
-	f := NewFilter(src, []Pred{{Col: 0, Op: sqlparse.OpGe, Arg: sqlparse.IntValue(3)}}, "Filter: x >= 3")
+	f := new(Filter)
+	f.Init(src, []Pred{{Col: 0, Op: sqlparse.OpGe, Arg: sqlparse.IntValue(3)}}, "Filter: x >= 3")
 	out := drainAll(t, f)
 	if len(out) != 3 {
 		t.Fatalf("emitted %d rows, want 3", len(out))
@@ -123,7 +127,8 @@ func TestSortStableOrdering(t *testing.T) {
 		{sqlparse.IntValue(1), sqlparse.StrValue("a")},
 		{sqlparse.IntValue(2), sqlparse.StrValue("a")}, // ties keep input order
 	}}
-	s := NewSort(src, 0, false, "Sort: k ASC")
+	s := new(Sort)
+	s.Init(src, 0, false, "Sort: k ASC")
 	out := drainAll(t, s)
 	got := ""
 	for _, r := range out {
@@ -133,7 +138,8 @@ func TestSortStableOrdering(t *testing.T) {
 		t.Errorf("sorted order = %q, want %q (stable ascending on col 0)", got, "aba")
 	}
 
-	desc := NewSort(&rowSource{rows: intRows(1, 3, 2)}, 0, true, "Sort: k DESC")
+	desc := new(Sort)
+	desc.Init(&rowSource{rows: intRows(1, 3, 2)}, 0, true, "Sort: k DESC")
 	out = drainAll(t, desc)
 	if out[0][0].Int != 3 || out[2][0].Int != 1 {
 		t.Errorf("descending sort wrong: %v", out)
@@ -141,12 +147,14 @@ func TestSortStableOrdering(t *testing.T) {
 }
 
 func TestAggregateCountAndSum(t *testing.T) {
-	c := NewAggregate(&rowSource{rows: intRows(4, 5, 6)}, sqlparse.AggCount, -1, "Aggregate: COUNT(*)")
+	c := new(Aggregate)
+	c.Init(&rowSource{rows: intRows(4, 5, 6)}, sqlparse.AggCount, -1, "Aggregate: COUNT(*)")
 	out := drainAll(t, c)
 	if len(out) != 1 || out[0][0].Int != 3 {
 		t.Fatalf("COUNT = %v, want single row 3", out)
 	}
-	s := NewAggregate(&rowSource{rows: intRows(4, 5, 6)}, sqlparse.AggSum, 0, "Aggregate: SUM(x)")
+	s := new(Aggregate)
+	s.Init(&rowSource{rows: intRows(4, 5, 6)}, sqlparse.AggSum, 0, "Aggregate: SUM(x)")
 	out = drainAll(t, s)
 	if len(out) != 1 || out[0][0].Int != 15 {
 		t.Fatalf("SUM = %v, want single row 15", out)
@@ -154,7 +162,8 @@ func TestAggregateCountAndSum(t *testing.T) {
 }
 
 func TestAggregateUnsupportedKind(t *testing.T) {
-	a := NewAggregate(&rowSource{}, sqlparse.AggKind(99), 0, "Aggregate: ?")
+	a := new(Aggregate)
+	a.Init(&rowSource{}, sqlparse.AggKind(99), 0, "Aggregate: ?")
 	err := a.Open()
 	if err == nil {
 		t.Fatal("Open accepted an unsupported aggregate kind")
@@ -166,7 +175,8 @@ func TestAggregateUnsupportedKind(t *testing.T) {
 
 func TestProjectEmitsFreshRecords(t *testing.T) {
 	base := storage.Record{sqlparse.IntValue(1), sqlparse.StrValue("x"), sqlparse.IntValue(9)}
-	p := NewProject(&rowSource{rows: []storage.Record{base}}, []int{2, 0}, "Project: c, a")
+	p := new(Project)
+	p.Init(&rowSource{rows: []storage.Record{base}}, []int{2, 0}, "Project: c, a")
 	out := drainAll(t, p)
 	if len(out) != 1 || len(out[0]) != 2 || out[0][0].Int != 9 || out[0][1].Int != 1 {
 		t.Fatalf("projection = %v", out)

@@ -27,13 +27,6 @@ type Filter struct {
 	stats Stats
 }
 
-// NewFilter builds a filter over input.
-func NewFilter(input Operator, preds []Pred, desc string) *Filter {
-	f := new(Filter)
-	f.Init(input, preds, desc)
-	return f
-}
-
 // Init resets f in place so callers can embed the operator in a
 // larger per-execution allocation instead of heap-allocating each
 // node separately.
@@ -83,13 +76,6 @@ type Project struct {
 	stats Stats
 }
 
-// NewProject builds a projection onto cols.
-func NewProject(input Operator, cols []int, desc string) *Project {
-	p := new(Project)
-	p.Init(input, cols, desc)
-	return p
-}
-
 // Init resets p in place (see Filter.Init).
 func (p *Project) Init(input Operator, cols []int, desc string) {
 	*p = Project{input: input, cols: cols, desc: desc}
@@ -132,13 +118,6 @@ type Sort struct {
 	rows  []storage.Record
 	pos   int
 	stats Stats
-}
-
-// NewSort builds a sort on schema column col.
-func NewSort(input Operator, col int, desc bool, label string) *Sort {
-	s := new(Sort)
-	s.Init(input, col, desc, label)
-	return s
 }
 
 // Init resets s in place (see Filter.Init).
@@ -206,16 +185,9 @@ type Aggregate struct {
 	done  bool
 }
 
-// NewAggregate builds the aggregate. For AggSum, col must be a resolved
-// INT schema column (the planner validates and reports unknown or
-// non-INT columns before the operator runs).
-func NewAggregate(input Operator, kind sqlparse.AggKind, col int, desc string) *Aggregate {
-	a := new(Aggregate)
-	a.Init(input, kind, col, desc)
-	return a
-}
-
-// Init resets a in place (see Filter.Init).
+// Init resets a in place (see Filter.Init). For AggSum, col must be a
+// resolved INT schema column (the planner validates and reports unknown
+// or non-INT columns before the operator runs).
 func (a *Aggregate) Init(input Operator, kind sqlparse.AggKind, col int, desc string) {
 	*a = Aggregate{input: input, kind: kind, col: col, desc: desc}
 }
@@ -279,13 +251,6 @@ type Limit struct {
 	seen  int
 	desc  string
 	stats Stats
-}
-
-// NewLimit builds a limit of n rows.
-func NewLimit(input Operator, n int, desc string) *Limit {
-	l := new(Limit)
-	l.Init(input, n, desc)
-	return l
 }
 
 // Init resets l in place (see Filter.Init).

@@ -84,15 +84,9 @@ func (p *PartitionScan) SetSimulatedIOWait(d time.Duration)  { p.ioWait = d }
 // channel so an abort (error elsewhere, early Close) can never leave a
 // worker blocked on a full channel.
 func (p *PartitionScan) visit(r storage.Record) bool {
-	p.stats.RowsExamined++
-	if p.dl != nil && p.stats.RowsExamined%deadlineCheckInterval == 0 {
-		if err := p.dl(); err != nil {
-			p.err = err
-			return false
-		}
-	}
-	if p.ioWait > 0 && p.stats.RowsExamined%scanIOInterval == 0 {
-		time.Sleep(p.ioWait)
+	if err := examine(&p.stats, p.dl, p.ioWait); err != nil {
+		p.err = err
+		return false
 	}
 	p.batch = append(p.batch, r)
 	p.stats.RowsReturned++
@@ -141,7 +135,10 @@ func (p *PartitionScan) run() {
 // the leaf stops the *emission*, not the traversal, exactly as with
 // the serial leaves.
 type ParallelScan struct {
-	desc  string
+	// scanBase supplies the merged buffer, its emission, and the MVCC
+	// visibility hooks; the deadline and IO-wait setters are overridden
+	// below because the traversals they arm run in the partitions.
+	scanBase
 	parts []PartitionScan
 	fc    FetchCounter
 
@@ -149,10 +146,6 @@ type ParallelScan struct {
 	wg      sync.WaitGroup
 	spawned bool
 	closed  bool
-
-	buf   []storage.Record
-	pos   int
-	stats Stats
 }
 
 // Init prepares the merge over its partitions. rowEstimate (the live
@@ -161,7 +154,7 @@ type ParallelScan struct {
 // in-order merge to reach it — bounded by the scan's own size, which
 // is the memory a serial blocking leaf would buffer anyway.
 func (p *ParallelScan) Init(desc string, parts []PartitionScan, rowEstimate int64, fc FetchCounter) {
-	*p = ParallelScan{desc: desc, parts: parts, fc: fc}
+	*p = ParallelScan{scanBase: scanBase{desc: desc}, parts: parts, fc: fc}
 	chanCap := int(rowEstimate/scanBatchSize) + 2
 	if chanCap < 1 {
 		chanCap = 1
@@ -193,7 +186,10 @@ func (p *ParallelScan) SetSimulatedIOWait(d time.Duration) {
 // Open spawns the partition workers and merges their batches in
 // partition order into the leaf buffer. It returns only when every
 // worker has finished (or been cancelled), so the statement goroutine
-// never races a live worker afterwards.
+// never races a live worker afterwards. An armed read view is applied
+// here, on the statement goroutine: each merged row is resolved as it
+// is buffered and the ghosts are folded in after the last partition,
+// so the workers stay plain tree readers.
 func (p *ParallelScan) Open() error {
 	before := sampleFetches(p.fc)
 	p.spawned = true
@@ -210,7 +206,15 @@ func (p *ParallelScan) Open() error {
 			break
 		}
 		for batch := range p.parts[i].ch {
-			p.buf = append(p.buf, batch...)
+			if p.vis == nil {
+				p.buf = append(p.buf, batch...)
+				continue
+			}
+			for _, r := range batch {
+				if vr, ok := p.resolveVisit(r); ok {
+					p.buf = append(p.buf, vr)
+				}
+			}
 		}
 		if err := p.parts[i].err; err != nil {
 			firstErr = err
@@ -223,6 +227,7 @@ func (p *ParallelScan) Open() error {
 	}
 	p.wg.Wait()
 	p.stats.PoolFetches += sampleFetches(p.fc) - before
+	p.mergeGhosts()
 	return nil
 }
 
@@ -241,28 +246,14 @@ func (p *ParallelScan) abort() {
 	p.wg.Wait()
 }
 
-// Next drains the merged buffer.
-func (p *ParallelScan) Next() (storage.Record, bool, error) {
-	if p.pos >= len(p.buf) {
-		return nil, false, nil
-	}
-	r := p.buf[p.pos]
-	p.pos++
-	p.stats.RowsReturned++
-	return r, true, nil
-}
-
 // Close cancels any straggling workers (none remain after a successful
 // Open) and releases the buffer.
 func (p *ParallelScan) Close() error {
 	if p.spawned {
 		p.abort()
 	}
-	p.buf = nil
-	return nil
+	return p.scanBase.Close()
 }
-
-func (p *ParallelScan) Describe() string { return p.desc }
 
 // Stats aggregates the partitions: examined/returned counts sum to
 // exactly the serial scan's (disjoint ranges covering the same keys),
@@ -270,7 +261,6 @@ func (p *ParallelScan) Describe() string { return p.desc }
 // comment on attribution). Only meaningful after Open returns.
 func (p *ParallelScan) Stats() Stats {
 	out := p.stats
-	out.RowsReturned = p.stats.RowsReturned
 	out.RowsExamined = 0
 	for i := range p.parts {
 		out.RowsExamined += p.parts[i].stats.RowsExamined

@@ -95,19 +95,31 @@ func (s *scanBase) Describe() string     { return s.desc }
 func (s *scanBase) Stats() Stats         { return s.stats }
 func (s *scanBase) Children() []Operator { return nil }
 
-// visit is the shared traversal callback: count and buffer every row.
-// At every deadlineCheckInterval-th row it evaluates the armed deadline
-// check and stops the traversal if the statement has run out of time —
-// the scan boundary where a runaway statement actually surfaces.
-func (s *scanBase) visit(r storage.Record) bool {
-	s.stats.RowsExamined++
-	if s.dl != nil && s.stats.RowsExamined%deadlineCheckInterval == 0 {
-		if s.checkDeadline() != nil {
-			return false
+// examine is the per-row step every traversal callback shares — the
+// serial leaf's and the partition workers': count the row, evaluate the
+// armed deadline check at every deadlineCheckInterval-th row (the scan
+// boundary where a runaway statement actually surfaces), and model one
+// device wait per scanIOInterval rows. A non-nil error stops the
+// traversal.
+func examine(st *Stats, dl DeadlineCheck, ioWait time.Duration) error {
+	st.RowsExamined++
+	if dl != nil && st.RowsExamined%deadlineCheckInterval == 0 {
+		if err := dl(); err != nil {
+			return err
 		}
 	}
-	if s.ioWait > 0 && s.stats.RowsExamined%scanIOInterval == 0 {
-		time.Sleep(s.ioWait)
+	if ioWait > 0 && st.RowsExamined%scanIOInterval == 0 {
+		time.Sleep(ioWait)
+	}
+	return nil
+}
+
+// visit is the serial traversal callback: count, resolve against the
+// armed view, and buffer.
+func (s *scanBase) visit(r storage.Record) bool {
+	if err := examine(&s.stats, s.dl, s.ioWait); err != nil {
+		s.dlErr = err
+		return false
 	}
 	if vr, ok := s.resolveVisit(r); ok {
 		s.buf = append(s.buf, vr)
@@ -115,34 +127,32 @@ func (s *scanBase) visit(r storage.Record) bool {
 	return true
 }
 
-// FullScan reads every row of a tree in key order.
-type FullScan struct {
+// Scan is the serial scan leaf: one forward traversal of a tree — the
+// clustered tree's rows or a secondary index's entries — over [lo, hi]
+// when bounded, over every key otherwise. A point read is the range
+// whose bounds coincide.
+type Scan struct {
 	scanBase
-	tree *btree.Tree
-	hint int64 // advisory row-count hint for pre-sizing; <=0 disables
-	fc   FetchCounter
-}
-
-// NewFullScan builds a full scan over tree. hint, when positive and
-// sane, pre-sizes the row buffer (the caller passes the table's
-// advisory row count for unfiltered scans, 0 otherwise — matching the
-// legacy scan loop's pre-sizing rule). rev flips the emission order
-// after the forward traversal (see scanBase).
-func NewFullScan(tree *btree.Tree, hint int64, rev bool, desc string, fc FetchCounter) *FullScan {
-	s := new(FullScan)
-	s.Init(tree, hint, rev, desc, fc)
-	return s
+	tree    *btree.Tree
+	bounded bool
+	lo, hi  sqlparse.Value
+	hint    int64 // buffer pre-size; <=0 disables
+	fc      FetchCounter
 }
 
 // Init resets s in place so callers can embed the operator in a
 // larger per-execution allocation instead of heap-allocating each
-// node separately.
-func (s *FullScan) Init(tree *btree.Tree, hint int64, rev bool, desc string, fc FetchCounter) {
-	*s = FullScan{scanBase: scanBase{desc: desc, rev: rev}, tree: tree, hint: hint, fc: fc}
+// node separately. hint, when positive and sane, pre-sizes the row
+// buffer: the caller passes the table's advisory row count for
+// unfiltered full scans, 1 for a point read of a unique tree, and 0
+// otherwise — the legacy scan loop's pre-sizing rule. rev flips the
+// emission order after the forward traversal (see scanBase).
+func (s *Scan) Init(tree *btree.Tree, bounded bool, lo, hi sqlparse.Value, hint int64, rev bool, desc string, fc FetchCounter) {
+	*s = Scan{scanBase: scanBase{desc: desc, rev: rev}, tree: tree, bounded: bounded, lo: lo, hi: hi, hint: hint, fc: fc}
 }
 
 // Open runs the traversal.
-func (s *FullScan) Open() error {
+func (s *Scan) Open() error {
 	if err := s.checkDeadline(); err != nil {
 		return err
 	}
@@ -150,83 +160,12 @@ func (s *FullScan) Open() error {
 		s.buf = make([]storage.Record, 0, s.hint)
 	}
 	before := sampleFetches(s.fc)
-	err := s.tree.Scan(s.visit)
-	s.stats.PoolFetches += sampleFetches(s.fc) - before
-	if err == nil && s.dlErr != nil {
-		return s.dlErr
+	var err error
+	if s.bounded {
+		err = s.tree.Range(s.lo, s.hi, s.visit)
+	} else {
+		err = s.tree.Scan(s.visit)
 	}
-	s.mergeGhosts()
-	s.reverse()
-	return err
-}
-
-// IndexPointScan reads the rows matching one exact key of a tree — the
-// clustered primary-key tree for `pk = ?` predicates.
-type IndexPointScan struct {
-	scanBase
-	tree *btree.Tree
-	key  sqlparse.Value
-	fc   FetchCounter
-}
-
-// NewIndexPointScan builds a point scan for key.
-func NewIndexPointScan(tree *btree.Tree, key sqlparse.Value, desc string, fc FetchCounter) *IndexPointScan {
-	s := new(IndexPointScan)
-	s.Init(tree, key, desc, fc)
-	return s
-}
-
-// Init resets s in place (see FullScan.Init).
-func (s *IndexPointScan) Init(tree *btree.Tree, key sqlparse.Value, desc string, fc FetchCounter) {
-	*s = IndexPointScan{scanBase: scanBase{desc: desc}, tree: tree, key: key, fc: fc}
-}
-
-// Open runs the point traversal. A point lookup matches at most one
-// row in a unique tree, so the buffer is pre-sized to one.
-func (s *IndexPointScan) Open() error {
-	if err := s.checkDeadline(); err != nil {
-		return err
-	}
-	s.buf = make([]storage.Record, 0, 1)
-	before := sampleFetches(s.fc)
-	err := s.tree.Range(s.key, s.key, s.visit)
-	s.stats.PoolFetches += sampleFetches(s.fc) - before
-	if err == nil && s.dlErr != nil {
-		return s.dlErr
-	}
-	s.mergeGhosts()
-	return err
-}
-
-// IndexRangeScan reads the rows (or index entries, when running over a
-// secondary index tree) with keys in [lo, hi].
-type IndexRangeScan struct {
-	scanBase
-	tree   *btree.Tree
-	lo, hi sqlparse.Value
-	fc     FetchCounter
-}
-
-// NewIndexRangeScan builds a range scan over [lo, hi]. rev flips the
-// emission order after the forward traversal (see scanBase).
-func NewIndexRangeScan(tree *btree.Tree, lo, hi sqlparse.Value, rev bool, desc string, fc FetchCounter) *IndexRangeScan {
-	s := new(IndexRangeScan)
-	s.Init(tree, lo, hi, rev, desc, fc)
-	return s
-}
-
-// Init resets s in place (see FullScan.Init).
-func (s *IndexRangeScan) Init(tree *btree.Tree, lo, hi sqlparse.Value, rev bool, desc string, fc FetchCounter) {
-	*s = IndexRangeScan{scanBase: scanBase{desc: desc, rev: rev}, tree: tree, lo: lo, hi: hi, fc: fc}
-}
-
-// Open runs the range traversal.
-func (s *IndexRangeScan) Open() error {
-	if err := s.checkDeadline(); err != nil {
-		return err
-	}
-	before := sampleFetches(s.fc)
-	err := s.tree.Range(s.lo, s.hi, s.visit)
 	s.stats.PoolFetches += sampleFetches(s.fc) - before
 	if err == nil && s.dlErr != nil {
 		return s.dlErr
@@ -267,14 +206,7 @@ type KeyLookup struct {
 	resolver LookupResolver
 }
 
-// NewKeyLookup builds a lookup of input's pk entries in clustered.
-func NewKeyLookup(input Operator, clustered *btree.Tree, indexName, desc string, revCol int, fc FetchCounter) *KeyLookup {
-	k := new(KeyLookup)
-	k.Init(input, clustered, indexName, desc, revCol, fc)
-	return k
-}
-
-// Init resets k in place (see FullScan.Init).
+// Init resets k in place (see Scan.Init).
 func (k *KeyLookup) Init(input Operator, clustered *btree.Tree, indexName, desc string, revCol int, fc FetchCounter) {
 	*k = KeyLookup{input: input, clustered: clustered, indexName: indexName, desc: desc, revCol: revCol, fc: fc}
 }

@@ -32,13 +32,6 @@ type TopN struct {
 	stats Stats
 }
 
-// NewTopN builds a top-n on schema column col keeping n rows.
-func NewTopN(input Operator, col int, desc bool, n int, label string) *TopN {
-	t := new(TopN)
-	t.Init(input, col, desc, n, label)
-	return t
-}
-
 // Init resets t in place (see Filter.Init).
 func (t *TopN) Init(input Operator, col int, desc bool, n int, label string) {
 	*t = TopN{input: input, col: col, desc: desc, n: n, label: label}

@@ -61,7 +61,8 @@ func TestTopNMatchesStableSortTruncate(t *testing.T) {
 	for _, desc := range []bool{false, true} {
 		for n := 0; n <= len(rows)+2; n++ {
 			src := &rowSource{rows: rows}
-			op := NewTopN(src, 0, desc, n, fmt.Sprintf("Top-N sort: k (limit %d)", n))
+			op := new(TopN)
+			op.Init(src, 0, desc, n, fmt.Sprintf("Top-N sort: k (limit %d)", n))
 			got := drainAll(t, op)
 			want := refTopN(rows, 0, desc, n)
 			if !recordsEqual(got, want) {
@@ -79,7 +80,8 @@ func TestTopNMatchesStableSortTruncate(t *testing.T) {
 // accounting must not depend on the limit.
 func TestTopNZeroDrainsInput(t *testing.T) {
 	src := &rowSource{rows: intRows(3, 1, 2)}
-	op := NewTopN(src, 0, false, 0, "Top-N sort: k (limit 0)")
+	op := new(TopN)
+	op.Init(src, 0, false, 0, "Top-N sort: k (limit 0)")
 	out := drainAll(t, op)
 	if len(out) != 0 {
 		t.Fatalf("emitted %d rows, want 0", len(out))
@@ -94,7 +96,8 @@ func TestTopNZeroDrainsInput(t *testing.T) {
 }
 
 func TestTopNStats(t *testing.T) {
-	op := NewTopN(&rowSource{rows: intRows(4, 1, 3, 2, 5)}, 0, false, 2, "Top-N sort: k (limit 2)")
+	op := new(TopN)
+	op.Init(&rowSource{rows: intRows(4, 1, 3, 2, 5)}, 0, false, 2, "Top-N sort: k (limit 2)")
 	out := drainAll(t, op)
 	if len(out) != 2 || out[0][0].Int != 1 || out[1][0].Int != 2 {
 		t.Fatalf("top-2 = %v, want [1 2]", out)
@@ -127,7 +130,8 @@ func BenchmarkTopN(b *testing.B) {
 	b.Run("TopN", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			op := NewTopN(&rowSource{rows: rows}, 0, false, n, "Top-N")
+			op := new(TopN)
+			op.Init(&rowSource{rows: rows}, 0, false, n, "Top-N")
 			if err := op.Open(); err != nil {
 				b.Fatal(err)
 			}
@@ -146,7 +150,9 @@ func BenchmarkTopN(b *testing.B) {
 	b.Run("SortLimit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			op := NewLimit(NewSort(&rowSource{rows: rows}, 0, false, "Sort"), n, "Limit")
+			srt, op := new(Sort), new(Limit)
+			srt.Init(&rowSource{rows: rows}, 0, false, "Sort")
+			op.Init(srt, n, "Limit")
 			if err := op.Open(); err != nil {
 				b.Fatal(err)
 			}

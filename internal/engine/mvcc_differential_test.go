@@ -14,9 +14,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -95,52 +92,11 @@ func mvccDiffWorkload(rng *rand.Rand) []string {
 
 func TestDifferentialMVCCVsLocking(t *testing.T) {
 	workload := mvccDiffWorkload(rand.New(rand.NewSource(0xBEEF)))
-
-	type runState struct {
-		outcomes []string
-		binlog   []string
-		general  []string
-	}
-	run := func(disable bool) runState {
-		cfg := Defaults()
-		cfg.DisableMVCC = disable
-		cfg.EnableGeneralLog = true
-		cfg.PurgeEvery = 16 // exercise inline purge on the MVCC arm
-		e, now := newEngine(t, cfg)
-		var rs runState
-		sessions := []*Session{e.Connect("diff-a"), e.Connect("diff-b")}
-		defer sessions[0].Close()
-		defer sessions[1].Close()
-		for _, entry := range workload {
-			sid, q, _ := strings.Cut(entry, "|")
-			n, _ := strconv.Atoi(sid)
-			*now++
-			res, err := sessions[n].Execute(q)
-			rs.outcomes = append(rs.outcomes, renderResult(res, err))
-		}
-		for _, en := range e.GeneralLog().Entries() {
-			rs.general = append(rs.general, fmt.Sprintf("%d|%d|%s", en.Timestamp, en.Session, en.Statement))
-		}
-		for _, ev := range e.Binlog().Events() {
-			rs.binlog = append(rs.binlog, fmt.Sprintf("%d|%d|%s", ev.Timestamp, ev.LSN, ev.Statement))
-		}
-		return rs
-	}
-
-	mvcc := run(false)
-	locking := run(true)
-
-	for i := range mvcc.outcomes {
-		if mvcc.outcomes[i] != locking.outcomes[i] {
-			t.Errorf("statement %d %q:\nmvcc:    %s\nlocking: %s",
-				i, workload[i], mvcc.outcomes[i], locking.outcomes[i])
-		}
-	}
-	if !reflect.DeepEqual(mvcc.binlog, locking.binlog) {
-		t.Errorf("binlog differs between MVCC and locking runs (%d vs %d events)",
-			len(mvcc.binlog), len(locking.binlog))
-	}
-	if !reflect.DeepEqual(mvcc.general, locking.general) {
-		t.Errorf("general log differs between MVCC and locking runs")
-	}
+	cfg := Defaults()
+	cfg.EnableGeneralLog = true
+	cfg.PurgeEvery = 16 // exercise inline purge on the MVCC arm
+	mvcc := captureRun(t, cfg, workload, nil)
+	cfg.DisableMVCC = true
+	locking := captureRun(t, cfg, workload, nil)
+	diffRuns(t, workload, "mvcc", "locking", mvcc, locking, 0)
 }

@@ -431,6 +431,9 @@ func TestSetTransactionReadOnly(t *testing.T) {
 		"INSERT INTO t (id, v) VALUES (2, 'y')",
 		"UPDATE t SET v = 'z' WHERE id = 1",
 		"DELETE FROM t WHERE id = 1",
+		// EXPLAIN ANALYZE really runs the statement, so it gets the guard.
+		"EXPLAIN ANALYZE UPDATE t SET v = 'z' WHERE id = 1",
+		"EXPLAIN ANALYZE DELETE FROM t WHERE id = 1",
 	} {
 		if _, err := s.Execute(q); err == nil || !strings.Contains(err.Error(), "READ ONLY") {
 			t.Errorf("%s in read-only txn: err = %v", q, err)
@@ -441,6 +444,9 @@ func TestSetTransactionReadOnly(t *testing.T) {
 		t.Errorf("read in read-only txn = %v", res.Rows)
 	}
 	mustExec(t, s, "COMMIT")
+	if res := mustExec(t, s, "SELECT v FROM t WHERE id = 1"); len(res.Rows) != 1 || res.Rows[0][0].Str != "x" {
+		t.Errorf("row after the read-only txn = %v, want it untouched", res.Rows)
+	}
 
 	// The access mode is one-shot: the next transaction is read-write.
 	mustExec(t, s, "BEGIN")

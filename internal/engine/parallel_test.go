@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -70,7 +68,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 
 	par := run(parallelConfig())
 	cfgSerial := parallelConfig()
-	cfgSerial.DisableParallelScan = true
+	cfgSerial.MaxScanWorkers = 0
 	ser := run(cfgSerial)
 
 	for i := range queries {
@@ -133,7 +131,7 @@ func TestParallelExplainShowsPartitions(t *testing.T) {
 
 	// A serial engine never shows the parallel operators.
 	cfgSerial := parallelConfig()
-	cfgSerial.DisableParallelScan = true
+	cfgSerial.MaxScanWorkers = 0
 	e2, _ := newEngine(t, cfgSerial)
 	s2 := e2.Connect("app")
 	defer s2.Close()
@@ -142,7 +140,7 @@ func TestParallelExplainShowsPartitions(t *testing.T) {
 	lines, _ = explainLines(t, s2, "EXPLAIN SELECT * FROM wide WHERE score > 40")
 	joined = strings.Join(lines, "\n")
 	if strings.Contains(joined, "Parallel") || strings.Contains(joined, "Partition") {
-		t.Fatalf("DisableParallelScan plan still parallel:\n%s", joined)
+		t.Fatalf("MaxScanWorkers = 0 plan still parallel:\n%s", joined)
 	}
 }
 
@@ -163,69 +161,21 @@ func parallelWorkload() []string {
 }
 
 // TestDifferentialParallelVsSerial pushes the same randomized workload
-// through a parallel-scanning engine and a DisableParallelScan engine:
+// through a parallel-scanning engine and a MaxScanWorkers = 0 engine:
 // every statement outcome and every durable artifact surface — general
 // log, binlog, digest summary, statement history, heap arena — must be
 // byte-identical. The buffer-pool fetch trace and LRU state are
 // deliberately NOT compared: concurrent partition workers scramble
 // them, which is the leakage-profile change experiment E15 measures.
+// Stage events name the leaf that ran, so they differ by design.
 func TestDifferentialParallelVsSerial(t *testing.T) {
 	workload := parallelWorkload()
-
-	type runState struct {
-		outcomes []string
-		fs       forensicState
-	}
-	run := func(serial bool) runState {
-		cfg := parallelConfig()
-		cfg.DisableParallelScan = serial
-		cfg.EnableGeneralLog = true
-		e, now := newEngine(t, cfg)
-		var rs runState
-		s := e.Connect("diff")
-		defer s.Close()
-		for _, q := range workload {
-			*now++
-			res, err := s.Execute(q)
-			rs.outcomes = append(rs.outcomes, renderResult(res, err))
-		}
-		rs.fs = captureForensics(e)
-		return rs
-	}
-
-	par := run(false)
-	ser := run(true)
-
-	if len(par.outcomes) != len(ser.outcomes) {
-		t.Fatalf("outcome count mismatch: %d vs %d", len(par.outcomes), len(ser.outcomes))
-	}
-	for i := range par.outcomes {
-		if par.outcomes[i] != ser.outcomes[i] {
-			t.Errorf("statement %d %q:\nparallel: %s\nserial:   %s",
-				i, workload[i], par.outcomes[i], ser.outcomes[i])
-		}
-	}
-	for _, cmp := range []struct {
-		name string
-		a, b []string
-	}{
-		{"general log", par.fs.general, ser.fs.general},
-		{"binlog", par.fs.binlog, ser.fs.binlog},
-		{"digest summary", par.fs.digests, ser.fs.digests},
-		{"statement history", par.fs.history, ser.fs.history},
-		{"statements current", par.fs.current, ser.fs.current},
-	} {
-		if !reflect.DeepEqual(cmp.a, cmp.b) {
-			t.Errorf("%s differs between parallel and serial runs (%d vs %d entries)",
-				cmp.name, len(cmp.a), len(cmp.b))
-		}
-	}
-	if !bytes.Equal(par.fs.arena, ser.fs.arena) {
-		t.Errorf("heap arena images differ between parallel and serial runs")
-	}
-	if par.fs.statements != ser.fs.statements {
-		t.Errorf("statement counters differ: %d vs %d", par.fs.statements, ser.fs.statements)
-	}
+	cfg := parallelConfig()
+	cfg.EnableGeneralLog = true
+	par := captureRun(t, cfg, workload, nil)
+	cfg.MaxScanWorkers = 0
+	ser := captureRun(t, cfg, workload, nil)
+	diffRuns(t, workload, "parallel", "serial", par, ser, surfFetches|surfStages)
 }
 
 // TestPlanCacheLeakageEquivalenceParallel is the plan-cache leakage
@@ -252,45 +202,77 @@ func TestPlanCacheLeakageEquivalenceParallel(t *testing.T) {
 		"SELECT * FROM wide WHERE score > 40",                                  // re-partitioned against the widened bounds
 		"SELECT COUNT(*) FROM wide",
 	)
+	cfg := parallelConfig()
+	cfg.EnableGeneralLog = true
+	withCache := captureRun(t, cfg, workload, nil)
+	cfg.DisablePlanCache = true
+	without := captureRun(t, cfg, workload, nil)
+	diffRuns(t, workload, "plancache-on", "plancache-off", withCache, without, surfFetches)
+}
 
-	run := func(disable bool) forensicState {
-		cfg := parallelConfig()
-		cfg.DisablePlanCache = disable
-		cfg.EnableGeneralLog = true
-		e, now := newEngine(t, cfg)
-		s := e.Connect("victim")
-		defer s.Close()
-		for _, q := range workload {
-			*now++
-			if _, err := s.Execute(q); err != nil {
-				t.Fatalf("Execute(%q): %v", q, err)
+// TestParallelScanUnderMVCC: visibility is a decorator on any leaf, the
+// parallel one included. Session A holds an open transaction that has
+// updated, deleted and inserted rows across several partitions; session
+// B's scans must fan out (not silently serialise, as they did when the
+// hooks lived only in the serial leaves) and return exactly what the
+// serial leaf returns — the pre-transaction snapshot.
+func TestParallelScanUnderMVCC(t *testing.T) {
+	queries := []string{
+		"SELECT * FROM wide",
+		"SELECT id, score FROM wide WHERE id >= 300 AND id <= 13000",
+		"SELECT COUNT(*) FROM wide",
+		"SELECT name FROM wide WHERE score = 77",
+		"SELECT SUM(score) FROM wide WHERE id >= 0 AND id <= 9000",
+	}
+	run := func(workers int) []string {
+		cfg := Defaults()
+		cfg.MaxScanWorkers = workers
+		cfg.EnableQueryCache = false
+		e, _ := newEngine(t, cfg)
+		a, b := e.Connect("writer"), e.Connect("reader")
+		defer a.Close()
+		defer b.Close()
+		n := int(cfg.normalized().ParallelScanMinRows) + 200
+		mustExec(t, a, "CREATE TABLE wide (id INT PRIMARY KEY, grp INT, score INT, name TEXT)")
+		for lo := 0; lo < n; lo += 100 {
+			var vals []string
+			for i := lo; i < lo+100 && i < n; i++ {
+				vals = append(vals, fmt.Sprintf("(%d, %d, %d, 'w%d')", i*3, i%7, (i*37)%100, i))
 			}
+			mustExec(t, a, "INSERT INTO wide (id, grp, score, name) VALUES "+strings.Join(vals, ", "))
 		}
-		return captureForensics(e)
-	}
+		mustExec(t, a, "ANALYZE TABLE wide")
 
-	withCache := run(false)
-	without := run(true)
-	for _, cmp := range []struct {
-		name string
-		a, b []string
-	}{
-		{"general log", withCache.general, without.general},
-		{"binlog", withCache.binlog, without.binlog},
-		{"digest summary", withCache.digests, without.digests},
-		{"statement history", withCache.history, without.history},
-		{"statements current", withCache.current, without.current},
-		{"stages history", withCache.stages, without.stages},
-	} {
-		if !reflect.DeepEqual(cmp.a, cmp.b) {
-			t.Errorf("%s differs with plan cache on vs off under parallel scans", cmp.name)
+		// A's open transaction touches every partition of a 4-way split:
+		// substituted rows, tombstoned rows (ghosts for B) and inserted
+		// rows (suppressed for B), in the key range and past its end.
+		mustExec(t, a, "BEGIN")
+		for _, k := range []int{0, 1, n / 4, n / 2, 3 * n / 4, n - 1} {
+			mustExec(t, a, fmt.Sprintf("UPDATE wide SET score = 77 WHERE id = %d", k*3))
+			mustExec(t, a, fmt.Sprintf("DELETE FROM wide WHERE id = %d", (k+5)*3))
+			mustExec(t, a, fmt.Sprintf("INSERT INTO wide (id, grp, score, name) VALUES (%d, 0, 77, 'new')", k*3+1))
 		}
+
+		var out []string
+		for _, q := range queries {
+			out = append(out, renderResult(b.Execute(q)))
+		}
+		lines, _ := explainLines(t, b, "EXPLAIN ANALYZE "+queries[0])
+		if got := strings.Contains(strings.Join(lines, "\n"), "Parallel scan on wide"); got != (workers >= 2) {
+			t.Errorf("workers=%d: filtered scan parallel=%v:\n%s", workers, got, strings.Join(lines, "\n"))
+		}
+		// B saw the snapshot: none of A's uncommitted work.
+		if res := mustExec(t, b, "SELECT COUNT(*) FROM wide"); res.Rows[0][0].Int != int64(n) {
+			t.Errorf("workers=%d: reader counts %d rows, want the pre-transaction %d", workers, res.Rows[0][0].Int, n)
+		}
+		mustExec(t, a, "ROLLBACK")
+		return out
 	}
-	if !bytes.Equal(withCache.arena, without.arena) {
-		t.Errorf("heap arena images differ: %d vs %d bytes", len(withCache.arena), len(without.arena))
-	}
-	if withCache.statements != without.statements {
-		t.Errorf("statement counters differ: %d vs %d", withCache.statements, without.statements)
+	par, ser := run(4), run(0)
+	for i, q := range queries {
+		if par[i] != ser[i] {
+			t.Errorf("%s differs under a live read view:\nparallel: %.300s\nserial:   %.300s", q, par[i], ser[i])
+		}
 	}
 }
 

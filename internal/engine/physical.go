@@ -188,7 +188,8 @@ func estIndexRows(t *Table, colIdx int, lo, hi sqlparse.Value, eq bool, n int64)
 // the lowest index name wins, which is exactly the order the
 // first-match rule used, and below the small-table floor a bounded
 // index always wins, so never-analyzed fixtures plan as they always
-// did. DisableCostBasedPlanner restores first-match outright.
+// did (the legacy differential's frozen first-match reference holds
+// the planner to that).
 func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 	t := ls.table
 	pp.table = t
@@ -222,27 +223,19 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 		bestLo, bestHi sqlparse.Value
 		bestEst        float64
 	)
-	if e.cfg.DisableCostBasedPlanner {
-		if ix, lo, hi, ok := indexBounds(e.indexesOf(t), ls.where); ok {
-			best, bestLo, bestHi = ix, lo, hi
-			bestEst = estIndexRows(t, ix.colIdx, lo, hi, lo.Equal(hi), n)
+	for _, ix := range e.indexesOf(t) {
+		lo, hi, eq, ok := indexBoundsFor(ix, ls.where)
+		if !ok {
+			continue
 		}
-	} else {
-		for _, ix := range e.indexesOf(t) {
-			lo, hi, eq, ok := indexBoundsFor(ix, ls.where)
-			if !ok {
-				continue
-			}
-			est := estIndexRows(t, ix.colIdx, lo, hi, eq, n)
-			if best == nil || est < bestEst {
-				best, bestLo, bestHi, bestEst = ix, lo, hi, est
-			}
+		est := estIndexRows(t, ix.colIdx, lo, hi, eq, n)
+		if best == nil || est < bestEst {
+			best, bestLo, bestHi, bestEst = ix, lo, hi, est
 		}
 	}
 	if best != nil {
 		idxCost := bestEst * (costIndexEntry + costKeyLookup)
-		if e.cfg.DisableCostBasedPlanner || n < costFullScanMinRows ||
-			idxCost <= float64(n)*costSeqRow {
+		if n < costFullScanMinRows || idxCost <= float64(n)*costSeqRow {
 			pp.kind = accessIndex
 			pp.ix = best
 			pp.lo, pp.hi = indexValueBounds(bestLo, bestHi)
@@ -303,14 +296,14 @@ func (pp *physicalPlan) orderFromAccess(sortCol int, sortDesc bool) bool {
 
 // markParallel flags a SELECT template as eligible for the parallel
 // partitioned scan: a forward clustered full/range scan over an INT
-// primary key, with parallelism switched on. Only the knobs land in
+// primary key, with Config.MaxScanWorkers >= 2. Only the knobs land in
 // the template — the partition split itself happens at instantiate
 // time from live state (row count, statistics bounds), so a cached
 // template and a fresh build fan out identically. UPDATE/DELETE scans
 // stay serial: their scan half runs under the exclusive table lock and
 // feeds a mutation loop that wants the dispatch goroutine to itself.
 func (e *Engine) markParallel(pp *physicalPlan) {
-	if e.cfg.DisableParallelScan || e.cfg.MaxScanWorkers < 2 {
+	if e.cfg.MaxScanWorkers < 2 {
 		return
 	}
 	if pp.kind != accessFull && pp.kind != accessPKRange {
@@ -371,11 +364,11 @@ func (e *Engine) buildSelectPlan(t *Table, st *sqlparse.Select) *physicalPlan {
 		}
 		name := t.Columns[lp.sortCol].Name
 		switch {
-		case !e.cfg.DisableSortOptimizations && pp.orderFromAccess(lp.sortCol, lp.sortDesc):
+		case pp.orderFromAccess(lp.sortCol, lp.sortDesc):
 			// The access path absorbs the ordering: no sort node at all.
 			// EXPLAIN shows the leaf carrying it.
 			pp.dScan = strings.TrimSuffix(pp.dScan, ")") + fmt.Sprintf(", order=%s %s)", name, dir)
-		case !e.cfg.DisableSortOptimizations && lp.limit >= 0:
+		case lp.limit >= 0:
 			// LIMIT over ORDER BY: one bounded-heap TopN replaces
 			// Sort+Limit.
 			pp.sortCol = lp.sortCol
@@ -389,7 +382,7 @@ func (e *Engine) buildSelectPlan(t *Table, st *sqlparse.Select) *physicalPlan {
 		}
 	}
 	// A Limit node exists only when no TopN carries the limit: absorbed
-	// ordering, plain LIMIT without ORDER BY, or sort optimizations off.
+	// ordering, or plain LIMIT without ORDER BY.
 	if pp.limit >= 0 && !pp.useTopN {
 		pp.dLimit = fmt.Sprintf("Limit: %d", pp.limit)
 	}
@@ -443,6 +436,16 @@ func (e *Engine) physDelete(pl *plan, t *Table, st *sqlparse.Delete) *physicalPl
 	return e.buildDeletePlan(t, st)
 }
 
+// scanLeaf is the bottom operator of every plan — the serial exec.Scan
+// or an exec.ParallelScan — with the per-execution arming the statement
+// driver applies before Open.
+type scanLeaf interface {
+	exec.Operator
+	SetDeadlineCheck(exec.DeadlineCheck)
+	SetSimulatedIOWait(time.Duration)
+	SetVisibility(*exec.Visibility)
+}
+
 // opNode is one operator of an instantiated plan with its tree depth.
 type opNode struct {
 	op    exec.Operator
@@ -463,19 +466,17 @@ const maxPlanDepth = 6
 // copied by value (nodes and the operator inputs point into it).
 type planInstance struct {
 	root  exec.Operator
-	leaf  exec.Operator // the bottom scan; its RowsExamined is the statement's
-	nodes []opNode      // root first, backed by nodeBuf
+	leaf  scanLeaf // the bottom scan; its RowsExamined is the statement's
+	nodes []opNode // root first, backed by nodeBuf
 
-	fullScan  exec.FullScan
-	pointScan exec.IndexPointScan
-	rangeScan exec.IndexRangeScan
-	lookup    exec.KeyLookup
-	filter    exec.Filter
-	sort      exec.Sort
-	topn      exec.TopN
-	agg       exec.Aggregate
-	proj      exec.Project
-	limit     exec.Limit
+	scan   exec.Scan
+	lookup exec.KeyLookup
+	filter exec.Filter
+	sort   exec.Sort
+	topn   exec.TopN
+	agg    exec.Aggregate
+	proj   exec.Project
+	limit  exec.Limit
 
 	nodeBuf  [maxPlanDepth]opNode
 	stageBuf [maxPlanDepth]perfschema.StageEvent
@@ -544,57 +545,30 @@ func (pp *physicalPlan) buildParallel(fc exec.FetchCounter) *exec.ParallelScan {
 // instantiate builds fresh operators from the template. fc (may be nil)
 // lets the scan leaves attribute buffer-pool fetches per operator.
 func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
-	return pp.instantiateOpts(fc, false)
-}
-
-// instantiateOpts is instantiate with a serial override: an MVCC read
-// carrying a version filter pins the scan to the serial leaves, where
-// the visibility hooks live — a filtered scan never fans out across
-// partition workers.
-func (pp *physicalPlan) instantiateOpts(fc exec.FetchCounter, serial bool) *planInstance {
 	t := pp.table
 	pi := &planInstance{}
-	var leaf exec.Operator
-	switch pp.kind {
-	case accessPKPoint:
-		pi.pointScan.Init(t.Tree, pp.lo, pp.dScan, fc)
-		leaf = &pi.pointScan
-	case accessPKRange:
-		var par *exec.ParallelScan
-		if !serial {
-			par = pp.buildParallel(fc)
-		}
-		if par != nil {
-			leaf = par
-		} else {
-			pi.rangeScan.Init(t.Tree, pp.lo, pp.hi, pp.scanRev, pp.dScan, fc)
-			leaf = &pi.rangeScan
-		}
-	case accessIndex:
-		pi.rangeScan.Init(pp.ix.Tree, pp.lo, pp.hi, false, pp.dScan, fc)
-		leaf = &pi.rangeScan
-	default:
-		var par *exec.ParallelScan
-		if !serial {
-			par = pp.buildParallel(fc)
-		}
-		if par != nil {
-			leaf = par
-		} else {
-			var hint int64
+	var leaf scanLeaf
+	if par := pp.buildParallel(fc); par != nil {
+		leaf = par
+	} else {
+		tree, hint := t.Tree, int64(0)
+		switch pp.kind {
+		case accessIndex:
+			tree = pp.ix.Tree
+		case accessPKPoint:
+			hint = 1 // a unique tree holds at most one match
+		case accessFull:
 			if pp.presize {
 				hint = t.rows.Load()
 			}
-			pi.fullScan.Init(t.Tree, hint, pp.scanRev, pp.dScan, fc)
-			leaf = &pi.fullScan
 		}
+		pi.scan.Init(tree, pp.kind != accessFull, pp.lo, pp.hi, hint, pp.scanRev, pp.dScan, fc)
+		leaf = &pi.scan
 	}
 	if pp.scanIOWait > 0 {
-		if sw, ok := leaf.(interface{ SetSimulatedIOWait(time.Duration) }); ok {
-			sw.SetSimulatedIOWait(pp.scanIOWait)
-		}
+		leaf.SetSimulatedIOWait(pp.scanIOWait)
 	}
-	root := leaf
+	var root exec.Operator = leaf
 	if pp.kind == accessIndex {
 		pi.lookup.Init(root, t.Tree, pp.ix.Name, pp.dLookup, pp.lookupRevCol, fc)
 		root = &pi.lookup
@@ -656,19 +630,6 @@ func (pp *physicalPlan) instantiateOpts(fc exec.FetchCounter, serial bool) *plan
 		op = ch[0]
 	}
 	return pi
-}
-
-// armDeadline installs the statement-deadline check on the scan leaf.
-// Only the leaf runs an unbounded loop (its Open-time traversal), so
-// arming it bounds the whole tree; a nil check is a no-op, keeping the
-// no-timeout path identical to the pre-deadline executor.
-func (pi *planInstance) armDeadline(dc exec.DeadlineCheck) {
-	if dc == nil {
-		return
-	}
-	if da, ok := pi.leaf.(interface{ SetDeadlineCheck(exec.DeadlineCheck) }); ok {
-		da.SetDeadlineCheck(dc)
-	}
 }
 
 // drain runs the tree to completion via the Volcano protocol and

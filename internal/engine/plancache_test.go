@@ -222,6 +222,133 @@ func captureForensics(e *Engine) forensicState {
 	return fs
 }
 
+// surface names one group of observable state a differential compares.
+// A differential passes diffRuns the surfaces its arms are allowed to
+// move; everything else must match byte for byte.
+type surface uint
+
+const (
+	surfOutcomes surface = 1 << iota // per-statement results and errors
+	surfFetches                      // buffer-pool fetch sequence, hit/miss counts, LRU order, hot pages
+	surfLogs                         // general log, binlog
+	surfPerf                         // digest summary, statement history/current, statement counter
+	surfStages                       // events_stages_history
+	surfArena                        // heap arena image
+)
+
+// runState is everything one arm of a differential leaves behind.
+type runState struct {
+	outcomes     []string
+	trace        []storage.PageID
+	lru          []storage.PageID
+	hot          string
+	hits, misses uint64
+	fs           forensicState
+	// operators is every operator description any statement's stage
+	// events carried — the history ring in fs.stages keeps only the
+	// last few statements.
+	operators map[string]bool
+}
+
+// captureRun replays workload on a fresh engine built from cfg, with a
+// deterministic clock ticking once per statement, and snapshots every
+// surface. An entry prefixed "N|" runs on session N (default 0); fn
+// substitutes the execution back half (nil = production). Statement
+// errors are outcomes, not failures.
+func captureRun(t *testing.T, cfg Config, workload []string, fn execFn) runState {
+	t.Helper()
+	if fn == nil {
+		fn = (*Engine).execute
+	}
+	e, now := newEngine(t, cfg)
+	rs := runState{operators: make(map[string]bool)}
+	e.BufferPool().SetTraceFunc(func(id storage.PageID) { rs.trace = append(rs.trace, id) })
+	var sessions []*Session
+	for _, q := range workload {
+		n := 0
+		if len(q) > 1 && q[1] == '|' && q[0] >= '0' && q[0] <= '9' {
+			n, q = int(q[0]-'0'), q[2:]
+		}
+		for len(sessions) <= n {
+			s := e.Connect("diff")
+			defer s.Close()
+			sessions = append(sessions, s)
+		}
+		*now++
+		res, err := sessions[n].executeWith(q, fn)
+		rs.outcomes = append(rs.outcomes, renderResult(res, err))
+		if res != nil {
+			for _, ev := range res.stages {
+				rs.operators[ev.Operator] = true
+			}
+		}
+	}
+	rs.fs = captureForensics(e)
+	rs.lru = e.BufferPool().LRUOrder()
+	rs.hot = fmt.Sprint(e.BufferPool().HotPages())
+	rs.hits, rs.misses, _ = e.BufferPool().Stats()
+	return rs
+}
+
+// diffRuns fails t for every surface outside moved on which the two
+// arms (named for the messages) differ.
+func diffRuns(t *testing.T, workload []string, aName, bName string, a, b runState, moved surface) {
+	t.Helper()
+	if moved&surfOutcomes == 0 {
+		if len(a.outcomes) != len(b.outcomes) {
+			t.Fatalf("outcome count mismatch: %s %d vs %s %d", aName, len(a.outcomes), bName, len(b.outcomes))
+		}
+		for i := range a.outcomes {
+			if a.outcomes[i] != b.outcomes[i] {
+				t.Errorf("statement %d %q:\n%s: %s\n%s: %s", i, workload[i], aName, a.outcomes[i], bName, b.outcomes[i])
+			}
+		}
+	}
+	if moved&surfFetches == 0 {
+		if !reflect.DeepEqual(a.trace, b.trace) {
+			at := 0
+			for at < len(a.trace) && at < len(b.trace) && a.trace[at] == b.trace[at] {
+				at++
+			}
+			t.Errorf("buffer-pool fetch sequence diverges at fetch %d (%s %d fetches, %s %d)",
+				at, aName, len(a.trace), bName, len(b.trace))
+		}
+		if a.hits != b.hits || a.misses != b.misses {
+			t.Errorf("buffer-pool stats differ: %s hits=%d misses=%d, %s hits=%d misses=%d",
+				aName, a.hits, a.misses, bName, b.hits, b.misses)
+		}
+		if !reflect.DeepEqual(a.lru, b.lru) {
+			t.Errorf("buffer-pool LRU order differs between %s and %s", aName, bName)
+		}
+		if a.hot != b.hot {
+			t.Errorf("buffer-pool hot-page profile differs:\n%s: %s\n%s: %s", aName, a.hot, bName, b.hot)
+		}
+	}
+	lists := []struct {
+		name string
+		in   surface
+		a, b []string
+	}{
+		{"general log", surfLogs, a.fs.general, b.fs.general},
+		{"binlog", surfLogs, a.fs.binlog, b.fs.binlog},
+		{"digest summary", surfPerf, a.fs.digests, b.fs.digests},
+		{"statement history", surfPerf, a.fs.history, b.fs.history},
+		{"statements current", surfPerf, a.fs.current, b.fs.current},
+		{"stages history", surfStages, a.fs.stages, b.fs.stages},
+	}
+	for _, l := range lists {
+		if moved&l.in == 0 && !reflect.DeepEqual(l.a, l.b) {
+			t.Errorf("%s differs between %s and %s (%d vs %d entries)", l.name, aName, bName, len(l.a), len(l.b))
+		}
+	}
+	if moved&surfPerf == 0 && a.fs.statements != b.fs.statements {
+		t.Errorf("statement counters differ: %s %d vs %s %d", aName, a.fs.statements, bName, b.fs.statements)
+	}
+	if moved&surfArena == 0 && !bytes.Equal(a.fs.arena, b.fs.arena) {
+		t.Errorf("heap arena images differ: %s %d bytes vs %s %d", aName, len(a.fs.arena), bName, len(b.fs.arena))
+	}
+}
+
 // TestPlanCacheLeakageEquivalence is the tested property the plan
 // cache is built around: a cache hit skips parsing, but every forensic
 // artifact — general log, binlog, perfschema statement events and
@@ -269,50 +396,10 @@ func TestPlanCacheLeakageEquivalence(t *testing.T) {
 		"EXPLAIN ANALYZE SELECT owner FROM accounts ORDER BY balance DESC LIMIT 1", // hit on EXPLAIN ANALYZE
 	}
 
-	run := func(disable bool) (forensicState, []storage.PageID) {
-		cfg := Defaults()
-		cfg.DisablePlanCache = disable
-		cfg.EnableGeneralLog = true
-		e, now := newEngine(t, cfg)
-		var trace []storage.PageID
-		e.BufferPool().SetTraceFunc(func(id storage.PageID) { trace = append(trace, id) })
-		s := e.Connect("victim")
-		defer s.Close()
-		for _, q := range workload {
-			*now++ // deterministic, identical clocks in both runs
-			res, err := s.Execute(q)
-			_ = res
-			_ = err // errors are part of the workload
-		}
-		return captureForensics(e), trace
-	}
-
-	withCache, traceOn := run(false)
-	without, traceOff := run(true)
-
-	if !reflect.DeepEqual(traceOn, traceOff) {
-		t.Errorf("buffer-pool fetch sequences differ with plan cache on vs off: %d vs %d fetches",
-			len(traceOn), len(traceOff))
-	}
-	for _, cmp := range []struct {
-		name string
-		a, b []string
-	}{
-		{"general log", withCache.general, without.general},
-		{"binlog", withCache.binlog, without.binlog},
-		{"digest summary", withCache.digests, without.digests},
-		{"statement history", withCache.history, without.history},
-		{"statements current", withCache.current, without.current},
-		{"stages history", withCache.stages, without.stages},
-	} {
-		if !reflect.DeepEqual(cmp.a, cmp.b) {
-			t.Errorf("%s differs with plan cache on vs off:\n  on:  %v\n  off: %v", cmp.name, cmp.a, cmp.b)
-		}
-	}
-	if !bytes.Equal(withCache.arena, without.arena) {
-		t.Errorf("heap arena images differ: %d vs %d bytes", len(withCache.arena), len(without.arena))
-	}
-	if withCache.statements != without.statements {
-		t.Errorf("statement counters differ: %d vs %d", withCache.statements, without.statements)
-	}
+	cfg := Defaults()
+	cfg.EnableGeneralLog = true
+	withCache := captureRun(t, cfg, workload, nil)
+	cfg.DisablePlanCache = true
+	without := captureRun(t, cfg, workload, nil)
+	diffRuns(t, workload, "plancache-on", "plancache-off", withCache, without, 0)
 }

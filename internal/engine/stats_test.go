@@ -27,8 +27,7 @@ func setupSkewed(t testing.TB, s *Session, n int) {
 
 // TestCostBasedIndexChoice is the acceptance demonstration for the
 // cost-based planner: with statistics on record it picks the cheaper
-// index where the first-match rule picked the more expensive one, and
-// DisableCostBasedPlanner restores the old behavior.
+// index where the first-match rule picked the more expensive one.
 func TestCostBasedIndexChoice(t *testing.T) {
 	// The query cache would serve the repeated SELECT from its result
 	// store (with no access path to observe); this test is about the
@@ -76,21 +75,6 @@ func TestCostBasedIndexChoice(t *testing.T) {
 	joined = strings.Join(lines, "\n")
 	if !strings.Contains(joined, "est_rows=1") || !strings.Contains(joined, "actual_rows=1") {
 		t.Errorf("EXPLAIN ANALYZE missing est/actual annotation:\n%s", joined)
-	}
-
-	// The control arm: cost-based planning off reverts to first-match
-	// even with fresh statistics available.
-	cfg2 := Defaults()
-	cfg2.EnableQueryCache = false
-	cfg2.DisableCostBasedPlanner = true
-	e2, _ := newEngine(t, cfg2)
-	s2 := e2.Connect("app")
-	defer s2.Close()
-	setupSkewed(t, s2, 100)
-	mustExec(t, s2, "ANALYZE TABLE events")
-	res = mustExec(t, s2, q)
-	if res.AccessPath != "index:idx_grp" {
-		t.Fatalf("DisableCostBasedPlanner access path = %q, want index:idx_grp", res.AccessPath)
 	}
 }
 

@@ -78,11 +78,7 @@ func e15Run(workers, rows int) (results string, binlog, general []string, trace 
 	// partition workers to interleave.
 	cfg.SimulatedScanIOWait = time.Millisecond
 	cfg.ParallelScanMinRows = 1
-	if workers > 0 {
-		cfg.MaxScanWorkers = workers
-	} else {
-		cfg.DisableParallelScan = true
-	}
+	cfg.MaxScanWorkers = workers // 0 keeps every scan serial
 	e, err := engine.New(cfg)
 	if err != nil {
 		return "", nil, nil, nil, err

@@ -36,10 +36,3 @@ END { print "\n]" }
 ' "$raw" > "$out"
 
 echo "wrote $out"
-
-# Show the drift against the committed baseline. Non-fatal here — this
-# script's job is refreshing the baseline; scripts/benchdiff.sh run
-# directly is the failing gate.
-if ! scripts/benchdiff.sh "$out"; then
-    echo "bench.sh: WARNING: regression against committed baseline (see above)" >&2
-fi

@@ -37,9 +37,9 @@ go test -race ./...
 
 echo "== bench smoke =="
 # One iteration of the statement-pipeline benchmarks: catches a
-# benchmark that no longer compiles or errors at runtime (timing is
-# meaningless at -benchtime 1x; scripts/benchdiff.sh does the timing
-# comparison against the committed baseline).
+# benchmark that no longer compiles or errors at runtime. Timing is
+# meaningless at -benchtime 1x; performance is judged by snapbench
+# (go run ./bench, contract in BENCHMARK.json).
 go test -run '^$' -bench 'PlanCache|BatchedThroughput|SortedRead|ParallelScan|CostedPlanning|MVCCReadersVsWriter|EncryptAtRest' -benchtime 1x .
 go test -run '^$' -bench 'TopN' -benchtime 1x ./internal/engine/exec
 
@@ -75,10 +75,11 @@ go test -race ./internal/vfs -run 'TestCryptFS|TestFS|TestOSFS|TestWriteFileAtom
 
 echo "== MVCC differential (-race) =="
 # Snapshot reads vs stripe locking must be byte-identical on
-# conflict-free workloads — results, binlog, general log — while the
-# race detector watches the version store, read views, and inline
-# purge running under real session concurrency.
-go test -race ./internal/engine -run 'TestDifferentialMVCCVsLocking|TestMVCC' -count=1
+# conflict-free workloads — every surface, fetch trace included — while
+# the race detector watches the version store, read views, and inline
+# purge running under real session concurrency, and partition workers
+# scanning under a live read view (TestParallelScanUnderMVCC).
+go test -race ./internal/engine -run 'TestDifferentialMVCCVsLocking|TestMVCC|TestParallelScanUnderMVCC' -count=1
 
 echo "== network torture seed matrix (-race) =="
 # The wire-level counterpart: seeded resets, partial writes, latency
