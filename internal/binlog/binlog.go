@@ -13,10 +13,10 @@ package binlog
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 
+	"snapdb/internal/commitq"
 	"snapdb/internal/storage"
 )
 
@@ -66,23 +66,14 @@ func DecodeEvent(b []byte) (Event, int, error) {
 	return ev, eventHeaderSize + n, nil
 }
 
-// pendBatch is one caller's events in the group-commit queue.
-type pendBatch struct {
-	evs    []Event
-	ticket uint64
-}
-
 // Log is the binary log. It grows without bound until Purge is called,
 // matching MySQL's default retention.
 //
-// Concurrent sessions commit through a group-commit pipeline (Commit /
-// CommitBatch): each event is stamped — commit-time LSN from LSNSource,
-// timestamp clamped to be non-decreasing — and queued under one short
-// critical section, and a single leader drains the queue into the event
-// log while followers wait. Queue order therefore equals stamp order,
-// which keeps the on-disk binlog monotone in both timestamp and LSN —
-// the invariant the paper's LSN↔timestamp correlation (E3) regresses
-// over. A transaction's buffered events commit as one contiguous batch,
+// Concurrent sessions commit through the group-commit queue (commitq,
+// which documents the ordering invariant): each event is stamped —
+// commit-time LSN from LSNSource, timestamp and LSN clamped to be
+// non-decreasing — as it is queued, so the on-disk binlog is monotone in
+// both. A transaction's buffered events commit as one contiguous batch,
 // like MySQL's binlog cache.
 //
 // If a Sink is attached, the leader hands each flushed batch to it
@@ -99,25 +90,19 @@ type Log struct {
 
 	// Sink, if set, receives each flushed batch before it is appended
 	// to the in-memory log — the persistence layer's durability hook.
-	// Set it before concurrent use.
+	// The slice is only valid during the call. Set it before concurrent
+	// use.
 	Sink func([]Event) error
 
-	gmu      sync.Mutex // guards the group-commit queue and stamps
-	flushed  *sync.Cond
-	pending  []pendBatch
-	errs     map[uint64]error // per-ticket flush errors, read once by the waiter
-	flushing bool
-	enqTotal uint64
-	flTotal  uint64
-	flushes  uint64
-	lastTs   int64
-	lastLSN  uint64
+	q       *commitq.Queue[Event] // its lock also guards the stamp floors
+	lastTs  int64
+	lastLSN uint64
 }
 
 // New creates an empty binlog.
 func New() *Log {
-	l := &Log{errs: make(map[uint64]error)}
-	l.flushed = sync.NewCond(&l.gmu)
+	l := &Log{}
+	l.q = commitq.New(l.flush)
 	return l
 }
 
@@ -136,81 +121,53 @@ func (l *Log) Append(ev Event) {
 func (l *Log) Commit(ev Event) error { return l.CommitBatch([]Event{ev}) }
 
 // CommitBatch commits a transaction's events as one contiguous,
-// stamped batch. Within the enqueue critical section every event gets
-// its commit-time LSN (from LSNSource) and a timestamp clamped to the
-// previous commit's, so binlog order is non-decreasing in both fields.
+// stamped batch: as they are queued every event gets its commit-time
+// LSN (from LSNSource) and a timestamp clamped to the previous commit's,
+// so binlog order is non-decreasing in both fields. The caller's slice
+// is left untouched.
 func (l *Log) CommitBatch(evs []Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
-	l.gmu.Lock()
-	for i := range evs {
-		if l.LSNSource != nil {
-			evs[i].LSN = l.LSNSource()
-		}
-		if evs[i].LSN < l.lastLSN {
-			evs[i].LSN = l.lastLSN
-		}
-		l.lastLSN = evs[i].LSN
-		if evs[i].Timestamp < l.lastTs {
-			evs[i].Timestamp = l.lastTs
-		}
-		l.lastTs = evs[i].Timestamp
-	}
-	l.enqTotal += uint64(len(evs))
-	ticket := l.enqTotal
-	l.pending = append(l.pending, pendBatch{evs: evs, ticket: ticket})
-	if l.flushing {
-		for l.flTotal < ticket {
-			l.flushed.Wait()
-		}
-		err := l.errs[ticket]
-		delete(l.errs, ticket)
-		l.gmu.Unlock()
-		return err
-	}
-	l.flushing = true
-	sink := l.Sink
-	for len(l.pending) > 0 {
-		batch := l.pending
-		l.pending = nil
-		l.gmu.Unlock()
-		flat := make([]Event, 0, len(batch))
-		for _, b := range batch {
-			flat = append(flat, b.evs...)
-		}
-		var serr error
-		if sink != nil {
-			serr = sink(flat)
-		}
-		if serr == nil {
-			l.mu.Lock()
-			l.events = append(l.events, flat...)
-			l.mu.Unlock()
-		}
-		l.gmu.Lock()
-		for _, b := range batch {
-			l.flTotal += uint64(len(b.evs))
-			if serr != nil {
-				l.errs[b.ticket] = serr
+	return l.q.Commit(func(pend []Event) []Event {
+		for _, ev := range evs {
+			if l.LSNSource != nil {
+				ev.LSN = l.LSNSource()
 			}
+			if ev.LSN < l.lastLSN {
+				ev.LSN = l.lastLSN
+			}
+			l.lastLSN = ev.LSN
+			if ev.Timestamp < l.lastTs {
+				ev.Timestamp = l.lastTs
+			}
+			l.lastTs = ev.Timestamp
+			pend = append(pend, ev)
 		}
-		l.flushes++
-		l.flushed.Broadcast()
+		return pend
+	})
+}
+
+// flush is the queue leader's batch flush: through the Sink, then into
+// the in-memory log.
+func (l *Log) flush(batch []Event) error {
+	if l.Sink != nil {
+		if err := l.Sink(batch); err != nil {
+			return err
+		}
 	}
-	l.flushing = false
-	err := l.errs[ticket]
-	delete(l.errs, ticket)
-	l.gmu.Unlock()
-	return err
+	l.mu.Lock()
+	l.events = append(l.events, batch...)
+	l.mu.Unlock()
+	return nil
 }
 
 // Prime raises the monotone stamping floor. Recovery calls it after
 // repopulating the log from disk, so post-recovery commits continue
 // non-decreasing in timestamp and LSN.
 func (l *Log) Prime(ts int64, lsn uint64) {
-	l.gmu.Lock()
-	defer l.gmu.Unlock()
+	l.q.Lock()
+	defer l.q.Unlock()
 	if ts > l.lastTs {
 		l.lastTs = ts
 	}
@@ -221,11 +178,7 @@ func (l *Log) Prime(ts int64, lsn uint64) {
 
 // GroupCommitStats reports committed event and batch-flush counts;
 // committed/flushes is the mean group size.
-func (l *Log) GroupCommitStats() (committed, flushes uint64) {
-	l.gmu.Lock()
-	defer l.gmu.Unlock()
-	return l.flTotal, l.flushes
-}
+func (l *Log) GroupCommitStats() (committed, flushes uint64) { return l.q.Stats() }
 
 // Events returns all retained events, oldest first.
 func (l *Log) Events() []Event {
@@ -266,61 +219,21 @@ func (l *Log) Serialize() []byte {
 	for _, ev := range l.events {
 		size += storage.FrameHeaderSize + ev.EncodedSize()
 	}
-	out := make([]byte, 0, size)
-	var scratch []byte
-	for _, ev := range l.events {
-		scratch = ev.AppendEncode(scratch[:0])
-		out = storage.AppendFrame(out, scratch)
-	}
-	return out
+	return storage.AppendFrames(make([]byte, 0, size), l.events)
 }
-
-// ParseReport describes how a binlog image parse ended.
-type ParseReport struct {
-	// Events is the number of valid events parsed.
-	Events int
-	// TruncatedAt is the byte offset of the first bad frame, or -1 if
-	// the image parsed cleanly to the end.
-	TruncatedAt int
-	// Reason says why the scan stopped.
-	Reason string
-}
-
-// Truncated reports whether the parse stopped before the end of the
-// image.
-func (p ParseReport) Truncated() bool { return p.TruncatedAt >= 0 }
 
 // ParseWithReport decodes a Serialize image, stopping at the first torn
 // or corrupt frame and reporting where and why. It never panics on
 // malformed input.
-func ParseWithReport(img []byte) ([]Event, ParseReport) {
+func ParseWithReport(img []byte) ([]Event, storage.ParseReport) {
 	var out []Event
-	rep := ParseReport{TruncatedAt: -1}
-	pos := 0
-	for pos < len(img) {
-		payload, n, err := storage.ReadFrame(img[pos:])
-		if err != nil {
-			rep.TruncatedAt = pos
-			if errors.Is(err, storage.ErrFrameTruncated) {
-				rep.Reason = "torn frame"
-			} else {
-				rep.Reason = err.Error()
-			}
-			return out, rep
+	rep := storage.WalkFrames(img, "event", func(payload []byte) (int, error) {
+		ev, n, err := DecodeEvent(payload)
+		if err == nil && n == len(payload) {
+			out = append(out, ev)
 		}
-		ev, en, derr := DecodeEvent(payload)
-		if derr != nil || en != len(payload) {
-			rep.TruncatedAt = pos
-			if derr == nil {
-				derr = fmt.Errorf("%d trailing bytes in frame", len(payload)-en)
-			}
-			rep.Reason = "bad event: " + derr.Error()
-			return out, rep
-		}
-		out = append(out, ev)
-		rep.Events++
-		pos += n
-	}
+		return n, err
+	})
 	return out, rep
 }
 

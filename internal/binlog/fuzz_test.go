@@ -38,8 +38,8 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, rep := ParseWithReport(data)
-		if len(evs) != rep.Events {
-			t.Fatalf("events %d != report %d", len(evs), rep.Events)
+		if len(evs) != rep.Frames {
+			t.Fatalf("events %d != report %d", len(evs), rep.Frames)
 		}
 		if rep.Truncated() && (rep.TruncatedAt > len(data) || rep.Reason == "") {
 			t.Fatalf("bad report: %+v for %d bytes", rep, len(data))

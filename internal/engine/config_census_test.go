@@ -9,22 +9,17 @@ import (
 // this package's own tests needs it to be settable — an experiment, the
 // hardening profile (internal/mitigate), a snapdbd flag, snapbench, or a
 // differential test that uses it as its reference arm. A field with no
-// such reader is a constant in waiting, and the entry says so. A new
-// field must arrive with its line here, or the test below fails.
+// such reader is a constant in waiting and does not belong in Config. A
+// new field must arrive with its line here, or the test below fails.
 var configReaders = map[string]string{
-	"BufferPoolPages":   "ablation: BenchmarkAblationBufferPoolSize sweeps it (E1's LRU/dump surface scales with it)",
-	"RedoCapacity":      "sizing: no caller sets it — a constant in waiting",
-	"UndoCapacity":      "sizing: no caller sets it — a constant in waiting",
-	"EnableBinlog":      "internal/mitigate (Harden keeps or drops the binlog; E11)",
-	"EnableGeneralLog":  "internal/mitigate; E14 and E15 switch it on to read arrivals",
-	"EnableQueryCache":  "internal/mitigate; E15/E16 switch it off so every statement really scans",
-	"QueryCacheEntries": "sizing: no caller sets it — a constant in waiting",
-	"DisablePlanCache":  "reference arm of TestDifferentialLegacyVsOperator, TestPlanCacheLeakageEquivalence(+Parallel); BenchmarkPlanCache",
-	"PlanCacheEntries":  "sizing: no caller sets it — a constant in waiting",
-	"HistoryPerThread":  "ablation: BenchmarkAblationHistorySize sweeps it; E10 reports the ring size",
-	"SlowThreshold":     "sizing: no caller sets it — a constant in waiting",
-	"DisableSlowLog":    "internal/mitigate",
-	"StatementTimeout":  "snapdbd -stmt-timeout",
+	"BufferPoolPages":  "ablation: BenchmarkAblationBufferPoolSize sweeps it (E1's LRU/dump surface scales with it)",
+	"EnableBinlog":     "internal/mitigate (Harden keeps or drops the binlog; E11)",
+	"EnableGeneralLog": "internal/mitigate; E14 and E15 switch it on to read arrivals",
+	"EnableQueryCache": "internal/mitigate; E15/E16 switch it off so every statement really scans",
+	"DisablePlanCache": "reference arm of TestDifferentialLegacyVsOperator, TestPlanCacheLeakageEquivalence(+Parallel); BenchmarkPlanCache",
+	"HistoryPerThread": "ablation: BenchmarkAblationHistorySize sweeps it; E10 reports the ring size",
+	"DisableSlowLog":   "internal/mitigate",
+	"StatementTimeout": "snapdbd -stmt-timeout",
 
 	"MaxScanWorkers":      "snapdbd -scan-workers; E15 (0 is the serial arm)",
 	"ParallelScanMinRows": "E15 lowers it so its small ledger fans out",
@@ -34,11 +29,9 @@ var configReaders = map[string]string{
 	"DisablePerfSchema": "internal/mitigate; snapbench's perfschema.us_per_stmt probe",
 	"ScrubProcesslist":  "internal/mitigate",
 
-	"DisableMVCC":   "E17 (keeps version-store bytes out of its checkpoint diffs); reference arm of TestDifferentialMVCCVsLocking",
-	"DisablePurge":  "E16 retain-everything arm",
-	"PurgeEvery":    "E16 inline/aggressive purge arms",
-	"PurgeBatch":    "sizing: no caller sets it — a constant in waiting",
-	"PurgeInterval": "operator: background purge cadence; no caller sets it yet — a constant in waiting",
+	"DisableMVCC":  "E17 (keeps version-store bytes out of its checkpoint diffs); reference arm of TestDifferentialMVCCVsLocking",
+	"DisablePurge": "E16 retain-everything arm",
+	"PurgeEvery":   "E16 inline/aggressive purge arms",
 
 	"SimulatedIOWait": "E12 (overlapping device waits is the scaling it measures)",
 

@@ -51,18 +51,13 @@ import (
 // they are. The zero value is normalized to production-like defaults by
 // Defaults.
 type Config struct {
-	BufferPoolPages   int           // default 256
-	RedoCapacity      int           // bytes, default wal.DefaultCapacity (50 MB)
-	UndoCapacity      int           // bytes, default wal.DefaultCapacity (50 MB)
-	EnableBinlog      bool          // default true: production servers replicate
-	EnableGeneralLog  bool          // default false: too verbose for production
-	EnableQueryCache  bool          // default true
-	QueryCacheEntries int           // default querycache.DefaultCapacity
-	DisablePlanCache  bool          // default false: plans are cached
-	PlanCacheEntries  int           // default DefaultPlanCacheEntries
-	HistoryPerThread  int           // default perfschema.DefaultHistoryPerThread
-	SlowThreshold     time.Duration // default dblog.DefaultSlowThreshold
-	DisableSlowLog    bool          // default false: slow log is common in production
+	BufferPoolPages  int  // default 256
+	EnableBinlog     bool // default true: production servers replicate
+	EnableGeneralLog bool // default false: too verbose for production
+	EnableQueryCache bool // default true
+	DisablePlanCache bool // default false: plans are cached
+	HistoryPerThread int  // default perfschema.DefaultHistoryPerThread
+	DisableSlowLog   bool // default false: slow log is common in production
 
 	// StatementTimeout bounds one statement's execution: a statement
 	// whose scan outlives it aborts with ErrStatementTimeout. The check
@@ -105,15 +100,11 @@ type Config struct {
 	// open view. DisableMVCC reverts to the legacy stripe-locked reads
 	// (the differential tests' control arm). DisablePurge retains every
 	// version forever — E16's worst-case residue arm. PurgeEvery is the
-	// statement interval between inline purge sweeps (default 256);
-	// PurgeBatch caps the chains examined per sweep (0 = all);
-	// PurgeInterval, when positive, also runs purge from a background
-	// goroutine (stop it with Engine.Close).
-	DisableMVCC   bool
-	DisablePurge  bool
-	PurgeEvery    int
-	PurgeBatch    int
-	PurgeInterval time.Duration
+	// statement interval between inline purge sweeps (default 256); each
+	// sweep examines every chain.
+	DisableMVCC  bool
+	DisablePurge bool
+	PurgeEvery   int
 
 	// SimulatedIOWait, when positive, models the device latency a real
 	// statement pays (page reads, commit flush) as a sleep inside the
@@ -152,15 +143,10 @@ type Config struct {
 // assumes: binlog on, slow log on, general log off, query cache on.
 func Defaults() Config {
 	return Config{
-		BufferPoolPages:   256,
-		RedoCapacity:      wal.DefaultCapacity,
-		UndoCapacity:      wal.DefaultCapacity,
-		EnableBinlog:      true,
-		EnableQueryCache:  true,
-		QueryCacheEntries: querycache.DefaultCapacity,
-		PlanCacheEntries:  DefaultPlanCacheEntries,
-		HistoryPerThread:  perfschema.DefaultHistoryPerThread,
-		SlowThreshold:     dblog.DefaultSlowThreshold,
+		BufferPoolPages:  256,
+		EnableBinlog:     true,
+		EnableQueryCache: true,
+		HistoryPerThread: perfschema.DefaultHistoryPerThread,
 		// Deterministic page encryption is what shipping encrypted
 		// engines default to; Config{} literal users who flip
 		// EncryptAtRest get fresh-IV only by leaving this false
@@ -187,23 +173,8 @@ func (c Config) normalized() Config {
 	if c.BufferPoolPages <= 0 {
 		c.BufferPoolPages = d.BufferPoolPages
 	}
-	if c.RedoCapacity <= 0 {
-		c.RedoCapacity = d.RedoCapacity
-	}
-	if c.UndoCapacity <= 0 {
-		c.UndoCapacity = d.UndoCapacity
-	}
-	if c.QueryCacheEntries <= 0 {
-		c.QueryCacheEntries = d.QueryCacheEntries
-	}
-	if c.PlanCacheEntries <= 0 {
-		c.PlanCacheEntries = d.PlanCacheEntries
-	}
 	if c.HistoryPerThread <= 0 {
 		c.HistoryPerThread = d.HistoryPerThread
-	}
-	if c.SlowThreshold <= 0 {
-		c.SlowThreshold = d.SlowThreshold
 	}
 	if c.ParallelScanMinRows <= 0 {
 		c.ParallelScanMinRows = DefaultParallelScanMinRows
@@ -227,9 +198,9 @@ type Table struct {
 	Tree    *btree.Tree
 	Indexes []*SecondaryIndex // sorted by name
 
-	// rows is an advisory row-count hint maintained on the DML paths;
-	// scans use it to pre-size result slices. Recovery and replay seed
-	// it after rebuilding the tree. It is never used for correctness.
+	// rows is an advisory row-count hint maintained by the row mutators
+	// (a checkpoint load seeds it); scans use it to pre-size result
+	// slices. It is never used for correctness.
 	rows atomic.Int64
 
 	// stats holds the planner statistics (per-column min/max/distinct)
@@ -254,10 +225,6 @@ type Table struct {
 
 // RowHint returns the advisory row count.
 func (t *Table) RowHint() int64 { return t.rows.Load() }
-
-// AddRowHint adjusts the advisory row count (replay/recovery use it
-// after repopulating the tree outside the DML paths).
-func (t *Table) AddRowHint(n int64) { t.rows.Add(n) }
 
 // ColumnIndex returns the index of the named column, or -1.
 func (t *Table) ColumnIndex(name string) int {
@@ -330,10 +297,6 @@ type Engine struct {
 	// activeTxns tracks sessions' open explicit transactions for the
 	// information_schema.active_transactions surface (guarded by mu).
 	activeTxns map[int]*txnState
-	// purgeStop terminates the background purge goroutine (when
-	// Config.PurgeInterval started one); closed once by Close.
-	purgeStop chan struct{}
-	purgeOnce sync.Once
 }
 
 // DumpInterval is how many statements pass between periodic buffer-pool
@@ -349,7 +312,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	wm, err := wal.NewManager(cfg.RedoCapacity, cfg.UndoCapacity)
+	wm, err := wal.NewManager(wal.DefaultCapacity, wal.DefaultCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +326,7 @@ func New(cfg Config) (*Engine, error) {
 		binlog:     binlog.New(),
 		general:    dblog.NewGeneralLog(),
 		slow:       dblog.NewSlowLog(),
-		qcache:     querycache.New(cfg.QueryCacheEntries),
+		qcache:     querycache.New(querycache.DefaultCapacity),
 		perf:       perfschema.New(cfg.HistoryPerThread),
 		procs:      infoschema.New(),
 		arena:      heap.NewArena(),
@@ -374,13 +337,9 @@ func New(cfg Config) (*Engine, error) {
 	e.fc = pool.FetchCount
 	if !cfg.DisableMVCC {
 		e.versions = newMVCCStore()
-		if cfg.PurgeInterval > 0 && !cfg.DisablePurge {
-			e.purgeStop = make(chan struct{})
-			go e.purgeLoop(cfg.PurgeInterval)
-		}
 	}
 	if !cfg.DisablePlanCache {
-		e.plans = newPlanCache(cfg.PlanCacheEntries)
+		e.plans = newPlanCache()
 	}
 	// Binlog events are stamped with the engine LSN at commit time, the
 	// ordering the forensic LSN↔timestamp correlation consumes.
@@ -388,7 +347,6 @@ func New(cfg Config) (*Engine, error) {
 	e.general.Enabled = cfg.EnableGeneralLog
 	e.qcache.Enabled = cfg.EnableQueryCache
 	e.slow.Enabled = !cfg.DisableSlowLog
-	e.slow.Threshold = cfg.SlowThreshold
 	e.arena.SecureDelete = cfg.SecureHeapDelete
 	e.procs.Scrub = cfg.ScrubProcesslist
 	if cfg.FS != nil {
@@ -401,21 +359,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// attachPersist wires the durability sink into the WAL and binlog
-// group-commit pipelines. The offsets are the valid prefixes of the
-// existing log files (zero for a fresh engine); anything beyond them is
-// truncated away.
-func (e *Engine) attachPersist(fs vfs.FS, redoOff, undoOff, blogOff int64) error {
-	p, err := newPersistor(fs, redoOff, undoOff, blogOff)
-	if err != nil {
-		return err
-	}
-	e.persist = p
-	e.wal.Sink = p.appendWAL
-	e.binlog.Sink = p.appendBinlog
-	return nil
 }
 
 // Config returns the normalized configuration.
@@ -629,11 +572,10 @@ func (s *Session) executeWith(query string, fn execFn) (*Result, error) {
 		}
 	}
 	// Inline MVCC purge, the deterministic analogue of InnoDB's purge
-	// thread (a background goroutine also runs when PurgeInterval is
-	// set). Statement-count driven so experiments can reproduce the
+	// thread. Statement-count driven so experiments can reproduce the
 	// residue window exactly.
 	if e.versions != nil && !e.cfg.DisablePurge && n%uint64(e.cfg.PurgeEvery) == 0 {
-		e.versions.purge(e.cfg.PurgeBatch)
+		e.versions.purge(0)
 	}
 	return res, err
 }
@@ -866,79 +808,221 @@ func (e *Engine) Tables() []*Table {
 	return out
 }
 
-// execInsert is the INSERT entry function: read-only guard, exclusive
-// stripe, device wait, then the mutation.
-func (e *Engine) execInsert(s *Session, st *sqlparse.Insert, pl *plan, query string, ts int64) (*Result, error) {
-	if err := s.rejectReadOnlyTxn("INSERT"); err != nil {
-		return nil, err
+// dmlStmt is one INSERT, UPDATE or DELETE in flight — the frame the
+// three share, written once: beginDML is its front half, run its back
+// half, and the entry functions between them (which EXPLAIN ANALYZE
+// calls too) supply only the row list and the row mutator.
+type dmlStmt struct {
+	e      *Engine
+	s      *Session
+	t      *Table
+	stripe *sync.RWMutex // the table's exclusive stripe; the entry function unlocks it
+
+	txn  uint64 // WAL transaction the statement logs under
+	auto bool   // the statement is its own transaction
+	// The statement's undo records, what it is compensated from if it
+	// fails midway: undo in autocommit, else the open transaction's
+	// rollback buffer from undoStart on.
+	undo      []wal.Record
+	undoStart int
+	touched   bool // a row mutator succeeded: the version store holds versions by txn
+}
+
+// beginDML is the front half: read-only guard, exclusive stripe, device
+// wait, table resolution. On success the caller owns the stripe.
+func (e *Engine) beginDML(s *Session, verb, table string, pl *plan) (dmlStmt, error) {
+	if err := s.rejectReadOnlyTxn(verb); err != nil {
+		return dmlStmt{}, err
 	}
-	mu := e.locks.exclusive(st.Table)
-	defer mu.Unlock()
+	mu := e.locks.exclusive(table)
 	e.simulateIO()
-	t, err := e.planTable(pl, st.Table)
+	t, err := e.planTable(pl, table)
+	if err != nil {
+		mu.Unlock()
+		return dmlStmt{}, err
+	}
+	return dmlStmt{e: e, s: s, t: t, stripe: mu}, nil
+}
+
+// logged takes the result of the wal.Tx* call that follows a row
+// mutator; reaching it means the mutator succeeded.
+func (d *dmlStmt) logged(_ uint64, undo wal.Record, err error) error {
+	d.touched = true
+	if err != nil {
+		return fmt.Errorf("engine: wal: %w", err)
+	}
+	d.s.noteUndo(undo)
+	if d.auto {
+		d.undo = append(d.undo, undo)
+	}
+	return nil
+}
+
+// run is the back half. res.Rows is the row list — the rows to insert,
+// or what the scan half matched — and mutate applies and logs one of
+// them, under the table's write latch so that MVCC readers, which take
+// no stripe, never observe a half-applied statement.
+//
+// Autocommit commits binlog-then-WAL-marker, the reverse of COMMIT
+// (execTxnControl explains why marker-first is right). Pinned on
+// purpose: the binlog stamps each event with the LSN current at its
+// commit, so swapping the two moves every autocommit event's LSN — a
+// forensic surface E3/E8 read; that change ships with its own
+// experiment (ROADMAP, write-path item).
+func (d *dmlStmt) run(res *Result, query string, ts int64, mutate func(row storage.Record) error) (*Result, error) {
+	e, s, t := d.e, d.s, d.t
+	rows := res.Rows
+	res.Rows, res.RowsAffected = nil, len(rows)
+	d.txn, d.auto = s.stmtTxn(e)
+	if d.auto {
+		d.undo = make([]wal.Record, 0, len(rows))
+		// Its versions resolve when it finishes, success or not: either
+		// they are the visible state or compensation superseded them.
+		defer func() {
+			if d.touched {
+				e.commitVersions(d.txn)
+			}
+		}()
+	} else {
+		d.undoStart = len(s.txn.undo) // own buffer: only this session writes it
+	}
+	if err := func() error {
+		t.latch.Lock()
+		defer t.latch.Unlock()
+		for _, row := range rows {
+			if err := mutate(row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}(); err != nil {
+		return nil, d.compensate(err)
+	}
+	e.qcache.InvalidateTable(t.Name)
+	if len(rows) > 0 {
+		if err := s.emitBinlog(e, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
+			return nil, err
+		}
+		if d.auto {
+			if err := e.wal.LogCommit(d.txn); err != nil {
+				return nil, fmt.Errorf("engine: wal commit: %w", err)
+			}
+		}
+	}
+	e.maybeStatsDrift(t)
+	return res, nil
+}
+
+// compensate makes a failed statement atomic: the row changes it logged
+// before cause stopped it are rolled back — an autocommit statement as
+// ROLLBACK would its transaction; inside an open transaction only the
+// statement, whose records leave the rollback buffer, and the
+// transaction stays open. A statement that logged nothing writes
+// nothing more. It returns the statement's error: cause, joined with
+// the rollback's own if that failed too (a dead log sink fails both).
+func (d *dmlStmt) compensate(cause error) error {
+	undo, tx := d.undo, d.s.txn
+	if !d.auto {
+		undo = tx.undo[d.undoStart:]
+	}
+	if len(undo) == 0 {
+		return cause
+	}
+	var err error
+	if d.auto {
+		err = d.e.rollbackTxn(d.txn, undo)
+	} else if err = d.e.applyUndo(d.txn, undo); err == nil {
+		tx.mu.Lock()
+		tx.undo = tx.undo[:d.undoStart]
+		tx.mu.Unlock()
+	}
+	if err != nil {
+		return errors.Join(cause, fmt.Errorf("engine: statement rollback: %w", err))
+	}
+	return cause
+}
+
+// insertRow, updateRow and deleteRow are the row mutators: each applies
+// one row change — clustered tree, secondary indexes, version chain, row
+// hint, planner statistics — and is the only place it is written. The
+// forward path (dmlStmt.run) calls one and logs the change; rollback
+// (undoRecord) looks the row up, calls the opposite one and logs that;
+// redo (applyRedo) checks idempotence, calls the same one, logs nothing.
+// The order of tree and index operations is the buffer-pool fetch
+// trace, a forensic surface: insert tree → indexes; update indexes in
+// SET order → one tree update; delete tree → indexes. Callers hold the
+// table's write latch (recovery runs alone).
+
+// insertRow adds row. The version is filed only once the tree insert
+// has succeeded: a duplicate key must not leave a chain behind.
+func (e *Engine) insertRow(t *Table, row storage.Record, txn uint64) error {
+	if err := t.Tree.Insert(row); err != nil {
+		return err
+	}
+	if err := indexInsertRow(t, row); err != nil {
+		return err
+	}
+	e.noteVersion(t, row[t.PKIndex], nil, false, txn)
+	t.rows.Add(1)
+	t.statsNoteInsert(row)
+	return nil
+}
+
+// updateRow applies sets to the row stored as old. The tree's Update
+// replaces the stored record, so old stays intact for the chain.
+func (e *Engine) updateRow(t *Table, old storage.Record, sets []setOp, txn uint64) error {
+	pk := old[t.PKIndex]
+	e.noteVersion(t, pk, old, false, txn)
+	updated := old.Clone()
+	for _, op := range sets {
+		if err := indexUpdateColumn(t, pk, op.idx, old[op.idx], op.val); err != nil {
+			return err
+		}
+		t.statsNoteUpdate(op.idx, op.val)
+		updated[op.idx] = op.val
+	}
+	_, err := t.Tree.Update(pk, updated)
+	return err
+}
+
+// deleteRow removes the row currently stored as old. Its image goes
+// into the version chain as a tombstoned pre-image — the "deleted data
+// persists" residue E16 recovers until purge drops the chain.
+func (e *Engine) deleteRow(t *Table, old storage.Record, txn uint64) error {
+	pk := old[t.PKIndex]
+	e.noteVersion(t, pk, old, true, txn)
+	if _, err := t.Tree.Delete(pk); err != nil {
+		return err
+	}
+	if err := indexDeleteRow(t, old); err != nil {
+		return err
+	}
+	t.rows.Add(-1)
+	return nil
+}
+
+// execInsert is the INSERT entry function: the row list is built from
+// the statement's tuples (every tuple is checked before any is applied).
+func (e *Engine) execInsert(s *Session, st *sqlparse.Insert, pl *plan, query string, ts int64) (*Result, error) {
+	d, err := e.beginDML(s, "INSERT", st.Table, pl)
 	if err != nil {
 		return nil, err
 	}
+	defer d.stripe.Unlock()
 	rows := make([]storage.Record, 0, len(st.Rows))
 	for _, tuple := range st.Rows {
-		row, err := buildRow(t, st.Columns, tuple)
+		row, err := buildRow(d.t, st.Columns, tuple)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
-	txn, auto := s.stmtTxn(e)
-	touched := false
-	if auto && e.versions != nil {
-		// Versions written by an autocommit statement become visible
-		// when it finishes — even on a mid-statement error, because the
-		// in-place tree writes before the error persist exactly as they
-		// always did.
-		defer func() {
-			if touched {
-				e.versions.commit(txn)
-			}
-		}()
-	}
-	// The write latch covers the whole mutation loop: MVCC readers
-	// (which take no stripe) never observe a half-applied statement.
-	if err := func() error {
-		t.latch.Lock()
-		defer t.latch.Unlock()
-		for _, row := range rows {
-			if err := t.Tree.Insert(row); err != nil {
-				return err
-			}
-			if err := indexInsertRow(t, row); err != nil {
-				return err
-			}
-			e.noteVersion(t, row[t.PKIndex], nil, false, txn)
-			touched = true
-			_, undo, err := e.wal.TxInsert(txn, t.ID, row)
-			if err != nil {
-				return fmt.Errorf("engine: wal: %w", err)
-			}
-			s.noteUndo(undo)
+	return d.run(&Result{Rows: rows}, query, ts, func(row storage.Record) error {
+		if err := e.insertRow(d.t, row, d.txn); err != nil {
+			return err
 		}
-		return nil
-	}(); err != nil {
-		return nil, err
-	}
-	e.qcache.InvalidateTable(t.Name)
-	if err := s.emitBinlog(e, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
-		return nil, err
-	}
-	if auto && len(rows) > 0 {
-		if err := e.wal.LogCommit(txn); err != nil {
-			return nil, fmt.Errorf("engine: wal commit: %w", err)
-		}
-	}
-	t.rows.Add(int64(len(rows)))
-	for _, row := range rows {
-		t.statsNoteInsert(row)
-	}
-	e.maybeStatsDrift(t)
-	return &Result{RowsAffected: len(rows)}, nil
+		return d.logged(e.wal.TxInsert(d.txn, d.t.ID, row))
+	})
 }
 
 // buildRow places tuple values into schema order, checking types.
@@ -1171,149 +1255,53 @@ func projection(t *Table, exprs []sqlparse.SelectExpr) ([]int, error) {
 	return out, nil
 }
 
-// execUpdate is the UPDATE entry function: read-only guard, exclusive
-// stripe, device wait; then the scan half through the operator tree
-// (the same planner and operators as SELECT, minus projection) and the
-// mutation loop over the matched rows.
+// execUpdate is the UPDATE entry function: the row list is the scan
+// half's match set (the same planner and operators as SELECT, minus
+// projection), and each row logs one byte-level change record per
+// modified column.
 func (e *Engine) execUpdate(s *Session, st *sqlparse.Update, pl *plan, query string, ts int64) (*Result, error) {
-	if err := s.rejectReadOnlyTxn("UPDATE"); err != nil {
-		return nil, err
-	}
-	mu := e.locks.exclusive(st.Table)
-	defer mu.Unlock()
-	e.simulateIO()
-	t, err := e.planTable(pl, st.Table)
+	d, err := e.beginDML(s, "UPDATE", st.Table, pl)
 	if err != nil {
 		return nil, err
 	}
+	defer d.stripe.Unlock()
+	t := d.t
 	pp := e.physUpdate(pl, t, st)
 	res, err := e.runScan(s, pp, nil)
 	if err != nil {
 		return nil, err
 	}
-	rows := res.Rows
-	res.Rows, res.RowsAffected = nil, len(rows)
-	txn, auto := s.stmtTxn(e)
-	touched := false
-	if auto && e.versions != nil {
-		defer func() {
-			if touched {
-				e.versions.commit(txn)
-			}
-		}()
-	}
-	if err := func() error {
-		t.latch.Lock()
-		defer t.latch.Unlock()
-		for _, old := range rows {
-			// File the pre-image before the first byte of this row
-			// changes; the tree's Update replaces the stored record, so
-			// old stays intact for the chain.
-			e.noteVersion(t, old[t.PKIndex], old, false, txn)
-			touched = true
-			updated := old.Clone()
-			for _, op := range pp.sets {
-				// Byte-level change records, one per modified column.
-				_, undo, err := e.wal.TxUpdate(txn, t.ID,
-					storage.Record{old[t.PKIndex]}, uint8(op.idx),
-					storage.Record{old[op.idx]}, storage.Record{op.val})
-				if err != nil {
-					return fmt.Errorf("engine: wal: %w", err)
-				}
-				s.noteUndo(undo)
-				if err := indexUpdateColumn(t, old[t.PKIndex], op.idx, old[op.idx], op.val); err != nil {
-					return err
-				}
-				t.statsNoteUpdate(op.idx, op.val)
-				updated[op.idx] = op.val
-			}
-			if _, err := t.Tree.Update(old[t.PKIndex], updated); err != nil {
+	return d.run(res, query, ts, func(old storage.Record) error {
+		if err := e.updateRow(t, old, pp.sets, d.txn); err != nil {
+			return err
+		}
+		pk := old[t.PKIndex : t.PKIndex+1]
+		for _, op := range pp.sets {
+			if err := d.logged(e.wal.TxUpdate(d.txn, t.ID, pk, uint8(op.idx),
+				old[op.idx:op.idx+1], storage.Record{op.val})); err != nil {
 				return err
 			}
 		}
 		return nil
-	}(); err != nil {
-		return nil, err
-	}
-	e.qcache.InvalidateTable(t.Name)
-	if len(rows) > 0 {
-		if err := s.emitBinlog(e, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
-			return nil, err
-		}
-		if auto {
-			if err := e.wal.LogCommit(txn); err != nil {
-				return nil, fmt.Errorf("engine: wal commit: %w", err)
-			}
-		}
-	}
-	return res, nil
+	})
 }
 
-// execDelete is the DELETE entry function: guard, stripe and scan half
-// as in execUpdate, then the matched rows are removed.
+// execDelete is the DELETE entry function: the scan half as in
+// execUpdate, then the matched rows are removed.
 func (e *Engine) execDelete(s *Session, st *sqlparse.Delete, pl *plan, query string, ts int64) (*Result, error) {
-	if err := s.rejectReadOnlyTxn("DELETE"); err != nil {
-		return nil, err
-	}
-	mu := e.locks.exclusive(st.Table)
-	defer mu.Unlock()
-	e.simulateIO()
-	t, err := e.planTable(pl, st.Table)
+	d, err := e.beginDML(s, "DELETE", st.Table, pl)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.runScan(s, e.physDelete(pl, t, st), nil)
+	defer d.stripe.Unlock()
+	res, err := e.runScan(s, e.physDelete(pl, d.t, st), nil)
 	if err != nil {
 		return nil, err
 	}
-	rows := res.Rows
-	res.Rows, res.RowsAffected = nil, len(rows)
-	txn, auto := s.stmtTxn(e)
-	touched := false
-	if auto && e.versions != nil {
-		defer func() {
-			if touched {
-				e.versions.commit(txn)
-			}
-		}()
-	}
-	t.rows.Add(-int64(len(rows)))
-	e.maybeStatsDrift(t)
-	if err := func() error {
-		t.latch.Lock()
-		defer t.latch.Unlock()
-		for _, old := range rows {
-			// The deleted row's image goes into the version chain as a
-			// tombstoned pre-image — the "deleted data persists" residue
-			// E16 recovers until purge drops the chain.
-			e.noteVersion(t, old[t.PKIndex], old, true, txn)
-			touched = true
-			if _, err := t.Tree.Delete(old[t.PKIndex]); err != nil {
-				return err
-			}
-			if err := indexDeleteRow(t, old); err != nil {
-				return err
-			}
-			_, undo, err := e.wal.TxDelete(txn, t.ID, old)
-			if err != nil {
-				return fmt.Errorf("engine: wal: %w", err)
-			}
-			s.noteUndo(undo)
+	return d.run(res, query, ts, func(old storage.Record) error {
+		if err := e.deleteRow(d.t, old, d.txn); err != nil {
+			return err
 		}
-		return nil
-	}(); err != nil {
-		return nil, err
-	}
-	e.qcache.InvalidateTable(t.Name)
-	if len(rows) > 0 {
-		if err := s.emitBinlog(e, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
-			return nil, err
-		}
-		if auto {
-			if err := e.wal.LogCommit(txn); err != nil {
-				return nil, fmt.Errorf("engine: wal commit: %w", err)
-			}
-		}
-	}
-	return res, nil
+		return d.logged(e.wal.TxDelete(d.txn, d.t.ID, old))
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"snapdb/internal/engine/exec"
 	"snapdb/internal/sqlparse"
@@ -26,7 +25,7 @@ import (
 // The cost, and the point of experiment E16, is a brand-new forensic
 // surface the paper predicts under "deleted data persists" (§4): every
 // old version — including rows the application deleted — survives in
-// the version store until the background purge reclaims it, and the
+// the version store until purge reclaims it, and the
 // store is serialized into checkpoints, so the residue outlives even a
 // WAL truncation. What the redo log forgets, the version store still
 // remembers.
@@ -415,8 +414,8 @@ func (st *mvccStore) purge(batch int) int {
 // can maintain each Table's lock-free fast-path gate.
 type mvccCounter = atomic.Int64
 
-// noteVersion files a pre-image if MVCC is enabled. All DML mutation
-// loops, undo application, and redo replay route through it.
+// noteVersion files a pre-image if MVCC is enabled. The three row
+// mutators call it, once each.
 func (e *Engine) noteVersion(t *Table, pk sqlparse.Value, pre storage.Record, deletedNow bool, txn uint64) {
 	if e.versions != nil {
 		e.versions.noteWrite(t, pk, pre, deletedNow, txn)
@@ -459,38 +458,12 @@ func (e *Engine) selectView(s *Session, t *Table) (v *readView, ephemeral bool) 
 
 // PurgeVersions runs one purge sweep over at most batch chains (0 =
 // all chains), returning the number of row versions reclaimed. The
-// engine also purges inline every Config.PurgeEvery statements and,
-// when Config.PurgeInterval is set, from a background goroutine.
+// engine also purges inline every Config.PurgeEvery statements.
 func (e *Engine) PurgeVersions(batch int) int {
 	if e.versions == nil {
 		return 0
 	}
 	return e.versions.purge(batch)
-}
-
-// purgeLoop is the background purger (Config.PurgeInterval > 0).
-func (e *Engine) purgeLoop(interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.purgeStop:
-			return
-		case <-tick.C:
-			e.versions.purge(e.cfg.PurgeBatch)
-		}
-	}
-}
-
-// Close stops the background purge goroutine, if one was started. Safe
-// to call multiple times; the engine remains usable (purge continues
-// inline on the statement path).
-func (e *Engine) Close() {
-	e.purgeOnce.Do(func() {
-		if e.purgeStop != nil {
-			close(e.purgeStop)
-		}
-	})
 }
 
 // ResidueVersion is one recoverable old row version, as the forensic

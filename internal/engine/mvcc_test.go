@@ -265,7 +265,7 @@ func TestMVCCPurgeRespectsOldestView(t *testing.T) {
 	}
 }
 
-func TestMVCCPurgeBatchBound(t *testing.T) {
+func TestMVCCBoundedPurgeSweep(t *testing.T) {
 	cfg := Defaults()
 	cfg.DisablePurge = true
 	e, _ := newEngine(t, cfg)

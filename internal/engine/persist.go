@@ -16,10 +16,9 @@ import (
 	"snapdb/internal/wal"
 )
 
-// On-disk file names in a durable engine's data directory. The log and
-// dump names match the snapshot package's MySQL-style names so the
-// forensic tooling reads a live data directory and a disk snapshot the
-// same way.
+// On-disk file names in a durable engine's data directory. The snapshot
+// package aliases the log and dump names, so the forensic tooling reads
+// a live data directory and a disk snapshot the same way.
 const (
 	FileCheckpoint = "checkpoint.snapdb"
 	FileRedo       = "ib_logfile_redo"
@@ -28,119 +27,114 @@ const (
 	FileBufferPool = "ib_buffer_pool"
 )
 
+// logFile is one append-only framed log file: its handle, its durable
+// valid prefix, and the reused encode buffer of the batch being appended.
+type logFile struct {
+	name string
+	f    vfs.File
+	off  int64
+	buf  []byte
+}
+
+// openLogFile opens (or creates) name and cuts it back to off.
+func openLogFile(fs vfs.FS, name string, off int64) (logFile, error) {
+	f, err := fs.Open(name)
+	if errors.Is(err, os.ErrNotExist) {
+		f, err = fs.Create(name)
+	}
+	if err != nil {
+		return logFile{}, fmt.Errorf("engine: open %s: %w", name, err)
+	}
+	l := logFile{name: name, f: f}
+	return l, l.truncateTo(off)
+}
+
+// truncateTo durably cuts the file back to off and appends from there.
+func (l *logFile) truncateTo(off int64) error {
+	if err := l.f.Truncate(off); err != nil {
+		return fmt.Errorf("engine: truncate %s: %w", l.name, err)
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("engine: sync %s: %w", l.name, err)
+	}
+	l.off = off
+	return nil
+}
+
+// appendBatch makes the batch encoded in each file's buf durable. The
+// durable-op sequence is a contract (the crash-torture schedule
+// enumerates it by ordinal): every file's write, then every file's
+// sync, in argument order, skipping files with nothing to append.
+// Offsets advance only after all of it succeeded: a failed or torn
+// batch is overwritten by the next one, and a crash leaves at worst a
+// torn tail that recovery truncates.
+func appendBatch(files ...*logFile) error {
+	for _, l := range files {
+		if len(l.buf) == 0 {
+			continue
+		}
+		if _, err := l.f.WriteAt(l.buf, l.off); err != nil {
+			return fmt.Errorf("engine: %s append: %w", l.name, err)
+		}
+	}
+	for _, l := range files {
+		if len(l.buf) == 0 {
+			continue
+		}
+		if err := l.f.Sync(); err != nil {
+			return fmt.Errorf("engine: %s sync: %w", l.name, err)
+		}
+	}
+	for _, l := range files {
+		l.off += int64(len(l.buf))
+	}
+	return nil
+}
+
 // persistor is the engine's durability sink. The WAL and binlog group
 // commit leaders call into it with each flushed batch; it appends the
 // batch to the corresponding file inside CRC32-C frames and fsyncs
 // before the batch is acknowledged, so a statement only returns success
 // once its log records are on stable storage.
-//
-// Append offsets only advance after a successful write+sync: a failed
-// or torn batch is overwritten by the next one, and a crash leaves at
-// worst a torn tail that recovery truncates.
 type persistor struct {
-	mu   sync.Mutex
-	fs   vfs.FS
-	redo vfs.File
-	undo vfs.File
-	blog vfs.File
-
-	redoOff int64
-	undoOff int64
-	blogOff int64
+	mu               sync.Mutex
+	fs               vfs.FS
+	redo, undo, blog logFile
+	closed           bool
 }
 
-// openOrCreate opens name, creating it if missing.
-func openOrCreate(fs vfs.FS, name string) (vfs.File, error) {
-	f, err := fs.Open(name)
-	if errors.Is(err, os.ErrNotExist) {
-		return fs.Create(name)
+// attachPersist opens (or creates) the three append-only log files, cut
+// back to the given valid-prefix offsets — 0 for a fresh engine, the
+// parse-verified prefixes after recovery (cutting off any torn tail a
+// crash left) — and wires the persistor into the WAL and binlog
+// group-commit pipelines as their durability sink.
+func (e *Engine) attachPersist(fs vfs.FS, redoOff, undoOff, blogOff int64) error {
+	p := &persistor{fs: fs}
+	var err error
+	if p.redo, err = openLogFile(fs, FileRedo, redoOff); err != nil {
+		return err
 	}
-	return f, err
-}
-
-// newPersistor opens (or creates) the three append-only log files and
-// truncates each to the given valid-prefix offset — 0 for a fresh
-// engine, the parse-verified prefix after recovery (cutting off any
-// torn tail a crash left).
-func newPersistor(fs vfs.FS, redoOff, undoOff, blogOff int64) (*persistor, error) {
-	p := &persistor{fs: fs, redoOff: redoOff, undoOff: undoOff, blogOff: blogOff}
-	for _, it := range []struct {
-		name string
-		off  int64
-		dst  *vfs.File
-	}{
-		{FileRedo, redoOff, &p.redo},
-		{FileUndo, undoOff, &p.undo},
-		{FileBinlog, blogOff, &p.blog},
-	} {
-		f, err := openOrCreate(fs, it.name)
-		if err != nil {
-			return nil, fmt.Errorf("engine: open %s: %w", it.name, err)
-		}
-		if err := f.Truncate(it.off); err != nil {
-			return nil, fmt.Errorf("engine: truncate %s: %w", it.name, err)
-		}
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("engine: sync %s: %w", it.name, err)
-		}
-		*it.dst = f
+	if p.undo, err = openLogFile(fs, FileUndo, undoOff); err != nil {
+		return err
+	}
+	if p.blog, err = openLogFile(fs, FileBinlog, blogOff); err != nil {
+		return err
 	}
 	if err := fs.SyncDir(); err != nil {
-		return nil, fmt.Errorf("engine: syncdir: %w", err)
+		return fmt.Errorf("engine: syncdir: %w", err)
 	}
-	return p, nil
+	e.persist, e.wal.Sink, e.binlog.Sink = p, p.appendWAL, p.appendBinlog
+	return nil
 }
-
-// batchBufPool holds the scratch buffers the persistor encodes each
-// group-commit batch into. Batches are written and synced before the
-// sink returns, so the buffers never outlive one append and can be
-// recycled — without this, every fsync'd batch allocated fresh encode
-// buffers on the hot path.
-var batchBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-func getBatchBuf() *[]byte  { return batchBufPool.Get().(*[]byte) }
-func putBatchBuf(b *[]byte) { *b = (*b)[:0]; batchBufPool.Put(b) }
 
 // appendWAL is the wal.Manager sink: persist one group-commit batch to
 // the redo and undo files.
 func (p *persistor) appendWAL(redo, undo []wal.Record) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	redoBufP, undoBufP, scratchP := getBatchBuf(), getBatchBuf(), getBatchBuf()
-	defer putBatchBuf(redoBufP)
-	defer putBatchBuf(undoBufP)
-	defer putBatchBuf(scratchP)
-	redoBuf, undoBuf, scratch := *redoBufP, *undoBufP, *scratchP
-	for _, r := range redo {
-		scratch = r.AppendEncode(scratch[:0])
-		redoBuf = storage.AppendFrame(redoBuf, scratch)
-	}
-	for _, r := range undo {
-		scratch = r.AppendEncode(scratch[:0])
-		undoBuf = storage.AppendFrame(undoBuf, scratch)
-	}
-	*redoBufP, *undoBufP, *scratchP = redoBuf, undoBuf, scratch
-	if _, err := p.redo.WriteAt(redoBuf, p.redoOff); err != nil {
-		return fmt.Errorf("engine: redo append: %w", err)
-	}
-	if len(undoBuf) > 0 {
-		if _, err := p.undo.WriteAt(undoBuf, p.undoOff); err != nil {
-			return fmt.Errorf("engine: undo append: %w", err)
-		}
-	}
-	if err := p.redo.Sync(); err != nil {
-		return fmt.Errorf("engine: redo sync: %w", err)
-	}
-	if len(undoBuf) > 0 {
-		if err := p.undo.Sync(); err != nil {
-			return fmt.Errorf("engine: undo sync: %w", err)
-		}
-	}
-	p.redoOff += int64(len(redoBuf))
-	p.undoOff += int64(len(undoBuf))
-	return nil
+	p.redo.buf = storage.AppendFrames(p.redo.buf[:0], redo)
+	p.undo.buf = storage.AppendFrames(p.undo.buf[:0], undo)
+	return appendBatch(&p.redo, &p.undo)
 }
 
 // appendBinlog is the binlog.Log sink: persist one group-commit batch
@@ -148,23 +142,25 @@ func (p *persistor) appendWAL(redo, undo []wal.Record) error {
 func (p *persistor) appendBinlog(evs []binlog.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	bufP, scratchP := getBatchBuf(), getBatchBuf()
-	defer putBatchBuf(bufP)
-	defer putBatchBuf(scratchP)
-	buf, scratch := *bufP, *scratchP
-	for _, ev := range evs {
-		scratch = ev.AppendEncode(scratch[:0])
-		buf = storage.AppendFrame(buf, scratch)
+	p.blog.buf = storage.AppendFrames(p.blog.buf[:0], evs)
+	return appendBatch(&p.blog)
+}
+
+// Close releases a durable engine's log file handles. It is idempotent;
+// the engine keeps serving reads, and writes fail because their log
+// records can no longer be made durable. Every acknowledged batch was
+// synced when it was appended, so a close error has nothing to lose.
+func (e *Engine) Close() {
+	p := e.persist
+	if p == nil {
+		return
 	}
-	*bufP, *scratchP = buf, scratch
-	if _, err := p.blog.WriteAt(buf, p.blogOff); err != nil {
-		return fmt.Errorf("engine: binlog append: %w", err)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed {
+		p.closed = true
+		_, _, _ = p.redo.f.Close(), p.undo.f.Close(), p.blog.f.Close()
 	}
-	if err := p.blog.Sync(); err != nil {
-		return fmt.Errorf("engine: binlog sync: %w", err)
-	}
-	p.blogOff += int64(len(buf))
-	return nil
 }
 
 // writeDump persists the periodic buffer-pool dump crash-atomically.
@@ -243,23 +239,10 @@ func (p *persistor) writeCheckpoint(meta ckptMeta, tsImage []byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, it := range []struct {
-		name string
-		f    vfs.File
-		off  *int64
-	}{
-		{FileRedo, p.redo, &p.redoOff},
-		{FileUndo, p.undo, &p.undoOff},
-	} {
-		if err := it.f.Truncate(0); err != nil {
-			return fmt.Errorf("engine: truncate %s: %w", it.name, err)
-		}
-		if err := it.f.Sync(); err != nil {
-			return fmt.Errorf("engine: sync %s: %w", it.name, err)
-		}
-		*it.off = 0
+	if err := p.redo.truncateTo(0); err != nil {
+		return err
 	}
-	return nil
+	return p.undo.truncateTo(0)
 }
 
 // readCheckpoint loads and validates the checkpoint file. Missing file:

@@ -38,8 +38,8 @@ type planCache struct {
 
 const planShards = 16
 
-// DefaultPlanCacheEntries is the default total plan-cache capacity.
-const DefaultPlanCacheEntries = 4096
+// planCacheEntries is the total plan-cache capacity, over all shards.
+const planCacheEntries = 4096
 
 type planShard struct {
 	mu sync.Mutex
@@ -72,15 +72,8 @@ type planBindings struct {
 	phys *physicalPlan
 }
 
-func newPlanCache(entries int) *planCache {
-	if entries <= 0 {
-		entries = DefaultPlanCacheEntries
-	}
-	per := entries / planShards
-	if per < 1 {
-		per = 1
-	}
-	c := &planCache{perShard: per}
+func newPlanCache() *planCache {
+	c := &planCache{perShard: planCacheEntries / planShards}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*list.Element)
 		c.shards[i].ll = list.New()

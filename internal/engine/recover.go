@@ -47,11 +47,17 @@ type RecoveryReport struct {
 	MaxLSN           uint64
 }
 
-func truncOf(truncated bool, at int, reason string) *TruncationInfo {
-	if !truncated {
-		return nil
+// readLog reads one framed log file — a missing file is an empty log —
+// and parses its valid prefix. It returns what parsed, the length of
+// that prefix (where appends resume, cutting off any torn tail) and the
+// truncation to report, if the file had a bad tail.
+func readLog[T any](fs vfs.FS, name string, parse func([]byte) ([]T, storage.ParseReport)) ([]T, int64, *TruncationInfo) {
+	img, _ := fs.ReadFile(name)
+	items, rep := parse(img)
+	if rep.Truncated() {
+		return items, int64(rep.TruncatedAt), &TruncationInfo{Offset: rep.TruncatedAt, Reason: rep.Reason}
 	}
-	return &TruncationInfo{Offset: at, Reason: reason}
+	return items, int64(len(img)), nil
 }
 
 // Recover opens a data directory, rebuilding engine state ARIES-style:
@@ -93,40 +99,11 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 		rep.Tables = len(meta.Tables)
 	}
 
-	readAll := func(name string) []byte {
-		b, err := fs.ReadFile(name)
-		if err != nil {
-			return nil // missing file = empty log
-		}
-		return b
-	}
-
-	redoImg := readAll(FileRedo)
-	redoRecs, redoRep := wal.ParseLogReport(redoImg)
-	rep.RedoRecords = len(redoRecs)
-	rep.RedoTruncated = truncOf(redoRep.Truncated(), redoRep.TruncatedAt, redoRep.Reason)
-	redoOff := len(redoImg)
-	if redoRep.Truncated() {
-		redoOff = redoRep.TruncatedAt
-	}
-
-	undoImg := readAll(FileUndo)
-	undoRecs, undoRep := wal.ParseLogReport(undoImg)
-	rep.UndoRecords = len(undoRecs)
-	rep.UndoTruncated = truncOf(undoRep.Truncated(), undoRep.TruncatedAt, undoRep.Reason)
-	undoOff := len(undoImg)
-	if undoRep.Truncated() {
-		undoOff = undoRep.TruncatedAt
-	}
-
-	blogImg := readAll(FileBinlog)
-	blogEvs, blogRep := binlog.ParseWithReport(blogImg)
-	rep.BinlogEvents = len(blogEvs)
-	rep.BinlogTruncated = truncOf(blogRep.Truncated(), blogRep.TruncatedAt, blogRep.Reason)
-	blogOff := len(blogImg)
-	if blogRep.Truncated() {
-		blogOff = blogRep.TruncatedAt
-	}
+	redoRecs, redoOff, redoTrunc := readLog(fs, FileRedo, wal.ParseLogReport)
+	undoRecs, undoOff, undoTrunc := readLog(fs, FileUndo, wal.ParseLogReport)
+	blogEvs, blogOff, blogTrunc := readLog(fs, FileBinlog, binlog.ParseWithReport)
+	rep.RedoRecords, rep.UndoRecords, rep.BinlogEvents = len(redoRecs), len(undoRecs), len(blogEvs)
+	rep.RedoTruncated, rep.UndoTruncated, rep.BinlogTruncated = redoTrunc, undoTrunc, blogTrunc
 
 	// Sort winners from losers. Txn 0 (records logged outside any
 	// transaction, e.g. by tooling driving the wal.Manager directly) is
@@ -174,7 +151,7 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 	// Attach the durability sink at the valid-prefix offsets; this also
 	// truncates the torn tails off the files. From here on, compensation
 	// records logged below are persisted like any other write.
-	if err := e.attachPersist(fs, int64(redoOff), int64(undoOff), int64(blogOff)); err != nil {
+	if err := e.attachPersist(fs, redoOff, undoOff, blogOff); err != nil {
 		return nil, rep, err
 	}
 
@@ -226,15 +203,9 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 	}
 	sort.Slice(losers, func(i, j int) bool { return loserMaxLSN[losers[i]] > loserMaxLSN[losers[j]] })
 	for _, txn := range losers {
-		if err := e.applyUndo(txn, synth[txn]); err != nil {
+		if err := e.rollbackTxn(txn, synth[txn]); err != nil {
 			return nil, rep, fmt.Errorf("engine: rolling back txn %d: %w", txn, err)
 		}
-		if err := e.wal.LogAbort(txn); err != nil {
-			return nil, rep, fmt.Errorf("engine: abort marker for txn %d: %w", txn, err)
-		}
-		// As at a live ROLLBACK: the compensated state becomes the
-		// visible latest, the loser's intermediates stay invisible.
-		e.commitVersions(txn)
 		rep.TxnsRolledBack++
 	}
 
@@ -309,93 +280,45 @@ func (e *Engine) loadCheckpoint(meta ckptMeta, tsImage []byte) error {
 	return nil
 }
 
-// applyRedo replays one data record into the trees and secondary
-// indexes. It returns the synthesized undo record (pre-image) for the
-// change, and applied=false when the record is a no-op against current
-// state (already present / already gone) — tolerated, counted by the
-// caller, never fatal.
+// applyRedo replays one data record through the row mutators. It
+// returns the undo record for the change — the same record the forward
+// path logged, rebuilt from the row as replay finds it — and
+// applied=false when the record is a no-op against current state
+// (already present / already gone, unknown table, malformed image) —
+// tolerated, counted by the caller, never fatal.
 func (e *Engine) applyRedo(r wal.Record) (undo wal.Record, applied bool, err error) {
 	t, ok := e.TableByID(r.Table)
-	if !ok {
-		return wal.Record{}, false, nil // table unknown to the checkpoint: skip
+	if !ok || len(r.Image) == 0 {
+		return wal.Record{}, false, nil
+	}
+	key := r.Image[:1]
+	cur, found, err := t.Tree.Search(key[0])
+	if err != nil {
+		return wal.Record{}, false, err
 	}
 	switch r.Op {
 	case wal.OpInsert:
-		if len(r.Image) == 0 {
+		if found {
 			return wal.Record{}, false, nil
 		}
-		key := r.Image[0]
-		if _, exists, serr := t.Tree.Search(key); serr != nil {
-			return wal.Record{}, false, serr
-		} else if exists {
-			return wal.Record{}, false, nil
-		}
-		e.noteVersion(t, key, nil, false, r.Txn)
-		if err := t.Tree.Insert(r.Image.Clone()); err != nil {
-			return wal.Record{}, false, err
-		}
-		if err := indexInsertRow(t, r.Image); err != nil {
-			return wal.Record{}, false, err
-		}
-		t.rows.Add(1)
-		t.statsNoteInsert(r.Image)
-		undo = wal.Record{Txn: r.Txn, Op: wal.OpInsert, Table: r.Table, Column: wal.WholeRow,
-			Image: storage.Record{key}}
-		return undo, true, nil
+		var redo wal.Record
+		redo, undo = wal.InsertRecords(r.Txn, r.Table, r.Image)
+		err = e.insertRow(t, redo.Image, r.Txn)
 	case wal.OpUpdate:
-		if len(r.Image) < 2 {
-			return wal.Record{}, false, nil
-		}
-		key, newVal := r.Image[0], r.Image[1]
-		cur, foundRow, serr := t.Tree.Search(key)
-		if serr != nil {
-			return wal.Record{}, false, serr
-		}
-		if !foundRow {
-			return wal.Record{}, false, nil
-		}
 		col := int(r.Column)
-		if col < 0 || col >= len(cur) {
+		if !found || len(r.Image) < 2 || col >= len(cur) {
 			return wal.Record{}, false, nil
 		}
-		pre := cur[col]
-		e.noteVersion(t, key, cur, false, r.Txn)
-		if err := indexUpdateColumn(t, key, col, pre, newVal); err != nil {
-			return wal.Record{}, false, err
-		}
-		updated := cur.Clone()
-		updated[col] = newVal
-		if _, err := t.Tree.Update(key, updated); err != nil {
-			return wal.Record{}, false, err
-		}
-		t.statsNoteUpdate(col, newVal)
-		undo = wal.Record{Txn: r.Txn, Op: wal.OpUpdate, Table: r.Table, Column: r.Column,
-			Image: storage.Record{key, pre}}
-		return undo, true, nil
+		_, undo = wal.UpdateRecords(r.Txn, r.Table, key, r.Column, cur[col:col+1], r.Image[1:2])
+		err = e.updateRow(t, cur, []setOp{{idx: col, val: r.Image[1]}}, r.Txn)
 	case wal.OpDelete:
-		if len(r.Image) == 0 {
+		if !found {
 			return wal.Record{}, false, nil
 		}
-		key := r.Image[0]
-		row, foundRow, serr := t.Tree.Search(key)
-		if serr != nil {
-			return wal.Record{}, false, serr
-		}
-		if !foundRow {
-			return wal.Record{}, false, nil
-		}
-		e.noteVersion(t, key, row, true, r.Txn)
-		if _, err := t.Tree.Delete(key); err != nil {
-			return wal.Record{}, false, err
-		}
-		if err := indexDeleteRow(t, row); err != nil {
-			return wal.Record{}, false, err
-		}
-		t.rows.Add(-1)
-		undo = wal.Record{Txn: r.Txn, Op: wal.OpDelete, Table: r.Table, Column: wal.WholeRow,
-			Image: row.Clone()}
-		return undo, true, nil
+		_, undo = wal.DeleteRecords(r.Txn, r.Table, cur)
+		err = e.deleteRow(t, cur, r.Txn)
 	default:
 		return wal.Record{}, false, nil
 	}
+	return undo, err == nil, err
 }

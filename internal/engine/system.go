@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sort"
-	"time"
 
 	"snapdb/internal/binlog"
 	"snapdb/internal/bufpool"
@@ -323,6 +322,3 @@ func (e *Engine) Shutdown() []byte {
 
 // Statements returns the number of executed statements.
 func (e *Engine) Statements() uint64 { return e.statements.Load() }
-
-// SetSlowThreshold adjusts the slow-log threshold at runtime.
-func (e *Engine) SetSlowThreshold(d time.Duration) { e.slow.Threshold = d }

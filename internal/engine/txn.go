@@ -6,7 +6,6 @@ import (
 
 	"snapdb/internal/binlog"
 	"snapdb/internal/sqlparse"
-	"snapdb/internal/storage"
 	"snapdb/internal/wal"
 )
 
@@ -50,9 +49,8 @@ func (s *Session) stmtTxn(e *Engine) (txn uint64, auto bool) {
 	return e.wal.BeginTxn(), true
 }
 
-// noteUndo buffers an undo record when a transaction is open. In
-// autocommit mode there is nothing to buffer: the statement is already
-// durable.
+// noteUndo buffers an undo record in the open transaction's rollback
+// buffer. An autocommit statement keeps its own list (dmlStmt.undo).
 func (s *Session) noteUndo(rec wal.Record) {
 	if s.txn != nil {
 		s.txn.mu.Lock()
@@ -114,7 +112,6 @@ func (e *Engine) execTxnControl(s *Session, st *sqlparse.TxnControl, ts int64) (
 		undo := s.txn.undo
 		evs := s.txn.binlogBuf
 		s.txn.binlogBuf = nil
-		view := s.txn.view
 		s.txn.mu.Unlock()
 		if len(undo) > 0 {
 			if err := e.wal.LogCommit(s.txn.walTxn); err != nil {
@@ -131,15 +128,8 @@ func (e *Engine) execTxnControl(s *Session, st *sqlparse.TxnControl, ts int64) (
 			evs[i].Timestamp = ts
 		}
 		binlogErr := e.binlog.CommitBatch(evs)
-		e.commitVersions(s.txn.walTxn)
-		if view != nil {
-			e.versions.release(view)
-		}
-		e.mu.Lock()
-		delete(e.activeTxns, s.ID)
-		e.mu.Unlock()
-		s.txn = nil
-		e.openTxns.Add(-1)
+		e.commitVersions(s.txn.walTxn) // before openTxns drops: a checkpoint must find every chain resolved
+		s.endTxn(e)
 		if binlogErr != nil {
 			return nil, fmt.Errorf("engine: binlog: %w", binlogErr)
 		}
@@ -148,35 +138,10 @@ func (e *Engine) execTxnControl(s *Session, st *sqlparse.TxnControl, ts int64) (
 		if s.txn == nil {
 			return nil, fmt.Errorf("engine: ROLLBACK without open transaction")
 		}
-		txn := s.txn
-		s.txn = nil // compensations below run in autocommit mode
-		e.openTxns.Add(-1)
-		e.mu.Lock()
-		delete(e.activeTxns, s.ID)
-		e.mu.Unlock()
-		txn.mu.Lock()
-		undo := txn.undo
-		view := txn.view
-		txn.mu.Unlock()
-		if view != nil {
-			e.versions.release(view)
-		}
-		if err := e.applyUndo(txn.walTxn, undo); err != nil {
+		txn := s.endTxn(e)
+		if err := e.rollbackTxn(txn.walTxn, txn.undo); err != nil {
 			return nil, fmt.Errorf("engine: rollback: %w", err)
 		}
-		// The abort marker records that the rollback ran to completion;
-		// after a crash, recovery sees it and leaves the compensated
-		// state alone instead of undoing a second time.
-		if len(undo) > 0 {
-			if err := e.wal.LogAbort(txn.walTxn); err != nil {
-				return nil, fmt.Errorf("engine: wal abort: %w", err)
-			}
-		}
-		// Resolving the rolled-back transaction in the version store
-		// makes the compensated (= pre-transaction) state the visible
-		// latest; the intermediate versions stay invisible to every
-		// view, and purge can reclaim the chains.
-		e.commitVersions(txn.walTxn)
 		// MySQL reports 0 rows affected for ROLLBACK; the undo-record
 		// count the engine used to report here double-counted
 		// multi-column updates (one undo record per column).
@@ -184,6 +149,43 @@ func (e *Engine) execTxnControl(s *Session, st *sqlparse.TxnControl, ts int64) (
 	default:
 		return nil, fmt.Errorf("engine: unknown transaction op")
 	}
+}
+
+// endTxn closes the session's open transaction — the session is back in
+// autocommit mode, the read view is released — and returns it. No other
+// session can reach the returned state any more.
+func (s *Session) endTxn(e *Engine) *txnState {
+	txn := s.txn
+	s.txn = nil
+	e.openTxns.Add(-1)
+	e.mu.Lock()
+	delete(e.activeTxns, s.ID)
+	e.mu.Unlock()
+	if txn.view != nil {
+		e.versions.release(txn.view)
+	}
+	return txn
+}
+
+// rollbackTxn is the abort protocol — ROLLBACK's, a failed autocommit
+// statement's, and recovery's for a loser: undo the logged changes, log
+// the abort marker, resolve txn in the version store. The marker
+// records that the rollback ran to completion; after a crash, recovery
+// sees it and leaves the compensated state alone instead of undoing a
+// second time. Resolving txn makes the compensated (= pre-transaction)
+// state the visible latest; the intermediate versions stay invisible to
+// every view, and purge can reclaim the chains.
+func (e *Engine) rollbackTxn(txn uint64, undo []wal.Record) error {
+	if err := e.applyUndo(txn, undo); err != nil {
+		return err
+	}
+	if len(undo) > 0 {
+		if err := e.wal.LogAbort(txn); err != nil {
+			return fmt.Errorf("abort marker: %w", err)
+		}
+	}
+	e.commitVersions(txn)
+	return nil
 }
 
 // applyUndo reverses a transaction's changes newest-first, logging
@@ -207,83 +209,63 @@ func (e *Engine) applyUndo(txn uint64, undo []wal.Record) error {
 
 // undoRecord reverses one undo record under the table's write latch
 // (MVCC readers take no stripes, so the latch is what keeps them from
-// observing a half-reversed row). Each compensation also files its
-// pre-image: the rolled-back values join the version chains, where —
-// as §3 predicts for aborted activity — they remain recoverable.
+// observing a half-reversed row): look the row up, run the opposite row
+// mutator, and log the compensation under the same transaction. The
+// mutators file each compensation's pre-image too: the rolled-back
+// values join the version chains, where — as §3 predicts for aborted
+// activity — they remain recoverable.
 func (e *Engine) undoRecord(t *Table, txn uint64, rec wal.Record) error {
 	t.latch.Lock()
 	defer t.latch.Unlock()
+	if len(rec.Image) < 1 {
+		return fmt.Errorf("corrupt %v-undo image", rec.Op)
+	}
+	key := rec.Image[:1]
+	var logErr error
 	switch rec.Op {
 	case wal.OpInsert:
-		// Undo an insert: delete the key (fetching the row first so
-		// secondary indexes can be unkeyed).
-		if len(rec.Image) < 1 {
-			return fmt.Errorf("corrupt insert-undo image")
-		}
-		key := rec.Image[0]
-		row, found, err := t.Tree.Search(key)
-		if err != nil {
+		// Undo an insert: delete the row, if it is still there. The
+		// compensation logs a key-only delete image — there is no older
+		// row for anyone to restore.
+		row, found, err := t.Tree.Search(key[0])
+		if err != nil || !found {
 			return err
 		}
-		if found {
-			e.noteVersion(t, key, row, true, txn)
-			if _, err := t.Tree.Delete(key); err != nil {
-				return err
-			}
-			if err := indexDeleteRow(t, row); err != nil {
-				return err
-			}
-			t.rows.Add(-1)
-			if _, _, err := e.wal.TxDelete(txn, t.ID, storage.Record{key}); err != nil {
-				return fmt.Errorf("logging compensation: %w", err)
-			}
+		if err := e.deleteRow(t, row, txn); err != nil {
+			return err
 		}
+		_, _, logErr = e.wal.TxDelete(txn, t.ID, key)
 	case wal.OpUpdate:
 		// Undo an update: restore the old column value.
 		if len(rec.Image) < 2 {
 			return fmt.Errorf("corrupt update-undo image")
 		}
-		key, oldVal := rec.Image[0], rec.Image[1]
-		cur, found, err := t.Tree.Search(key)
+		cur, found, err := t.Tree.Search(key[0])
 		if err != nil {
 			return err
 		}
 		if !found {
-			return fmt.Errorf("undo target row %s missing", key)
+			return fmt.Errorf("undo target row %s missing", key[0])
 		}
 		col := int(rec.Column)
-		if col < 0 || col >= len(cur) {
+		if col >= len(cur) {
 			return fmt.Errorf("undo column %d out of range", col)
 		}
-		e.noteVersion(t, key, cur, false, txn)
-		restored := cur.Clone()
-		if _, _, err := e.wal.TxUpdate(txn, t.ID, storage.Record{key}, rec.Column,
-			storage.Record{cur[col]}, storage.Record{oldVal}); err != nil {
-			return fmt.Errorf("logging compensation: %w", err)
-		}
-		if err := indexUpdateColumn(t, key, col, cur[col], oldVal); err != nil {
+		if err := e.updateRow(t, cur, []setOp{{idx: col, val: rec.Image[1]}}, txn); err != nil {
 			return err
 		}
-		restored[col] = oldVal
-		if _, err := t.Tree.Update(key, restored); err != nil {
-			return err
-		}
+		_, _, logErr = e.wal.TxUpdate(txn, t.ID, key, rec.Column, cur[col:col+1], rec.Image[1:2])
 	case wal.OpDelete:
 		// Undo a delete: reinsert the full old row.
-		e.noteVersion(t, rec.Image[0], nil, false, txn)
-		if err := t.Tree.Insert(rec.Image.Clone()); err != nil {
+		if err := e.insertRow(t, rec.Image.Clone(), txn); err != nil {
 			return err
 		}
-		if err := indexInsertRow(t, rec.Image); err != nil {
-			return err
-		}
-		t.rows.Add(1)
-		t.statsNoteInsert(rec.Image)
-		if _, _, err := e.wal.TxInsert(txn, t.ID, rec.Image); err != nil {
-			return fmt.Errorf("logging compensation: %w", err)
-		}
+		_, _, logErr = e.wal.TxInsert(txn, t.ID, rec.Image)
 	default:
 		return fmt.Errorf("unknown undo op %v", rec.Op)
+	}
+	if logErr != nil {
+		return fmt.Errorf("logging compensation: %w", logErr)
 	}
 	return nil
 }

@@ -18,12 +18,12 @@ import (
 // reconstruction never lacks column names).
 const (
 	FileTablespace = "tablespace.ibd"
-	FileRedo       = "ib_logfile_redo"
-	FileUndo       = "ib_logfile_undo"
-	FileBinlog     = "binlog.000001"
+	FileRedo       = engine.FileRedo
+	FileUndo       = engine.FileUndo
+	FileBinlog     = engine.FileBinlog
 	FileGeneralLog = "general.log"
 	FileSlowLog    = "slow.log"
-	FileBufferPool = "ib_buffer_pool"
+	FileBufferPool = engine.FileBufferPool
 	FileCatalog    = "schema.frm.json"
 )
 

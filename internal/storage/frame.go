@@ -68,3 +68,68 @@ func ReadFrame(b []byte) (payload []byte, n int, err error) {
 	}
 	return payload, total, nil
 }
+
+// AppendFrames appends one frame per item to dst, encoding each payload
+// in place behind a reserved header; every framed log is written here.
+func AppendFrames[T interface{ AppendEncode(dst []byte) []byte }](dst []byte, items []T) []byte {
+	for _, it := range items {
+		start := len(dst)
+		dst = append(dst, make([]byte, FrameHeaderSize)...)
+		dst = it.AppendEncode(dst)
+		payload := dst[start+FrameHeaderSize:]
+		binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+		binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	}
+	return dst
+}
+
+// ParseReport describes how the parse of a framed log image ended.
+type ParseReport struct {
+	// Frames is the number of valid frames parsed.
+	Frames int
+	// TruncatedAt is the byte offset of the first bad frame, or -1 if
+	// the image parsed cleanly to the end. Bytes before TruncatedAt are
+	// the valid prefix a recovery can keep.
+	TruncatedAt int
+	// Reason says why the scan stopped: "torn frame" for a tail cut
+	// short mid-frame, a checksum/length description for corruption, or
+	// "bad <what>: ..." for an intact frame whose payload did not decode.
+	Reason string
+}
+
+// Truncated reports whether the parse stopped before the end of the
+// image.
+func (p ParseReport) Truncated() bool { return p.TruncatedAt >= 0 }
+
+// WalkFrames walks a framed log image, handing each payload to decode
+// (which returns the bytes it consumed), and stops at the first torn or
+// corrupt frame or the first payload that fails to decode or decodes
+// short; what names the payload in the reason. It never panics on
+// malformed input.
+func WalkFrames(img []byte, what string, decode func(payload []byte) (int, error)) ParseReport {
+	rep := ParseReport{TruncatedAt: -1}
+	for pos := 0; pos < len(img); {
+		payload, n, err := ReadFrame(img[pos:])
+		switch {
+		case errors.Is(err, ErrFrameTruncated):
+			rep.Reason = "torn frame"
+		case err != nil:
+			rep.Reason = err.Error()
+		default:
+			used, derr := decode(payload)
+			if derr == nil && used != len(payload) {
+				derr = fmt.Errorf("%d trailing bytes in frame", len(payload)-used)
+			}
+			if derr != nil {
+				rep.Reason = "bad " + what + ": " + derr.Error()
+			}
+		}
+		if rep.Reason != "" {
+			rep.TruncatedAt = pos
+			return rep
+		}
+		rep.Frames++
+		pos += n
+	}
+	return rep
+}

@@ -20,10 +20,10 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 
+	"snapdb/internal/commitq"
 	"snapdb/internal/storage"
 )
 
@@ -253,66 +253,22 @@ func (l *Log) OldestLSN() uint64 {
 func (l *Log) Serialize() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]byte, 0, l.bytes+storage.FrameHeaderSize*len(l.records))
-	var scratch []byte
-	for _, r := range l.records {
-		scratch = r.AppendEncode(scratch[:0])
-		out = storage.AppendFrame(out, scratch)
-	}
-	return out
+	return storage.AppendFrames(make([]byte, 0, l.bytes+storage.FrameHeaderSize*len(l.records)), l.records)
 }
-
-// ParseReport describes how a log image parse ended.
-type ParseReport struct {
-	// Frames is the number of valid frames parsed.
-	Frames int
-	// TruncatedAt is the byte offset of the first bad frame, or -1 if
-	// the image parsed cleanly to the end. Bytes before TruncatedAt are
-	// the valid prefix a recovery can keep.
-	TruncatedAt int
-	// Reason says why the scan stopped: "torn frame" for a tail cut
-	// short mid-frame, a checksum/length description for corruption, or
-	// "bad record: ..." when the frame was intact but its payload was
-	// not a record.
-	Reason string
-}
-
-// Truncated reports whether the parse stopped before the end of the
-// image.
-func (p ParseReport) Truncated() bool { return p.TruncatedAt >= 0 }
 
 // ParseLogReport parses a Serialize image back into records, stopping
 // at the first torn or corrupt frame. It returns the records of the
 // valid prefix and a report saying where and why the scan stopped. It
 // never panics on malformed input.
-func ParseLogReport(img []byte) ([]Record, ParseReport) {
+func ParseLogReport(img []byte) ([]Record, storage.ParseReport) {
 	var out []Record
-	rep := ParseReport{TruncatedAt: -1}
-	pos := 0
-	for pos < len(img) {
-		payload, n, err := storage.ReadFrame(img[pos:])
-		if err != nil {
-			rep.TruncatedAt = pos
-			if errors.Is(err, storage.ErrFrameTruncated) {
-				rep.Reason = "torn frame"
-			} else {
-				rep.Reason = err.Error()
-			}
-			return out, rep
+	rep := storage.WalkFrames(img, "record", func(payload []byte) (int, error) {
+		r, n, err := DecodeRecord(payload)
+		if err == nil && n == len(payload) {
+			out = append(out, r)
 		}
-		r, rn, derr := DecodeRecord(payload)
-		if derr != nil || rn != len(payload) {
-			rep.TruncatedAt = pos
-			if derr == nil {
-				derr = fmt.Errorf("%d trailing bytes in frame", len(payload)-rn)
-			}
-			rep.Reason = "bad record: " + derr.Error()
-			return out, rep
-		}
-		out = append(out, r)
-		rep.Frames++
-		pos += n
-	}
+		return n, err
+	})
 	return out, rep
 }
 
@@ -328,25 +284,17 @@ func ParseLog(img []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// pendEntry is one queued change in the group-commit pipeline.
-type pendEntry struct {
-	redo    Record
-	undo    Record
-	hasUndo bool
-	ticket  uint64
-}
+// pendEntry is one queued change in the group-commit pipeline. A
+// transaction marker is redo-only: its undo is the zero Record.
+type pendEntry struct{ redo, undo Record }
 
 // Manager owns the global LSN counter and the redo and undo logs, and
 // provides the typed logging entry points the engine calls.
 //
-// Concurrent writers commit through a group-commit pipeline: each change
-// gets its LSN assigned and is queued under one short critical section
-// (so queue order equals LSN order), and a single leader drains the
-// queue into the redo/undo logs in one batched flush while followers
-// wait. This coalesces concurrent appends into few lock acquisitions
-// and — the property the forensic correlation attacks (E3, E8) depend
-// on — keeps both logs strictly LSN-ordered no matter how statements
-// interleave.
+// Concurrent writers commit through the group-commit queue (commitq,
+// which documents the ordering invariant): each change gets its LSN as
+// it is queued, so both logs come out strictly LSN-ordered no matter how
+// statements interleave, and one leader flushes each batch.
 //
 // If a Sink is attached, the leader hands each batch to it before the
 // batch becomes visible in the in-memory logs; a sink failure is
@@ -355,16 +303,9 @@ type pendEntry struct {
 // the sink, so a statement only returns success once its log records
 // are on stable storage.
 type Manager struct {
-	mu       sync.Mutex // guards lsn, txnSeq and the group-commit queue
-	flushed  *sync.Cond // broadcast after each batch flush
-	lsn      uint64
-	txnSeq   uint64
-	pend     []pendEntry
-	errs     map[uint64]error // per-ticket flush errors, read once by the waiter
-	flushing bool             // a leader is draining the queue
-	enqTotal uint64           // changes ever enqueued (ticket counter)
-	flTotal  uint64           // changes whose batch has been flushed
-	flushes  uint64           // batch flushes performed (group-commit stat)
+	q      *commitq.Queue[pendEntry] // its lock also guards lsn and txnSeq
+	lsn    uint64
+	txnSeq uint64
 
 	// Sink, if set, receives each flushed batch (redo records, and the
 	// undo records for entries that have them) before the batch is
@@ -385,8 +326,8 @@ func NewManager(redoCapacity, undoCapacity int) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{Redo: redo, Undo: undo, errs: make(map[uint64]error)}
-	m.flushed = sync.NewCond(&m.mu)
+	m := &Manager{Redo: redo, Undo: undo}
+	m.q = commitq.New(m.flush)
 	return m, nil
 }
 
@@ -394,24 +335,24 @@ func NewManager(redoCapacity, undoCapacity int) (*Manager, error) {
 // closing OpCommit/OpAbort marker carry this id so recovery can sort
 // winners from losers.
 func (m *Manager) BeginTxn() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.q.Lock()
+	defer m.q.Unlock()
 	m.txnSeq++
 	return m.txnSeq
 }
 
 // TxnSeq returns the last allocated transaction id.
 func (m *Manager) TxnSeq() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.q.Lock()
+	defer m.q.Unlock()
 	return m.txnSeq
 }
 
 // SetRecovered primes the LSN counter and transaction id counter after
 // recovery, so new activity continues past everything already logged.
 func (m *Manager) SetRecovered(lsn, txnSeq uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.q.Lock()
+	defer m.q.Unlock()
 	if lsn > m.lsn {
 		m.lsn = lsn
 	}
@@ -420,150 +361,108 @@ func (m *Manager) SetRecovered(lsn, txnSeq uint64) {
 	}
 }
 
-// commit runs one change through the group-commit pipeline: assign the
-// LSN and enqueue under the lock, then either lead a batched flush or
-// wait for the current leader to flush this change. It returns only
-// after the change is durable (if a Sink is attached) and visible in
-// the in-memory logs, or after its batch's flush failed.
-func (m *Manager) commit(redo Record, undo *Record, size int) (uint64, Record, error) {
-	m.mu.Lock()
-	m.lsn += uint64(size)
-	lsn := m.lsn
-	redo.LSN = lsn
-	e := pendEntry{redo: redo}
-	if undo != nil {
-		undo.LSN = lsn
-		e.undo, e.hasUndo = *undo, true
+// commit runs one change through the group-commit queue, assigning its
+// LSN as it is enqueued: the LSN advances by size, the encoded size of
+// the change, matching InnoDB's byte-offset LSNs (which is what makes
+// the paper's LSN↔timestamp correlation linear in write volume). It
+// returns only after the change is durable (if a Sink is attached) and
+// visible in the in-memory logs, or after its batch's flush failed.
+func (m *Manager) commit(redo, undo Record, size int) (uint64, Record, error) {
+	e := pendEntry{redo, undo}
+	err := m.q.Commit(func(pend []pendEntry) []pendEntry {
+		m.lsn += uint64(size)
+		e.redo.LSN = m.lsn
+		if e.undo.Op != 0 {
+			e.undo.LSN = m.lsn
+		}
+		return append(pend, e)
+	})
+	return e.redo.LSN, e.undo, err
+}
+
+// flush is the queue leader's batch flush: through the Sink, then into
+// the in-memory logs.
+func (m *Manager) flush(batch []pendEntry) error {
+	redoBatch := make([]Record, 0, len(batch))
+	var undoBatch []Record
+	for _, be := range batch {
+		redoBatch = append(redoBatch, be.redo)
+		if be.undo.Op != 0 {
+			undoBatch = append(undoBatch, be.undo)
+		}
 	}
-	m.enqTotal++
-	e.ticket = m.enqTotal
-	ticket := e.ticket
-	m.pend = append(m.pend, e)
-	if m.flushing {
-		// Follower: a leader is already flushing; it will pick this
-		// change up in its next batch.
-		for m.flTotal < ticket {
-			m.flushed.Wait()
+	if m.Sink != nil {
+		if err := m.Sink(redoBatch, undoBatch); err != nil {
+			return err
 		}
-		err := m.errs[ticket]
-		delete(m.errs, ticket)
-		m.mu.Unlock()
-		return lsn, e.undo, err
 	}
-	// Leader: drain the queue, including anything followers enqueue
-	// while we flush outside the lock.
-	m.flushing = true
-	sink := m.Sink
-	for len(m.pend) > 0 {
-		batch := m.pend
-		m.pend = nil
-		m.mu.Unlock()
-		redoBatch := make([]Record, 0, len(batch))
-		undoBatch := make([]Record, 0, len(batch))
-		for _, be := range batch {
-			redoBatch = append(redoBatch, be.redo)
-			if be.hasUndo {
-				undoBatch = append(undoBatch, be.undo)
-			}
-		}
-		var serr error
-		if sink != nil {
-			serr = sink(redoBatch, undoBatch)
-		}
-		if serr == nil {
-			m.Redo.AppendBatch(redoBatch)
-			m.Undo.AppendBatch(undoBatch)
-		}
-		m.mu.Lock()
-		m.flTotal += uint64(len(batch))
-		m.flushes++
-		if serr != nil {
-			for _, be := range batch {
-				m.errs[be.ticket] = serr
-			}
-		}
-		m.flushed.Broadcast()
-	}
-	m.flushing = false
-	err := m.errs[ticket]
-	delete(m.errs, ticket)
-	m.mu.Unlock()
-	return lsn, e.undo, err
+	m.Redo.AppendBatch(redoBatch)
+	m.Undo.AppendBatch(undoBatch)
+	return nil
 }
 
 // GroupCommitStats reports how many changes have been committed and in
 // how many batch flushes; committed/flushes is the mean group size.
-func (m *Manager) GroupCommitStats() (committed, flushes uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.flTotal, m.flushes
-}
-
-// NextLSN advances and returns the global LSN. The increment is the
-// encoded size of the change being logged, matching InnoDB's
-// byte-offset LSNs (which is what makes the paper's LSN↔timestamp
-// correlation linear in write volume).
-func (m *Manager) NextLSN(size int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lsn += uint64(size)
-	return m.lsn
-}
+func (m *Manager) GroupCommitStats() (committed, flushes uint64) { return m.q.Stats() }
 
 // CurrentLSN returns the current LSN without advancing it.
 func (m *Manager) CurrentLSN() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.q.Lock()
+	defer m.q.Unlock()
 	return m.lsn
 }
 
+// InsertRecords, UpdateRecords (one column) and DeleteRecords build the
+// redo/undo pair for one row change by txn, in the image format
+// documented on Record. The Tx* entry points log these pairs; recovery
+// builds the same pairs to synthesize a loser's undo records.
+func InsertRecords(txn uint64, table uint8, row storage.Record) (redo, undo Record) {
+	return Record{Txn: txn, Op: OpInsert, Table: table, Column: WholeRow, Image: row.Clone()},
+		Record{Txn: txn, Op: OpInsert, Table: table, Column: WholeRow, Image: storage.Record{row[0]}}
+}
+
+func UpdateRecords(txn uint64, table uint8, key storage.Record, column uint8, oldVal, newVal storage.Record) (redo, undo Record) {
+	return Record{Txn: txn, Op: OpUpdate, Table: table, Column: column, Image: append(key.Clone(), newVal...)},
+		Record{Txn: txn, Op: OpUpdate, Table: table, Column: column, Image: append(key.Clone(), oldVal...)}
+}
+
+func DeleteRecords(txn uint64, table uint8, oldRow storage.Record) (redo, undo Record) {
+	return Record{Txn: txn, Op: OpDelete, Table: table, Column: WholeRow, Image: storage.Record{oldRow[0]}},
+		Record{Txn: txn, Op: OpDelete, Table: table, Column: WholeRow, Image: oldRow.Clone()}
+}
+
 // TxInsert records a row insertion by txn in both logs, returning the
-// LSN and the undo record (which transactions buffer for rollback).
+// LSN and the undo record (which transactions buffer for rollback). The
+// LSN advances by the encoded size of the row image the change carries.
 func (m *Manager) TxInsert(txn uint64, table uint8, row storage.Record) (uint64, Record, error) {
-	key := storage.Record{row[0]}
-	return m.commit(
-		Record{Txn: txn, Op: OpInsert, Table: table, Column: WholeRow, Image: row.Clone()},
-		&Record{Txn: txn, Op: OpInsert, Table: table, Column: WholeRow, Image: key},
-		headerSize+storage.RecordSize(row))
+	redo, undo := InsertRecords(txn, table, row)
+	return m.commit(redo, undo, redo.EncodedSize())
 }
 
-// TxUpdate records a single-column update by txn: old and new values go
-// to undo and redo respectively.
+// TxUpdate records a single-column update by txn.
 func (m *Manager) TxUpdate(txn uint64, table uint8, key storage.Record, column uint8, oldVal, newVal storage.Record) (uint64, Record, error) {
-	redoImg := append(key.Clone(), newVal...)
-	undoImg := append(key.Clone(), oldVal...)
-	return m.commit(
-		Record{Txn: txn, Op: OpUpdate, Table: table, Column: column, Image: redoImg},
-		&Record{Txn: txn, Op: OpUpdate, Table: table, Column: column, Image: undoImg},
-		headerSize+storage.RecordSize(redoImg))
+	redo, undo := UpdateRecords(txn, table, key, column, oldVal, newVal)
+	return m.commit(redo, undo, redo.EncodedSize())
 }
 
-// TxDelete records a row deletion by txn; the undo log keeps the full
-// old row so the transaction can be rolled back.
+// TxDelete records a row deletion by txn.
 func (m *Manager) TxDelete(txn uint64, table uint8, oldRow storage.Record) (uint64, Record, error) {
-	key := storage.Record{oldRow[0]}
-	return m.commit(
-		Record{Txn: txn, Op: OpDelete, Table: table, Column: WholeRow, Image: key},
-		&Record{Txn: txn, Op: OpDelete, Table: table, Column: WholeRow, Image: oldRow.Clone()},
-		headerSize+storage.RecordSize(oldRow))
+	redo, undo := DeleteRecords(txn, table, oldRow)
+	return m.commit(redo, undo, undo.EncodedSize())
 }
 
 // LogCommit appends txn's commit marker to the redo log. Recovery
 // replays a transaction's changes only if this marker made it to disk —
 // it is the durability point of the transaction.
-func (m *Manager) LogCommit(txn uint64) error {
-	_, _, err := m.commit(
-		Record{Txn: txn, Op: OpCommit, Column: WholeRow},
-		nil, headerSize+storage.RecordSize(nil))
-	return err
-}
+func (m *Manager) LogCommit(txn uint64) error { return m.logMarker(txn, OpCommit) }
 
 // LogAbort appends txn's abort marker to the redo log, recording that
 // the transaction's changes were rolled back on purpose.
-func (m *Manager) LogAbort(txn uint64) error {
-	_, _, err := m.commit(
-		Record{Txn: txn, Op: OpAbort, Column: WholeRow},
-		nil, headerSize+storage.RecordSize(nil))
+func (m *Manager) LogAbort(txn uint64) error { return m.logMarker(txn, OpAbort) }
+
+func (m *Manager) logMarker(txn uint64, op Op) error {
+	marker := Record{Txn: txn, Op: op, Column: WholeRow}
+	_, _, err := m.commit(marker, Record{}, marker.EncodedSize())
 	return err
 }
 

@@ -81,6 +81,16 @@ echo "== MVCC differential (-race) =="
 # scanning under a live read view (TestParallelScanUnderMVCC).
 go test -race ./internal/engine -run 'TestDifferentialMVCCVsLocking|TestMVCC|TestParallelScanUnderMVCC' -count=1
 
+echo "== write path (-race) =="
+# The write path exists once — one DML driver, one row mutator under
+# forward/undo/redo, one commit queue under WAL and binlog — so these
+# three tests are what hold all of its callers to each other: the
+# queue's error routing and stamp order under real contention,
+# forward∘undo = identity and redo = forward on a randomized
+# transaction, and statement atomicity on a mid-statement failure.
+go test -race ./internal/commitq -count=10
+go test -race ./internal/engine -run 'TestWritePathRoundTrip|TestStatementAtomicity|TestCloseReleasesLogHandles' -count=1
+
 echo "== network torture seed matrix (-race) =="
 # The wire-level counterpart: seeded resets, partial writes, latency
 # and blackholes against live connections, with exactly-once asserted
