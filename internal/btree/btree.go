@@ -51,7 +51,7 @@ type entry struct {
 }
 
 func decodeEntries(p *storage.Page) ([]entry, error) {
-	var out []entry
+	out := make([]entry, 0, p.SlotCount())
 	for i := 0; i < p.SlotCount(); i++ {
 		b := p.SlotBytes(i)
 		if b == nil {
@@ -84,43 +84,6 @@ func entriesSorted(es []entry) bool {
 		}
 	}
 	return true
-}
-
-// keyRef is a key-only view of a live slot: enough to sort, filter,
-// and decide which slots deserve a full DecodeRecord.
-type keyRef struct {
-	key  sqlparse.Value
-	slot int
-}
-
-// decodeKeys collects the keys of p's live slots into dst (reused
-// across leaves by scans), sorted by key. Unlike decodeEntries it does
-// not materialize records, so slots a range filter will discard cost
-// nothing beyond the key decode.
-func decodeKeys(p *storage.Page, dst []keyRef) ([]keyRef, error) {
-	dst = dst[:0]
-	for i := 0; i < p.SlotCount(); i++ {
-		b := p.SlotBytes(i)
-		if b == nil {
-			continue
-		}
-		k, err := storage.DecodeKey(b)
-		if err != nil {
-			return nil, fmt.Errorf("btree: page %d slot %d: %w", p.ID(), i, err)
-		}
-		dst = append(dst, keyRef{key: k, slot: i})
-	}
-	sorted := true
-	for i := 1; i < len(dst); i++ {
-		if dst[i].key.Compare(dst[i-1].key) < 0 {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		sort.SliceStable(dst, func(i, j int) bool { return dst[i].key.Compare(dst[j].key) < 0 })
-	}
-	return dst, nil
 }
 
 // findSlot locates the live slot holding key in leaf p, decoding keys
@@ -411,157 +374,68 @@ func (t *Tree) Update(key sqlparse.Value, rec storage.Record) (bool, error) {
 
 // Scan calls fn for every record in key order. fn returns false to stop.
 func (t *Tree) Scan(fn func(storage.Record) bool) error {
-	leaf, err := t.leftmostLeaf()
-	if err != nil {
-		return err
-	}
-	return t.scanLeaves(leaf, fn)
+	return t.walk(false, sqlparse.Value{}, sqlparse.Value{}, fn)
 }
 
-// Range calls fn for records with lo <= key <= hi in key order. Only
-// records inside the bounds are fully decoded: every slot's key is
-// checked first, so a point lookup in a many-record leaf materializes
-// one record, not the whole page. The leaves visited — the buffer-pool
-// traffic a snapshot attacker reads back out — are exactly the ones
-// the full-decode path touched.
+// Range calls fn for records with lo <= key <= hi in key order.
 func (t *Tree) Range(lo, hi sqlparse.Value, fn func(storage.Record) bool) error {
-	leaf, _, err := t.findLeaf(lo)
-	if err != nil {
-		return err
-	}
-	if lo.Equal(hi) {
-		return t.point(leaf, lo, fn)
-	}
-	var keys []keyRef
+	return t.walk(true, lo, hi, fn)
+}
+
+// walk drives a Cursor for the callback API, stopping — without
+// fetching another leaf — as soon as fn declines a record.
+func (t *Tree) walk(bounded bool, lo, hi sqlparse.Value, fn func(storage.Record) bool) error {
+	var c Cursor
+	c.Init(t, bounded, lo, hi, nil)
 	for {
-		keys, err = decodeKeys(leaf, keys)
-		if err != nil {
+		rows, ok, err := c.Next()
+		if err != nil || !ok {
 			return err
 		}
-		for _, k := range keys {
-			if k.key.Compare(lo) < 0 {
-				continue
-			}
-			if k.key.Compare(hi) > 0 {
+		for _, r := range rows {
+			if !fn(r) {
 				return nil
 			}
-			rec, err := decodeSlot(leaf, k.slot)
-			if err != nil {
-				return err
-			}
-			if !fn(rec) {
-				return nil
-			}
-		}
-		next := leaf.Next()
-		if next == storage.InvalidPage {
-			return nil
-		}
-		leaf, err = t.pool.Fetch(next)
-		if err != nil {
-			return err
 		}
 	}
 }
 
-// point is Range for lo == hi: keys are unique, so at most one slot
-// matches and no sort is needed to deliver it "in order". The walk
-// fetches exactly the leaves the general path would — it only stops at
-// a leaf boundary once the current leaf holds a key beyond the target,
-// the same condition that ends a sorted scan.
-func (t *Tree) point(leaf *storage.Page, key sqlparse.Value, fn func(storage.Record) bool) error {
-	for {
-		matched := -1
-		beyond := false
-		for i := 0; i < leaf.SlotCount(); i++ {
-			b := leaf.SlotBytes(i)
-			if b == nil {
-				continue
-			}
-			k, err := storage.DecodeKey(b)
-			if err != nil {
-				return fmt.Errorf("btree: page %d slot %d: %w", leaf.ID(), i, err)
-			}
-			if k.Equal(key) {
-				matched = i
-			} else if k.Compare(key) > 0 {
-				beyond = true
-			}
-		}
-		if matched >= 0 {
-			rec, err := decodeSlot(leaf, matched)
-			if err != nil {
-				return err
-			}
-			if !fn(rec) {
-				return nil
-			}
-		}
-		if beyond {
-			return nil
-		}
-		next := leaf.Next()
-		if next == storage.InvalidPage {
-			return nil
-		}
-		var err error
-		leaf, err = t.pool.Fetch(next)
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (t *Tree) leftmostLeaf() (*storage.Page, error) {
+// leftmostLeaf walks from the root to the first leaf of the chain,
+// returning it and the number of pages fetched on the way (the leaf
+// included).
+func (t *Tree) leftmostLeaf() (*storage.Page, int, error) {
 	id := t.root
-	for {
+	for levels := 1; ; levels++ {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.Type() == storage.PageBTreeLeaf {
-			return p, nil
+			return p, levels, nil
 		}
 		entries, err := decodeEntries(p)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if len(entries) == 0 {
-			return nil, fmt.Errorf("btree: empty internal node %d", id)
+			return nil, 0, fmt.Errorf("btree: empty internal node %d", id)
 		}
 		id = storage.PageID(entries[0].rec[1].Int)
 	}
 }
 
-func (t *Tree) scanLeaves(leaf *storage.Page, fn func(storage.Record) bool) error {
-	for {
-		entries, err := decodeEntries(leaf)
-		if err != nil {
-			return err
-		}
-		// No Clone: DecodeRecord returned fresh memory and the entries
-		// slice is not retained past this loop.
-		for _, e := range entries {
-			if !fn(e.rec) {
-				return nil
-			}
-		}
-		next := leaf.Next()
-		if next == storage.InvalidPage {
-			return nil
-		}
-		leaf, err = t.pool.Fetch(next)
-		if err != nil {
-			return err
-		}
-	}
-}
-
 // Len counts the records in the tree (full scan).
 func (t *Tree) Len() (int, error) {
-	n := 0
-	err := t.Scan(func(storage.Record) bool { n++; return true })
-	return n, err
+	var c Cursor
+	c.Init(t, false, sqlparse.Value{}, sqlparse.Value{}, nil)
+	total := 0
+	for {
+		n, ok, err := c.Skip()
+		if err != nil || !ok {
+			return total, err
+		}
+		total += n
+	}
 }
 
 // Height returns the number of levels from root to leaf.

@@ -138,3 +138,57 @@ func TestGenerousTimeoutDoesNotPerturbResults(t *testing.T) {
 		t.Fatalf("fetch counts diverged: %d with timeout vs %d without", fT, fP)
 	}
 }
+
+// TestStatementTimeoutDuringLimitRemainder: a LIMIT stops the operators
+// above the leaf after one row, but the leaf still completes its
+// traversal inside Close — and that remainder is as bounded by the
+// statement deadline as the rows that were pulled. The clock trips on
+// its n-th reading: reading 1 is the statement start, 2 the leaf's Open,
+// and 3, 4, 5 fall on rows 64, 128 and 192 of the 200-row walk, all of
+// them past the single row LIMIT 1 pulled.
+func TestStatementTimeoutDuringLimitRemainder(t *testing.T) {
+	cfg := Defaults()
+	cfg.StatementTimeout = 50 * time.Millisecond
+	cfg.EnableQueryCache = false
+	e, _ := newEngine(t, cfg)
+	readings, tripAt := 0, 0
+	e.ExecClock = func() time.Time {
+		readings++
+		if tripAt > 0 && readings >= tripAt {
+			return time.Unix(3600, 0)
+		}
+		return time.Unix(0, 0)
+	}
+	s := e.Connect("app")
+	setupCustomers(t, s, 200)
+
+	const q = "SELECT name FROM customers LIMIT 1"
+	for _, n := range []int{3, 4, 5} {
+		readings, tripAt = 0, n
+		fetched := e.BufferPool().FetchCount()
+		if _, err := s.Execute(q); !errors.Is(err, ErrStatementTimeout) {
+			t.Errorf("clock tripping at reading %d: err = %v, want ErrStatementTimeout", n, err)
+		}
+		if e.BufferPool().FetchCount() == fetched {
+			t.Errorf("clock tripping at reading %d: the statement failed before fetching a page", n)
+		}
+	}
+	// Reading 6 is the statement's end-of-execution timestamp: the walk
+	// is over, the statement succeeds.
+	readings, tripAt = 0, 6
+	res, err := s.Execute(q)
+	if err != nil || len(res.Rows) != 1 || res.RowsExamined != 200 {
+		t.Fatalf("untripped: rows=%v err=%v, want 1 row with 200 examined", res, err)
+	}
+
+	// A DML scan half is drained to its end before the first mutation, so
+	// a deadline anywhere in it still leaves no WAL record behind.
+	lsn := e.WAL().CurrentLSN()
+	readings, tripAt = 0, 5
+	if _, err := s.Execute("DELETE FROM customers WHERE state = 'CA'"); !errors.Is(err, ErrStatementTimeout) {
+		t.Fatalf("DELETE: err = %v, want ErrStatementTimeout", err)
+	}
+	if got := e.WAL().CurrentLSN(); got != lsn {
+		t.Errorf("timed-out DELETE advanced the WAL from %d to %d", lsn, got)
+	}
+}

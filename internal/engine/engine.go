@@ -1168,9 +1168,10 @@ func (e *Engine) runScan(s *Session, pp *physicalPlan, vf *versionFilter) (*Resu
 		return nil, pp.whereErr
 	}
 	pi := pp.instantiate(e.fc)
-	// Only the leaf runs an unbounded loop (its Open-time traversal), so
-	// arming it bounds the whole tree; with no timeout the check is nil
-	// and the leaf runs exactly as the pre-deadline executor did.
+	// Only the leaf runs an unbounded loop (its traversal, the part it
+	// finishes in Close included), so arming it bounds the whole tree;
+	// with no timeout the check is nil and the leaf runs exactly as the
+	// pre-deadline executor did.
 	pi.leaf.SetDeadlineCheck(s.deadlineCheck())
 	pi.armVisibility(pp, vf)
 	rows, err := pi.drain()

@@ -7,12 +7,15 @@
 //
 // One property is load-bearing for the paper's experiments: the scan
 // leaves fetch buffer-pool pages in exactly the order the pre-operator
-// monolithic scan loop did. Leaves therefore run their full B+ tree
-// traversal at Open (materializing matches is how the legacy loop
-// worked too), and operators above them never trigger page fetches —
-// so a Limit or an error above a scan cannot perturb the buffer-pool
-// LRU order, access counters, or dump file that the forensic
-// experiments measure. The engine's differential tests replay
+// monolithic scan loop did. The contract that secures it is that a leaf
+// completes its B+ tree traversal by Close, and operators above it
+// never fetch pages (a KeyLookup's clustered searches excepted, which
+// begin only once its index leaf has finished). The serial leaf
+// streams a leaf page at a time and walks whatever the plan above left
+// unread inside Close; leaves that need a buffer anyway finish inside
+// Open. Either way a Limit or an error above a scan cannot perturb the
+// buffer-pool LRU order, access counters, or dump file that the
+// forensic experiments measure. The engine's differential tests replay
 // randomized workloads through both executors and diff the fetch
 // traces byte for byte.
 package exec
@@ -35,17 +38,20 @@ type Stats struct {
 }
 
 // FetchCounter samples the engine's cumulative buffer-pool fetch count.
-// Operators that fetch pages sample it around their tree traversals to
-// attribute fetches per operator. A nil FetchCounter disables the
-// attribution (counters stay zero); under concurrent sessions the
-// attribution is approximate, like any shared-counter delta.
+// KeyLookup samples it around each clustered search and ParallelScan
+// around its parallel phase, to attribute fetches per operator (the
+// serial Scan counts its cursor's own fetches instead). A nil
+// FetchCounter disables the attribution (counters stay zero); under
+// concurrent sessions the attribution is approximate, like any
+// shared-counter delta.
 type FetchCounter func() uint64
 
 // Operator is one node of a physical plan: a pull-based iterator.
 //
 // The contract mirrors the classic Volcano model: Open prepares the
 // operator (blocking operators do their work here), Next returns the
-// next row with ok=false at end of stream, and Close releases state.
+// next row with ok=false at end of stream, and Close releases state —
+// and, for the scan leaf, completes the traversal, so its error counts.
 // Describe returns the precomputed one-line form EXPLAIN prints, and
 // Children returns the inputs in plan order.
 type Operator interface {
@@ -66,10 +72,11 @@ var ErrUnsupportedAggregate = errors.New("unsupported aggregate")
 // DeadlineCheck reports whether the running statement has exceeded its
 // deadline: nil to keep going, a typed error (engine.ErrStatementTimeout
 // wrapped with context) to abort. Scan leaves call it at row boundaries
-// during their Open-time traversal — the only long-running loops in the
-// tree — so a statement that never times out fetches exactly the pages
-// it always fetched, and one that does stops mid-traversal before the
-// mutation half of UPDATE/DELETE can start.
+// of their traversal — the only long-running loops in the tree, the
+// remainder walk in Close included — so a statement that never times
+// out fetches exactly the pages it always fetched, and one that does
+// stops mid-traversal before the mutation half of UPDATE/DELETE can
+// start.
 type DeadlineCheck func() error
 
 // deadlineCheckInterval is how many examined rows pass between deadline

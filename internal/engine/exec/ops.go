@@ -241,10 +241,10 @@ func (a *Aggregate) Stats() Stats         { return a.stats }
 func (a *Aggregate) Children() []Operator { return []Operator{a.input} }
 
 // Limit emits at most n input rows. It stops pulling once satisfied;
-// the blocking leaves below have already completed their traversal by
-// then, so an early stop never changes which pages were fetched — LIMIT
-// pushdown into the scan itself is a leakage-profile change deliberately
-// left on the roadmap.
+// the leaf below completes its traversal by Close regardless, so an
+// early stop never changes which pages were fetched — LIMIT pushdown
+// into the scan itself (dropping that remainder walk) is a
+// leakage-profile change deliberately left on the roadmap.
 type Limit struct {
 	input Operator
 	n     int

@@ -15,9 +15,10 @@ import (
 // bounded channel, and the ParallelScan parent merges the partitions
 // back *in partition order* during its Open. Because the partitions
 // are consecutive key ranges of the same ascending traversal, the
-// merged buffer is byte-identical to the serial scan's — same rows,
-// same order, same examined count — which is what lets the engine's
-// differential tests diff parallel-on against parallel-off runs.
+// merged buffer is byte-identical to the serial scan's output — same
+// rows, same order, same examined count — which is what lets the
+// engine's differential tests diff parallel-on against parallel-off
+// runs.
 //
 // What is NOT preserved is the buffer-pool fetch interleaving: workers
 // fetch their partitions' pages concurrently, so the global fetch
@@ -129,15 +130,17 @@ func (p *PartitionScan) run() {
 
 // ParallelScan fans one clustered scan out over per-range partition
 // workers and merges their batches back in partition (= key) order.
-// Like every scan leaf it is blocking: Open runs the whole parallel
-// phase and buffers the merged rows, so operators above it can never
-// perturb which pages get fetched — an early LIMIT or an error above
-// the leaf stops the *emission*, not the traversal, exactly as with
-// the serial leaves.
+// Like every scan leaf it completes its traversal by Close — here
+// already inside Open, which runs the whole parallel phase and buffers
+// the merged rows (the in-order merge needs the buffer: partition i+1's
+// rows arrive while partition i is still being consumed). Operators
+// above it never fetch pages, so an early LIMIT or an error above the
+// leaf stops the *emission*, not the traversal, exactly as with the
+// serial leaf.
 type ParallelScan struct {
 	// scanBase supplies the merged buffer, its emission, and the MVCC
-	// visibility hooks; the deadline and IO-wait setters are overridden
-	// below because the traversals they arm run in the partitions.
+	// visibility hooks; the deadline and IO wait are armed on the
+	// partitions, where the traversals run.
 	scanBase
 	parts []PartitionScan
 	fc    FetchCounter
@@ -152,7 +155,7 @@ type ParallelScan struct {
 // table/range row count) sizes each partition's batch channel so that
 // in the common balanced case no worker ever stalls waiting for the
 // in-order merge to reach it — bounded by the scan's own size, which
-// is the memory a serial blocking leaf would buffer anyway.
+// is what the merged buffer holds anyway.
 func (p *ParallelScan) Init(desc string, parts []PartitionScan, rowEstimate int64, fc FetchCounter) {
 	*p = ParallelScan{scanBase: scanBase{desc: desc}, parts: parts, fc: fc}
 	chanCap := int(rowEstimate/scanBatchSize) + 2
@@ -212,6 +215,7 @@ func (p *ParallelScan) Open() error {
 			}
 			for _, r := range batch {
 				if vr, ok := p.resolveVisit(r); ok {
+					p.buf = p.appendGhostsBefore(vr, true)
 					p.buf = append(p.buf, vr)
 				}
 			}
@@ -227,8 +231,20 @@ func (p *ParallelScan) Open() error {
 	}
 	p.wg.Wait()
 	p.stats.PoolFetches += sampleFetches(p.fc) - before
-	p.mergeGhosts()
+	p.buf = p.appendGhostsBefore(nil, false)
 	return nil
+}
+
+// appendGhostsBefore appends to the merged buffer every ghost due
+// before row (every remaining one when ok is false).
+func (p *ParallelScan) appendGhostsBefore(row storage.Record, ok bool) []storage.Record {
+	for {
+		g, due := p.ghostBefore(row, ok)
+		if !due {
+			return p.buf
+		}
+		p.buf = append(p.buf, g)
+	}
 }
 
 // abort cancels outstanding workers and waits them out.
@@ -252,7 +268,8 @@ func (p *ParallelScan) Close() error {
 	if p.spawned {
 		p.abort()
 	}
-	return p.scanBase.Close()
+	p.buf = nil
+	return nil
 }
 
 // Stats aggregates the partitions: examined/returned counts sum to

@@ -9,73 +9,25 @@ import (
 	"snapdb/internal/storage"
 )
 
-// scanBase is the shared buffer-and-emit half of the scan leaves. The
-// leaves are blocking: Open runs the complete B+ tree traversal and
-// buffers every visited row, then Next drains the buffer. Blocking is
-// deliberate — it reproduces the legacy scan loop's buffer-pool fetch
-// sequence exactly, because the traversal happens in one piece no
-// matter what the operators above do (see the package comment).
-//
-// With rev set, Open reverses the buffer after the traversal — the
-// traversal itself (and therefore the page-fetch sequence) still runs
-// in forward key order; only the emission order flips. The planner uses
-// this for ORDER BY <pk> DESC, where the tree's unique keys make the
-// exact reversal identical to a stable descending sort.
+// scanBase is what the scan leaves share: the description and counters
+// every operator carries, the MVCC visibility hooks (visible.go), and
+// the emission buffer of a leaf that completes its traversal at Open —
+// ParallelScan always, Scan only when built blocking.
 type scanBase struct {
 	desc  string
-	rev   bool
-	buf   []storage.Record
-	pos   int
 	stats Stats
 
-	// dl, when set, is consulted every deadlineCheckInterval examined
-	// rows during the traversal; dlErr records the abort it raised.
-	dl    DeadlineCheck
-	dlErr error
+	// vis, when set, arms the MVCC view-resolution hooks; ghost is the
+	// next of its Ghosts not yet merged into the output. Nil — the
+	// default — keeps the scan a current read.
+	vis   *Visibility
+	ghost int
 
-	// ioWait, when positive, models per-page-batch device latency: the
-	// traversal sleeps this long every scanIOInterval examined rows
-	// (see Config.SimulatedScanIOWait). Zero — the default — keeps the
-	// traversal exactly as fast as it always was.
-	ioWait time.Duration
-
-	// vis, when set, arms the MVCC view-resolution hooks (see
-	// visible.go). Nil — the default — keeps the scan a current read.
-	vis *Visibility
+	buf []storage.Record
+	pos int
 }
 
-// SetDeadlineCheck arms the statement-deadline check on this leaf. It
-// must be called before Open; a nil check (the default) disables it.
-func (s *scanBase) SetDeadlineCheck(dc DeadlineCheck) { s.dl = dc }
-
-// SetSimulatedIOWait arms the modeled per-page-batch device latency.
-// Must be called before Open; zero (the default) disables it.
-func (s *scanBase) SetSimulatedIOWait(d time.Duration) { s.ioWait = d }
-
-// checkDeadline evaluates the armed check, recording the error.
-func (s *scanBase) checkDeadline() error {
-	if s.dl == nil {
-		return nil
-	}
-	if err := s.dl(); err != nil {
-		s.dlErr = err
-		return err
-	}
-	return nil
-}
-
-// reverse flips the emission order of the buffered rows (no-op unless
-// the leaf was built reversed). Called at the end of Open, after the
-// traversal's fetches have been attributed.
-func (s *scanBase) reverse() {
-	if !s.rev {
-		return
-	}
-	for i, j := 0, len(s.buf)-1; i < j; i, j = i+1, j-1 {
-		s.buf[i], s.buf[j] = s.buf[j], s.buf[i]
-	}
-}
-
+// Next emits the next buffered row.
 func (s *scanBase) Next() (storage.Record, bool, error) {
 	if s.pos >= len(s.buf) {
 		return nil, false, nil
@@ -86,18 +38,13 @@ func (s *scanBase) Next() (storage.Record, bool, error) {
 	return r, true, nil
 }
 
-func (s *scanBase) Close() error {
-	s.buf = nil
-	return nil
-}
-
 func (s *scanBase) Describe() string     { return s.desc }
 func (s *scanBase) Stats() Stats         { return s.stats }
 func (s *scanBase) Children() []Operator { return nil }
 
-// examine is the per-row step every traversal callback shares — the
-// serial leaf's and the partition workers': count the row, evaluate the
-// armed deadline check at every deadlineCheckInterval-th row (the scan
+// examine is the per-row step every traversal shares — the serial
+// leaf's and the partition workers': count the row, evaluate the armed
+// deadline check at every deadlineCheckInterval-th row (the scan
 // boundary where a runaway statement actually surfaces), and model one
 // device wait per scanIOInterval rows. A non-nil error stops the
 // traversal.
@@ -114,73 +61,211 @@ func examine(st *Stats, dl DeadlineCheck, ioWait time.Duration) error {
 	return nil
 }
 
-// visit is the serial traversal callback: count, resolve against the
-// armed view, and buffer.
-func (s *scanBase) visit(r storage.Record) bool {
-	if err := examine(&s.stats, s.dl, s.ioWait); err != nil {
-		s.dlErr = err
-		return false
-	}
-	if vr, ok := s.resolveVisit(r); ok {
-		s.buf = append(s.buf, vr)
-	}
-	return true
-}
-
 // Scan is the serial scan leaf: one forward traversal of a tree — the
 // clustered tree's rows or a secondary index's entries — over [lo, hi]
 // when bounded, over every key otherwise. A point read is the range
 // whose bounds coincide.
+//
+// The leaf streams: each Next examines and resolves one more row of the
+// cursor's current leaf page, fetching the next page only when that one
+// is used up. What it guarantees in exchange is that the traversal is
+// complete by the time Close returns: when the operators above stop
+// pulling early (a Limit, an error), Close walks the remaining leaves
+// itself — keys only, nothing decoded, every row still examined — so
+// which pages a statement fetches, in which order, and its examined
+// count depend on the access path alone, never on the plan above it
+// (see the package comment).
+//
+// Built blocking, the leaf instead runs the whole traversal inside
+// Open and emits from a buffer. Two callers need that: rev (ORDER BY
+// <pk> DESC), whose first row is the traversal's last — the tree's
+// unique keys make the exact reversal of a forward walk identical to a
+// stable descending sort, and the page-fetch sequence stays the forward
+// one; and an index leaf under a KeyLookup, whose page fetches must all
+// precede the first clustered search.
 type Scan struct {
 	scanBase
-	tree    *btree.Tree
-	bounded bool
-	lo, hi  sqlparse.Value
-	hint    int64 // buffer pre-size; <=0 disables
-	fc      FetchCounter
+	cur           btree.Cursor
+	batch         []storage.Record // rows of the cursor's current leaf
+	bpos          int
+	head          storage.Record // resolved tree row waiting behind ghosts
+	held          bool
+	blocking, rev bool
+
+	// dl, when set, is consulted every deadlineCheckInterval examined
+	// rows. ioWait, when positive, models per-page-batch device latency:
+	// the traversal sleeps this long every scanIOInterval examined rows
+	// (see Config.SimulatedScanIOWait).
+	dl     DeadlineCheck
+	ioWait time.Duration
+
+	// opened is set once Open has run; failed once the traversal itself
+	// raised an error (deadline, unreadable page). Close finishes the
+	// walk only for a leaf that is opened and not failed.
+	opened, failed bool
 }
 
 // Init resets s in place so callers can embed the operator in a
 // larger per-execution allocation instead of heap-allocating each
-// node separately. hint, when positive and sane, pre-sizes the row
-// buffer: the caller passes the table's advisory row count for
-// unfiltered full scans, 1 for a point read of a unique tree, and 0
-// otherwise — the legacy scan loop's pre-sizing rule. rev flips the
-// emission order after the forward traversal (see scanBase).
-func (s *Scan) Init(tree *btree.Tree, bounded bool, lo, hi sqlparse.Value, hint int64, rev bool, desc string, fc FetchCounter) {
-	*s = Scan{scanBase: scanBase{desc: desc, rev: rev}, tree: tree, bounded: bounded, lo: lo, hi: hi, hint: hint, fc: fc}
+// node separately. need selects the record fields the plan reads (nil
+// for all); the others come back as zero Values. blocking completes the
+// traversal inside Open, and rev (which implies it) emits the rows in
+// reverse — see Scan.
+func (s *Scan) Init(tree *btree.Tree, bounded bool, lo, hi sqlparse.Value, need []bool, blocking, rev bool, desc string) {
+	*s = Scan{scanBase: scanBase{desc: desc}, blocking: blocking || rev, rev: rev}
+	s.cur.Init(tree, bounded, lo, hi, need)
 }
 
-// Open runs the traversal.
+// Stats reports the cursor's own page-fetch count: the leaf never
+// samples the pool's shared counter, whose lock two concurrent scanners
+// would otherwise hand back and forth once per leaf page.
+func (s *Scan) Stats() Stats {
+	st := s.stats
+	st.PoolFetches = s.cur.Fetches()
+	return st
+}
+
+// SetDeadlineCheck arms the statement-deadline check on this leaf. It
+// must be called before Open; a nil check (the default) disables it.
+func (s *Scan) SetDeadlineCheck(dc DeadlineCheck) { s.dl = dc }
+
+// SetSimulatedIOWait arms the modeled per-page-batch device latency.
+// Must be called before Open; zero (the default) disables it.
+func (s *Scan) SetSimulatedIOWait(d time.Duration) { s.ioWait = d }
+
+// Open checks the deadline and, for a blocking leaf, runs the
+// traversal. A streaming leaf touches no page until its first Next.
 func (s *Scan) Open() error {
-	if err := s.checkDeadline(); err != nil {
-		return err
+	if s.dl != nil {
+		if err := s.dl(); err != nil {
+			return err
+		}
 	}
-	if s.hint > 0 && s.hint <= 1<<16 {
-		s.buf = make([]storage.Record, 0, s.hint)
+	s.opened = true
+	if !s.blocking {
+		return nil
 	}
-	before := sampleFetches(s.fc)
-	var err error
-	if s.bounded {
-		err = s.tree.Range(s.lo, s.hi, s.visit)
-	} else {
-		err = s.tree.Scan(s.visit)
+	for {
+		r, ok, err := s.pull()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		s.buf = append(s.buf, r)
 	}
-	s.stats.PoolFetches += sampleFetches(s.fc) - before
-	if err == nil && s.dlErr != nil {
-		return s.dlErr
+	if s.rev {
+		for i, j := 0, len(s.buf)-1; i < j; i, j = i+1, j-1 {
+			s.buf[i], s.buf[j] = s.buf[j], s.buf[i]
+		}
 	}
-	s.mergeGhosts()
-	s.reverse()
+	return nil
+}
+
+// Next emits the next row the armed view sees, in key order.
+func (s *Scan) Next() (storage.Record, bool, error) {
+	if s.blocking {
+		return s.scanBase.Next()
+	}
+	r, ok, err := s.pull()
+	if ok {
+		s.stats.RowsReturned++
+	}
+	return r, ok, err
+}
+
+// pull merges the view's ghosts into the resolved tree rows by key: a
+// ghost is due while it sorts before the next tree row — which waits in
+// head, already examined — or once the tree is exhausted.
+func (s *Scan) pull() (storage.Record, bool, error) {
+	if !s.held {
+		var err error
+		if s.head, s.held, err = s.treeRow(); err != nil {
+			return nil, false, err
+		}
+	}
+	if g, due := s.ghostBefore(s.head, s.held); due {
+		return g, true, nil
+	}
+	r, ok := s.head, s.held
+	s.head, s.held = nil, false
+	return r, ok, nil
+}
+
+// treeRow examines tree rows, advancing the cursor leaf by leaf, until
+// one survives the armed resolver.
+func (s *Scan) treeRow() (storage.Record, bool, error) {
+	for {
+		for s.bpos < len(s.batch) {
+			r := s.batch[s.bpos]
+			s.bpos++
+			if err := s.examineOne(); err != nil {
+				return nil, false, err
+			}
+			if vr, ok := s.resolveVisit(r); ok {
+				return vr, true, nil
+			}
+		}
+		batch, ok, err := s.cur.Next()
+		if err != nil {
+			s.failed = true
+			return nil, false, err
+		}
+		if !ok {
+			return nil, false, nil
+		}
+		s.batch, s.bpos = batch, 0
+	}
+}
+
+// examineOne counts one tree row, marking the leaf failed if the
+// deadline fires on it.
+func (s *Scan) examineOne() error {
+	err := examine(&s.stats, s.dl, s.ioWait)
+	if err != nil {
+		s.failed = true
+	}
 	return err
+}
+
+// Close completes the traversal the operators above cut short: the
+// rest of the current leaf and every remaining leaf are examined —
+// counted, deadline-checked, paced — with no record decoded. After a
+// drained or failed traversal there is nothing left to do.
+func (s *Scan) Close() error {
+	s.buf = nil
+	if !s.opened || s.failed {
+		return nil
+	}
+	n := len(s.batch) - s.bpos
+	s.batch, s.bpos = nil, 0
+	for {
+		for ; n > 0; n-- {
+			if err := s.examineOne(); err != nil {
+				return err
+			}
+		}
+		var ok bool
+		var err error
+		n, ok, err = s.cur.Skip()
+		if err != nil {
+			s.failed = true
+			return err
+		}
+		if !ok {
+			return nil
+		}
+	}
 }
 
 // KeyLookup resolves secondary-index entries to full rows: its input
 // yields {compositeKey, pk} entries, and each Next searches the
 // clustered tree for the pk. Lookups run row-at-a-time, but because
-// the index leaf below is blocking, the clustered searches still
-// happen in the same order (all index-leaf fetches, then one search
-// per entry) as the legacy two-phase index scan.
+// the index leaf below is built blocking — its traversal is complete
+// when its Open returns — the clustered searches still happen in the
+// same order (all index-leaf fetches, then one search per entry) as
+// the legacy two-phase index scan.
 //
 // With revCol >= 0 the lookup runs in group-reverse mode for ORDER BY
 // <indexed col> DESC: Open resolves every entry immediately — in the

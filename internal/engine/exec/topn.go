@@ -18,9 +18,9 @@ type topnEntry struct {
 // only the first n rows of the stable sort order while draining its
 // input, so the work is O(rows · log n) instead of O(rows · log rows)
 // and the retained memory is O(n). Like Sort it runs below Project and
-// drains the (already blocking) scan leaves completely at Open, so the
-// buffer-pool fetch sequence is byte-identical to the Sort+Limit plan
-// it replaces — only the post-fetch CPU/memory profile changes.
+// drains its input completely at Open, so the buffer-pool fetch
+// sequence is byte-identical to the Sort+Limit plan it replaces — only
+// the CPU/memory profile changes.
 type TopN struct {
 	input Operator
 	col   int
@@ -85,9 +85,9 @@ func (t *TopN) siftDown(i int) {
 
 // Open drains the input through the bounded heap, then sorts the kept
 // rows into emission order. The input is always drained to exhaustion
-// — even for n = 0 — because the blocking leaves below have already
-// fetched their pages and the operator contract is that LIMIT never
-// changes which rows are examined.
+// — even for n = 0 — because the leaf below completes its traversal
+// either way and the operator contract is that LIMIT never changes
+// which rows are examined.
 func (t *TopN) Open() error {
 	if err := t.input.Open(); err != nil {
 		return err

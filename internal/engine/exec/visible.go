@@ -19,8 +19,8 @@ import (
 // Both run inside the leaf so every operator above — filter, sort,
 // aggregate, lookup — works on view-consistent rows without knowing
 // MVCC exists. RowsExamined still counts physical tree rows visited
-// (pre-filter), matching the legacy semantics; ghosts are merged after
-// the traversal and are not "examined".
+// (pre-filter), matching the legacy semantics; ghosts are merged into
+// the output as it is emitted and are not "examined".
 
 // Visibility carries a leaf's view-resolution hooks. The zero value
 // (and a nil pointer) means "current read": emit tree rows as-is.
@@ -32,8 +32,7 @@ type Visibility struct {
 
 	// Ghosts are records visible to the view but absent from the tree,
 	// already restricted to the scan's bounds and sorted by their key
-	// (element 0). The leaf merges them into its buffer in key order
-	// after the traversal.
+	// (element 0). The leaf merges them into its output in key order.
 	Ghosts []storage.Record
 }
 
@@ -41,8 +40,8 @@ type Visibility struct {
 // called before Open; nil (the default) keeps the scan a current read.
 func (s *scanBase) SetVisibility(v *Visibility) { s.vis = v }
 
-// resolveVisit applies the armed resolver to a visited row. Called by
-// visit after the row is counted as examined.
+// resolveVisit applies the armed resolver to a visited row, after the
+// row has been counted as examined.
 func (s *scanBase) resolveVisit(r storage.Record) (storage.Record, bool) {
 	if s.vis == nil || s.vis.Resolve == nil {
 		return r, true
@@ -50,29 +49,21 @@ func (s *scanBase) resolveVisit(r storage.Record) (storage.Record, bool) {
 	return s.vis.Resolve(r)
 }
 
-// mergeGhosts folds the view's ghost records into the buffered rows by
-// key order. Both inputs are sorted ascending by element 0 (the
-// traversal emits key order; the engine sorts the ghosts), so this is
-// a linear merge. Runs at the end of Open, before reverse().
-func (s *scanBase) mergeGhosts() {
-	if s.vis == nil || len(s.vis.Ghosts) == 0 {
-		return
+// ghostBefore hands out the view's ghost records in key order, each
+// when it is due: once the next ghost sorts strictly before row (a tree
+// row with the same key goes first), or unconditionally when there is
+// no row left (ok false). The leaf calls it before emitting every row,
+// so the merge is linear and needs no second buffer.
+func (s *scanBase) ghostBefore(row storage.Record, ok bool) (storage.Record, bool) {
+	if s.vis == nil || s.ghost >= len(s.vis.Ghosts) {
+		return nil, false
 	}
-	ghosts := s.vis.Ghosts
-	merged := make([]storage.Record, 0, len(s.buf)+len(ghosts))
-	i, j := 0, 0
-	for i < len(s.buf) && j < len(ghosts) {
-		if s.buf[i][0].Compare(ghosts[j][0]) <= 0 {
-			merged = append(merged, s.buf[i])
-			i++
-		} else {
-			merged = append(merged, ghosts[j])
-			j++
-		}
+	g := s.vis.Ghosts[s.ghost]
+	if ok && row[0].Compare(g[0]) <= 0 {
+		return nil, false
 	}
-	merged = append(merged, s.buf[i:]...)
-	merged = append(merged, ghosts[j:]...)
-	s.buf = merged
+	s.ghost++
+	return g, true
 }
 
 // LookupResolver intercepts a KeyLookup's clustered search: given the

@@ -74,10 +74,10 @@ type physicalPlan struct {
 	// path is the legacy access-path label: "full-scan", "pk-range", or
 	// "index:<name>".
 	path string
-	// presize: an unfiltered full scan pre-sizes its buffer from the
-	// table's advisory row hint (read at instantiation time, as the
-	// legacy scan read it per execution).
-	presize bool
+	// need marks, by schema column, what the plan reads of a clustered
+	// row: the leaf materializes only those columns and leaves the rest
+	// zero. Nil means every column.
+	need []bool
 
 	preds       []exec.Pred
 	whereErr    error // raised before the scan runs
@@ -249,7 +249,6 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 	}
 	pp.kind = accessFull
 	pp.path = "full-scan"
-	pp.presize = len(ls.where) == 0
 	est := float64(n)
 	if est < 1 {
 		est = 1
@@ -326,6 +325,27 @@ func (e *Engine) markParallel(pp *physicalPlan) {
 	pp.parMinRows = e.cfg.ParallelScanMinRows
 }
 
+// neededColumns is the SELECT's column mask (physicalPlan.need): the
+// primary key (MVCC resolution and the ghost merge read it), every
+// predicate column, and whatever the upper operators read — the
+// projection and the ORDER BY column, or the aggregate's argument.
+func neededColumns(t *Table, lp *logicalSelect) []bool {
+	need := make([]bool, len(t.Columns))
+	need[t.PKIndex] = true
+	for _, p := range lp.scan.preds {
+		need[p.Col] = true
+	}
+	for _, c := range lp.proj {
+		need[c] = true
+	}
+	for _, c := range []int{lp.sortCol, lp.aggCol} {
+		if c >= 0 {
+			need[c] = true
+		}
+	}
+	return need
+}
+
 // buildSelectPlan lowers and templates a SELECT.
 func (e *Engine) buildSelectPlan(t *Table, st *sqlparse.Select) *physicalPlan {
 	lp := lowerSelect(t, st)
@@ -336,6 +356,10 @@ func (e *Engine) buildSelectPlan(t *Table, st *sqlparse.Select) *physicalPlan {
 		e.markParallel(pp)
 		return pp
 	}
+	// Only a resolved SELECT prunes: UPDATE/DELETE log whole row images,
+	// and a plan that will raise a resolution error has no reader to
+	// derive a mask from.
+	pp.need = neededColumns(t, &lp)
 	if lp.agg {
 		pp.agg = true
 		pp.aggKind = lp.aggExpr.Agg
@@ -551,18 +575,14 @@ func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 	if par := pp.buildParallel(fc); par != nil {
 		leaf = par
 	} else {
-		tree, hint := t.Tree, int64(0)
-		switch pp.kind {
-		case accessIndex:
-			tree = pp.ix.Tree
-		case accessPKPoint:
-			hint = 1 // a unique tree holds at most one match
-		case accessFull:
-			if pp.presize {
-				hint = t.rows.Load()
-			}
+		// An index leaf reads {composite key, pk} entries — the mask
+		// describes clustered rows, which its KeyLookup fetches whole —
+		// and must finish before that lookup's first clustered search.
+		tree, need, blocking := t.Tree, pp.need, false
+		if pp.kind == accessIndex {
+			tree, need, blocking = pp.ix.Tree, nil, true
 		}
-		pi.scan.Init(tree, pp.kind != accessFull, pp.lo, pp.hi, hint, pp.scanRev, pp.dScan, fc)
+		pi.scan.Init(tree, pp.kind != accessFull, pp.lo, pp.hi, need, blocking, pp.scanRev, pp.dScan)
 		leaf = &pi.scan
 	}
 	if pp.scanIOWait > 0 {
@@ -633,25 +653,33 @@ func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 }
 
 // drain runs the tree to completion via the Volcano protocol and
-// returns the root's rows.
+// returns the root's rows. Close is part of the execution, not cleanup:
+// it is where the leaf completes a traversal the operators above cut
+// short, so an error it raises (a deadline firing in that remainder)
+// fails the statement like any other.
 func (pi *planInstance) drain() ([]storage.Record, error) {
+	rows, err := pi.pullAll()
+	if cerr := pi.root.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+func (pi *planInstance) pullAll() ([]storage.Record, error) {
 	if err := pi.root.Open(); err != nil {
-		_ = pi.root.Close()
 		return nil, err
 	}
 	var rows []storage.Record
 	for {
 		r, ok, err := pi.root.Next()
-		if err != nil {
-			_ = pi.root.Close()
-			return nil, err
-		}
-		if !ok {
-			break
+		if err != nil || !ok {
+			return rows, err
 		}
 		rows = append(rows, r)
 	}
-	return rows, pi.root.Close()
 }
 
 // examined returns the scan leaf's rows-examined count — the legacy

@@ -1,0 +1,127 @@
+package engine
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// loadScanTable fills table name with n rows shaped like snapbench's —
+// (id INT PRIMARY KEY, k INT, v TEXT), k = id % 10, v a 48-byte text
+// naming its row — in 50-row INSERTs.
+func loadScanTable(t testing.TB, s *Session, name string, n int) {
+	t.Helper()
+	mustExec(t, s, "CREATE TABLE "+name+" (id INT PRIMARY KEY, k INT, v TEXT)")
+	var sb strings.Builder
+	for lo := 0; lo < n; lo += 50 {
+		sb.Reset()
+		sb.WriteString("INSERT INTO " + name + " (id, k, v) VALUES ")
+		for id := lo; id < lo+50 && id < n; id++ {
+			if id > lo {
+				sb.WriteString(", ")
+			}
+			// Leading digits scatter ORDER BY v away from id order.
+			fmt.Fprintf(&sb, "(%d, %d, '%08x-row-%s-%d-%s')", id, id%10, uint32(id)*2654435761, name, id, strings.Repeat("x", 48))
+		}
+		mustExec(t, s, sb.String())
+	}
+}
+
+// leafPages counts the leaves of t's clustered tree by walking it the
+// way a full scan does and watching the pool's fetch trace.
+func leafPages(t testing.TB, e *Engine, table string) int {
+	t.Helper()
+	tbl, err := e.lookupTable(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := tbl.Tree.Height()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.pool.FetchCount()
+	if _, err := tbl.Tree.Len(); err != nil {
+		t.Fatal(err)
+	}
+	return int(e.pool.FetchCount()-before) - (h - 1)
+}
+
+// TestScanAllocationBudget is the scan leaf's deterministic cost gate
+// (ROADMAP aim 1): allocations per statement repeat exactly, so they
+// bound what a scan may cost where wall-clock on a shared box cannot.
+// A COUNT(*) that returns one row must cost a few objects per leaf page
+// it walks — the page's value slab and string slab, plus what the page
+// fetch itself allocates — not several per row it examines; a range
+// read that returns its rows, a couple per row.
+func TestScanAllocationBudget(t *testing.T) {
+	cfg := Defaults()
+	cfg.EnableQueryCache = false // measure the scan, not a cache hit
+	e, _ := newEngine(t, cfg)
+	s := e.Connect("app")
+	defer s.Close()
+	const rows = 10000
+	loadScanTable(t, s, "t", rows)
+	pages := leafPages(t, e, "t")
+
+	// Everything a statement allocates that is not the scan: parse,
+	// plan, result, perfschema row. Generous, and constant in the table
+	// size — the point of the gate is the per-page and per-row factors.
+	const perStmt = 150
+
+	count := "SELECT COUNT(*) FROM t WHERE k = 3 AND id >= 0"
+	if res := mustExec(t, s, count); res.Rows[0][0].Int != rows/10 || res.RowsExamined != rows {
+		t.Fatalf("%s = %v examined %d", count, res.Rows, res.RowsExamined)
+	}
+	got := testing.AllocsPerRun(5, func() { mustExec(t, s, count) })
+	if limit := float64(4*pages + perStmt); got > limit {
+		t.Errorf("%s: %.0f allocs over %d leaf pages, want <= 4 per page + %d = %.0f", count, got, pages, perStmt, limit)
+	}
+
+	ranged := "SELECT id, v FROM t WHERE id >= 4000 AND id <= 4499"
+	if res := mustExec(t, s, ranged); len(res.Rows) != 500 {
+		t.Fatalf("%s returned %d rows", ranged, len(res.Rows))
+	}
+	got = testing.AllocsPerRun(5, func() { mustExec(t, s, ranged) })
+	if limit := float64(2*500 + perStmt); got > limit {
+		t.Errorf("%s: %.0f allocs for 500 rows, want <= 2 per row + %d = %.0f", ranged, got, perStmt, limit)
+	}
+}
+
+// BenchmarkScanClasses runs snapbench's three scan_analytic statement
+// classes in-process against one 40 000-row table over the default
+// 256-page pool: the 90 % COUNT scan, the 500-row range read and the
+// top-10 of a 2 000-row range.
+func BenchmarkScanClasses(b *testing.B) {
+	cfg := Defaults()
+	cfg.EnableQueryCache = false
+	e, _ := newEngine(b, cfg)
+	s := e.Connect("bench")
+	defer s.Close()
+	const rows = 40000
+	loadScanTable(b, s, "t", rows)
+	for _, c := range []struct {
+		name string
+		sql  func(i int) string
+	}{
+		{"count", func(i int) string {
+			return fmt.Sprintf("SELECT COUNT(*) FROM t WHERE k = %d AND id >= %d", i%10, (i*7919)%rows)
+		}},
+		{"range500", func(i int) string {
+			lo := (i * 7919) % (rows - 500)
+			return fmt.Sprintf("SELECT id, v FROM t WHERE id >= %d AND id <= %d", lo, lo+499)
+		}},
+		{"top10of2000", func(i int) string {
+			lo := (i * 7919) % (rows - 2000)
+			return fmt.Sprintf("SELECT id, v FROM t WHERE id >= %d AND id <= %d ORDER BY v DESC LIMIT 10", lo, lo+1999)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Execute(c.sql(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"snapdb/internal/sqlparse"
 )
@@ -69,24 +70,53 @@ func AppendRecord(dst []byte, r Record) []byte {
 // DecodeRecord parses a record produced by EncodeRecord and returns the
 // record plus the number of bytes consumed.
 func DecodeRecord(b []byte) (Record, int, error) {
-	if len(b) < 2 {
-		return nil, 0, fmt.Errorf("storage: record truncated (len %d)", len(b))
+	n, err := fieldCount(b)
+	if err != nil {
+		return nil, 0, err
 	}
-	n := int(binary.BigEndian.Uint16(b))
+	return AppendDecoded(make(Record, 0, n), b, nil, nil)
+}
+
+// fieldCount returns the number of fields the encoded record b declares.
+func fieldCount(b []byte) (int, error) {
+	if len(b) < 2 {
+		return 0, fmt.Errorf("storage: record truncated (len %d)", len(b))
+	}
+	return int(binary.BigEndian.Uint16(b)), nil
+}
+
+// AppendDecoded decodes the record encoded in b onto the end of dst and
+// returns the extended slice plus the number of bytes consumed — the
+// decode-side counterpart of AppendRecord, for callers that decode many
+// records into one slab. Field i is skipped over, not materialized,
+// when need is non-nil and need[i] is false: it comes back as the zero
+// Value, so the record keeps its width. With a non-nil text, string
+// fields are copied into it and returned as substrings of its contents
+// (size both with DecodedSize first, so two allocations carry a whole
+// batch); with nil, each gets its own allocation. Either way no Value
+// aliases b.
+func AppendDecoded(dst Record, b []byte, need []bool, text *strings.Builder) (Record, int, error) {
+	n, err := fieldCount(b)
+	if err != nil {
+		return nil, 0, err
+	}
 	pos := 2
-	rec := make(Record, 0, n)
 	for i := 0; i < n; i++ {
 		if pos >= len(b) {
 			return nil, 0, fmt.Errorf("storage: record field %d truncated", i)
 		}
 		tag := b[pos]
 		pos++
+		skip := i < len(need) && !need[i]
+		var v sqlparse.Value
 		switch tag {
 		case tagInt:
 			if pos+8 > len(b) {
 				return nil, 0, fmt.Errorf("storage: int field %d truncated", i)
 			}
-			rec = append(rec, sqlparse.IntValue(int64(binary.BigEndian.Uint64(b[pos:]))))
+			if !skip {
+				v = sqlparse.IntValue(int64(binary.BigEndian.Uint64(b[pos:])))
+			}
 			pos += 8
 		case tagText:
 			if pos+4 > len(b) {
@@ -97,13 +127,52 @@ func DecodeRecord(b []byte) (Record, int, error) {
 			if pos+l > len(b) {
 				return nil, 0, fmt.Errorf("storage: text field %d truncated (want %d bytes)", i, l)
 			}
-			rec = append(rec, sqlparse.StrValue(string(b[pos:pos+l])))
+			switch {
+			case skip:
+			case text == nil:
+				v = sqlparse.StrValue(string(b[pos : pos+l]))
+			default:
+				off := text.Len()
+				text.Write(b[pos : pos+l])
+				v = sqlparse.StrValue(text.String()[off:])
+			}
 			pos += l
 		default:
 			return nil, 0, fmt.Errorf("storage: unknown field tag 0x%02x in field %d", tag, i)
 		}
+		dst = append(dst, v)
 	}
-	return rec, pos, nil
+	return dst, pos, nil
+}
+
+// DecodedSize returns what AppendDecoded(_, b, need, _) appends: the
+// number of Values, and the summed length of the text fields need
+// keeps. It reports no error of its own; on a record AppendDecoded will
+// reject it merely stops counting text at the bad field.
+func DecodedSize(b []byte, need []bool) (fields, textBytes int) {
+	if len(b) < 2 {
+		return 0, 0
+	}
+	fields = int(binary.BigEndian.Uint16(b))
+	pos := 2
+	for i := 0; i < fields && pos < len(b); i++ {
+		switch b[pos] {
+		case tagInt:
+			pos += 1 + 8
+		case tagText:
+			if pos+5 > len(b) {
+				return fields, textBytes
+			}
+			l := int(binary.BigEndian.Uint32(b[pos+1:]))
+			pos += 1 + 4 + l
+			if pos <= len(b) && (i >= len(need) || need[i]) {
+				textBytes += l
+			}
+		default:
+			return fields, textBytes
+		}
+	}
+	return fields, textBytes
 }
 
 // DecodeKey decodes only the first field of an encoded record — the

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +57,79 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// AppendDecoded into one slab, under every mask, agrees with
+// DecodeRecord field for field (pruned fields zero), DecodedSize
+// predicts exactly what it appends, and the text it hands out does not
+// alias the encoded bytes.
+func TestAppendDecodedMasksAndSlabs(t *testing.T) {
+	recs := []Record{
+		{sqlparse.IntValue(7), sqlparse.StrValue("alpha"), sqlparse.IntValue(-1), sqlparse.StrValue("")},
+		{sqlparse.StrValue("key"), sqlparse.StrValue("beta-gamma"), sqlparse.IntValue(9), sqlparse.StrValue("z")},
+		{sqlparse.IntValue(0)},
+		{},
+	}
+	for mask := -1; mask < 16; mask++ {
+		var need []bool // mask -1: nil, every field
+		if mask >= 0 {
+			need = []bool{mask&1 != 0, mask&2 != 0, mask&4 != 0} // field 3 is past the mask: kept
+		}
+		var encs [][]byte
+		fields, textBytes := 0, 0
+		for _, r := range recs {
+			enc := EncodeRecord(r)
+			encs = append(encs, enc)
+			n, tb := DecodedSize(enc, need)
+			fields += n
+			textBytes += tb
+		}
+		slab := make(Record, 0, fields)
+		var text strings.Builder
+		text.Grow(textBytes)
+		var rows []Record
+		for i, enc := range encs {
+			start := len(slab)
+			var used int
+			var err error
+			slab, used, err = AppendDecoded(slab, enc, need, &text)
+			if err != nil || used != len(enc) {
+				t.Fatalf("mask %d rec %d: used %d of %d, err %v", mask, i, used, len(enc), err)
+			}
+			rows = append(rows, slab[start:len(slab):len(slab)])
+		}
+		if len(slab) != fields || cap(slab) != fields || text.Len() != textBytes {
+			t.Errorf("mask %d: DecodedSize said %d values / %d text bytes, AppendDecoded made %d (cap %d) / %d",
+				mask, fields, textBytes, len(slab), cap(slab), text.Len())
+		}
+		for i := range encs {
+			for j := range encs[i] {
+				encs[i][j] = 0xEE // the decoded values must own their bytes
+			}
+		}
+		for i, r := range recs {
+			want := make(Record, len(r))
+			for j, v := range r {
+				if j >= len(need) || need[j] {
+					want[j] = v
+				}
+			}
+			if !rows[i].Equal(want) {
+				t.Errorf("mask %d rec %d = %v, want %v", mask, i, rows[i], want)
+			}
+		}
+	}
+
+	// Damaged input fails the same way DecodeRecord does, pruned or not.
+	enc := EncodeRecord(recs[1])
+	for cut := 0; cut < len(enc); cut++ {
+		_, _, wantErr := DecodeRecord(enc[:cut])
+		_, _, err := AppendDecoded(nil, enc[:cut], []bool{false, false, false, false}, nil)
+		if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("cut at %d: AppendDecoded err %v, DecodeRecord err %v", cut, err, wantErr)
+		}
+		DecodedSize(enc[:cut], nil) // must not panic
 	}
 }
 

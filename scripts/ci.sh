@@ -42,6 +42,7 @@ echo "== bench smoke =="
 # (go run ./bench, contract in BENCHMARK.json).
 go test -run '^$' -bench 'PlanCache|BatchedThroughput|SortedRead|ParallelScan|CostedPlanning|MVCCReadersVsWriter|EncryptAtRest' -benchtime 1x .
 go test -run '^$' -bench 'TopN' -benchtime 1x ./internal/engine/exec
+go test -run '^$' -bench 'ScanClasses' -benchtime 1x ./internal/engine
 
 echo "== fuzz smoke =="
 # One -fuzz target per invocation (a Go toolchain constraint).
@@ -79,7 +80,7 @@ echo "== MVCC differential (-race) =="
 # the race detector watches the version store, read views, and inline
 # purge running under real session concurrency, and partition workers
 # scanning under a live read view (TestParallelScanUnderMVCC).
-go test -race ./internal/engine -run 'TestDifferentialMVCCVsLocking|TestMVCC|TestParallelScanUnderMVCC' -count=1
+go test -race ./internal/engine -run 'TestDifferentialMVCCVsLocking|TestMVCC|TestParallelScanUnderMVCC|TestStreamingGhostMerge' -count=1
 
 echo "== write path (-race) =="
 # The write path exists once — one DML driver, one row mutator under
