@@ -5,9 +5,15 @@
 //
 //	experiments [-quick] [-run E5]
 //
-// Without -run it executes the full suite E1..E17 plus the ablations.
-// -quick shrinks workloads (fewer trials, smaller corpora) so the whole
-// suite finishes in well under a minute.
+// Without -run it executes everything in experiments.Registry: E1..E17
+// plus the ablations. -quick shrinks workloads (fewer trials, smaller
+// corpora) so the whole suite finishes in well under a minute.
+//
+// Stdout is the transcript and repeats byte for byte: at full scale it
+// is experiments_output.txt, with -quick it is
+// internal/experiments/testdata/quick.golden. Figures that depend on
+// scheduling or on crypto/rand (E12's rates, where E15's traces first
+// diverge, E17's fresh-IV similarity) go to stderr.
 package main
 
 import (
@@ -21,7 +27,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced workloads (fewer trials, smaller corpora)")
-	run := flag.String("run", "", "run a single experiment by id (E1..E17, E5-ablation)")
+	run := flag.String("run", "", "run a single experiment by id (E1..E17, E5-ablation, Ablations)")
 	flag.Parse()
 
 	if err := realMain(*quick, *run); err != nil {
@@ -31,44 +37,25 @@ func main() {
 }
 
 func realMain(quick bool, run string) error {
-	type runner struct {
-		id string
-		fn func(bool) (experiments.Result, error)
-	}
-	runners := []runner{
-		{"E1", func(bool) (experiments.Result, error) { return experiments.E1Figure1() }},
-		{"E2", func(q bool) (experiments.Result, error) { return experiments.E2LogRetention(q) }},
-		{"E3", func(q bool) (experiments.Result, error) { return experiments.E3BinlogCorrelation(q) }},
-		{"E4", func(q bool) (experiments.Result, error) { return experiments.E4HeapResidue(q) }},
-		{"E5", func(q bool) (experiments.Result, error) { return experiments.E5LewiWu(q) }},
-		{"E5-ablation", func(q bool) (experiments.Result, error) { return experiments.E5BlockSizeAblation(q) }},
-		{"E6", func(q bool) (experiments.Result, error) { return experiments.E6CountAttack(q) }},
-		{"E7", func(q bool) (experiments.Result, error) { return experiments.E7Seabed(q) }},
-		{"E8", func(q bool) (experiments.Result, error) { return experiments.E8Arx(q) }},
-		{"E9", func(bool) (experiments.Result, error) { return experiments.E9AtRest() }},
-		{"E10", func(q bool) (experiments.Result, error) { return experiments.E10Diagnostics(q) }},
-		{"E11", func(q bool) (experiments.Result, error) { return experiments.E11Mitigations(q) }},
-		{"E12", func(q bool) (experiments.Result, error) { return experiments.E12Scaling(q) }},
-		{"E13", func(q bool) (experiments.Result, error) { return experiments.E13CrashResidue(q) }},
-		{"E14", func(q bool) (experiments.Result, error) { return experiments.E14RetryResidue(q) }},
-		{"E15", func(q bool) (experiments.Result, error) { return experiments.E15ParallelTrace(q) }},
-		{"E16", func(q bool) (experiments.Result, error) { return experiments.E16VersionResidue(q) }},
-		{"E17", func(q bool) (experiments.Result, error) { return experiments.E17SnapshotDiff(q) }},
-	}
+	var ids []string
 	matched := false
-	for _, r := range runners {
-		if run != "" && !strings.EqualFold(run, r.id) {
+	for _, x := range experiments.Registry {
+		ids = append(ids, x.ID)
+		if run != "" && !strings.EqualFold(run, x.ID) {
 			continue
 		}
 		matched = true
-		res, err := r.fn(quick)
+		res, err := x.Run(quick)
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.id, err)
+			return fmt.Errorf("%s: %w", x.ID, err)
 		}
 		fmt.Println(res.Render())
+		if t, ok := res.(experiments.Timed); ok {
+			fmt.Fprintln(os.Stderr, t.Timing())
+		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown experiment %q (want E1..E17 or E5-ablation)", run)
+		return fmt.Errorf("unknown experiment %q (want one of %s)", run, strings.Join(ids, ", "))
 	}
 	return nil
 }

@@ -12,18 +12,18 @@ import (
 // such reader is a constant in waiting and does not belong in Config. A
 // new field must arrive with its line here, or the test below fails.
 var configReaders = map[string]string{
-	"BufferPoolPages":  "ablation: BenchmarkAblationBufferPoolSize sweeps it (E1's LRU/dump surface scales with it)",
+	"BufferPoolPages":  "experiments.Ablations sweeps it (E1's LRU/dump surface scales with it)",
 	"EnableBinlog":     "internal/mitigate (Harden keeps or drops the binlog; E11)",
 	"EnableGeneralLog": "internal/mitigate; E14 and E15 switch it on to read arrivals",
 	"EnableQueryCache": "internal/mitigate; E15/E16 switch it off so every statement really scans",
-	"DisablePlanCache": "reference arm of TestDifferentialLegacyVsOperator, TestPlanCacheLeakageEquivalence(+Parallel); BenchmarkPlanCache",
-	"HistoryPerThread": "ablation: BenchmarkAblationHistorySize sweeps it; E10 reports the ring size",
+	"DisablePlanCache": "reference arm of TestDifferentialLegacyVsOperator, TestPlanCacheLeakageEquivalence(+Parallel)",
+	"HistoryPerThread": "experiments.Ablations sweeps it; E10 reports the ring size",
 	"DisableSlowLog":   "internal/mitigate",
 	"StatementTimeout": "snapdbd -stmt-timeout",
 
 	"MaxScanWorkers":      "snapdbd -scan-workers; E15 (0 is the serial arm)",
 	"ParallelScanMinRows": "E15 lowers it so its small ledger fans out",
-	"SimulatedScanIOWait": "E15 (the yield point that interleaves partition workers); BenchmarkParallelScan",
+	"SimulatedScanIOWait": "E15 (the yield point that interleaves partition workers)",
 
 	"SecureHeapDelete":  "internal/mitigate (E11)",
 	"DisablePerfSchema": "internal/mitigate; snapbench's perfschema.us_per_stmt probe",

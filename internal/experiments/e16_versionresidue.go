@@ -115,6 +115,7 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive bool)
 	}); err != nil {
 		return arm, err
 	}
+	churnEnd := e.Statements()
 
 	// The application "destroys" the secrets: half are overwritten
 	// (the pre-image goes into the chain), half deleted outright (the
@@ -134,6 +135,14 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive bool)
 	if aggressive {
 		// Full sweep with no view pinned: everything reclaimable goes.
 		e.PurgeVersions(0)
+	}
+	// An inline sweep runs after every PurgeEvery-th statement and
+	// reclaims what no open view can reach — during the churn, whatever
+	// the goroutine interleaving had made reclaimable by then. The
+	// counts repeat only if the last sweep ran after the churn, with
+	// nothing open; the churn length is chosen so that it does.
+	if every := uint64(cfg.PurgeEvery); !cfg.DisablePurge && !aggressive && e.Statements()/every == churnEnd/every {
+		return arm, fmt.Errorf("no inline sweep between statement %d (churn ends) and %d (crash): version counts would depend on scheduling; adjust churn", churnEnd, e.Statements())
 	}
 	// Counter read first: the SELECT is itself a statement and may
 	// cross an inline-purge boundary; the residue count must be taken
@@ -218,7 +227,7 @@ func e16PurgeCounters(s *engine.Session) (runs, purged int64, err error) {
 func E16VersionResidue(quick bool) (*E16Result, error) {
 	churn, secrets := 960, 16
 	if quick {
-		churn, secrets = 240, 8
+		churn, secrets = 244, 8
 	}
 	res := &E16Result{Secrets: secrets, Deleted: secrets - secrets/2, Churn: churn}
 

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
 
 func TestE1Figure1(t *testing.T) {
 	res, err := E1Figure1()
@@ -281,11 +286,32 @@ func TestE12Scaling(t *testing.T) {
 	if !strings.Contains(res.Render(), "goroutines") {
 		t.Error("render missing table header")
 	}
-	if !strings.Contains(res.Render(), "client mode") {
-		t.Error("render missing client table")
+	if strings.Contains(res.Render(), "client mode") || !strings.Contains(res.Timing(), "client mode") {
+		t.Errorf("the client table is wall-clock and belongs in Timing, not Render:\n%s\n%s", res.Render(), res.Timing())
 	}
 }
 
+// TestRegistry holds the one experiment list to itself: ids are unique
+// and what -run would match (case-insensitively) is unambiguous.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, x := range Registry {
+		if x.ID == "" || x.Run == nil {
+			t.Errorf("incomplete registry entry %+v", x)
+		}
+		if key := strings.ToLower(x.ID); seen[key] {
+			t.Errorf("duplicate experiment id %s", x.ID)
+		} else {
+			seen[key] = true
+		}
+	}
+}
+
+// TestAllQuick is the transcript gate: the -quick transcript, exactly
+// as cmd/experiments prints it, must equal testdata/quick.golden byte
+// for byte. A PR that moves a forensic surface fails here and refreshes
+// the golden with `go test ./internal/experiments -run TestAllQuick
+// -update`, which puts the moved numbers in its diff.
 func TestAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -294,18 +320,126 @@ func TestAllQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 17 {
-		t.Fatalf("got %d experiments", len(results))
+	if len(results) != len(Registry) {
+		t.Fatalf("All ran %d experiments, registry lists %d", len(results), len(Registry))
 	}
-	seen := map[string]bool{}
-	for _, r := range results {
-		if r.Name() == "" || r.Render() == "" {
-			t.Errorf("experiment %T renders empty", r)
+	var transcript strings.Builder
+	for i, r := range results {
+		if r.Name() != Registry[i].ID {
+			t.Errorf("registry entry %d is %s but its result is named %s", i, Registry[i].ID, r.Name())
 		}
-		if seen[r.Name()] {
-			t.Errorf("duplicate experiment name %s", r.Name())
+		if r.Render() == "" {
+			t.Errorf("experiment %s renders empty", r.Name())
 		}
-		seen[r.Name()] = true
+		transcript.WriteString(r.Render())
+		transcript.WriteByte('\n') // cmd/experiments prints with Println
+	}
+	const golden = "testdata/quick.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(transcript.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := transcript.String(); got != string(want) {
+		t.Errorf("-quick transcript differs from %s (rerun with -update if the change is meant):\n%s", golden, lineDiff(string(want), got))
+	}
+}
+
+// lineDiff lists the lines at which two transcripts differ.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var sb strings.Builder
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			sb.WriteString("line " + strconv.Itoa(i+1) + "\n- " + wl + "\n+ " + gl + "\n")
+		}
+	}
+	return sb.String()
+}
+
+// TestRenderRepeats runs the experiments whose raw figures do not
+// repeat — E12's rates and interleaving-dependent counts, where E15's
+// traces first diverge, E17's similarity over crypto/rand IVs — twice
+// in one process: everything left in Render must.
+func TestRenderRepeats(t *testing.T) {
+	for _, x := range []Experiment{
+		entry("E12", E12Scaling),
+		entry("E15", E15ParallelTrace),
+		entry("E17", E17SnapshotDiff),
+	} {
+		first, err := x.Run(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := x.Run(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := first.Render(), second.Render(); a != b {
+			t.Errorf("%s renders differently on a second run:\n%s", x.ID, lineDiff(a, b))
+		}
+		if _, ok := first.(Timed); !ok {
+			t.Errorf("%s has no Timing for what Render leaves out", x.ID)
+		}
+	}
+}
+
+// TestAblations asserts what EXPERIMENTS.md's ablation table states.
+func TestAblations(t *testing.T) {
+	res, err := Ablations(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// History depth: a SQLi attacker recovers min(depth, issued).
+	if res.HistoryIssued != 50 || len(res.History) != 3 {
+		t.Fatalf("history sweep = %+v (issued %d)", res.History, res.HistoryIssued)
+	}
+	for i, want := range []AblationHistoryRow{{1, 1}, {10, 10}, {100, 50}} {
+		if res.History[i] != want {
+			t.Errorf("history row %d = %+v, want %+v", i, res.History[i], want)
+		}
+	}
+	// Buffer pool: the dump covers min(pool, touched) pages and grows
+	// with every pool size swept.
+	if len(res.Pool) != 3 {
+		t.Fatalf("pool sweep = %+v", res.Pool)
+	}
+	for i, row := range res.Pool {
+		if want := []int{16, 64, 256}[i]; row.Pages != want {
+			t.Errorf("pool row %d sweeps %d pages, want %d", i, row.Pages, want)
+		}
+		if want := min(row.Pages, row.Touched); row.Dumped != want {
+			t.Errorf("pool=%d: dump names %d pages, want min(pool, touched %d) = %d", row.Pages, row.Dumped, row.Touched, want)
+		}
+		if i > 0 && row.Dumped <= res.Pool[i-1].Dumped {
+			t.Errorf("pool=%d: dump names %d pages, not more than pool=%d's %d", row.Pages, row.Dumped, res.Pool[i-1].Pages, res.Pool[i-1].Dumped)
+		}
+	}
+	// SPLASHE: 20 columns basic, 5 splayed + 1 DET tail enhanced.
+	if len(res.SPLASHE) != 2 || res.SPLASHE[0].Columns != 20 || res.SPLASHE[1].Columns != 6 {
+		t.Errorf("SPLASHE columns = %+v, want 20 (basic) and 6 (enhanced)", res.SPLASHE)
+	}
+	// WAL granularity: column-diff records keep >= 3x the writes per MB.
+	if len(res.WAL) != 2 || res.WAL[0].Mode != "column-diff" || res.WAL[1].Mode != "whole-row" {
+		t.Fatalf("WAL sweep = %+v", res.WAL)
+	}
+	if diff, whole := res.WAL[0].RetainedPerMB, res.WAL[1].RetainedPerMB; whole == 0 || diff < 3*whole {
+		t.Errorf("column-diff retains %d writes/MB vs whole-row %d, want >= 3x", diff, whole)
+	}
+	if !strings.Contains(res.Render(), "Ablations") {
+		t.Error("render missing title")
 	}
 }
 

@@ -2,8 +2,8 @@
 // package generates data for the leakage experiments, the driver
 // exercises the engine's concurrent execution path: N goroutines, each
 // with its own session, issuing a seeded, read-heavy statement mix over
-// several tables. E12 and BenchmarkConcurrentThroughput use it to
-// measure how statement throughput scales with session concurrency.
+// several tables. E12 runs it at rising session counts; the engine's
+// BenchmarkMVCCReadersVsWriter runs its readers-vs-writers mode.
 
 package workload
 
@@ -323,8 +323,8 @@ type RemoteDriverConfig struct {
 // connections issuing the same deterministic statement mix as
 // RunDriver. With BatchSize > 1 each connection pipelines its
 // statements through client.Conn.ExecuteBatch, which is the
-// batched-throughput configuration E12 and BenchmarkBatchedThroughput
-// measure against the per-statement baseline.
+// batched-throughput configuration E12's client rows time against the
+// per-statement baseline.
 func RunDriverRemote(cfg RemoteDriverConfig) (*DriverResult, error) {
 	dcfg := cfg.DriverConfig.normalized()
 	if dcfg.Statements <= 0 {

@@ -36,13 +36,17 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== bench smoke =="
-# One iteration of the statement-pipeline benchmarks: catches a
-# benchmark that no longer compiles or errors at runtime. Timing is
-# meaningless at -benchtime 1x; performance is judged by snapbench
-# (go run ./bench, contract in BENCHMARK.json).
-go test -run '^$' -bench 'PlanCache|BatchedThroughput|SortedRead|ParallelScan|CostedPlanning|MVCCReadersVsWriter|EncryptAtRest' -benchtime 1x .
-go test -run '^$' -bench 'TopN' -benchtime 1x ./internal/engine/exec
-go test -run '^$' -bench 'ScanClasses' -benchtime 1x ./internal/engine
+# One iteration of every in-package micro-benchmark: catches one that
+# no longer compiles or errors at runtime. Timing is meaningless at
+# -benchtime 1x; performance is judged by snapbench (go run ./bench,
+# contract in BENCHMARK.json).
+go test -run '^$' -bench . -benchtime 1x ./internal/engine ./internal/engine/exec
+
+echo "== experiment transcript =="
+# The -quick transcript is an exact gate: cmd/experiments must print,
+# byte for byte, the golden that TestAllQuick compares against (timing
+# goes to stderr). A diff here is a forensic surface that moved.
+go run ./cmd/experiments -quick 2>/dev/null | diff - internal/experiments/testdata/quick.golden
 
 echo "== fuzz smoke =="
 # One -fuzz target per invocation (a Go toolchain constraint).
