@@ -59,7 +59,7 @@ func decodeEntries(p *storage.Page) ([]entry, error) {
 		}
 		rec, _, err := storage.DecodeRecord(b)
 		if err != nil {
-			return nil, fmt.Errorf("btree: page %d slot %d: %w", p.ID(), i, err)
+			return nil, slotErr(p, i, err)
 		}
 		if len(rec) == 0 {
 			return nil, fmt.Errorf("btree: page %d slot %d: empty record", p.ID(), i)
@@ -86,30 +86,11 @@ func entriesSorted(es []entry) bool {
 	return true
 }
 
-// findSlot locates the live slot holding key in leaf p, decoding keys
-// only.
-func findSlot(p *storage.Page, key sqlparse.Value) (int, bool, error) {
-	for i := 0; i < p.SlotCount(); i++ {
-		b := p.SlotBytes(i)
-		if b == nil {
-			continue
-		}
-		k, err := storage.DecodeKey(b)
-		if err != nil {
-			return 0, false, fmt.Errorf("btree: page %d slot %d: %w", p.ID(), i, err)
-		}
-		if k.Equal(key) {
-			return i, true, nil
-		}
-	}
-	return 0, false, nil
-}
-
 // decodeSlot fully decodes the record in slot i of p.
 func decodeSlot(p *storage.Page, i int) (storage.Record, error) {
 	rec, _, err := storage.DecodeRecord(p.SlotBytes(i))
 	if err != nil {
-		return nil, fmt.Errorf("btree: page %d slot %d: %w", p.ID(), i, err)
+		return nil, slotErr(p, i, err)
 	}
 	if len(rec) == 0 {
 		return nil, fmt.Errorf("btree: page %d slot %d: empty record", p.ID(), i)
@@ -117,49 +98,24 @@ func decodeSlot(p *storage.Page, i int) (storage.Record, error) {
 	return rec, nil
 }
 
-// childFor returns the child page that covers key: the last entry whose
-// separator is <= key, or the first entry if key precedes all
-// separators.
-func childFor(entries []entry, key sqlparse.Value) (storage.PageID, error) {
-	if len(entries) == 0 {
-		return storage.InvalidPage, fmt.Errorf("btree: internal node with no children")
-	}
-	idx := 0
-	for i, e := range entries {
-		if e.key.Compare(key) <= 0 {
-			idx = i
-		} else {
-			break
-		}
-	}
-	child := entries[idx].rec[1]
-	if !child.IsInt {
-		return storage.InvalidPage, fmt.Errorf("btree: corrupt child pointer")
-	}
-	return storage.PageID(child.Int), nil
-}
-
 // findLeaf walks from the root to the leaf covering key, returning the
-// leaf and the page-id path walked (root first).
-func (t *Tree) findLeaf(key sqlparse.Value) (*storage.Page, []storage.PageID, error) {
-	var path []storage.PageID
+// leaf and the number of pages fetched on the way (the leaf included).
+// A non-nil path collects their ids, root first.
+func (t *Tree) findLeaf(key sqlparse.Value, path *[]storage.PageID) (*storage.Page, int, error) {
 	id := t.root
-	for {
+	for levels := 1; ; levels++ {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
-		path = append(path, id)
+		if path != nil {
+			*path = append(*path, id)
+		}
 		if p.Type() == storage.PageBTreeLeaf {
-			return p, path, nil
+			return p, levels, nil
 		}
-		entries, err := decodeEntries(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		id, err = childFor(entries, key)
-		if err != nil {
-			return nil, nil, err
+		if id, err = childIn(p, key); err != nil {
+			return nil, 0, err
 		}
 	}
 }
@@ -167,8 +123,11 @@ func (t *Tree) findLeaf(key sqlparse.Value) (*storage.Page, []storage.PageID, er
 // TraversalPath returns the page ids a lookup of key touches, root
 // first. The leakage analysis uses it to interpret buffer-pool dumps.
 func (t *Tree) TraversalPath(key sqlparse.Value) ([]storage.PageID, error) {
-	_, path, err := t.findLeaf(key)
-	return path, err
+	var path []storage.PageID
+	if _, _, err := t.findLeaf(key, &path); err != nil {
+		return nil, err
+	}
+	return path, nil
 }
 
 // ErrDuplicateKey is returned by Insert when the key already exists.
@@ -193,10 +152,10 @@ func (t *Tree) Insert(rec storage.Record) error {
 		newRoot := t.ts.Allocate(storage.PageBTreeInternal)
 		left := storage.EncodeRecord(storage.Record{oldRootFirst, sqlparse.IntValue(int64(t.root))})
 		right := storage.EncodeRecord(storage.Record{split.key, sqlparse.IntValue(int64(split.page))})
-		if _, err := newRoot.InsertBytes(left); err != nil {
+		if err := appendEntry(newRoot, left); err != nil {
 			return err
 		}
-		if _, err := newRoot.InsertBytes(right); err != nil {
+		if err := appendEntry(newRoot, right); err != nil {
 			return err
 		}
 		t.root = newRoot.ID()
@@ -209,14 +168,18 @@ func (t *Tree) firstKeyOf(id storage.PageID) (sqlparse.Value, error) {
 	if err != nil {
 		return sqlparse.Value{}, err
 	}
-	entries, err := decodeEntries(p)
+	slot, err := lowestSlot(p)
 	if err != nil {
 		return sqlparse.Value{}, err
 	}
-	if len(entries) == 0 {
+	if slot < 0 {
 		return sqlparse.Value{}, fmt.Errorf("btree: page %d is empty", id)
 	}
-	return entries[0].key, nil
+	key, err := storage.DecodeKey(p.SlotBytes(slot))
+	if err != nil {
+		return sqlparse.Value{}, slotErr(p, slot, err)
+	}
+	return key, nil
 }
 
 // splitResult describes an upward-propagating split.
@@ -233,11 +196,7 @@ func (t *Tree) insertInto(id storage.PageID, rec storage.Record) (*splitResult, 
 	if p.Type() == storage.PageBTreeLeaf {
 		return t.insertLeaf(p, rec)
 	}
-	entries, err := decodeEntries(p)
-	if err != nil {
-		return nil, err
-	}
-	child, err := childFor(entries, rec[0])
+	child, err := childIn(p, rec[0])
 	if err != nil {
 		return nil, err
 	}
@@ -266,12 +225,12 @@ func (t *Tree) insertNodeEntry(p *storage.Page, rec storage.Record) (*splitResul
 	if len(enc) > storage.PageSize/2 {
 		return nil, fmt.Errorf("btree: record of %d bytes exceeds half a page", len(enc))
 	}
-	if _, err := p.InsertBytes(enc); err == nil {
+	if err := appendEntry(p, enc); err == nil {
 		return nil, nil
 	}
 	// Reclaim deleted-slot space before splitting.
 	p.Compact()
-	if _, err := p.InsertBytes(enc); err == nil {
+	if err := appendEntry(p, enc); err == nil {
 		return nil, nil
 	}
 	return t.split(p, rec)
@@ -315,9 +274,9 @@ func (t *Tree) split(p *storage.Page, rec storage.Record) (*splitResult, error) 
 }
 
 // Search returns the record with the given key. Only the matching
-// slot is fully decoded; every other slot costs a key decode.
+// slot is decoded.
 func (t *Tree) Search(key sqlparse.Value) (storage.Record, bool, error) {
-	leaf, _, err := t.findLeaf(key)
+	leaf, _, err := t.findLeaf(key, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -335,7 +294,7 @@ func (t *Tree) Search(key sqlparse.Value) (storage.Record, bool, error) {
 // Delete removes the record with the given key, reporting whether it
 // existed. The slot is only marked deleted; bytes remain in the page.
 func (t *Tree) Delete(key sqlparse.Value) (bool, error) {
-	leaf, _, err := t.findLeaf(key)
+	leaf, _, err := t.findLeaf(key, nil)
 	if err != nil {
 		return false, err
 	}
@@ -351,7 +310,7 @@ func (t *Tree) Update(key sqlparse.Value, rec storage.Record) (bool, error) {
 	if len(rec) == 0 || !rec[0].Equal(key) {
 		return false, fmt.Errorf("btree: update record key mismatch")
 	}
-	leaf, _, err := t.findLeaf(key)
+	leaf, _, err := t.findLeaf(key, nil)
 	if err != nil {
 		return false, err
 	}
@@ -413,14 +372,9 @@ func (t *Tree) leftmostLeaf() (*storage.Page, int, error) {
 		if p.Type() == storage.PageBTreeLeaf {
 			return p, levels, nil
 		}
-		entries, err := decodeEntries(p)
-		if err != nil {
+		if id, err = firstChild(p); err != nil {
 			return nil, 0, err
 		}
-		if len(entries) == 0 {
-			return nil, 0, fmt.Errorf("btree: empty internal node %d", id)
-		}
-		id = storage.PageID(entries[0].rec[1].Int)
 	}
 }
 
@@ -450,14 +404,9 @@ func (t *Tree) Height() (int, error) {
 		if p.Type() == storage.PageBTreeLeaf {
 			return h, nil
 		}
-		entries, err := decodeEntries(p)
-		if err != nil {
+		if id, err = firstChild(p); err != nil {
 			return 0, err
 		}
-		if len(entries) == 0 {
-			return 0, fmt.Errorf("btree: empty internal node %d", id)
-		}
-		id = storage.PageID(entries[0].rec[1].Int)
 		h++
 	}
 }

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -296,29 +297,81 @@ func TestLenAndHeightEmptyTree(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	tr, _, _ := newTree(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(intRec(int64(i), "benchmark payload")); err != nil {
-			b.Fatal(err)
+// benchTree builds a tree of n int keys (the even numbers from 0),
+// arriving in key order — every page ordered, so lookups bisect — or
+// shuffled after the smallest — nearly every page out of order, so
+// lookups take the linear pass. 40 000 keys make three levels.
+func benchTree(tb testing.TB, n int, shuffled bool) *Tree {
+	tb.Helper()
+	tr, _, _ := newTree(tb)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	if shuffled {
+		rand.New(rand.NewSource(1)).Shuffle(n-1, func(i, j int) { order[i+1], order[j+1] = order[j+1], order[i+1] })
+	}
+	for _, i := range order {
+		if err := tr.Insert(intRec(int64(i)*2, "benchmark payload")); err != nil {
+			tb.Fatal(err)
 		}
+	}
+	return tr
+}
+
+const benchKeys = 40000
+
+func BenchmarkInsert(b *testing.B) {
+	for _, shuffled := range []bool{false, true} {
+		name := "ascending"
+		if shuffled {
+			name = "shuffled"
+		}
+		b.Run(name, func(b *testing.B) {
+			tr := benchTree(b, benchKeys, shuffled)
+			rng := rand.New(rand.NewSource(2))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key := int64(benchKeys+i) * 2
+				if shuffled {
+					key = rng.Int63n(1<<40)*2 + 1
+				}
+				if err := tr.Insert(intRec(key, "benchmark payload")); err != nil && !errors.Is(err, ErrDuplicateKey) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkSearch prices a point lookup at height 3 on ordered pages
+// (bisection), on unordered ones (the linear fallback), and on ordered
+// pages where every other slot is dead (bisection stepping over them).
 func BenchmarkSearch(b *testing.B) {
-	tr, _, _ := newTree(b)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if err := tr.Insert(intRec(int64(i), "benchmark payload")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := tr.Search(sqlparse.IntValue(int64(i % n))); err != nil || !ok {
-			b.Fatal("search failed")
-		}
+	for _, variant := range []string{"ordered", "unordered", "tombstoned"} {
+		b.Run(variant, func(b *testing.B) {
+			tr := benchTree(b, benchKeys, variant == "unordered")
+			if h, err := tr.Height(); err != nil || h != 3 {
+				b.Fatalf("height = %d (%v), want 3", h, err)
+			}
+			stride := int64(2)
+			if variant == "tombstoned" {
+				stride = 4
+				for k := int64(2); k < benchKeys*2; k += 4 {
+					if ok, err := tr.Delete(sqlparse.IntValue(k)); err != nil || !ok {
+						b.Fatalf("Delete(%d) = %v, %v", k, ok, err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key := int64(i) * 7919 * stride % (benchKeys * 2)
+				if _, ok, err := tr.Search(sqlparse.IntValue(key)); err != nil || !ok {
+					b.Fatalf("Search(%d) = %v, %v", key, ok, err)
+				}
+			}
+		})
 	}
 }

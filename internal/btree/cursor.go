@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -34,17 +33,10 @@ type Cursor struct {
 	// Per-leaf scratch, reused from leaf to leaf. The one-element
 	// arrays back them until a leaf yields a second record, so a point
 	// read allocates nothing here.
-	keys   []keyRef
-	rows   []storage.Record
-	keyBuf [1]keyRef
-	rowBuf [1]storage.Record
-}
-
-// keyRef is a key-only view of a live slot: enough to filter and sort,
-// and to decide which slots deserve a full decode.
-type keyRef struct {
-	key  sqlparse.Value
-	slot int
+	slots   []int // the leaf's live in-bounds slots, in key order
+	rows    []storage.Record
+	slotBuf [1]int
+	rowBuf  [1]storage.Record
 }
 
 // Init points c at t without touching a page. Unbounded, the walk
@@ -54,7 +46,7 @@ type keyRef struct {
 // record fields Next materializes, by position; nil means all.
 func (c *Cursor) Init(t *Tree, bounded bool, lo, hi sqlparse.Value, need []bool) {
 	*c = Cursor{t: t, bounded: bounded, lo: lo, hi: hi, need: need}
-	c.keys, c.rows = c.keyBuf[:0], c.rowBuf[:0]
+	c.slots, c.rows = c.slotBuf[:0], c.rowBuf[:0]
 }
 
 // Next fetches the walk's next leaf and returns its live in-bounds
@@ -69,8 +61,8 @@ func (c *Cursor) Next() ([]storage.Record, bool, error) {
 		return nil, false, err
 	}
 	fields, textBytes := 0, 0
-	for _, k := range c.keys {
-		n, tb := storage.DecodedSize(leaf.SlotBytes(k.slot), c.need)
+	for _, slot := range c.slots {
+		n, tb := storage.DecodedSize(leaf.SlotBytes(slot), c.need)
 		fields += n
 		textBytes += tb
 	}
@@ -78,11 +70,11 @@ func (c *Cursor) Next() ([]storage.Record, bool, error) {
 	var text strings.Builder
 	text.Grow(textBytes)
 	c.rows = c.rows[:0]
-	for _, k := range c.keys {
+	for _, slot := range c.slots {
 		start := len(slab)
-		slab, _, err = storage.AppendDecoded(slab, leaf.SlotBytes(k.slot), c.need, &text)
+		slab, _, err = storage.AppendDecoded(slab, leaf.SlotBytes(slot), c.need, &text)
 		if err != nil {
-			return nil, false, c.fail(leaf, k.slot, err)
+			return nil, false, c.fail(leaf, slot, err)
 		}
 		c.rows = append(c.rows, slab[start:len(slab):len(slab)])
 	}
@@ -102,11 +94,11 @@ func (c *Cursor) Skip() (int, bool, error) {
 	if leaf == nil {
 		return 0, false, err
 	}
-	return len(c.keys), true, nil
+	return len(c.slots), true, nil
 }
 
 // advance fetches the walk's next leaf, leaves its live in-bounds
-// slots in c.keys in key order, and decides whether the walk goes on.
+// slots in c.slots in key order, and decides whether the walk goes on.
 // A nil page with a nil error means the walk is over.
 func (c *Cursor) advance() (*storage.Page, error) {
 	if c.done {
@@ -119,9 +111,7 @@ func (c *Cursor) advance() (*storage.Page, error) {
 	case c.started:
 		leaf, err = c.t.pool.Fetch(c.next)
 	case c.bounded:
-		var path []storage.PageID
-		leaf, path, err = c.t.findLeaf(c.lo)
-		levels = len(path)
+		leaf, levels, err = c.t.findLeaf(c.lo, nil)
 	default:
 		leaf, levels, err = c.t.leftmostLeaf()
 	}
@@ -131,43 +121,78 @@ func (c *Cursor) advance() (*storage.Page, error) {
 		return nil, err
 	}
 	c.fetches += uint64(levels)
-	// Filter before sorting: keys are unique, so the order of the
-	// survivors is the same, and a point read never sorts at all.
-	c.keys = c.keys[:0]
-	beyond, sorted := false, true
-	for i := 0; i < leaf.SlotCount(); i++ {
-		b := leaf.SlotBytes(i)
-		if b == nil {
-			continue
-		}
-		k, err := storage.DecodeKey(b)
-		if err != nil {
-			return nil, c.fail(leaf, i, err)
-		}
-		if c.bounded {
-			if k.Compare(c.lo) < 0 {
-				continue
-			}
-			if k.Compare(c.hi) > 0 {
-				beyond = true
-				continue
-			}
-		}
-		if n := len(c.keys); n > 0 && k.Compare(c.keys[n-1].key) < 0 {
-			sorted = false
-		}
-		c.keys = append(c.keys, keyRef{key: k, slot: i})
-	}
-	if !sorted {
-		sort.SliceStable(c.keys, func(i, j int) bool { return c.keys[i].key.Compare(c.keys[j].key) < 0 })
+	beyond, err := c.collect(leaf)
+	if err != nil {
+		c.done = true
+		return nil, err
 	}
 	c.next = leaf.Next()
 	c.done = beyond || c.next == storage.InvalidPage
 	return leaf, nil
 }
 
+// collect fills c.slots from leaf and reports whether leaf holds a key
+// beyond hi. A leaf in key order is bisected to lo and read up to the
+// first key beyond hi; any other is read whole, filtered, then sorted —
+// filtering first, because keys are unique, so the survivors' order is
+// the same and a point read never sorts at all.
+func (c *Cursor) collect(leaf *storage.Page) (beyond bool, err error) {
+	c.slots = c.slots[:0]
+	inOrder, err := ordered(leaf)
+	if err != nil {
+		return false, err
+	}
+	start := 0
+	if inOrder && c.bounded {
+		if start, err = bisect(leaf, c.lo, false); err != nil {
+			return false, err
+		}
+	}
+	sorted := true
+	for i := start; i < leaf.SlotCount(); i++ {
+		b := leaf.SlotBytes(i)
+		if b == nil {
+			continue
+		}
+		if c.bounded {
+			if !inOrder {
+				if cmp, err := storage.CompareKey(b, c.lo); err != nil {
+					return false, slotErr(leaf, i, err)
+				} else if cmp < 0 {
+					continue
+				}
+			}
+			if cmp, err := storage.CompareKey(b, c.hi); err != nil {
+				return false, slotErr(leaf, i, err)
+			} else if cmp > 0 {
+				beyond = true
+				if inOrder {
+					break
+				}
+				continue
+			}
+		}
+		if n := len(c.slots); !inOrder && n > 0 {
+			if cmp, err := storage.CompareKeys(b, leaf.SlotBytes(c.slots[n-1])); err != nil {
+				return false, slotErr(leaf, i, err)
+			} else if cmp < 0 {
+				sorted = false
+			}
+		}
+		c.slots = append(c.slots, i)
+	}
+	if !sorted {
+		sort.SliceStable(c.slots, func(i, j int) bool {
+			// Both keys were compared, so decoded, on the way in.
+			cmp, _ := storage.CompareKeys(leaf.SlotBytes(c.slots[i]), leaf.SlotBytes(c.slots[j]))
+			return cmp < 0
+		})
+	}
+	return beyond, nil
+}
+
 // fail ends the walk on an undecodable slot.
 func (c *Cursor) fail(p *storage.Page, slot int, err error) error {
 	c.done = true
-	return fmt.Errorf("btree: page %d slot %d: %w", p.ID(), slot, err)
+	return slotErr(p, slot, err)
 }

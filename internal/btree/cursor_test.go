@@ -18,6 +18,13 @@ import (
 // so the property test below can hold the cursor to their page-fetch
 // sequence, not merely to their rows.
 
+// keyRef is a key-only view of a live slot, as the pre-cursor
+// traversals sorted and filtered them.
+type keyRef struct {
+	key  sqlparse.Value
+	slot int
+}
+
 func refDecodeKeys(p *storage.Page, dst []keyRef) ([]keyRef, error) {
 	dst = dst[:0]
 	for i := 0; i < p.SlotCount(); i++ {
@@ -36,7 +43,7 @@ func refDecodeKeys(p *storage.Page, dst []keyRef) ([]keyRef, error) {
 }
 
 func refRange(t *Tree, lo, hi sqlparse.Value, fn func(storage.Record) bool) error {
-	leaf, _, err := t.findLeaf(lo)
+	leaf, _, err := refFindLeaf(t, lo)
 	if err != nil {
 		return err
 	}
@@ -465,7 +472,7 @@ func TestCursorRowsSurvivePageMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	leaf, _, err := tr.findLeaf(sqlparse.IntValue(0))
+	leaf, _, err := tr.findLeaf(sqlparse.IntValue(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

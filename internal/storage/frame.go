@@ -83,6 +83,23 @@ func AppendFrames[T interface{ AppendEncode(dst []byte) []byte }](dst []byte, it
 	return dst
 }
 
+// CountFrames returns how many frames img's length headers chain
+// through before one runs past the end: an upper bound on the frames
+// WalkFrames will accept (no checksum is read), for sizing a parse's
+// result before the parse.
+func CountFrames(img []byte) int {
+	n := 0
+	for len(img) >= FrameHeaderSize {
+		plen := binary.BigEndian.Uint32(img)
+		if plen > MaxFramePayload || int(plen) > len(img)-FrameHeaderSize {
+			break
+		}
+		img = img[FrameHeaderSize+int(plen):]
+		n++
+	}
+	return n
+}
+
 // ParseReport describes how the parse of a framed log image ended.
 type ParseReport struct {
 	// Frames is the number of valid frames parsed.

@@ -64,3 +64,30 @@ func TestFrameInsaneLength(t *testing.T) {
 		t.Fatalf("err = %v, want corrupt", err)
 	}
 }
+
+// TestCountFramesBoundsWalkFrames: the header-only count equals the
+// walk's on a clean image and is never below it on a damaged one, at
+// every cut and for a bit flipped at every position.
+func TestCountFramesBoundsWalkFrames(t *testing.T) {
+	var img []byte
+	for _, p := range [][]byte{[]byte("one"), nil, bytes.Repeat([]byte("two"), 40), []byte("3")} {
+		img = AppendFrame(img, p)
+	}
+	accept := func(payload []byte) (int, error) { return len(payload), nil }
+	if got := CountFrames(img); got != 4 {
+		t.Fatalf("CountFrames = %d on a clean 4-frame image", got)
+	}
+	for i := 0; i <= len(img); i++ {
+		if n, walked := CountFrames(img[:i]), WalkFrames(img[:i], "x", accept).Frames; n != walked {
+			t.Fatalf("cut at %d: CountFrames = %d, WalkFrames accepted %d", i, n, walked)
+		}
+		if i == len(img) {
+			break
+		}
+		mut := append([]byte(nil), img...)
+		mut[i] ^= 0x80
+		if n, walked := CountFrames(mut), WalkFrames(mut, "x", accept).Frames; n < walked {
+			t.Fatalf("flip at %d: CountFrames = %d below the %d frames WalkFrames accepted", i, n, walked)
+		}
+	}
+}

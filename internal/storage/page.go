@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // PageSize is the fixed page size. Smaller than InnoDB's 16 KiB to keep
@@ -65,7 +66,34 @@ const (
 // directly, and forensics re-parses them.
 type Page struct {
 	buf [PageSize]byte
+
+	// order is the one piece of page state that is not a page byte; see
+	// KeyOrder.
+	order atomic.Uint32
 }
+
+// KeyOrder says whether a page's live slots, read in slot order, hold
+// their records in nondecreasing key order — what lets the B+ tree
+// bisect the slot directory. It is a hint about buf, never part of it:
+// it is not serialized, snapshotted or checkpointed, a page starts out
+// (NewPage, Format, LoadPage) with it unknown, and the slot mutators
+// neither read nor write it. Whoever appends records or rewrites keys
+// (the B+ tree) keeps it true; access is atomic because readers sharing
+// a latch may each derive it.
+type KeyOrder uint32
+
+// Key orders.
+const (
+	KeyOrderUnknown KeyOrder = iota // not yet derived from the slots
+	KeysOrdered
+	KeysUnordered
+)
+
+// KeyOrder returns the page's key-order hint.
+func (p *Page) KeyOrder() KeyOrder { return KeyOrder(p.order.Load()) }
+
+// SetKeyOrder records the page's key-order hint.
+func (p *Page) SetKeyOrder(o KeyOrder) { p.order.Store(uint32(o)) }
 
 // NewPage initializes a page in place.
 func NewPage(id PageID, t PageType) *Page {
@@ -84,6 +112,7 @@ func (p *Page) Format(id PageID, t PageType) {
 	p.setSlotCount(0)
 	p.setFreeOffset(pageHeaderSize)
 	p.SetNext(InvalidPage)
+	p.SetKeyOrder(KeyOrderUnknown)
 }
 
 // ID returns the page id stored in the header.

@@ -6,6 +6,8 @@
 package storage
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -176,38 +178,96 @@ func DecodedSize(b []byte, need []bool) (fields, textBytes int) {
 }
 
 // DecodeKey decodes only the first field of an encoded record — the
-// clustered-index key — without materializing the rest. The B+ tree
-// read path key-filters every slot in a leaf before paying for a full
-// DecodeRecord, so for int keys this must not allocate.
+// clustered-index key — without materializing the rest. For int keys
+// this does not allocate; a text key costs its string.
 func DecodeKey(b []byte) (sqlparse.Value, error) {
+	isInt, i, s, err := keyField(b)
+	switch {
+	case err != nil:
+		return sqlparse.Value{}, err
+	case isInt:
+		return sqlparse.IntValue(i), nil
+	}
+	return sqlparse.StrValue(string(s)), nil
+}
+
+// CompareKey orders the key of the encoded record b against key as
+// Value.Compare orders them (ints numerically, text byte-wise, ints
+// before text), reading b in place: no Value is built and nothing is
+// allocated. It is what the B+ tree's in-page search probes slots with.
+func CompareKey(b []byte, key sqlparse.Value) (int, error) {
+	isInt, i, s, err := keyField(b)
+	switch {
+	case err != nil:
+		return 0, err
+	case isInt && key.IsInt:
+		return cmp.Compare(i, key.Int), nil
+	case isInt:
+		return -1, nil
+	case key.IsInt:
+		return 1, nil
+	// As comparison operands the conversions below copy nothing: the
+	// compiler compares over s itself.
+	case string(s) < key.Str:
+		return -1, nil
+	case string(s) > key.Str:
+		return 1, nil
+	}
+	return 0, nil
+}
+
+// CompareKeys orders the keys of two encoded records, as CompareKey
+// does and as cheaply.
+func CompareKeys(a, b []byte) (int, error) {
+	aInt, ai, as, err := keyField(a)
+	if err != nil {
+		return 0, err
+	}
+	bInt, bi, bs, err := keyField(b)
+	switch {
+	case err != nil:
+		return 0, err
+	case aInt && bInt:
+		return cmp.Compare(ai, bi), nil
+	case aInt:
+		return -1, nil
+	case bInt:
+		return 1, nil
+	}
+	return bytes.Compare(as, bs), nil
+}
+
+// keyField parses the first field of the encoded record b in place: an
+// int key comes back in i, a text key as the sub-slice s of b.
+func keyField(b []byte) (isInt bool, i int64, s []byte, err error) {
 	if len(b) < 2 {
-		return sqlparse.Value{}, fmt.Errorf("storage: record truncated (len %d)", len(b))
+		return false, 0, nil, fmt.Errorf("storage: record truncated (len %d)", len(b))
 	}
 	if binary.BigEndian.Uint16(b) == 0 {
-		return sqlparse.Value{}, fmt.Errorf("storage: record has no fields")
+		return false, 0, nil, fmt.Errorf("storage: record has no fields")
 	}
 	if len(b) < 3 {
-		return sqlparse.Value{}, fmt.Errorf("storage: record field 0 truncated")
+		return false, 0, nil, fmt.Errorf("storage: record field 0 truncated")
 	}
 	pos := 3
 	switch b[2] {
 	case tagInt:
 		if pos+8 > len(b) {
-			return sqlparse.Value{}, fmt.Errorf("storage: int field 0 truncated")
+			return false, 0, nil, fmt.Errorf("storage: int field 0 truncated")
 		}
-		return sqlparse.IntValue(int64(binary.BigEndian.Uint64(b[pos:]))), nil
+		return true, int64(binary.BigEndian.Uint64(b[pos:])), nil, nil
 	case tagText:
 		if pos+4 > len(b) {
-			return sqlparse.Value{}, fmt.Errorf("storage: text length of field 0 truncated")
+			return false, 0, nil, fmt.Errorf("storage: text length of field 0 truncated")
 		}
 		l := int(binary.BigEndian.Uint32(b[pos:]))
 		pos += 4
 		if pos+l > len(b) {
-			return sqlparse.Value{}, fmt.Errorf("storage: text field 0 truncated (want %d bytes)", l)
+			return false, 0, nil, fmt.Errorf("storage: text field 0 truncated (want %d bytes)", l)
 		}
-		return sqlparse.StrValue(string(b[pos : pos+l])), nil
+		return false, 0, b[pos : pos+l], nil
 	default:
-		return sqlparse.Value{}, fmt.Errorf("storage: unknown field tag 0x%02x in field 0", b[2])
+		return false, 0, nil, fmt.Errorf("storage: unknown field tag 0x%02x in field 0", b[2])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"snapdb/internal/sqlparse"
 )
@@ -371,5 +372,77 @@ func BenchmarkRecordEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		EncodeRecord(r)
+	}
+}
+
+// TestCompareKeyMatchesValueCompare: comparing encoded keys in place
+// orders them exactly as decoding and Value.Compare would, allocates
+// nothing, and rejects what DecodeKey rejects.
+func TestCompareKeyMatchesValueCompare(t *testing.T) {
+	vals := []sqlparse.Value{
+		sqlparse.IntValue(-1 << 63), sqlparse.IntValue(-1), sqlparse.IntValue(0), sqlparse.IntValue(1), sqlparse.IntValue(1<<63 - 1),
+		sqlparse.StrValue(""), sqlparse.StrValue("a"), sqlparse.StrValue("a\x00"), sqlparse.StrValue("ab"), sqlparse.StrValue("b"),
+		sqlparse.StrValue("\xff"), sqlparse.StrValue(strings.Repeat("k", 700) + "1"), sqlparse.StrValue(strings.Repeat("k", 700) + "2"),
+	}
+	enc := make([][]byte, len(vals))
+	for i, v := range vals {
+		enc[i] = EncodeRecord(Record{v, sqlparse.StrValue("rest"), sqlparse.IntValue(int64(i))})
+	}
+	for i, a := range vals {
+		for j, b := range vals {
+			want := a.Compare(b)
+			if got, err := CompareKey(enc[i], b); err != nil || got != want {
+				t.Errorf("CompareKey(%.8s, %.8s) = %d (%v), want %d", a, b, got, err, want)
+			}
+			if got, err := CompareKeys(enc[i], enc[j]); err != nil || got != want {
+				t.Errorf("CompareKeys(%.8s, %.8s) = %d (%v), want %d", a, b, got, err, want)
+			}
+		}
+	}
+	long, probe := enc[len(enc)-1], vals[len(vals)-2]
+	if n := testing.AllocsPerRun(100, func() {
+		CompareKey(long, probe)
+		CompareKeys(long, enc[0])
+	}); n != 0 {
+		t.Errorf("comparing keys allocates %v times", n)
+	}
+	for _, bad := range [][]byte{nil, {0}, {0, 0}, {0, 1}, {0, 1, tagInt, 1, 2}, {0, 1, tagText, 0, 0}, {0, 1, tagText, 0, 0, 0, 9, 'x'}, {0, 1, 0x7f}} {
+		_, wantErr := DecodeKey(bad)
+		_, err := CompareKey(bad, vals[0])
+		_, err2 := CompareKeys(enc[0], bad)
+		_, err3 := CompareKeys(bad, enc[0])
+		if wantErr == nil || err == nil || err2 == nil || err3 == nil || err.Error() != wantErr.Error() {
+			t.Errorf("% x: CompareKey %v, CompareKeys %v / %v, DecodeKey %v", bad, err, err2, err3, wantErr)
+		}
+	}
+}
+
+// TestKeyOrderHintIsNotAPageByte: the order hint is one word beside the
+// page image and nothing that copies a page carries it — not the page
+// image, not the tablespace file, not a reload.
+func TestKeyOrderHintIsNotAPageByte(t *testing.T) {
+	if extra := unsafe.Sizeof(Page{}) - PageSize; extra > unsafe.Sizeof(uintptr(0)) {
+		t.Fatalf("Page carries %d bytes beside its image, want one word at most", extra)
+	}
+	ts := NewTablespace()
+	p := ts.Allocate(PageBTreeLeaf)
+	if _, err := p.InsertBytes(EncodeRecord(Record{sqlparse.IntValue(1)})); err != nil {
+		t.Fatal(err)
+	}
+	page, file := p.CloneBytes(), ts.Serialize()
+	p.SetKeyOrder(KeysOrdered)
+	if !bytes.Equal(p.CloneBytes(), page) || !bytes.Equal(ts.Serialize(), file) {
+		t.Fatal("setting the order hint changed a page byte")
+	}
+	loaded, err := LoadTablespace(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, err := loaded.Get(p.ID()); err != nil || q.KeyOrder() != KeyOrderUnknown {
+		t.Fatalf("a reloaded page's hint = %v (%v), want unknown", q.KeyOrder(), err)
+	}
+	p.Format(p.ID(), PageBTreeLeaf)
+	if p.KeyOrder() != KeyOrderUnknown {
+		t.Fatal("Format kept the order hint of the page it erased")
 	}
 }

@@ -261,7 +261,13 @@ func (l *Log) Serialize() []byte {
 // valid prefix and a report saying where and why the scan stopped. It
 // never panics on malformed input.
 func ParseLogReport(img []byte) ([]Record, storage.ParseReport) {
-	var out []Record
+	// Sized up front: grown by append, the result's regrowth — copying
+	// and clearing ever larger arrays, and the collections that forces
+	// — cost more than decoding a long redo log's records did. The
+	// frame count is read from unverified headers, so it is capped by
+	// what the image could hold of the smallest record there is.
+	const minFrame = storage.FrameHeaderSize + headerSize + 2
+	out := make([]Record, 0, min(storage.CountFrames(img), len(img)/minFrame))
 	rep := storage.WalkFrames(img, "record", func(payload []byte) (int, error) {
 		r, n, err := DecodeRecord(payload)
 		if err == nil && n == len(payload) {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -276,5 +277,61 @@ func TestGroupCommitConcurrentOrder(t *testing.T) {
 	}
 	if flushes == 0 || flushes > committed {
 		t.Errorf("flushes = %d, committed = %d", flushes, committed)
+	}
+}
+
+// parseLogImage is a redo image shaped like a write workload's: per
+// statement one row change (a one-column update image, a whole row or a
+// key) and its commit marker.
+func parseLogImage(records int) []byte {
+	recs := make([]Record, 0, records)
+	for i := 0; len(recs) < records; i++ {
+		txn := uint64(i + 1)
+		change := Record{LSN: uint64(i * 100), Txn: txn, Op: OpUpdate, Table: uint8(i % 4), Column: 2,
+			Image: storage.Record{sqlparse.IntValue(int64(i % 5000)), sqlparse.StrValue(strings.Repeat("v", 24))}}
+		switch i % 10 {
+		case 0, 1, 2:
+			change.Op, change.Column = OpInsert, WholeRow
+			change.Image = storage.Record{sqlparse.IntValue(int64(i)), sqlparse.StrValue(strings.Repeat("n", 16)), sqlparse.IntValue(int64(i)), sqlparse.StrValue(strings.Repeat("t", 40))}
+		case 3, 4:
+			change.Op, change.Column = OpDelete, WholeRow
+			change.Image = storage.Record{sqlparse.IntValue(int64(i % 5000))}
+		}
+		recs = append(recs, change, Record{LSN: uint64(i*100 + 50), Txn: txn, Op: OpCommit, Column: WholeRow, Image: storage.Record{}})
+	}
+	return storage.AppendFrames(nil, recs)
+}
+
+// BenchmarkParseLog prices the parse recovery starts with, on a small
+// image and on one the size of a long write window's redo log, alone
+// and beside a live heap the size of a recovered engine's (whose
+// collections the parser's allocations then pay for).
+func BenchmarkParseLog(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		records  int
+		liveHeap int // pointer-holding values kept reachable
+	}{
+		{"40k-records", 40_000, 0},
+		{"400k-records", 400_000, 0},
+		{"400k-records-beside-live-heap", 400_000, 2_000_000},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			img := parseLogImage(tc.records)
+			ballast := make([]storage.Record, tc.liveHeap)
+			for i := range ballast {
+				ballast[i] = storage.Record{sqlparse.IntValue(int64(i))}
+			}
+			b.SetBytes(int64(len(img)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				recs, err := ParseLog(img)
+				if err != nil || len(recs) != tc.records {
+					b.Fatalf("ParseLog = %d records, %v", len(recs), err)
+				}
+			}
+			runtime.KeepAlive(ballast)
+		})
 	}
 }

@@ -40,7 +40,7 @@ echo "== bench smoke =="
 # no longer compiles or errors at runtime. Timing is meaningless at
 # -benchtime 1x; performance is judged by snapbench (go run ./bench,
 # contract in BENCHMARK.json).
-go test -run '^$' -bench . -benchtime 1x ./internal/engine ./internal/engine/exec
+go test -run '^$' -bench . -benchtime 1x ./internal/btree ./internal/engine ./internal/engine/exec
 
 echo "== experiment transcript =="
 # The -quick transcript is an exact gate: cmd/experiments must print,
@@ -85,6 +85,15 @@ echo "== MVCC differential (-race) =="
 # purge running under real session concurrency, and partition workers
 # scanning under a live read view (TestParallelScanUnderMVCC).
 go test -race ./internal/engine -run 'TestDifferentialMVCCVsLocking|TestMVCC|TestParallelScanUnderMVCC|TestStreamingGhostMerge' -count=1
+
+echo "== in-page search (-race) =="
+# Every B+ tree descent bisects slot directories on the strength of an
+# in-memory order hint that readers sharing a table's read latch derive
+# lazily and concurrently. The race detector watches that derivation
+# next to a latched writer; the property tests hold every node lookup,
+# fetch trace and page byte to the frozen decode-and-sort reference.
+go test -race ./internal/btree -run 'TestLazyHintUnderConcurrentReaders' -count=10
+go test -race ./internal/btree -run 'TestNodeSearch' -count=1
 
 echo "== write path (-race) =="
 # The write path exists once — one DML driver, one row mutator under
