@@ -3,6 +3,7 @@ package btree
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"snapdb/internal/sqlparse"
 	"snapdb/internal/storage"
@@ -25,6 +26,13 @@ type Cursor struct {
 	bounded bool
 	lo, hi  sqlparse.Value
 	need    []bool
+
+	// How Next materializes a leaf (see Lend and Reject): lend recycles
+	// one value slab for the whole walk, textFree says need keeps no text
+	// field, preds are evaluated on the slot bytes before any decode.
+	lend, textFree bool
+	preds          []storage.Pred
+	slab           storage.Record
 
 	started, done bool
 	next          storage.PageID // leaf the following advance fetches
@@ -49,37 +57,126 @@ func (c *Cursor) Init(t *Tree, bounded bool, lo, hi sqlparse.Value, need []bool)
 	c.slots, c.rows = c.slotBuf[:0], c.rowBuf[:0]
 }
 
+// Lend makes the records Next returns a loan: every leaf is decoded
+// into one value slab the cursor recycles, so a record is good only
+// until the following Next. It is for callers that consume each record
+// — copy it, fold it, drop it — before they ask for more; a walk that
+// rejects most of what it reads then costs no allocation per leaf.
+// textFree promises that need keeps no text field, which spares Next
+// its sizing pass; text met anyway is still decoded, into a string slab
+// that then grows as it goes. Strings are never recycled: the string
+// slab stays a fresh allocation per leaf. Call Lend before the first
+// Next.
+func (c *Cursor) Lend(textFree bool) {
+	if RecycleMode(recycleMode.Load()) != RecycleNever {
+		c.lend, c.textFree = true, textFree
+	}
+}
+
+// Reject makes Next evaluate preds on each record's slot bytes
+// (storage.Match) and decode only the records that satisfy them all.
+// A rejected record still takes its place in what Next returns, as a
+// nil Record, and is still validated field by field: a leaf with a
+// corrupt record fails Next exactly as it does without Reject. Call it
+// before the first Next.
+func (c *Cursor) Reject(preds []storage.Pred) { c.preds = preds }
+
+// RecycleMode is a test seam over Lend. Borrowed records that a caller
+// wrongly keeps usually go on reading right for a while; the modes
+// below make such a bug show, and give the comparison its other arm.
+type RecycleMode int32
+
+const (
+	RecycleNormal RecycleMode = iota
+	// RecyclePoison overwrites everything a lending cursor handed out
+	// last time with a sentinel no table holds, before every Next.
+	RecyclePoison
+	// RecycleNever makes Lend a no-op: every cursor owns its records.
+	RecycleNever
+)
+
+var recycleMode atomic.Int32
+
+// SetRecycleMode switches the seam, for cursors initialised from now
+// on, and returns the mode it replaced. Only tests call it.
+func SetRecycleMode(m RecycleMode) RecycleMode {
+	return RecycleMode(recycleMode.Swap(int32(m)))
+}
+
+// Poison is what RecyclePoison leaves in place of a record's values.
+var Poison = sqlparse.StrValue("\x00recycled\x00")
+
 // Next fetches the walk's next leaf and returns its live in-bounds
 // records in key order — possibly none — with ok=false once the walk is
-// over. Fields outside need come back as zero Values. The records of
-// one leaf share one value slab and one string slab, freshly allocated
-// and never aliasing page bytes, so callers may retain them; the
-// returned slice itself is reused by the following call.
+// over. Fields outside need come back as zero Values, and a record
+// Reject's preds turn down comes back nil. The records of one leaf
+// share one value slab and one string slab that never alias page bytes.
+// Unless the cursor lends (see Lend) both are freshly allocated, so
+// callers may retain the records; the returned slice itself is reused
+// by the following call either way.
 func (c *Cursor) Next() ([]storage.Record, bool, error) {
+	if c.lend && RecycleMode(recycleMode.Load()) == RecyclePoison {
+		lent := c.slab[:cap(c.slab)]
+		for i := range lent {
+			lent[i] = Poison
+		}
+	}
 	leaf, err := c.advance()
 	if leaf == nil {
 		return nil, false, err
 	}
+	// First the verdicts, with every record validated; a surviving
+	// record's place holds a non-nil marker until the decode below.
 	fields, textBytes := 0, 0
-	for _, slot := range c.slots {
-		n, tb := storage.DecodedSize(leaf.SlotBytes(slot), c.need)
-		fields += n
-		textBytes += tb
-	}
-	slab := make(storage.Record, 0, fields)
-	var text strings.Builder
-	text.Grow(textBytes)
 	c.rows = c.rows[:0]
 	for _, slot := range c.slots {
+		b := leaf.SlotBytes(slot)
+		if c.preds != nil {
+			ok, err := storage.Match(b, c.preds)
+			if err != nil {
+				return nil, false, c.fail(leaf, slot, err)
+			}
+			if !ok {
+				c.rows = append(c.rows, nil)
+				continue
+			}
+		}
+		c.rows = append(c.rows, survivor)
+		if c.textFree {
+			fields += storage.FieldCount(b)
+		} else {
+			n, tb := storage.DecodedSize(b, c.need)
+			fields += n
+			textBytes += tb
+		}
+	}
+	slab := c.slab[:0]
+	if !c.lend || slab == nil || cap(slab) < fields {
+		// A lent slab grows to the fullest leaf met, in few steps. Never
+		// nil, so that no decoded record is: nil means rejected.
+		slab = make(storage.Record, 0, max(fields, 2*cap(slab)))
+	}
+	var text strings.Builder
+	text.Grow(textBytes)
+	for i, slot := range c.slots {
+		if c.rows[i] == nil {
+			continue
+		}
 		start := len(slab)
 		slab, _, err = storage.AppendDecoded(slab, leaf.SlotBytes(slot), c.need, &text)
 		if err != nil {
 			return nil, false, c.fail(leaf, slot, err)
 		}
-		c.rows = append(c.rows, slab[start:len(slab):len(slab)])
+		c.rows[i] = slab[start:len(slab):len(slab)]
+	}
+	if c.lend {
+		c.slab = slab
 	}
 	return c.rows, true, nil
 }
+
+// survivor marks, between Next's two passes, a record still to decode.
+var survivor = storage.Record{}
 
 // Fetches returns how many pages the walk has fetched through the
 // buffer pool so far. It is the cursor's own count, not a sample of the

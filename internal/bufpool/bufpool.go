@@ -17,7 +17,6 @@
 package bufpool
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -39,8 +38,12 @@ type Pool struct {
 	ts       *storage.Tablespace
 	capacity int
 
-	lru     *list.List // front = most recently used; values are storage.PageID
-	present map[storage.PageID]*list.Element
+	// The LRU order is a ring of frames through root, a sentinel:
+	// root.next is the most recently used page, root.prev the next to be
+	// evicted. A miss on a full pool retargets the frame it evicts, so a
+	// warm pool's Fetch allocates nothing.
+	root    frame
+	present map[storage.PageID]*frame
 	access  map[storage.PageID]uint64 // lifetime access counts (survive eviction)
 
 	hits, misses, evictions uint64
@@ -48,18 +51,36 @@ type Pool struct {
 	trace func(storage.PageID) // optional per-fetch observer; see SetTraceFunc
 }
 
+// frame is one cached page's place in the LRU order.
+type frame struct {
+	id         storage.PageID
+	prev, next *frame
+}
+
+// toFront links f, which must be unlinked, in as most recently used.
+func (p *Pool) toFront(f *frame) {
+	f.prev, f.next = &p.root, p.root.next
+	f.prev.next, f.next.prev = f, f
+}
+
+// unlink takes f out of the ring.
+func unlink(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+}
+
 // New creates a pool of the given page capacity over ts.
 func New(ts *storage.Tablespace, capacity int) (*Pool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("bufpool: capacity must be positive, got %d", capacity)
 	}
-	return &Pool{
+	p := &Pool{
 		ts:       ts,
 		capacity: capacity,
-		lru:      list.New(),
-		present:  make(map[storage.PageID]*list.Element),
+		present:  make(map[storage.PageID]*frame),
 		access:   make(map[storage.PageID]uint64),
-	}, nil
+	}
+	p.root.prev, p.root.next = &p.root, &p.root
+	return p, nil
 }
 
 // Fetch returns the page with the given id, recording the access in the
@@ -75,19 +96,25 @@ func (p *Pool) Fetch(id storage.PageID) (*storage.Page, error) {
 		p.trace(id)
 	}
 	p.access[id]++
-	if el, ok := p.present[id]; ok {
-		p.lru.MoveToFront(el)
+	if f, ok := p.present[id]; ok {
+		unlink(f)
+		p.toFront(f)
 		p.hits++
 		return page, nil
 	}
 	p.misses++
-	p.present[id] = p.lru.PushFront(id)
-	if p.lru.Len() > p.capacity {
-		back := p.lru.Back()
-		p.lru.Remove(back)
-		delete(p.present, back.Value.(storage.PageID))
+	var f *frame
+	if len(p.present) < p.capacity {
+		f = new(frame)
+	} else {
+		f = p.root.prev
+		unlink(f)
+		delete(p.present, f.id)
 		p.evictions++
 	}
+	f.id = id
+	p.toFront(f)
+	p.present[id] = f
 	return page, nil
 }
 
@@ -123,7 +150,7 @@ func (p *Pool) Contains(id storage.PageID) bool {
 func (p *Pool) Len() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.lru.Len()
+	return len(p.present)
 }
 
 // Stats reports cumulative hit/miss/eviction counts.
@@ -138,9 +165,9 @@ func (p *Pool) Stats() (hits, misses, evictions uint64) {
 func (p *Pool) LRUOrder() []storage.PageID {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	out := make([]storage.PageID, 0, p.lru.Len())
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(storage.PageID))
+	out := make([]storage.PageID, 0, len(p.present))
+	for f := p.root.next; f != &p.root; f = f.next {
+		out = append(out, f.id)
 	}
 	return out
 }

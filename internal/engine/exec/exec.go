@@ -18,6 +18,43 @@
 // forensic experiments measure. The engine's differential tests replay
 // randomized workloads through both executors and diff the fetch
 // traces byte for byte.
+//
+// # Row lifetime
+//
+// Who may keep a row is fixed when the plan is instantiated, from the
+// plan's shape alone, and nothing at run time revisits it:
+//
+//   - Aggregate folds each row, Project copies the columns it selects,
+//     TopN copies the rows it admits to its heap: they are done with an
+//     input row before they pull the next. Filter and Limit pass rows
+//     through untouched. A plan made only of these above the serial
+//     Scan borrows: the leaf Lends, and every leaf page of the walk is
+//     decoded into one slab that the next page overwrites.
+//   - Sort keeps its input rows until Close; the driver of a plan that
+//     ends at the scan subtree (the scan half of UPDATE and DELETE,
+//     whose rows become undo and redo images) keeps them longer. A
+//     blocking leaf — rev, or an index leaf under a KeyLookup — and a
+//     ParallelScan buffer theirs. Under all of these the leaf owns: a
+//     fresh slab per leaf page, as before. KeyLookup's own output is a
+//     record the tree search allocated, and MVCC substitutes and ghosts
+//     are the version store's rows; both outlive the statement.
+//
+// The second thing the serial leaf may do for the plan above it is
+// reject before decode (Filter.PushDown, Scan.Reject): evaluate the
+// Filter's residual conjuncts on a row's page bytes and decode the row
+// only if it passes. That is off whenever an MVCC view is armed — the
+// tree row is then not the row the statement sees, so it has to be
+// decoded and resolved before any predicate means anything — and the
+// Filter does all the work, as it does above every other leaf.
+//
+// Neither shows in the stage rows. A rejected row is counted as
+// returned by the leaf and examined by the Filter, the rows a lent
+// slab saved were never counted anywhere, and the page fetches are the
+// cursor's, which does not know what its caller decodes: each
+// operator's (examined, returned, fetches) triple is what it was when
+// every row was decoded and handed up. That is deliberate. The triples
+// are a surface — events_stages_history, EXPLAIN ANALYZE — and a
+// surface that told the two executions apart would be a new one.
 package exec
 
 import (
@@ -54,6 +91,12 @@ type FetchCounter func() uint64
 // and, for the scan leaf, completes the traversal, so its error counts.
 // Describe returns the precomputed one-line form EXPLAIN prints, and
 // Children returns the inputs in plan order.
+//
+// A row Next returns is the caller's to read until it calls Next or
+// Close again, and not to write. Whether it stays good after that is a
+// property of the plan, not of the operator (see "Row lifetime" in the
+// package comment): an operator that keeps input rows across calls may
+// only be instantiated over a leaf that owns its rows.
 type Operator interface {
 	Open() error
 	Next() (storage.Record, bool, error)

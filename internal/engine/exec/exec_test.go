@@ -10,11 +10,16 @@ import (
 
 // rowSource is a stub leaf feeding fixed rows to the operator under
 // test, tracking Open/Close so tests can assert the iterator contract.
+// With lend set it hands every row out in one buffer that the next
+// Next overwrites and Close wipes — the shortest loan the Operator
+// contract allows.
 type rowSource struct {
 	rows   []storage.Record
 	pos    int
 	opened bool
 	closed bool
+	lend   bool
+	loan   storage.Record
 }
 
 func (s *rowSource) Open() error { s.opened = true; return nil }
@@ -24,9 +29,19 @@ func (s *rowSource) Next() (storage.Record, bool, error) {
 	}
 	r := s.rows[s.pos]
 	s.pos++
+	if s.lend {
+		s.loan = append(s.loan[:0], r...)
+		r = s.loan
+	}
 	return r, true, nil
 }
-func (s *rowSource) Close() error         { s.closed = true; return nil }
+func (s *rowSource) Close() error {
+	s.closed = true
+	for i := range s.loan {
+		s.loan[i] = sqlparse.StrValue("stale loan")
+	}
+	return nil
+}
 func (s *rowSource) Describe() string     { return "stub source" }
 func (s *rowSource) Stats() Stats         { return Stats{} }
 func (s *rowSource) Children() []Operator { return nil }
@@ -185,5 +200,42 @@ func TestProjectEmitsFreshRecords(t *testing.T) {
 	out[0][0] = sqlparse.IntValue(42)
 	if base[2].Int != 9 {
 		t.Error("projected record aliases the scan buffer")
+	}
+}
+
+// Project carves its records from shared chunks: over a long, lent
+// input every record must still be its own — right after the loan is
+// gone, unreachable from its neighbours by append, unchanged when a
+// neighbour is written.
+func TestProjectRecordsAreDisjoint(t *testing.T) {
+	const n = 3*projectMaxChunk + 5
+	rows := make([]storage.Record, n)
+	for i := range rows {
+		rows[i] = storage.Record{sqlparse.IntValue(int64(i)), sqlparse.StrValue("x"), sqlparse.IntValue(int64(-i))}
+	}
+	p := new(Project)
+	p.Init(&rowSource{rows: rows, lend: true}, []int{2, 0}, "Project: c, a")
+	out := drainAll(t, p)
+	if len(out) != n {
+		t.Fatalf("projected %d rows, want %d", len(out), n)
+	}
+	for i := range out {
+		out[i] = append(out[i], sqlparse.IntValue(7))
+		out[i][0] = sqlparse.IntValue(int64(-i))
+	}
+	for i, r := range out {
+		if len(r) != 3 || r[0].Int != int64(-i) || r[1].Int != int64(i) || r[2].Int != 7 {
+			t.Fatalf("row %d = %v after writing its neighbours", i, r)
+		}
+	}
+	if got := testing.AllocsPerRun(3, func() {
+		p.Init(&rowSource{rows: rows}, []int{2, 0}, "")
+		for {
+			if _, ok, _ := p.Next(); !ok {
+				break
+			}
+		}
+	}); got > n/8 {
+		t.Errorf("%d projected rows cost %.0f allocations, want a few per %d-row chunk", n, got, projectMaxChunk)
 	}
 }

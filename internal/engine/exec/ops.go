@@ -9,20 +9,26 @@ import (
 )
 
 // Pred is one resolved conjunct of a WHERE clause: schema column index,
-// comparison operator, literal argument.
-type Pred struct {
-	Col int
-	Op  sqlparse.CompareOp
-	Arg sqlparse.Value
-}
+// comparison operator, literal argument. It is storage's type so that
+// a scan leaf can evaluate the same conjunct on a row's page bytes.
+type Pred = storage.Pred
 
 // Filter passes through the input rows satisfying every predicate. The
 // planner hands it the full predicate set — including the bounds the
 // access path below already enforces — matching the legacy scan loop,
 // which re-checked every conjunct per visited row.
+//
+// A Filter directly above a streaming clustered Scan may hand that
+// leaf its residual conjuncts (PushDown). The leaf then turns rows
+// down before decoding them, and this operator sees only rows that
+// pass — which it still checks against every predicate, so nothing
+// about the result rests on the hand-off. Its counters do not show it:
+// Stats counts the rows the leaf rejected on its behalf as examined
+// here, as the leaf counts them returned (see Scan.Reject).
 type Filter struct {
 	input Operator
 	preds []Pred
+	leaf  *Scan // the leaf rejecting for this Filter, if any
 	desc  string
 	stats Stats
 }
@@ -32,6 +38,14 @@ type Filter struct {
 // node separately.
 func (f *Filter) Init(input Operator, preds []Pred, desc string) {
 	*f = Filter{input: input, preds: preds, desc: desc}
+}
+
+// PushDown hands residual — the conjuncts of f's predicates that leaf's
+// bounds do not already enforce — to leaf, which must be f's input.
+// Call it before Open.
+func (f *Filter) PushDown(leaf *Scan, residual []Pred) {
+	f.leaf = leaf
+	leaf.Reject(residual)
 }
 
 // Open opens the input.
@@ -63,18 +77,35 @@ func (f *Filter) Next() (storage.Record, bool, error) {
 func (f *Filter) Close() error { return f.input.Close() }
 
 func (f *Filter) Describe() string     { return f.desc }
-func (f *Filter) Stats() Stats         { return f.stats }
 func (f *Filter) Children() []Operator { return []Operator{f.input} }
+
+// Stats counts in the rows the leaf below turned down for f.
+func (f *Filter) Stats() Stats {
+	st := f.stats
+	if f.leaf != nil {
+		st.RowsExamined += f.leaf.Rejected()
+	}
+	return st
+}
 
 // Project maps each input row onto the selected schema column indices,
 // emitting a fresh record (results may be retained by the query cache,
-// so projected rows never alias scan buffers).
+// so projected rows never alias scan buffers). The records are carved
+// from slabs of doubling size, projectMaxChunk rows at most: a one-row
+// result costs the one record it always did, a long one an allocation
+// per chunk instead of per row.
 type Project struct {
 	input Operator
 	cols  []int
 	desc  string
 	stats Stats
+
+	slab  storage.Record // the unused rest of the current chunk
+	chunk int            // rows in the current chunk
 }
+
+// projectMaxChunk bounds what a result that stops early leaves unused.
+const projectMaxChunk = 64
 
 // Init resets p in place (see Filter.Init).
 func (p *Project) Init(input Operator, cols []int, desc string) {
@@ -91,7 +122,13 @@ func (p *Project) Next() (storage.Record, bool, error) {
 		return nil, false, err
 	}
 	p.stats.RowsExamined++
-	out := make(storage.Record, len(p.cols))
+	w := len(p.cols)
+	if len(p.slab) < w {
+		p.chunk = min(max(1, 2*p.chunk), projectMaxChunk)
+		p.slab = make(storage.Record, w*p.chunk)
+	}
+	out := p.slab[:w:w]
+	p.slab = p.slab[w:]
 	for i, idx := range p.cols {
 		out[i] = r[idx]
 	}

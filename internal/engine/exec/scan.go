@@ -76,6 +76,13 @@ func examine(st *Stats, dl DeadlineCheck, ioWait time.Duration) error {
 // count depend on the access path alone, never on the plan above it
 // (see the package comment).
 //
+// How long an emitted row stays good is decided when the plan is built
+// (see Operator): a leaf that Lends hands out rows of the cursor's one
+// recycled slab, good until the following Next; any other hands out
+// rows the caller may keep. And a leaf given residual predicates
+// (Reject) has the cursor evaluate them on each row's page bytes and
+// decode only the rows that pass.
+//
 // Built blocking, the leaf instead runs the whole traversal inside
 // Open and emits from a buffer. Two callers need that: rev (ORDER BY
 // <pk> DESC), whose first row is the traversal's last — the tree's
@@ -91,6 +98,11 @@ type Scan struct {
 	head          storage.Record // resolved tree row waiting behind ghosts
 	held          bool
 	blocking, rev bool
+
+	// residual are the Filter's conjuncts this leaf evaluates for it,
+	// rejected how many rows they have turned down so far (see Reject).
+	residual []Pred
+	rejected int
 
 	// dl, when set, is consulted every deadlineCheckInterval examined
 	// rows. ioWait, when positive, models per-page-batch device latency:
@@ -118,12 +130,45 @@ func (s *Scan) Init(tree *btree.Tree, bounded bool, lo, hi sqlparse.Value, need 
 
 // Stats reports the cursor's own page-fetch count: the leaf never
 // samples the pool's shared counter, whose lock two concurrent scanners
-// would otherwise hand back and forth once per leaf page.
+// would otherwise hand back and forth once per leaf page. A row turned
+// down for the Filter above counts as returned: it is a row that
+// Filter would have been handed.
 func (s *Scan) Stats() Stats {
 	st := s.stats
 	st.PoolFetches = s.cur.Fetches()
+	st.RowsReturned += s.rejected
 	return st
 }
+
+// Lend makes every row this leaf emits a loan, good until the
+// following Next or Close (see btree.Cursor.Lend, and Operator for who
+// may ask for it). Call it before Open.
+func (s *Scan) Lend(textFree bool) { s.cur.Lend(textFree) }
+
+// Reject gives a streaming clustered leaf the conjuncts of the Filter
+// directly above it that its own bounds do not enforce. The cursor
+// evaluates them on each row's page bytes — validating the whole
+// record all the same, so a corrupt row fails the statement whether or
+// not it would have passed — and only rows that pass are decoded and
+// emitted. Every row is still examined one by one: counted,
+// deadline-checked, paced. The rows turned down are counted as this
+// leaf's returned rows and the Filter's examined rows, because that is
+// what they were before the hand-off existed, and every operator's
+// (examined, returned, fetches) triple is a surface the paper's
+// attacker reads: it must not tell the two executions apart.
+//
+// The hand-off is dropped at Open when an MVCC view is armed. A tree
+// row that fails a predicate may stand for a visible version that
+// passes it, so under a view the row must be decoded and resolved
+// first, and the Filter does all the work, as it always did. A blocking
+// leaf drops it too: a Limit above a reversed buffer stops the Filter
+// part-way, and which rejected rows it would have reached by then is
+// not something a count can say.
+func (s *Scan) Reject(residual []Pred) { s.residual = residual }
+
+// Rejected is how many rows this leaf has turned down before decoding
+// them: zero for good when the hand-off was dropped.
+func (s *Scan) Rejected() int { return s.rejected }
 
 // SetDeadlineCheck arms the statement-deadline check on this leaf. It
 // must be called before Open; a nil check (the default) disables it.
@@ -142,6 +187,9 @@ func (s *Scan) Open() error {
 		}
 	}
 	s.opened = true
+	if s.vis == nil && !s.blocking && len(s.residual) > 0 {
+		s.cur.Reject(s.residual)
+	}
 	if !s.blocking {
 		return nil
 	}
@@ -202,6 +250,10 @@ func (s *Scan) treeRow() (storage.Record, bool, error) {
 			s.bpos++
 			if err := s.examineOne(); err != nil {
 				return nil, false, err
+			}
+			if r == nil {
+				s.rejected++
+				continue
 			}
 			if vr, ok := s.resolveVisit(r); ok {
 				return vr, true, nil

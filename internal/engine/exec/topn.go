@@ -20,7 +20,10 @@ type topnEntry struct {
 // and the retained memory is O(n). Like Sort it runs below Project and
 // drains its input completely at Open, so the buffer-pool fetch
 // sequence is byte-identical to the Sort+Limit plan it replaces — only
-// the CPU/memory profile changes.
+// the CPU/memory profile changes. It copies each row it admits to the
+// heap, into the record of the row that admission evicts once the heap
+// is full, so its input may lend rows (see Operator) and it allocates n
+// records however many rows pass through.
 type TopN struct {
 	input Operator
 	col   int
@@ -111,9 +114,11 @@ func (t *TopN) Open() error {
 			continue
 		}
 		if len(t.heap) < t.n {
+			e.rec = r.Clone()
 			t.heap = append(t.heap, e)
 			t.siftUp(len(t.heap) - 1)
 		} else if t.precedes(e, t.heap[0]) {
+			e.rec = append(t.heap[0].rec[:0], r...)
 			t.heap[0] = e
 			t.siftDown(0)
 		}

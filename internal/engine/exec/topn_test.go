@@ -75,6 +75,21 @@ func TestTopNMatchesStableSortTruncate(t *testing.T) {
 	}
 }
 
+// TopN may sit over a leaf that lends its rows: what it keeps it must
+// have copied, also when an admission evicts a kept row.
+func TestTopNOverLentRows(t *testing.T) {
+	rows := keyedRows(5, 2, 9, 2, 7, 5, 1, 9, 2, 4, 0, 8, 3, 3, 6)
+	for _, desc := range []bool{false, true} {
+		for n := 0; n <= len(rows)+1; n++ {
+			op := new(TopN)
+			op.Init(&rowSource{rows: rows, lend: true}, 0, desc, n, "Top-N sort: k")
+			if got, want := drainAll(t, op), refTopN(rows, 0, desc, n); !recordsEqual(got, want) {
+				t.Errorf("desc=%v n=%d: got %v, want %v", desc, n, got, want)
+			}
+		}
+	}
+}
+
 // Even with n = 0, TopN must drain its input to exhaustion: the scan
 // leaves below have already fetched their pages, and the examined-rows
 // accounting must not depend on the limit.

@@ -79,7 +79,11 @@ type physicalPlan struct {
 	// zero. Nil means every column.
 	need []bool
 
-	preds       []exec.Pred
+	preds []exec.Pred
+	// residual are the preds a clustered path's bounds [lo, hi] do not
+	// already enforce: what the Filter may hand down to the leaf (see
+	// instantiate). A pk-range read with only bound predicates has none.
+	residual    []exec.Pred
 	whereErr    error // raised before the scan runs
 	deferredErr error // raised after the scan drains
 
@@ -203,6 +207,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 	n := t.rows.Load()
 	if lo, hi, ok := pkBounds(t, ls.where); ok {
 		pp.lo, pp.hi = lo, hi
+		pp.residual = residualPreds(ls.preds, t.PKIndex, lo, hi)
 		pp.path = "pk-range"
 		if lo.Equal(hi) {
 			pp.kind = accessPKPoint
@@ -248,6 +253,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 		}
 	}
 	pp.kind = accessFull
+	pp.residual = ls.preds
 	pp.path = "full-scan"
 	est := float64(n)
 	if est < 1 {
@@ -255,6 +261,24 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 	}
 	pp.setEst(est, float64(n)*costSeqRow)
 	pp.dScan = fmt.Sprintf("Table scan on %s (access=full-scan)", t.Name)
+}
+
+// residualPreds returns the conjuncts that some key in [lo, hi] could
+// fail. A comparison of the primary key other than != holds on the
+// whole interval if it holds at both ends, and every row a bounded
+// clustered scan reads has its key inside. Erring towards "residual"
+// is always safe: the Filter checks every predicate whatever the leaf
+// did with these.
+func residualPreds(preds []exec.Pred, pk int, lo, hi sqlparse.Value) []exec.Pred {
+	var out []exec.Pred
+	for _, p := range preds {
+		if p.Col == pk && p.Op != sqlparse.OpNe &&
+			p.Op.Eval(lo.Compare(p.Arg)) && p.Op.Eval(hi.Compare(p.Arg)) {
+			continue
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // orderFromAccess reports whether the chosen access path already
@@ -566,8 +590,37 @@ func (pp *physicalPlan) buildParallel(fc exec.FetchCounter) *exec.ParallelScan {
 	return par
 }
 
+// consumesEachRow reports whether everything above the leaf is done
+// with a row before it asks for the next — the condition of
+// exec.Operator's row-lifetime contract under which the serial leaf may
+// lend its rows. Aggregate folds each row, Project copies it, TopN
+// copies what it admits, Filter and Limit only pass rows along to
+// those. Sort keeps its input, and so does the driver of a plan that
+// ends at the scan subtree: a DML scan half, whose rows become log
+// images, or a plan with a deferred error.
+func (pp *physicalPlan) consumesEachRow() bool {
+	if pp.deferredErr != nil {
+		return false
+	}
+	return pp.agg || (pp.proj != nil && (pp.sortCol < 0 || pp.useTopN))
+}
+
+// needsText reports whether the column mask keeps a TEXT column.
+func (pp *physicalPlan) needsText() bool {
+	for i, c := range pp.table.Columns {
+		if c.Type != sqlparse.TypeInt && (pp.need == nil || pp.need[i]) {
+			return true
+		}
+	}
+	return false
+}
+
 // instantiate builds fresh operators from the template. fc (may be nil)
-// lets the scan leaves attribute buffer-pool fetches per operator.
+// lets the scan leaves attribute buffer-pool fetches per operator. It
+// is also where the row-lifetime contract (exec.Operator) is applied:
+// from the plan's shape alone it decides, once, whether the serial leaf
+// lends its rows and whether the Filter hands its residual conjuncts
+// down to it.
 func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 	t := pp.table
 	pi := &planInstance{}
@@ -578,11 +631,14 @@ func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 		// An index leaf reads {composite key, pk} entries — the mask
 		// describes clustered rows, which its KeyLookup fetches whole —
 		// and must finish before that lookup's first clustered search.
-		tree, need, blocking := t.Tree, pp.need, false
+		tree, need, blocking := t.Tree, pp.need, pp.scanRev
 		if pp.kind == accessIndex {
 			tree, need, blocking = pp.ix.Tree, nil, true
 		}
 		pi.scan.Init(tree, pp.kind != accessFull, pp.lo, pp.hi, need, blocking, pp.scanRev, pp.dScan)
+		if !blocking && pp.consumesEachRow() {
+			pi.scan.Lend(!pp.needsText())
+		}
 		leaf = &pi.scan
 	}
 	if pp.scanIOWait > 0 {
@@ -595,6 +651,9 @@ func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 	}
 	if len(pp.preds) > 0 {
 		pi.filter.Init(root, pp.preds, pp.dFilter)
+		if root == exec.Operator(&pi.scan) && len(pp.residual) > 0 {
+			pi.filter.PushDown(&pi.scan, pp.residual)
+		}
 		root = &pi.filter
 	}
 	// A plan with a deferred resolution error carries only its scan

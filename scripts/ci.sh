@@ -57,6 +57,7 @@ fuzz ./internal/binlog FuzzDecodeEvent
 fuzz ./internal/binlog FuzzParse
 fuzz ./internal/bufpool FuzzParseDump
 fuzz ./internal/bufpool FuzzDumpRoundTripBitflip
+fuzz ./internal/storage FuzzMatchVsDecode
 fuzz ./internal/sqlparse FuzzParseExplain
 fuzz ./internal/sqlparse FuzzParseSelect
 fuzz ./internal/server FuzzUnescape
@@ -94,6 +95,18 @@ echo "== in-page search (-race) =="
 # fetch trace and page byte to the frozen decode-and-sort reference.
 go test -race ./internal/btree -run 'TestLazyHintUnderConcurrentReaders' -count=10
 go test -race ./internal/btree -run 'TestNodeSearch' -count=1
+
+echo "== borrowed scan rows (-race) =="
+# A scan leaf under a plan that consumes row by row lends its rows from
+# one recycled slab, and evaluates the Filter's residual predicates on
+# page bytes before decoding. The poison differential runs the
+# randomized generators with every loan overwritten at the following
+# Next, against cursors that own their rows; the stage test holds every
+# operator's counters, EXPLAIN ANALYZE line and page fetch to the
+# row-at-a-time execution; the MVCC cases hold the hand-off to yielding
+# whenever a view differs from the tree.
+go test -race ./internal/engine -run 'TestBorrowedRowsSurvivePoison|TestStageTriplesMatchRowAtATime|TestRejectBeforeDecodeYieldsToMVCC' -count=1
+go test -race ./internal/btree -run 'TestCursorLendAndReject' -count=1
 
 echo "== write path (-race) =="
 # The write path exists once — one DML driver, one row mutator under
