@@ -1,9 +1,16 @@
 // Command forensic analyzes a stolen data directory — the files a
-// disk-theft attacker actually holds (written by `snapdb -dump <dir>`
-// or assembled from a real snapshot) — and prints everything §3 of the
-// paper says such a directory reveals: reconstructed write statements,
-// binlog text and timing, the LSN↔timestamp correlation, query-log
-// contents, and the buffer-pool access trace.
+// disk-theft attacker actually holds: any directory a `snapdbd
+// -datadir` was running on (killed, crashed or shut down) or that
+// `snapdb -dump` wrote — and prints everything §3 of the paper says
+// such a directory reveals — core.Analyze's report, then the whole
+// reconstructed write history, dated by the LSN↔timestamp correlation.
+// It only reads: torn log tails are reported and left where they are.
+//
+// A directory written under `snapdbd -encrypt` is read with the key in
+// SNAPDB_ENCRYPTION_KEY (the mode is worked out from the directory:
+// "<name>.iv" sidecars mean fresh-IV). Without the key the thief gets
+// what at-rest encryption never hides — file names and sizes — and
+// forensic says so and exits 1.
 //
 // Usage:
 //
@@ -13,93 +20,84 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
-	"snapdb/internal/bufpool"
 	"snapdb/internal/core"
-	"snapdb/internal/forensics"
+	"snapdb/internal/engine"
 	"snapdb/internal/snapshot"
+	"snapdb/internal/vfs"
 )
 
 func main() {
 	dir := flag.String("dir", "", "stolen data directory (required)")
-	limit := flag.Int("limit", 20, "max artifacts to print per channel")
+	limit := flag.Int("limit", 20, "max reconstructed writes to print")
 	flag.Parse()
 	if *dir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := realMain(*dir, *limit); err != nil {
+	if err := realMain(os.Stdout, *dir, *limit); err != nil {
 		fmt.Fprintln(os.Stderr, "forensic:", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(dir string, limit int) error {
-	snap, err := snapshot.ReadDir(dir)
+func realMain(out io.Writer, dir string, limit int) error {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	rep, err := core.Analyze(snap, nil)
+	freshIV := false
+	for _, ent := range entries {
+		freshIV = freshIV || strings.HasSuffix(ent.Name(), vfs.SidecarSuffix)
+	}
+	key, haveKey, err := vfs.EncryptionKeyFromEnv()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("forensic analysis of %s (disk-theft model)\n", dir)
-	fmt.Printf("tables in schema files: %d\n", len(snap.Disk.Catalog))
-	fmt.Printf("write statements reconstructed: %d (timestamped: %d)\n\n", rep.PastWrites, rep.TimedWrites)
-
-	// Reconstructed writes with timestamps, the §3 headline.
-	writes, err := forensics.ReconstructWrites(snap.Disk.RedoLog, snap.Disk.UndoLog, snap.Disk.Catalog)
-	if err != nil {
+	var fs vfs.FS
+	if fs, err = vfs.NewOSFS(dir); err != nil {
 		return err
 	}
-	if events, err := forensics.CorrelatableEvents(snap.Disk.Binlog); err == nil && len(events) >= 2 {
-		if corr, err := forensics.CorrelateBinlog(events); err == nil {
-			forensics.DateWrites(writes, corr)
-			fmt.Printf("binlog: %d events; correlation fitted over %d samples\n", len(events), corr.Samples())
+	if haveKey {
+		if fs, err = vfs.NewCryptFS(fs, key, !freshIV); err != nil {
+			return err
 		}
 	}
-	fmt.Println("reconstructed write history (oldest first):")
-	for i, w := range writes {
+	snap, err := snapshot.ReadDirFS(fs)
+	if err != nil && !haveKey {
+		// The keyless thief: E17's size channel is all there is.
+		fmt.Fprintf(out, "%s does not read as a plaintext data directory; what it gives away without a key:\n", dir)
+		for _, ent := range entries {
+			if info, ierr := ent.Info(); ierr == nil && !ent.IsDir() {
+				fmt.Fprintf(out, "  %-24s %d bytes\n", ent.Name(), info.Size())
+			}
+		}
+		return fmt.Errorf("%s looks encrypted at rest: set %s to read it (as plaintext: %v)", dir, vfs.EncryptionKeyEnv, err)
+	}
+	if err != nil {
+		return fmt.Errorf("%w (wrong %s?)", err, vfs.EncryptionKeyEnv)
+	}
+	rep, err := core.Analyze(snap)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "forensic analysis of %s: %d tables in the checkpoint's catalog\n", dir, len(snap.Disk.Catalog))
+	for _, name := range []string{engine.FileRedo, engine.FileUndo, engine.FileBinlog} {
+		if t, torn := snap.Disk.Truncated[name]; torn {
+			fmt.Fprintf(out, "%s: valid prefix ends at byte %d (%s); the tail is still in the file\n", name, t.TruncatedAt, t.Reason)
+		}
+	}
+	rep.Fprint(out)
+	fmt.Fprintln(out, "\nreconstructed write history (oldest first):")
+	for i, w := range rep.Writes {
 		if i >= limit {
-			fmt.Printf("  ... %d more\n", len(writes)-limit)
+			fmt.Fprintf(out, "  ... %d more\n", len(rep.Writes)-limit)
 			break
 		}
-		fmt.Printf("  lsn=%-8d t≈%-12d %s\n", w.LSN, w.Timestamp, w.SQL)
-	}
-
-	// Query logs.
-	for _, log := range []struct{ name, text string }{
-		{"slow log", snap.Disk.SlowLog},
-		{"general log", snap.Disk.GeneralLog},
-	} {
-		entries, err := forensics.ParseQueryLog(log.text)
-		if err != nil || len(entries) == 0 {
-			continue
-		}
-		fmt.Printf("\n%s: %d statements\n", log.name, len(entries))
-		for i, e := range entries {
-			if i >= limit {
-				fmt.Printf("  ... %d more\n", len(entries)-limit)
-				break
-			}
-			fmt.Printf("  t=%d session=%d %s\n", e.Timestamp, e.Session, e.Statement)
-		}
-	}
-
-	// Buffer pool trace.
-	if len(snap.Disk.BufferPoolDump) > 0 {
-		if ids, err := bufpool.ParseDump(snap.Disk.BufferPoolDump); err == nil && len(ids) > 0 {
-			fmt.Printf("\nbuffer-pool dump: %d pages in LRU order (most recent first):", len(ids))
-			for i, id := range ids {
-				if i >= limit {
-					fmt.Printf(" ...")
-					break
-				}
-				fmt.Printf(" %d", id)
-			}
-			fmt.Println()
-		}
+		fmt.Fprintf(out, "  lsn=%-8d t≈%-12d %s\n", w.LSN, w.Timestamp, w.SQL)
 	}
 	return nil
 }

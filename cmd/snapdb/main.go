@@ -25,13 +25,14 @@ import (
 	"snapdb/internal/mitigate"
 	"snapdb/internal/snapshot"
 	"snapdb/internal/sqlparse"
+	"snapdb/internal/vfs"
 )
 
 func main() {
 	attack := flag.String("attack", "full", "snapshot attack: disk, sqli, vm, or full")
 	edb := flag.String("edb", "cryptdb", "encrypted database layer: cryptdb, seabed, arx, or none")
 	harden := flag.Bool("harden", false, "apply the mitigate package's hardened configuration")
-	dump := flag.String("dump", "", "also write the stolen-disk files to this directory (analyze with cmd/forensic)")
+	dump := flag.String("dump", "", "also write the stolen disk to this directory, as the data directory a snapdbd would hold (analyze with cmd/forensic)")
 	flag.Parse()
 	if err := realMain(*attack, *edb, *harden, *dump); err != nil {
 		fmt.Fprintln(os.Stderr, "snapdb:", err)
@@ -93,33 +94,21 @@ func realMain(attackName, edbName string, harden bool, dumpDir string) error {
 	fmt.Printf("workload: %s encrypted database; attack: %s\n\n", edbName, attack)
 	snap := snapshot.Capture(e, attack)
 	if dumpDir != "" {
-		if err := snap.WriteDir(dumpDir); err != nil {
+		fs, err := vfs.NewOSFS(dumpDir)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("stolen-disk files written to %s (analyze with: go run ./cmd/forensic -dir %s)\n\n", dumpDir, dumpDir)
+		if err := snap.WriteDirFS(fs); err != nil {
+			return err
+		}
+		fmt.Printf("stolen-disk files written to %s (analyze with: go run ./cmd/forensic -dir %s; it is a data directory, so snapdbd -datadir %s boots it)\n\n", dumpDir, dumpDir, dumpDir)
 	}
-	rep, err := core.Analyze(snap, core.CatalogOf(e))
+	rep, err := core.Analyze(snap)
 	if err != nil {
 		return err
 	}
-	printReport(rep)
+	rep.Fprint(os.Stdout)
 	return nil
-}
-
-func printReport(rep *core.Report) {
-	fmt.Printf("=== leakage report: %s ===\n", rep.Attack)
-	fmt.Printf("past writes reconstructed: %d (timed: %d)\n", rep.PastWrites, rep.TimedWrites)
-	fmt.Printf("past reads recovered:      %d\n", rep.PastReads)
-	fmt.Printf("query-type histogram rows: %d\n", rep.DigestRows)
-	fmt.Printf("search tokens recovered:   %d\n", rep.TokensFound)
-	fmt.Printf("cached results exposed:    %d\n\n", rep.CachedResults)
-	for _, f := range rep.Findings {
-		fmt.Printf("[%s] %s (%s, %d artifacts)\n", f.Severity, f.Channel, f.PaperRef, f.Count)
-		fmt.Printf("    %s\n", f.Description)
-		for _, s := range f.Samples {
-			fmt.Printf("    | %s\n", s)
-		}
-	}
 }
 
 func cryptdbWorkload(e *engine.Engine, root prim.Key) error {

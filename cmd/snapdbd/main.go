@@ -52,7 +52,6 @@ package main
 
 import (
 	"context"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"log"
@@ -63,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"snapdb/internal/crypto/prim"
 	"snapdb/internal/engine"
 	"snapdb/internal/failpoint"
 	"snapdb/internal/mitigate"
@@ -102,9 +100,12 @@ func main() {
 		if *datadir == "" {
 			log.Fatal("snapdbd: -encrypt requires -datadir")
 		}
-		key, err := encryptionKeyFromEnv()
+		key, set, err := vfs.EncryptionKeyFromEnv()
 		if err != nil {
 			log.Fatalf("snapdbd: %v", err)
+		}
+		if !set {
+			log.Fatalf("snapdbd: -encrypt set but %s is empty", vfs.EncryptionKeyEnv)
 		}
 		cfg.EncryptAtRest = true
 		cfg.EncryptionKey = key
@@ -161,27 +162,6 @@ func main() {
 		fmt.Println("snapdbd: drained cleanly")
 	default: // Serve ended without a signal (Close elsewhere)
 	}
-}
-
-// encryptionKeyFromEnv parses SNAPDB_ENCRYPTION_KEY (64 hex chars =
-// 32 bytes). An env var keeps the key out of the process argv, which
-// any co-tenant can read — though as DESIGN.md notes, at-rest
-// encryption never defends against a live co-resident attacker anyway.
-func encryptionKeyFromEnv() (prim.Key, error) {
-	var key prim.Key
-	s := os.Getenv("SNAPDB_ENCRYPTION_KEY")
-	if s == "" {
-		return key, fmt.Errorf("-encrypt set but SNAPDB_ENCRYPTION_KEY is empty")
-	}
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return key, fmt.Errorf("SNAPDB_ENCRYPTION_KEY: %w", err)
-	}
-	if len(raw) != len(key) {
-		return key, fmt.Errorf("SNAPDB_ENCRYPTION_KEY: got %d bytes, want %d", len(raw), len(key))
-	}
-	copy(key[:], raw)
-	return key, nil
 }
 
 // wrapNetFaults arms SNAPDB_NETFAULTS against ln, if set.

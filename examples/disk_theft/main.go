@@ -79,17 +79,12 @@ func run() error {
 
 	// 2. The WAL independently reconstructs the same writes byte by
 	// byte — and keeps doing so long after the binlog is purged.
-	writes, err := forensics.ReconstructWrites(snap.Disk.RedoLog, snap.Disk.UndoLog, core.CatalogOf(e))
+	rep, err := core.Analyze(snap)
 	if err != nil {
 		return err
 	}
-	corr, err := forensics.CorrelateBinlog(events)
-	if err != nil {
-		return err
-	}
-	forensics.DateWrites(writes, corr)
-	fmt.Printf("\nWAL: %d writes reconstructed and dated via LSN correlation\n", len(writes))
-	for _, w := range writes {
+	fmt.Printf("\nWAL: %d writes reconstructed and dated via LSN correlation\n", len(rep.Writes))
+	for _, w := range rep.Writes {
 		fmt.Printf("  t≈%d  %.90s\n", w.Timestamp, w.SQL)
 	}
 

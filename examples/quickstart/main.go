@@ -43,7 +43,7 @@ func run() error {
 
 	// The paper's point, in three lines: a single static snapshot...
 	snap := snapshot.Capture(e, snapshot.FullCompromise)
-	report, err := core.Analyze(snap, core.CatalogOf(e))
+	report, err := core.Analyze(snap)
 	if err != nil {
 		return err
 	}

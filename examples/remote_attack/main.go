@@ -63,7 +63,7 @@ func run() error {
 	fmt.Printf("application executed %d statements over TCP\n\n", len(app))
 
 	// The attack: smash-and-grab on the server host.
-	rep, err := core.Analyze(snapshot.Capture(e, snapshot.FullCompromise), core.CatalogOf(e))
+	rep, err := core.Analyze(snapshot.Capture(e, snapshot.FullCompromise))
 	if err != nil {
 		return err
 	}

@@ -11,12 +11,11 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strconv"
 	"strings"
 	"time"
 
-	"snapdb/internal/server"
 	"snapdb/internal/sqlparse"
+	"snapdb/internal/wire"
 )
 
 // Result is one statement's outcome.
@@ -296,7 +295,7 @@ func (c *Conn) readReply() (*Result, error) {
 	switch {
 	case bytes.HasPrefix(line, []byte("ERR ")):
 		raw := string(line[4:])
-		msg, uerr := server.Unescape(raw)
+		msg, uerr := wire.Unescape(raw)
 		if uerr != nil {
 			msg = raw
 		}
@@ -343,7 +342,7 @@ func (c *Conn) readReply() (*Result, error) {
 				} else {
 					field, rest = rest, nil
 				}
-				v, err := decodeValue(field)
+				v, err := wire.DecodeValue(field)
 				if err != nil {
 					return nil, fmt.Errorf("client: row %d: %w", i, err)
 				}
@@ -358,26 +357,6 @@ func (c *Conn) readReply() (*Result, error) {
 	default:
 		return nil, fmt.Errorf("client: unexpected response %q", line)
 	}
-}
-
-// decodeValue parses one wire-format value (the byte-slice counterpart
-// of server.DecodeValue).
-func decodeValue(b []byte) (sqlparse.Value, error) {
-	if len(b) >= 2 && b[0] == 'i' && b[1] == ':' {
-		n, err := strconv.ParseInt(string(b[2:]), 10, 64)
-		if err != nil {
-			return sqlparse.Value{}, fmt.Errorf("client: bad int %q: %w", b, err)
-		}
-		return sqlparse.IntValue(n), nil
-	}
-	if len(b) >= 2 && b[0] == 's' && b[1] == ':' {
-		str, err := server.Unescape(string(b[2:]))
-		if err != nil {
-			return sqlparse.Value{}, err
-		}
-		return sqlparse.StrValue(str), nil
-	}
-	return sqlparse.Value{}, fmt.Errorf("client: bad value tag in %q", b)
 }
 
 // readLine returns the next reply line without its terminator. The

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"snapdb/internal/server"
+	"snapdb/internal/wire"
 )
 
 // Exactly-once retry: the client half (see internal/server/resume.go
@@ -360,7 +360,7 @@ func (c *Conn) resume(token string) error {
 		return nil
 	case strings.HasPrefix(line, "!err "):
 		msg := line[len("!err "):]
-		if m, uerr := server.Unescape(msg); uerr == nil {
+		if m, uerr := wire.Unescape(msg); uerr == nil {
 			msg = m
 		}
 		return fmt.Errorf("%w: %s", ErrSessionExpired, msg)

@@ -19,11 +19,11 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"regexp"
 	"sort"
 
 	"snapdb/internal/bufpool"
-	"snapdb/internal/engine"
 	"snapdb/internal/forensics"
 	"snapdb/internal/snapshot"
 )
@@ -71,6 +71,9 @@ const maxSamples = 5
 type Report struct {
 	Attack   snapshot.AttackType
 	Findings []Finding
+	// Writes is the write history reconstructed from the WAL, oldest
+	// first, dated wherever the binlog's LSN↔timestamp fit allows.
+	Writes []forensics.ReconstructedWrite
 
 	// Aggregates the experiments read off directly.
 	PastWrites     int // write statements reconstructed from the WAL
@@ -85,12 +88,8 @@ type Report struct {
 
 // Has reports whether the report contains a finding on channel.
 func (r *Report) Has(channel string) bool {
-	for _, f := range r.Findings {
-		if f.Channel == channel {
-			return true
-		}
-	}
-	return false
+	_, ok := r.Finding(channel)
+	return ok
 }
 
 // Finding returns the finding for a channel.
@@ -103,30 +102,37 @@ func (r *Report) Finding(channel string) (Finding, bool) {
 	return Finding{}, false
 }
 
-// CatalogOf extracts the forensic catalog (WAL table id → schema) from
-// an engine. A real attacker reads the same information out of the
-// stolen disk's schema files; snapshot.Capture records it for exactly
-// that reason.
-func CatalogOf(e *engine.Engine) forensics.Catalog { return snapshot.CatalogOf(e) }
+// Fprint writes the report as cmd/snapdb and cmd/forensic show it.
+func (r *Report) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "=== leakage report: %s ===\n", r.Attack)
+	fmt.Fprintf(w, "past writes reconstructed: %d (timed: %d)\n", r.PastWrites, r.TimedWrites)
+	fmt.Fprintf(w, "past reads recovered:      %d\n", r.PastReads)
+	fmt.Fprintf(w, "query-type histogram rows: %d\n", r.DigestRows)
+	fmt.Fprintf(w, "search tokens recovered:   %d\n", r.TokensFound)
+	fmt.Fprintf(w, "cached results exposed:    %d\n\n", r.CachedResults)
+	for _, f := range r.Findings {
+		fmt.Fprintf(w, "[%s] %s (%s, %d artifacts)\n", f.Severity, f.Channel, f.PaperRef, f.Count)
+		fmt.Fprintf(w, "    %s\n", f.Description)
+		for _, s := range f.Samples {
+			fmt.Fprintf(w, "    | %s\n", s)
+		}
+	}
+}
 
 // tokenPattern matches the hex search tokens embedded in rewritten
 // search statements (cryptdbx.Search's UDF form).
 var tokenPattern = regexp.MustCompile(`search_match\([A-Za-z0-9_]+, '([0-9a-f]{64})'\)`)
 
-// Analyze inventories a snapshot. cat may be nil when no WAL
-// reconstruction is wanted (reconstruction then falls back to generic
-// column names).
-func Analyze(snap *snapshot.Snapshot, cat forensics.Catalog) (*Report, error) {
+// Analyze inventories a snapshot. WAL reconstruction names tables and
+// columns from the catalog that travels with the stolen disk
+// (snap.Disk.Catalog), and falls back to generic names without one.
+func Analyze(snap *snapshot.Snapshot) (*Report, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
 	}
 	r := &Report{Attack: snap.Attack}
-	if cat == nil && snap.Disk != nil {
-		// The schema files travel with the stolen disk.
-		cat = snap.Disk.Catalog
-	}
 	if snap.Disk != nil {
-		if err := analyzeDisk(r, snap.Disk, cat); err != nil {
+		if err := analyzeDisk(r, snap.Disk); err != nil {
 			return nil, err
 		}
 	}
@@ -152,9 +158,9 @@ func sampled(all []string) []string {
 	return out
 }
 
-func analyzeDisk(r *Report, d *snapshot.DiskState, cat forensics.Catalog) error {
+func analyzeDisk(r *Report, d *snapshot.DiskState) error {
 	// §3: reconstruct writes from the WAL.
-	writes, err := forensics.ReconstructWrites(d.RedoLog, d.UndoLog, cat)
+	writes, err := forensics.ReconstructWrites(d.RedoLog, d.UndoLog, d.Catalog)
 	if err != nil {
 		return fmt.Errorf("core: wal reconstruction: %w", err)
 	}
@@ -163,7 +169,7 @@ func analyzeDisk(r *Report, d *snapshot.DiskState, cat forensics.Catalog) error 
 		for _, w := range writes {
 			samples = append(samples, w.SQL)
 		}
-		r.PastWrites += len(writes)
+		r.Writes, r.PastWrites = writes, len(writes)
 		r.Findings = append(r.Findings, Finding{
 			Channel:     "wal",
 			PaperRef:    "§3 inferring writes",
@@ -221,12 +227,10 @@ func analyzeDisk(r *Report, d *snapshot.DiskState, cat forensics.Catalog) error 
 			continue
 		}
 		var samples []string
-		reads := 0
 		for _, e := range entries {
 			samples = append(samples, e.Statement)
-			reads++
 		}
-		r.PastReads += reads
+		r.PastReads += len(entries)
 		r.Findings = append(r.Findings, Finding{
 			Channel:     log.name,
 			PaperRef:    "§3 inferring reads",

@@ -20,7 +20,7 @@ func TestAnalyzeCorruptWAL(t *testing.T) {
 	snap := corruptedSnapshot(t, func(d *snapshot.DiskState) {
 		d.RedoLog = []byte{0xDE, 0xAD} // unparseable from byte 0
 	})
-	if _, err := Analyze(snap, nil); err == nil {
+	if _, err := Analyze(snap); err == nil {
 		t.Error("fully corrupt WAL accepted")
 	}
 }
@@ -29,7 +29,7 @@ func TestAnalyzeTornWALTailTolerated(t *testing.T) {
 	snap := corruptedSnapshot(t, func(d *snapshot.DiskState) {
 		d.RedoLog = d.RedoLog[:len(d.RedoLog)-3] // torn final record
 	})
-	rep, err := Analyze(snap, nil)
+	rep, err := Analyze(snap)
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestAnalyzeCorruptBinlog(t *testing.T) {
 	snap := corruptedSnapshot(t, func(d *snapshot.DiskState) {
 		d.Binlog = d.Binlog[:10] // truncated header
 	})
-	if _, err := Analyze(snap, nil); err == nil {
+	if _, err := Analyze(snap); err == nil {
 		t.Error("corrupt binlog accepted")
 	}
 }
@@ -51,7 +51,7 @@ func TestAnalyzeCorruptBufferPoolDump(t *testing.T) {
 	snap := corruptedSnapshot(t, func(d *snapshot.DiskState) {
 		d.BufferPoolDump = []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	})
-	if _, err := Analyze(snap, nil); err == nil {
+	if _, err := Analyze(snap); err == nil {
 		t.Error("corrupt buffer pool dump accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestAnalyzeCorruptQueryLog(t *testing.T) {
 	snap := corruptedSnapshot(t, func(d *snapshot.DiskState) {
 		d.SlowLog = "not a log line at all\n"
 	})
-	if _, err := Analyze(snap, nil); err == nil {
+	if _, err := Analyze(snap); err == nil {
 		t.Error("corrupt slow log accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestAnalyzeEmptyEngineSnapshot(t *testing.T) {
 	})
 	snap.Diagnostics = nil
 	snap.Memory = nil
-	rep, err := Analyze(snap, nil)
+	rep, err := Analyze(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +84,10 @@ func TestAnalyzeEmptyEngineSnapshot(t *testing.T) {
 }
 
 func TestAnalyzeNilCatalogUsesDiskSchemaFiles(t *testing.T) {
-	// The schema files travel with the stolen disk, so a nil catalog
-	// argument still reconstructs with real table and column names.
+	// The catalog travels with the stolen disk, inside the checkpoint:
+	// reconstruction names real tables and columns.
 	e := workloadEngine(t)
-	rep, err := Analyze(snapshot.Capture(e, snapshot.DiskTheft), nil)
+	rep, err := Analyze(snapshot.Capture(e, snapshot.DiskTheft))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAnalyzeMissingSchemaFilesFallsBackToGenericNames(t *testing.T) {
 	snap := corruptedSnapshot(t, func(d *snapshot.DiskState) {
 		d.Catalog = nil // schema files destroyed/absent
 	})
-	rep, err := Analyze(snap, nil)
+	rep, err := Analyze(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

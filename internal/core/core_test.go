@@ -38,14 +38,14 @@ func workloadEngine(t testing.TB) *engine.Engine {
 }
 
 func TestAnalyzeNil(t *testing.T) {
-	if _, err := Analyze(nil, nil); err == nil {
+	if _, err := Analyze(nil); err == nil {
 		t.Error("nil snapshot accepted")
 	}
 }
 
 func TestAnalyzeDiskTheft(t *testing.T) {
 	e := workloadEngine(t)
-	rep, err := Analyze(snapshot.Capture(e, snapshot.DiskTheft), CatalogOf(e))
+	rep, err := Analyze(snapshot.Capture(e, snapshot.DiskTheft))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAnalyzeDiskTheft(t *testing.T) {
 
 func TestAnalyzeSQLInjection(t *testing.T) {
 	e := workloadEngine(t)
-	rep, err := Analyze(snapshot.Capture(e, snapshot.SQLInjection), CatalogOf(e))
+	rep, err := Analyze(snapshot.Capture(e, snapshot.SQLInjection))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAnalyzeSQLInjection(t *testing.T) {
 
 func TestAnalyzeFullCompromise(t *testing.T) {
 	e := workloadEngine(t)
-	rep, err := Analyze(snapshot.Capture(e, snapshot.FullCompromise), CatalogOf(e))
+	rep, err := Analyze(snapshot.Capture(e, snapshot.FullCompromise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAnalyzeFullCompromise(t *testing.T) {
 
 func TestFindingsSortedBySeverity(t *testing.T) {
 	e := workloadEngine(t)
-	rep, err := Analyze(snapshot.Capture(e, snapshot.FullCompromise), CatalogOf(e))
+	rep, err := Analyze(snapshot.Capture(e, snapshot.FullCompromise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTokenRecoveryFromEDBWorkload(t *testing.T) {
 	if _, err := proxy.Search("mail", "body", "merger"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(snapshot.Capture(e, snapshot.VMSnapshotLeak), CatalogOf(e))
+	rep, err := Analyze(snapshot.Capture(e, snapshot.VMSnapshotLeak))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestGeneralLogChannelWhenEnabled(t *testing.T) {
 	if _, err := s.Execute("SELECT * FROM t"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(snapshot.Capture(e, snapshot.DiskTheft), CatalogOf(e))
+	rep, err := Analyze(snapshot.Capture(e, snapshot.DiskTheft))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,6 +90,11 @@ func mvccDiffWorkload(rng *rand.Rand) []string {
 	return w
 }
 
+// TestDifferentialMVCCVsLocking: on conflict-free workloads snapshot
+// reads and stripe locking must be byte-identical on every surface,
+// fetch trace included. It earns its keep under -race (scripts/ci.sh's
+// race run), where the detector watches the version store, read views
+// and inline purge under real session concurrency.
 func TestDifferentialMVCCVsLocking(t *testing.T) {
 	workload := mvccDiffWorkload(rand.New(rand.NewSource(0xBEEF)))
 	cfg := Defaults()

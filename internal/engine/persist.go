@@ -16,9 +16,9 @@ import (
 	"snapdb/internal/wal"
 )
 
-// On-disk file names in a durable engine's data directory. The snapshot
-// package aliases the log and dump names, so the forensic tooling reads
-// a live data directory and a disk snapshot the same way.
+// On-disk file names in a durable engine's data directory. A disk
+// snapshot (internal/snapshot) is such a directory, under these names:
+// the forensic tooling reads a daemon's directory and a dump alike.
 const (
 	FileCheckpoint = "checkpoint.snapdb"
 	FileRedo       = "ib_logfile_redo"
@@ -168,9 +168,35 @@ func (p *persistor) writeDump(dump []byte) error {
 	return vfs.WriteFileAtomic(p.fs, FileBufferPool, dump)
 }
 
-// ckptIndex, ckptTable and ckptMeta are the checkpoint's catalog
-// section: everything needed to reopen the B+ trees inside the
-// checkpointed tablespace image.
+// CheckpointMeta is the checkpoint's catalog section: everything
+// needed to reopen the B+ trees inside the checkpointed tablespace
+// image. It lies on disk as plaintext JSON, which is why forensic
+// reconstruction never lacks table and column names.
+type CheckpointMeta struct {
+	LSN         uint64
+	Txn         uint64
+	NextTableID uint8
+	Tables      []CheckpointTable
+
+	// Versions carries the MVCC version store through the checkpoint —
+	// deliberately, and measurably (E16): the checkpoint truncates the
+	// WAL files, closing the redo/undo forensic window, but the old row
+	// versions it serializes here keep every not-yet-purged pre-image
+	// (including deleted rows) recoverable from the checkpoint file.
+	Versions *ckptVersions `json:",omitempty"`
+}
+
+// CheckpointTable is one table's catalog entry in a checkpoint.
+type CheckpointTable struct {
+	ID      uint8
+	Name    string
+	Columns []sqlparse.ColumnDef
+	PK      int
+	Root    storage.PageID
+	Indexes []ckptIndex
+	Stats   *ckptStats `json:",omitempty"`
+}
+
 type ckptIndex struct {
 	Name   string
 	Column string
@@ -188,39 +214,13 @@ type ckptStats struct {
 	Cols       map[int]colStats
 }
 
-type ckptTable struct {
-	ID      uint8
-	Name    string
-	Columns []sqlparse.ColumnDef
-	PK      int
-	Root    storage.PageID
-	Indexes []ckptIndex
-	Stats   *ckptStats `json:",omitempty"`
-}
-
-type ckptMeta struct {
-	LSN         uint64
-	Txn         uint64
-	NextTableID uint8
-	Tables      []ckptTable
-
-	// Versions carries the MVCC version store through the checkpoint —
-	// deliberately, and measurably (E16): the checkpoint truncates the
-	// WAL files, closing the redo/undo forensic window, but the old row
-	// versions it serializes here keep every not-yet-purged pre-image
-	// (including deleted rows) recoverable from the checkpoint file.
-	Versions *ckptVersions `json:",omitempty"`
-}
-
-// writeCheckpoint persists a quiesced engine image — catalog metadata
-// and the full tablespace — as one crash-atomic file, then truncates
-// the redo and undo files whose records the image supersedes. A crash
-// between the two steps is safe: recovery skips WAL records at or
-// below the checkpoint LSN.
-func (p *persistor) writeCheckpoint(meta ckptMeta, tsImage []byte) error {
+// EncodeCheckpoint renders the bytes of FileCheckpoint — the catalog
+// metadata and the tablespace image, one CRC32-C frame each — for the
+// persistor and for a snapshot materializing a stolen disk.
+func EncodeCheckpoint(meta CheckpointMeta, tsImage []byte) ([]byte, error) {
 	metaBuf, err := json.Marshal(meta)
 	if err != nil {
-		return fmt.Errorf("engine: checkpoint meta: %w", err)
+		return nil, fmt.Errorf("engine: checkpoint meta: %w", err)
 	}
 	// Pad the meta frame (trailing spaces — valid JSON whitespace) so
 	// the tablespace pages inside tsImage land on storage.PageSize file
@@ -232,9 +232,42 @@ func (p *persistor) writeCheckpoint(meta ckptMeta, tsImage []byte) error {
 	if over := (2*storage.FrameHeaderSize + len(metaBuf) + 8) % storage.PageSize; over != 0 {
 		metaBuf = append(metaBuf, bytes.Repeat([]byte{' '}, storage.PageSize-over)...)
 	}
-	buf := storage.AppendFrame(nil, metaBuf)
-	buf = storage.AppendFrame(buf, tsImage)
-	if err := vfs.WriteFileAtomic(p.fs, FileCheckpoint, buf); err != nil {
+	return storage.AppendFrame(storage.AppendFrame(nil, metaBuf), tsImage), nil
+}
+
+// DecodeCheckpoint is EncodeCheckpoint's inverse, for Recover and for
+// the snapshot package's passive disk reader. The bytes may come from a
+// stolen or hand-assembled directory: anything malformed is an error —
+// never a panic, never a half-loaded catalog — and the returned
+// tablespace image (aliasing img) declares the pages it holds.
+func DecodeCheckpoint(img []byte) (CheckpointMeta, []byte, error) {
+	metaBuf, n, err := storage.ReadFrame(img)
+	if err != nil {
+		return CheckpointMeta{}, nil, fmt.Errorf("engine: checkpoint meta frame: %w", err)
+	}
+	tsImage, n2, err := storage.ReadFrame(img[n:])
+	if err != nil {
+		return CheckpointMeta{}, nil, fmt.Errorf("engine: checkpoint tablespace frame: %w", err)
+	}
+	if n+n2 != len(img) {
+		return CheckpointMeta{}, nil, fmt.Errorf("engine: checkpoint has %d trailing bytes", len(img)-n-n2)
+	}
+	var meta CheckpointMeta
+	if err := json.Unmarshal(metaBuf, &meta); err != nil {
+		return CheckpointMeta{}, nil, fmt.Errorf("engine: checkpoint meta: %w", err)
+	}
+	if _, err := storage.TablespacePages(tsImage); err != nil {
+		return CheckpointMeta{}, nil, fmt.Errorf("engine: checkpoint tablespace: %w", err)
+	}
+	return meta, tsImage, nil
+}
+
+// writeCheckpoint persists a quiesced engine image as one crash-atomic
+// file, then truncates the redo and undo files whose records the image
+// supersedes. A crash between the two steps is safe: recovery skips
+// WAL records at or below the checkpoint LSN.
+func (p *persistor) writeCheckpoint(img []byte) error {
+	if err := vfs.WriteFileAtomic(p.fs, FileCheckpoint, img); err != nil {
 		return fmt.Errorf("engine: checkpoint write: %w", err)
 	}
 	p.mu.Lock()
@@ -245,50 +278,19 @@ func (p *persistor) writeCheckpoint(meta ckptMeta, tsImage []byte) error {
 	return p.undo.truncateTo(0)
 }
 
-// readCheckpoint loads and validates the checkpoint file. Missing file:
-// (zero meta, nil image, false, nil). Corrupt file: error — never a
-// panic, and never a silently half-loaded catalog.
-func readCheckpoint(fs vfs.FS) (ckptMeta, []byte, bool, error) {
-	var meta ckptMeta
-	img, err := fs.ReadFile(FileCheckpoint)
-	if errors.Is(err, os.ErrNotExist) {
-		return meta, nil, false, nil
-	}
-	if err != nil {
-		return meta, nil, false, fmt.Errorf("engine: read checkpoint: %w", err)
-	}
-	metaBuf, n, err := storage.ReadFrame(img)
-	if err != nil {
-		return meta, nil, false, fmt.Errorf("engine: checkpoint meta frame: %w", err)
-	}
-	tsImage, n2, err := storage.ReadFrame(img[n:])
-	if err != nil {
-		return meta, nil, false, fmt.Errorf("engine: checkpoint tablespace frame: %w", err)
-	}
-	if n+n2 != len(img) {
-		return meta, nil, false, fmt.Errorf("engine: checkpoint has %d trailing bytes", len(img)-n-n2)
-	}
-	if err := json.Unmarshal(metaBuf, &meta); err != nil {
-		return meta, nil, false, fmt.Errorf("engine: checkpoint meta: %w", err)
-	}
-	return meta, tsImage, true, nil
-}
-
-// checkpointLocked writes a checkpoint of the current engine state.
-// Callers must hold all table locks (the engine must be quiesced) and
-// have verified no transactions are open.
-func (e *Engine) checkpointLocked() error {
-	if e.persist == nil {
-		return nil
-	}
+// CheckpointImage returns the bytes FileCheckpoint would hold if the
+// engine checkpointed its current state. Checkpoint calls it with the
+// engine quiesced; a snapshot attacker copying a live system does not
+// quiesce anything, and neither does this.
+func (e *Engine) CheckpointImage() ([]byte, error) {
 	e.mu.Lock()
-	meta := ckptMeta{
+	meta := CheckpointMeta{
 		LSN:         e.wal.CurrentLSN(),
 		Txn:         e.wal.TxnSeq(),
 		NextTableID: e.nextTableID,
 	}
 	for _, t := range e.tables {
-		ct := ckptTable{
+		ct := CheckpointTable{
 			ID:      t.ID,
 			Name:    t.Name,
 			Columns: t.Columns,
@@ -315,7 +317,21 @@ func (e *Engine) checkpointLocked() error {
 	}
 	tsImage := e.ts.Serialize()
 	e.mu.Unlock()
-	if err := e.persist.writeCheckpoint(meta, tsImage); err != nil {
+	return EncodeCheckpoint(meta, tsImage)
+}
+
+// checkpointLocked writes a checkpoint of the current engine state.
+// Callers must hold all table locks (the engine must be quiesced) and
+// have verified no transactions are open.
+func (e *Engine) checkpointLocked() error {
+	if e.persist == nil {
+		return nil
+	}
+	img, err := e.CheckpointImage()
+	if err != nil {
+		return err
+	}
+	if err := e.persist.writeCheckpoint(img); err != nil {
 		return err
 	}
 	// The in-memory circular logs mirror the (now empty) disk logs.

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"sort"
 
 	"snapdb/internal/binlog"
@@ -86,11 +88,17 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 	}
 	rep := &RecoveryReport{}
 
-	meta, tsImage, found, err := readCheckpoint(fs)
-	if err != nil {
-		return nil, rep, err
+	var meta CheckpointMeta
+	img, err := fs.ReadFile(FileCheckpoint)
+	found := err == nil
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, rep, fmt.Errorf("engine: read checkpoint: %w", err)
 	}
 	if found {
+		var tsImage []byte
+		if meta, tsImage, err = DecodeCheckpoint(img); err != nil {
+			return nil, rep, err
+		}
 		rep.CheckpointFound = true
 		rep.CheckpointLSN = meta.LSN
 		if err := e.loadCheckpoint(meta, tsImage); err != nil {
@@ -224,7 +232,7 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 
 // loadCheckpoint replaces the engine's fresh state with the checkpoint
 // image: tablespace, buffer pool, catalog, reopened B+ trees.
-func (e *Engine) loadCheckpoint(meta ckptMeta, tsImage []byte) error {
+func (e *Engine) loadCheckpoint(meta CheckpointMeta, tsImage []byte) error {
 	ts, err := storage.LoadTablespace(tsImage)
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint tablespace: %w", err)

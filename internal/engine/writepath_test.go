@@ -177,6 +177,12 @@ func roundTripTxn(rng *rand.Rand, nextID *int) []string {
 	return w
 }
 
+// The write path exists once — one DML driver, one row mutator under
+// forward/undo/redo, one commit queue under WAL and binlog — so
+// TestWritePathRoundTrip, TestStatementAtomicity and commitq's tests
+// are what hold all of its callers to each other; scripts/ci.sh runs
+// them under -race.
+//
 // TestWritePathRoundTrip checks the three callers of the row mutators
 // against each other on one randomized transaction: forward ∘ undo is
 // the identity (ROLLBACK restores the pre-BEGIN state; so does recovery

@@ -7,6 +7,7 @@ import (
 	"snapdb/internal/engine"
 	"snapdb/internal/failpoint"
 	"snapdb/internal/forensics"
+	"snapdb/internal/snapshot"
 	"snapdb/internal/vfs"
 	"snapdb/internal/wal"
 )
@@ -158,29 +159,21 @@ func e13Run(fs vfs.FS, stmts []string) (acked int, err error) {
 }
 
 // e13Analyze plays the forensic analyst over a (possibly crashed,
-// possibly recovered) data directory in fs: parse the redo/undo valid
-// prefixes, reconstruct write statements, and count the ones belonging
-// to transactions with no commit marker. Returns that count and
-// whether the secret literal was among the reconstructed bytes.
+// possibly recovered) data directory in fs: read it as the thief does,
+// reconstruct write statements from the logs' valid prefixes, and count
+// the ones belonging to transactions with no commit marker. Returns that
+// count and whether the secret was among the reconstructed bytes.
 func e13Analyze(fs vfs.FS) (uncommitted int, secretSeen bool) {
-	read := func(name string) []byte {
-		b, err := fs.ReadFile(name)
-		if err != nil {
-			return nil
-		}
-		return b
-	}
-	redoImg := read(engine.FileRedo)
-	undoImg := read(engine.FileUndo)
-	// The analyst tolerates torn tails: ReconstructWrites parses the
-	// valid prefix (wal.ParseLog semantics).
-	writes, err := forensics.ReconstructWrites(redoImg, undoImg, forensics.Catalog{
-		1: {Name: "transfers", Columns: []string{"id", "memo", "cents"}},
-	})
+	snap, err := snapshot.ReadDirFS(fs)
 	if err != nil {
 		return 0, false
 	}
-	committed := e13CommittedTxns(redoImg)
+	d := snap.Disk
+	writes, err := forensics.ReconstructWrites(d.RedoLog, d.UndoLog, d.Catalog)
+	if err != nil {
+		return 0, false
+	}
+	committed := e13CommittedTxns(d.RedoLog)
 	for _, w := range writes {
 		if w.Txn != 0 && !committed[w.Txn] {
 			uncommitted++

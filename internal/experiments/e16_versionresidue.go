@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync/atomic"
 
 	"snapdb/internal/engine"
+	"snapdb/internal/snapshot"
 	"snapdb/internal/vfs"
 	"snapdb/internal/workload"
 )
@@ -157,11 +159,15 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive bool)
 	// The E13 analyst's surface: the secret pre-images sit in the WAL
 	// (the deleted rows' undo records) until the checkpoint truncates
 	// both logs — after which the version chains are the only copy.
-	arm.WALHadSecret = e16WALSecret(mem)
+	if arm.WALHadSecret, err = e16WALSecret(mem); err != nil {
+		return arm, err
+	}
 	if err := e.Checkpoint(); err != nil {
 		return arm, err
 	}
-	arm.WALHasSecret = e16WALSecret(mem)
+	if arm.WALHasSecret, err = e16WALSecret(mem); err != nil {
+		return arm, err
+	}
 
 	mem.Crash()
 	r, _, err := engine.Recover(mem, cfg)
@@ -188,14 +194,14 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive bool)
 }
 
 // e16WALSecret reports whether the secret literal is readable anywhere
-// in the on-disk redo or undo log images.
-func e16WALSecret(fs vfs.FS) bool {
-	for _, name := range []string{engine.FileRedo, engine.FileUndo} {
-		if b, err := fs.ReadFile(name); err == nil && strings.Contains(string(b), e16Secret) {
-			return true
-		}
+// in the redo or undo log as a disk thief would copy them right now.
+func e16WALSecret(fs vfs.FS) (bool, error) {
+	snap, err := snapshot.ReadDirFS(fs)
+	if err != nil {
+		return false, err
 	}
-	return false
+	secret := []byte(e16Secret)
+	return bytes.Contains(snap.Disk.RedoLog, secret) || bytes.Contains(snap.Disk.UndoLog, secret), nil
 }
 
 // e16PurgeCounters reads the purge statistics off the mvcc_status

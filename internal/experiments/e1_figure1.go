@@ -64,11 +64,10 @@ func E1Figure1() (*E1Result, error) {
 			return nil, fmt.Errorf("E1: %w", err)
 		}
 	}
-	cat := core.CatalogOf(e)
 	res := &E1Result{}
 	for _, attack := range snapshot.AllAttacks {
 		snap := snapshot.Capture(e, attack)
-		rep, err := core.Analyze(snap, cat)
+		rep, err := core.Analyze(snap)
 		if err != nil {
 			return nil, fmt.Errorf("E1 %v: %w", attack, err)
 		}

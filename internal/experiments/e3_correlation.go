@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"snapdb/internal/core"
 	"snapdb/internal/engine"
 	"snapdb/internal/forensics"
 	"snapdb/internal/snapshot"
@@ -84,7 +83,7 @@ func E3BinlogCorrelation(quick bool) (*E3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	recon, err := forensics.ReconstructWrites(snap.Disk.RedoLog, snap.Disk.UndoLog, core.CatalogOf(e))
+	recon, err := forensics.ReconstructWrites(snap.Disk.RedoLog, snap.Disk.UndoLog, snap.Disk.Catalog)
 	if err != nil {
 		return nil, err
 	}

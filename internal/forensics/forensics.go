@@ -199,10 +199,15 @@ func DateWrites(writes []ReconstructedWrite, c *Correlation) {
 	}
 }
 
-// CorrelatableEvents parses a binlog disk image into events — the
-// mysqlbinlog step of the analysis.
+// CorrelatableEvents parses a binlog disk image into events (the
+// mysqlbinlog step). Like ReconstructWrites it reads a crashed server's
+// valid prefix, and errors only when a non-empty image yields nothing.
 func CorrelatableEvents(img []byte) ([]binlog.Event, error) {
-	return binlog.Parse(img)
+	evs, rep := binlog.ParseWithReport(img)
+	if len(evs) == 0 && rep.Truncated() {
+		return nil, fmt.Errorf("forensics: unparseable binlog image at offset %d: %s", rep.TruncatedAt, rep.Reason)
+	}
+	return evs, nil
 }
 
 // ParseQueryLog parses a general/slow query log image.

@@ -83,7 +83,7 @@ func Compare(base engine.Config, keepBinlog bool, attack snapshot.AttackType, wo
 		if err := workload(e); err != nil {
 			return nil, err
 		}
-		return core.Analyze(snapshot.Capture(e, attack), core.CatalogOf(e))
+		return core.Analyze(snapshot.Capture(e, attack))
 	}
 	defRep, err := run(base)
 	if err != nil {

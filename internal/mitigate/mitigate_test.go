@@ -156,7 +156,7 @@ func TestHardenedEngineStillAnswersQueries(t *testing.T) {
 		t.Errorf("count = %d", res.Rows[0][0].Int)
 	}
 	// And the report machinery still works against it.
-	rep, err := core.Analyze(snapshot.Capture(e, snapshot.FullCompromise), core.CatalogOf(e))
+	rep, err := core.Analyze(snapshot.Capture(e, snapshot.FullCompromise))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"testing/quick"
 
 	"snapdb/internal/client"
-	"snapdb/internal/server"
+	"snapdb/internal/wire"
 )
 
 func TestExecuteBatch(t *testing.T) {
@@ -128,7 +128,7 @@ func TestMultiLineErrorRoundTrip(t *testing.T) {
 		if _, err := br.ReadString('\n'); err != nil {
 			return
 		}
-		fmt.Fprintf(conn, "ERR %s\n", server.Escape(msg))
+		fmt.Fprintf(conn, "ERR %s\n", wire.Escape(msg))
 	}()
 
 	c, err := client.Dial(ln.Addr().String())
@@ -173,7 +173,7 @@ func TestEscapeRoundTrip(t *testing.T) {
 		"back\\slash", "\\n literal", "mix\t\n\r\\\t", "\r\n", "\\",
 	}
 	for _, s := range cases {
-		got, err := server.Unescape(server.Escape(s))
+		got, err := wire.Unescape(wire.Escape(s))
 		if err != nil {
 			t.Errorf("Unescape(Escape(%q)): %v", s, err)
 			continue
@@ -181,12 +181,12 @@ func TestEscapeRoundTrip(t *testing.T) {
 		if got != s {
 			t.Errorf("round trip %q -> %q", s, got)
 		}
-		if esc := server.Escape(s); strings.ContainsAny(esc, "\t\n\r") {
+		if esc := wire.Escape(s); strings.ContainsAny(esc, "\t\n\r") {
 			t.Errorf("Escape(%q) = %q still holds wire metacharacters", s, esc)
 		}
 	}
 	if err := quick.Check(func(s string) bool {
-		got, err := server.Unescape(server.Escape(s))
+		got, err := wire.Unescape(wire.Escape(s))
 		return err == nil && got == s
 	}, nil); err != nil {
 		t.Error(err)

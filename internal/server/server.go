@@ -59,7 +59,7 @@ import (
 	"time"
 
 	"snapdb/internal/engine"
-	"snapdb/internal/sqlparse"
+	"snapdb/internal/wire"
 )
 
 // DefaultIdleTimeout is how long a connection may sit idle between
@@ -396,7 +396,7 @@ func (s *Server) dispatchControl(conn net.Conn, sess *engine.Session, rs *resume
 	switch cmd {
 	case "!hello":
 		if rs != nil {
-			fmt.Fprintf(w, "!err %s\n", escape("session already established"))
+			fmt.Fprintf(w, "!err %s\n", wire.Escape("session already established"))
 			return rs, false
 		}
 		rs = s.resumeReg().create(sess, conn)
@@ -404,12 +404,12 @@ func (s *Server) dispatchControl(conn net.Conn, sess *engine.Session, rs *resume
 		return rs, false
 	case "!resume":
 		if rs != nil {
-			fmt.Fprintf(w, "!err %s\n", escape("session already established"))
+			fmt.Fprintf(w, "!err %s\n", wire.Escape("session already established"))
 			return rs, false
 		}
 		got := s.resumeReg().attach(rest, conn)
 		if got == nil {
-			fmt.Fprintf(w, "!err %s\n", escape("unknown or expired session token"))
+			fmt.Fprintf(w, "!err %s\n", wire.Escape("unknown or expired session token"))
 			return nil, false
 		}
 		// The resumed session replaces the handler's own.
@@ -572,7 +572,7 @@ type replyWriter interface {
 // writeErr writes one ERR reply line.
 func writeErr(w replyWriter, msg string) {
 	_, _ = w.WriteString("ERR ")
-	_, _ = w.WriteString(escape(msg))
+	_, _ = w.WriteString(wire.Escape(msg))
 	_ = w.WriteByte('\n')
 }
 
@@ -613,97 +613,9 @@ func writeResult(w replyWriter, res *engine.Result) {
 				writeInt(w, v.Int)
 			} else {
 				w.WriteString("s:")
-				w.WriteString(escape(v.Str))
+				w.WriteString(wire.Escape(v.Str))
 			}
 		}
 		w.WriteByte('\n')
 	}
-}
-
-// EncodeValue renders a value in the wire format.
-func EncodeValue(v sqlparse.Value) string {
-	if v.IsInt {
-		return "i:" + strconv.FormatInt(v.Int, 10)
-	}
-	return "s:" + escape(v.Str)
-}
-
-// DecodeValue parses a wire-format value.
-func DecodeValue(s string) (sqlparse.Value, error) {
-	switch {
-	case strings.HasPrefix(s, "i:"):
-		n, err := strconv.ParseInt(s[2:], 10, 64)
-		if err != nil {
-			return sqlparse.Value{}, fmt.Errorf("server: bad int %q: %w", s, err)
-		}
-		return sqlparse.IntValue(n), nil
-	case strings.HasPrefix(s, "s:"):
-		str, err := unescape(s[2:])
-		if err != nil {
-			return sqlparse.Value{}, err
-		}
-		return sqlparse.StrValue(str), nil
-	default:
-		return sqlparse.Value{}, fmt.Errorf("server: bad value tag in %q", s)
-	}
-}
-
-// Escape renders s in the wire escaping: \\, \t, \n and \r become
-// two-byte escapes, so no payload byte can be mistaken for a line or
-// field terminator. Used for TEXT values and ERR messages.
-func Escape(s string) string { return escape(s) }
-
-// Unescape reverses Escape.
-func Unescape(s string) (string, error) { return unescape(s) }
-
-func escape(s string) string {
-	if !strings.ContainsAny(s, "\\\t\n\r") {
-		return s
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '\t':
-			sb.WriteString(`\t`)
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\r':
-			sb.WriteString(`\r`)
-		default:
-			sb.WriteByte(s[i])
-		}
-	}
-	return sb.String()
-}
-
-func unescape(s string) (string, error) {
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] != '\\' {
-			sb.WriteByte(s[i])
-			continue
-		}
-		i++
-		if i >= len(s) {
-			return "", fmt.Errorf("server: dangling escape in %q", s)
-		}
-		switch s[i] {
-		case '\\':
-			sb.WriteByte('\\')
-		case 't':
-			sb.WriteByte('\t')
-		case 'n':
-			sb.WriteByte('\n')
-		case 'r':
-			sb.WriteByte('\r')
-		default:
-			return "", fmt.Errorf("server: unknown escape \\%c", s[i])
-		}
-	}
-	return sb.String(), nil
 }

@@ -14,6 +14,7 @@ import (
 	"snapdb/internal/engine"
 	"snapdb/internal/server"
 	"snapdb/internal/sqlparse"
+	"snapdb/internal/wire"
 )
 
 // startServer runs a server on an ephemeral port and returns its
@@ -247,7 +248,7 @@ func TestQuickValueWireRoundTrip(t *testing.T) {
 		} else {
 			v = sqlparse.StrValue(s)
 		}
-		got, err := server.DecodeValue(server.EncodeValue(v))
+		got, err := wire.DecodeValue([]byte(wire.EncodeValue(v)))
 		return err == nil && got.Equal(v) && got.IsInt == v.IsInt
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -257,7 +258,7 @@ func TestQuickValueWireRoundTrip(t *testing.T) {
 
 func TestDecodeValueErrors(t *testing.T) {
 	for _, bad := range []string{"", "x:1", "i:notanumber", `s:trailing\`, `s:\q`} {
-		if _, err := server.DecodeValue(bad); err == nil {
+		if _, err := wire.DecodeValue([]byte(bad)); err == nil {
 			t.Errorf("DecodeValue(%q) accepted", bad)
 		}
 	}

@@ -1,162 +1,130 @@
 package snapshot
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"sort"
 
+	"snapdb/internal/binlog"
 	"snapdb/internal/engine"
 	"snapdb/internal/forensics"
+	"snapdb/internal/storage"
 	"snapdb/internal/vfs"
+	"snapdb/internal/wal"
 )
 
-// Disk-snapshot file names, mirroring a MySQL data directory: the
-// tablespace, the transaction logs, the binlog, the query logs, the
-// buffer-pool dump, and the schema files (MySQL's .frm files — table
-// structure lives on disk in the clear, which is why forensic
-// reconstruction never lacks column names).
+// A disk snapshot is a data directory: the engine's own files (the
+// engine.File* names) in the engine's own formats, so what WriteDirFS
+// writes boots under engine.Recover and what a daemon leaves behind
+// reads under ReadDirFS — plus the two query logs, which only a dump
+// carries (the daemon keeps them in memory).
 const (
-	FileTablespace = "tablespace.ibd"
-	FileRedo       = engine.FileRedo
-	FileUndo       = engine.FileUndo
-	FileBinlog     = engine.FileBinlog
 	FileGeneralLog = "general.log"
 	FileSlowLog    = "slow.log"
-	FileBufferPool = engine.FileBufferPool
-	FileCatalog    = "schema.frm.json"
 )
 
-// CatalogOf extracts the forensic catalog (WAL table id → schema) from
-// an engine, the information a real attacker reads out of the schema
-// files on the stolen disk.
-func CatalogOf(e *engine.Engine) forensics.Catalog {
-	cat := make(forensics.Catalog)
-	for _, t := range e.Tables() {
+// setCheckpoint records the checkpoint file's bytes and what they
+// decode to: the tablespace image (aliasing img) and the forensic
+// catalog (WAL table id → schema). The checkpoint's catalog section is
+// plaintext JSON — MySQL's .frm files — so table structure travels
+// with every stolen disk.
+func (d *DiskState) setCheckpoint(img []byte) error {
+	meta, ts, err := engine.DecodeCheckpoint(img)
+	if err != nil {
+		return err
+	}
+	cat := make(forensics.Catalog, len(meta.Tables))
+	for _, t := range meta.Tables {
 		cols := make([]string, len(t.Columns))
 		for i, c := range t.Columns {
 			cols[i] = c.Name
 		}
 		cat[t.ID] = forensics.TableSchema{Name: t.Name, Columns: cols}
 	}
-	return cat
+	d.Checkpoint, d.Tablespace, d.Catalog = img, ts, cat
+	return nil
 }
 
-// WriteDir materializes the snapshot's persistent state as files in
-// dir, creating it if needed — the literal contents of the stolen
-// disk. Volatile state (diagnostics, memory) is deliberately not
-// written: a disk holds only persistent artifacts.
-func (s *Snapshot) WriteDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	fs, err := vfs.NewOSFS(dir)
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return s.WriteDirFS(fs)
-}
-
-// WriteDirFS writes the snapshot's persistent state into fs. Each file
-// lands crash-atomically (temp file, fsync, rename, directory fsync),
-// so a crash mid-write leaves either the old file or the new one —
-// never a torn hybrid. Files are written in sorted-name order for
-// deterministic fault-injection replay.
+// WriteDirFS writes the snapshot's persistent state — not diagnostics,
+// not memory — into fs. Each file lands crash-atomically (a crash
+// mid-write leaves the old file or the new one, never a torn hybrid)
+// and in sorted-name order, for deterministic fault-injection replay.
+// The checkpoint is the live image as of the capture, so Recover finds
+// every log record at or below its LSN and replays none: a transaction
+// still open at the capture boots with its writes in place.
 func (s *Snapshot) WriteDirFS(fs vfs.FS) error {
-	if s.Disk == nil {
+	d := s.Disk
+	if d == nil {
 		return fmt.Errorf("snapshot: %v reveals no disk state to write", s.Attack)
 	}
-	catJSON, err := json.MarshalIndent(s.Disk.Catalog, "", "  ")
-	if err != nil {
-		return fmt.Errorf("snapshot: encoding catalog: %w", err)
-	}
-	files := map[string][]byte{
-		FileTablespace: s.Disk.Tablespace,
-		FileRedo:       s.Disk.RedoLog,
-		FileUndo:       s.Disk.UndoLog,
-		FileBinlog:     s.Disk.Binlog,
-		FileGeneralLog: []byte(s.Disk.GeneralLog),
-		FileSlowLog:    []byte(s.Disk.SlowLog),
-		FileBufferPool: s.Disk.BufferPoolDump,
-		FileCatalog:    catJSON,
-	}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := vfs.WriteFileAtomic(fs, name, files[name]); err != nil {
-			return fmt.Errorf("snapshot: writing %s: %w", name, err)
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{
+		{engine.FileBinlog, d.Binlog},
+		{engine.FileCheckpoint, d.Checkpoint},
+		{FileGeneralLog, []byte(d.GeneralLog)},
+		{engine.FileBufferPool, d.BufferPoolDump},
+		{engine.FileRedo, d.RedoLog},
+		{engine.FileUndo, d.UndoLog},
+		{FileSlowLog, []byte(d.SlowLog)},
+	} {
+		if f.name == engine.FileCheckpoint && f.data == nil {
+			continue // a disk that never checkpointed; an empty file would not decode
+		}
+		if err := vfs.WriteFileAtomic(fs, f.name, f.data); err != nil {
+			return fmt.Errorf("snapshot: writing %s: %w", f.name, err)
 		}
 	}
 	return nil
 }
 
-// ReadDir loads a disk snapshot previously written with WriteDir (or
-// assembled by hand from stolen files). Missing optional files
-// (query logs, buffer pool dump, catalog) are tolerated; the
-// tablespace and logs must exist.
-func ReadDir(dir string) (*Snapshot, error) {
-	if _, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	fs, err := vfs.NewOSFS(dir)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return ReadDirFS(fs)
-}
-
-// ReadDirFS is ReadDir over any vfs.FS — in particular a vfs.CryptFS,
-// which is how a key-holding operator restores an encrypted snapshot
-// directory, and how E17 distinguishes the key-holder's view from the
-// ciphertext-only analyst's (who reads the same files off the inner
-// FS directly).
+// ReadDirFS reads a data directory the way the thief does: it only
+// reads. Nothing is truncated, replayed or rolled back — that is
+// recovery's job, and recovery destroys evidence (E13). Over a
+// vfs.CryptFS it is the key-holder's view; the keyless analyst reads
+// the inner FS's ciphertext instead (E17).
+//
+// Every file is optional. A directory with no checkpoint yet and empty
+// logs — a freshly booted daemon — is an empty disk. Each log comes
+// back as its bytes lie on disk, torn tail included; where a log's
+// valid prefix ends short of the file is reported in Truncated, not
+// treated as an error. Only a checkpoint that does not decode is
+// fatal: there is no tablespace or catalog to report.
 func ReadDirFS(fs vfs.FS) (*Snapshot, error) {
-	read := func(name string, required bool) ([]byte, error) {
+	files := make(map[string][]byte)
+	for _, name := range []string{engine.FileCheckpoint, engine.FileRedo, engine.FileUndo, engine.FileBinlog, FileGeneralLog, FileSlowLog, engine.FileBufferPool} {
 		b, err := fs.ReadFile(name)
-		if err != nil {
-			if os.IsNotExist(err) && !required {
-				return nil, nil
-			}
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("snapshot: reading %s: %w", name, err)
 		}
-		return b, nil
-	}
-	disk := &DiskState{}
-	var err error
-	if disk.Tablespace, err = read(FileTablespace, true); err != nil {
-		return nil, err
-	}
-	if disk.RedoLog, err = read(FileRedo, true); err != nil {
-		return nil, err
-	}
-	if disk.UndoLog, err = read(FileUndo, true); err != nil {
-		return nil, err
-	}
-	if disk.Binlog, err = read(FileBinlog, false); err != nil {
-		return nil, err
-	}
-	gen, err := read(FileGeneralLog, false)
-	if err != nil {
-		return nil, err
-	}
-	disk.GeneralLog = string(gen)
-	slow, err := read(FileSlowLog, false)
-	if err != nil {
-		return nil, err
-	}
-	disk.SlowLog = string(slow)
-	if disk.BufferPoolDump, err = read(FileBufferPool, false); err != nil {
-		return nil, err
-	}
-	if catJSON, err := read(FileCatalog, false); err != nil {
-		return nil, err
-	} else if len(catJSON) > 0 {
-		if err := json.Unmarshal(catJSON, &disk.Catalog); err != nil {
-			return nil, fmt.Errorf("snapshot: parsing catalog: %w", err)
+		if len(b) > 0 {
+			files[name] = b
 		}
 	}
-	return &Snapshot{Attack: DiskTheft, Disk: disk}, nil
+	d := &DiskState{
+		RedoLog:        files[engine.FileRedo],
+		UndoLog:        files[engine.FileUndo],
+		Binlog:         files[engine.FileBinlog],
+		GeneralLog:     string(files[FileGeneralLog]),
+		SlowLog:        string(files[FileSlowLog]),
+		BufferPoolDump: files[engine.FileBufferPool],
+	}
+	if img := files[engine.FileCheckpoint]; img != nil {
+		if err := d.setCheckpoint(img); err != nil {
+			return nil, fmt.Errorf("snapshot: %s: %w", engine.FileCheckpoint, err)
+		}
+	}
+	_, redo := wal.ParseLogReport(d.RedoLog)
+	_, undo := wal.ParseLogReport(d.UndoLog)
+	_, blog := binlog.ParseWithReport(d.Binlog)
+	for name, rep := range map[string]storage.ParseReport{engine.FileRedo: redo, engine.FileUndo: undo, engine.FileBinlog: blog} {
+		if rep.Truncated() {
+			if d.Truncated == nil {
+				d.Truncated = make(map[string]storage.ParseReport)
+			}
+			d.Truncated[name] = rep
+		}
+	}
+	return &Snapshot{Attack: DiskTheft, Disk: d}, nil
 }

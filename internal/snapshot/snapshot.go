@@ -88,16 +88,28 @@ var AllAttacks = []AttackType{DiskTheft, SQLInjection, VMSnapshotLeak, FullCompr
 // DiskState is the persistent state: the literal file images an
 // attacker copies off the disk.
 type DiskState struct {
-	Tablespace     []byte // data files (possibly at-rest encrypted)
+	// Checkpoint is the checkpoint file as it lies on the disk (nil
+	// before the first checkpoint); Tablespace and Catalog are what it
+	// decodes to. Tablespace is the data file image, byte for byte
+	// Tablespace().Serialize() (possibly at-rest encrypted). Catalog is
+	// the schema metadata, which sits in the checkpoint in the clear
+	// (MySQL's .frm files): table structure is never encrypted payload.
+	Checkpoint []byte
+	Tablespace []byte
+	Catalog    forensics.Catalog
+
 	RedoLog        []byte
 	UndoLog        []byte
 	Binlog         []byte
 	GeneralLog     string
 	SlowLog        string
 	BufferPoolDump []byte // last periodic/shutdown dump, nil if never written
-	// Catalog is the schema metadata that lives on disk in the clear
-	// (MySQL's .frm files): table structure is never encrypted payload.
-	Catalog forensics.Catalog
+
+	// Truncated holds, per log file name, the parse report of a log whose
+	// valid prefix ends short of the file: the torn tail a crash left,
+	// which the bytes above still include. Nil when every log parses to
+	// its end.
+	Truncated map[string]storage.ParseReport
 }
 
 // DiagnosticState is what SQL access to the diagnostic tables returns.
@@ -133,14 +145,21 @@ func Capture(e *engine.Engine, attack AttackType) *Snapshot {
 	rev := attack.Reveals()
 	if rev.Logs {
 		s.Disk = &DiskState{
-			Tablespace:     e.Tablespace().Serialize(),
 			RedoLog:        e.WAL().Redo.Serialize(),
 			UndoLog:        e.WAL().Undo.Serialize(),
 			Binlog:         e.Binlog().Serialize(),
 			GeneralLog:     dblog.Render(e.GeneralLog().Entries()),
 			SlowLog:        dblog.Render(e.SlowLog().Entries()),
 			BufferPoolDump: e.LastBufferPoolDump(),
-			Catalog:        CatalogOf(e),
+		}
+		// Only a change to engine.CheckpointMeta can make its own
+		// encoding fail to marshal or to decode.
+		ckpt, err := e.CheckpointImage()
+		if err == nil {
+			err = s.Disk.setCheckpoint(ckpt)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("snapshot: %v", err))
 		}
 	}
 	if rev.Diagnostics {

@@ -88,18 +88,26 @@ func (ts *Tablespace) Serialize() []byte {
 	return out
 }
 
+// TablespacePages returns the number of pages a Serialize image holds,
+// or an error if its u64 page count disagrees with its length. The
+// count is checked against the length, never multiplied: images come
+// from stolen directories, and 2^52 declared pages used to wrap the
+// size check and panic in make.
+func TablespacePages(img []byte) (int, error) {
+	if body := len(img) - 8; body >= 0 && body%PageSize == 0 && binary.BigEndian.Uint64(img) == uint64(body/PageSize) {
+		return body / PageSize, nil
+	}
+	return 0, fmt.Errorf("storage: tablespace image of %d bytes is not a page count and that many pages", len(img))
+}
+
 // LoadTablespace reconstructs a tablespace from a Serialize image.
 func LoadTablespace(img []byte) (*Tablespace, error) {
-	if len(img) < 8 {
-		return nil, fmt.Errorf("storage: tablespace image too short (%d bytes)", len(img))
-	}
-	n := binary.BigEndian.Uint64(img)
-	want := 8 + int(n)*PageSize
-	if len(img) != want {
-		return nil, fmt.Errorf("storage: tablespace image is %d bytes, want %d for %d pages", len(img), want, n)
+	n, err := TablespacePages(img)
+	if err != nil {
+		return nil, err
 	}
 	ts := &Tablespace{pages: make([]*Page, 0, n)}
-	for i := 0; i < int(n); i++ {
+	for i := 0; i < n; i++ {
 		p, err := LoadPage(img[8+i*PageSize : 8+(i+1)*PageSize])
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -61,8 +62,9 @@ type tweakTable struct {
 	sidecar File   // open "<name>.iv" handle, lazily created
 }
 
-// sidecarSuffix names the fresh-IV tweak file beside its data file.
-const sidecarSuffix = ".iv"
+// SidecarSuffix names the fresh-IV tweak file beside its data file;
+// its presence is how a reader tells the two modes apart.
+const SidecarSuffix = ".iv"
 
 // NewCryptFS wraps inner with page encryption under key. deterministic
 // selects the XTS-style mode; false selects the fresh-IV mode.
@@ -72,6 +74,30 @@ func NewCryptFS(inner FS, key prim.Key, deterministic bool) (*CryptFS, error) {
 		return nil, err
 	}
 	return &CryptFS{inner: inner, pc: pc, det: deterministic, tweaks: make(map[string]*tweakTable)}, nil
+}
+
+// EncryptionKeyEnv carries the at-rest key to the binaries that open an
+// encrypted data directory (snapdbd -encrypt, cmd/forensic). An env var
+// keeps the key out of the process argv, which any co-tenant can read —
+// though as DESIGN.md notes, at-rest encryption never defends against
+// a live co-resident attacker anyway.
+const EncryptionKeyEnv = "SNAPDB_ENCRYPTION_KEY"
+
+// EncryptionKeyFromEnv parses EncryptionKeyEnv (64 hex chars = 32
+// bytes); set is false when it is unset or empty.
+func EncryptionKeyFromEnv() (key prim.Key, set bool, err error) {
+	s := os.Getenv(EncryptionKeyEnv)
+	if s == "" {
+		return key, false, nil
+	}
+	raw, err := hex.DecodeString(s)
+	if err == nil {
+		key, err = prim.KeyFromBytes(raw)
+	}
+	if err != nil {
+		return key, true, fmt.Errorf("%s: %w", EncryptionKeyEnv, err)
+	}
+	return key, true, nil
 }
 
 // Inner returns the wrapped FS — the raw-ciphertext view a disk thief
@@ -113,7 +139,7 @@ func (fs *CryptFS) Create(name string) (File, error) {
 		}
 		delete(fs.tweaks, name)
 		fs.mu.Unlock()
-		if sc, err := fs.inner.Create(name + sidecarSuffix); err == nil {
+		if sc, err := fs.inner.Create(name + SidecarSuffix); err == nil {
 			_ = sc.Close()
 		}
 	}
@@ -165,7 +191,7 @@ func (fs *CryptFS) Rename(oldname, newname string) error {
 		// Sidecar rename is best-effort after the data rename: a crash
 		// between the two is the fresh-IV mode's documented atomicity
 		// hole (DESIGN.md), not silently hidden here.
-		_ = fs.inner.Rename(oldname+sidecarSuffix, newname+sidecarSuffix)
+		_ = fs.inner.Rename(oldname+SidecarSuffix, newname+SidecarSuffix)
 		fs.mu.Lock()
 		if tt, ok := fs.tweaks[oldname]; ok {
 			if tt.sidecar != nil {
@@ -191,7 +217,7 @@ func (fs *CryptFS) Remove(name string) error {
 		return err
 	}
 	if !fs.det {
-		_ = fs.inner.Remove(name + sidecarSuffix)
+		_ = fs.inner.Remove(name + SidecarSuffix)
 		fs.mu.Lock()
 		if tt := fs.tweaks[name]; tt != nil && tt.sidecar != nil {
 			_ = tt.sidecar.Close()
@@ -248,7 +274,7 @@ func (fs *CryptFS) loadTweaks(name string) (*tweakTable, error) {
 		return tt, nil
 	}
 	tt := &tweakTable{}
-	b, err := fs.inner.ReadFile(name + sidecarSuffix)
+	b, err := fs.inner.ReadFile(name + SidecarSuffix)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("vfs: cryptfs sidecar %s: %w", name, err)
 	}
@@ -277,9 +303,9 @@ func (fs *CryptFS) setTweak(name string, tt *tweakTable, pg uint64) ([prim.Tweak
 	tt.ivs[pg] = tw
 	tt.set[pg] = true
 	if tt.sidecar == nil {
-		sc, err := fs.inner.Open(name + sidecarSuffix)
+		sc, err := fs.inner.Open(name + SidecarSuffix)
 		if errors.Is(err, os.ErrNotExist) {
-			sc, err = fs.inner.Create(name + sidecarSuffix)
+			sc, err = fs.inner.Create(name + SidecarSuffix)
 		}
 		if err != nil {
 			fs.mu.Unlock()

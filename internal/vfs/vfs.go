@@ -135,9 +135,6 @@ func NewOSFS(dir string) (*OSFS, error) {
 	return &OSFS{dir: dir}, nil
 }
 
-// Dir returns the root directory.
-func (fs *OSFS) Dir() string { return fs.dir }
-
 // path maps a validated flat name into the root directory. Callers
 // must CheckName first: the old filepath.Base mapping here silently
 // flattened "a/log" and "b/log" onto one file.

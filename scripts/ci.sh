@@ -6,9 +6,9 @@
 #
 # After the functional gates, two robustness passes:
 #   - fuzz smoke: every parser that reads crash-era bytes (WAL records,
-#     binlog events, buffer-pool dumps) gets a short native-fuzz run —
-#     "never panic on garbage" is re-earned on every commit, not
-#     assumed from the seed corpus.
+#     binlog events, buffer-pool dumps, checkpoints) gets a short
+#     native-fuzz run — "never panic on garbage" is re-earned on every
+#     commit, not assumed from the seed corpus.
 #   - crash torture seed matrix: the kill-point harness re-runs under
 #     -race with extra seeds, so fault schedules differ from the
 #     default test run's.
@@ -33,7 +33,13 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race =="
-go test -race ./...
+# -count=1: the race run is the gate for everything concurrent — the
+# CryptFS and MVCC differentials, the borrowed-row poison run, the
+# write-path round trips, the in-page search property tests — so it
+# never answers from the test cache. Nothing below repeats a test it
+# already ran with the same flags; what follows differs from it in
+# seeds, -count, or kind.
+go test -race -count=1 ./...
 
 echo "== bench smoke =="
 # One iteration of every in-package micro-benchmark: catches one that
@@ -58,6 +64,7 @@ fuzz ./internal/binlog FuzzParse
 fuzz ./internal/bufpool FuzzParseDump
 fuzz ./internal/bufpool FuzzDumpRoundTripBitflip
 fuzz ./internal/storage FuzzMatchVsDecode
+fuzz ./internal/engine FuzzReadCheckpoint
 fuzz ./internal/sqlparse FuzzParseExplain
 fuzz ./internal/sqlparse FuzzParseSelect
 fuzz ./internal/server FuzzUnescape
@@ -67,56 +74,14 @@ echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -run 'TestCrashTorture' -count=1 -v | grep -E 'kill-points|--- (PASS|FAIL)'
 
-echo "== encryption-at-rest smoke (-race) =="
-# CryptFS stacked over the fault injector: the differential proves the
-# crypto layer is observably transparent (same results, binlog, frames
-# byte-for-byte after decrypt), the torture subset proves crash
-# recovery through a fresh CryptFS lands on the reference digests, the
-# bit-flip pass proves at-rest corruption surfaces as detected CRC
-# truncation after decrypt, and E17 replays the multi-snapshot diff
-# attack plus its fresh-IV ablation.
-go test -race ./internal/engine -run 'TestDifferentialCryptVsPlain|TestCrashTortureEncrypted|TestCrashTortureBitFlipsEncrypted|TestRecoverEncryptedWrongKey' -count=1
-go test -race ./internal/experiments -run 'TestE17SnapshotDiff' -count=1
-go test -race ./internal/vfs -run 'TestCryptFS|TestFS|TestOSFS|TestWriteFileAtomic' -count=1
-
-echo "== MVCC differential (-race) =="
-# Snapshot reads vs stripe locking must be byte-identical on
-# conflict-free workloads — every surface, fetch trace included — while
-# the race detector watches the version store, read views, and inline
-# purge running under real session concurrency, and partition workers
-# scanning under a live read view (TestParallelScanUnderMVCC).
-go test -race ./internal/engine -run 'TestDifferentialMVCCVsLocking|TestMVCC|TestParallelScanUnderMVCC|TestStreamingGhostMerge' -count=1
-
-echo "== in-page search (-race) =="
-# Every B+ tree descent bisects slot directories on the strength of an
-# in-memory order hint that readers sharing a table's read latch derive
-# lazily and concurrently. The race detector watches that derivation
-# next to a latched writer; the property tests hold every node lookup,
-# fetch trace and page byte to the frozen decode-and-sort reference.
+echo "== concurrent derivations and queues, ten times (-race) =="
+# The two tests whose subject is a schedule: readers sharing a read
+# latch deriving one page's order hint next to a latched writer, and
+# the group-commit queue's error routing and stamp order under real
+# contention. One pass each is in the race run above; nine more look
+# at nine more interleavings.
 go test -race ./internal/btree -run 'TestLazyHintUnderConcurrentReaders' -count=10
-go test -race ./internal/btree -run 'TestNodeSearch' -count=1
-
-echo "== borrowed scan rows (-race) =="
-# A scan leaf under a plan that consumes row by row lends its rows from
-# one recycled slab, and evaluates the Filter's residual predicates on
-# page bytes before decoding. The poison differential runs the
-# randomized generators with every loan overwritten at the following
-# Next, against cursors that own their rows; the stage test holds every
-# operator's counters, EXPLAIN ANALYZE line and page fetch to the
-# row-at-a-time execution; the MVCC cases hold the hand-off to yielding
-# whenever a view differs from the tree.
-go test -race ./internal/engine -run 'TestBorrowedRowsSurvivePoison|TestStageTriplesMatchRowAtATime|TestRejectBeforeDecodeYieldsToMVCC' -count=1
-go test -race ./internal/btree -run 'TestCursorLendAndReject' -count=1
-
-echo "== write path (-race) =="
-# The write path exists once — one DML driver, one row mutator under
-# forward/undo/redo, one commit queue under WAL and binlog — so these
-# three tests are what hold all of its callers to each other: the
-# queue's error routing and stamp order under real contention,
-# forward∘undo = identity and redo = forward on a randomized
-# transaction, and statement atomicity on a mid-statement failure.
 go test -race ./internal/commitq -count=10
-go test -race ./internal/engine -run 'TestWritePathRoundTrip|TestStatementAtomicity|TestCloseReleasesLogHandles' -count=1
 
 echo "== network torture seed matrix (-race) =="
 # The wire-level counterpart: seeded resets, partial writes, latency
