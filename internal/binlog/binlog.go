@@ -226,7 +226,11 @@ func (l *Log) Serialize() []byte {
 // or corrupt frame and reporting where and why. It never panics on
 // malformed input.
 func ParseWithReport(img []byte) ([]Event, storage.ParseReport) {
-	var out []Event
+	// Sized up front, as wal.ParseLogReport is and for its reason. The
+	// frame count is read from unverified headers, so it is capped by
+	// what the image could hold of events with an empty statement.
+	const minFrame = storage.FrameHeaderSize + eventHeaderSize
+	out := make([]Event, 0, min(storage.CountFrames(img), len(img)/minFrame))
 	rep := storage.WalkFrames(img, "event", func(payload []byte) (int, error) {
 		ev, n, err := DecodeEvent(payload)
 		if err == nil && n == len(payload) {
@@ -234,6 +238,9 @@ func ParseWithReport(img []byte) ([]Event, storage.ParseReport) {
 		}
 		return n, err
 	})
+	if len(out) == 0 {
+		return nil, rep // an image that yields nothing has always parsed to nil
+	}
 	return out, rep
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"snapdb/internal/storage"
 )
 
 func TestAppendAndEvents(t *testing.T) {
@@ -60,6 +62,32 @@ func TestParseEmpty(t *testing.T) {
 	evs, err := Parse(nil)
 	if err != nil || len(evs) != 0 {
 		t.Errorf("empty: evs=%d err=%v", len(evs), err)
+	}
+}
+
+// TestParseWithReportPresizes: the result is allocated once, at the
+// frame count, and an image that yields nothing still parses to nil.
+func TestParseWithReportPresizes(t *testing.T) {
+	l := New()
+	for i := 0; i < 100; i++ {
+		l.Append(Event{Timestamp: int64(i), LSN: uint64(i), Statement: "INSERT INTO t (id) VALUES (1)"})
+	}
+	img := l.Serialize()
+	evs, rep := ParseWithReport(img)
+	if rep.Truncated() || len(evs) != 100 || cap(evs) != 100 {
+		t.Errorf("clean image: len=%d cap=%d report=%+v, want 100/100", len(evs), cap(evs), rep)
+	}
+	torn := append([]byte(nil), img...)
+	torn[len(torn)-1] ^= 0xff // the last event's last byte: only that frame fails
+	if evs, rep := ParseWithReport(torn); !rep.Truncated() || len(evs) != 99 {
+		t.Errorf("torn tail: len=%d report=%+v, want 99 and truncated", len(evs), rep)
+	}
+	torn[storage.FrameHeaderSize] ^= 0xff // and now the first: nothing parses
+	if evs, rep := ParseWithReport(torn); evs != nil || !rep.Truncated() {
+		t.Errorf("fully torn image: evs=%v report=%+v, want nil and truncated", evs, rep)
+	}
+	if evs, rep := ParseWithReport(nil); evs != nil || rep.Truncated() {
+		t.Errorf("empty image: evs=%v report=%+v, want nil and clean", evs, rep)
 	}
 }
 

@@ -78,15 +78,6 @@ type Config struct {
 	MaxScanWorkers      int
 	ParallelScanMinRows int64
 
-	// SimulatedScanIOWait, when positive, models per-page-batch device
-	// latency inside scan leaves: every scanIOInterval examined rows
-	// the scan sleeps this long, the way SimulatedIOWait models
-	// commit-path latency. The parallel-scan benchmarks use it on the
-	// 1-core runner: partitioned workers overlap these waits, which is
-	// exactly the wall-clock win parallel IO buys on real devices.
-	// Default 0 (off), so tests and experiments are unaffected.
-	SimulatedScanIOWait time.Duration
-
 	// Hardening knobs (see internal/mitigate). All default to the
 	// production-realistic (leaky) setting.
 	SecureHeapDelete  bool // zeroize freed heap blocks
@@ -105,15 +96,6 @@ type Config struct {
 	DisableMVCC  bool
 	DisablePurge bool
 	PurgeEvery   int
-
-	// SimulatedIOWait, when positive, models the device latency a real
-	// statement pays (page reads, commit flush) as a sleep inside the
-	// statement's table-lock scope. The concurrency benchmarks and E12
-	// use it: overlapping these waits across sessions is exactly the
-	// throughput win that table-level locking buys over the old global
-	// statement lock, independent of core count. Default 0 (off), so
-	// experiments and tests are unaffected.
-	SimulatedIOWait time.Duration
 
 	// FS, when set, makes the engine durable: every WAL and binlog
 	// group-commit batch is checksummed, appended and fsynced to files
@@ -588,18 +570,8 @@ func isSystemTable(name string) bool {
 		strings.HasPrefix(name, "performance_schema.")
 }
 
-// simulateIO models per-statement device latency (see
-// Config.SimulatedIOWait). It runs inside the statement's lock scope:
-// shared-locked readers overlap their waits, which is the concurrency
-// win the scaling benchmarks measure.
-func (e *Engine) simulateIO() {
-	if d := e.cfg.SimulatedIOWait; d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // execute dispatches on the statement class. DML and SELECT go to their
-// entry functions, which own the class's guard, locks and device wait —
+// entry functions, which own the class's guard and locks —
 // EXPLAIN ANALYZE calls the same functions, so the two dispatchers
 // cannot disagree about them; the single-dispatcher classes (DDL,
 // ANALYZE, transaction control) take their locks here. The plan (parsed
@@ -614,12 +586,10 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 	case *sqlparse.CreateTable:
 		e.locks.lockAll()
 		defer e.locks.unlockAll()
-		e.simulateIO()
 		return e.execCreate(st, query, ts)
 	case *sqlparse.CreateIndex:
 		e.locks.lockAll()
 		defer e.locks.unlockAll()
-		e.simulateIO()
 		return e.execCreateIndex(s, st, query, ts)
 	case *sqlparse.Insert:
 		return e.execInsert(s, st, pl, query, ts)
@@ -635,7 +605,6 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 		// DML is excluded so the scan sees a stable tree.
 		mu := e.locks.shared(st.Table)
 		defer mu.RUnlock()
-		e.simulateIO()
 		return e.execAnalyzeTable(s, st, query, ts)
 	case *sqlparse.TxnControl:
 		if st.Op == sqlparse.TxnRollback {
@@ -658,7 +627,6 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 		}
 		e.locks.lockAll()
 		defer e.locks.unlockAll()
-		e.simulateIO()
 		return e.execDrop(st, query, ts)
 	case *sqlparse.Explain:
 		if st.Analyze {
@@ -828,14 +796,13 @@ type dmlStmt struct {
 	touched   bool // a row mutator succeeded: the version store holds versions by txn
 }
 
-// beginDML is the front half: read-only guard, exclusive stripe, device
-// wait, table resolution. On success the caller owns the stripe.
+// beginDML is the front half: read-only guard, exclusive stripe, table
+// resolution. On success the caller owns the stripe.
 func (e *Engine) beginDML(s *Session, verb, table string, pl *plan) (dmlStmt, error) {
 	if err := s.rejectReadOnlyTxn(verb); err != nil {
 		return dmlStmt{}, err
 	}
 	mu := e.locks.exclusive(table)
-	e.simulateIO()
 	t, err := e.planTable(pl, table)
 	if err != nil {
 		mu.Unlock()
@@ -1080,7 +1047,6 @@ func (e *Engine) acquireRead(s *Session, pl *plan, name string) (readAccess, err
 	var err error
 	if e.versions == nil {
 		ra.stripe = e.locks.shared(name)
-		e.simulateIO()
 		if ra.table, err = e.planTable(pl, name); err != nil {
 			ra.stripe.RUnlock()
 		}
@@ -1089,9 +1055,6 @@ func (e *Engine) acquireRead(s *Session, pl *plan, name string) (readAccess, err
 	if ra.table, err = e.planTable(pl, name); err != nil {
 		return ra, err
 	}
-	// Device latency is paid before the latch so a sleeping reader
-	// never holds writers up.
-	e.simulateIO()
 	ra.table.latch.RLock()
 	view, ephemeral := e.selectView(s, ra.table)
 	if view != nil {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"sync"
-	"time"
 
 	"snapdb/internal/btree"
 	"snapdb/internal/sqlparse"
@@ -34,13 +33,6 @@ import (
 // consumer.
 const scanBatchSize = 128
 
-// scanIOInterval is how many examined rows pass between simulated-IO
-// waits (Config.SimulatedScanIOWait): one wait per "page batch", the
-// granularity a real device pays latency at. Shared by the serial
-// leaves and the partition workers so serial-vs-parallel comparisons
-// model the same device.
-const scanIOInterval = 2048
-
 // PartitionScan is one worker's slice of a parallel scan: the rows of
 // the clustered tree with keys in [lo, hi]. It never runs on the
 // statement goroutine — ParallelScan.Open spawns run() on a worker —
@@ -53,8 +45,7 @@ type PartitionScan struct {
 	lo, hi sqlparse.Value
 	desc   string
 
-	dl     DeadlineCheck
-	ioWait time.Duration
+	dl DeadlineCheck
 
 	ch      chan []storage.Record
 	done    <-chan struct{}
@@ -78,14 +69,13 @@ func (p *PartitionScan) Describe() string                    { return p.desc }
 func (p *PartitionScan) Stats() Stats                        { return p.stats }
 func (p *PartitionScan) Children() []Operator                { return nil }
 func (p *PartitionScan) SetDeadlineCheck(dc DeadlineCheck)   { p.dl = dc }
-func (p *PartitionScan) SetSimulatedIOWait(d time.Duration)  { p.ioWait = d }
 
 // visit is the worker-side traversal callback: count, batch, and hand
 // full batches to the merge. Sends select against the parent's done
 // channel so an abort (error elsewhere, early Close) can never leave a
 // worker blocked on a full channel.
 func (p *PartitionScan) visit(r storage.Record) bool {
-	if err := examine(&p.stats, p.dl, p.ioWait); err != nil {
+	if err := examine(&p.stats, p.dl); err != nil {
 		p.err = err
 		return false
 	}
@@ -175,14 +165,6 @@ func (p *ParallelScan) Init(desc string, parts []PartitionScan, rowEstimate int6
 func (p *ParallelScan) SetDeadlineCheck(dc DeadlineCheck) {
 	for i := range p.parts {
 		p.parts[i].SetDeadlineCheck(dc)
-	}
-}
-
-// SetSimulatedIOWait arms the modeled per-page-batch device latency on
-// every partition (see Config.SimulatedScanIOWait).
-func (p *ParallelScan) SetSimulatedIOWait(d time.Duration) {
-	for i := range p.parts {
-		p.parts[i].SetSimulatedIOWait(d)
 	}
 }
 

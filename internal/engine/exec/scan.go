@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"time"
 
 	"snapdb/internal/btree"
 	"snapdb/internal/sqlparse"
@@ -45,18 +44,14 @@ func (s *scanBase) Children() []Operator { return nil }
 // examine is the per-row step every traversal shares — the serial
 // leaf's and the partition workers': count the row, evaluate the armed
 // deadline check at every deadlineCheckInterval-th row (the scan
-// boundary where a runaway statement actually surfaces), and model one
-// device wait per scanIOInterval rows. A non-nil error stops the
-// traversal.
-func examine(st *Stats, dl DeadlineCheck, ioWait time.Duration) error {
+// boundary where a runaway statement actually surfaces). A non-nil
+// error stops the traversal.
+func examine(st *Stats, dl DeadlineCheck) error {
 	st.RowsExamined++
 	if dl != nil && st.RowsExamined%deadlineCheckInterval == 0 {
 		if err := dl(); err != nil {
 			return err
 		}
-	}
-	if ioWait > 0 && st.RowsExamined%scanIOInterval == 0 {
-		time.Sleep(ioWait)
 	}
 	return nil
 }
@@ -105,11 +100,8 @@ type Scan struct {
 	rejected int
 
 	// dl, when set, is consulted every deadlineCheckInterval examined
-	// rows. ioWait, when positive, models per-page-batch device latency:
-	// the traversal sleeps this long every scanIOInterval examined rows
-	// (see Config.SimulatedScanIOWait).
-	dl     DeadlineCheck
-	ioWait time.Duration
+	// rows.
+	dl DeadlineCheck
 
 	// opened is set once Open has run; failed once the traversal itself
 	// raised an error (deadline, unreadable page). Close finishes the
@@ -150,8 +142,8 @@ func (s *Scan) Lend(textFree bool) { s.cur.Lend(textFree) }
 // evaluates them on each row's page bytes — validating the whole
 // record all the same, so a corrupt row fails the statement whether or
 // not it would have passed — and only rows that pass are decoded and
-// emitted. Every row is still examined one by one: counted,
-// deadline-checked, paced. The rows turned down are counted as this
+// emitted. Every row is still examined one by one: counted and
+// deadline-checked. The rows turned down are counted as this
 // leaf's returned rows and the Filter's examined rows, because that is
 // what they were before the hand-off existed, and every operator's
 // (examined, returned, fetches) triple is a surface the paper's
@@ -173,10 +165,6 @@ func (s *Scan) Rejected() int { return s.rejected }
 // SetDeadlineCheck arms the statement-deadline check on this leaf. It
 // must be called before Open; a nil check (the default) disables it.
 func (s *Scan) SetDeadlineCheck(dc DeadlineCheck) { s.dl = dc }
-
-// SetSimulatedIOWait arms the modeled per-page-batch device latency.
-// Must be called before Open; zero (the default) disables it.
-func (s *Scan) SetSimulatedIOWait(d time.Duration) { s.ioWait = d }
 
 // Open checks the deadline and, for a blocking leaf, runs the
 // traversal. A streaming leaf touches no page until its first Next.
@@ -274,7 +262,7 @@ func (s *Scan) treeRow() (storage.Record, bool, error) {
 // examineOne counts one tree row, marking the leaf failed if the
 // deadline fires on it.
 func (s *Scan) examineOne() error {
-	err := examine(&s.stats, s.dl, s.ioWait)
+	err := examine(&s.stats, s.dl)
 	if err != nil {
 		s.failed = true
 	}
@@ -283,7 +271,7 @@ func (s *Scan) examineOne() error {
 
 // Close completes the traversal the operators above cut short: the
 // rest of the current leaf and every remaining leaf are examined —
-// counted, deadline-checked, paced — with no record decoded. After a
+// counted, deadline-checked — with no record decoded. After a
 // drained or failed traversal there is nothing left to do.
 func (s *Scan) Close() error {
 	s.buf = nil

@@ -38,17 +38,14 @@ func legacyExecute(e *Engine, s *Session, query string, pl *plan, parseErr error
 		}
 		mu := e.locks.shared(st.Table)
 		defer mu.RUnlock()
-		e.simulateIO()
 		return legacyExecSelect(e, s, st, query)
 	case *sqlparse.Update:
 		mu := e.locks.exclusive(st.Table)
 		defer mu.Unlock()
-		e.simulateIO()
 		return legacyExecUpdate(e, s, st, query, ts)
 	case *sqlparse.Delete:
 		mu := e.locks.exclusive(st.Table)
 		defer mu.Unlock()
-		e.simulateIO()
 		return legacyExecDelete(e, s, st, query, ts)
 	default:
 		return e.execute(s, query, pl, parseErr, ts)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"snapdb/internal/engine/exec"
 	"snapdb/internal/perfschema"
@@ -122,10 +121,6 @@ type physicalPlan struct {
 	parWorkers int
 	parMinRows int64
 
-	// scanIOWait is Config.SimulatedScanIOWait, armed on the scan
-	// leaves at instantiation.
-	scanIOWait time.Duration
-
 	// Precomputed operator descriptions (EXPLAIN and events_stages).
 	dScan, dLookup, dFilter, dSort, dTopN, dAgg, dProj, dLimit string
 }
@@ -199,7 +194,6 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 	pp.table = t
 	pp.preds = ls.preds
 	pp.whereErr = ls.whereErr
-	pp.scanIOWait = e.cfg.SimulatedScanIOWait
 	pkName := t.Columns[t.PKIndex].Name
 	if len(ls.where) > 0 {
 		pp.dFilter = "Filter: " + ls.where.SQL()
@@ -490,7 +484,6 @@ func (e *Engine) physDelete(pl *plan, t *Table, st *sqlparse.Delete) *physicalPl
 type scanLeaf interface {
 	exec.Operator
 	SetDeadlineCheck(exec.DeadlineCheck)
-	SetSimulatedIOWait(time.Duration)
 	SetVisibility(*exec.Visibility)
 }
 
@@ -640,9 +633,6 @@ func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 			pi.scan.Lend(!pp.needsText())
 		}
 		leaf = &pi.scan
-	}
-	if pp.scanIOWait > 0 {
-		leaf.SetSimulatedIOWait(pp.scanIOWait)
 	}
 	var root exec.Operator = leaf
 	if pp.kind == accessIndex {

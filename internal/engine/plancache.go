@@ -58,9 +58,9 @@ type plan struct {
 }
 
 // planBindings carries the catalog resolution work a plan can reuse
-// across executions. Tables are never dropped or altered, so a resolved
-// *Table pointer stays valid for the life of the process; it is still
-// epoch-guarded like the rest of the entry.
+// across executions. DROP TABLE can orphan the resolved *Table, so the
+// binding is only as good as the plan's epoch: planTable re-checks it
+// once the statement holds its lock.
 type planBindings struct {
 	table *Table
 	// phys is the resolved physical operator-tree template for SELECT,
@@ -260,10 +260,18 @@ func (e *Engine) bindPlan(stmt sqlparse.Statement) planBindings {
 	return b
 }
 
-// planTable returns the plan's bound table when available, falling back
-// to a catalog lookup.
+// planTable returns the plan's bound table while the plan's epoch is
+// still the catalog's, else asks the catalog. Statements call it after
+// taking their table stripe: DDL runs under every stripe, so a DROP (+
+// CREATE) that landed since planFor has already bumped the epoch, and
+// none can land while the stripe is held. (An MVCC SELECT takes no
+// stripe; a DROP that lands after its check is a drop the read began
+// before.) On a mismatch the physXxx helpers see a table the binding
+// was not resolved against and build a fresh template. With the plan
+// cache off there is no epoch to compare, so the catalog is always
+// asked.
 func (e *Engine) planTable(pl *plan, name string) (*Table, error) {
-	if pl != nil && pl.bind.table != nil {
+	if pl != nil && pl.bind.table != nil && e.plans != nil && pl.epoch == e.plans.Epoch() {
 		return pl.bind.table, nil
 	}
 	return e.lookupTable(name)

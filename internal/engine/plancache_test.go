@@ -87,6 +87,77 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	}
 }
 
+// TestPlanDoesNotOutliveItsTable lands DROP TABLE + CREATE TABLE between
+// a statement's planning and its execution — the window a second
+// session has before the statement takes its lock. The statement must
+// run against the table the catalog now names, not the orphaned tree
+// its plan was bound to: an acknowledged write into the orphan is lost,
+// and the binlog, which replays it after the CREATE, says otherwise.
+func TestPlanDoesNotOutliveItsTable(t *testing.T) {
+	const schema = "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"
+	ids := func(res *Result) string {
+		var got []int64
+		for _, r := range res.Rows {
+			got = append(got, r[0].Int)
+		}
+		return fmt.Sprint(got)
+	}
+	for _, arm := range []struct {
+		name string
+		cfg  func(*Config)
+	}{
+		{"mvcc", func(*Config) {}},
+		{"locking", func(c *Config) { c.DisableMVCC = true }},
+		{"no-plan-cache", func(c *Config) { c.DisablePlanCache = true }},
+	} {
+		for _, tc := range []struct {
+			stmt     string
+			affected int
+			after    string // ids in the re-created table once stmt has run
+		}{
+			{"INSERT INTO t (id, v) VALUES (2, 'b')", 1, "[2 7]"},
+			{"UPDATE t SET v = 'x' WHERE id = 7", 1, "[7]"},
+			{"DELETE FROM t WHERE id = 7", 1, "[]"},
+			{"SELECT id FROM t", 0, "[7]"},
+		} {
+			t.Run(arm.name+"/"+tc.stmt[:6], func(t *testing.T) {
+				cfg := Defaults()
+				arm.cfg(&cfg)
+				e, _ := newEngine(t, cfg)
+				s, ddl := e.Connect("app"), e.Connect("ddl")
+				defer s.Close()
+				defer ddl.Close()
+				mustExec(t, s, schema)
+				mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 'a')")
+
+				res, err := s.executeWith(tc.stmt, func(e *Engine, s *Session, q string, pl *plan, parseErr error, ts int64) (*Result, error) {
+					mustExec(t, ddl, "DROP TABLE t")
+					mustExec(t, ddl, schema)
+					mustExec(t, ddl, "INSERT INTO t (id, v) VALUES (7, 'new')")
+					return e.execute(s, q, pl, parseErr, ts)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.RowsAffected != tc.affected {
+					t.Errorf("RowsAffected = %d, want %d", res.RowsAffected, tc.affected)
+				}
+				if tc.affected == 0 && ids(res) != tc.after {
+					t.Errorf("SELECT returned ids %s, want %s (the orphaned tree's rows?)", ids(res), tc.after)
+				}
+				if got := ids(mustExec(t, ddl, "SELECT id FROM t")); got != tc.after {
+					t.Errorf("ids in t afterwards = %s, want %s", got, tc.after)
+				}
+				if tc.stmt[0] == 'U' {
+					if res := mustExec(t, ddl, "SELECT v FROM t WHERE id = 7"); len(res.Rows) != 1 || res.Rows[0][0].Str != "x" {
+						t.Errorf("updated row reads back %v, want x", res.Rows)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestPlanCacheUnknownTableThenCreate pins the miss-path equivalence:
 // a statement that failed to resolve ("unknown table") must succeed
 // after the table appears, not replay its cached failure.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"snapdb/internal/engine"
 	"snapdb/internal/storage"
@@ -82,10 +81,6 @@ func e15Run(workers, rows int) (results string, binlog, general []string, trace 
 	cfg := engine.Defaults()
 	cfg.EnableGeneralLog = true
 	cfg.EnableQueryCache = false // every run must really scan
-	// 1ms, not less: sleeps below the host timer granularity round up
-	// unpredictably, and the wait is the yield point that forces the
-	// partition workers to interleave.
-	cfg.SimulatedScanIOWait = time.Millisecond
 	cfg.ParallelScanMinRows = 1
 	cfg.MaxScanWorkers = workers // 0 keeps every scan serial
 	e, err := engine.New(cfg)
@@ -154,16 +149,14 @@ func sameStrings(a, b []string) bool {
 // E15ParallelTrace runs the same scan workload serially and with
 // partitioned parallel scans, then diffs every surface. The semantic
 // artifacts must match exactly — that is the correctness contract the
-// differential tests enforce — while the fetch trace must diverge: the
-// partition workers' simulated IO waits guarantee their page fetches
-// interleave even on a single CPU. A second parallel run shows whether
-// the scrambled trace is even self-reproducible.
+// differential tests enforce — while the fetch trace must diverge:
+// every partition worker opens with its own descent from the root, so
+// the parallel trace is longer than the serial one however the
+// scheduler interleaves the workers. A second parallel run shows
+// whether the scrambled trace is even self-reproducible.
 func E15ParallelTrace(quick bool) (*E15Result, error) {
 	rows, workers := 12000, 4
 	if quick {
-		// Each partition must still cross at least one simulated-IO
-		// boundary (2048 examined rows) or the workers never yield and
-		// the trace stays serial-shaped.
 		rows, workers = 6000, 2
 	}
 
@@ -224,7 +217,7 @@ func E15ParallelTrace(quick bool) (*E15Result, error) {
 		return nil, fmt.Errorf("E15: general log diverged between serial and parallel runs")
 	}
 	if res.FirstDivergence < 0 {
-		return nil, fmt.Errorf("E15: fetch traces never diverged — parallel workers did not interleave")
+		return nil, fmt.Errorf("E15: fetch traces never diverged — the scans did not run in parallel")
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,13 +19,7 @@ import (
 // startServerWith runs a customized server on an ephemeral port.
 func startServerWith(t testing.TB, mutate func(*server.Server)) (string, *server.Server, *engine.Engine, func()) {
 	t.Helper()
-	return startServerCfg(t, engine.Defaults(), mutate)
-}
-
-// startServerCfg is startServerWith with an explicit engine config.
-func startServerCfg(t testing.TB, cfg engine.Config, mutate func(*server.Server)) (string, *server.Server, *engine.Engine, func()) {
-	t.Helper()
-	e, err := engine.New(cfg)
+	e, err := engine.New(engine.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +218,22 @@ func TestResumeUnknownTokenRejected(t *testing.T) {
 }
 
 func TestOverloadRejectionIsTypedAndRetryable(t *testing.T) {
-	// MaxConcurrent=1 and every statement holds its slot ≥50ms (the
-	// simulated device wait): while connection A's statement is in
-	// flight, connection B's must be rejected with the retryable
-	// overloaded ERR — deterministically, not by racing the scheduler.
-	cfg := engine.Defaults()
-	cfg.SimulatedIOWait = 50 * time.Millisecond
-	addr, _, _, stop := startServerCfg(t, cfg, func(srv *server.Server) { srv.MaxConcurrent = 1 })
+	// MaxConcurrent=1, and connection A's statement is held inside its
+	// admitted slot — parked in the engine's statement clock, which is
+	// read on the statement goroutine after admission — until B has
+	// drawn its rejection: while A is in flight, B must get the
+	// retryable overloaded ERR, deterministically.
+	addr, _, e, stop := startServerWith(t, func(srv *server.Server) { srv.MaxConcurrent = 1 })
 	defer stop()
+	var hold atomic.Bool
+	held, resume := make(chan struct{}), make(chan struct{})
+	e.ExecClock = func() time.Time {
+		if hold.CompareAndSwap(true, false) {
+			close(held)
+			<-resume
+		}
+		return time.Now()
+	}
 
 	a, err := client.Dial(addr)
 	if err != nil {
@@ -246,13 +249,15 @@ func TestOverloadRejectionIsTypedAndRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	hold.Store(true)
 	inFlight := make(chan error, 1)
 	go func() {
 		_, err := a.Execute("SELECT COUNT(*) FROM ol")
 		inFlight <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // a's statement is now inside its 50ms wait
+	<-held // a's statement owns the only slot
 	_, err = b.Execute("SELECT COUNT(*) FROM ol")
+	close(resume) // whatever b drew, a may finish: no assertion below leaves it parked
 	if err == nil {
 		t.Fatal("second concurrent statement was admitted past MaxConcurrent=1")
 	}

@@ -2,8 +2,8 @@
 // package generates data for the leakage experiments, the driver
 // exercises the engine's concurrent execution path: N goroutines, each
 // with its own session, issuing a seeded, read-heavy statement mix over
-// several tables. E12 runs it at rising session counts; the engine's
-// BenchmarkMVCCReadersVsWriter runs its readers-vs-writers mode.
+// several tables. E12 runs it at rising session counts; E16 runs its
+// readers-vs-writers mode as background churn.
 
 package workload
 
@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"snapdb/internal/client"
 	"snapdb/internal/engine"
 )
 
@@ -32,21 +31,12 @@ type DriverConfig struct {
 	// BEGIN / TxnSize UPDATEs / COMMIT batches (every
 	// TxnRollbackEvery-th batch ends in ROLLBACK instead), while the
 	// remaining goroutines run pure point SELECTs regardless of
-	// WriteEvery. This is the readers-vs-writer shape E16 and
-	// BenchmarkMVCCReadersVsWriter measure: under MVCC the readers
-	// sail past the writers' open transactions; under stripe locking
-	// they queue behind them.
+	// WriteEvery. This is the readers-vs-writer churn E16 runs: under
+	// MVCC the readers sail past the writers' open transactions; under
+	// stripe locking they queue behind them.
 	WriterSessions   int // goroutines running explicit-txn write batches
 	TxnSize          int // DML statements per transaction (default 4)
 	TxnRollbackEvery int // every Nth batch rolls back; 0 = always commit
-
-	// WriterScanEvery, when positive, makes every Nth writer DML a
-	// maintenance-style UPDATE whose predicate filters on the
-	// unindexed value column, forcing a full table scan under the
-	// exclusive stripe. Point readers never pay the scan, so this
-	// widens the writer's lock hold relative to a read — the
-	// contention shape where snapshot reads matter most.
-	WriterScanEvery int
 }
 
 func (c DriverConfig) normalized() DriverConfig {
@@ -80,14 +70,6 @@ type DriverResult struct {
 	RowsReturned int64
 	Duration     time.Duration
 	PerSecond    float64
-
-	// Mixed-mode reader-side clock: how long until the LAST pure-reader
-	// goroutine drained its quota, while the transactional writers were
-	// still streaming. This is the number the MVCC benchmark compares —
-	// reader progress under write pressure — which the all-goroutines
-	// Duration understates (it includes the writers' own tail).
-	ReaderDuration  time.Duration
-	ReaderPerSecond float64
 }
 
 // DriverTableName names the driver's i-th table.
@@ -151,8 +133,8 @@ func appendPad5(b []byte, n int64) []byte {
 }
 
 // next returns the i-th statement and whether it is a write. The
-// string is freshly allocated — batch mode retains statements past the
-// call — but the build scratch is reused.
+// string is freshly allocated — the engine's logs retain statement
+// text past the call — but the build scratch is reused.
 func (sg *stmtGen) next(i int) (string, bool) {
 	table := sg.tables[sg.rng.Intn(sg.cfg.Tables)]
 	id := int64(sg.rng.Intn(sg.cfg.RowsPerTable))
@@ -197,7 +179,6 @@ func RunDriver(e *engine.Engine, cfg DriverConfig) (*DriverResult, error) {
 	writes := make([]int, cfg.Goroutines)
 	examined := make([]int64, cfg.Goroutines)
 	returned := make([]int64, cfg.Goroutines)
-	readerDone := make([]time.Duration, cfg.Goroutines)
 	start := time.Now()
 	for g := 0; g < cfg.Goroutines; g++ {
 		wg.Add(1)
@@ -211,7 +192,6 @@ func RunDriver(e *engine.Engine, cfg DriverConfig) (*DriverResult, error) {
 				}
 				return
 			}
-			defer func() { readerDone[g] = time.Since(start) }()
 			gcfg := cfg
 			if cfg.WriterSessions > 0 {
 				// In mixed mode the non-writer goroutines read only;
@@ -253,14 +233,6 @@ func RunDriver(e *engine.Engine, cfg DriverConfig) (*DriverResult, error) {
 	if secs := res.Duration.Seconds(); secs > 0 {
 		res.PerSecond = float64(res.Statements) / secs
 	}
-	for _, d := range readerDone {
-		if d > res.ReaderDuration {
-			res.ReaderDuration = d
-		}
-	}
-	if secs := res.ReaderDuration.Seconds(); secs > 0 {
-		res.ReaderPerSecond = float64(res.Reads) / secs
-	}
 	return res, nil
 }
 
@@ -280,17 +252,7 @@ func runTxnWriter(s *engine.Session, cfg DriverConfig, g, quota int, writes *int
 			return fmt.Errorf("BEGIN: %w", err)
 		}
 		for j := 0; j < cfg.TxnSize && i < quota; j++ {
-			var q string
-			if cfg.WriterScanEvery > 0 && (i+1)%cfg.WriterScanEvery == 0 {
-				// Full-scan UPDATE: the predicate is on the unindexed
-				// value column (and never matches the seeded or
-				// updated value shapes), so the statement examines
-				// the whole table while holding the write lock.
-				q = fmt.Sprintf("UPDATE %s SET v = 'swept' WHERE v = 'needle-%d-%d'",
-					DriverTableName(i%cfg.Tables), g, i)
-			} else {
-				q, _ = gen.next(i)
-			}
+			q, _ := gen.next(i)
 			i++
 			*writes++
 			res, err := s.Execute(q)
@@ -309,115 +271,4 @@ func runTxnWriter(s *engine.Session, cfg DriverConfig, g, quota int, writes *int
 		}
 	}
 	return nil
-}
-
-// RemoteDriverConfig configures a driver run against a snapdb server
-// over TCP instead of in-process sessions.
-type RemoteDriverConfig struct {
-	DriverConfig
-	Addr      string // server address
-	BatchSize int    // statements per ExecuteBatch; <=1 drives per-statement Execute
-}
-
-// RunDriverRemote drives a running server with cfg.Goroutines client
-// connections issuing the same deterministic statement mix as
-// RunDriver. With BatchSize > 1 each connection pipelines its
-// statements through client.Conn.ExecuteBatch, which is the
-// batched-throughput configuration E12's client rows time against the
-// per-statement baseline.
-func RunDriverRemote(cfg RemoteDriverConfig) (*DriverResult, error) {
-	dcfg := cfg.DriverConfig.normalized()
-	if dcfg.Statements <= 0 {
-		return nil, fmt.Errorf("workload: driver needs a positive statement count")
-	}
-	perG := dcfg.Statements / dcfg.Goroutines
-	if perG == 0 {
-		perG = 1
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, dcfg.Goroutines)
-	reads := make([]int, dcfg.Goroutines)
-	writes := make([]int, dcfg.Goroutines)
-	examined := make([]int64, dcfg.Goroutines)
-	returned := make([]int64, dcfg.Goroutines)
-	start := time.Now()
-	for g := 0; g < dcfg.Goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			conn, err := client.Dial(cfg.Addr)
-			if err != nil {
-				errs <- fmt.Errorf("workload: driver goroutine %d: %w", g, err)
-				return
-			}
-			defer conn.Close()
-			gen := newStmtGen(dcfg, g)
-			batch := make([]string, 0, cfg.BatchSize)
-			flush := func() error {
-				if len(batch) == 0 {
-					return nil
-				}
-				results, err := conn.ExecuteBatch(batch)
-				if err != nil {
-					return err
-				}
-				for i, br := range results {
-					if br.Err != nil {
-						return fmt.Errorf("%s: %w", batch[i], br.Err)
-					}
-					examined[g] += int64(br.Result.RowsExamined)
-					returned[g] += int64(len(br.Result.Rows))
-				}
-				batch = batch[:0]
-				return nil
-			}
-			for i := 0; i < perG; i++ {
-				q, write := gen.next(i)
-				if write {
-					writes[g]++
-				} else {
-					reads[g]++
-				}
-				if cfg.BatchSize > 1 {
-					batch = append(batch, q)
-					if len(batch) >= cfg.BatchSize {
-						if err := flush(); err != nil {
-							errs <- fmt.Errorf("workload: driver goroutine %d: %w", g, err)
-							return
-						}
-					}
-					continue
-				}
-				res, err := conn.Execute(q)
-				if err != nil {
-					errs <- fmt.Errorf("workload: driver goroutine %d: %s: %w", g, q, err)
-					return
-				}
-				examined[g] += int64(res.RowsExamined)
-				returned[g] += int64(len(res.Rows))
-			}
-			if err := flush(); err != nil {
-				errs <- fmt.Errorf("workload: driver goroutine %d: %w", g, err)
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-
-	res := &DriverResult{Duration: time.Since(start)}
-	for g := 0; g < dcfg.Goroutines; g++ {
-		res.Reads += reads[g]
-		res.Writes += writes[g]
-		res.RowsExamined += examined[g]
-		res.RowsReturned += returned[g]
-	}
-	res.Statements = res.Reads + res.Writes
-	if secs := res.Duration.Seconds(); secs > 0 {
-		res.PerSecond = float64(res.Statements) / secs
-	}
-	return res, nil
 }

@@ -23,6 +23,20 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== the engine sleeps nowhere =="
+# No non-test file of the engine or its substrates may call time.Sleep:
+# a statement costs what its code costs, and anything that would price
+# a device does it in snapbench, through a real daemon (DESIGN.md "No
+# modelled device").
+sleeps=$(grep -rn 'time\.Sleep' --include='*.go' \
+    internal/engine internal/wal internal/binlog internal/btree \
+    internal/bufpool internal/storage internal/commitq | grep -v '_test\.go:' || true)
+if [ -n "$sleeps" ]; then
+    echo "time.Sleep in the engine:" >&2
+    echo "$sleeps" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -82,6 +96,9 @@ echo "== concurrent derivations and queues, ten times (-race) =="
 # at nine more interleavings.
 go test -race ./internal/btree -run 'TestLazyHintUnderConcurrentReaders' -count=10
 go test -race ./internal/commitq -count=10
+# And the transcript gate itself: what E12, E15 and E17 leave in Render
+# must repeat on a busy box, where sessions do meet in the queue.
+go test ./internal/experiments -run TestRenderRepeats -count=5
 
 echo "== network torture seed matrix (-race) =="
 # The wire-level counterpart: seeded resets, partial writes, latency
