@@ -54,6 +54,48 @@ func TestCraftedPageCountIsCleanError(t *testing.T) {
 	}
 }
 
+// forgePage1 returns a copy of tablespace image ts with the u16 at byte
+// at of page 1 set to v. Framed, the result is CRC-valid: what a
+// checkpoint's pages hold is the forger's choice.
+func forgePage1(ts []byte, at int, v uint16) []byte {
+	out := append([]byte(nil), ts...)
+	binary.BigEndian.PutUint16(out[8+storage.PageSize+at:], v)
+	return out
+}
+
+// forgedSlotLength and forgedSlotCount forge page 1's slot directory:
+// slot 0 claims 0xFFFF bytes, or the page claims 0xFFFF slots. Either
+// made SlotBytes slice outside the page — inside Recover
+// (loadCheckpoint's Tree.Len) and cmd/forensic alike — until LoadPage
+// checked slot directories.
+func forgedSlotLength(ts []byte) []byte { return forgePage1(ts, storage.PageSize-2, 0xFFFF) }
+func forgedSlotCount(ts []byte) []byte  { return forgePage1(ts, 5, 0xFFFF) }
+
+// TestForgedSlotDirectoryIsCleanError boots checkpoints whose table
+// root carries a forged slot directory: Recover must return an error.
+func TestForgedSlotDirectoryIsCleanError(t *testing.T) {
+	img, err := seedDurable(t, vfs.NewMemFS()).CheckpointImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, ts, err := DecodeCheckpoint(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Tables[0].Root != 1 {
+		t.Fatalf("accounts root is page %d; the forgeries patch page 1", meta.Tables[0].Root)
+	}
+	for name, forge := range map[string]func([]byte) []byte{"slot length": forgedSlotLength, "slot count": forgedSlotCount} {
+		forged, err := EncodeCheckpoint(meta, forge(ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recoverCheckpoint(t, forged); err == nil {
+			t.Errorf("forged %s: Recover booted the checkpoint", name)
+		}
+	}
+}
+
 // TestCheckpointCodecRoundTrip: Decode inverts Encode, and the
 // tablespace's pages sit on PageSize file offsets (E17 diffs them by
 // page).
@@ -95,14 +137,16 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 // fatal to recovery, and with cmd/forensic it is parsed from
 // directories an adversary may have assembled. Whatever the bytes —
 // raw, or arbitrary catalog JSON and tablespace bytes inside frames
-// whose CRCs are right — DecodeCheckpoint returns an error or an image
-// LoadTablespace loads; it never panics, and never allocates beyond
-// what the input's own length accounts for (the overflow seed would
-// exhaust memory, not just fail, if it did).
+// whose CRCs are right — DecodeCheckpoint and LoadTablespace return an
+// error or a tablespace of the declared pages; they never panic, and
+// never allocate beyond what the input's own length accounts for (the
+// overflow seed would exhaust memory, not just fail, if they did). On
+// every page that loads, SlotBytes stays inside the page for every
+// slot (the forged-slot seeds panicked there before LoadPage checked).
 //
-// What the pages *hold* is not checked here or anywhere: booting a
-// CRC-valid checkpoint whose slot directories or sibling links were
-// forged is ROADMAP's next hardening item.
+// Sibling links and child ids are not checked here or anywhere:
+// booting a checkpoint whose tree links were forged is ROADMAP's next
+// hardening item.
 func FuzzReadCheckpoint(f *testing.F) {
 	mem := vfs.NewMemFS()
 	e := seedDurable(f, mem)
@@ -124,6 +168,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(meta, overflowTablespace(), true)
 	f.Add([]byte(`{"Tables":[{"ID":1,"Name":"t","Root":9},{"ID":1,"Name":"t"}]}`), ts, true)
 	f.Add([]byte(`{`), []byte{0, 0, 0, 0, 0, 0, 0, 0}, true)
+	f.Add(meta, forgedSlotLength(ts), true)
+	f.Add(meta, forgedSlotCount(ts), true)
 	f.Fuzz(func(t *testing.T, a, b []byte, framed bool) {
 		img := a
 		if framed {
@@ -135,10 +181,19 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		loaded, err := storage.LoadTablespace(ts)
 		if err != nil {
-			t.Fatalf("decoded a tablespace image that does not load: %v", err)
+			return
 		}
 		if 8+loaded.NumPages()*storage.PageSize != len(ts) && len(ts) != 8 {
 			t.Fatalf("%d bytes loaded as %d pages", len(ts), loaded.NumPages())
+		}
+		for id := 0; id < loaded.NumPages(); id++ {
+			p, err := loaded.Get(storage.PageID(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < p.SlotCount(); i++ {
+				p.SlotBytes(i)
+			}
 		}
 	})
 }

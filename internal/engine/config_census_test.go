@@ -7,16 +7,15 @@ import (
 
 // configReaders is the knob census: every Config field, and who outside
 // this package's own tests needs it to be settable — an experiment, the
-// hardening profile (internal/mitigate), a snapdbd flag, snapbench, or a
-// differential test that uses it as its reference arm. A field with no
-// such reader is a constant in waiting and does not belong in Config. A
-// new field must arrive with its line here, or the test below fails.
+// hardening profile (internal/mitigate), a snapdbd flag or snapbench. A
+// field with no such reader is a constant in waiting and does not
+// belong in Config. A new field must arrive with its line here, or the
+// test below fails.
 var configReaders = map[string]string{
 	"BufferPoolPages":  "experiments.Ablations sweeps it (E1's LRU/dump surface scales with it)",
 	"EnableBinlog":     "internal/mitigate (Harden keeps or drops the binlog; E11)",
 	"EnableGeneralLog": "internal/mitigate; E14 and E15 switch it on to read arrivals",
 	"EnableQueryCache": "internal/mitigate; E15/E16 switch it off so every statement really scans",
-	"DisablePlanCache": "reference arm of TestDifferentialLegacyVsOperator, TestPlanCacheLeakageEquivalence(+Parallel)",
 	"HistoryPerThread": "experiments.Ablations sweeps it; E10 reports the ring size",
 	"DisableSlowLog":   "internal/mitigate",
 	"StatementTimeout": "snapdbd -stmt-timeout",
@@ -28,7 +27,6 @@ var configReaders = map[string]string{
 	"DisablePerfSchema": "internal/mitigate; snapbench's perfschema.us_per_stmt probe",
 	"ScrubProcesslist":  "internal/mitigate",
 
-	"DisableMVCC":  "E17 (keeps version-store bytes out of its checkpoint diffs); reference arm of TestDifferentialMVCCVsLocking",
 	"DisablePurge": "E16 retain-everything arm",
 	"PurgeEvery":   "E16 inline/aggressive purge arms",
 
@@ -40,7 +38,7 @@ var configReaders = map[string]string{
 
 // configKnobs is the census total ROADMAP's baseline quotes; a PR that
 // moves it says so there.
-const configKnobs = 20
+const configKnobs = 18
 
 func TestConfigKnobCensus(t *testing.T) {
 	typ := reflect.TypeOf(Config{})
@@ -49,7 +47,7 @@ func TestConfigKnobCensus(t *testing.T) {
 	}
 	for i := 0; i < typ.NumField(); i++ {
 		if name := typ.Field(i).Name; configReaders[name] == "" {
-			t.Errorf("Config.%s has no entry in the knob census: name who reads it (experiment, internal/mitigate, snapdbd flag, snapbench, or the test whose reference arm it is) or do not add it", name)
+			t.Errorf("Config.%s has no entry in the knob census: name who reads it (experiment, internal/mitigate, snapdbd flag or snapbench) or do not add it", name)
 		}
 	}
 	for name := range configReaders {

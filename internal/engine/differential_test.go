@@ -156,29 +156,33 @@ func randomWorkload(rng *rand.Rand) []string {
 // also proves that Top-N folding, index-order absorption and (on these
 // never-analyzed fixtures) cost-based index choice change the
 // CPU/memory profile, never the page-access profile. Two workload
-// seeds, each with the plan cache on and off.
+// seeds, each with the plan cache warm and emptied before every
+// statement (coldPlans).
 func TestDifferentialLegacyVsOperator(t *testing.T) {
-	for _, disable := range []bool{false, true} {
+	for _, cold := range []bool{false, true} {
 		name := "plancache-on"
-		if disable {
+		if cold {
 			name = "plancache-off"
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{0xC0FFEE, 0xBEEF} {
-				t.Run(fmt.Sprintf("seed-%X", seed), func(t *testing.T) { runDifferential(t, seed, disable) })
+				t.Run(fmt.Sprintf("seed-%X", seed), func(t *testing.T) { runDifferential(t, seed, cold) })
 			}
 		})
 	}
 }
 
-func runDifferential(t *testing.T, seed int64, disableCache bool) {
+func runDifferential(t *testing.T, seed int64, cold bool) {
 	workload := randomWorkload(rand.New(rand.NewSource(seed)))
 	cfg := Defaults()
-	cfg.DisablePlanCache = disableCache
 	cfg.EnableGeneralLog = true
 
-	legacy := captureRun(t, cfg, workload, legacyExecute)
-	oper := captureRun(t, cfg, workload, nil)
+	wrap := func(fn execFn) execFn { return fn }
+	if cold {
+		wrap = coldPlans
+	}
+	legacy := captureRun(t, cfg, workload, wrap(legacyExecute))
+	oper := captureRun(t, cfg, workload, wrap((*Engine).execute))
 
 	// The legacy executor predates stage events, so stages are excluded;
 	// every other surface must be byte-identical.

@@ -55,7 +55,6 @@ type Config struct {
 	EnableBinlog     bool // default true: production servers replicate
 	EnableGeneralLog bool // default false: too verbose for production
 	EnableQueryCache bool // default true
-	DisablePlanCache bool // default false: plans are cached
 	HistoryPerThread int  // default perfschema.DefaultHistoryPerThread
 	DisableSlowLog   bool // default false: slow log is common in production
 
@@ -84,16 +83,14 @@ type Config struct {
 	DisablePerfSchema bool // no statement events, history, or digests
 	ScrubProcesslist  bool // clear statement text when a query finishes
 
-	// MVCC knobs. The engine runs multi-version snapshot isolation by
-	// default: writers file each mutated row's pre-image into a version
+	// Purge knobs. The engine always runs multi-version snapshot
+	// isolation: writers file each mutated row's pre-image into a version
 	// chain, SELECTs resolve against a read view without taking table
 	// locks, and a purge pass reclaims versions older than the oldest
-	// open view. DisableMVCC reverts to the legacy stripe-locked reads
-	// (the differential tests' control arm). DisablePurge retains every
-	// version forever — E16's worst-case residue arm. PurgeEvery is the
-	// statement interval between inline purge sweeps (default 256); each
-	// sweep examines every chain.
-	DisableMVCC  bool
+	// open view. DisablePurge retains every version forever — E16's
+	// worst-case residue arm. PurgeEvery is the statement interval
+	// between inline purge sweeps (default 256); each sweep examines
+	// every chain.
 	DisablePurge bool
 	PurgeEvery   int
 
@@ -191,12 +188,12 @@ type Table struct {
 	// does. See stats.go.
 	stats tableStats
 
-	// latch orders MVCC readers against writers at tree granularity:
-	// DML holds it exclusively across its tree mutations, an MVCC
-	// SELECT holds it shared across planning and the scan. It replaces
-	// the stripe lock on the read path only — writers still serialize
-	// per table on the stripes, the latch just keeps a reader from
-	// observing a half-applied multi-row statement.
+	// latch orders readers against writers at tree granularity: DML
+	// holds it exclusively across its tree mutations, a SELECT holds it
+	// shared across planning and the scan. It replaces the stripe lock
+	// on the read path — writers still serialize per table on the
+	// stripes, the latch just keeps a reader from observing a
+	// half-applied multi-row statement.
 	latch sync.RWMutex
 
 	// mvccChains counts this table's live version chains (maintained by
@@ -229,17 +226,18 @@ type Engine struct {
 	// ExecClock measures statement duration; overridable for tests.
 	ExecClock func() time.Time
 
-	// locks is the striped table-lock manager: shared for SELECT,
-	// exclusive per table for DML, all stripes for DDL and rollback.
-	// It replaced the global statement mutex, so reads run fully
-	// parallel and writes to different tables don't contend; the B+
-	// trees stay free of internal locking because a table's tree is
-	// only ever mutated under its exclusive stripe.
+	// locks is the striped table-lock manager: shared for ANALYZE TABLE,
+	// exclusive per table for DML, all stripes for DDL and rollback
+	// (SELECT takes none: it reads through the table latch and a view).
+	// It replaced the global statement mutex, so writes to different
+	// tables don't contend; the B+ trees stay free of internal locking
+	// because a table's tree is only ever mutated under its exclusive
+	// stripe.
 	locks lockManager
 
-	// plans is the statement plan cache (see plancache.go); nil when
-	// disabled. It sits in front of the parser only: every statement,
-	// hit or miss, produces the same forensic artifacts.
+	// plans is the statement plan cache (see plancache.go). It sits in
+	// front of the parser only: every statement, hit or miss, produces
+	// the same forensic artifacts.
 	plans *planCache
 
 	// fc samples the buffer pool's cumulative fetch count; scan
@@ -273,8 +271,7 @@ type Engine struct {
 
 	statements atomic.Uint64 // executed statement count, drives periodic dumps
 
-	// versions is the MVCC version store; nil when Config.DisableMVCC
-	// reverts to legacy stripe-locked reads. See mvcc.go.
+	// versions is the MVCC version store. See mvcc.go.
 	versions *mvccStore
 	// activeTxns tracks sessions' open explicit transactions for the
 	// information_schema.active_transactions surface (guarded by mu).
@@ -315,14 +312,10 @@ func New(cfg Config) (*Engine, error) {
 		tables:     make(map[string]*Table),
 		tablesByID: make(map[uint8]*Table),
 		activeTxns: make(map[int]*txnState),
+		versions:   newMVCCStore(),
+		plans:      newPlanCache(),
 	}
 	e.fc = pool.FetchCount
-	if !cfg.DisableMVCC {
-		e.versions = newMVCCStore()
-	}
-	if !cfg.DisablePlanCache {
-		e.plans = newPlanCache()
-	}
 	// Binlog events are stamped with the engine LSN at commit time, the
 	// ordering the forensic LSN↔timestamp correlation consumes.
 	e.binlog.LSNSource = wm.CurrentLSN
@@ -556,7 +549,7 @@ func (s *Session) executeWith(query string, fn execFn) (*Result, error) {
 	// Inline MVCC purge, the deterministic analogue of InnoDB's purge
 	// thread. Statement-count driven so experiments can reproduce the
 	// residue window exactly.
-	if e.versions != nil && !e.cfg.DisablePurge && n%uint64(e.cfg.PurgeEvery) == 0 {
+	if !e.cfg.DisablePurge && n%uint64(e.cfg.PurgeEvery) == 0 {
 		e.versions.purge(0)
 	}
 	return res, err
@@ -686,9 +679,7 @@ func (e *Engine) execCreate(st *sqlparse.CreateTable, query string, ts int64) (*
 	e.tablesByID[t.ID] = t
 	// DDL invalidates every cached plan: statements parsed against the
 	// old catalog may now resolve differently.
-	if e.plans != nil {
-		e.plans.bumpEpoch()
-	}
+	e.plans.bumpEpoch()
 	if e.cfg.EnableBinlog {
 		if err := e.binlog.Commit(binlog.Event{Timestamp: ts, Statement: query}); err != nil {
 			return nil, fmt.Errorf("engine: binlog: %w", err)
@@ -725,13 +716,9 @@ func (e *Engine) execDrop(st *sqlparse.DropTable, query string, ts int64) (*Resu
 	}
 	delete(e.tables, st.Table)
 	delete(e.tablesByID, t.ID)
-	if e.plans != nil {
-		e.plans.bumpEpoch()
-	}
+	e.plans.bumpEpoch()
 	e.mu.Unlock()
-	if e.versions != nil {
-		e.versions.dropTable(t.ID)
-	}
+	e.versions.dropTable(t.ID)
 	e.qcache.InvalidateTable(t.Name)
 	if e.cfg.EnableBinlog {
 		if err := e.binlog.Commit(binlog.Event{Timestamp: ts, Statement: query}); err != nil {
@@ -847,7 +834,7 @@ func (d *dmlStmt) run(res *Result, query string, ts int64, mutate func(row stora
 		// they are the visible state or compensation superseded them.
 		defer func() {
 			if d.touched {
-				e.commitVersions(d.txn)
+				e.versions.commit(d.txn)
 			}
 		}()
 	} else {
@@ -929,7 +916,7 @@ func (e *Engine) insertRow(t *Table, row storage.Record, txn uint64) error {
 	if err := indexInsertRow(t, row); err != nil {
 		return err
 	}
-	e.noteVersion(t, row[t.PKIndex], nil, false, txn)
+	e.versions.noteWrite(t, row[t.PKIndex], nil, false, txn)
 	t.rows.Add(1)
 	t.statsNoteInsert(row)
 	return nil
@@ -939,7 +926,7 @@ func (e *Engine) insertRow(t *Table, row storage.Record, txn uint64) error {
 // replaces the stored record, so old stays intact for the chain.
 func (e *Engine) updateRow(t *Table, old storage.Record, sets []setOp, txn uint64) error {
 	pk := old[t.PKIndex]
-	e.noteVersion(t, pk, old, false, txn)
+	e.versions.noteWrite(t, pk, old, false, txn)
 	updated := old.Clone()
 	for _, op := range sets {
 		if err := indexUpdateColumn(t, pk, op.idx, old[op.idx], op.val); err != nil {
@@ -957,7 +944,7 @@ func (e *Engine) updateRow(t *Table, old storage.Record, sets []setOp, txn uint6
 // persists" residue E16 recovers until purge drops the chain.
 func (e *Engine) deleteRow(t *Table, old storage.Record, txn uint64) error {
 	pk := old[t.PKIndex]
-	e.noteVersion(t, pk, old, true, txn)
+	e.versions.noteWrite(t, pk, old, true, txn)
 	if _, err := t.Tree.Delete(pk); err != nil {
 		return err
 	}
@@ -1027,31 +1014,21 @@ func checkType(col sqlparse.ColumnDef, v sqlparse.Value) error {
 	return nil
 }
 
-// readAccess is what a SELECT holds while it runs, and the only place
-// the two isolation modes differ. Under MVCC (the default) that is the
-// table's read latch plus, when the table has live version chains, the
-// statement's visibility filter — and no stripe, so the read sails past
-// open transactions. With Config.DisableMVCC it is the table's shared
-// stripe and a nil filter: the tree is the truth.
+// readAccess is what a SELECT holds while it runs: the table's read
+// latch plus, when the table has live version chains, the statement's
+// visibility filter — and no stripe, so the read sails past open
+// transactions.
 type readAccess struct {
-	table  *Table
-	vf     *versionFilter // nil: the tree is exactly what the statement may see
-	stripe *sync.RWMutex  // locking mode only
-	view   *readView      // MVCC mode: the ephemeral view to unregister, if any
+	table *Table
+	vf    *versionFilter // nil: the tree is exactly what the statement may see
+	view  *readView      // the ephemeral view to unregister, if any
 }
 
-// acquireRead resolves the table and takes the read access the engine's
-// isolation mode calls for. On success the caller must release.
+// acquireRead resolves the table, takes its read latch and opens the
+// statement's read view. On success the caller must release.
 func (e *Engine) acquireRead(s *Session, pl *plan, name string) (readAccess, error) {
 	var ra readAccess
 	var err error
-	if e.versions == nil {
-		ra.stripe = e.locks.shared(name)
-		if ra.table, err = e.planTable(pl, name); err != nil {
-			ra.stripe.RUnlock()
-		}
-		return ra, err
-	}
 	if ra.table, err = e.planTable(pl, name); err != nil {
 		return ra, err
 	}
@@ -1067,10 +1044,6 @@ func (e *Engine) acquireRead(s *Session, pl *plan, name string) (readAccess, err
 }
 
 func (ra *readAccess) release(e *Engine) {
-	if ra.stripe != nil {
-		ra.stripe.RUnlock()
-		return
-	}
 	if ra.view != nil {
 		e.versions.release(ra.view)
 	}

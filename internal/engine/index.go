@@ -118,9 +118,7 @@ func (e *Engine) execCreateIndex(s *Session, st *sqlparse.CreateIndex, query str
 	e.mu.Unlock()
 	// DDL invalidates cached plans: a SELECT planned before this index
 	// existed would keep full-scanning past it.
-	if e.plans != nil {
-		e.plans.bumpEpoch()
-	}
+	e.plans.bumpEpoch()
 	if e.cfg.EnableBinlog {
 		if err := e.binlog.Commit(binlog.Event{Timestamp: ts, Statement: query}); err != nil {
 			return nil, fmt.Errorf("engine: binlog: %w", err)

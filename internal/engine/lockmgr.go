@@ -8,16 +8,18 @@ import "sync"
 const numLockStripes = 32
 
 // lockManager provides the engine's striped table locks. SELECTs take
-// a shared lock on their table's stripe, so reads of one table run
-// fully parallel; DML takes the stripe exclusively, so writes serialize
-// per table but writes to different tables (different stripes) do not
-// contend. DDL and multi-table rollback take every stripe in index
-// order, which together with single-stripe statements holding at most
-// one lock makes the discipline deadlock-free.
+// none (they read through the table latch and a read view); ANALYZE
+// TABLE takes its table's stripe shared; DML takes the stripe
+// exclusively, so writes serialize per table but writes to different
+// tables (different stripes) do not contend. DDL and multi-table
+// rollback take every stripe in index order, which together with
+// single-stripe statements holding at most one lock makes the
+// discipline deadlock-free.
 //
-// Locks are statement-scoped, not transaction-scoped: an open
-// transaction's uncommitted changes are visible to other sessions, as
-// they were under the old global statement lock.
+// Locks are statement-scoped, not transaction-scoped: they order DML,
+// ANALYZE and DDL statements, and isolate nothing — an open
+// transaction's uncommitted rows are kept from other sessions' reads by
+// the version store, not by a stripe.
 type lockManager struct {
 	stripes [numLockStripes]sync.RWMutex
 }

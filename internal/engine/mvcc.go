@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -414,22 +415,7 @@ func (st *mvccStore) purge(batch int) int {
 // can maintain each Table's lock-free fast-path gate.
 type mvccCounter = atomic.Int64
 
-// noteVersion files a pre-image if MVCC is enabled. The three row
-// mutators call it, once each.
-func (e *Engine) noteVersion(t *Table, pk sqlparse.Value, pre storage.Record, deletedNow bool, txn uint64) {
-	if e.versions != nil {
-		e.versions.noteWrite(t, pk, pre, deletedNow, txn)
-	}
-}
-
-// commitVersions resolves txn in the version store if MVCC is enabled.
-func (e *Engine) commitVersions(txn uint64) {
-	if e.versions != nil {
-		e.versions.commit(txn)
-	}
-}
-
-// selectView returns the read view an MVCC SELECT on t resolves
+// selectView returns the read view a SELECT on t resolves
 // against, or nil when the tree is exactly the view (no chains on the
 // table — purge only drops chains every registered view already sees,
 // so a registered transaction view stays correct through a nil here).
@@ -460,9 +446,6 @@ func (e *Engine) selectView(s *Session, t *Table) (v *readView, ephemeral bool) 
 // all chains), returning the number of row versions reclaimed. The
 // engine also purges inline every Config.PurgeEvery statements.
 func (e *Engine) PurgeVersions(batch int) int {
-	if e.versions == nil {
-		return 0
-	}
 	return e.versions.purge(batch)
 }
 
@@ -479,48 +462,61 @@ type ResidueVersion struct {
 }
 
 // VersionResidue returns every retained old row version with a row
-// image, sorted by (table, pk, chain position). Deleted marks versions
-// whose key the application deleted — the §4 "deleted data persists"
-// channel E16 quantifies.
+// image, sorted by (table, pk, chain position) — within a key, newest
+// first. Deleted marks versions whose key the application deleted —
+// the §4 "deleted data persists" channel E16 quantifies.
 func (e *Engine) VersionResidue() []ResidueVersion {
-	if e.versions == nil {
-		return nil
+	var out []ResidueVersion
+	for _, ce := range e.sortedChains() {
+		for _, old := range ce.olds {
+			if old.row != nil {
+				out = append(out, ResidueVersion{Table: ce.table, PK: ce.pk, Row: old.row, Txn: old.txn, Deleted: ce.deleted})
+			}
+		}
 	}
+	return out
+}
+
+// chainEntry is one version chain as the diagnostic surfaces read it:
+// its table's name ("(dropped)" once the catalog no longer knows it),
+// its key, and a copy of the chain whose olds are cloned, so it reads
+// safely once the store is unlocked.
+type chainEntry struct {
+	table string
+	pk    sqlparse.Value
+	chain
+}
+
+// sortedChains copies every version chain out of the store in (table
+// name, pk) order, each chain's versions newest-first. It is the one
+// walker VersionResidue and information_schema.mvcc_version_store read.
+func (e *Engine) sortedChains() []chainEntry {
 	names := make(map[uint8]string)
 	e.mu.Lock()
 	for id, t := range e.tablesByID {
 		names[id] = t.Name
 	}
 	e.mu.Unlock()
+	var out []chainEntry
 	st := e.versions
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	var out []ResidueVersion
 	for id, tv := range st.tables {
 		name := names[id]
 		if name == "" {
 			name = "(dropped)"
 		}
 		for k, c := range tv.chains {
-			for _, old := range c.olds {
-				if old.row == nil {
-					continue
-				}
-				out = append(out, ResidueVersion{
-					Table:   name,
-					PK:      k.value(),
-					Row:     old.row,
-					Txn:     old.txn,
-					Deleted: c.deleted,
-				})
-			}
+			ce := chainEntry{table: name, pk: k.value(), chain: *c}
+			ce.olds = slices.Clone(c.olds)
+			out = append(out, ce)
 		}
 	}
+	st.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
+		if out[i].table != out[j].table {
+			return out[i].table < out[j].table
 		}
-		return out[i].PK.Compare(out[j].PK) < 0
+		return out[i].pk.Compare(out[j].pk) < 0
 	})
 	return out
 }

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -197,8 +198,8 @@ func TestMVCCSecondaryIndexVisibility(t *testing.T) {
 }
 
 // TestMVCCSelectNotBlockedByTableLock is the acceptance criterion:
-// with MVCC on, a SELECT completes even while the table's exclusive
-// stripe — which every legacy reader would queue behind — is held.
+// a SELECT completes even while the table's exclusive stripe — which
+// a stripe-locked reader would queue behind — is held.
 func TestMVCCSelectNotBlockedByTableLock(t *testing.T) {
 	e, _ := newEngine(t, Defaults())
 	s := e.Connect("app")
@@ -359,25 +360,38 @@ func TestMVCCVersionsSurviveCheckpointRecovery(t *testing.T) {
 	}
 }
 
-func TestMVCCDisabledFallsBackToLocking(t *testing.T) {
+// TestVersionResidueChainOrder: within a key, residue comes out in chain
+// order — newest superseded version first — on every call, however the
+// store's maps happen to iterate. Each key's row is inserted with v = 0
+// and updated to 1, 2, 3, so its residue must read v = 2, 1, 0.
+func TestVersionResidueChainOrder(t *testing.T) {
 	cfg := Defaults()
-	cfg.DisableMVCC = true
+	cfg.DisablePurge = true
 	e, _ := newEngine(t, cfg)
-	a := e.Connect("writer")
-	b := e.Connect("reader")
-	mustExec(t, a, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
-	mustExec(t, a, "INSERT INTO t (id, v) VALUES (1, 'before')")
-	mustExec(t, a, "BEGIN")
-	mustExec(t, a, "UPDATE t SET v = 'after' WHERE id = 1")
-	// Legacy current-read semantics: the reader sees the latest tree
-	// state, uncommitted or not.
-	res := mustExec(t, b, "SELECT v FROM t WHERE id = 1")
-	if res.Rows[0][0].Str != "after" {
-		t.Errorf("legacy read = %v, want dirty 'after'", res.Rows)
+	s := e.Connect("app")
+	defer s.Close()
+	const keys, updates = 300, 3
+	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	for id := 0; id < keys; id++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 0)", id))
 	}
-	mustExec(t, a, "ROLLBACK")
-	if residue := e.VersionResidue(); residue != nil {
-		t.Errorf("version store active with DisableMVCC: %v", residue)
+	for v := 1; v <= updates; v++ {
+		mustExec(t, s, fmt.Sprintf("UPDATE t SET v = %d", v))
+	}
+	var want []string
+	for id := 0; id < keys; id++ {
+		for v := updates - 1; v >= 0; v-- {
+			want = append(want, fmt.Sprintf("t|%d|%d", id, v))
+		}
+	}
+	for call := 0; call < 5; call++ {
+		var got []string
+		for _, rv := range e.VersionResidue() {
+			got = append(got, fmt.Sprintf("%s|%s|%d", rv.Table, rv.PK.SQL(), rv.Row[1].Int))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: residue out of (table, pk, chain) order; first entries %v, want %v", call, got[:min(6, len(got))], want[:6])
+		}
 	}
 }
 

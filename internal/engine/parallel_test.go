@@ -182,8 +182,8 @@ func TestDifferentialParallelVsSerial(t *testing.T) {
 // property under parallel scans: a cached template must fan out exactly
 // as a freshly built plan does (the partition split happens at
 // instantiate time from live state), so every forensic surface except
-// the concurrency-scrambled fetch trace matches with the plan cache on
-// vs off.
+// the concurrency-scrambled fetch trace matches with the plan cache
+// warm vs emptied before every statement.
 func TestPlanCacheLeakageEquivalenceParallel(t *testing.T) {
 	var workload []string
 	workload = append(workload, "CREATE TABLE wide (id INT PRIMARY KEY, grp INT, score INT, name TEXT)")
@@ -205,9 +205,8 @@ func TestPlanCacheLeakageEquivalenceParallel(t *testing.T) {
 	cfg := parallelConfig()
 	cfg.EnableGeneralLog = true
 	withCache := captureRun(t, cfg, workload, nil)
-	cfg.DisablePlanCache = true
-	without := captureRun(t, cfg, workload, nil)
-	diffRuns(t, workload, "plancache-on", "plancache-off", withCache, without, surfFetches)
+	cold := captureRun(t, cfg, workload, coldPlans((*Engine).execute))
+	diffRuns(t, workload, "plancache-on", "plancache-cold", withCache, cold, surfFetches)
 }
 
 // TestParallelScanUnderMVCC: visibility is a decorator on any leaf, the

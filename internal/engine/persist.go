@@ -312,9 +312,7 @@ func (e *Engine) CheckpointImage() ([]byte, error) {
 	// snapshot differ) depends on checkpoint bytes being a function of
 	// engine state, not of map iteration order.
 	sort.Slice(meta.Tables, func(i, j int) bool { return meta.Tables[i].ID < meta.Tables[j].ID })
-	if e.versions != nil {
-		meta.Versions = e.versions.ckptSnapshot()
-	}
+	meta.Versions = e.versions.ckptSnapshot()
 	tsImage := e.ts.Serialize()
 	e.mu.Unlock()
 	return EncodeCheckpoint(meta, tsImage)

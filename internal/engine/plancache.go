@@ -105,9 +105,6 @@ func (c *planCache) bumpEpoch() { c.epoch.Add(1) }
 // lookup returns the cached plan for the statement, or nil. A stale
 // (pre-DDL) entry is evicted and reported as a miss.
 func (c *planCache) lookup(query string) *plan {
-	if c == nil {
-		return nil
-	}
 	cur := c.epoch.Load()
 	sh := c.shardFor(query)
 	sh.mu.Lock()
@@ -135,9 +132,6 @@ func (c *planCache) lookup(query string) *plan {
 // beyond capacity. The plan's epoch must be the value observed before
 // parsing began.
 func (c *planCache) insert(pl *plan) {
-	if c == nil {
-		return
-	}
 	sh := c.shardFor(pl.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -171,41 +165,28 @@ func (c *planCache) Stats() (hits, misses uint64) {
 }
 
 // PlanCacheStats reports the plan cache's hit/miss counters and current
-// size; zeros when the cache is disabled.
+// size.
 func (e *Engine) PlanCacheStats() (hits, misses uint64, entries int) {
-	if e.plans == nil {
-		return 0, 0, 0
-	}
 	h, m := e.plans.Stats()
 	return h, m, e.plans.Len()
 }
 
-// CatalogEpoch returns the DDL epoch counter (0 when the plan cache is
-// disabled).
-func (e *Engine) CatalogEpoch() uint64 {
-	if e.plans == nil {
-		return 0
-	}
-	return e.plans.Epoch()
-}
+// CatalogEpoch returns the DDL epoch counter.
+func (e *Engine) CatalogEpoch() uint64 { return e.plans.Epoch() }
 
 // planFor resolves the statement pipeline front half: a cache hit
 // returns the stored plan; a miss parses, binds, and (on success)
 // caches. The digest text is computed exactly once per cached statement
 // text and reused by every later hit. parse errors are returned with a
 // nil plan — failed statements are never cached, so the error surface
-// is identical with the cache on or off.
+// is identical on a hit and a miss.
 func (e *Engine) planFor(query string) (*plan, error) {
 	if pl := e.plans.lookup(query); pl != nil {
 		return pl, nil
 	}
-	var epoch uint64
-	if e.plans != nil {
-		// Observe the epoch before parsing: a DDL that lands between
-		// here and insert leaves the entry stale, and the next lookup
-		// re-parses.
-		epoch = e.plans.Epoch()
-	}
+	// Observe the epoch before parsing: a DDL that lands between here
+	// and insert leaves the entry stale, and the next lookup re-parses.
+	epoch := e.plans.Epoch()
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		return nil, err
@@ -261,17 +242,16 @@ func (e *Engine) bindPlan(stmt sqlparse.Statement) planBindings {
 }
 
 // planTable returns the plan's bound table while the plan's epoch is
-// still the catalog's, else asks the catalog. Statements call it after
-// taking their table stripe: DDL runs under every stripe, so a DROP (+
-// CREATE) that landed since planFor has already bumped the epoch, and
-// none can land while the stripe is held. (An MVCC SELECT takes no
-// stripe; a DROP that lands after its check is a drop the read began
-// before.) On a mismatch the physXxx helpers see a table the binding
-// was not resolved against and build a fresh template. With the plan
-// cache off there is no epoch to compare, so the catalog is always
-// asked.
+// still the catalog's, else asks the catalog. DML calls it after taking
+// its table stripe: DDL runs under every stripe, so a DROP (+ CREATE)
+// that landed since planFor has already bumped the epoch, and none can
+// land while the stripe is held. (A SELECT takes no stripe; a DROP that
+// lands after its check is a drop the read began before.) On a mismatch
+// the physXxx helpers see a table the binding was not resolved against
+// and build a fresh template. EXPLAIN ANALYZE passes no plan, so the
+// catalog is asked.
 func (e *Engine) planTable(pl *plan, name string) (*Table, error) {
-	if pl != nil && pl.bind.table != nil && e.plans != nil && pl.epoch == e.plans.Epoch() {
+	if pl != nil && pl.bind.table != nil && pl.epoch == e.plans.Epoch() {
 		return pl.bind.table, nil
 	}
 	return e.lookupTable(name)

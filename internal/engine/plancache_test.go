@@ -37,22 +37,6 @@ func TestPlanCacheHitsOnRepeat(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabled(t *testing.T) {
-	cfg := Defaults()
-	cfg.DisablePlanCache = true
-	e, _ := newEngine(t, cfg)
-	s := e.Connect("app")
-	defer s.Close()
-	setupCustomers(t, s, 10)
-
-	for i := 0; i < 3; i++ {
-		mustExec(t, s, "SELECT name FROM customers WHERE id = 3")
-	}
-	if h, m, entries := e.PlanCacheStats(); h != 0 || m != 0 || entries != 0 {
-		t.Errorf("disabled cache has activity: hits=%d misses=%d entries=%d", h, m, entries)
-	}
-}
-
 // TestPlanCacheDDLInvalidation checks that DDL bumps the catalog epoch
 // and that a statement planned before the DDL is re-planned after it —
 // observable through the access path: a SELECT cached as a full scan
@@ -102,59 +86,48 @@ func TestPlanDoesNotOutliveItsTable(t *testing.T) {
 		}
 		return fmt.Sprint(got)
 	}
-	for _, arm := range []struct {
-		name string
-		cfg  func(*Config)
+	for _, tc := range []struct {
+		stmt     string
+		affected int
+		after    string // ids in the re-created table once stmt has run
 	}{
-		{"mvcc", func(*Config) {}},
-		{"locking", func(c *Config) { c.DisableMVCC = true }},
-		{"no-plan-cache", func(c *Config) { c.DisablePlanCache = true }},
+		{"INSERT INTO t (id, v) VALUES (2, 'b')", 1, "[2 7]"},
+		{"UPDATE t SET v = 'x' WHERE id = 7", 1, "[7]"},
+		{"DELETE FROM t WHERE id = 7", 1, "[]"},
+		{"SELECT id FROM t", 0, "[7]"},
 	} {
-		for _, tc := range []struct {
-			stmt     string
-			affected int
-			after    string // ids in the re-created table once stmt has run
-		}{
-			{"INSERT INTO t (id, v) VALUES (2, 'b')", 1, "[2 7]"},
-			{"UPDATE t SET v = 'x' WHERE id = 7", 1, "[7]"},
-			{"DELETE FROM t WHERE id = 7", 1, "[]"},
-			{"SELECT id FROM t", 0, "[7]"},
-		} {
-			t.Run(arm.name+"/"+tc.stmt[:6], func(t *testing.T) {
-				cfg := Defaults()
-				arm.cfg(&cfg)
-				e, _ := newEngine(t, cfg)
-				s, ddl := e.Connect("app"), e.Connect("ddl")
-				defer s.Close()
-				defer ddl.Close()
-				mustExec(t, s, schema)
-				mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 'a')")
+		t.Run("mvcc/"+tc.stmt[:6], func(t *testing.T) {
+			e, _ := newEngine(t, Defaults())
+			s, ddl := e.Connect("app"), e.Connect("ddl")
+			defer s.Close()
+			defer ddl.Close()
+			mustExec(t, s, schema)
+			mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 'a')")
 
-				res, err := s.executeWith(tc.stmt, func(e *Engine, s *Session, q string, pl *plan, parseErr error, ts int64) (*Result, error) {
-					mustExec(t, ddl, "DROP TABLE t")
-					mustExec(t, ddl, schema)
-					mustExec(t, ddl, "INSERT INTO t (id, v) VALUES (7, 'new')")
-					return e.execute(s, q, pl, parseErr, ts)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.RowsAffected != tc.affected {
-					t.Errorf("RowsAffected = %d, want %d", res.RowsAffected, tc.affected)
-				}
-				if tc.affected == 0 && ids(res) != tc.after {
-					t.Errorf("SELECT returned ids %s, want %s (the orphaned tree's rows?)", ids(res), tc.after)
-				}
-				if got := ids(mustExec(t, ddl, "SELECT id FROM t")); got != tc.after {
-					t.Errorf("ids in t afterwards = %s, want %s", got, tc.after)
-				}
-				if tc.stmt[0] == 'U' {
-					if res := mustExec(t, ddl, "SELECT v FROM t WHERE id = 7"); len(res.Rows) != 1 || res.Rows[0][0].Str != "x" {
-						t.Errorf("updated row reads back %v, want x", res.Rows)
-					}
-				}
+			res, err := s.executeWith(tc.stmt, func(e *Engine, s *Session, q string, pl *plan, parseErr error, ts int64) (*Result, error) {
+				mustExec(t, ddl, "DROP TABLE t")
+				mustExec(t, ddl, schema)
+				mustExec(t, ddl, "INSERT INTO t (id, v) VALUES (7, 'new')")
+				return e.execute(s, q, pl, parseErr, ts)
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RowsAffected != tc.affected {
+				t.Errorf("RowsAffected = %d, want %d", res.RowsAffected, tc.affected)
+			}
+			if tc.affected == 0 && ids(res) != tc.after {
+				t.Errorf("SELECT returned ids %s, want %s (the orphaned tree's rows?)", ids(res), tc.after)
+			}
+			if got := ids(mustExec(t, ddl, "SELECT id FROM t")); got != tc.after {
+				t.Errorf("ids in t afterwards = %s, want %s", got, tc.after)
+			}
+			if tc.stmt[0] == 'U' {
+				if res := mustExec(t, ddl, "SELECT v FROM t WHERE id = 7"); len(res.Rows) != 1 || res.Rows[0][0].Str != "x" {
+					t.Errorf("updated row reads back %v, want x", res.Rows)
+				}
+			}
+		})
 	}
 }
 
@@ -425,8 +398,9 @@ func diffRuns(t *testing.T, workload []string, aName, bName string, a, b runStat
 // artifact — general log, binlog, perfschema statement events and
 // digest histogram, and the heap arena's byte image — must be
 // identical to an engine executing the same workload with the cache
-// off. If the cache ever short-circuits an artifact write, the paper's
-// experiments would silently under-report leakage.
+// emptied before every statement. If the cache ever short-circuits an
+// artifact write, the paper's experiments would silently under-report
+// leakage.
 func TestPlanCacheLeakageEquivalence(t *testing.T) {
 	workload := []string{
 		"CREATE TABLE accounts (id INT PRIMARY KEY, owner TEXT, balance INT)",
@@ -470,7 +444,28 @@ func TestPlanCacheLeakageEquivalence(t *testing.T) {
 	cfg := Defaults()
 	cfg.EnableGeneralLog = true
 	withCache := captureRun(t, cfg, workload, nil)
-	cfg.DisablePlanCache = true
-	without := captureRun(t, cfg, workload, nil)
-	diffRuns(t, workload, "plancache-on", "plancache-off", withCache, without, 0)
+	cold := captureRun(t, cfg, workload, coldPlans((*Engine).execute))
+	diffRuns(t, workload, "plancache-on", "plancache-cold", withCache, cold, 0)
+}
+
+// coldPlans wraps fn so that every statement finds the plan cache
+// empty: the cache is cleared as each statement finishes, so the next
+// one parses and binds afresh. It is the reference arm of the plan-cache
+// equivalences — what a cache hit must be indistinguishable from.
+func coldPlans(fn execFn) execFn {
+	return func(e *Engine, s *Session, q string, pl *plan, parseErr error, ts int64) (*Result, error) {
+		defer e.plans.clear()
+		return fn(e, s, q, pl, parseErr, ts)
+	}
+}
+
+// clear empties the cache.
+func (c *planCache) clear() {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		clear(sh.m)
+		sh.ll.Init()
+		sh.mu.Unlock()
+	}
 }

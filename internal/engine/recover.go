@@ -178,7 +178,7 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 			// Pre-checkpoint markers are skipped: those transactions'
 			// sequences came with the checkpoint's serialized store.
 			if r.Txn != 0 && (!found || r.LSN > meta.LSN) {
-				e.commitVersions(r.Txn)
+				e.versions.commit(r.Txn)
 			}
 			continue
 		}
@@ -278,13 +278,11 @@ func (e *Engine) loadCheckpoint(meta CheckpointMeta, tsImage []byte) error {
 	}
 	e.nextTableID = meta.NextTableID
 	e.wal.SetRecovered(meta.LSN, meta.Txn)
-	if e.versions != nil {
-		// The checkpointed version store comes back whole: every
-		// not-yet-purged pre-image — deleted rows included — survives
-		// the crash (and the WAL truncation the checkpoint performed),
-		// which is E16's recovery arm.
-		e.versions.loadCkpt(meta.Versions, e.tablesByID)
-	}
+	// The checkpointed version store comes back whole: every
+	// not-yet-purged pre-image — deleted rows included — survives the
+	// crash (and the WAL truncation the checkpoint performed), which is
+	// E16's recovery arm.
+	e.versions.loadCkpt(meta.Versions, e.tablesByID)
 	return nil
 }
 

@@ -166,15 +166,14 @@ func maskWorkload(rng *rand.Rand) []string {
 
 // TestColumnMaskIsComplete diffs maskWorkload against the frozen legacy
 // executor, which always decoded whole rows: results, examined counts,
-// fetch trace and logs must match with the plan cache on and off.
+// fetch trace and logs must match with the plan cache warm and cold.
 func TestColumnMaskIsComplete(t *testing.T) {
 	workload := maskWorkload(rand.New(rand.NewSource(0x5EED)))
-	for _, disable := range []bool{false, true} {
-		cfg := Defaults()
-		cfg.DisablePlanCache = disable
-		cfg.EnableGeneralLog = true
-		legacy := captureRun(t, cfg, workload, legacyExecute)
-		oper := captureRun(t, cfg, workload, nil)
+	cfg := Defaults()
+	cfg.EnableGeneralLog = true
+	for _, wrap := range []func(execFn) execFn{func(fn execFn) execFn { return fn }, coldPlans} {
+		legacy := captureRun(t, cfg, workload, wrap(legacyExecute))
+		oper := captureRun(t, cfg, workload, wrap((*Engine).execute))
 		diffRuns(t, workload, "legacy", "operator", legacy, oper, surfStages)
 	}
 }

@@ -150,7 +150,7 @@ func (e *Engine) maybeStatsDrift(t *Table) {
 		t.stats.baseline = live
 	}
 	t.stats.mu.Unlock()
-	if drifted && e.plans != nil {
+	if drifted {
 		e.plans.bumpEpoch()
 	}
 }
@@ -221,9 +221,7 @@ func (e *Engine) execAnalyzeTable(s *Session, st *sqlparse.AnalyzeTable, query s
 	t.setStats(summaries, ts, rows)
 	t.rows.Store(rows) // the scan just counted the truth; resync the hint
 	// Cached plans hold access paths chosen under the old statistics.
-	if e.plans != nil {
-		e.plans.bumpEpoch()
-	}
+	e.plans.bumpEpoch()
 	if err := s.emitBinlog(e, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
 		return nil, err
 	}

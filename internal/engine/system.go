@@ -155,52 +155,17 @@ func (e *Engine) systemSelect(st *sqlparse.Select) (*Result, bool) {
 		// deleted=1 chains still carrying versions are rows the
 		// application removed that remain readable here.
 		out := &Result{Columns: []string{"table_name", "pk", "latest_txn", "deleted", "versions"}}
-		if e.versions == nil {
-			return out, true
-		}
-		names := make(map[uint8]string)
-		e.mu.Lock()
-		for id, t := range e.tablesByID {
-			names[id] = t.Name
-		}
-		e.mu.Unlock()
-		type chainRow struct {
-			table    string
-			pk       sqlparse.Value
-			latest   uint64
-			deleted  bool
-			versions int
-		}
-		var chains []chainRow
-		st2 := e.versions
-		st2.mu.Lock()
-		for id, tv := range st2.tables {
-			name := names[id]
-			if name == "" {
-				name = "(dropped)"
-			}
-			for k, c := range tv.chains {
-				chains = append(chains, chainRow{name, k.value(), c.latestTxn, c.deleted, len(c.olds)})
-			}
-		}
-		st2.mu.Unlock()
-		sort.Slice(chains, func(i, j int) bool {
-			if chains[i].table != chains[j].table {
-				return chains[i].table < chains[j].table
-			}
-			return chains[i].pk.Compare(chains[j].pk) < 0
-		})
-		for _, c := range chains {
+		for _, ce := range e.sortedChains() {
 			del := int64(0)
-			if c.deleted {
+			if ce.deleted {
 				del = 1
 			}
 			out.Rows = append(out.Rows, storage.Record{
-				sqlparse.StrValue(c.table),
-				sqlparse.StrValue(c.pk.String()),
-				sqlparse.IntValue(int64(c.latest)),
+				sqlparse.StrValue(ce.table),
+				sqlparse.StrValue(ce.pk.String()),
+				sqlparse.IntValue(int64(ce.latestTxn)),
 				sqlparse.IntValue(del),
-				sqlparse.IntValue(int64(c.versions)),
+				sqlparse.IntValue(int64(len(ce.olds))),
 			})
 		}
 		return out, true
@@ -209,9 +174,6 @@ func (e *Engine) systemSelect(st *sqlparse.Select) (*Result, bool) {
 		// open views and the oldest snapshot pinning purge, and the
 		// purge statistics (the purge-lag view).
 		out := &Result{Columns: []string{"seq", "chains", "versions", "views", "oldest_view_snap", "commits_tracked", "purge_runs", "purged_versions"}}
-		if e.versions == nil {
-			return out, true
-		}
 		ms := e.versions.status()
 		out.Rows = append(out.Rows, storage.Record{
 			sqlparse.IntValue(int64(ms.seq)),

@@ -128,7 +128,7 @@ func (e *Engine) execTxnControl(s *Session, st *sqlparse.TxnControl, ts int64) (
 			evs[i].Timestamp = ts
 		}
 		binlogErr := e.binlog.CommitBatch(evs)
-		e.commitVersions(s.txn.walTxn) // before openTxns drops: a checkpoint must find every chain resolved
+		e.versions.commit(s.txn.walTxn) // before openTxns drops: a checkpoint must find every chain resolved
 		s.endTxn(e)
 		if binlogErr != nil {
 			return nil, fmt.Errorf("engine: binlog: %w", binlogErr)
@@ -184,7 +184,7 @@ func (e *Engine) rollbackTxn(txn uint64, undo []wal.Record) error {
 			return fmt.Errorf("abort marker: %w", err)
 		}
 	}
-	e.commitVersions(txn)
+	e.versions.commit(txn)
 	return nil
 }
 

@@ -163,10 +163,6 @@ func e17Arm(det bool, growRows int) (E17Arm, error) {
 	cfg.EncryptAtRest = true
 	cfg.EncryptionKey = prim.TestKey("e17")
 	cfg.DeterministicPages = det
-	// Catalog-only checkpoints: the MVCC version store would add
-	// churn-dependent bytes to the checkpoint meta, which is residue
-	// E16 already measures — here it would only blur the page diff.
-	cfg.DisableMVCC = true
 	e, err := engine.New(cfg)
 	if err != nil {
 		return arm, err
@@ -183,6 +179,11 @@ func e17Arm(det bool, growRows int) (E17Arm, error) {
 		return err
 	}
 	snap := func() (e17Snap, error) {
+		// An operator's full purge first (E16's aggressive arm): the
+		// checkpoint then carries no version chains, whose
+		// churn-dependent bytes are residue E16 already measures and
+		// would only blur the page diff here.
+		e.PurgeVersions(0)
 		if err := e.Checkpoint(); err != nil {
 			return e17Snap{}, err
 		}

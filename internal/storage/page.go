@@ -274,12 +274,26 @@ func (p *Page) CloneBytes() []byte {
 	return out
 }
 
-// LoadPage reconstructs a Page from a raw image.
+// LoadPage reconstructs a Page from a raw image. Images come from
+// stolen or hand-assembled directories, so the slot directory is
+// checked before any reader trusts it: it must fit between the header
+// and the page end, and every live slot must lie between the header and
+// the directory — the bounds SlotBytes slices by.
 func LoadPage(img []byte) (*Page, error) {
 	if len(img) != PageSize {
 		return nil, fmt.Errorf("storage: page image is %d bytes, want %d", len(img), PageSize)
 	}
 	p := &Page{}
 	copy(p.buf[:], img)
+	dir := p.slotPos(p.SlotCount() - 1)
+	if dir < pageHeaderSize {
+		return nil, fmt.Errorf("storage: page %d: %d slots overrun the header", p.ID(), p.SlotCount())
+	}
+	for i := 0; i < p.SlotCount(); i++ {
+		if off, length := p.slot(i); length != 0 && (off < pageHeaderSize || off+length > dir) {
+			return nil, fmt.Errorf("storage: page %d: slot %d [%d, %d) lies outside the record area [%d, %d)",
+				p.ID(), i, off, off+length, pageHeaderSize, dir)
+		}
+	}
 	return p, nil
 }

@@ -263,6 +263,44 @@ func TestLoadPageBadSize(t *testing.T) {
 	}
 }
 
+// TestLoadPageRejectsForgedSlots: page images reach LoadPage from
+// stolen or hand-assembled directories (Recover, cmd/forensic), so it
+// refuses a slot directory SlotBytes would slice outside the page by —
+// each forgery below panicked in SlotBytes before LoadPage checked. A
+// deleted slot's offset is residue, not a claim, and loads as it is.
+func TestLoadPageRejectsForgedSlots(t *testing.T) {
+	forge := func(f func(p *Page)) []byte {
+		p := NewPage(1, PageBTreeLeaf)
+		for i := 0; i < 3; i++ {
+			if _, err := p.InsertBytes(EncodeRecord(Record{sqlparse.IntValue(int64(i))})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = p.DeleteSlot(1)
+		f(p)
+		return p.CloneBytes()
+	}
+	dir := PageSize - 3*slotSize
+	for name, f := range map[string]func(p *Page){
+		"genuine":             func(*Page) {},
+		"deleted slot's junk": func(p *Page) { p.setSlot(1, 0xFFFF, 0) },
+	} {
+		if _, err := LoadPage(forge(f)); err != nil {
+			t.Errorf("%s page rejected: %v", name, err)
+		}
+	}
+	for name, f := range map[string]func(p *Page){
+		"length past the page end":  func(p *Page) { p.setSlot(0, pageHeaderSize, 0xFFFF) },
+		"record over the directory": func(p *Page) { p.setSlot(2, dir-1, 2) },
+		"record in the header":      func(p *Page) { p.setSlot(0, 3, 4) },
+		"directory over the header": func(p *Page) { p.setSlotCount(0xFFFF) },
+	} {
+		if _, err := LoadPage(forge(f)); err == nil {
+			t.Errorf("%s: forged page loaded", name)
+		}
+	}
+}
+
 func TestTablespaceAllocateGetRelease(t *testing.T) {
 	ts := NewTablespace()
 	p1 := ts.Allocate(PageBTreeLeaf)

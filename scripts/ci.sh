@@ -67,6 +67,9 @@ echo "== experiment transcript =="
 # byte for byte, the golden that TestAllQuick compares against (timing
 # goes to stderr). A diff here is a forensic surface that moved.
 go run ./cmd/experiments -quick 2>/dev/null | diff - internal/experiments/testdata/quick.golden
+# And the full-scale transcript (~5 min): experiments_output.txt is the
+# record EXPERIMENTS.md cites, so it is gated the same way.
+go run ./cmd/experiments 2>/dev/null | diff - experiments_output.txt
 
 echo "== fuzz smoke =="
 # One -fuzz target per invocation (a Go toolchain constraint).
