@@ -5,15 +5,15 @@
 //
 //	experiments [-quick] [-run E5]
 //
-// Without -run it executes everything in experiments.Registry: E1..E17
-// plus the ablations. -quick shrinks workloads (fewer trials, smaller
+// Without -run it executes everything in experiments.Registry: E1..E11
+// and E13..E17 plus the ablations. -quick shrinks workloads (fewer trials, smaller
 // corpora) so the whole suite finishes in well under a minute.
 //
 // Stdout is the transcript and repeats byte for byte: at full scale it
 // is experiments_output.txt, with -quick it is
 // internal/experiments/testdata/quick.golden. Figures that depend on
-// scheduling or on crypto/rand (E12's rates, where E15's traces first
-// diverge, E17's fresh-IV similarity) go to stderr.
+// scheduling or on crypto/rand (where E15's traces first diverge,
+// E17's fresh-IV similarity) go to stderr.
 package main
 
 import (
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced workloads (fewer trials, smaller corpora)")
-	run := flag.String("run", "", "run a single experiment by id (E1..E17, E5-ablation, Ablations)")
+	run := flag.String("run", "", "run a single experiment by id (E1..E11, E13..E17, E5-ablation, Ablations)")
 	flag.Parse()
 
 	if err := realMain(*quick, *run); err != nil {

@@ -157,7 +157,7 @@ func TestDifferentialCryptVsPlain(t *testing.T) {
 // a fresh CryptFS must land on the same reference digests.
 func TestCrashTortureEncrypted(t *testing.T) {
 	stmts := tortureStmts()
-	refs := refDigests(t, stmts)
+	refs := refStates(t, stmts)
 	cfg := cryptCfg(true)
 	cfg.EnableGeneralLog = false
 
@@ -181,7 +181,7 @@ func TestCrashTortureEncrypted(t *testing.T) {
 	if stride < 1 {
 		stride = 1
 	}
-	points := 0
+	points, leads := 0, 0
 	for k := 1; k <= total; k += stride {
 		mem := vfs.NewMemFS()
 		reg := failpoint.New(1)
@@ -196,18 +196,20 @@ func TestCrashTortureEncrypted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill-point %d: encrypted recovery failed: %v", k, err)
 		}
-		got := digestOf(t, r)
-		next := acked + 1
-		if next > len(stmts) {
-			next = len(stmts)
-		}
-		if got != refs[acked] && got != refs[next] {
+		diverged, binlogLeads := checkRecovered(t, r, refs, acked)
+		if diverged {
 			t.Fatalf("kill-point %d diverged: acked %d statements, report %+v", k, acked, rep)
+		}
+		if binlogLeads {
+			leads++
 		}
 		points++
 	}
 	if points < 100 {
 		t.Errorf("only %d kill-points exercised, want >= 100 (total ops %d)", points, total)
+	}
+	if leads > 0 {
+		t.Errorf("%d of %d encrypted kill-points recover a binlog that leads the recovered data", leads, points)
 	}
 	t.Logf("%d encrypted kill-points over %d durable ops, all recovered consistently", points, total)
 }

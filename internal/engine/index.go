@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"snapdb/internal/binlog"
 	"snapdb/internal/btree"
 	"snapdb/internal/sqlparse"
 	"snapdb/internal/storage"
@@ -119,15 +118,10 @@ func (e *Engine) execCreateIndex(s *Session, st *sqlparse.CreateIndex, query str
 	// DDL invalidates cached plans: a SELECT planned before this index
 	// existed would keep full-scanning past it.
 	e.plans.bumpEpoch()
-	if e.cfg.EnableBinlog {
-		if err := e.binlog.Commit(binlog.Event{Timestamp: ts, Statement: query}); err != nil {
-			return nil, fmt.Errorf("engine: binlog: %w", err)
-		}
-	}
-	// Like CREATE TABLE: the catalog (and the backfilled index tree) is
-	// not WAL-logged, so a durable engine persists it by checkpointing.
-	if err := e.checkpointLocked(); err != nil {
-		return nil, fmt.Errorf("engine: DDL checkpoint: %w", err)
+	// The backfilled index tree is not WAL-logged either: commitDDL's
+	// checkpoint persists it with the catalog.
+	if err := e.commitDDL(query, ts); err != nil {
+		return nil, err
 	}
 	return &Result{}, nil
 }

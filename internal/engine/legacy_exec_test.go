@@ -12,7 +12,10 @@ package engine
 // WHERE/projection columns inline instead of through the old
 // planBindings fields (which the physical-plan template replaced):
 // resolution has no forensic side effects and errors at the same
-// execution points, so the artifact streams are unaffected.
+// execution points, so the artifact streams are unaffected. It is a
+// read-path reference, so the UPDATE and DELETE copies end through the
+// production commit path (Session.publish) rather than a commit tail of
+// their own.
 
 import (
 	"fmt"
@@ -291,7 +294,7 @@ func legacyExecUpdate(e *Engine, s *Session, st *sqlparse.Update, query string, 
 		}
 		sets = append(sets, setOpL{idx, a.Value})
 	}
-	txn, auto := s.stmtTxn(e)
+	txn, _ := s.stmtTxn(e)
 	for _, old := range rows {
 		updated := old.Clone()
 		for _, op := range sets {
@@ -313,13 +316,8 @@ func legacyExecUpdate(e *Engine, s *Session, st *sqlparse.Update, query string, 
 	}
 	e.qcache.InvalidateTable(t.Name)
 	if len(rows) > 0 {
-		if err := s.emitBinlog(e, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
+		if _, err := s.publish(e, txn, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
 			return nil, err
-		}
-		if auto {
-			if err := e.wal.LogCommit(txn); err != nil {
-				return nil, fmt.Errorf("engine: wal commit: %w", err)
-			}
 		}
 	}
 	return &Result{RowsAffected: len(rows), RowsExamined: examined}, nil
@@ -334,7 +332,7 @@ func legacyExecDelete(e *Engine, s *Session, st *sqlparse.Delete, query string, 
 	if err != nil {
 		return nil, err
 	}
-	txn, auto := s.stmtTxn(e)
+	txn, _ := s.stmtTxn(e)
 	t.rows.Add(-int64(len(rows)))
 	for _, old := range rows {
 		if _, err := t.Tree.Delete(old[t.PKIndex]); err != nil {
@@ -351,13 +349,8 @@ func legacyExecDelete(e *Engine, s *Session, st *sqlparse.Delete, query string, 
 	}
 	e.qcache.InvalidateTable(t.Name)
 	if len(rows) > 0 {
-		if err := s.emitBinlog(e, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
+		if _, err := s.publish(e, txn, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
 			return nil, err
-		}
-		if auto {
-			if err := e.wal.LogCommit(txn); err != nil {
-				return nil, fmt.Errorf("engine: wal commit: %w", err)
-			}
 		}
 	}
 	return &Result{RowsAffected: len(rows), RowsExamined: examined}, nil

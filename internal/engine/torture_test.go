@@ -53,13 +53,20 @@ func tortureStmts() []string {
 	return stmts
 }
 
-// refDigests returns, for every statement-prefix length 0..len(stmts),
-// the state digest a crash-then-recover at that point must land on:
-// the prefix executed on a fresh in-memory engine, with any transaction
-// still open at the cut rolled back (recovery rolls back losers).
-func refDigests(t testing.TB, stmts []string) []string {
+// tortureRef is what a crash-then-recover after one statement prefix
+// must land on: the state digest of the prefix executed on a fresh
+// in-memory engine, with any transaction still open at the cut rolled
+// back (recovery rolls back losers), and that engine's binlog length.
+type tortureRef struct {
+	digest string
+	binlog int
+}
+
+// refStates returns the tortureRef of every statement-prefix length
+// 0..len(stmts).
+func refStates(t testing.TB, stmts []string) []tortureRef {
 	t.Helper()
-	out := make([]string, 0, len(stmts)+1)
+	out := make([]tortureRef, 0, len(stmts)+1)
 	for i := 0; i <= len(stmts); i++ {
 		e, _ := newEngine(t, Defaults())
 		s := e.Connect("ref")
@@ -76,9 +83,26 @@ func refDigests(t testing.TB, stmts []string) []string {
 		if open {
 			mustExec(t, s, "ROLLBACK")
 		}
-		out = append(out, digestOf(t, e))
+		out = append(out, tortureRef{digest: digestOf(t, e), binlog: e.Binlog().Len()})
 	}
 	return out
+}
+
+// checkRecovered holds an engine recovered at a kill-point to the two
+// statement prefixes it may land on: the acked statements, or those plus
+// the one in flight. diverged: the data matches neither. binlogLeads:
+// the binlog holds more events than the prefix the data matched — a
+// replica would apply writes the primary lost. (The longer prefix is
+// tried first: a prefix's binlog never shrinks as it grows.)
+func checkRecovered(t testing.TB, r *Engine, refs []tortureRef, acked int) (diverged, binlogLeads bool) {
+	t.Helper()
+	got := digestOf(t, r)
+	for _, i := range []int{min(acked+1, len(refs)-1), acked} {
+		if refs[i].digest == got {
+			return false, r.Binlog().Len() > refs[i].binlog
+		}
+	}
+	return true, false
 }
 
 // runUntilError executes stmts against a fresh durable engine on fs and
@@ -124,15 +148,16 @@ func tortureSeeds(t testing.TB) []int64 {
 	return seeds
 }
 
-// TestCrashTortureKillPoints is the harness the issue asks for: crash
-// the engine at every k-th durable operation (write, sync, rename, ...)
-// across the workload, recover from the surviving bytes, and assert the
-// recovered state digest matches the reference prefix of acknowledged
-// statements — the in-flight statement may land either way, so digests
-// for acked and acked+1 are both legal.
+// TestCrashTortureKillPoints crashes the engine at every k-th durable
+// operation (write, sync, rename, ...) across the workload, recovers
+// from the surviving bytes, and asserts the recovered state digest
+// matches the reference prefix of acknowledged statements — the
+// in-flight statement may land either way, so digests for acked and
+// acked+1 are both legal — and that the recovered binlog never leads
+// the recovered data.
 func TestCrashTortureKillPoints(t *testing.T) {
 	stmts := tortureStmts()
-	refs := refDigests(t, stmts)
+	refs := refStates(t, stmts)
 
 	for _, seed := range tortureSeeds(t) {
 		seed := seed
@@ -147,7 +172,7 @@ func TestCrashTortureKillPoints(t *testing.T) {
 			if stride < 1 {
 				stride = 1
 			}
-			points := 0
+			points, leads := 0, 0
 			for k := 1; k <= total; k += stride {
 				mem := vfs.NewMemFS()
 				reg := failpoint.New(seed)
@@ -162,18 +187,20 @@ func TestCrashTortureKillPoints(t *testing.T) {
 				if err != nil {
 					t.Fatalf("kill-point %d: recovery failed: %v", k, err)
 				}
-				got := digestOf(t, r)
-				next := acked + 1
-				if next > len(stmts) {
-					next = len(stmts)
-				}
-				if got != refs[acked] && got != refs[next] {
+				diverged, binlogLeads := checkRecovered(t, r, refs, acked)
+				if diverged {
 					t.Fatalf("kill-point %d diverged: acked %d statements, report %+v", k, acked, rep)
+				}
+				if binlogLeads {
+					leads++
 				}
 				points++
 			}
 			if points < 100 {
 				t.Errorf("only %d kill-points exercised, want >= 100 (total ops %d)", points, total)
+			}
+			if leads > 0 {
+				t.Errorf("%d of %d kill-points recover a binlog that leads the recovered data", leads, points)
 			}
 			t.Logf("seed %d: %d kill-points over %d durable ops, all recovered consistently", seed, points, total)
 		})
@@ -186,10 +213,10 @@ func TestCrashTortureKillPoints(t *testing.T) {
 // still be SOME consistent prefix, never a torn hybrid.
 func TestCrashTortureDroppedSyncs(t *testing.T) {
 	stmts := tortureStmts()
-	refs := refDigests(t, stmts)
+	refs := refStates(t, stmts)
 	valid := make(map[string]int, len(refs))
-	for i, d := range refs {
-		valid[d] = i
+	for i, ref := range refs {
+		valid[ref.digest] = i
 	}
 
 	dryReg := failpoint.New(1)

@@ -59,24 +59,66 @@ func (s *Session) noteUndo(rec wal.Record) {
 	}
 }
 
-// emitBinlog routes a statement's binlog event: buffered inside an open
-// transaction, committed through the binlog's group-commit pipeline
-// otherwise (which stamps the commit-time LSN and timestamp). The
-// returned error is the durability sink's, if one is attached.
-func (s *Session) emitBinlog(e *Engine, ev binlog.Event) error {
-	if !e.cfg.EnableBinlog {
-		return nil
+// publish ends a statement that changed something. Inside an open
+// transaction its binlog event joins the transaction's buffer and COMMIT
+// publishes it; otherwise the statement is its own transaction txn and
+// commits now, through commitTxn — txn 0 when it logged nothing (ANALYZE
+// TABLE). durable is commitTxn's.
+func (s *Session) publish(e *Engine, txn uint64, ev binlog.Event) (durable bool, err error) {
+	if s.txn == nil {
+		return e.commitTxn(txn, txn != 0, []binlog.Event{ev})
 	}
-	if s.txn != nil {
+	if e.cfg.EnableBinlog {
 		s.txn.mu.Lock()
 		s.txn.binlogBuf = append(s.txn.binlogBuf, ev)
 		s.txn.mu.Unlock()
-		return nil
 	}
-	if err := e.binlog.Commit(ev); err != nil {
-		return fmt.Errorf("engine: binlog: %w", err)
+	return true, nil
+}
+
+// commitTxn is the one commit order — COMMIT's, every autocommit
+// statement's, and (with nothing logged) ANALYZE TABLE's and DDL's:
+//
+//  1. the WAL commit marker, if txn logged anything: the durability
+//     point, after which recovery replays the changes;
+//  2. the binlog batch, stamped with the commit-time LSN and timestamp;
+//  3. the version store, which makes the changes the visible latest.
+//
+// Nothing reaches the binlog before the marker is on disk, so a crash
+// anywhere leaves the recovered binlog at or behind the recovered data,
+// never ahead: a replica never applies a write the primary lost. If the
+// marker fails nothing happened (durable is false) and the caller either
+// compensates or keeps the transaction open. A binlog failure after it
+// is reported but cannot undo the commit.
+func (e *Engine) commitTxn(txn uint64, logged bool, evs []binlog.Event) (durable bool, err error) {
+	if logged {
+		if err := e.wal.LogCommit(txn); err != nil {
+			return false, fmt.Errorf("engine: wal commit: %w", err)
+		}
 	}
-	return nil
+	var binlogErr error
+	if e.cfg.EnableBinlog {
+		binlogErr = e.binlog.CommitBatch(evs)
+	}
+	e.versions.commit(txn)
+	if binlogErr != nil {
+		return true, fmt.Errorf("engine: binlog: %w", binlogErr)
+	}
+	return true, nil
+}
+
+// commitDDL is every DDL statement's durability point. The catalog is
+// not WAL-logged, so a durable engine persists DDL by checkpointing —
+// every later WAL record then references a table the checkpoint knows —
+// and only then binlogs the statement, so a crash between the two
+// leaves the recovered catalog ahead of the binlog, never behind it.
+// Callers hold every table lock and not e.mu (the checkpoint takes it).
+func (e *Engine) commitDDL(query string, ts int64) error {
+	if err := e.checkpointLocked(); err != nil {
+		return fmt.Errorf("engine: DDL checkpoint: %w", err)
+	}
+	_, err := e.commitTxn(0, false, []binlog.Event{{Timestamp: ts, Statement: query}})
+	return err
 }
 
 // InTransaction reports whether the session has an open transaction.
@@ -99,39 +141,26 @@ func (e *Engine) execTxnControl(s *Session, st *sqlparse.TxnControl, ts int64) (
 		if s.txn == nil {
 			return nil, fmt.Errorf("engine: COMMIT without open transaction")
 		}
-		// The commit marker is the transaction's durability point:
-		// recovery replays these changes only once it is on disk. It
-		// must reach the WAL *before* the binlog flush — the historical
-		// reverse order meant a crash between the two left binlog'd
-		// statements the WAL would never replay, silently diverging the
-		// replication stream from the recovered data. (The binlog append
-		// is the crash-torture kill point covering this window.) On a
-		// WAL sink failure the transaction stays open: nothing is
-		// durable, and the client may retry or roll back.
+		// Buffered statement events flush with the commit timestamp as
+		// one contiguous batch, as MySQL writes the binlog cache at
+		// commit. If the commit marker fails the transaction stays open:
+		// nothing is durable, and the client may retry or roll back.
+		// commitTxn resolves the versions before openTxns drops, so a
+		// checkpoint finds every chain resolved.
 		s.txn.mu.Lock()
-		undo := s.txn.undo
+		logged := len(s.txn.undo) > 0
 		evs := s.txn.binlogBuf
-		s.txn.binlogBuf = nil
 		s.txn.mu.Unlock()
-		if len(undo) > 0 {
-			if err := e.wal.LogCommit(s.txn.walTxn); err != nil {
-				return nil, fmt.Errorf("engine: wal commit: %w", err)
-			}
-		}
-		// Flush buffered statement events with the commit timestamp as
-		// one contiguous group-committed batch, as MySQL writes the
-		// binlog cache at commit. The transaction is already durably
-		// committed here, so a binlog failure is reported but cannot
-		// reopen it — recovered data may carry statements the binlog
-		// lacks, never the reverse.
 		for i := range evs {
 			evs[i].Timestamp = ts
 		}
-		binlogErr := e.binlog.CommitBatch(evs)
-		e.versions.commit(s.txn.walTxn) // before openTxns drops: a checkpoint must find every chain resolved
+		durable, err := e.commitTxn(s.txn.walTxn, logged, evs)
+		if !durable {
+			return nil, err
+		}
 		s.endTxn(e)
-		if binlogErr != nil {
-			return nil, fmt.Errorf("engine: binlog: %w", binlogErr)
+		if err != nil {
+			return nil, err
 		}
 		return &Result{}, nil
 	case sqlparse.TxnRollback:

@@ -1,11 +1,13 @@
 package engine
 
-// Explicit-transaction edge cases: ROLLBACK's affected-row count, the
-// WAL-before-binlog commit ordering (with a crash in the gap), COMMIT
+// Transaction edge cases: ROLLBACK's affected-row count, the
+// WAL-before-binlog commit ordering (with a crash in the gap), what a
+// failed durable write leaves of an autocommit statement, COMMIT
 // with buffered binlog events but no undo, rollback racing DROP TABLE,
 // and interleaved transactions across sessions.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,43 +35,122 @@ func TestRollbackReportsZeroRowsAffected(t *testing.T) {
 }
 
 // TestCommitCrashBetweenWALAndBinlog arms a crash on the binlog append
-// inside COMMIT — the exact gap the commit reordering closed. The WAL
-// commit marker lands first, so the recovered data must contain the
-// transaction while the binlog lacks its statements: recovered data
-// may carry statements the binlog lacks, never the reverse.
+// of a commit — COMMIT's, and an autocommit INSERT's, which commits
+// through the same path. The WAL commit marker lands first, so the
+// recovered data must contain the committed rows while the binlog lacks
+// their statements: recovered data may carry statements the binlog
+// lacks, never the reverse.
 func TestCommitCrashBetweenWALAndBinlog(t *testing.T) {
-	stmts := []string{
-		"CREATE TABLE t (id INT PRIMARY KEY, v TEXT)", // binlog write 1
-		"BEGIN",
-		"INSERT INTO t (id, v) VALUES (1, 'a')",
-		"INSERT INTO t (id, v) VALUES (2, 'b')",
-		"COMMIT", // WAL commit, then binlog writes 2..3 — crash on 2
-	}
-	mem := vfs.NewMemFS()
-	reg := failpoint.New(1)
-	reg.Arm("write:"+FileBinlog, failpoint.KindCrash, 2)
-	acked := runUntilError(vfs.NewFaultFS(mem, reg), stmts)
-	if !reg.Crashed() {
-		t.Fatalf("kill point never fired (acked %d statements)", acked)
-	}
-	if acked != 4 { // COMMIT itself must be the statement that dies
-		t.Fatalf("acked %d statements, want 4", acked)
-	}
-	mem.Crash()
+	for _, tc := range []struct {
+		name  string
+		stmts []string // binlog write 1 is CREATE TABLE's; the crash is on write 2
+	}{
+		{"COMMIT", []string{
+			"CREATE TABLE t (id INT PRIMARY KEY, v TEXT)",
+			"BEGIN",
+			"INSERT INTO t (id, v) VALUES (1, 'a')",
+			"INSERT INTO t (id, v) VALUES (2, 'b')",
+			"COMMIT",
+		}},
+		{"autocommit", []string{
+			"CREATE TABLE t (id INT PRIMARY KEY, v TEXT)",
+			"INSERT INTO t (id, v) VALUES (1, 'a')",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := vfs.NewMemFS()
+			reg := failpoint.New(1)
+			reg.Arm("write:"+FileBinlog, failpoint.KindCrash, 2)
+			acked := runUntilError(vfs.NewFaultFS(mem, reg), tc.stmts)
+			if !reg.Crashed() {
+				t.Fatalf("kill point never fired (acked %d statements)", acked)
+			}
+			if acked != len(tc.stmts)-1 { // the committing statement itself must be the one that dies
+				t.Fatalf("acked %d statements, want %d", acked, len(tc.stmts)-1)
+			}
+			mem.Crash()
 
-	r, _, err := Recover(mem, Defaults())
-	if err != nil {
-		t.Fatal(err)
+			r, _, err := Recover(mem, Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := mustExec(t, r.Connect("app"), "SELECT v FROM t")
+			if want := strings.Count(strings.Join(tc.stmts, "\n"), "INSERT"); len(res.Rows) != want {
+				t.Errorf("recovered rows = %v, want the %d committed (WAL commit preceded the crash)", res.Rows, want)
+			}
+			for _, ev := range r.Binlog().Events() {
+				if strings.Contains(ev.Statement, "INSERT") {
+					t.Errorf("binlog carries a statement from the torn commit: %q", ev.Statement)
+				}
+			}
+		})
 	}
-	s := r.Connect("app")
-	res := mustExec(t, s, "SELECT v FROM t")
-	if len(res.Rows) != 2 {
-		t.Errorf("recovered rows = %v, want the committed transaction (WAL commit preceded the crash)", res.Rows)
-	}
-	for _, ev := range r.Binlog().Events() {
-		if strings.Contains(ev.Statement, "INSERT") {
-			t.Errorf("binlog carries a statement from the torn commit: %q", ev.Statement)
-		}
+}
+
+// TestStatementDurabilityFailures injects one I/O error into each
+// durable write of an autocommit INSERT — its data redo record, its
+// commit marker, its binlog event — and into the first column's redo
+// record of a two-column UPDATE, and holds the statement to one rule:
+// an error means it had no effect anywhere, so a second session reads
+// the table as before it and recovery rebuilds the same. The exception
+// is a binlog failure after the marker is durable: as with COMMIT, the
+// statement is committed, the error names the binlog, and the binlog
+// lacks it.
+func TestStatementDurabilityFailures(t *testing.T) {
+	const (
+		insert = "INSERT INTO t (id, v, n) VALUES (2, 'b', 2)"
+		update = "UPDATE t SET v = 'z', n = 9 WHERE id = 1"
+	)
+	for _, tc := range []struct {
+		name, stmt, point string
+		hit               uint64 // the point's n-th write after the setup
+		committed         bool
+	}{
+		{"INSERT data redo write", insert, "write:" + FileRedo, 1, false},
+		{"INSERT commit marker write", insert, "write:" + FileRedo, 2, false},
+		{"INSERT binlog write", insert, "write:" + FileBinlog, 1, true},
+		{"UPDATE first column redo write", update, "write:" + FileRedo, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := vfs.NewMemFS()
+			reg := failpoint.New(1)
+			cfg := Defaults()
+			cfg.FS = vfs.NewFaultFS(mem, reg)
+			cfg.EnableQueryCache = false // the second session must read the tree, not a result cached before the statement
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app, other := e.Connect("app"), e.Connect("other")
+			mustExec(t, app, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT, n INT)")
+			mustExec(t, app, "INSERT INTO t (id, v, n) VALUES (1, 'a', 1)")
+			state := func(s *Session) string { return fmt.Sprint(mustExec(t, s, "SELECT id, v, n FROM t").Rows) }
+			before := state(other)
+
+			reg.Arm(tc.point, failpoint.KindErr, tc.hit)
+			_, err = app.Execute(tc.stmt)
+			if err == nil {
+				t.Fatal("the injected write error was not reported")
+			}
+			if got := strings.Contains(err.Error(), "binlog"); got != tc.committed {
+				t.Errorf("error %q names the binlog: %v, want %v", err, got, tc.committed)
+			}
+			live := state(other)
+			mem.Crash()
+			r, _, err := Recover(mem, Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recovered := state(r.Connect("app")); recovered != live || (live != before) != tc.committed {
+				t.Errorf("before %s, a second session reads %s, recovery rebuilds %s; want the statement applied in both: %v",
+					before, live, recovered, tc.committed)
+			}
+			for _, ev := range r.Binlog().Events() {
+				if ev.Statement == tc.stmt {
+					t.Errorf("binlog carries the failed statement: %q", ev.Statement)
+				}
+			}
+		})
 	}
 }
 

@@ -62,7 +62,6 @@ var Registry = []Experiment{
 	entry("E9", func(bool) (*E9Result, error) { return E9AtRest() }),
 	entry("E10", E10Diagnostics),
 	entry("E11", E11Mitigations),
-	entry("E12", E12Scaling),
 	entry("E13", E13CrashResidue),
 	entry("E14", E14RetryResidue),
 	entry("E15", E15ParallelTrace),

@@ -252,30 +252,6 @@ func TestE11Mitigations(t *testing.T) {
 	}
 }
 
-func TestE12Scaling(t *testing.T) {
-	res, err := E12Scaling(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for i, row := range res.Rows {
-		if row.PerSecond <= 0 {
-			t.Errorf("level %d: throughput %v", i, row.PerSecond)
-		}
-		if row.WALFlushes == 0 || row.Writes == 0 {
-			t.Errorf("level %d: no write traffic (flushes=%d writes=%d)", i, row.WALFlushes, row.Writes)
-		}
-	}
-	if !strings.Contains(res.Render(), "goroutines  statements  writes  rows returned") {
-		t.Errorf("render's table header:\n%s", res.Render())
-	}
-	if !strings.Contains(res.Timing(), "stmts/sec  wal flushes") {
-		t.Errorf("the flush count depends on which commits met in the queue and belongs in Timing, not Render:\n%s\n%s", res.Render(), res.Timing())
-	}
-}
-
 // TestRegistry holds the one experiment list to itself: ids are unique
 // and what -run would match (case-insensitively) is unambiguous.
 func TestRegistry(t *testing.T) {
@@ -355,12 +331,11 @@ func lineDiff(want, got string) string {
 }
 
 // TestRenderRepeats runs the experiments whose raw figures do not
-// repeat — E12's rates and interleaving-dependent counts, where E15's
-// traces first diverge, E17's similarity over crypto/rand IVs — twice
-// in one process: everything left in Render must.
+// repeat — where E15's traces first diverge, E17's similarity over
+// crypto/rand IVs — twice in one process: everything left in Render
+// must.
 func TestRenderRepeats(t *testing.T) {
 	for _, x := range []Experiment{
-		entry("E12", E12Scaling),
 		entry("E15", E15ParallelTrace),
 		entry("E17", E17SnapshotDiff),
 	} {

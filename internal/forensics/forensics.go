@@ -16,6 +16,7 @@ package forensics
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -183,9 +184,12 @@ func CorrelateBinlog(events []binlog.Event) (*Correlation, error) {
 	}, nil
 }
 
-// Date estimates the UNIX timestamp of an LSN.
+// Date estimates the UNIX timestamp of an LSN, rounded to the nearest
+// second: a binlog event's LSN sits a commit marker past its
+// statement's data record, and truncating that constant sub-second
+// offset would date every record a whole second early.
 func (c *Correlation) Date(lsn uint64) int64 {
-	return int64(c.Slope*float64(lsn) + c.Intercept)
+	return int64(math.Round(c.Slope*float64(lsn) + c.Intercept))
 }
 
 // Samples returns how many binlog events the fit used.

@@ -100,10 +100,6 @@ func EncryptionKeyFromEnv() (key prim.Key, set bool, err error) {
 	return key, true, nil
 }
 
-// Inner returns the wrapped FS — the raw-ciphertext view a disk thief
-// or snapshot analyst reads.
-func (fs *CryptFS) Inner() FS { return fs.inner }
-
 // Deterministic reports the mode.
 func (fs *CryptFS) Deterministic() bool { return fs.det }
 

@@ -26,10 +26,6 @@ func NewFaultFS(inner FS, reg *failpoint.Registry) *FaultFS {
 // Registry returns the driving registry.
 func (fs *FaultFS) Registry() *failpoint.Registry { return fs.reg }
 
-// Inner returns the wrapped FS (the torture harness recovers through
-// it, bypassing injection).
-func (fs *FaultFS) Inner() FS { return fs.inner }
-
 // check evaluates a non-write failpoint: only Err and Crash apply.
 func (fs *FaultFS) check(point string) error {
 	kind, fired := fs.reg.Eval(point)

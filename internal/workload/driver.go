@@ -2,8 +2,8 @@
 // package generates data for the leakage experiments, the driver
 // exercises the engine's concurrent execution path: N goroutines, each
 // with its own session, issuing a seeded, read-heavy statement mix over
-// several tables. E12 runs it at rising session counts; E16 runs its
-// readers-vs-writers mode as background churn.
+// several tables. E16 runs it as background churn: transactional
+// writers next to point readers.
 
 package workload
 
@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
-	"time"
 
 	"snapdb/internal/engine"
 )
@@ -23,17 +22,13 @@ type DriverConfig struct {
 	Tables       int   // tables to spread statements over (default 4)
 	RowsPerTable int   // rows preloaded per table by SetupTables
 	Statements   int   // total statements across all goroutines
-	WriteEvery   int   // every Nth statement is an UPDATE; 0 disables writes
 	Seed         int64 // per-goroutine streams derive from this
 
-	// Mixed explicit-transaction mode: the first WriterSessions
-	// goroutines become transactional writers running
-	// BEGIN / TxnSize UPDATEs / COMMIT batches (every
-	// TxnRollbackEvery-th batch ends in ROLLBACK instead), while the
-	// remaining goroutines run pure point SELECTs regardless of
-	// WriteEvery. This is the readers-vs-writer churn E16 runs: under
-	// MVCC the readers sail past the writers' open transactions; under
-	// stripe locking they queue behind them.
+	// The first WriterSessions goroutines are transactional writers
+	// running BEGIN / TxnSize UPDATEs / COMMIT batches (every
+	// TxnRollbackEvery-th batch ends in ROLLBACK instead); the remaining
+	// goroutines run point SELECTs, sailing past the writers' open
+	// transactions on their MVCC read views.
 	WriterSessions   int // goroutines running explicit-txn write batches
 	TxnSize          int // DML statements per transaction (default 4)
 	TxnRollbackEvery int // every Nth batch rolls back; 0 = always commit
@@ -58,18 +53,12 @@ func (c DriverConfig) normalized() DriverConfig {
 	return c
 }
 
-// DriverResult is one run's outcome. RowsExamined and RowsReturned
-// aggregate the engine's per-statement scan counters across the whole
-// run — E12 reports them so the scaling table also shows the work each
-// access path did, not just the statement rate.
+// DriverResult is one run's outcome: the statements issued (not
+// counting BEGIN/COMMIT/ROLLBACK), split into point reads and UPDATEs.
 type DriverResult struct {
-	Statements   int
-	Reads        int
-	Writes       int
-	RowsExamined int64
-	RowsReturned int64
-	Duration     time.Duration
-	PerSecond    float64
+	Statements int
+	Reads      int
+	Writes     int
 }
 
 // DriverTableName names the driver's i-th table.
@@ -95,20 +84,20 @@ func SetupTables(e *engine.Engine, tables, rows int) error {
 	return nil
 }
 
-// stmtGen produces one goroutine's deterministic statement stream. It
-// runs on the measurement path of every throughput benchmark, so it
-// pre-resolves table names and builds statements with strconv appends
-// into a reused buffer instead of per-statement fmt formatting. The
-// generated text is byte-identical to the former Sprintf forms.
+// stmtGen produces one goroutine's deterministic statement stream: all
+// UPDATEs for a writer, all point SELECTs otherwise. It pre-resolves
+// table names and builds statements with strconv appends into a reused
+// buffer instead of per-statement fmt formatting.
 type stmtGen struct {
 	rng    *rand.Rand
 	tables []string
 	cfg    DriverConfig
 	g      int
+	write  bool
 	buf    []byte
 }
 
-func newStmtGen(cfg DriverConfig, g int) *stmtGen {
+func newStmtGen(cfg DriverConfig, g int, write bool) *stmtGen {
 	tables := make([]string, cfg.Tables)
 	for i := range tables {
 		tables[i] = DriverTableName(i)
@@ -118,6 +107,7 @@ func newStmtGen(cfg DriverConfig, g int) *stmtGen {
 		tables: tables,
 		cfg:    cfg,
 		g:      g,
+		write:  write,
 	}
 }
 
@@ -132,15 +122,14 @@ func appendPad5(b []byte, n int64) []byte {
 	return append(b, s...)
 }
 
-// next returns the i-th statement and whether it is a write. The
-// string is freshly allocated — the engine's logs retain statement
-// text past the call — but the build scratch is reused.
-func (sg *stmtGen) next(i int) (string, bool) {
+// next returns the i-th statement. The string is freshly allocated —
+// the engine's logs retain statement text past the call — but the build
+// scratch is reused.
+func (sg *stmtGen) next(i int) string {
 	table := sg.tables[sg.rng.Intn(sg.cfg.Tables)]
 	id := int64(sg.rng.Intn(sg.cfg.RowsPerTable))
 	b := sg.buf[:0]
-	write := sg.cfg.WriteEvery > 0 && (i+1)%sg.cfg.WriteEvery == 0
-	if write {
+	if sg.write {
 		b = append(b, "UPDATE "...)
 		b = append(b, table...)
 		b = append(b, " SET v = 'upd-"...)
@@ -156,13 +145,13 @@ func (sg *stmtGen) next(i int) (string, bool) {
 		b = strconv.AppendInt(b, id, 10)
 	}
 	sg.buf = b
-	return string(b), write
+	return string(b)
 }
 
 // RunDriver drives e with cfg.Goroutines concurrent sessions until
-// cfg.Statements statements have executed, and reports throughput.
-// SetupTables must have been run first with matching Tables and
-// RowsPerTable. The statement stream is deterministic per goroutine.
+// cfg.Statements statements have executed. SetupTables must have been
+// run first with matching Tables and RowsPerTable. The statement stream
+// is deterministic per goroutine.
 func RunDriver(e *engine.Engine, cfg DriverConfig) (*DriverResult, error) {
 	cfg = cfg.normalized()
 	if cfg.Statements <= 0 {
@@ -175,11 +164,6 @@ func RunDriver(e *engine.Engine, cfg DriverConfig) (*DriverResult, error) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, cfg.Goroutines)
-	reads := make([]int, cfg.Goroutines)
-	writes := make([]int, cfg.Goroutines)
-	examined := make([]int64, cfg.Goroutines)
-	returned := make([]int64, cfg.Goroutines)
-	start := time.Now()
 	for g := 0; g < cfg.Goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -187,32 +171,18 @@ func RunDriver(e *engine.Engine, cfg DriverConfig) (*DriverResult, error) {
 			s := e.Connect(fmt.Sprintf("driver%d", g))
 			defer s.Close()
 			if g < cfg.WriterSessions {
-				if err := runTxnWriter(s, cfg, g, perG, &writes[g], &examined[g]); err != nil {
+				if err := runTxnWriter(s, cfg, g, perG); err != nil {
 					errs <- fmt.Errorf("workload: driver goroutine %d: %w", g, err)
 				}
 				return
 			}
-			gcfg := cfg
-			if cfg.WriterSessions > 0 {
-				// In mixed mode the non-writer goroutines read only;
-				// all write pressure comes from the txn writers.
-				gcfg.WriteEvery = 0
-			}
-			gen := newStmtGen(gcfg, g)
+			gen := newStmtGen(cfg, g, false)
 			for i := 0; i < perG; i++ {
-				q, write := gen.next(i)
-				if write {
-					writes[g]++
-				} else {
-					reads[g]++
-				}
-				res, err := s.Execute(q)
-				if err != nil {
+				q := gen.next(i)
+				if _, err := s.Execute(q); err != nil {
 					errs <- fmt.Errorf("workload: driver goroutine %d: %s: %w", g, q, err)
 					return
 				}
-				examined[g] += int64(res.RowsExamined)
-				returned[g] += int64(len(res.Rows))
 			}
 		}(g)
 	}
@@ -222,44 +192,30 @@ func RunDriver(e *engine.Engine, cfg DriverConfig) (*DriverResult, error) {
 		return nil, err
 	}
 
-	res := &DriverResult{Duration: time.Since(start)}
-	for g := 0; g < cfg.Goroutines; g++ {
-		res.Reads += reads[g]
-		res.Writes += writes[g]
-		res.RowsExamined += examined[g]
-		res.RowsReturned += returned[g]
-	}
-	res.Statements = res.Reads + res.Writes
-	if secs := res.Duration.Seconds(); secs > 0 {
-		res.PerSecond = float64(res.Statements) / secs
-	}
-	return res, nil
+	return &DriverResult{
+		Statements: cfg.Goroutines * perG,
+		Reads:      (cfg.Goroutines - cfg.WriterSessions) * perG,
+		Writes:     cfg.WriterSessions * perG,
+	}, nil
 }
 
 // runTxnWriter is one transactional writer session: quota DML
 // statements grouped into BEGIN / TxnSize UPDATEs / COMMIT batches
-// (every TxnRollbackEvery-th batch rolls back). The statement stream
-// forces WriteEvery=1 so every generated statement is an UPDATE; the
-// control statements (BEGIN/COMMIT/ROLLBACK) don't count toward the
-// quota.
-func runTxnWriter(s *engine.Session, cfg DriverConfig, g, quota int, writes *int, examined *int64) error {
-	wcfg := cfg
-	wcfg.WriteEvery = 1
-	gen := newStmtGen(wcfg, g)
+// (every TxnRollbackEvery-th batch rolls back). The control statements
+// (BEGIN/COMMIT/ROLLBACK) don't count toward the quota.
+func runTxnWriter(s *engine.Session, cfg DriverConfig, g, quota int) error {
+	gen := newStmtGen(cfg, g, true)
 	batch := 0
 	for i := 0; i < quota; {
 		if _, err := s.Execute("BEGIN"); err != nil {
 			return fmt.Errorf("BEGIN: %w", err)
 		}
 		for j := 0; j < cfg.TxnSize && i < quota; j++ {
-			q, _ := gen.next(i)
+			q := gen.next(i)
 			i++
-			*writes++
-			res, err := s.Execute(q)
-			if err != nil {
+			if _, err := s.Execute(q); err != nil {
 				return fmt.Errorf("%s: %w", q, err)
 			}
-			*examined += int64(res.RowsExamined)
 		}
 		batch++
 		end := "COMMIT"

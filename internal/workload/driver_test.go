@@ -6,18 +6,13 @@ import (
 	"snapdb/internal/engine"
 )
 
-func TestDriverRunsMixedWorkload(t *testing.T) {
+// driverRun sets up a fresh engine, runs cfg against it, and returns
+// the result with the engine's binlog length.
+func driverRun(t *testing.T, cfg DriverConfig) (*DriverResult, int) {
+	t.Helper()
 	e, err := engine.New(engine.Defaults())
 	if err != nil {
 		t.Fatal(err)
-	}
-	cfg := DriverConfig{
-		Goroutines:   4,
-		Tables:       3,
-		RowsPerTable: 50,
-		Statements:   400,
-		WriteEvery:   10,
-		Seed:         1,
 	}
 	if err := SetupTables(e, cfg.Tables, cfg.RowsPerTable); err != nil {
 		t.Fatal(err)
@@ -26,20 +21,55 @@ func TestDriverRunsMixedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Statements != 400 {
-		t.Errorf("statements = %d, want 400", res.Statements)
+	return res, e.Binlog().Len()
+}
+
+func TestDriverRunsMixedWorkload(t *testing.T) {
+	cfg := DriverConfig{
+		Goroutines:     4,
+		WriterSessions: 1,
+		Tables:         3,
+		RowsPerTable:   50,
+		Statements:     400,
+		Seed:           1,
 	}
-	if res.Writes == 0 || res.Reads <= res.Writes {
-		t.Errorf("mix not read-heavy: %d reads, %d writes", res.Reads, res.Writes)
+	res, events := driverRun(t, cfg)
+	if res.Statements != 400 || res.Writes != 100 || res.Reads != 300 {
+		t.Errorf("statements = %d (%d reads, %d writes), want 400 (300, 100)", res.Statements, res.Reads, res.Writes)
 	}
-	if res.PerSecond <= 0 {
-		t.Errorf("throughput = %v", res.PerSecond)
+	// Every committed UPDATE must have landed in the binlog, none of the
+	// SELECTs: 3 CREATEs + 150 setup INSERTs + the writer's updates.
+	if want := cfg.Tables + cfg.Tables*cfg.RowsPerTable + res.Writes; events != want {
+		t.Errorf("binlog events = %d, want %d", events, want)
 	}
-	// Every UPDATE must have landed in the binlog, none of the SELECTs.
-	// 3 CREATEs + 150 setup INSERTs + the driver's writes.
-	wantEvents := cfg.Tables + cfg.Tables*cfg.RowsPerTable + res.Writes
-	if got := e.Binlog().Len(); got != wantEvents {
-		t.Errorf("binlog events = %d, want %d", got, wantEvents)
+}
+
+// TestDriverSameWorkAtAnyConcurrency: the same seeded statements do the
+// same work however many sessions issue them — at 1 and at 4
+// goroutines, all of them transactional writers that roll back every
+// third batch, the statement counts and the committed binlog events
+// agree.
+func TestDriverSameWorkAtAnyConcurrency(t *testing.T) {
+	var events []int
+	for _, g := range []int{1, 4} {
+		res, n := driverRun(t, DriverConfig{
+			Goroutines:       g,
+			WriterSessions:   g,
+			Tables:           3,
+			RowsPerTable:     50,
+			Statements:       480, // 120 batches of 4, or 4 x 30: every third rolls back either way
+			Seed:             1,
+			TxnSize:          4,
+			TxnRollbackEvery: 3,
+		})
+		if res.Statements != 480 || res.Writes != 480 {
+			t.Errorf("%d goroutines: %d statements, %d writes, want 480 each", g, res.Statements, res.Writes)
+		}
+		events = append(events, n)
+	}
+	// 3 CREATEs + 150 setup INSERTs + the two committed batches of three.
+	if want := 3 + 150 + 320; events[0] != want || events[1] != want {
+		t.Errorf("binlog events at 1 and 4 goroutines = %v, want %d each", events, want)
 	}
 }
 

@@ -6,12 +6,14 @@
 #
 # After the functional gates, two robustness passes:
 #   - fuzz smoke: every parser that reads crash-era bytes (WAL records,
-#     binlog events, buffer-pool dumps, checkpoints) gets a short
+#     binlog events, buffer-pool dumps, checkpoints, CryptFS's fresh-IV
+#     sidecars) gets a short
 #     native-fuzz run — "never panic on garbage" is re-earned on every
 #     commit, not assumed from the seed corpus.
-#   - crash torture seed matrix: the kill-point harness re-runs under
-#     -race with extra seeds, so fault schedules differ from the
-#     default test run's.
+#   - crash torture seed matrix: the kill-point harness (recovered data
+#     matches a statement prefix, the recovered binlog never leads it)
+#     and the commit-order failure tests re-run under -race with extra
+#     seeds, so fault schedules differ from the default test run's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,10 +88,13 @@ fuzz ./internal/sqlparse FuzzParseExplain
 fuzz ./internal/sqlparse FuzzParseSelect
 fuzz ./internal/server FuzzUnescape
 fuzz ./internal/client FuzzDecodeValue
+fuzz ./internal/vfs FuzzCryptFSSidecar
 
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
-    go test -race ./internal/engine -run 'TestCrashTorture' -count=1 -v | grep -E 'kill-points|--- (PASS|FAIL)'
+    go test -race ./internal/engine -count=1 -v \
+        -run 'TestCrashTorture|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures' |
+    grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
 # The two tests whose subject is a schedule: readers sharing a read
@@ -99,8 +104,8 @@ echo "== concurrent derivations and queues, ten times (-race) =="
 # at nine more interleavings.
 go test -race ./internal/btree -run 'TestLazyHintUnderConcurrentReaders' -count=10
 go test -race ./internal/commitq -count=10
-# And the transcript gate itself: what E12, E15 and E17 leave in Render
-# must repeat on a busy box, where sessions do meet in the queue.
+# And the transcript gate itself: what E15 and E17 leave in Render must
+# repeat on a busy box.
 go test ./internal/experiments -run TestRenderRepeats -count=5
 
 echo "== network torture seed matrix (-race) =="
