@@ -52,14 +52,19 @@ type RecoveryReport struct {
 // readLog reads one framed log file — a missing file is an empty log —
 // and parses its valid prefix. It returns what parsed, the length of
 // that prefix (where appends resume, cutting off any torn tail) and the
-// truncation to report, if the file had a bad tail.
-func readLog[T any](fs vfs.FS, name string, parse func([]byte) ([]T, storage.ParseReport)) ([]T, int64, *TruncationInfo) {
-	img, _ := fs.ReadFile(name)
+// truncation to report, if the file had a bad tail. A file that exists
+// but cannot be read is an error, not an empty log: recovery would
+// otherwise cut it to zero bytes and lose every record in it.
+func readLog[T any](fs vfs.FS, name string, parse func([]byte) ([]T, storage.ParseReport)) ([]T, int64, *TruncationInfo, error) {
+	img, err := fs.ReadFile(name)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, 0, nil, fmt.Errorf("engine: read %s: %w", name, err)
+	}
 	items, rep := parse(img)
 	if rep.Truncated() {
-		return items, int64(rep.TruncatedAt), &TruncationInfo{Offset: rep.TruncatedAt, Reason: rep.Reason}
+		return items, int64(rep.TruncatedAt), &TruncationInfo{Offset: rep.TruncatedAt, Reason: rep.Reason}, nil
 	}
-	return items, int64(len(img)), nil
+	return items, int64(len(img)), nil, nil
 }
 
 // Recover opens a data directory, rebuilding engine state ARIES-style:
@@ -67,7 +72,9 @@ func readLog[T any](fs vfs.FS, name string, parse func([]byte) ([]T, storage.Par
 // prefix, then roll back transactions that never reached a commit or
 // abort marker. Torn or corrupt log tails are truncated (and reported),
 // never fatal; a corrupt checkpoint is fatal (there is no state to
-// rebuild from) but still a clean error, never a panic.
+// rebuild from) but still a clean error, never a panic. So is a
+// checkpoint or log file that exists but cannot be read, which
+// recovery then leaves as it lies.
 //
 // The returned engine is durable on fs and ready to serve. The report
 // is non-nil whenever the error is nil, and also on log-parse anomalies
@@ -107,9 +114,18 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 		rep.Tables = len(meta.Tables)
 	}
 
-	redoRecs, redoOff, redoTrunc := readLog(fs, FileRedo, wal.ParseLogReport)
-	undoRecs, undoOff, undoTrunc := readLog(fs, FileUndo, wal.ParseLogReport)
-	blogEvs, blogOff, blogTrunc := readLog(fs, FileBinlog, binlog.ParseWithReport)
+	redoRecs, redoOff, redoTrunc, err := readLog(fs, FileRedo, wal.ParseLogReport)
+	if err != nil {
+		return nil, rep, err
+	}
+	undoRecs, undoOff, undoTrunc, err := readLog(fs, FileUndo, wal.ParseLogReport)
+	if err != nil {
+		return nil, rep, err
+	}
+	blogEvs, blogOff, blogTrunc, err := readLog(fs, FileBinlog, binlog.ParseWithReport)
+	if err != nil {
+		return nil, rep, err
+	}
 	rep.RedoRecords, rep.UndoRecords, rep.BinlogEvents = len(redoRecs), len(undoRecs), len(blogEvs)
 	rep.RedoTruncated, rep.UndoTruncated, rep.BinlogTruncated = redoTrunc, undoTrunc, blogTrunc
 

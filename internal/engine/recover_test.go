@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 
 	"snapdb/internal/vfs"
@@ -244,6 +248,44 @@ func TestRecoverCorruptCheckpointIsCleanError(t *testing.T) {
 	_, _, err = Recover(mem, Defaults())
 	if err == nil {
 		t.Fatal("corrupt checkpoint accepted")
+	}
+}
+
+// unreadableFS fails ReadFile of one existing file with EIO — a log
+// that is there but cannot be read, as opposed to a missing one.
+type unreadableFS struct {
+	vfs.FS
+	name string
+}
+
+func (fs unreadableFS) ReadFile(name string) ([]byte, error) {
+	if name == fs.name {
+		return nil, &os.PathError{Op: "read", Path: name, Err: syscall.EIO}
+	}
+	return fs.FS.ReadFile(name)
+}
+
+// TestRecoverUnreadableLogFailsCleanly: recovery used to parse an
+// unreadable redo, undo or binlog file as empty and then cut it to zero
+// bytes, losing every record written since the checkpoint. It must
+// fail with the read error and leave the file as it lies.
+func TestRecoverUnreadableLogFailsCleanly(t *testing.T) {
+	for _, name := range []string{FileRedo, FileUndo, FileBinlog} {
+		t.Run(name, func(t *testing.T) {
+			mem := vfs.NewMemFS()
+			seedDurable(t, mem)
+			mem.Crash()
+			before, err := mem.ReadFile(name)
+			if err != nil || len(before) == 0 {
+				t.Fatalf("seeded %s: %d bytes, %v; want records", name, len(before), err)
+			}
+			if _, _, err := Recover(unreadableFS{mem, name}, Defaults()); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Recover err = %v, want the EIO reading %s", err, name)
+			}
+			if after, _ := mem.ReadFile(name); !bytes.Equal(after, before) {
+				t.Fatalf("%s went from %d to %d bytes", name, len(before), len(after))
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -187,6 +188,101 @@ func TestWriteFileAtomicNoTmpResidue(t *testing.T) {
 		got, err := fs.ReadFile("cfg")
 		if err != nil || string(got) != "v1" {
 			t.Fatalf("%s: cfg = %q, %v; want old content intact", point, got, err)
+		}
+	}
+}
+
+// TestFSWritePastEOFAfterShrink holds every FS to the zero-gap contract
+// after a file shrank under a handle that had just written it: through
+// the same handle, through a second handle, and by Create over the
+// name. CryptFS remembers the size a handle last saw or produced;
+// trusting it past a shrink would skip the zero gap, and the inner
+// file's raw zero fill would decrypt to keystream.
+func TestFSWritePastEOFAfterShrink(t *testing.T) {
+	const long = 3000
+	cases := map[string]func(fs FS, f File) (int64, error){
+		"same handle": func(_ FS, f File) (int64, error) { return 1000, f.Truncate(1000) },
+		"second handle": func(fs FS, _ File) (int64, error) {
+			g, err := fs.Open("shrunk")
+			if err != nil {
+				return 0, err
+			}
+			defer g.Close()
+			return 1000, g.Truncate(1000)
+		},
+		"create": func(fs FS, _ File) (int64, error) {
+			g, err := fs.Create("shrunk")
+			if err != nil {
+				return 0, err
+			}
+			return 0, g.Close()
+		},
+	}
+	for caseName, shrink := range cases {
+		for fsName, fs := range allFS(t) {
+			f, err := fs.Create("shrunk")
+			if err != nil {
+				t.Fatalf("%s/%s: %v", caseName, fsName, err)
+			}
+			old := bytes.Repeat([]byte{0xAA}, long)
+			if _, err := f.WriteAt(old, 0); err != nil {
+				t.Fatalf("%s/%s: %v", caseName, fsName, err)
+			}
+			kept, err := shrink(fs, f)
+			if err != nil {
+				t.Fatalf("%s/%s: shrink: %v", caseName, fsName, err)
+			}
+			if _, err := f.WriteAt([]byte("tail"), long-1000); err != nil {
+				t.Fatalf("%s/%s: write past EOF: %v", caseName, fsName, err)
+			}
+			f.Close()
+			want := make([]byte, long-1000+4)
+			copy(want, old[:kept])
+			copy(want[long-1000:], "tail")
+			if got, err := fs.ReadFile("shrunk"); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: after shrink to %d and a write at %d, content differs (err %v)", caseName, fsName, kept, long-1000, err)
+			}
+		}
+	}
+}
+
+// TestCryptFSWriteAfterFailedWrite is the same contract after an inner
+// write failed outright (FaultFS KindErr) or tore (KindTorn): the next
+// write, inside the failed write's span but past what landed, must
+// zero the gap, and a torn prefix reads back as the bytes that landed.
+func TestCryptFSWriteAfterFailedWrite(t *testing.T) {
+	for _, det := range []bool{true, false} {
+		for _, kind := range []failpoint.Kind{failpoint.KindErr, failpoint.KindTorn} {
+			mem := NewMemFS()
+			reg := failpoint.New(11)
+			cfs, err := NewCryptFS(NewFaultFS(mem, reg), prim.TestKey("conformance"), det)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := cfs.Create("log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			head := bytes.Repeat([]byte{0x11}, CryptPageSize)
+			if _, err := f.WriteAt(head, 0); err != nil {
+				t.Fatal(err)
+			}
+			rec := bytes.Repeat([]byte{0x22}, 1000)
+			reg.Arm("write:log", kind, 1)
+			if _, err := f.WriteAt(rec, CryptPageSize); !errors.Is(err, failpoint.ErrInjected) {
+				t.Fatalf("det=%v kind=%v: err = %v, want injected", det, kind, err)
+			}
+			raw, _ := mem.ReadFile("log")
+			landed := len(raw) - CryptPageSize
+			if _, err := f.WriteAt([]byte("next"), CryptPageSize+999); err != nil {
+				t.Fatal(err)
+			}
+			want := append(append([]byte(nil), head...), rec[:landed]...)
+			want = append(want, make([]byte, 999-landed)...)
+			want = append(want, "next"...)
+			if got, err := cfs.ReadFile("log"); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("det=%v kind=%v: %d bytes landed, then the gap or the landed tail read back wrong (err %v)", det, kind, landed, err)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"snapdb/internal/crypto/prim"
 )
@@ -52,6 +54,11 @@ type CryptFS struct {
 
 	mu     sync.Mutex
 	tweaks map[string]*tweakTable // fresh mode: per-file page tweaks
+
+	// shrinks counts the times a file through this CryptFS may have
+	// shrunk (Truncate down, Create over an existing file); a handle's
+	// remembered size is only trusted while it has not moved.
+	shrinks atomic.Uint64
 }
 
 // tweakTable caches a fresh-IV file's page tweaks alongside its open
@@ -126,6 +133,7 @@ func (fs *CryptFS) Create(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
+	fs.shrinks.Add(1) // Create truncates any handle's file of this name
 	if !fs.det {
 		// A created (truncated) file starts with no valid pages: reset
 		// the tweak table and sidecar.
@@ -163,7 +171,7 @@ func (fs *CryptFS) ReadFile(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fs.xorRange(name, 0, b); err != nil {
+	if err := fs.xorRange(name, 0, b, &pageStream{}); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -234,8 +242,8 @@ func (fs *CryptFS) SyncDir() error { return fs.inner.SyncDir() }
 // e.g. a crash that landed data without its sidecar entry — and
 // passing them through unmasked lets the CRC framing above report the
 // corruption instead of hiding it behind a synthetic decrypt.
-func (fs *CryptFS) xorRange(name string, off int64, data []byte) error {
-	cname := canonical(name)
+// Deterministic mode continues from ks, the caller's keystream memo.
+func (fs *CryptFS) xorRange(name string, off int64, data []byte, ks *pageStream) error {
 	var tt *tweakTable
 	if !fs.det {
 		var err error
@@ -251,7 +259,7 @@ func (fs *CryptFS) xorRange(name string, off int64, data []byte) error {
 			n = len(data)
 		}
 		if fs.det {
-			fs.pc.XORKeyStreamAt(fs.pc.Tweak(cname, page), in, data[:n])
+			ks.xor(fs.pc, canonical(name), off, data[:n])
 		} else if int(page) < len(tt.set) && tt.set[page] {
 			fs.pc.XORKeyStreamAt(tt.ivs[page], in, data[:n])
 		}
@@ -259,6 +267,33 @@ func (fs *CryptFS) xorRange(name string, off int64, data []byte) error {
 		off += int64(n)
 	}
 	return nil
+}
+
+// pageStream memoises the deterministic keystream a handle used last:
+// its page, the page's tweak, and the stream positioned at file offset
+// at. An append hits the same page about twenty times, each starting
+// where the last one ended, so most writes neither derive a tweak nor
+// start a CTR stream. The keystream is a pure function of (canonical
+// name, page, offset), so the memo can never go stale.
+type pageStream struct {
+	page uint64
+	tw   [prim.TweakSize]byte
+	s    cipher.Stream // nil: no page memoised yet
+	at   int64
+}
+
+// xor XORs data, which lies within one page at file offset off, with
+// that page's keystream.
+func (m *pageStream) xor(pc *prim.PageCipher, cname string, off int64, data []byte) {
+	page := uint64(off) / CryptPageSize
+	if m.s == nil || m.page != page {
+		m.page, m.tw, m.at = page, pc.Tweak(cname, page), -1
+	}
+	if m.at != off {
+		m.s = pc.KeyStream(m.tw, int(uint64(off)%CryptPageSize))
+	}
+	m.s.XORKeyStream(data, data)
+	m.at = off + int64(len(data))
 }
 
 // loadTweaks returns the (cached) tweak table for name, reading the
@@ -322,6 +357,20 @@ type cryptFile struct {
 	fs   *CryptFS
 	f    File
 	name string
+
+	mu  sync.Mutex // guards everything below
+	ks  pageStream // deterministic keystream memo
+	buf []byte     // ciphertext / page scratch reused by every write
+
+	// size is the inner file's size as this handle last observed or
+	// produced it, or 0 when it knows nothing better (a new handle,
+	// after its own failed write or a Truncate). While fs.shrinks still
+	// reads sizeGen it never exceeds the inner file's size: other
+	// handles can only grow the file without moving fs.shrinks. So a
+	// write at or below it needs no zero gap, and only a write beyond
+	// it asks the inner file.
+	size    int64
+	sizeGen uint64
 }
 
 // ReadAt implements File: read ciphertext, XOR in place. Short-read
@@ -329,7 +378,10 @@ type cryptFile struct {
 func (c *cryptFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := c.f.ReadAt(p, off)
 	if n > 0 {
-		if xerr := c.fs.xorRange(c.name, off, p[:n]); xerr != nil && err == nil {
+		c.mu.Lock()
+		xerr := c.fs.xorRange(c.name, off, p[:n], &c.ks)
+		c.mu.Unlock()
+		if xerr != nil && err == nil {
 			err = xerr
 		}
 	}
@@ -345,25 +397,48 @@ func (c *cryptFile) ReadAt(p []byte, off int64) (int, error) {
 // first encrypts the zero gap explicitly, so the gap later reads back
 // as zeros, not as keystream.
 func (c *cryptFile) WriteAt(p []byte, off int64) (int, error) {
-	size, err := c.f.Size()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	size, err := c.sizeAt(off)
 	if err != nil {
 		return 0, err
 	}
+	c.size = 0 // until every inner write below has landed
 	if off > size {
-		if err := c.writeSpan(make([]byte, off-size), size, size); err != nil {
+		if err := c.writeSpan(make([]byte, off-size), size); err != nil {
 			return 0, err
 		}
-		size = off
 	}
-	if err := c.writeSpan(p, off, size); err != nil {
+	if err := c.writeSpan(p, off); err != nil {
 		return 0, err
 	}
+	c.size = max(size, off+int64(len(p)))
 	return len(p), nil
 }
 
-// writeSpan encrypts and writes p at off; size is the current file
-// size (>= off, the caller has closed any gap).
-func (c *cryptFile) writeSpan(p []byte, off, size int64) error {
+// sizeAt returns the inner file's size as far as a write at off needs
+// it: the remembered size if no file shrank since it was taken and off
+// does not pass it, else the inner file's Size().
+func (c *cryptFile) sizeAt(off int64) (int64, error) {
+	gen := c.fs.shrinks.Load()
+	if c.sizeGen == gen && off <= c.size {
+		return c.size, nil
+	}
+	c.size, c.sizeGen = 0, gen // nothing better known should Size fail
+	return c.f.Size()
+}
+
+// scratch returns the handle's reusable buffer cut to n bytes.
+func (c *cryptFile) scratch(n int) []byte {
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	return c.buf[:n]
+}
+
+// writeSpan encrypts and writes p at off, which must not lie beyond
+// the inner file's end (the caller has closed any gap).
+func (c *cryptFile) writeSpan(p []byte, off int64) error {
 	if len(p) == 0 {
 		// Preserve the inner file's handling of empty writes (e.g. a
 		// closed handle must still error).
@@ -371,9 +446,9 @@ func (c *cryptFile) writeSpan(p []byte, off, size int64) error {
 		return err
 	}
 	if c.fs.det {
-		ct := make([]byte, len(p))
+		ct := c.scratch(len(p))
 		copy(ct, p)
-		if err := c.fs.xorRange(c.name, off, ct); err != nil {
+		if err := c.fs.xorRange(c.name, off, ct, &c.ks); err != nil {
 			return err
 		}
 		_, err := c.f.WriteAt(ct, off)
@@ -387,27 +462,17 @@ func (c *cryptFile) writeSpan(p []byte, off, size int64) error {
 	for pos := off; pos < end; {
 		pg := uint64(pos) / CryptPageSize
 		pageStart := int64(pg) * CryptPageSize
-		pageEnd := pageStart + CryptPageSize
-		segEnd := end
-		if segEnd > pageEnd {
-			segEnd = pageEnd
+		segEnd := min(end, pageStart+CryptPageSize)
+		// Assemble the page's new plaintext: its existing extent, read
+		// back and decrypted under the old tweak, patched with this
+		// write's segment.
+		buf := c.scratch(CryptPageSize)
+		m, rerr := c.f.ReadAt(buf, pageStart)
+		if rerr != nil && rerr != io.EOF {
+			return rerr
 		}
-		// Assemble the page's new plaintext: existing extent (decrypted
-		// under the old tweak) patched with this write's segment.
-		oldEnd := size
-		if oldEnd > pageEnd {
-			oldEnd = pageEnd
-		}
-		newEnd := segEnd
-		if oldEnd > newEnd {
-			newEnd = oldEnd
-		}
-		buf := make([]byte, newEnd-pageStart)
-		if oldEnd > pageStart {
-			m, rerr := c.f.ReadAt(buf[:oldEnd-pageStart], pageStart)
-			if rerr != nil && rerr != io.EOF {
-				return rerr
-			}
+		clear(buf[m:]) // no byte of an earlier write's page may ride along
+		if m > 0 {
 			c.fs.mu.Lock()
 			has := int(pg) < len(tt.set) && tt.set[pg]
 			tw := [prim.TweakSize]byte{}
@@ -419,6 +484,7 @@ func (c *cryptFile) writeSpan(p []byte, off, size int64) error {
 				c.fs.pc.XORKeyStreamAt(tw, 0, buf[:m])
 			}
 		}
+		buf = buf[:max(segEnd-pageStart, int64(m))]
 		copy(buf[pos-pageStart:], p[pos-off:segEnd-off])
 		tw, terr := c.fs.setTweak(c.name, tt, pg)
 		if terr != nil {
@@ -427,9 +493,6 @@ func (c *cryptFile) writeSpan(p []byte, off, size int64) error {
 		c.fs.pc.XORKeyStreamAt(tw, 0, buf)
 		if _, werr := c.f.WriteAt(buf, pageStart); werr != nil {
 			return werr
-		}
-		if newEnd > size {
-			size = newEnd
 		}
 		pos = segEnd
 	}
@@ -462,14 +525,19 @@ func (c *cryptFile) Sync() error {
 // mode (the keystream is positional); growth goes through the explicit
 // zero-encryption path so extended bytes read back as zeros.
 func (c *cryptFile) Truncate(size int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.size = 0
 	cur, err := c.f.Size()
 	if err != nil {
 		return err
 	}
 	if size <= cur {
-		return c.f.Truncate(size)
+		err := c.f.Truncate(size)
+		c.fs.shrinks.Add(1)
+		return err
 	}
-	return c.writeSpan(make([]byte, size-cur), cur, cur)
+	return c.writeSpan(make([]byte, size-cur), cur)
 }
 
 func (c *cryptFile) Close() error { return c.f.Close() }

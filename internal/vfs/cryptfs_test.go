@@ -2,8 +2,14 @@ package vfs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"snapdb/internal/crypto/prim"
@@ -354,6 +360,192 @@ func TestCryptFSTornWriteIsPositional(t *testing.T) {
 	for i := n; i < len(got); i++ {
 		if got[i] != 0xAA {
 			t.Fatalf("byte %d after torn prefix of %d is %#x, want old 0xAA", i, n, got[i])
+		}
+	}
+}
+
+// goldenPattern is n deterministic, non-repeating-looking bytes.
+func goldenPattern(seed, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(seed*131 + i*7 + i>>8)
+	}
+	return b
+}
+
+// goldenCiphertext is the SHA-256 of every file the write script below
+// leaves in the inner MemFS, computed when the deterministic keystream
+// was still produced one AES block at a time. Any change to tweak
+// derivation, the CTR counter, segmentation or gap filling moves one,
+// and an encrypted data directory written by an older binary would no
+// longer decrypt under a newer one.
+var goldenCiphertext = map[string]string{
+	"checkpoint.snapdb": "ab2e41b4c1d24a705d79e6b5d4ff23b64011f3f5c620322a64b6f54cb8742340",
+	"ib_logfile_redo":   "e748e4d6f1459182d1bd3ee617b95f513128b644d82ff7bee35c314ba9b6eac2",
+	"tablespace-tablespace-tablespace-tablespace-tablespace-tablespace-00001.ibd": "6a32b9607664f358e5ce9acfb50c48d3f2237137703804219f5f8c9bf378f01a",
+}
+
+// TestCryptFSGoldenCiphertext runs a fixed write script — log-style
+// appends across page boundaries, an unaligned overwrite, a write past
+// EOF, shrink and regrowth, an atomic (".tmp"-canonical) checkpoint and
+// a name longer than one SHA-256 block — through a deterministic
+// CryptFS under a fixed key, and pins the at-rest bytes.
+func TestCryptFSGoldenCiphertext(t *testing.T) {
+	cfs, mem := newCrypt(t, true)
+	f, err := cfs.Create("ib_logfile_redo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off int64
+	for i := 0; i < 60; i++ {
+		rec := goldenPattern(i, 17+(i*37)%284)
+		if _, err := f.WriteAt(rec, off); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(rec))
+	}
+	steps := []func() error{
+		func() error { _, err := f.WriteAt(goldenPattern(99, 300), CryptPageSize-150); return err },
+		func() error { _, err := f.WriteAt(goldenPattern(7, 40), off+CryptPageSize+123); return err },
+		func() error { return f.Truncate(off / 2) },
+		func() error { _, err := f.WriteAt(goldenPattern(8, 77), off/2); return err },
+		func() error { _, err := f.WriteAt(goldenPattern(12, 30), off/2-300); return err },
+		func() error { return f.Truncate(off/2 + 5000) },
+		f.Close,
+		func() error { return WriteFileAtomic(cfs, "checkpoint.snapdb", goldenPattern(3, 3*CryptPageSize+1000)) },
+		func() error {
+			long := strings.Repeat("tablespace-", 6) + "00001.ibd"
+			return WriteFileAtomic(cfs, long, goldenPattern(5, CryptPageSize+33))
+		},
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	names := mem.Names()
+	sort.Strings(names)
+	got := make(map[string]string, len(names))
+	for _, name := range names {
+		raw, err := mem.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		got[name] = hex.EncodeToString(sum[:])
+		if want := goldenCiphertext[name]; got[name] != want {
+			t.Errorf("%s (%d bytes): sha256 %s, want %s", name, len(raw), got[name], want)
+		}
+	}
+	if len(got) != len(goldenCiphertext) {
+		t.Errorf("files %v, want %d pinned", names, len(goldenCiphertext))
+	}
+}
+
+// raceEnabled is set under -race, where sync.Pool drops items at random
+// and allocation counts stop being exact.
+var raceEnabled bool
+
+// TestCryptFSAllocationBudget is the deterministic write path's exact
+// allocation gate: a 200-byte log append through a deterministic
+// CryptFS over MemFS costs MemFS's own growth of the file and, once a
+// page, a new tweak's CTR stream; it was 12 when every append built a
+// fresh HMAC and ciphertext buffer. PageCipher.Tweak allocates nothing.
+func TestCryptFSAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	cfs, _ := newCrypt(t, true)
+	f, err := cfs.Create("ib_logfile_redo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte{0x5A}, 200)
+	var off int64
+	appendRec := func() {
+		if _, err := f.WriteAt(rec, off); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(rec))
+	}
+	if got := testing.AllocsPerRun(200, appendRec); got > 2 {
+		t.Errorf("200-byte deterministic append: %.0f allocs, want <= 2", got)
+	}
+	pc, err := prim.NewPageCipher(prim.TestKey("cryptfs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := uint64(0)
+	if got := testing.AllocsPerRun(200, func() { pc.Tweak("ib_logfile_redo", page); page++ }); got != 0 {
+		t.Errorf("PageCipher.Tweak: %.0f allocs, want 0", got)
+	}
+}
+
+// TestCryptFSConcurrentHandles drives the keystream and size memos from
+// two goroutines on one CryptFS, in both modes. Each appends to its own
+// log, now and then past EOF, and now and then shrinks it, which moves
+// the shrink counter under the other's remembered size. Both also write
+// disjoint pages through one shared handle and read them back through
+// it, so that handle's memo and buffer are contended.
+func TestCryptFSConcurrentHandles(t *testing.T) {
+	for _, det := range []bool{true, false} {
+		cfs, _ := newCrypt(t, det)
+		shared, err := cfs.Create("shared")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		models := make([][]byte, 2)
+		for g := range models {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f, err := cfs.Create(fmt.Sprintf("log%d", g))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer f.Close()
+				var model []byte
+				for i := 0; i < 200; i++ {
+					if i%25 == 24 {
+						model = model[:len(model)/2]
+						if err := f.Truncate(int64(len(model))); err != nil {
+							t.Error(err)
+							return
+						}
+						continue
+					}
+					if i%10 == 9 {
+						model = append(model, make([]byte, 77)...)
+					}
+					rec := goldenPattern(g*1000+i, 50+i%150)
+					if _, err := f.WriteAt(rec, int64(len(model))); err != nil {
+						t.Error(err)
+						return
+					}
+					model = append(model, rec...)
+
+					mine := goldenPattern(g*1000+i, 300)
+					off := int64(2*(i%8)+g)*CryptPageSize + int64(i%50)
+					back := make([]byte, len(mine))
+					if _, err := shared.WriteAt(mine, off); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := shared.ReadAt(back, off); err != nil || !bytes.Equal(back, mine) {
+						t.Errorf("det=%v goroutine %d: shared handle read back wrong at %d (err %v)", det, g, off, err)
+						return
+					}
+				}
+				models[g] = model
+			}()
+		}
+		wg.Wait()
+		for g, model := range models {
+			if got, err := cfs.ReadFile(fmt.Sprintf("log%d", g)); err != nil || !bytes.Equal(got, model) {
+				t.Errorf("det=%v: log%d differs from its model (err %v)", det, g, err)
+			}
 		}
 	}
 }

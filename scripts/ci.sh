@@ -89,6 +89,9 @@ fuzz ./internal/sqlparse FuzzParseSelect
 fuzz ./internal/server FuzzUnescape
 fuzz ./internal/client FuzzDecodeValue
 fuzz ./internal/vfs FuzzCryptFSSidecar
+# Not a parser: CryptFS's keystream and tweaks against their
+# block-at-a-time and HMAC references, so no ciphertext byte moves.
+fuzz ./internal/crypto/prim FuzzPageCipherKeystream
 
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
@@ -97,13 +100,18 @@ SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
-# The two tests whose subject is a schedule: readers sharing a read
-# latch deriving one page's order hint next to a latched writer, and
-# the group-commit queue's error routing and stamp order under real
-# contention. One pass each is in the race run above; nine more look
-# at nine more interleavings.
+# The tests whose subject is a schedule: readers sharing a read latch
+# deriving one page's order hint next to a latched writer, the
+# group-commit queue's error routing and stamp order under real
+# contention, and CryptFS's per-handle keystream and size memos. One
+# pass each is in the race run above; nine more look at nine more
+# interleavings.
 go test -race ./internal/btree -run 'TestLazyHintUnderConcurrentReaders' -count=10
 go test -race ./internal/commitq -count=10
+# Two goroutines on one CryptFS, shrinking files under each other's
+# remembered sizes.
+go test -race ./internal/vfs -count=10 \
+    -run 'TestCryptFSConcurrentHandles|TestFSWritePastEOFAfterShrink|TestCryptFSWriteAfterFailedWrite'
 # And the transcript gate itself: what E15 and E17 leave in Render must
 # repeat on a busy box.
 go test ./internal/experiments -run TestRenderRepeats -count=5
