@@ -477,12 +477,11 @@ func (s *Session) executeWith(query string, fn execFn) (*Result, error) {
 	// here (or not doing it, on a hit) leaves every artifact below
 	// byte-identical; a parse error is carried into execute and
 	// surfaces at the same point it always did.
-	pl, parseErr := e.planFor(query)
-	var digestText, digestHash string
+	pl, digestText, parseErr := e.planFor(query)
+	var digestHash string
 	if pl != nil {
-		digestText, digestHash = pl.digest, pl.dhash
+		digestHash = pl.dhash
 	} else {
-		digestText = sqlparse.Digest(query)
 		digestHash = sqlparse.HashDigestText(digestText)
 	}
 

@@ -175,23 +175,23 @@ func (e *Engine) PlanCacheStats() (hits, misses uint64, entries int) {
 func (e *Engine) CatalogEpoch() uint64 { return e.plans.Epoch() }
 
 // planFor resolves the statement pipeline front half: a cache hit
-// returns the stored plan; a miss parses, binds, and (on success)
-// caches. The digest text is computed exactly once per cached statement
-// text and reused by every later hit. parse errors are returned with a
-// nil plan — failed statements are never cached, so the error surface
-// is identical on a hit and a miss.
-func (e *Engine) planFor(query string) (*plan, error) {
+// returns the stored plan; a miss lexes once for both the parse and the
+// digest, binds, and (on success) caches. The digest text is computed
+// exactly once per cached statement text and reused by every later hit.
+// parse errors are returned with a nil plan and the statement's digest
+// text — failed statements are never cached, so the error surface is
+// identical on a hit and a miss.
+func (e *Engine) planFor(query string) (*plan, string, error) {
 	if pl := e.plans.lookup(query); pl != nil {
-		return pl, nil
+		return pl, pl.digest, nil
 	}
 	// Observe the epoch before parsing: a DDL that lands between here
 	// and insert leaves the entry stale, and the next lookup re-parses.
 	epoch := e.plans.Epoch()
-	stmt, err := sqlparse.Parse(query)
+	stmt, digest, err := sqlparse.ParseDigest(query)
 	if err != nil {
-		return nil, err
+		return nil, digest, err
 	}
-	digest := sqlparse.Digest(query)
 	pl := &plan{
 		key:    query,
 		stmt:   stmt,
@@ -201,7 +201,7 @@ func (e *Engine) planFor(query string) (*plan, error) {
 		bind:   e.bindPlan(stmt),
 	}
 	e.plans.insert(pl)
-	return pl, nil
+	return pl, digest, nil
 }
 
 // bindPlan resolves what the statement's execution will need from the

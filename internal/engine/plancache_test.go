@@ -150,6 +150,38 @@ func TestPlanCacheUnknownTableThenCreate(t *testing.T) {
 	}
 }
 
+// TestMalformedStatementDigests pins what events_statements_history
+// records for statements that fail before execution: the digest of a
+// parse error comes from the same lex pass as the parse, and input that
+// fails to lex keeps the collapsed-whitespace text. The values were
+// computed when the failed statement was still lexed a second time for
+// its digest.
+func TestMalformedStatementDigests(t *testing.T) {
+	e, _ := newEngine(t, Defaults())
+	s := e.Connect("app")
+	defer s.Close()
+	cases := []struct{ query, digest, text string }{
+		{"SELECT  *  FROM t WHERE junk # $ %", "a1b4d7ce2d58693458251001a44d432c", "SELECT * FROM t WHERE junk # $ %"},
+		{"SELECT * FROM t WHERE a ==", "d6d730dc6f95711b783b89e94a6cacbd", "SELECT * FROM t WHERE a = ="},
+		{"SELECT * FROM t extra garbage", "c3c984a30cd2943946dfeaa52acf3eba", "SELECT * FROM t extra garbage"},
+	}
+	for _, c := range cases {
+		if _, err := s.Execute(c.query); err == nil {
+			t.Fatalf("Execute(%q) succeeded", c.query)
+		}
+	}
+	hist := e.perf.History()
+	if len(hist) != len(cases) {
+		t.Fatalf("history holds %d statements, want %d", len(hist), len(cases))
+	}
+	for i, c := range cases {
+		if ev := hist[i]; ev.Statement != c.query || ev.Digest != c.digest || ev.DigestText != c.text {
+			t.Errorf("history[%d] = %q digest %s %q, want %q digest %s %q",
+				i, ev.Statement, ev.Digest, ev.DigestText, c.query, c.digest, c.text)
+		}
+	}
+}
+
 // TestPlanCacheConcurrentHitInvalidate races cached SELECT traffic
 // against DDL-driven invalidation; run under -race this checks the
 // epoch/LRU synchronization, and the access-path assertion checks no

@@ -25,9 +25,19 @@ import (
 func Digest(src string) string {
 	toks, err := Tokenize(src)
 	if err != nil {
-		return strings.Join(strings.Fields(src), " ")
+		return fallbackDigest(src)
 	}
+	return renderDigest(toks, len(src))
+}
+
+// fallbackDigest is the digest of input that fails to lex.
+func fallbackDigest(src string) string { return strings.Join(strings.Fields(src), " ") }
+
+// renderDigest renders the canonical form of toks, lexed from srcLen
+// bytes of input.
+func renderDigest(toks []Token, srcLen int) string {
 	var sb strings.Builder
+	sb.Grow(srcLen)
 	for i, t := range toks {
 		if t.Kind == TokEOF {
 			break
@@ -95,5 +105,7 @@ func DigestHash(src string) string {
 // DigestHash(s) by construction.
 func HashDigestText(digestText string) string {
 	sum := sha256.Sum256([]byte(digestText))
-	return hex.EncodeToString(sum[:16])
+	var text [32]byte
+	hex.Encode(text[:], sum[:16])
+	return string(text[:])
 }

@@ -21,7 +21,6 @@ var ErrAggregateOrderBy = errors.New("sqlparse: ORDER BY cannot be applied to an
 type Parser struct {
 	toks []Token
 	pos  int
-	src  string
 }
 
 // Parse parses a single SQL statement.
@@ -30,7 +29,24 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, src: src}
+	return parseTokens(toks)
+}
+
+// ParseDigest is Parse and Digest from one lex pass: it returns what
+// Parse(src) returns, and Digest(src) beside it whether or not src
+// parses, so a failed statement is never lexed again for its digest.
+func ParseDigest(src string) (Statement, string, error) {
+	toks, err := Tokenize(src)
+	if err != nil {
+		return nil, fallbackDigest(src), err
+	}
+	stmt, err := parseTokens(toks)
+	return stmt, renderDigest(toks, len(src)), err
+}
+
+// parseTokens parses one statement from toks, which end in TokEOF.
+func parseTokens(toks []Token) (Statement, error) {
+	p := &Parser{toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -388,11 +404,10 @@ func (p *Parser) parseSelectExpr() (SelectExpr, error) {
 func (p *Parser) parseWhere() (Where, error) {
 	var w Where
 	for {
-		pred, err := p.parsePredicate()
-		if err != nil {
+		var err error
+		if w, err = p.parsePredicate(w); err != nil {
 			return nil, err
 		}
-		w = append(w, pred...)
 		if p.peek().Kind == TokKeyword && p.peek().Text == "AND" {
 			p.next()
 			continue
@@ -401,8 +416,9 @@ func (p *Parser) parseWhere() (Where, error) {
 	}
 }
 
-// parsePredicate parses one predicate; BETWEEN expands to two predicates.
-func (p *Parser) parsePredicate() (Where, error) {
+// parsePredicate parses one predicate and appends it to w; BETWEEN
+// expands to two predicates.
+func (p *Parser) parsePredicate(w Where) (Where, error) {
 	col, err := p.expectIdent()
 	if err != nil {
 		return nil, err
@@ -420,10 +436,9 @@ func (p *Parser) parsePredicate() (Where, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Where{
-			{Column: col, Op: OpGe, Arg: lo},
-			{Column: col, Op: OpLe, Arg: hi},
-		}, nil
+		return append(w,
+			Predicate{Column: col, Op: OpGe, Arg: lo},
+			Predicate{Column: col, Op: OpLe, Arg: hi}), nil
 	}
 	t := p.next()
 	if t.Kind != TokSymbol {
@@ -450,7 +465,7 @@ func (p *Parser) parsePredicate() (Where, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Where{{Column: col, Op: op, Arg: v}}, nil
+	return append(w, Predicate{Column: col, Op: op, Arg: v}), nil
 }
 
 func (p *Parser) parseValue() (Value, error) {

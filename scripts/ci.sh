@@ -46,6 +46,10 @@ echo "== go build =="
 go build ./...
 
 echo "== go test =="
+# Exact and fast, so they run here with everything else: the statement
+# front end's allocation gate (TestParseDigestAllocationBudget) and the
+# non-ASCII table name that must survive a restart
+# (TestNonASCIIIdentifierSurvivesRecovery).
 go test ./...
 
 echo "== go test -race =="
@@ -86,6 +90,10 @@ fuzz ./internal/storage FuzzMatchVsDecode
 fuzz ./internal/engine FuzzReadCheckpoint
 fuzz ./internal/sqlparse FuzzParseExplain
 fuzz ./internal/sqlparse FuzzParseSelect
+# The lexer against the byte-at-a-time one it replaced (kept in the
+# test file), and ParseDigest against Parse and Digest: no ASCII token
+# or statement digest moves.
+fuzz ./internal/sqlparse FuzzLexerMatchesReference
 fuzz ./internal/server FuzzUnescape
 fuzz ./internal/client FuzzDecodeValue
 fuzz ./internal/vfs FuzzCryptFSSidecar
