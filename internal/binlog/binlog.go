@@ -66,8 +66,8 @@ func DecodeEvent(b []byte) (Event, int, error) {
 	return ev, eventHeaderSize + n, nil
 }
 
-// Log is the binary log. It grows without bound until Purge is called,
-// matching MySQL's default retention.
+// Log is the binary log. Its in-memory store grows without bound until
+// Purge is called, matching MySQL's default retention.
 //
 // Concurrent sessions commit through the group-commit queue (commitq,
 // which documents the ordering invariant): each event is stamped —
@@ -76,22 +76,21 @@ func DecodeEvent(b []byte) (Event, int, error) {
 // both. A transaction's buffered events commit as one contiguous batch,
 // like MySQL's binlog cache.
 //
-// If a Sink is attached, the leader hands each flushed batch to it
-// before the events become visible in the log; a sink failure is
-// reported to every caller whose events rode in that batch.
+// Each flushed batch goes to one store: the Sink if one is attached
+// (a sink failure is reported to every caller whose events rode in that
+// batch), the in-memory events otherwise.
 type Log struct {
 	mu     sync.Mutex // guards events
-	events []Event
+	events []Event    // the in-memory store, used only while Sink is nil
 
 	// LSNSource, when set (the engine wires it to wal.Manager.CurrentLSN),
 	// stamps each committed event with the engine LSN at commit time.
-	// Events passed to the raw Append keep their caller-supplied LSN.
+	// Without it an event keeps its caller-supplied LSN (clamped).
 	LSNSource func() uint64
 
-	// Sink, if set, receives each flushed batch before it is appended
-	// to the in-memory log — the persistence layer's durability hook.
-	// The slice is only valid during the call. Set it before concurrent
-	// use.
+	// Sink, if set, receives each flushed batch in place of the
+	// in-memory store — the persistence layer's durability hook. The
+	// slice is only valid during the call. Set it before concurrent use.
 	Sink func([]Event) error
 
 	q       *commitq.Queue[Event] // its lock also guards the stamp floors
@@ -106,18 +105,9 @@ func New() *Log {
 	return l
 }
 
-// Append records a write transaction exactly as given, bypassing the
-// group-commit stamping. Forensic tooling, recovery, and tests use it
-// to rebuild binlog images; the engine commits through Commit/CommitBatch.
-func (l *Log) Append(ev Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, ev)
-}
-
 // Commit stamps and records one event through the group-commit
-// pipeline, returning once it is durable (if a Sink is attached) and
-// visible in the log.
+// pipeline, returning once it is in its store: durable if a Sink is
+// attached, in the in-memory log otherwise.
 func (l *Log) Commit(ev Event) error { return l.CommitBatch([]Event{ev}) }
 
 // CommitBatch commits a transaction's events as one contiguous,
@@ -148,13 +138,11 @@ func (l *Log) CommitBatch(evs []Event) error {
 	})
 }
 
-// flush is the queue leader's batch flush: through the Sink, then into
-// the in-memory log.
+// flush is the queue leader's batch flush into the one store: the Sink
+// if attached, the in-memory log otherwise.
 func (l *Log) flush(batch []Event) error {
 	if l.Sink != nil {
-		if err := l.Sink(batch); err != nil {
-			return err
-		}
+		return l.Sink(batch)
 	}
 	l.mu.Lock()
 	l.events = append(l.events, batch...)
@@ -162,8 +150,8 @@ func (l *Log) flush(batch []Event) error {
 	return nil
 }
 
-// Prime raises the monotone stamping floor. Recovery calls it after
-// repopulating the log from disk, so post-recovery commits continue
+// Prime raises the monotone stamping floor. Recovery calls it with the
+// last event of the binlog file, so post-recovery commits continue
 // non-decreasing in timestamp and LSN.
 func (l *Log) Prime(ts int64, lsn uint64) {
 	l.q.Lock()

@@ -11,8 +11,8 @@ import (
 
 func TestAppendAndEvents(t *testing.T) {
 	l := New()
-	l.Append(Event{Timestamp: 100, LSN: 1, Statement: "INSERT INTO t (id) VALUES (1)"})
-	l.Append(Event{Timestamp: 101, LSN: 2, Statement: "UPDATE t SET v = 2 WHERE id = 1"})
+	l.Commit(Event{Timestamp: 100, LSN: 1, Statement: "INSERT INTO t (id) VALUES (1)"})
+	l.Commit(Event{Timestamp: 101, LSN: 2, Statement: "UPDATE t SET v = 2 WHERE id = 1"})
 	evs := l.Events()
 	if len(evs) != 2 || l.Len() != 2 {
 		t.Fatalf("len = %d", len(evs))
@@ -30,7 +30,7 @@ func TestSerializeParseRoundTrip(t *testing.T) {
 		"DELETE FROM accounts WHERE id = 1",
 	}
 	for i, s := range stmts {
-		l.Append(Event{Timestamp: int64(1000 + i), LSN: uint64(i * 50), Statement: s})
+		l.Commit(Event{Timestamp: int64(1000 + i), LSN: uint64(i * 50), Statement: s})
 	}
 	parsed, err := Parse(l.Serialize())
 	if err != nil {
@@ -48,7 +48,7 @@ func TestSerializeParseRoundTrip(t *testing.T) {
 
 func TestParseRejectsTruncation(t *testing.T) {
 	l := New()
-	l.Append(Event{Timestamp: 1, LSN: 1, Statement: "INSERT INTO t (id) VALUES (1)"})
+	l.Commit(Event{Timestamp: 1, LSN: 1, Statement: "INSERT INTO t (id) VALUES (1)"})
 	img := l.Serialize()
 	if _, err := Parse(img[:len(img)-3]); err == nil {
 		t.Error("truncated statement accepted")
@@ -70,7 +70,7 @@ func TestParseEmpty(t *testing.T) {
 func TestParseWithReportPresizes(t *testing.T) {
 	l := New()
 	for i := 0; i < 100; i++ {
-		l.Append(Event{Timestamp: int64(i), LSN: uint64(i), Statement: "INSERT INTO t (id) VALUES (1)"})
+		l.Commit(Event{Timestamp: int64(i), LSN: uint64(i), Statement: "INSERT INTO t (id) VALUES (1)"})
 	}
 	img := l.Serialize()
 	evs, rep := ParseWithReport(img)
@@ -94,7 +94,7 @@ func TestParseWithReportPresizes(t *testing.T) {
 func TestPurge(t *testing.T) {
 	l := New()
 	for i := int64(0); i < 10; i++ {
-		l.Append(Event{Timestamp: i, LSN: uint64(i), Statement: "x"})
+		l.Commit(Event{Timestamp: i, LSN: uint64(i), Statement: "x"})
 	}
 	purged := l.Purge(5)
 	if purged != 5 {
@@ -111,21 +111,20 @@ func TestPurge(t *testing.T) {
 
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(ts int64, lsn uint64, stmt string) bool {
-		l := New()
-		l.Append(Event{Timestamp: ts, LSN: lsn, Statement: stmt})
-		evs, err := Parse(l.Serialize())
-		return err == nil && len(evs) == 1 && evs[0] == (Event{Timestamp: ts, LSN: lsn, Statement: stmt})
+		ev := Event{Timestamp: ts, LSN: lsn, Statement: stmt}
+		evs, err := Parse(storage.AppendFrames(nil, []Event{ev}))
+		return err == nil && len(evs) == 1 && evs[0] == ev
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func BenchmarkAppend(b *testing.B) {
+func BenchmarkCommit(b *testing.B) {
 	l := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Append(Event{Timestamp: int64(i), LSN: uint64(i), Statement: "INSERT INTO t (id, v) VALUES (1, 'x')"})
+		l.Commit(Event{Timestamp: int64(i), LSN: uint64(i), Statement: "INSERT INTO t (id, v) VALUES (1, 'x')"})
 	}
 }
 

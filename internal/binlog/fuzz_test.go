@@ -30,8 +30,8 @@ func FuzzDecodeEvent(f *testing.F) {
 // consistent with the parsed events.
 func FuzzParse(f *testing.F) {
 	l := New()
-	l.Append(Event{Timestamp: 1, LSN: 10, Statement: "UPDATE t SET v = 1"})
-	l.Append(Event{Timestamp: 2, LSN: 20, Statement: "DELETE FROM t"})
+	l.Commit(Event{Timestamp: 1, LSN: 10, Statement: "UPDATE t SET v = 1"})
+	l.Commit(Event{Timestamp: 2, LSN: 20, Statement: "DELETE FROM t"})
 	img := l.Serialize()
 	f.Add(img)
 	f.Add(img[:len(img)-3])
@@ -49,8 +49,8 @@ func FuzzParse(f *testing.F) {
 
 func TestParseWithReportTornAndCorrupt(t *testing.T) {
 	l := New()
-	l.Append(Event{Timestamp: 1, LSN: 10, Statement: "INSERT INTO t VALUES (1)"})
-	l.Append(Event{Timestamp: 2, LSN: 20, Statement: "INSERT INTO t VALUES (2)"})
+	l.Commit(Event{Timestamp: 1, LSN: 10, Statement: "INSERT INTO t VALUES (1)"})
+	l.Commit(Event{Timestamp: 2, LSN: 20, Statement: "INSERT INTO t VALUES (2)"})
 	img := l.Serialize()
 
 	evs, rep := ParseWithReport(img)
@@ -94,6 +94,23 @@ func TestBinlogSinkErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestSinkReplacesMemoryStore: with a Sink attached the sink is the
+// binlog's one store — the in-memory log stays empty.
+func TestSinkReplacesMemoryStore(t *testing.T) {
+	l := New()
+	var sunk []Event
+	l.Sink = func(evs []Event) error { sunk = append(sunk, evs...); return nil }
+	if err := l.CommitBatch([]Event{{Timestamp: 1, Statement: "a"}, {Timestamp: 2, Statement: "b"}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sunk) != 2 || sunk[1].Statement != "b" {
+		t.Errorf("sink saw %+v, want both events in order", sunk)
+	}
+	if l.Len() != 0 {
+		t.Errorf("in-memory log holds %d events beside the sink, want 0", l.Len())
+	}
+}
+
 func TestPrimeRaisesStampFloor(t *testing.T) {
 	l := New()
 	l.Prime(1000, 500)
@@ -117,7 +134,7 @@ func TestPrimeRaisesStampFloor(t *testing.T) {
 
 func TestParseErrorMentionsOffset(t *testing.T) {
 	l := New()
-	l.Append(Event{Timestamp: 1, LSN: 1, Statement: "SELECT 1"})
+	l.Commit(Event{Timestamp: 1, LSN: 1, Statement: "SELECT 1"})
 	img := l.Serialize()
 	_, err := Parse(img[:len(img)-1])
 	if err == nil || !strings.Contains(err.Error(), "offset") {

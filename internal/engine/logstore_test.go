@@ -1,0 +1,215 @@
+package engine
+
+import (
+	"bytes"
+	"testing"
+
+	"snapdb/internal/binlog"
+	"snapdb/internal/storage"
+	"snapdb/internal/vfs"
+	"snapdb/internal/wal"
+)
+
+// durableLogs reads a durable engine's redo, undo and binlog back from
+// its files — the one store a durable engine keeps its logs in — with
+// recovery's own reader. It reads through the engine's view of its
+// directory, so an encrypted engine's logs come back as plaintext. A
+// torn or corrupt tail fails the test: a live engine's files hold only
+// synced batches, and a recovered engine's were cut to their valid
+// prefix.
+func durableLogs(t testing.TB, e *Engine) (redo, undo []wal.Record, evs []binlog.Event) {
+	t.Helper()
+	if e.persist == nil {
+		t.Fatal("durableLogs: the engine keeps its logs in memory")
+	}
+	fs := e.persist.fs
+	check := func(name string, trunc *TruncationInfo, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trunc != nil {
+			t.Fatalf("%s: bad tail at offset %d: %s", name, trunc.Offset, trunc.Reason)
+		}
+	}
+	var trunc *TruncationInfo
+	var err error
+	redo, _, trunc, err = readLog(fs, FileRedo, wal.ParseLogReport)
+	check(FileRedo, trunc, err)
+	undo, _, trunc, err = readLog(fs, FileUndo, wal.ParseLogReport)
+	check(FileUndo, trunc, err)
+	evs, _, trunc, err = readLog(fs, FileBinlog, binlog.ParseWithReport)
+	check(FileBinlog, trunc, err)
+	return redo, undo, evs
+}
+
+// durableBinlog is the statements of a durable engine's binlog file.
+func durableBinlog(t testing.TB, e *Engine) []string {
+	t.Helper()
+	_, _, evs := durableLogs(t, e)
+	out := make([]string, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.Statement
+	}
+	return out
+}
+
+// logStoreScript is DDL first — a durable engine checkpoints at DDL,
+// which empties its redo and undo files — then every kind of logged
+// write: autocommit DML, a rolled-back and a committed transaction, and
+// a multi-row INSERT that fails on a duplicate key after its first
+// tuple (logged, compensated and aborted).
+var logStoreScript = []string{
+	"CREATE TABLE users (id INT PRIMARY KEY, name TEXT, karma INT)",
+	"CREATE TABLE orders (id INT PRIMARY KEY, uid INT, total INT)",
+	"INSERT INTO users (id, name, karma) VALUES (1, 'ann', 10), (2, 'bo', 20), (3, 'cy', 30)",
+	"INSERT INTO orders (id, uid, total) VALUES (100, 1, 50)",
+	"UPDATE users SET karma = 99, name = 'bob' WHERE id = 2",
+	"DELETE FROM users WHERE id = 3",
+	"BEGIN",
+	"INSERT INTO orders (id, uid, total) VALUES (101, 2, 75)",
+	"UPDATE users SET karma = 0 WHERE id = 1",
+	"ROLLBACK",
+	"BEGIN",
+	"INSERT INTO orders (id, uid, total) VALUES (102, 2, 80)",
+	"DELETE FROM orders WHERE id = 100",
+	"COMMIT",
+	"INSERT INTO users (id, name, karma) VALUES (7, 'dee', 70), (1, 'dup', 0)",
+}
+
+// runScript runs stmts on s, requiring every statement but the
+// duplicate-key INSERT (the script's last) to succeed.
+func runScript(t *testing.T, s *Session, stmts []string) {
+	t.Helper()
+	for _, q := range stmts[:len(stmts)-1] {
+		mustExec(t, s, q)
+	}
+	if _, err := s.Execute(stmts[len(stmts)-1]); err == nil {
+		t.Fatal("duplicate-key INSERT succeeded")
+	}
+}
+
+// TestLogStoresAgree: a log's two stores — an in-memory engine's
+// circular logs and a durable engine's files — hold the same bytes for
+// the same statements, so what E1–E11 read through snapshot.Capture is
+// the format E13–E17 read through snapshot.ReadDirFS. The one
+// difference is retention: a durable engine checkpoints at DDL, which
+// empties its redo and undo files, and an in-memory engine never does.
+func TestLogStoresAgree(t *testing.T) {
+	mem := vfs.NewMemFS()
+	inMem, _ := newEngine(t, Defaults())
+	durable := durableEngine(t, mem)
+	runScript(t, inMem.Connect("app"), logStoreScript)
+	runScript(t, durable.Connect("app"), logStoreScript)
+
+	compare := func(when string, wantRedo, wantUndo []byte) {
+		t.Helper()
+		for _, c := range []struct {
+			name string
+			want []byte
+		}{
+			{FileRedo, wantRedo},
+			{FileUndo, wantUndo},
+			{FileBinlog, inMem.Binlog().Serialize()},
+		} {
+			file, err := mem.ReadFile(c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(file, c.want) {
+				t.Errorf("%s: %s file holds %d B, the in-memory store %d B — not the same bytes", when, c.name, len(file), len(c.want))
+			}
+		}
+	}
+	compare("after the script", inMem.WAL().Redo.Serialize(), inMem.WAL().Undo.Serialize())
+	if inMem.WAL().Redo.Len() == 0 || inMem.WAL().Undo.Len() == 0 || inMem.Binlog().Len() == 0 {
+		t.Fatal("the script logged nothing: the comparison is vacuous")
+	}
+
+	const ddl = "CREATE INDEX idx_karma ON users (karma)"
+	mustExec(t, inMem.Connect("app"), ddl)
+	mustExec(t, durable.Connect("app"), ddl)
+	if inMem.WAL().Redo.Len() == 0 {
+		t.Error("an in-memory engine's DDL emptied its redo log")
+	}
+	compare("after a DDL checkpoint", nil, nil)
+}
+
+// TestDurableEngineHoldsNoLogHistory pins the memory bound of a durable
+// engine as a count: its logs live in their files only, so the
+// in-memory stores stay empty after a workload, and after recovery
+// plus more writes — recovery reads the files without loading them
+// back into memory.
+func TestDurableEngineHoldsNoLogHistory(t *testing.T) {
+	mem := vfs.NewMemFS()
+	e := durableEngine(t, mem)
+	runScript(t, e.Connect("app"), logStoreScript)
+
+	requireEmpty := func(when string, e *Engine) {
+		t.Helper()
+		if r, u, b := e.WAL().Redo.Len(), e.WAL().Undo.Len(), e.Binlog().Len(); r != 0 || u != 0 || b != 0 {
+			t.Errorf("%s: memory holds %d redo, %d undo, %d binlog entries, want 0", when, r, u, b)
+		}
+		if redo, undo, evs := durableLogs(t, e); len(redo) == 0 || len(undo) == 0 || len(evs) == 0 {
+			t.Errorf("%s: files hold %d redo, %d undo, %d binlog entries: the workload logged nothing", when, len(redo), len(undo), len(evs))
+		}
+	}
+	requireEmpty("after the workload", e)
+
+	e.Close()
+	mem.Crash()
+	r, rep, err := Recover(mem, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RedoRecords == 0 || rep.BinlogEvents == 0 {
+		t.Fatalf("recovery read no history (report %+v)", rep)
+	}
+	requireEmpty("after recovery", r)
+	s := r.Connect("app")
+	mustExec(t, s, "INSERT INTO users (id, name, karma) VALUES (8, 'eve', 80)")
+	mustExec(t, s, "UPDATE orders SET total = 1 WHERE id = 102")
+	requireEmpty("after recovery and more writes", r)
+}
+
+// TestCheckRecoveredSeesLeadingBinlog: the crash torture's
+// binlog-never-leads check reads the recovered binlog file, so one
+// well-framed event more than the recovered data carries is caught.
+func TestCheckRecoveredSeesLeadingBinlog(t *testing.T) {
+	stmts := tortureStmts()[:12]
+	refs := refStates(t, stmts)
+	mem := vfs.NewMemFS()
+	acked := runUntilError(mem, stmts)
+	if acked != len(stmts) {
+		t.Fatalf("acked %d of %d statements", acked, len(stmts))
+	}
+	recoverAndCheck := func() (diverged, leads bool) {
+		t.Helper()
+		r, _, err := Recover(mem, Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		return checkRecovered(t, r, refs, acked)
+	}
+	if diverged, leads := recoverAndCheck(); diverged || leads {
+		t.Fatalf("clean directory: diverged %v, binlog leads %v; want neither", diverged, leads)
+	}
+
+	img, err := mem.ReadFile(FileBinlog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := binlog.Parse(img)
+	if err != nil || len(evs) == 0 {
+		t.Fatalf("binlog file: %d events, err %v", len(evs), err)
+	}
+	last := evs[len(evs)-1]
+	extra := binlog.Event{Timestamp: last.Timestamp, LSN: last.LSN, Statement: "INSERT INTO users (id, name, karma) VALUES (90, 'phantom', 0)"}
+	if err := vfs.WriteFileAtomic(mem, FileBinlog, storage.AppendFrames(img, []binlog.Event{extra})); err != nil {
+		t.Fatal(err)
+	}
+	if diverged, leads := recoverAndCheck(); diverged || !leads {
+		t.Errorf("binlog with one extra event: diverged %v, binlog leads %v; want a leading binlog", diverged, leads)
+	}
+}

@@ -91,11 +91,12 @@ func appendBatch(files ...*logFile) error {
 	return nil
 }
 
-// persistor is the engine's durability sink. The WAL and binlog group
-// commit leaders call into it with each flushed batch; it appends the
-// batch to the corresponding file inside CRC32-C frames and fsyncs
-// before the batch is acknowledged, so a statement only returns success
-// once its log records are on stable storage.
+// persistor is the engine's durability sink and its logs' one store.
+// The WAL and binlog group commit leaders call into it with each
+// flushed batch; it appends the batch to the corresponding file inside
+// CRC32-C frames and fsyncs before the batch is acknowledged, so a
+// statement only returns success once its log records are on stable
+// storage. No copy of the batch is kept in memory.
 type persistor struct {
 	mu               sync.Mutex
 	fs               vfs.FS
@@ -329,13 +330,7 @@ func (e *Engine) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := e.persist.writeCheckpoint(img); err != nil {
-		return err
-	}
-	// The in-memory circular logs mirror the (now empty) disk logs.
-	e.wal.Redo.Reset()
-	e.wal.Undo.Reset()
-	return nil
+	return e.persist.writeCheckpoint(img)
 }
 
 // Checkpoint quiesces the engine and persists a crash-atomic image of

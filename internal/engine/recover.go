@@ -159,14 +159,8 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 	rep.TxnsAborted = len(aborted)
 	rep.MaxLSN = maxLSN
 
-	// Repopulate the in-memory circular logs with the valid prefixes, so
-	// the forensic surface (snapshots, SHOW-style inspection) carries
-	// across the crash exactly as the files do.
-	e.wal.Redo.AppendBatch(redoRecs)
-	e.wal.Undo.AppendBatch(undoRecs)
-	for _, ev := range blogEvs {
-		e.binlog.Append(ev)
-	}
+	// The logs stay in their files: nothing is read back into memory
+	// beyond the stamping floors new activity continues from.
 	if n := len(blogEvs); n > 0 {
 		e.binlog.Prime(blogEvs[n-1].Timestamp, blogEvs[n-1].LSN)
 	}

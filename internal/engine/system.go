@@ -218,10 +218,12 @@ func statementEventRow(ev perfschema.StatementEvent) storage.Record {
 // --- Accessors used by the snapshot and forensics packages. They
 // expose the engine's internal state exactly as a compromise would. ---
 
-// WAL returns the redo/undo log manager.
+// WAL returns the redo/undo log manager. A durable engine's records are
+// in its files, not in the manager's in-memory logs.
 func (e *Engine) WAL() *wal.Manager { return e.wal }
 
-// Binlog returns the binary log.
+// Binlog returns the binary log. A durable engine's events are in its
+// binlog file, not in the log's in-memory store.
 func (e *Engine) Binlog() *binlog.Log { return e.binlog }
 
 // BufferPool returns the buffer pool.

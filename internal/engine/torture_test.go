@@ -91,15 +91,16 @@ func refStates(t testing.TB, stmts []string) []tortureRef {
 // checkRecovered holds an engine recovered at a kill-point to the two
 // statement prefixes it may land on: the acked statements, or those plus
 // the one in flight. diverged: the data matches neither. binlogLeads:
-// the binlog holds more events than the prefix the data matched — a
-// replica would apply writes the primary lost. (The longer prefix is
+// the binlog file holds more events than the prefix the data matched —
+// a replica would apply writes the primary lost. (The longer prefix is
 // tried first: a prefix's binlog never shrinks as it grows.)
 func checkRecovered(t testing.TB, r *Engine, refs []tortureRef, acked int) (diverged, binlogLeads bool) {
 	t.Helper()
 	got := digestOf(t, r)
 	for _, i := range []int{min(acked+1, len(refs)-1), acked} {
 		if refs[i].digest == got {
-			return false, r.Binlog().Len() > refs[i].binlog
+			_, _, evs := durableLogs(t, r)
+			return false, len(evs) > refs[i].binlog
 		}
 	}
 	return true, false

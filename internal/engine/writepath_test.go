@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"snapdb/internal/binlog"
 	"snapdb/internal/storage"
 	"snapdb/internal/vfs"
 )
@@ -86,7 +85,8 @@ func TestStatementAtomicity(t *testing.T) {
 				mustExec(t, s, "BEGIN")
 				mustExec(t, s, "INSERT INTO t (id, v) VALUES (5, 50)")
 			}
-			walBefore := e.WAL().Redo.Len()
+			redoLen := func() int { redo, _, _ := durableLogs(t, e); return len(redo) }
+			walBefore := redoLen()
 			if _, err := s.Execute("INSERT INTO t (id, v) VALUES (1, 10), (2, 99), (3, 30)"); err == nil {
 				t.Fatal("duplicate-key INSERT succeeded")
 			}
@@ -99,17 +99,17 @@ func TestStatementAtomicity(t *testing.T) {
 				}
 				mustExec(t, s, "UPDATE t SET v = 51 WHERE id = 5")
 				mustExec(t, s, "COMMIT")
-			} else if got := e.WAL().Redo.Len() - walBefore; got != 3 {
+			} else if got := redoLen() - walBefore; got != 3 {
 				// insert(1) + its compensation + the abort marker
 				t.Errorf("failed statement logged %d redo records, want 3", got)
 			}
 			// A statement that fails on its first tuple writes nothing —
 			// no WAL record, and no commit sequence spent on it either.
-			walBefore, seqBefore := e.WAL().Redo.Len(), e.versions.status().seq
+			walBefore, seqBefore := redoLen(), e.versions.status().seq
 			if _, err := s.Execute("INSERT INTO t (id, v) VALUES (2, 99), (4, 40)"); err == nil {
 				t.Fatal("duplicate-key INSERT succeeded")
 			}
-			if got := e.WAL().Redo.Len() - walBefore; got != 0 {
+			if got := redoLen() - walBefore; got != 0 {
 				t.Errorf("statement failing before its first mutation logged %d redo records", got)
 			}
 			if got := e.versions.status().seq; got != seqBefore {
@@ -130,10 +130,7 @@ func TestStatementAtomicity(t *testing.T) {
 				t.Errorf("live ids = %s, want %s", got, want)
 			}
 
-			events, err := binlog.Parse(e.Binlog().Serialize())
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, _, events := durableLogs(t, e)
 			replayed, _ := newEngine(t, Defaults())
 			if _, err := replayed.ReplayBinlog(events, 0); err != nil {
 				t.Fatal(err)

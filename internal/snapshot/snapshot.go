@@ -140,6 +140,9 @@ type Snapshot struct {
 }
 
 // Capture takes a snapshot of the engine under the given attack model.
+// Its disk state is an in-memory engine's: the logs come from the
+// engine's in-memory stores, which a durable engine leaves empty — its
+// logs live in its files, and its disk is ReadDirFS of its directory.
 func Capture(e *engine.Engine, attack AttackType) *Snapshot {
 	s := &Snapshot{Attack: attack}
 	rev := attack.Reveals()

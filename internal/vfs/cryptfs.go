@@ -374,14 +374,17 @@ type cryptFile struct {
 }
 
 // ReadAt implements File: read ciphertext, XOR in place. Short-read
-// and EOF semantics are the inner file's own.
+// and EOF semantics are the inner file's own. The read and its XOR
+// hold the handle's lock together: a fresh-IV write through the handle
+// re-encrypts whole pages under a new tweak — a write past EOF
+// re-encrypts the page holding EOF to zero-fill its tail — so
+// ciphertext read before that write must not meet the tweak after it.
 func (c *cryptFile) ReadAt(p []byte, off int64) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n, err := c.f.ReadAt(p, off)
 	if n > 0 {
-		c.mu.Lock()
-		xerr := c.fs.xorRange(c.name, off, p[:n], &c.ks)
-		c.mu.Unlock()
-		if xerr != nil && err == nil {
+		if xerr := c.fs.xorRange(c.name, off, p[:n], &c.ks); xerr != nil && err == nil {
 			err = xerr
 		}
 	}

@@ -114,7 +114,9 @@ func TestSinkErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestSinkSeesRecordsBeforeMemory(t *testing.T) {
+// TestSinkReplacesMemoryStore: with a Sink attached the sink is the
+// logs' one store — the in-memory logs stay empty.
+func TestSinkReplacesMemoryStore(t *testing.T) {
 	m, err := NewManager(1<<20, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -123,10 +125,6 @@ func TestSinkSeesRecordsBeforeMemory(t *testing.T) {
 	m.Sink = func(redo, undo []Record) error {
 		sunkRedo += len(redo)
 		sunkUndo += len(undo)
-		// Memory append happens after the sink returns.
-		if m.Redo.Len() >= sunkRedo {
-			t.Errorf("redo memory append preceded the sink")
-		}
 		return nil
 	}
 	tx := m.BeginTxn()
@@ -141,6 +139,9 @@ func TestSinkSeesRecordsBeforeMemory(t *testing.T) {
 	}
 	if sunkUndo != 1 {
 		t.Errorf("sink saw %d undo records, want 1 (markers are redo-only)", sunkUndo)
+	}
+	if r, u := m.Redo.Len(), m.Undo.Len(); r != 0 || u != 0 {
+		t.Errorf("in-memory logs hold %d redo / %d undo records beside the sink, want 0", r, u)
 	}
 }
 

@@ -7,10 +7,13 @@
 // write that a disk-snapshot attacker can replay with standard forensic
 // techniques.
 //
-// Both logs are circular: when a log exceeds its capacity, the oldest
+// Each log has exactly one store. Without a Sink it is the in-memory
+// Log, which is circular: when it exceeds its capacity, the oldest
 // records fall off. The retention window therefore depends on write
 // volume and record size, which experiment E2 measures (the paper's
-// "50 MB stores 16 days of 20-byte writes at 1 write/s" estimate).
+// "50 MB stores 16 days of 20-byte writes at 1 write/s" estimate). With
+// a Sink attached — a durable engine's log files — the records go there
+// only, and the in-memory Log stays empty.
 //
 // On disk (Serialize) every record travels inside a CRC32-C frame
 // (storage.AppendFrame), so a reader can tell a torn tail from silent
@@ -197,14 +200,6 @@ func (l *Log) appendLocked(r Record) {
 	}
 }
 
-// Reset discards all retained records (after a checkpoint has made them
-// redundant). The eviction counter is preserved.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.records, l.sizes, l.bytes = nil, nil, 0
-}
-
 // Records returns the retained records, oldest first.
 func (l *Log) Records() []Record {
 	l.mu.Lock()
@@ -302,22 +297,24 @@ type pendEntry struct{ redo, undo Record }
 // it is queued, so both logs come out strictly LSN-ordered no matter how
 // statements interleave, and one leader flushes each batch.
 //
-// If a Sink is attached, the leader hands each batch to it before the
-// batch becomes visible in the in-memory logs; a sink failure is
-// reported to every writer whose change rode in that batch. This is the
-// durability hook: the persistence layer syncs the batch to disk inside
-// the sink, so a statement only returns success once its log records
-// are on stable storage.
+// Each batch goes to one store. If a Sink is attached, the leader hands
+// the batch to it and nowhere else; a sink failure is reported to every
+// writer whose change rode in that batch. This is the durability hook:
+// the persistence layer syncs the batch to disk inside the sink, so a
+// statement only returns success once its log records are on stable
+// storage.
 type Manager struct {
 	q      *commitq.Queue[pendEntry] // its lock also guards lsn and txnSeq
 	lsn    uint64
 	txnSeq uint64
 
 	// Sink, if set, receives each flushed batch (redo records, and the
-	// undo records for entries that have them) before the batch is
-	// appended to the in-memory logs. Set it before concurrent use.
+	// undo records for entries that have them) in place of Redo and
+	// Undo. Set it before concurrent use.
 	Sink func(redo, undo []Record) error
 
+	// Redo and Undo are the in-memory store, used only while no Sink is
+	// attached.
 	Redo *Log
 	Undo *Log
 }
@@ -371,8 +368,9 @@ func (m *Manager) SetRecovered(lsn, txnSeq uint64) {
 // LSN as it is enqueued: the LSN advances by size, the encoded size of
 // the change, matching InnoDB's byte-offset LSNs (which is what makes
 // the paper's LSN↔timestamp correlation linear in write volume). It
-// returns only after the change is durable (if a Sink is attached) and
-// visible in the in-memory logs, or after its batch's flush failed.
+// returns only after the change is in its store — durable if a Sink is
+// attached, in the in-memory logs otherwise — or after its batch's
+// flush failed.
 func (m *Manager) commit(redo, undo Record, size int) (uint64, Record, error) {
 	e := pendEntry{redo, undo}
 	err := m.q.Commit(func(pend []pendEntry) []pendEntry {
@@ -386,8 +384,8 @@ func (m *Manager) commit(redo, undo Record, size int) (uint64, Record, error) {
 	return e.redo.LSN, e.undo, err
 }
 
-// flush is the queue leader's batch flush: through the Sink, then into
-// the in-memory logs.
+// flush is the queue leader's batch flush into the one store: the Sink
+// if attached, the in-memory logs otherwise.
 func (m *Manager) flush(batch []pendEntry) error {
 	redoBatch := make([]Record, 0, len(batch))
 	var undoBatch []Record
@@ -398,9 +396,7 @@ func (m *Manager) flush(batch []pendEntry) error {
 		}
 	}
 	if m.Sink != nil {
-		if err := m.Sink(redoBatch, undoBatch); err != nil {
-			return err
-		}
+		return m.Sink(redoBatch, undoBatch)
 	}
 	m.Redo.AppendBatch(redoBatch)
 	m.Undo.AppendBatch(undoBatch)

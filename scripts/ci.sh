@@ -11,9 +11,11 @@
 #     native-fuzz run — "never panic on garbage" is re-earned on every
 #     commit, not assumed from the seed corpus.
 #   - crash torture seed matrix: the kill-point harness (recovered data
-#     matches a statement prefix, the recovered binlog never leads it)
-#     and the commit-order failure tests re-run under -race with extra
-#     seeds, so fault schedules differ from the default test run's.
+#     matches a statement prefix, the recovered binlog file never leads
+#     it), the checks that durable logs are read from their files (one
+#     store per log), and the commit-order failure tests re-run under
+#     -race with extra seeds, so fault schedules differ from the default
+#     test run's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,7 +106,7 @@ fuzz ./internal/crypto/prim FuzzPageCipherKeystream
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures' |
+        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
