@@ -219,17 +219,24 @@ func ParseWithReport(img []byte) ([]Event, storage.ParseReport) {
 	// what the image could hold of events with an empty statement.
 	const minFrame = storage.FrameHeaderSize + eventHeaderSize
 	out := make([]Event, 0, min(storage.CountFrames(img), len(img)/minFrame))
-	rep := storage.WalkFrames(img, "event", func(payload []byte) (int, error) {
-		ev, n, err := DecodeEvent(payload)
-		if err == nil && n == len(payload) {
-			out = append(out, ev)
-		}
-		return n, err
-	})
+	rep := Walk(img, func(ev Event) { out = append(out, ev) })
 	if len(out) == 0 {
 		return nil, rep // an image that yields nothing has always parsed to nil
 	}
 	return out, rep
+}
+
+// Walk is ParseWithReport without the result slice: it decodes the
+// events of a Serialize image in order, validating each, and hands every
+// event of the valid prefix to fn.
+func Walk(img []byte, fn func(Event)) storage.ParseReport {
+	return storage.WalkFrames(img, "event", func(payload []byte) (int, error) {
+		ev, n, err := DecodeEvent(payload)
+		if err == nil && n == len(payload) {
+			fn(ev)
+		}
+		return n, err
+	})
 }
 
 // Parse decodes a Serialize image — the mysqlbinlog-equivalent reader a

@@ -102,8 +102,11 @@ func decodeSlot(p *storage.Page, i int) (storage.Record, error) {
 // leaf and the number of pages fetched on the way (the leaf included).
 // A non-nil path collects their ids, root first.
 func (t *Tree) findLeaf(key sqlparse.Value, path *[]storage.PageID) (*storage.Page, int, error) {
-	id := t.root
+	id, limit := t.root, t.ts.NumPages()
 	for levels := 1; ; levels++ {
+		if levels > limit {
+			return nil, 0, t.loopErr(id, limit)
+		}
 		p, err := t.pool.Fetch(id)
 		if err != nil {
 			return nil, 0, err
@@ -118,6 +121,13 @@ func (t *Tree) findLeaf(key sqlparse.Value, path *[]storage.PageID) (*storage.Pa
 			return nil, 0, err
 		}
 	}
+}
+
+// loopErr is the error of a descent that reached page id after passing
+// more pages than the tablespace holds: a forged tree whose child links
+// loop, which would otherwise descend forever.
+func (t *Tree) loopErr(id storage.PageID, limit int) error {
+	return fmt.Errorf("btree: page %d: descent from root %d passes more than the tablespace's %d pages: child links loop", id, t.root, limit)
 }
 
 // TraversalPath returns the page ids a lookup of key touches, root
@@ -138,7 +148,7 @@ func (t *Tree) Insert(rec storage.Record) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("btree: inserting empty record")
 	}
-	split, err := t.insertInto(t.root, rec)
+	split, err := t.insertInto(t.root, rec, t.ts.NumPages())
 	if err != nil {
 		return err
 	}
@@ -152,10 +162,10 @@ func (t *Tree) Insert(rec storage.Record) error {
 		newRoot := t.ts.Allocate(storage.PageBTreeInternal)
 		left := storage.EncodeRecord(storage.Record{oldRootFirst, sqlparse.IntValue(int64(t.root))})
 		right := storage.EncodeRecord(storage.Record{split.key, sqlparse.IntValue(int64(split.page))})
-		if err := appendEntry(newRoot, left); err != nil {
+		if err := appendEntry(newRoot, oldRootFirst, left); err != nil {
 			return err
 		}
-		if err := appendEntry(newRoot, right); err != nil {
+		if err := appendEntry(newRoot, split.key, right); err != nil {
 			return err
 		}
 		t.root = newRoot.ID()
@@ -188,7 +198,12 @@ type splitResult struct {
 	page storage.PageID
 }
 
-func (t *Tree) insertInto(id storage.PageID, rec storage.Record) (*splitResult, error) {
+// insertInto inserts rec into the subtree rooted at page id; left is
+// how many more pages the descent may pass before it must have looped.
+func (t *Tree) insertInto(id storage.PageID, rec storage.Record, left int) (*splitResult, error) {
+	if left <= 0 {
+		return nil, t.loopErr(id, t.ts.NumPages())
+	}
 	p, err := t.pool.Fetch(id)
 	if err != nil {
 		return nil, err
@@ -200,7 +215,7 @@ func (t *Tree) insertInto(id storage.PageID, rec storage.Record) (*splitResult, 
 	if err != nil {
 		return nil, err
 	}
-	split, err := t.insertInto(child, rec)
+	split, err := t.insertInto(child, rec, left-1)
 	if err != nil || split == nil {
 		return nil, err
 	}
@@ -225,12 +240,12 @@ func (t *Tree) insertNodeEntry(p *storage.Page, rec storage.Record) (*splitResul
 	if len(enc) > storage.PageSize/2 {
 		return nil, fmt.Errorf("btree: record of %d bytes exceeds half a page", len(enc))
 	}
-	if err := appendEntry(p, enc); err == nil {
+	if err := appendEntry(p, rec[0], enc); err == nil {
 		return nil, nil
 	}
 	// Reclaim deleted-slot space before splitting.
 	p.Compact()
-	if err := appendEntry(p, enc); err == nil {
+	if err := appendEntry(p, rec[0], enc); err == nil {
 		return nil, nil
 	}
 	return t.split(p, rec)
@@ -273,14 +288,20 @@ func (t *Tree) split(p *storage.Page, rec storage.Record) (*splitResult, error) 
 	return &splitResult{key: all[mid][0], page: sibling.ID()}, nil
 }
 
+// locate finds the leaf and live slot holding key, in one descent.
+func (t *Tree) locate(key sqlparse.Value) (*storage.Page, int, bool, error) {
+	leaf, _, err := t.findLeaf(key, nil)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	slot, found, err := findSlot(leaf, key)
+	return leaf, slot, found, err
+}
+
 // Search returns the record with the given key. Only the matching
 // slot is decoded.
 func (t *Tree) Search(key sqlparse.Value) (storage.Record, bool, error) {
-	leaf, _, err := t.findLeaf(key, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	slot, found, err := findSlot(leaf, key)
+	leaf, slot, found, err := t.locate(key)
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -294,41 +315,82 @@ func (t *Tree) Search(key sqlparse.Value) (storage.Record, bool, error) {
 // Delete removes the record with the given key, reporting whether it
 // existed. The slot is only marked deleted; bytes remain in the page.
 func (t *Tree) Delete(key sqlparse.Value) (bool, error) {
-	leaf, _, err := t.findLeaf(key, nil)
-	if err != nil {
-		return false, err
-	}
-	slot, found, err := findSlot(leaf, key)
+	leaf, slot, found, err := t.locate(key)
 	if err != nil || !found {
 		return false, err
 	}
-	return true, leaf.DeleteSlot(slot)
+	return true, deleteSlot(leaf, slot)
+}
+
+// Take is Search and Delete in one descent: it removes the record with
+// the given key and returns it.
+func (t *Tree) Take(key sqlparse.Value) (storage.Record, bool, error) {
+	leaf, slot, found, err := t.locate(key)
+	if err != nil || !found {
+		return nil, false, err
+	}
+	rec, err := decodeSlot(leaf, slot)
+	if err != nil {
+		return nil, false, err
+	}
+	return rec, true, deleteSlot(leaf, slot)
 }
 
 // Update replaces the record stored under key (rec[0] must equal key).
 func (t *Tree) Update(key sqlparse.Value, rec storage.Record) (bool, error) {
-	if len(rec) == 0 || !rec[0].Equal(key) {
-		return false, fmt.Errorf("btree: update record key mismatch")
-	}
-	leaf, _, err := t.findLeaf(key, nil)
-	if err != nil {
+	if err := sameKey(key, rec); err != nil {
 		return false, err
 	}
-	slot, found, err := findSlot(leaf, key)
+	leaf, slot, found, err := t.locate(key)
 	if err != nil || !found {
 		return false, err
 	}
-	enc := storage.EncodeRecord(rec)
-	if err := leaf.UpdateSlot(slot, enc); err == storage.ErrPageFull {
-		// Delete + re-insert through the normal split path.
-		if err := leaf.DeleteSlot(slot); err != nil {
-			return false, err
-		}
-		return true, t.Insert(rec)
-	} else if err != nil {
+	return true, t.rewrite(leaf, slot, rec)
+}
+
+// Modify is Search and Update in one descent: fn receives the record
+// stored under key — decoded, the caller's to keep — and returns the
+// record to store in its place (rec[0] must equal key), or nil to leave
+// the slot as it is. found reports whether key was stored at all.
+func (t *Tree) Modify(key sqlparse.Value, fn func(cur storage.Record) (storage.Record, error)) (found bool, err error) {
+	leaf, slot, found, err := t.locate(key)
+	if err != nil || !found {
 		return false, err
 	}
-	return true, nil
+	cur, err := decodeSlot(leaf, slot)
+	if err != nil {
+		return false, err
+	}
+	rec, err := fn(cur)
+	if err != nil || rec == nil {
+		return true, err
+	}
+	if err := sameKey(key, rec); err != nil {
+		return true, err
+	}
+	return true, t.rewrite(leaf, slot, rec)
+}
+
+// sameKey checks that rec is stored under key.
+func sameKey(key sqlparse.Value, rec storage.Record) error {
+	if len(rec) == 0 || !rec[0].Equal(key) {
+		return fmt.Errorf("btree: update record key mismatch")
+	}
+	return nil
+}
+
+// rewrite replaces the record in slot of leaf with rec, which keeps the
+// slot's key: in place if the page has room, else by deleting the slot
+// and inserting rec through the normal split path.
+func (t *Tree) rewrite(leaf *storage.Page, slot int, rec storage.Record) error {
+	err := leaf.UpdateSlot(slot, storage.EncodeRecord(rec))
+	if err != storage.ErrPageFull {
+		return err
+	}
+	if err := deleteSlot(leaf, slot); err != nil {
+		return err
+	}
+	return t.Insert(rec)
 }
 
 // Scan calls fn for every record in key order. fn returns false to stop.
@@ -363,8 +425,11 @@ func (t *Tree) walk(bounded bool, lo, hi sqlparse.Value, fn func(storage.Record)
 // returning it and the number of pages fetched on the way (the leaf
 // included).
 func (t *Tree) leftmostLeaf() (*storage.Page, int, error) {
-	id := t.root
+	id, limit := t.root, t.ts.NumPages()
 	for levels := 1; ; levels++ {
+		if levels > limit {
+			return nil, 0, t.loopErr(id, limit)
+		}
 		p, err := t.pool.Fetch(id)
 		if err != nil {
 			return nil, 0, err
@@ -394,9 +459,11 @@ func (t *Tree) Len() (int, error) {
 
 // Height returns the number of levels from root to leaf.
 func (t *Tree) Height() (int, error) {
-	h := 1
-	id := t.root
-	for {
+	id, limit := t.root, t.ts.NumPages()
+	for h := 1; ; h++ {
+		if h > limit {
+			return 0, t.loopErr(id, limit)
+		}
 		p, err := t.ts.Get(id)
 		if err != nil {
 			return 0, err
@@ -407,6 +474,5 @@ func (t *Tree) Height() (int, error) {
 		if id, err = firstChild(p); err != nil {
 			return 0, err
 		}
-		h++
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"snapdb/internal/bufpool"
@@ -297,10 +298,65 @@ func TestLenAndHeightEmptyTree(t *testing.T) {
 	}
 }
 
+// TestForgedLinksAreErrors: a tree whose links loop — a leaf that is
+// its own sibling, an internal node that is its own child — fails every
+// walk and descent with an error naming the page, once it has passed
+// as many pages as the tablespace holds, instead of running (or
+// recursing, for Insert) forever.
+func TestForgedLinksAreErrors(t *testing.T) {
+	t.Run("leaf is its own sibling", func(t *testing.T) {
+		tr, _, _ := newTree(t)
+		for k := int64(0); k < 3; k++ {
+			if err := tr.Insert(intRec(k, "x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		leaf, _, err := tr.findLeaf(sqlparse.IntValue(0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf.SetNext(leaf.ID())
+		_, lenErr := tr.Len()
+		all := func(storage.Record) bool { return true }
+		for what, err := range map[string]error{
+			"Len":   lenErr,
+			"Scan":  tr.Scan(all),
+			"Range": tr.Range(sqlparse.IntValue(0), sqlparse.IntValue(1<<40), all),
+		} {
+			if want := fmt.Sprintf("page %d: the leaf chain", leaf.ID()); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %v, want %q", what, err, want)
+			}
+		}
+	})
+	t.Run("node is its own child", func(t *testing.T) {
+		tr, _, ts := newTree(t)
+		root := ts.Allocate(storage.PageBTreeInternal)
+		if _, err := root.InsertBytes(storage.EncodeRecord(storage.Record{sqlparse.IntValue(0), sqlparse.IntValue(int64(root.ID()))})); err != nil {
+			t.Fatal(err)
+		}
+		tr = Open(ts, tr.pool, root.ID())
+		_, _, searchErr := tr.Search(sqlparse.IntValue(1))
+		_, lenErr := tr.Len()
+		_, heightErr := tr.Height()
+		_, deleteErr := tr.Delete(sqlparse.IntValue(1))
+		for what, err := range map[string]error{
+			"Search": searchErr,
+			"Len":    lenErr,
+			"Height": heightErr,
+			"Delete": deleteErr,
+			"Insert": tr.Insert(intRec(1, "x")),
+		} {
+			if want := fmt.Sprintf("page %d: descent", root.ID()); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %v, want %q", what, err, want)
+			}
+		}
+	})
+}
+
 // benchTree builds a tree of n int keys (the even numbers from 0),
 // arriving in key order — every page ordered, so lookups bisect — or
 // shuffled after the smallest — nearly every page out of order, so
-// lookups take the linear pass. 40 000 keys make three levels.
+// lookups bisect its key index. 40 000 keys make three levels.
 func benchTree(tb testing.TB, n int, shuffled bool) *Tree {
 	tb.Helper()
 	tr, _, _ := newTree(tb)
@@ -346,8 +402,9 @@ func BenchmarkInsert(b *testing.B) {
 }
 
 // BenchmarkSearch prices a point lookup at height 3 on ordered pages
-// (bisection), on unordered ones (the linear fallback), and on ordered
-// pages where every other slot is dead (bisection stepping over them).
+// (bisecting the slot directory), on unordered ones (bisecting the key
+// index), and on ordered pages where every other slot is dead
+// (bisection stepping over them).
 func BenchmarkSearch(b *testing.B) {
 	for _, variant := range []string{"ordered", "unordered", "tombstoned"} {
 		b.Run(variant, func(b *testing.B) {

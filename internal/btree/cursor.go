@@ -1,7 +1,7 @@
 package btree
 
 import (
-	"sort"
+	"fmt"
 	"strings"
 	"sync/atomic"
 
@@ -37,6 +37,7 @@ type Cursor struct {
 	started, done bool
 	next          storage.PageID // leaf the following advance fetches
 	fetches       uint64
+	leaves, limit int // leaves fetched, and the most a chain has
 
 	// Per-leaf scratch, reused from leaf to leaf. The one-element
 	// arrays back them until a leaf yields a second record, so a point
@@ -206,7 +207,16 @@ func (c *Cursor) advance() (*storage.Page, error) {
 	levels := 1
 	switch {
 	case c.started:
-		leaf, err = c.t.pool.Fetch(c.next)
+		// A chain longer than the tablespace loops: a forged sibling
+		// link, which would otherwise be walked forever.
+		if c.limit == 0 {
+			c.limit = c.t.ts.NumPages()
+		}
+		if c.leaves >= c.limit {
+			err = fmt.Errorf("btree: page %d: the leaf chain passes more than the tablespace's %d pages: sibling links loop", c.next, c.limit)
+		} else {
+			leaf, err = c.t.pool.Fetch(c.next)
+		}
 	case c.bounded:
 		leaf, levels, err = c.t.findLeaf(c.lo, nil)
 	default:
@@ -218,6 +228,7 @@ func (c *Cursor) advance() (*storage.Page, error) {
 		return nil, err
 	}
 	c.fetches += uint64(levels)
+	c.leaves++
 	beyond, err := c.collect(leaf)
 	if err != nil {
 		c.done = true
@@ -229,63 +240,36 @@ func (c *Cursor) advance() (*storage.Page, error) {
 }
 
 // collect fills c.slots from leaf and reports whether leaf holds a key
-// beyond hi. A leaf in key order is bisected to lo and read up to the
-// first key beyond hi; any other is read whole, filtered, then sorted —
-// filtering first, because keys are unique, so the survivors' order is
-// the same and a point read never sorts at all.
+// beyond hi: it reads the leaf's slots in key order (see keysOf) from
+// lo, or from the start, up to the first key beyond hi.
 func (c *Cursor) collect(leaf *storage.Page) (beyond bool, err error) {
 	c.slots = c.slots[:0]
-	inOrder, err := ordered(leaf)
+	ix, n, err := keysOf(leaf)
 	if err != nil {
 		return false, err
 	}
 	start := 0
-	if inOrder && c.bounded {
-		if start, err = bisect(leaf, c.lo, false); err != nil {
+	if c.bounded {
+		if start, err = bisect(leaf, ix, n, c.lo, false); err != nil {
 			return false, err
 		}
 	}
-	sorted := true
-	for i := start; i < leaf.SlotCount(); i++ {
-		b := leaf.SlotBytes(i)
+	for i := start; i < n; i++ {
+		slot := slotAt(ix, i)
+		b := leaf.SlotBytes(slot)
 		if b == nil {
 			continue
 		}
 		if c.bounded {
-			if !inOrder {
-				if cmp, err := storage.CompareKey(b, c.lo); err != nil {
-					return false, slotErr(leaf, i, err)
-				} else if cmp < 0 {
-					continue
-				}
-			}
 			if cmp, err := storage.CompareKey(b, c.hi); err != nil {
-				return false, slotErr(leaf, i, err)
+				return false, slotErr(leaf, slot, err)
 			} else if cmp > 0 {
-				beyond = true
-				if inOrder {
-					break
-				}
-				continue
+				return true, nil
 			}
 		}
-		if n := len(c.slots); !inOrder && n > 0 {
-			if cmp, err := storage.CompareKeys(b, leaf.SlotBytes(c.slots[n-1])); err != nil {
-				return false, slotErr(leaf, i, err)
-			} else if cmp < 0 {
-				sorted = false
-			}
-		}
-		c.slots = append(c.slots, i)
+		c.slots = append(c.slots, slot)
 	}
-	if !sorted {
-		sort.SliceStable(c.slots, func(i, j int) bool {
-			// Both keys were compared, so decoded, on the way in.
-			cmp, _ := storage.CompareKeys(leaf.SlotBytes(c.slots[i]), leaf.SlotBytes(c.slots[j]))
-			return cmp < 0
-		})
-	}
-	return beyond, nil
+	return false, nil
 }
 
 // fail ends the walk on an undecodable slot.

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"fmt"
+	"slices"
 
 	"snapdb/internal/sqlparse"
 	"snapdb/internal/storage"
@@ -13,22 +14,42 @@ import (
 // Slots are appended in arrival order, so a page's slot directory is in
 // key order only when its keys arrived that way — monotonic inserts, or
 // a page a split rebuilt. Where it is, lookups bisect the directory;
-// where it is not, they make one linear pass over it. Both give the
-// answer the old decode-everything-and-stable-sort lookup gave, on
-// well-formed and on malformed trees alike, so which page a descent
-// fetches next never depends on which of the two ran.
+// where it is not, they bisect the page's key index (storage.KeyIndex):
+// its live slots sorted by key, ties in slot order, kept beside the page
+// by the writes below. Either way a lookup reads a page's keys in the
+// order the old decode-everything-and-stable-sort lookup did and gives
+// the answer it gave, on well-formed and on malformed trees alike, so
+// which page a descent fetches next never depends on the page's order.
 
-// ordered reports whether p's live slots are in key order. The answer
-// is p's KeyOrder hint; a page that has none yet (fresh from Format or
-// LoadTablespace) gets it here, from one pass that also proves every
-// live key decodable — the one place a lookup learns that, since
-// bisection visits few slots. Readers may race to derive it: they
-// store the same value.
-func ordered(p *storage.Page) (bool, error) {
-	if o := p.KeyOrder(); o != storage.KeyOrderUnknown {
-		return o == storage.KeysOrdered, nil
+// A page's live slots in (key, slot) order are its positions 0..n-1,
+// which keysOf returns: with ix nil, position i is slot i of a directory
+// already in key order; otherwise position i is slot ix[i] of the
+// page's key index. A position may name a dead slot — a directory's
+// deleted one, or an index entry deleted behind the tree's back — which
+// carries no key and is stepped over.
+
+// slotAt returns the slot at position i.
+func slotAt(ix []uint16, i int) int {
+	if ix == nil {
+		return i
 	}
-	order := storage.KeysOrdered
+	return int(ix[i])
+}
+
+// keysOf returns p's positions. A page whose hint is unknown (fresh
+// from Format or LoadTablespace) gets it here, from one pass that also
+// proves every live key decodable — the one place a lookup learns that,
+// since bisection visits few slots — and, if its slots are out of key
+// order, a key index, sorted once. Readers may race to derive it: each
+// stores an equal one.
+func keysOf(p *storage.Page) (ix []uint16, n int, err error) {
+	switch order, kix := p.Keys(); order {
+	case storage.KeysOrdered:
+		return nil, p.SlotCount(), nil
+	case storage.KeysUnordered:
+		return kix.Slots, len(kix.Slots), nil
+	}
+	inOrder, live := true, 0
 	var prev []byte
 	for i := 0; i < p.SlotCount(); i++ {
 		b := p.SlotBytes(i)
@@ -40,59 +61,107 @@ func ordered(p *storage.Page) (bool, error) {
 		}
 		c, err := storage.CompareKeys(prev, b)
 		if err != nil {
-			return false, slotErr(p, i, err)
+			return nil, 0, slotErr(p, i, err)
 		}
 		if c > 0 {
-			order = storage.KeysUnordered
+			inOrder = false
 		}
 		prev = b
+		live++
 	}
-	p.SetKeyOrder(order)
-	return order == storage.KeysOrdered, nil
+	if inOrder {
+		p.SetKeyOrder(storage.KeysOrdered)
+		return nil, p.SlotCount(), nil
+	}
+	kix := &storage.KeyIndex{Slots: liveSlots(p, live)}
+	slices.SortStableFunc(kix.Slots, func(a, b uint16) int {
+		// Every live key decoded in the pass above.
+		c, _ := storage.CompareKeys(p.SlotBytes(int(a)), p.SlotBytes(int(b)))
+		return c
+	})
+	p.SetKeyIndex(kix)
+	return kix.Slots, len(kix.Slots), nil
 }
 
-// appendEntry appends the encoded record enc to p and keeps p's
-// key-order hint true: an ordered page stays ordered only if enc's key
-// is not below its last live key. Deleting a slot, rewriting one under
-// the same key and compacting cannot break the order, so those go to
-// the page directly.
-func appendEntry(p *storage.Page, enc []byte) error {
-	order := p.KeyOrder()
+// liveSlots returns p's live slots in slot order; n sizes the result.
+func liveSlots(p *storage.Page, n int) []uint16 {
+	out := make([]uint16, 0, n)
+	for i := 0; i < p.SlotCount(); i++ {
+		if p.SlotBytes(i) != nil {
+			out = append(out, uint16(i))
+		}
+	}
+	return out
+}
+
+// appendEntry appends enc, the encoded record whose key is key, to p
+// and keeps p's hint true: an ordered page stays ordered only if key is
+// not below its last live key, and otherwise gets a key index; an
+// unordered page's index takes the new slot after every key <= key.
+// Rewriting a slot under the same key and compacting leave the hint as
+// it is, so those go to the page directly; deletes go through
+// deleteSlot.
+func appendEntry(p *storage.Page, key sqlparse.Value, enc []byte) error {
+	order, kix := p.Keys()
 	if order == storage.KeysOrdered {
 		for i := p.SlotCount() - 1; i >= 0; i-- {
 			b := p.SlotBytes(i)
 			if b == nil {
 				continue
 			}
-			c, err := storage.CompareKeys(b, enc)
+			c, err := storage.CompareKey(b, key)
 			if err != nil {
 				return slotErr(p, i, err)
 			}
 			if c > 0 {
-				order = storage.KeysUnordered
+				kix = &storage.KeyIndex{Slots: liveSlots(p, p.SlotCount())}
 			}
 			break
 		}
 	}
-	if _, err := p.InsertBytes(enc); err != nil {
+	pos := 0
+	if kix != nil {
+		var err error
+		if pos, err = bisect(p, kix.Slots, len(kix.Slots), key, true); err != nil {
+			return err
+		}
+	}
+	slot, err := p.InsertBytes(enc)
+	if err != nil || kix == nil {
 		return err
 	}
-	p.SetKeyOrder(order)
+	kix.Slots = slices.Insert(kix.Slots, pos, uint16(slot))
+	if order == storage.KeysOrdered {
+		p.SetKeyIndex(kix)
+	}
 	return nil
 }
 
-// bisect returns, for an ordered page, the index that splits its live
-// slots around key: those below it hold keys < key (<= key when after is
-// set), those at or above it the rest. The index itself may be a dead
-// slot or SlotCount. Dead slots carry no key; a probe that lands on one
-// moves up to the next live slot of its interval.
-func bisect(p *storage.Page, key sqlparse.Value, after bool) (int, error) {
-	lo, hi := 0, p.SlotCount()
+// deleteSlot deletes slot from p, and from p's key index if it has one.
+func deleteSlot(p *storage.Page, slot int) error {
+	if err := p.DeleteSlot(slot); err != nil {
+		return err
+	}
+	if _, kix := p.Keys(); kix != nil {
+		if i := slices.Index(kix.Slots, uint16(slot)); i >= 0 {
+			kix.Slots = slices.Delete(kix.Slots, i, i+1)
+		}
+	}
+	return nil
+}
+
+// bisect returns the position of p (see keysOf) that splits its live
+// slots around key: those before it hold keys < key (<= key when after
+// is set), those at or after it the rest. The position itself may name
+// a dead slot or be n. A probe that lands on a dead slot moves up to
+// the next live one of its interval.
+func bisect(p *storage.Page, ix []uint16, n int, key sqlparse.Value, after bool) (int, error) {
+	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		m, b := mid, []byte(nil)
 		for ; m < hi; m++ {
-			if b = p.SlotBytes(m); b != nil {
+			if b = p.SlotBytes(slotAt(ix, m)); b != nil {
 				break
 			}
 		}
@@ -102,7 +171,7 @@ func bisect(p *storage.Page, key sqlparse.Value, after bool) (int, error) {
 		}
 		c, err := storage.CompareKey(b, key)
 		if err != nil {
-			return 0, slotErr(p, m, err)
+			return 0, slotErr(p, slotAt(ix, m), err)
 		}
 		if c < 0 || (after && c == 0) {
 			lo = m + 1
@@ -113,66 +182,48 @@ func bisect(p *storage.Page, key sqlparse.Value, after bool) (int, error) {
 	return lo, nil
 }
 
+// firstLive returns the slot at the first live position of p from i
+// on, or -1.
+func firstLive(p *storage.Page, ix []uint16, n, i int) int {
+	for ; i < n; i++ {
+		if s := slotAt(ix, i); p.SlotBytes(s) != nil {
+			return s
+		}
+	}
+	return -1
+}
+
 // findSlot locates the live slot holding key in p: the first such slot
 // in slot order.
 func findSlot(p *storage.Page, key sqlparse.Value) (int, bool, error) {
-	inOrder, err := ordered(p)
+	ix, n, err := keysOf(p)
 	if err != nil {
 		return 0, false, err
 	}
-	start := 0
-	if inOrder {
-		if start, err = bisect(p, key, false); err != nil {
-			return 0, false, err
-		}
+	pos, err := bisect(p, ix, n, key, false)
+	if err != nil {
+		return 0, false, err
 	}
-	for i := start; i < p.SlotCount(); i++ {
-		b := p.SlotBytes(i)
-		if b == nil {
-			continue
-		}
-		c, err := storage.CompareKey(b, key)
-		if err != nil {
-			return 0, false, slotErr(p, i, err)
-		}
-		if c == 0 {
-			return i, true, nil
-		}
-		if inOrder {
-			break // the first live key at or above key is not key
-		}
+	slot := firstLive(p, ix, n, pos)
+	if slot < 0 {
+		return 0, false, nil
 	}
-	return 0, false, nil
+	// The first live key at or above key either is key or is not there.
+	c, err := storage.CompareKey(p.SlotBytes(slot), key)
+	if err != nil || c != 0 {
+		return 0, false, err
+	}
+	return slot, true, nil
 }
 
 // lowestSlot returns the live slot holding p's smallest key — the
 // earliest one in slot order if several do — or -1 when no slot is live.
 func lowestSlot(p *storage.Page) (int, error) {
-	inOrder, err := ordered(p)
+	ix, n, err := keysOf(p)
 	if err != nil {
 		return 0, err
 	}
-	low := -1
-	for i := 0; i < p.SlotCount(); i++ {
-		b := p.SlotBytes(i)
-		if b == nil {
-			continue
-		}
-		if low >= 0 {
-			c, err := storage.CompareKeys(b, p.SlotBytes(low))
-			if err != nil {
-				return 0, slotErr(p, i, err)
-			}
-			if c >= 0 {
-				continue
-			}
-		}
-		low = i
-		if inOrder {
-			break
-		}
-	}
-	return low, nil
+	return firstLive(p, ix, n, 0), nil
 }
 
 // routeSlot returns the slot of internal node p that routes key: the
@@ -180,49 +231,20 @@ func lowestSlot(p *storage.Page) (int, error) {
 // if several hold it — or, when key precedes every separator,
 // lowestSlot. -1 means p has no live slot.
 func routeSlot(p *storage.Page, key sqlparse.Value) (int, error) {
-	inOrder, err := ordered(p)
+	ix, n, err := keysOf(p)
 	if err != nil {
 		return 0, err
 	}
-	if inOrder {
-		above, err := bisect(p, key, true)
-		if err != nil {
-			return 0, err
-		}
-		for i := above - 1; i >= 0; i-- {
-			if p.SlotBytes(i) != nil {
-				return i, nil
-			}
-		}
-		return lowestSlot(p)
+	above, err := bisect(p, ix, n, key, true)
+	if err != nil {
+		return 0, err
 	}
-	best := -1
-	for i := 0; i < p.SlotCount(); i++ {
-		b := p.SlotBytes(i)
-		if b == nil {
-			continue
+	for i := above - 1; i >= 0; i-- {
+		if s := slotAt(ix, i); p.SlotBytes(s) != nil {
+			return s, nil
 		}
-		c, err := storage.CompareKey(b, key)
-		if err != nil {
-			return 0, slotErr(p, i, err)
-		}
-		if c > 0 {
-			continue
-		}
-		if best >= 0 {
-			if c, err = storage.CompareKeys(b, p.SlotBytes(best)); err != nil {
-				return 0, slotErr(p, i, err)
-			}
-			if c < 0 {
-				continue
-			}
-		}
-		best = i
 	}
-	if best < 0 {
-		return lowestSlot(p)
-	}
-	return best, nil
+	return firstLive(p, ix, n, above), nil
 }
 
 // childIn returns the child of internal node p that covers key.

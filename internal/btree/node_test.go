@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -443,8 +444,9 @@ func (w *twin) check(stage string) {
 	w.checkHints(stage)
 }
 
-// checkHints holds every derived order hint to the slots it describes,
-// and the hint to never having reached a page byte.
+// checkHints holds every derived order hint to the slots it describes —
+// an unordered page's key index to exactly its live slots in (key,
+// slot) order — and the hint to never having reached a page byte.
 func (w *twin) checkHints(stage string) {
 	w.t.Helper()
 	for id := 1; id < w.got.ts.NumPages(); id++ {
@@ -454,6 +456,7 @@ func (w *twin) checkHints(stage string) {
 		}
 		want := storage.KeysOrdered
 		var prev sqlparse.Value
+		var byKey []keyRef
 		for i, first := 0, true; i < p.SlotCount(); i++ {
 			if b := p.SlotBytes(i); b != nil {
 				k, err := storage.DecodeKey(b)
@@ -464,6 +467,17 @@ func (w *twin) checkHints(stage string) {
 					want = storage.KeysUnordered
 				}
 				prev, first = k, false
+				byKey = append(byKey, keyRef{key: k, slot: i})
+			}
+		}
+		if _, ix := p.Keys(); ix != nil {
+			sort.SliceStable(byKey, func(i, j int) bool { return byKey[i].key.Compare(byKey[j].key) < 0 })
+			var wantIx []uint16
+			for _, k := range byKey {
+				wantIx = append(wantIx, uint16(k.slot))
+			}
+			if !slices.Equal(ix.Slots, wantIx) {
+				w.t.Fatalf("%s: page %d's key index is %v, its live slots in key order %v", stage, id, ix.Slots, wantIx)
 			}
 		}
 		// A delete may leave an unordered page's survivors in order; the
@@ -626,7 +640,8 @@ func runNodeArm(t *testing.T, arm nodeArm) {
 // TestNodeSearchOnBuiltPages covers what no tree produces today but the
 // lookup must still get right: internal nodes with dead slots and with
 // duplicate separators (ties go the way the stable sort sent them),
-// every slot dead, and pages whose hint is derived rather than kept.
+// every slot dead, pages whose hint is derived rather than kept, and
+// key indexes still naming slots deleted behind the tree's back.
 func TestNodeSearchOnBuiltPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	probes := []sqlparse.Value{sqlparse.IntValue(-1), sqlparse.StrValue("")}
@@ -644,24 +659,31 @@ func TestNodeSearchOnBuiltPages(t *testing.T) {
 		}
 		p := storage.NewPage(7, storage.PageBTreeInternal)
 		if round%4 < 2 {
-			ordered(p) // empty: the hint is kept from here on, not derived
+			keysOf(p) // empty: the hint is kept from here on, not derived
 		}
 		for i, k := range keys {
-			if err := appendEntry(p, storage.EncodeRecord(storage.Record{k, sqlparse.IntValue(int64(100 + i))})); err != nil {
+			if err := appendEntry(p, k, storage.EncodeRecord(storage.Record{k, sqlparse.IntValue(int64(100 + i))})); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// Half the rounds delete as the tree does; the other half behind
+		// its back, leaving dead entries in a key index for lookups to
+		// step over.
+		del := func(i int) { deleteSlot(p, i) }
+		if round%8 >= 4 {
+			del = func(i int) { p.DeleteSlot(i) }
 		}
 		switch round % 3 {
 		case 0: // dead slots at both ends and in the middle
 			for _, i := range []int{0, 1, n / 2, n/2 + 1, n - 2, n - 1} {
 				if i >= 0 && i < n {
-					p.DeleteSlot(i)
+					del(i)
 				}
 			}
 		case 1:
 			for i := 0; i < n; i++ {
 				if rng.Intn(4) > 0 || round%5 == 1 {
-					p.DeleteSlot(i)
+					del(i)
 				}
 			}
 		}
@@ -802,7 +824,7 @@ func TestLookupAllocations(t *testing.T) {
 	for i := 0; i < 40 && scattered.Str == ""; i++ {
 		if leaf, _, err := unordered.findLeaf(textKey(i), nil); err != nil {
 			t.Fatal(err)
-		} else if inOrder, _ := ordered(leaf); !inOrder {
+		} else if ix, _, _ := keysOf(leaf); ix != nil {
 			scattered = textKey(i)
 		}
 	}
@@ -843,6 +865,53 @@ func TestLookupAllocations(t *testing.T) {
 // alone under the write latch, as the engine runs it — appends. Run
 // under -race (scripts/ci.sh does).
 func TestLazyHintUnderConcurrentReaders(t *testing.T) {
+	t.Run("tree", lazyHintTree)
+	t.Run("one unordered page", lazyHintOnePage)
+}
+
+// lazyHintOnePage starts four readers at once on one unordered page
+// fresh from LoadPage, round after round, so that they derive its key
+// index together and each reads through whichever index was stored.
+func lazyHintOnePage(t *testing.T) {
+	src := storage.NewPage(9, storage.PageBTreeLeaf)
+	for _, i := range rand.New(rand.NewSource(3)).Perm(60) {
+		if _, err := src.InsertBytes(storage.EncodeRecord(intRec(int64(i)*2, "payload"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 50; round++ {
+		p, err := storage.LoadPage(src.CloneBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for k := int64(g); k < 120; k += 4 {
+					slot, found, err := findSlot(p, sqlparse.IntValue(k))
+					wantSlot, wantFound, _ := linearFindSlot(p, sqlparse.IntValue(k))
+					if err != nil || found != wantFound || slot != wantSlot {
+						t.Errorf("round %d, reader %d: findSlot(%d) = %d, %v (%v), linear %d, %v", round, g, k, slot, found, err, wantSlot, wantFound)
+						return
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if p.KeyOrder() != storage.KeysUnordered {
+			t.Fatalf("round %d: hint %v after the readers, want unordered", round, p.KeyOrder())
+		}
+	}
+}
+
+// lazyHintTree runs readers and a latched writer over a reloaded tree
+// whose pages are out of key order.
+func lazyHintTree(t *testing.T) {
 	src, _, srcTS := newTree(t)
 	const n = 3000
 	for _, i := range append([]int{0}, rand.New(rand.NewSource(2)).Perm(n)...) {

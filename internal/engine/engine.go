@@ -876,12 +876,15 @@ func (d *dmlStmt) compensate(cause error) error {
 // one row change — clustered tree, secondary indexes, version chain, row
 // hint, planner statistics — and is the only place it is written. The
 // forward path (dmlStmt.run) calls one and logs the change; rollback
-// (undoRecord) looks the row up, calls the opposite one and logs that;
-// redo (applyRedo) checks idempotence, calls the same one, logs nothing.
-// The order of tree and index operations is the buffer-pool fetch
-// trace, a forensic surface: insert tree → indexes; update indexes in
-// SET order → one tree update; delete tree → indexes. Callers hold the
-// table's write latch (recovery runs alone).
+// (undoRecord) looks the row up, calls the opposite one and logs that.
+// Redo (applyRedo) logs nothing and learns from the tree whether the
+// change was already there, in one descent: it writes the tree itself
+// and finishes through each mutator's second half — insertedRow,
+// updatedRow inside Tree.Modify, takeRow's deletedRow. The order of tree
+// and index operations is the buffer-pool fetch trace, a forensic
+// surface: insert tree → indexes; update indexes in SET order → one
+// tree update; delete tree → indexes. Callers hold the table's write
+// latch (recovery runs alone).
 
 // insertRow adds row. The version is filed only once the tree insert
 // has succeeded: a duplicate key must not leave a chain behind.
@@ -889,6 +892,11 @@ func (e *Engine) insertRow(t *Table, row storage.Record, txn uint64) error {
 	if err := t.Tree.Insert(row); err != nil {
 		return err
 	}
+	return e.insertedRow(t, row, txn)
+}
+
+// insertedRow finishes a row's insertion once the tree holds it.
+func (e *Engine) insertedRow(t *Table, row storage.Record, txn uint64) error {
 	if err := indexInsertRow(t, row); err != nil {
 		return err
 	}
@@ -901,18 +909,31 @@ func (e *Engine) insertRow(t *Table, row storage.Record, txn uint64) error {
 // updateRow applies sets to the row stored as old. The tree's Update
 // replaces the stored record, so old stays intact for the chain.
 func (e *Engine) updateRow(t *Table, old storage.Record, sets []setOp, txn uint64) error {
+	updated, err := e.updatedRow(t, old, sets, txn)
+	if err != nil {
+		return err
+	}
+	_, err = t.Tree.Update(old[t.PKIndex], updated)
+	return err
+}
+
+// updatedRow is an update up to its tree write: it files old in the
+// version chain, re-keys the indexes, notes the statistics and returns
+// the row to store. Inside Tree.Modify, the index pages it re-keys are
+// fetched between the tree's read and its write, where updateRow
+// fetches them between two descents.
+func (e *Engine) updatedRow(t *Table, old storage.Record, sets []setOp, txn uint64) (storage.Record, error) {
 	pk := old[t.PKIndex]
 	e.versions.noteWrite(t, pk, old, false, txn)
 	updated := old.Clone()
 	for _, op := range sets {
 		if err := indexUpdateColumn(t, pk, op.idx, old[op.idx], op.val); err != nil {
-			return err
+			return nil, err
 		}
 		t.statsNoteUpdate(op.idx, op.val)
 		updated[op.idx] = op.val
 	}
-	_, err := t.Tree.Update(pk, updated)
-	return err
+	return updated, nil
 }
 
 // deleteRow removes the row currently stored as old. Its image goes
@@ -924,6 +945,23 @@ func (e *Engine) deleteRow(t *Table, old storage.Record, txn uint64) error {
 	if _, err := t.Tree.Delete(pk); err != nil {
 		return err
 	}
+	return deletedRow(t, old)
+}
+
+// takeRow is deleteRow in one descent, for a caller that has not read
+// the row: it removes the row stored under pk and returns it, or nil
+// when there is none.
+func (e *Engine) takeRow(t *Table, pk sqlparse.Value, txn uint64) (storage.Record, error) {
+	old, found, err := t.Tree.Take(pk)
+	if err != nil || !found {
+		return nil, err
+	}
+	e.versions.noteWrite(t, pk, old, true, txn)
+	return old, deletedRow(t, old)
+}
+
+// deletedRow finishes a row's removal once the tree no longer holds it.
+func deletedRow(t *Table, old storage.Record) error {
 	if err := indexDeleteRow(t, old); err != nil {
 		return err
 	}

@@ -151,6 +151,16 @@ func indexDeleteRow(t *Table, row storage.Record) error {
 	return nil
 }
 
+// indexed reports whether a secondary index of t covers column col.
+func (t *Table) indexed(col int) bool {
+	for _, ix := range t.Indexes {
+		if ix.colIdx == col {
+			return true
+		}
+	}
+	return false
+}
+
 // indexUpdateColumn re-keys the indexes covering column col.
 func indexUpdateColumn(t *Table, pk sqlparse.Value, col int, oldVal, newVal sqlparse.Value) error {
 	if oldVal.Equal(newVal) {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"snapdb/internal/binlog"
@@ -34,11 +36,11 @@ func durableLogs(t testing.TB, e *Engine) (redo, undo []wal.Record, evs []binlog
 	}
 	var trunc *TruncationInfo
 	var err error
-	redo, _, trunc, err = readLog(fs, FileRedo, wal.ParseLogReport)
+	redo, _, trunc, err = parseLog(fs, FileRedo, wal.ParseLogReport)
 	check(FileRedo, trunc, err)
-	undo, _, trunc, err = readLog(fs, FileUndo, wal.ParseLogReport)
+	undo, _, trunc, err = parseLog(fs, FileUndo, wal.ParseLogReport)
 	check(FileUndo, trunc, err)
-	evs, _, trunc, err = readLog(fs, FileBinlog, binlog.ParseWithReport)
+	evs, _, trunc, err = parseLog(fs, FileBinlog, binlog.ParseWithReport)
 	check(FileBinlog, trunc, err)
 	return redo, undo, evs
 }
@@ -211,5 +213,114 @@ func TestCheckRecoveredSeesLeadingBinlog(t *testing.T) {
 	}
 	if diverged, leads := recoverAndCheck(); diverged || !leads {
 		t.Errorf("binlog with one extra event: diverged %v, binlog leads %v; want a leading binlog", diverged, leads)
+	}
+}
+
+// frameStarts returns the offset of every frame in a framed log image.
+func frameStarts(t *testing.T, img []byte) []int {
+	t.Helper()
+	var starts []int
+	for pos := 0; pos < len(img); {
+		_, n, err := storage.ReadFrame(img[pos:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts = append(starts, pos)
+		pos += n
+	}
+	return starts
+}
+
+// TestRecoveryWalkMatchesParsers: recovery walks the undo file and the
+// binlog without keeping their records. On each file damaged three ways
+// — a torn last frame, a bad checksum in a middle frame, and a middle
+// frame whose checksum holds but whose payload does not decode — it must
+// report the record count and truncation wal.ParseLogReport and
+// binlog.ParseWithReport give, cut the file where they stop, and stamp
+// the next binlog event no earlier than the last valid one.
+func TestRecoveryWalkMatchesParsers(t *testing.T) {
+	mem := vfs.NewMemFS()
+	e := durableEngine(t, mem)
+	now := int64(1_000_000)
+	e.Clock = func() int64 { now += 10; return now }
+	s := e.Connect("app")
+	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	for i := 0; i < 6; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i))
+	}
+	mustExec(t, s, "UPDATE t SET v = 9 WHERE id = 2")
+	mustExec(t, s, "DELETE FROM t WHERE id = 4")
+
+	damage := map[string]func(img []byte) []byte{
+		"torn frame": func(img []byte) []byte { return img[:len(img)-3] },
+		"bad CRC": func(img []byte) []byte {
+			out := append([]byte(nil), img...)
+			mid := frameStarts(t, img)[3]
+			out[mid+storage.FrameHeaderSize+1] ^= 0x40
+			return out
+		},
+		"undecodable payload": func(img []byte) []byte {
+			starts := frameStarts(t, img)
+			out := storage.AppendFrame(append([]byte(nil), img[:starts[3]]...), []byte{0xee, 0xee, 0xee})
+			return append(out, img[starts[4]:]...)
+		},
+	}
+	counts := func(name string, img []byte) (int, storage.ParseReport) {
+		if name == FileBinlog {
+			evs, rep := binlog.ParseWithReport(img)
+			return len(evs), rep
+		}
+		recs, rep := wal.ParseLogReport(img)
+		return len(recs), rep
+	}
+	for _, name := range []string{FileUndo, FileBinlog} {
+		for how, fn := range damage {
+			what := name + ", " + how
+			dir := cloneFS(t, mem)
+			clean, err := dir.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := fn(clean)
+			tearFile(t, dir, name, damaged)
+			wantN, want := counts(name, damaged)
+			if !want.Truncated() {
+				t.Fatalf("%s: the parser took the damaged file whole", what)
+			}
+			r, rep, err := Recover(dir, Defaults())
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			gotN, gotTrunc := rep.UndoRecords, rep.UndoTruncated
+			otherN, otherTrunc, other := rep.BinlogEvents, rep.BinlogTruncated, FileBinlog
+			if name == FileBinlog {
+				gotN, gotTrunc, otherN, otherTrunc, other = otherN, otherTrunc, gotN, gotTrunc, FileUndo
+			}
+			wantTrunc := &TruncationInfo{Offset: want.TruncatedAt, Reason: want.Reason}
+			if gotN != wantN || !reflect.DeepEqual(gotTrunc, wantTrunc) {
+				t.Errorf("%s: recovery reports %d records, truncation %+v; the parser %d, %+v", what, gotN, gotTrunc, wantN, wantTrunc)
+			}
+			otherImg, _ := mem.ReadFile(other)
+			if n, _ := counts(other, otherImg); otherN != n || otherTrunc != nil {
+				t.Errorf("%s: the undamaged %s reports %d records, truncation %+v; want %d, none", what, other, otherN, otherTrunc, n)
+			}
+			if cut, _ := dir.ReadFile(name); !bytes.Equal(cut, damaged[:want.TruncatedAt]) {
+				t.Errorf("%s: recovery left %d bytes, want the parser's valid prefix of %d", what, len(cut), want.TruncatedAt)
+			}
+			if name != FileBinlog {
+				continue
+			}
+			valid, _ := binlog.ParseWithReport(damaged)
+			last := valid[len(valid)-1]
+			r.Clock = func() int64 { return 1 }
+			mustExec(t, r.Connect("app"), "INSERT INTO t (id, v) VALUES (50, 50)")
+			_, _, evs := durableLogs(t, r)
+			if len(evs) != len(valid)+1 {
+				t.Fatalf("%s: binlog holds %d events after one more statement, want %d", what, len(evs), len(valid)+1)
+			}
+			if next := evs[len(evs)-1]; next.Timestamp != last.Timestamp || next.LSN < last.LSN {
+				t.Errorf("%s: next event stamped %d at LSN %d, the last valid one %d at LSN %d", what, next.Timestamp, next.LSN, last.Timestamp, last.LSN)
+			}
+		}
 	}
 }

@@ -50,21 +50,34 @@ type RecoveryReport struct {
 }
 
 // readLog reads one framed log file — a missing file is an empty log —
-// and parses its valid prefix. It returns what parsed, the length of
-// that prefix (where appends resume, cutting off any torn tail) and the
-// truncation to report, if the file had a bad tail. A file that exists
-// but cannot be read is an error, not an empty log: recovery would
-// otherwise cut it to zero bytes and lose every record in it.
-func readLog[T any](fs vfs.FS, name string, parse func([]byte) ([]T, storage.ParseReport)) ([]T, int64, *TruncationInfo, error) {
+// and walks its valid prefix with walk, which validates every frame it
+// passes and keeps what its caller needs of them. It returns how many
+// frames are valid, the length of that prefix (where appends resume,
+// cutting off any torn tail) and the truncation to report, if the file
+// had a bad tail. A file that exists but cannot be read is an error,
+// not an empty log: recovery would otherwise cut it to zero bytes and
+// lose every record in it.
+func readLog(fs vfs.FS, name string, walk func([]byte) storage.ParseReport) (int, int64, *TruncationInfo, error) {
 	img, err := fs.ReadFile(name)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil, fmt.Errorf("engine: read %s: %w", name, err)
+		return 0, 0, nil, fmt.Errorf("engine: read %s: %w", name, err)
 	}
-	items, rep := parse(img)
+	rep := walk(img)
 	if rep.Truncated() {
-		return items, int64(rep.TruncatedAt), &TruncationInfo{Offset: rep.TruncatedAt, Reason: rep.Reason}, nil
+		return rep.Frames, int64(rep.TruncatedAt), &TruncationInfo{Offset: rep.TruncatedAt, Reason: rep.Reason}, nil
 	}
-	return items, int64(len(img)), nil, nil
+	return rep.Frames, int64(len(img)), nil, nil
+}
+
+// parseLog is readLog with a parser: it also returns what parsed.
+func parseLog[T any](fs vfs.FS, name string, parse func([]byte) ([]T, storage.ParseReport)) ([]T, int64, *TruncationInfo, error) {
+	var items []T
+	_, off, trunc, err := readLog(fs, name, func(img []byte) storage.ParseReport {
+		var rep storage.ParseReport
+		items, rep = parse(img)
+		return rep
+	})
+	return items, off, trunc, err
 }
 
 // Recover opens a data directory, rebuilding engine state ARIES-style:
@@ -81,6 +94,15 @@ func readLog[T any](fs vfs.FS, name string, parse func([]byte) ([]T, storage.Par
 // that were handled; it is returned alongside fatal errors too, with
 // whatever was learned before the failure.
 func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
+	return recoverWith(fs, cfg, (*Engine).applyRedo)
+}
+
+// redoFunc replays one redo record; see applyRedo.
+type redoFunc func(e *Engine, r wal.Record) (undo wal.Record, applied bool, err error)
+
+// recoverWith is Recover with the redo step passed in, so that a test
+// can hold applyRedo to a reference.
+func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryReport, error) {
 	// At-rest encryption wraps here, above everything recovery reads:
 	// the checkpoint, WAL parsing, and the reattached persistor all see
 	// plaintext, while fs below holds only ciphertext.
@@ -114,19 +136,28 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 		rep.Tables = len(meta.Tables)
 	}
 
-	redoRecs, redoOff, redoTrunc, err := readLog(fs, FileRedo, wal.ParseLogReport)
+	// Redo is replayed, so it is parsed whole. Of the undo file recovery
+	// needs only where its valid prefix ends, and of the binlog that and
+	// the last event, so those are walked: every frame is still decoded
+	// and validated, and none is kept.
+	redoRecs, redoOff, redoTrunc, err := parseLog(fs, FileRedo, wal.ParseLogReport)
 	if err != nil {
 		return nil, rep, err
 	}
-	undoRecs, undoOff, undoTrunc, err := readLog(fs, FileUndo, wal.ParseLogReport)
+	undoN, undoOff, undoTrunc, err := readLog(fs, FileUndo, func(img []byte) storage.ParseReport {
+		return wal.WalkLog(img, func(wal.Record) {})
+	})
 	if err != nil {
 		return nil, rep, err
 	}
-	blogEvs, blogOff, blogTrunc, err := readLog(fs, FileBinlog, binlog.ParseWithReport)
+	var lastEv binlog.Event
+	blogN, blogOff, blogTrunc, err := readLog(fs, FileBinlog, func(img []byte) storage.ParseReport {
+		return binlog.Walk(img, func(ev binlog.Event) { lastEv = ev })
+	})
 	if err != nil {
 		return nil, rep, err
 	}
-	rep.RedoRecords, rep.UndoRecords, rep.BinlogEvents = len(redoRecs), len(undoRecs), len(blogEvs)
+	rep.RedoRecords, rep.UndoRecords, rep.BinlogEvents = len(redoRecs), undoN, blogN
 	rep.RedoTruncated, rep.UndoTruncated, rep.BinlogTruncated = redoTrunc, undoTrunc, blogTrunc
 
 	// Sort winners from losers. Txn 0 (records logged outside any
@@ -161,8 +192,8 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 
 	// The logs stay in their files: nothing is read back into memory
 	// beyond the stamping floors new activity continues from.
-	if n := len(blogEvs); n > 0 {
-		e.binlog.Prime(blogEvs[n-1].Timestamp, blogEvs[n-1].LSN)
+	if blogN > 0 {
+		e.binlog.Prime(lastEv.Timestamp, lastEv.LSN)
 	}
 	e.wal.SetRecovered(maxLSN, maxTxn)
 
@@ -197,7 +228,7 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 			continue
 		}
 		loser := r.Txn != 0 && seen[r.Txn] && !committed[r.Txn] && !aborted[r.Txn]
-		undoRec, applied, err := e.applyRedo(r)
+		undoRec, applied, err := applyRedo(e, r)
 		if err != nil {
 			return nil, rep, fmt.Errorf("engine: redo LSN %d: %w", r.LSN, err)
 		}
@@ -280,9 +311,13 @@ func (e *Engine) loadCheckpoint(meta CheckpointMeta, tsImage []byte) error {
 		if t.Name == "" || e.tables[t.Name] != nil {
 			return fmt.Errorf("engine: checkpoint catalog has duplicate or empty table %q", t.Name)
 		}
-		if n, err := t.Tree.Len(); err == nil {
-			t.rows.Store(int64(n))
+		// Counting walks every leaf: a tree the checkpoint's forger
+		// looped fails here, naming the page, instead of hanging.
+		n, err := t.Tree.Len()
+		if err != nil {
+			return fmt.Errorf("engine: checkpoint table %q: %w", t.Name, err)
 		}
+		t.rows.Store(int64(n))
 		e.tables[t.Name] = t
 		e.tablesByID[t.ID] = t
 	}
@@ -296,43 +331,67 @@ func (e *Engine) loadCheckpoint(meta CheckpointMeta, tsImage []byte) error {
 	return nil
 }
 
-// applyRedo replays one data record through the row mutators. It
-// returns the undo record for the change — the same record the forward
-// path logged, rebuilt from the row as replay finds it — and
-// applied=false when the record is a no-op against current state
-// (already present / already gone, unknown table, malformed image) —
-// tolerated, counted by the caller, never fatal.
+// applyRedo replays one data record through the row mutators, in one
+// descent of the table's tree. It returns the undo record for the
+// change — the same record the forward path logged, rebuilt from the
+// row as replay finds it — and applied=false when the record is a no-op
+// against current state (already present / already gone, unknown
+// table, malformed image) — tolerated, counted by the caller, never
+// fatal. A skipped record still costs its descent.
 func (e *Engine) applyRedo(r wal.Record) (undo wal.Record, applied bool, err error) {
 	t, ok := e.TableByID(r.Table)
 	if !ok || len(r.Image) == 0 {
 		return wal.Record{}, false, nil
 	}
 	key := r.Image[:1]
-	cur, found, err := t.Tree.Search(key[0])
-	if err != nil {
-		return wal.Record{}, false, err
-	}
 	switch r.Op {
 	case wal.OpInsert:
-		if found {
-			return wal.Record{}, false, nil
-		}
+		// The tree refuses a present key before it changes anything.
 		var redo wal.Record
 		redo, undo = wal.InsertRecords(r.Txn, r.Table, r.Image)
-		err = e.insertRow(t, redo.Image, r.Txn)
+		if err = t.Tree.Insert(redo.Image); errors.Is(err, btree.ErrDuplicateKey) {
+			return wal.Record{}, false, nil
+		}
+		if err == nil {
+			err = e.insertedRow(t, redo.Image, r.Txn)
+		}
 	case wal.OpUpdate:
 		col := int(r.Column)
-		if !found || len(r.Image) < 2 || col >= len(cur) {
-			return wal.Record{}, false, nil
+		var sets []setOp
+		// fits reports whether the stored row cur takes the record, and
+		// if so rebuilds its undo and its one SET.
+		fits := func(cur storage.Record) bool {
+			if len(r.Image) < 2 || col >= len(cur) {
+				return false
+			}
+			_, undo = wal.UpdateRecords(r.Txn, r.Table, key, r.Column, cur[col:col+1], r.Image[1:2])
+			sets = []setOp{{idx: col, val: r.Image[1]}}
+			return true
 		}
-		_, undo = wal.UpdateRecords(r.Txn, r.Table, key, r.Column, cur[col:col+1], r.Image[1:2])
-		err = e.updateRow(t, cur, []setOp{{idx: col, val: r.Image[1]}}, r.Txn)
+		if t.indexed(col) {
+			// The read stays ahead of the write, so the index pages are
+			// fetched between two descents, as on the forward path.
+			cur, found, err := t.Tree.Search(key[0])
+			if err != nil || !found || !fits(cur) {
+				return wal.Record{}, false, err
+			}
+			err = e.updateRow(t, cur, sets, r.Txn)
+			return undo, err == nil, err
+		}
+		if _, err = t.Tree.Modify(key[0], func(cur storage.Record) (storage.Record, error) {
+			if applied = fits(cur); !applied {
+				return nil, nil
+			}
+			return e.updatedRow(t, cur, sets, r.Txn)
+		}); !applied {
+			return wal.Record{}, false, err
+		}
 	case wal.OpDelete:
-		if !found {
-			return wal.Record{}, false, nil
+		var old storage.Record
+		if old, err = e.takeRow(t, key[0], r.Txn); old == nil {
+			return wal.Record{}, false, err
 		}
-		_, undo = wal.DeleteRecords(r.Txn, r.Table, cur)
-		err = e.deleteRow(t, cur, r.Txn)
+		_, undo = wal.DeleteRecords(r.Txn, r.Table, old)
 	default:
 		return wal.Record{}, false, nil
 	}

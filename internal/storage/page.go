@@ -65,21 +65,24 @@ const (
 // The raw bytes are the authoritative state: snapshots copy them
 // directly, and forensics re-parses them.
 type Page struct {
-	buf [PageSize]byte
+	// keys is the one piece of page state that is not a page byte; see
+	// KeyOrder. nil is KeyOrderUnknown, orderedKeys KeysOrdered, any
+	// other index KeysUnordered. It comes first so that the collector,
+	// which scans an object up to its last pointer, skips buf.
+	keys atomic.Pointer[KeyIndex]
 
-	// order is the one piece of page state that is not a page byte; see
-	// KeyOrder.
-	order atomic.Uint32
+	buf [PageSize]byte
 }
 
 // KeyOrder says whether a page's live slots, read in slot order, hold
 // their records in nondecreasing key order — what lets the B+ tree
-// bisect the slot directory. It is a hint about buf, never part of it:
-// it is not serialized, snapshotted or checkpointed, a page starts out
-// (NewPage, Format, LoadPage) with it unknown, and the slot mutators
-// neither read nor write it. Whoever appends records or rewrites keys
-// (the B+ tree) keeps it true; access is atomic because readers sharing
-// a latch may each derive it.
+// bisect the slot directory. A page whose slots are out of key order
+// carries its KeyIndex instead, which the tree bisects. Both are a hint about buf,
+// never part of it: not serialized, snapshotted or checkpointed, a page
+// starts out (NewPage, Format, LoadPage) with it unknown, and the slot
+// mutators neither read nor write it. Whoever appends records, deletes
+// them or rewrites keys (the B+ tree) keeps it true; access is atomic
+// because readers sharing a latch may each derive it.
 type KeyOrder uint32
 
 // Key orders.
@@ -89,11 +92,49 @@ const (
 	KeysUnordered
 )
 
-// KeyOrder returns the page's key-order hint.
-func (p *Page) KeyOrder() KeyOrder { return KeyOrder(p.order.Load()) }
+// KeyIndex is an unordered page's live slots in (key, slot) order. A
+// writer that excludes the page's readers — the tree, under its write
+// latch — edits Slots in place.
+type KeyIndex struct{ Slots []uint16 }
 
-// SetKeyOrder records the page's key-order hint.
-func (p *Page) SetKeyOrder(o KeyOrder) { p.order.Store(uint32(o)) }
+// orderedKeys is the hint of every KeysOrdered page; it is never edited.
+var orderedKeys = &KeyIndex{}
+
+// KeyOrder returns the page's key-order hint.
+func (p *Page) KeyOrder() KeyOrder {
+	o, _ := p.Keys()
+	return o
+}
+
+// Keys returns the page's key-order hint and, when the page is
+// KeysUnordered, its key index.
+func (p *Page) Keys() (KeyOrder, *KeyIndex) {
+	switch ix := p.keys.Load(); ix {
+	case nil:
+		return KeyOrderUnknown, nil
+	case orderedKeys:
+		return KeysOrdered, nil
+	default:
+		return KeysUnordered, ix
+	}
+}
+
+// SetKeyOrder records the page's key-order hint: unknown or ordered. An
+// unordered page's hint is its index; see SetKeyIndex.
+func (p *Page) SetKeyOrder(o KeyOrder) {
+	switch o {
+	case KeyOrderUnknown:
+		p.keys.Store(nil)
+	case KeysOrdered:
+		p.keys.Store(orderedKeys)
+	default:
+		panic("storage: an unordered page's hint is its key index")
+	}
+}
+
+// SetKeyIndex marks the page KeysUnordered, with ix as its key index.
+// The page keeps ix.
+func (p *Page) SetKeyIndex(ix *KeyIndex) { p.keys.Store(ix) }
 
 // NewPage initializes a page in place.
 func NewPage(id PageID, t PageType) *Page {

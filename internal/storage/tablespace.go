@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Tablespace is the page store backing one engine instance, the analog
@@ -13,13 +14,23 @@ type Tablespace struct {
 	mu    sync.RWMutex
 	pages []*Page
 	free  []PageID
+
+	// count is len(pages), read without mu: every tree descent reads it
+	// (NumPages bounds the walk).
+	count atomic.Int64
 }
 
 // NewTablespace creates a tablespace containing only the header page.
 func NewTablespace() *Tablespace {
 	ts := &Tablespace{}
-	ts.pages = append(ts.pages, NewPage(0, PageHeader))
+	ts.add(NewPage(0, PageHeader))
 	return ts
+}
+
+// add appends p to the page list; callers hold mu, or own ts alone.
+func (ts *Tablespace) add(p *Page) {
+	ts.pages = append(ts.pages, p)
+	ts.count.Store(int64(len(ts.pages)))
 }
 
 // Allocate returns a fresh (or recycled) page of the given type.
@@ -33,9 +44,8 @@ func (ts *Tablespace) Allocate(t PageType) *Page {
 		p.Format(id, t)
 		return p
 	}
-	id := PageID(len(ts.pages))
-	p := NewPage(id, t)
-	ts.pages = append(ts.pages, p)
+	p := NewPage(PageID(len(ts.pages)), t)
+	ts.add(p)
 	return p
 }
 
@@ -64,11 +74,7 @@ func (ts *Tablespace) Get(id PageID) (*Page, error) {
 }
 
 // NumPages returns the number of allocated pages including the header.
-func (ts *Tablespace) NumPages() int {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	return len(ts.pages)
-}
+func (ts *Tablespace) NumPages() int { return int(ts.count.Load()) }
 
 // SerializedSize returns the size in bytes of Serialize's output.
 func (ts *Tablespace) SerializedSize() int {
@@ -112,13 +118,13 @@ func LoadTablespace(img []byte) (*Tablespace, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts.pages = append(ts.pages, p)
+		ts.add(p)
 		if p.Type() == PageFree && i > 0 {
 			ts.free = append(ts.free, PageID(i))
 		}
 	}
 	if len(ts.pages) == 0 {
-		ts.pages = append(ts.pages, NewPage(0, PageHeader))
+		ts.add(NewPage(0, PageHeader))
 	}
 	return ts, nil
 }

@@ -263,14 +263,21 @@ func ParseLogReport(img []byte) ([]Record, storage.ParseReport) {
 	// what the image could hold of the smallest record there is.
 	const minFrame = storage.FrameHeaderSize + headerSize + 2
 	out := make([]Record, 0, min(storage.CountFrames(img), len(img)/minFrame))
-	rep := storage.WalkFrames(img, "record", func(payload []byte) (int, error) {
+	rep := WalkLog(img, func(r Record) { out = append(out, r) })
+	return out, rep
+}
+
+// WalkLog is ParseLogReport without the result slice: it decodes the
+// records of a Serialize image in order, validating each, and hands
+// every record of the valid prefix to fn.
+func WalkLog(img []byte, fn func(Record)) storage.ParseReport {
+	return storage.WalkFrames(img, "record", func(payload []byte) (int, error) {
 		r, n, err := DecodeRecord(payload)
 		if err == nil && n == len(payload) {
-			out = append(out, r)
+			fn(r)
 		}
 		return n, err
 	})
-	return out, rep
 }
 
 // ParseLog parses a Serialize image back into records. It is resilient

@@ -13,7 +13,8 @@
 #   - crash torture seed matrix: the kill-point harness (recovered data
 #     matches a statement prefix, the recovered binlog file never leads
 #     it), the checks that durable logs are read from their files (one
-#     store per log), and the commit-order failure tests re-run under
+#     store per log), recovery's one-descent replay and log walks against
+#     their references, and the commit-order failure tests re-run under
 #     -race with extra seeds, so fault schedules differ from the default
 #     test run's.
 set -euo pipefail
@@ -102,16 +103,21 @@ fuzz ./internal/vfs FuzzCryptFSSidecar
 # Not a parser: CryptFS's keystream and tweaks against their
 # block-at-a-time and HMAC references, so no ciphertext byte moves.
 fuzz ./internal/crypto/prim FuzzPageCipherKeystream
+# Nor this: in-page search through a page's kept key index, a freshly
+# derived one and the linear passes the index replaced (kept in the
+# test file), so no descent routes differently.
+fuzz ./internal/btree FuzzInPageSearchMatchesReference
 
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures' |
+        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestRecoveryWalkMatchesParsers' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
 # The tests whose subject is a schedule: readers sharing a read latch
-# deriving one page's order hint next to a latched writer, the
+# deriving one page's order hint (an unordered page's key index among
+# them) next to a latched writer, the
 # group-commit queue's error routing and stamp order under real
 # contention, and CryptFS's per-handle keystream and size memos. One
 # pass each is in the race run above; nine more look at nine more
