@@ -11,7 +11,7 @@ package btree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"snapdb/internal/bufpool"
 	"snapdb/internal/sqlparse"
@@ -40,51 +40,6 @@ func Open(ts *storage.Tablespace, pool *bufpool.Pool, root storage.PageID) *Tree
 // Root returns the current root page id (it changes when the root
 // splits), for catalog persistence.
 func (t *Tree) Root() storage.PageID { return t.root }
-
-// entry is one decoded node entry. In a leaf, rec is the full record
-// (rec[0] is the key). In an internal node, rec is {separatorKey,
-// childPageID}.
-type entry struct {
-	key  sqlparse.Value
-	rec  storage.Record
-	slot int
-}
-
-func decodeEntries(p *storage.Page) ([]entry, error) {
-	out := make([]entry, 0, p.SlotCount())
-	for i := 0; i < p.SlotCount(); i++ {
-		b := p.SlotBytes(i)
-		if b == nil {
-			continue
-		}
-		rec, _, err := storage.DecodeRecord(b)
-		if err != nil {
-			return nil, slotErr(p, i, err)
-		}
-		if len(rec) == 0 {
-			return nil, fmt.Errorf("btree: page %d slot %d: empty record", p.ID(), i)
-		}
-		out = append(out, entry{key: rec[0], rec: rec, slot: i})
-	}
-	if !entriesSorted(out) {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].key.Compare(out[j].key) < 0 })
-	}
-	return out, nil
-}
-
-// entriesSorted reports whether entries are already in key order. Slots
-// are appended in insert order, which for monotonic keys (and for any
-// page rebuilt by a split) is already sorted — checking first keeps the
-// steady state free of sort.SliceStable's reflective swapper
-// allocation.
-func entriesSorted(es []entry) bool {
-	for i := 1; i < len(es); i++ {
-		if es[i].key.Compare(es[i-1].key) < 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // decodeSlot fully decodes the record in slot i of p.
 func decodeSlot(p *storage.Page, i int) (storage.Record, error) {
@@ -162,10 +117,10 @@ func (t *Tree) Insert(rec storage.Record) error {
 		newRoot := t.ts.Allocate(storage.PageBTreeInternal)
 		left := storage.EncodeRecord(storage.Record{oldRootFirst, sqlparse.IntValue(int64(t.root))})
 		right := storage.EncodeRecord(storage.Record{split.key, sqlparse.IntValue(int64(split.page))})
-		if err := appendEntry(newRoot, oldRootFirst, left); err != nil {
+		if _, err := newRoot.InsertBytes(left); err != nil {
 			return err
 		}
-		if err := appendEntry(newRoot, split.key, right); err != nil {
+		if _, err := newRoot.InsertBytes(right); err != nil {
 			return err
 		}
 		t.root = newRoot.ID()
@@ -240,31 +195,39 @@ func (t *Tree) insertNodeEntry(p *storage.Page, rec storage.Record) (*splitResul
 	if len(enc) > storage.PageSize/2 {
 		return nil, fmt.Errorf("btree: record of %d bytes exceeds half a page", len(enc))
 	}
-	if err := appendEntry(p, rec[0], enc); err == nil {
+	if _, err := p.InsertBytes(enc); err == nil {
 		return nil, nil
 	}
 	// Reclaim deleted-slot space before splitting.
 	p.Compact()
-	if err := appendEntry(p, rec[0], enc); err == nil {
+	if _, err := p.InsertBytes(enc); err == nil {
 		return nil, nil
 	}
-	return t.split(p, rec)
+	return t.split(p, rec[0], enc)
 }
 
 // split divides node p around its median, moving the upper half (plus
-// rec wherever it belongs) into a fresh sibling.
-func (t *Tree) split(p *storage.Page, rec storage.Record) (*splitResult, error) {
-	entries, err := decodeEntries(p)
+// enc, the record under key, after every key <= its own) into a fresh
+// sibling.
+func (t *Tree) split(p *storage.Page, key sqlparse.Value, enc []byte) (*splitResult, error) {
+	ix, err := keysOf(p)
 	if err != nil {
 		return nil, err
 	}
-	all := make([]storage.Record, 0, len(entries)+1)
-	for _, e := range entries {
-		all = append(all, e.rec)
+	pos, err := bisect(p, ix, key, true)
+	if err != nil {
+		return nil, err
 	}
-	all = append(all, rec)
-	sort.SliceStable(all, func(i, j int) bool { return all[i][0].Compare(all[j][0]) < 0 })
+	all := make([][]byte, 0, len(ix)+1)
+	for _, slot := range ix {
+		all = append(all, slices.Clone(p.SlotBytes(int(slot))))
+	}
+	all = slices.Insert(all, pos, enc)
 	mid := len(all) / 2
+	midKey, err := storage.DecodeKey(all[mid])
+	if err != nil {
+		return nil, err
+	}
 
 	sibling := t.ts.Allocate(p.Type())
 	if p.Type() == storage.PageBTreeLeaf {
@@ -276,16 +239,16 @@ func (t *Tree) split(p *storage.Page, rec storage.Record) (*splitResult, error) 
 	if p.Type() == storage.PageBTreeLeaf {
 		p.SetNext(oldNext)
 	}
-	for i, r := range all {
+	for i, b := range all {
 		target := p
 		if i >= mid {
 			target = sibling
 		}
-		if _, err := target.InsertBytes(storage.EncodeRecord(r)); err != nil {
+		if _, err := target.InsertBytes(b); err != nil {
 			return nil, fmt.Errorf("btree: split re-insert failed: %w", err)
 		}
 	}
-	return &splitResult{key: all[mid][0], page: sibling.ID()}, nil
+	return &splitResult{key: midKey, page: sibling.ID()}, nil
 }
 
 // locate finds the leaf and live slot holding key, in one descent.
@@ -319,7 +282,7 @@ func (t *Tree) Delete(key sqlparse.Value) (bool, error) {
 	if err != nil || !found {
 		return false, err
 	}
-	return true, deleteSlot(leaf, slot)
+	return true, leaf.DeleteSlot(slot)
 }
 
 // Take is Search and Delete in one descent: it removes the record with
@@ -333,7 +296,7 @@ func (t *Tree) Take(key sqlparse.Value) (storage.Record, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return rec, true, deleteSlot(leaf, slot)
+	return rec, true, leaf.DeleteSlot(slot)
 }
 
 // Update replaces the record stored under key (rec[0] must equal key).
@@ -387,7 +350,7 @@ func (t *Tree) rewrite(leaf *storage.Page, slot int, rec storage.Record) error {
 	if err != storage.ErrPageFull {
 		return err
 	}
-	if err := deleteSlot(leaf, slot); err != nil {
+	if err := leaf.DeleteSlot(slot); err != nil {
 		return err
 	}
 	return t.Insert(rec)

@@ -39,13 +39,14 @@ type Cursor struct {
 	fetches       uint64
 	leaves, limit int // leaves fetched, and the most a chain has
 
-	// Per-leaf scratch, reused from leaf to leaf. The one-element
-	// arrays back them until a leaf yields a second record, so a point
-	// read allocates nothing here.
-	slots   []int // the leaf's live in-bounds slots, in key order
-	rows    []storage.Record
-	slotBuf [1]int
-	rowBuf  [1]storage.Record
+	// The leaf's live in-bounds slots in key order: a window of its key
+	// index, good until the next advance.
+	slots []uint16
+	// Per-leaf scratch, reused from leaf to leaf. The one-element array
+	// backs it until a leaf yields a second record, so a point read
+	// allocates nothing here.
+	rows   []storage.Record
+	rowBuf [1]storage.Record
 }
 
 // Init points c at t without touching a page. Unbounded, the walk
@@ -55,7 +56,7 @@ type Cursor struct {
 // record fields Next materializes, by position; nil means all.
 func (c *Cursor) Init(t *Tree, bounded bool, lo, hi sqlparse.Value, need []bool) {
 	*c = Cursor{t: t, bounded: bounded, lo: lo, hi: hi, need: need}
-	c.slots, c.rows = c.slotBuf[:0], c.rowBuf[:0]
+	c.rows = c.rowBuf[:0]
 }
 
 // Lend makes the records Next returns a loan: every leaf is decoded
@@ -131,11 +132,11 @@ func (c *Cursor) Next() ([]storage.Record, bool, error) {
 	fields, textBytes := 0, 0
 	c.rows = c.rows[:0]
 	for _, slot := range c.slots {
-		b := leaf.SlotBytes(slot)
+		b := leaf.SlotBytes(int(slot))
 		if c.preds != nil {
 			ok, err := storage.Match(b, c.preds)
 			if err != nil {
-				return nil, false, c.fail(leaf, slot, err)
+				return nil, false, c.fail(leaf, int(slot), err)
 			}
 			if !ok {
 				c.rows = append(c.rows, nil)
@@ -164,9 +165,9 @@ func (c *Cursor) Next() ([]storage.Record, bool, error) {
 			continue
 		}
 		start := len(slab)
-		slab, _, err = storage.AppendDecoded(slab, leaf.SlotBytes(slot), c.need, &text)
+		slab, _, err = storage.AppendDecoded(slab, leaf.SlotBytes(int(slot)), c.need, &text)
 		if err != nil {
-			return nil, false, c.fail(leaf, slot, err)
+			return nil, false, c.fail(leaf, int(slot), err)
 		}
 		c.rows[i] = slab[start:len(slab):len(slab)]
 	}
@@ -239,37 +240,26 @@ func (c *Cursor) advance() (*storage.Page, error) {
 	return leaf, nil
 }
 
-// collect fills c.slots from leaf and reports whether leaf holds a key
-// beyond hi: it reads the leaf's slots in key order (see keysOf) from
-// lo, or from the start, up to the first key beyond hi.
+// collect points c.slots at leaf's live slots from lo up to hi (or
+// all of them, unbounded) and reports whether leaf holds a key beyond
+// hi. With lo > hi the window is empty, and a key >= lo is beyond.
 func (c *Cursor) collect(leaf *storage.Page) (beyond bool, err error) {
-	c.slots = c.slots[:0]
-	ix, n, err := keysOf(leaf)
+	ix, err := keysOf(leaf)
+	if err != nil || !c.bounded {
+		c.slots = ix
+		return false, err
+	}
+	from, err := bisect(leaf, ix, c.lo, false)
 	if err != nil {
 		return false, err
 	}
-	start := 0
-	if c.bounded {
-		if start, err = bisect(leaf, ix, n, c.lo, false); err != nil {
-			return false, err
-		}
+	to, err := bisect(leaf, ix, c.hi, true)
+	if err != nil {
+		return false, err
 	}
-	for i := start; i < n; i++ {
-		slot := slotAt(ix, i)
-		b := leaf.SlotBytes(slot)
-		if b == nil {
-			continue
-		}
-		if c.bounded {
-			if cmp, err := storage.CompareKey(b, c.hi); err != nil {
-				return false, slotErr(leaf, slot, err)
-			} else if cmp > 0 {
-				return true, nil
-			}
-		}
-		c.slots = append(c.slots, slot)
-	}
-	return false, nil
+	to = max(from, to)
+	c.slots = ix[from:to]
+	return to < len(ix), nil
 }
 
 // fail ends the walk on an undecodable slot.

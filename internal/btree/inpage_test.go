@@ -143,10 +143,10 @@ func answers(p *storage.Page, lowest func(*storage.Page) (int, error),
 // page the way the tree writes it — appends of random, duplicate and
 // mixed-kind keys, deletes, same-key updates (in place and relocated,
 // or deleted and re-appended when the page is full), Compact, and a
-// LoadPage round trip that forgets the hint — and after every step
+// LoadPage round trip that forgets the key index — and after every step
 // requires routeSlot, findSlot and lowestSlot to give the same answer
-// for every probe three ways: from the hint the writes kept, from a
-// hint derived fresh on a copy of the page, and from the frozen linear
+// for every probe three ways: from the index the writes kept, from an
+// index derived fresh on a copy of the page, and from the frozen linear
 // passes.
 func FuzzInPageSearchMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 1, 0, 9, 0, 3, 0, 3, 1, 0, 2, 7, 3, 0, 0, 2, 4, 0, 0, 11})
@@ -166,27 +166,27 @@ func FuzzInPageSearchMatchesReference(f *testing.F) {
 			case 0: // append
 				k := inPageKeys[arg%len(inPageKeys)]
 				err = fuzzAppend(p, k, arg)
-			case 1: // delete, as the tree does
-				if live := liveSlots(p, 0); len(live) > 0 {
-					err = deleteSlot(p, int(live[arg%len(live)]))
+			case 1: // delete
+				if live := liveSlots(p); len(live) > 0 {
+					err = p.DeleteSlot(live[arg%len(live)])
 				}
 			case 2: // same-key update; a relocation that does not fit re-appends
-				if live := liveSlots(p, 0); len(live) > 0 {
-					slot := int(live[arg%len(live)])
+				if live := liveSlots(p); len(live) > 0 {
+					slot := live[arg%len(live)]
 					k, derr := storage.DecodeKey(p.SlotBytes(slot))
 					if derr != nil {
 						t.Fatal(derr)
 					}
 					enc := fuzzRecord(k, arg)
 					if err = p.UpdateSlot(slot, enc); errors.Is(err, storage.ErrPageFull) {
-						if err = deleteSlot(p, slot); err == nil {
+						if err = p.DeleteSlot(slot); err == nil {
 							err = fuzzAppend(p, k, arg)
 						}
 					}
 				}
 			case 3:
 				p.Compact()
-			case 4: // a reload forgets the hint
+			case 4: // a reload forgets the key index
 				if p, err = storage.LoadPage(p.CloneBytes()); err != nil {
 					t.Fatal(err)
 				}
@@ -228,12 +228,23 @@ func fuzzRecord(k sqlparse.Value, arg int) []byte {
 // not fit.
 func fuzzAppend(p *storage.Page, k sqlparse.Value, arg int) error {
 	enc := fuzzRecord(k, arg)
-	err := appendEntry(p, k, enc)
+	_, err := p.InsertBytes(enc)
 	if errors.Is(err, storage.ErrPageFull) {
 		p.Compact()
-		if err = appendEntry(p, k, enc); errors.Is(err, storage.ErrPageFull) {
+		if _, err = p.InsertBytes(enc); errors.Is(err, storage.ErrPageFull) {
 			return nil
 		}
 	}
 	return err
+}
+
+// liveSlots returns p's live slots in slot order.
+func liveSlots(p *storage.Page) []int {
+	var out []int
+	for i := 0; i < p.SlotCount(); i++ {
+		if p.SlotBytes(i) != nil {
+			out = append(out, i)
+		}
+	}
+	return out
 }

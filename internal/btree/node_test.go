@@ -22,10 +22,39 @@ import (
 // they stood before in-page search — every node fully decoded and
 // stable-sorted, the child picked by a walk over the decoded entries,
 // leaf slots found by decoding each key in slot order, records appended
-// with no order hint. Frozen here so the tests below can hold the
-// bisecting lookup to its page-fetch sequence and its page bytes, not
-// merely to its results. split is shared: it still needs every record
-// and did not change.
+// with no key index, and a split that re-encodes every decoded record.
+// Frozen here so the tests below can hold the bisecting lookup to its
+// page-fetch sequence and its page bytes, not merely to its results.
+
+// entry is one decoded node entry. In a leaf, rec is the full record
+// (rec[0] is the key). In an internal node, rec is {separatorKey,
+// childPageID}.
+type entry struct {
+	key  sqlparse.Value
+	rec  storage.Record
+	slot int
+}
+
+// decodeEntries decodes p's live records, stable-sorted by key.
+func decodeEntries(p *storage.Page) ([]entry, error) {
+	out := make([]entry, 0, p.SlotCount())
+	for i := 0; i < p.SlotCount(); i++ {
+		b := p.SlotBytes(i)
+		if b == nil {
+			continue
+		}
+		rec, _, err := storage.DecodeRecord(b)
+		if err != nil {
+			return nil, slotErr(p, i, err)
+		}
+		if len(rec) == 0 {
+			return nil, fmt.Errorf("btree: page %d slot %d: empty record", p.ID(), i)
+		}
+		out = append(out, entry{key: rec[0], rec: rec, slot: i})
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].key.Compare(out[j].key) < 0 })
+	return out, nil
+}
 
 func childFor(entries []entry, key sqlparse.Value) (storage.PageID, error) {
 	if len(entries) == 0 {
@@ -151,7 +180,42 @@ func refInsertNodeEntry(t *Tree, p *storage.Page, rec storage.Record) (*splitRes
 	if _, err := p.InsertBytes(enc); err == nil {
 		return nil, nil
 	}
-	return t.split(p, rec)
+	return refSplit(t, p, rec)
+}
+
+func refSplit(t *Tree, p *storage.Page, rec storage.Record) (*splitResult, error) {
+	entries, err := decodeEntries(p)
+	if err != nil {
+		return nil, err
+	}
+	all := make([]storage.Record, 0, len(entries)+1)
+	for _, e := range entries {
+		all = append(all, e.rec)
+	}
+	all = append(all, rec)
+	sort.SliceStable(all, func(i, j int) bool { return all[i][0].Compare(all[j][0]) < 0 })
+	mid := len(all) / 2
+
+	sibling := t.ts.Allocate(p.Type())
+	if p.Type() == storage.PageBTreeLeaf {
+		sibling.SetNext(p.Next())
+		p.SetNext(sibling.ID())
+	}
+	oldNext := p.Next()
+	p.Format(p.ID(), p.Type())
+	if p.Type() == storage.PageBTreeLeaf {
+		p.SetNext(oldNext)
+	}
+	for i, r := range all {
+		target := p
+		if i >= mid {
+			target = sibling
+		}
+		if _, err := target.InsertBytes(storage.EncodeRecord(r)); err != nil {
+			return nil, fmt.Errorf("btree: split re-insert failed: %w", err)
+		}
+	}
+	return &splitResult{key: all[mid][0], page: sibling.ID()}, nil
 }
 
 func refSearch(t *Tree, key sqlparse.Value) (storage.Record, bool, error) {
@@ -327,7 +391,7 @@ func (w *twin) compact() {
 }
 
 // reload swaps got for what a restart would open: the same bytes
-// through Serialize and LoadTablespace, every order hint unknown again.
+// through Serialize and LoadTablespace, every key index underived again.
 func (w *twin) reload() {
 	w.t.Helper()
 	ts, err := storage.LoadTablespace(w.got.ts.Serialize())
@@ -408,7 +472,11 @@ func (w *twin) check(stage string) {
 			var c Cursor
 			c.Init(w.got, bounded, lo, hi, nil)
 			beyond, err := c.collect(p)
-			if err != nil || beyond != wantBeyond || !reflect.DeepEqual(append([]int(nil), c.slots...), wantSlots) {
+			var slots []int
+			for _, s := range c.slots {
+				slots = append(slots, int(s))
+			}
+			if err != nil || beyond != wantBeyond || !reflect.DeepEqual(slots, wantSlots) {
 				w.t.Fatalf("%s: leaf %d collects %v beyond=%v (%v), reference %v beyond=%v",
 					what, p.ID(), c.slots, beyond, err, wantSlots, wantBeyond)
 			}
@@ -444,9 +512,9 @@ func (w *twin) check(stage string) {
 	w.checkHints(stage)
 }
 
-// checkHints holds every derived order hint to the slots it describes —
-// an unordered page's key index to exactly its live slots in (key,
-// slot) order — and the hint to never having reached a page byte.
+// checkHints holds every page's key index — kept through the writes
+// since the page was last loaded or formatted, or derived now — to the
+// one a fresh load of the same bytes derives.
 func (w *twin) checkHints(stage string) {
 	w.t.Helper()
 	for id := 1; id < w.got.ts.NumPages(); id++ {
@@ -454,38 +522,28 @@ func (w *twin) checkHints(stage string) {
 		if p.Type() != storage.PageBTreeLeaf && p.Type() != storage.PageBTreeInternal {
 			continue
 		}
-		want := storage.KeysOrdered
-		var prev sqlparse.Value
-		var byKey []keyRef
-		for i, first := 0, true; i < p.SlotCount(); i++ {
-			if b := p.SlotBytes(i); b != nil {
-				k, err := storage.DecodeKey(b)
-				if err != nil {
-					w.t.Fatal(err)
-				}
-				if !first && k.Compare(prev) < 0 {
-					want = storage.KeysUnordered
-				}
-				prev, first = k, false
-				byKey = append(byKey, keyRef{key: k, slot: i})
-			}
+		kept, err := p.Keys()
+		if err != nil {
+			w.t.Fatal(err)
 		}
-		if _, ix := p.Keys(); ix != nil {
-			sort.SliceStable(byKey, func(i, j int) bool { return byKey[i].key.Compare(byKey[j].key) < 0 })
-			var wantIx []uint16
-			for _, k := range byKey {
-				wantIx = append(wantIx, uint16(k.slot))
-			}
-			if !slices.Equal(ix.Slots, wantIx) {
-				w.t.Fatalf("%s: page %d's key index is %v, its live slots in key order %v", stage, id, ix.Slots, wantIx)
-			}
-		}
-		// A delete may leave an unordered page's survivors in order; the
-		// hint is allowed to go on saying unordered.
-		if o := p.KeyOrder(); o == storage.KeysOrdered && want != o {
-			w.t.Fatalf("%s: page %d is hinted ordered, its slots are not", stage, id)
+		if fresh := freshKeys(w.t, p); !slices.Equal(kept, fresh) {
+			w.t.Fatalf("%s: page %d's key index is %v, a fresh derivation %v", stage, id, kept, fresh)
 		}
 	}
+}
+
+// freshKeys is the key index derived from a copy of p's bytes.
+func freshKeys(t *testing.T, p *storage.Page) []uint16 {
+	t.Helper()
+	q, err := storage.LoadPage(p.CloneBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := q.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 // nodeArm is one key space and the order its keys first arrive in.
@@ -511,7 +569,7 @@ func mixedKey(i int) sqlparse.Value {
 // deletes that leave dead slots at both ends and in the middle of
 // pages, updates that outgrow their slot (relocated inside the page or
 // re-inserted), a forced Compact, re-inserts over the dead slots, and a
-// Serialize → LoadTablespace round trip that forgets every order hint —
+// Serialize → LoadTablespace round trip that forgets every key index —
 // and after every stage holds each node, each leaf and each read entry
 // point to the reference for every key of the key space and one beyond
 // each end: same child, same slot, same cursor batch and done, same
@@ -623,11 +681,6 @@ func runNodeArm(t *testing.T, arm nodeArm) {
 
 	w.reload()
 	w.check("after reload")
-	for _, p := range append(w.pages(storage.PageBTreeInternal), w.pages(storage.PageBTreeLeaf)...) {
-		if p.KeyOrder() == storage.KeyOrderUnknown {
-			t.Fatalf("page %d: a full read pass left its order hint underived", p.ID())
-		}
-	}
 	for _, i := range dead {
 		w.insert(rec(i, false)) // duplicates among them
 	}
@@ -640,8 +693,8 @@ func runNodeArm(t *testing.T, arm nodeArm) {
 // TestNodeSearchOnBuiltPages covers what no tree produces today but the
 // lookup must still get right: internal nodes with dead slots and with
 // duplicate separators (ties go the way the stable sort sent them),
-// every slot dead, pages whose hint is derived rather than kept, and
-// key indexes still naming slots deleted behind the tree's back.
+// every slot dead, and key indexes kept from before the appends, kept
+// from before the deletes, or derived only at the first lookup.
 func TestNodeSearchOnBuiltPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	probes := []sqlparse.Value{sqlparse.IntValue(-1), sqlparse.StrValue("")}
@@ -659,31 +712,27 @@ func TestNodeSearchOnBuiltPages(t *testing.T) {
 		}
 		p := storage.NewPage(7, storage.PageBTreeInternal)
 		if round%4 < 2 {
-			keysOf(p) // empty: the hint is kept from here on, not derived
+			p.Keys() // empty: the index is kept from here on, not derived
 		}
 		for i, k := range keys {
-			if err := appendEntry(p, k, storage.EncodeRecord(storage.Record{k, sqlparse.IntValue(int64(100 + i))})); err != nil {
+			if _, err := p.InsertBytes(storage.EncodeRecord(storage.Record{k, sqlparse.IntValue(int64(100 + i))})); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Half the rounds delete as the tree does; the other half behind
-		// its back, leaving dead entries in a key index for lookups to
-		// step over.
-		del := func(i int) { deleteSlot(p, i) }
 		if round%8 >= 4 {
-			del = func(i int) { p.DeleteSlot(i) }
+			p.Keys() // the deletes edit an index derived over every slot
 		}
 		switch round % 3 {
 		case 0: // dead slots at both ends and in the middle
 			for _, i := range []int{0, 1, n / 2, n/2 + 1, n - 2, n - 1} {
 				if i >= 0 && i < n {
-					del(i)
+					p.DeleteSlot(i)
 				}
 			}
 		case 1:
 			for i := 0; i < n; i++ {
 				if rng.Intn(4) > 0 || round%5 == 1 {
-					del(i)
+					p.DeleteSlot(i)
 				}
 			}
 		}
@@ -824,7 +873,7 @@ func TestLookupAllocations(t *testing.T) {
 	for i := 0; i < 40 && scattered.Str == ""; i++ {
 		if leaf, _, err := unordered.findLeaf(textKey(i), nil); err != nil {
 			t.Fatal(err)
-		} else if ix, _, _ := keysOf(leaf); ix != nil {
+		} else if ix, _ := keysOf(leaf); !slices.IsSorted(ix) {
 			scattered = textKey(i)
 		}
 	}
@@ -861,9 +910,9 @@ func TestLookupAllocations(t *testing.T) {
 }
 
 // TestLazyHintUnderConcurrentReaders: readers that share a table's read
-// latch may all derive the same page's hint at once, while a writer —
-// alone under the write latch, as the engine runs it — appends. Run
-// under -race (scripts/ci.sh does).
+// latch may all derive the same page's key index at once, while a
+// writer — alone under the write latch, as the engine runs it —
+// appends. Run under -race (scripts/ci.sh does).
 func TestLazyHintUnderConcurrentReaders(t *testing.T) {
 	t.Run("tree", lazyHintTree)
 	t.Run("one unordered page", lazyHintOnePage)
@@ -903,8 +952,8 @@ func lazyHintOnePage(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		if p.KeyOrder() != storage.KeysUnordered {
-			t.Fatalf("round %d: hint %v after the readers, want unordered", round, p.KeyOrder())
+		if ix, err := p.Keys(); err != nil || slices.IsSorted(ix) || !slices.Equal(ix, freshKeys(t, p)) {
+			t.Fatalf("round %d: key index %v (%v) after the readers, want the unordered %v", round, ix, err, freshKeys(t, p))
 		}
 	}
 }

@@ -162,6 +162,41 @@ func TestForgedTreeLoopIsCleanError(t *testing.T) {
 	}
 }
 
+// TestForgedFreeOffsetIsCleanError boots checkpoints whose page 1 — the
+// accounts root leaf, its first record at the header's end — carries a
+// forged free-space offset (header bytes 7–8): zero, inside that
+// record, and past the slot directory. Each used to load, and with the
+// first two the next insert overwrote the page header or the record;
+// now Recover refuses the page with an error naming it.
+func TestForgedFreeOffsetIsCleanError(t *testing.T) {
+	img, err := seedDurable(t, vfs.NewMemFS()).CheckpointImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, ts, err := DecodeCheckpoint(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, free := range map[string]uint16{
+		"zero":                    0,
+		"inside the first record": 22,
+		"past the slot directory": storage.PageSize - 1,
+	} {
+		forged, err := EncodeCheckpoint(meta, forgePage1Image(t, ts, func(p *storage.Page) {
+			if p.SlotBytes(0) == nil {
+				t.Fatal("page 1 slot 0 is not live; the forgery needs its record")
+			}
+			binary.BigEndian.PutUint16(p.Bytes()[7:], free)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recoverCheckpoint(t, forged); err == nil || !strings.Contains(err.Error(), "storage: page 1: ") {
+			t.Errorf("free offset %s (%d): Recover = %v, want page 1 refused", name, free, err)
+		}
+	}
+}
+
 // TestCheckpointCodecRoundTrip: Decode inverts Encode, and the
 // tablespace's pages sit on PageSize file offsets (E17 diffs them by
 // page).

@@ -112,9 +112,6 @@ type Lexer struct {
 	pos int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer { return &Lexer{src: src} }
-
 // Next returns the next token, or an error on malformed input.
 func (l *Lexer) Next() (Token, error) {
 	l.skipSpace()

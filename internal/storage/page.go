@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -65,76 +66,71 @@ const (
 // The raw bytes are the authoritative state: snapshots copy them
 // directly, and forensics re-parses them.
 type Page struct {
-	// keys is the one piece of page state that is not a page byte; see
-	// KeyOrder. nil is KeyOrderUnknown, orderedKeys KeysOrdered, any
-	// other index KeysUnordered. It comes first so that the collector,
-	// which scans an object up to its last pointer, skips buf.
-	keys atomic.Pointer[KeyIndex]
+	// keys is the page's key index (see Keys), nil until derived: the one
+	// piece of page state that is not a page byte. It comes first so that
+	// the collector, which scans an object up to its last pointer, skips
+	// buf.
+	keys atomic.Pointer[[]uint16]
 
 	buf [PageSize]byte
 }
 
-// KeyOrder says whether a page's live slots, read in slot order, hold
-// their records in nondecreasing key order — what lets the B+ tree
-// bisect the slot directory. A page whose slots are out of key order
-// carries its KeyIndex instead, which the tree bisects. Both are a hint about buf,
-// never part of it: not serialized, snapshotted or checkpointed, a page
-// starts out (NewPage, Format, LoadPage) with it unknown, and the slot
-// mutators neither read nor write it. Whoever appends records, deletes
-// them or rewrites keys (the B+ tree) keeps it true; access is atomic
-// because readers sharing a latch may each derive it.
-type KeyOrder uint32
-
-// Key orders.
-const (
-	KeyOrderUnknown KeyOrder = iota // not yet derived from the slots
-	KeysOrdered
-	KeysUnordered
-)
-
-// KeyIndex is an unordered page's live slots in (key, slot) order. A
-// writer that excludes the page's readers — the tree, under its write
-// latch — edits Slots in place.
-type KeyIndex struct{ Slots []uint16 }
-
-// orderedKeys is the hint of every KeysOrdered page; it is never edited.
-var orderedKeys = &KeyIndex{}
-
-// KeyOrder returns the page's key-order hint.
-func (p *Page) KeyOrder() KeyOrder {
-	o, _ := p.Keys()
-	return o
+// SlotError is a slot whose record does not decode.
+type SlotError struct {
+	Page PageID
+	Slot int
+	Err  error
 }
 
-// Keys returns the page's key-order hint and, when the page is
-// KeysUnordered, its key index.
-func (p *Page) Keys() (KeyOrder, *KeyIndex) {
-	switch ix := p.keys.Load(); ix {
-	case nil:
-		return KeyOrderUnknown, nil
-	case orderedKeys:
-		return KeysOrdered, nil
-	default:
-		return KeysUnordered, ix
+func (e *SlotError) Error() string { return fmt.Sprintf("page %d slot %d: %v", e.Page, e.Slot, e.Err) }
+
+func (e *SlotError) Unwrap() error { return e.Err }
+
+// Keys returns the page's key index: its live slots sorted by key
+// (CompareKeys), ties in slot order — what lets a lookup bisect a page
+// whose slots arrived in any order. It is a hint about buf, never part
+// of it: not serialized, snapshotted or checkpointed, and a page starts
+// out (NewPage, Format, LoadPage) without one. The first call derives
+// it, in one pass that also proves every live key decodable (a
+// *SlotError names the first that is not); from then on the page's own
+// mutators keep it. Readers sharing a latch may derive it at once, and
+// each gets the one stored first; a writer excludes them. The index is
+// the page's: callers read it, and only until the page next changes.
+func (p *Page) Keys() ([]uint16, error) {
+	if ix := p.keys.Load(); ix != nil {
+		return *ix, nil
 	}
-}
-
-// SetKeyOrder records the page's key-order hint: unknown or ordered. An
-// unordered page's hint is its index; see SetKeyIndex.
-func (p *Page) SetKeyOrder(o KeyOrder) {
-	switch o {
-	case KeyOrderUnknown:
-		p.keys.Store(nil)
-	case KeysOrdered:
-		p.keys.Store(orderedKeys)
-	default:
-		panic("storage: an unordered page's hint is its key index")
+	ix := make([]uint16, 0, p.SlotCount())
+	inOrder := true
+	var prev []byte
+	for i := 0; i < p.SlotCount(); i++ {
+		b := p.SlotBytes(i)
+		if b == nil {
+			continue
+		}
+		if prev == nil {
+			prev = b // the first key is checked against itself
+		}
+		c, err := CompareKeys(prev, b)
+		if err != nil {
+			return nil, &SlotError{p.ID(), i, err}
+		}
+		inOrder = inOrder && c <= 0
+		prev = b
+		ix = append(ix, uint16(i))
 	}
+	if !inOrder {
+		slices.SortStableFunc(ix, func(a, b uint16) int {
+			// Every live key decoded in the pass above.
+			c, _ := CompareKeys(p.SlotBytes(int(a)), p.SlotBytes(int(b)))
+			return c
+		})
+	}
+	if !p.keys.CompareAndSwap(nil, &ix) {
+		return *p.keys.Load(), nil
+	}
+	return ix, nil
 }
-
-// SetKeyIndex marks the page KeysUnordered, with ix as its key index.
-// The page keeps ix.
-func (p *Page) SetKeyIndex(ix *KeyIndex) { p.keys.Store(ix) }
 
 // NewPage initializes a page in place.
 func NewPage(id PageID, t PageType) *Page {
@@ -153,7 +149,7 @@ func (p *Page) Format(id PageID, t PageType) {
 	p.setSlotCount(0)
 	p.setFreeOffset(pageHeaderSize)
 	p.SetNext(InvalidPage)
-	p.SetKeyOrder(KeyOrderUnknown)
+	p.keys.Store(nil)
 }
 
 // ID returns the page id stored in the header.
@@ -213,7 +209,9 @@ func (p *Page) FreeSpace() int {
 var ErrPageFull = fmt.Errorf("storage: page full")
 
 // InsertBytes appends raw record bytes to the page and returns the slot
-// index.
+// index. A derived key index takes the new slot after every key <= its
+// own; a record whose key does not decode drops the index instead, for
+// the next Keys to report.
 func (p *Page) InsertBytes(rec []byte) (int, error) {
 	if len(rec) > p.FreeSpace() {
 		return 0, ErrPageFull
@@ -224,6 +222,23 @@ func (p *Page) InsertBytes(rec []byte) (int, error) {
 	p.setSlot(slot, off, len(rec))
 	p.setSlotCount(slot + 1)
 	p.setFreeOffset(off + len(rec))
+	if ix := p.keys.Load(); ix != nil {
+		lo, hi := 0, len(*ix)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			c, err := CompareKeys(p.SlotBytes(int((*ix)[mid])), rec)
+			if err != nil {
+				p.keys.Store(nil)
+				return slot, nil
+			}
+			if c <= 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		*ix = slices.Insert(*ix, lo, uint16(slot))
+	}
 	return slot, nil
 }
 
@@ -240,18 +255,25 @@ func (p *Page) SlotBytes(i int) []byte {
 	return p.buf[off : off+length]
 }
 
-// DeleteSlot marks slot i deleted. The record bytes stay in the page
-// body until compaction — exactly the residue a disk forensic relies on.
+// DeleteSlot marks slot i deleted, and takes it out of the key index.
+// The record bytes stay in the page body until compaction — exactly the
+// residue a disk forensic relies on.
 func (p *Page) DeleteSlot(i int) error {
 	if i < 0 || i >= p.SlotCount() {
 		return fmt.Errorf("storage: slot %d out of range (count %d)", i, p.SlotCount())
 	}
 	off, _ := p.slot(i)
 	p.setSlot(i, off, 0)
+	if ix := p.keys.Load(); ix != nil {
+		if at := slices.Index(*ix, uint16(i)); at >= 0 {
+			*ix = slices.Delete(*ix, at, at+1)
+		}
+	}
 	return nil
 }
 
-// UpdateSlot replaces the record in slot i. If the new bytes fit in the
+// UpdateSlot replaces the record in slot i with rec, which must hold the
+// same key: the key index stays as it is. If the new bytes fit in the
 // old space they are written in place; otherwise the record is appended
 // and the slot repointed, leaving the stale bytes behind (again, residue
 // by design — this mirrors real slotted-page engines).
@@ -279,7 +301,7 @@ func (p *Page) UpdateSlot(i int, rec []byte) error {
 }
 
 // Compact rewrites live records contiguously, discarding deleted-record
-// residue. The engine runs this only when a page overflows, matching the
+// residue; slot numbers, and so the key index, stay as they are. The engine runs this only when a page overflows, matching the
 // lazy reclamation of production engines.
 func (p *Page) Compact() {
 	type live struct {
@@ -316,10 +338,12 @@ func (p *Page) CloneBytes() []byte {
 }
 
 // LoadPage reconstructs a Page from a raw image. Images come from
-// stolen or hand-assembled directories, so the slot directory is
-// checked before any reader trusts it: it must fit between the header
-// and the page end, and every live slot must lie between the header and
-// the directory — the bounds SlotBytes slices by.
+// stolen or hand-assembled directories, so the header and the slot
+// directory are checked before any reader trusts them: the directory
+// must fit between the header and the page end, the free-space offset
+// must lie between the header and the directory, and every live slot
+// must lie between the header and the free-space offset — the bounds
+// SlotBytes slices by and InsertBytes writes from.
 func LoadPage(img []byte) (*Page, error) {
 	if len(img) != PageSize {
 		return nil, fmt.Errorf("storage: page image is %d bytes, want %d", len(img), PageSize)
@@ -330,10 +354,14 @@ func LoadPage(img []byte) (*Page, error) {
 	if dir < pageHeaderSize {
 		return nil, fmt.Errorf("storage: page %d: %d slots overrun the header", p.ID(), p.SlotCount())
 	}
+	free := p.freeOffset()
+	if free < pageHeaderSize || free > dir {
+		return nil, fmt.Errorf("storage: page %d: free-space offset %d lies outside [%d, %d]", p.ID(), free, pageHeaderSize, dir)
+	}
 	for i := 0; i < p.SlotCount(); i++ {
-		if off, length := p.slot(i); length != 0 && (off < pageHeaderSize || off+length > dir) {
+		if off, length := p.slot(i); length != 0 && (off < pageHeaderSize || off+length > free) {
 			return nil, fmt.Errorf("storage: page %d: slot %d [%d, %d) lies outside the record area [%d, %d)",
-				p.ID(), i, off, off+length, pageHeaderSize, dir)
+				p.ID(), i, off, off+length, pageHeaderSize, free)
 		}
 	}
 	return p, nil

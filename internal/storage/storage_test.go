@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -301,6 +302,56 @@ func TestLoadPageRejectsForgedSlots(t *testing.T) {
 	}
 }
 
+// TestLoadPageRejectsForgedFreeOffset: the header's free-space offset is
+// where the next InsertBytes writes. Each forgery below loaded before
+// LoadPage checked it: an offset in the header had the next insert
+// rewrite the page's id, type and slot count, and one below a live
+// record's end had it overwrite that record. Offsets a page the engine
+// wrote may carry — past a deleted tail record, or up to the directory
+// of a full page — still load.
+func TestLoadPageRejectsForgedFreeOffset(t *testing.T) {
+	p := NewPage(3, PageBTreeLeaf)
+	for i := 0; i < 3; i++ {
+		if _, err := p.InsertBytes(EncodeRecord(Record{sqlparse.IntValue(int64(i)), sqlparse.StrValue("payload")})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off, length := p.slot(0)
+	dir := p.slotPos(p.SlotCount() - 1)
+	forge := func(free int, deleteTail bool) []byte {
+		q, err := LoadPage(p.CloneBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deleteTail {
+			_ = q.DeleteSlot(2)
+		}
+		q.setFreeOffset(free)
+		return q.CloneBytes()
+	}
+	for name, free := range map[string]int{
+		"zero":                        0,
+		"in the header":               pageHeaderSize - 1,
+		"inside the first record":     off + length/2,
+		"below the later records":     off + length,
+		"one byte into the directory": dir + 1,
+		"past the page end":           0xFFFF,
+	} {
+		if _, err := LoadPage(forge(free, false)); err == nil {
+			t.Errorf("free offset %s (%d): forged page loaded", name, free)
+		}
+	}
+	for name, free := range map[string]int{
+		"genuine":                p.freeOffset(),
+		"up to the directory":    dir,
+		"below the deleted tail": off + 2*length,
+	} {
+		if _, err := LoadPage(forge(free, name == "below the deleted tail")); err != nil {
+			t.Errorf("free offset %s (%d) rejected: %v", name, free, err)
+		}
+	}
+}
+
 func TestTablespaceAllocateGetRelease(t *testing.T) {
 	ts := NewTablespace()
 	p1 := ts.Allocate(PageBTreeLeaf)
@@ -455,32 +506,36 @@ func TestCompareKeyMatchesValueCompare(t *testing.T) {
 	}
 }
 
-// TestKeyOrderHintIsNotAPageByte: the order hint is one word beside the
+// TestKeyOrderHintIsNotAPageByte: the key index is one word beside the
 // page image and nothing that copies a page carries it — not the page
-// image, not the tablespace file, not a reload.
+// image, not the tablespace file, not a reload — and Format drops it.
 func TestKeyOrderHintIsNotAPageByte(t *testing.T) {
 	if extra := unsafe.Sizeof(Page{}) - PageSize; extra > unsafe.Sizeof(uintptr(0)) {
 		t.Fatalf("Page carries %d bytes beside its image, want one word at most", extra)
 	}
 	ts := NewTablespace()
 	p := ts.Allocate(PageBTreeLeaf)
-	if _, err := p.InsertBytes(EncodeRecord(Record{sqlparse.IntValue(1)})); err != nil {
-		t.Fatal(err)
+	for _, k := range []int64{3, 1, 2} {
+		if _, err := p.InsertBytes(EncodeRecord(Record{sqlparse.IntValue(k)})); err != nil {
+			t.Fatal(err)
+		}
 	}
 	page, file := p.CloneBytes(), ts.Serialize()
-	p.SetKeyOrder(KeysOrdered)
+	if ix, err := p.Keys(); err != nil || !slices.Equal(ix, []uint16{1, 2, 0}) {
+		t.Fatalf("Keys() = %v, %v; want [1 2 0]", ix, err)
+	}
 	if !bytes.Equal(p.CloneBytes(), page) || !bytes.Equal(ts.Serialize(), file) {
-		t.Fatal("setting the order hint changed a page byte")
+		t.Fatal("deriving the key index changed a page byte")
 	}
 	loaded, err := LoadTablespace(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q, err := loaded.Get(p.ID()); err != nil || q.KeyOrder() != KeyOrderUnknown {
-		t.Fatalf("a reloaded page's hint = %v (%v), want unknown", q.KeyOrder(), err)
+	if q, err := loaded.Get(p.ID()); err != nil || q.keys.Load() != nil {
+		t.Fatalf("a reloaded page carries a key index (%v)", err)
 	}
 	p.Format(p.ID(), PageBTreeLeaf)
-	if p.KeyOrder() != KeyOrderUnknown {
-		t.Fatal("Format kept the order hint of the page it erased")
+	if p.keys.Load() != nil {
+		t.Fatal("Format kept the key index of the page it erased")
 	}
 }

@@ -9,7 +9,9 @@
 #     binlog events, buffer-pool dumps, checkpoints, CryptFS's fresh-IV
 #     sidecars) gets a short
 #     native-fuzz run — "never panic on garbage" is re-earned on every
-#     commit, not assumed from the seed corpus.
+#     commit, not assumed from the seed corpus — and so does every fast
+#     path held to a reference (the lexer, CryptFS's keystream, a page's
+#     kept key index, in-page search).
 #   - crash torture seed matrix: the kill-point harness (recovered data
 #     matches a statement prefix, the recovered binlog file never leads
 #     it), the checks that durable logs are read from their files (one
@@ -90,6 +92,10 @@ fuzz ./internal/binlog FuzzParse
 fuzz ./internal/bufpool FuzzParseDump
 fuzz ./internal/bufpool FuzzDumpRoundTripBitflip
 fuzz ./internal/storage FuzzMatchVsDecode
+# Not a parser: a page's key index as its own mutators keep it, against
+# a fresh derivation and against a page that never derived one, so the
+# index stays true and no page byte moves.
+fuzz ./internal/storage FuzzKeyIndexKept
 fuzz ./internal/engine FuzzReadCheckpoint
 fuzz ./internal/sqlparse FuzzParseExplain
 fuzz ./internal/sqlparse FuzzParseSelect
@@ -116,10 +122,9 @@ SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
 
 echo "== concurrent derivations and queues, ten times (-race) =="
 # The tests whose subject is a schedule: readers sharing a read latch
-# deriving one page's order hint (an unordered page's key index among
-# them) next to a latched writer, the
-# group-commit queue's error routing and stamp order under real
-# contention, and CryptFS's per-handle keystream and size memos. One
+# deriving one page's key index next to a latched writer that the
+# page's own mutators keep it for, the group-commit queue's error
+# routing and stamp order under real contention, and CryptFS's per-handle keystream and size memos. One
 # pass each is in the race run above; nine more look at nine more
 # interleavings.
 go test -race ./internal/btree -run 'TestLazyHintUnderConcurrentReaders' -count=10
