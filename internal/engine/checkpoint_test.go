@@ -69,7 +69,7 @@ func forgePage1(ts []byte, at int, v uint16) []byte {
 // forgedSlotLength and forgedSlotCount forge page 1's slot directory:
 // slot 0 claims 0xFFFF bytes, or the page claims 0xFFFF slots. Either
 // made SlotBytes slice outside the page — inside Recover
-// (loadCheckpoint's Tree.Len) and cmd/forensic alike — until LoadPage
+// (loadCatalog's Tree.Len) and cmd/forensic alike — until LoadPage
 // checked slot directories.
 func forgedSlotLength(ts []byte) []byte { return forgePage1(ts, storage.PageSize-2, 0xFFFF) }
 func forgedSlotCount(ts []byte) []byte  { return forgePage1(ts, 5, 0xFFFF) }

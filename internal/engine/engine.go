@@ -99,8 +99,9 @@ type Config struct {
 	// in this filesystem before the statement returns, DDL writes a
 	// crash-atomic checkpoint, and periodic buffer-pool dumps go to
 	// disk. Nil (the default) keeps the engine fully in-memory, as the
-	// experiments and most tests use it. Use Recover to reopen an
-	// existing data directory; New on a non-empty FS starts fresh.
+	// experiments and most tests use it. New on an FS opens what it
+	// finds there, exactly as Recover does (which also returns the
+	// report); an empty directory is a fresh engine.
 	FS vfs.FS
 
 	// EncryptAtRest wraps FS in a vfs.CryptFS keyed by EncryptionKey, so
@@ -137,7 +138,7 @@ func Defaults() Config {
 // wrapEncryption applies the Config's at-rest encryption (if enabled)
 // to fs, returning the FS every persistence path should use.
 func wrapEncryption(fs vfs.FS, cfg Config) (vfs.FS, error) {
-	if fs == nil || !cfg.EncryptAtRest {
+	if !cfg.EncryptAtRest {
 		return fs, nil
 	}
 	cfs, err := vfs.NewCryptFS(fs, cfg.EncryptionKey, cfg.DeterministicPages)
@@ -283,10 +284,23 @@ type Engine struct {
 // experiments are deterministic).
 const DumpInterval = 100
 
-// New creates an engine with the given configuration.
+// New creates an engine with the given configuration. Without
+// cfg.FS it is in-memory and empty. With cfg.FS it is durable on that
+// FS and opened through Recover: an empty directory is a fresh engine,
+// and a data directory comes back as it was left.
 func New(cfg Config) (*Engine, error) {
+	if cfg.FS != nil {
+		e, _, err := Recover(cfg.FS, cfg)
+		return e, err
+	}
+	return build(cfg, storage.NewTablespace())
+}
+
+// build is the engine's one constructor: an engine with an empty
+// catalog serving ts through a buffer pool of its own. Recover reopens
+// the checkpointed catalog over it.
+func build(cfg Config, ts *storage.Tablespace) (*Engine, error) {
 	cfg = cfg.normalized()
-	ts := storage.NewTablespace()
 	pool, err := bufpool.New(ts, cfg.BufferPoolPages)
 	if err != nil {
 		return nil, err
@@ -301,6 +315,7 @@ func New(cfg Config) (*Engine, error) {
 		ExecClock:  time.Now,
 		ts:         ts,
 		pool:       pool,
+		fc:         pool.FetchCount,
 		wal:        wm,
 		binlog:     binlog.New(),
 		general:    dblog.NewGeneralLog(),
@@ -315,7 +330,6 @@ func New(cfg Config) (*Engine, error) {
 		versions:   newMVCCStore(),
 		plans:      newPlanCache(),
 	}
-	e.fc = pool.FetchCount
 	// Binlog events are stamped with the engine LSN at commit time, the
 	// ordering the forensic LSN↔timestamp correlation consumes.
 	e.binlog.LSNSource = wm.CurrentLSN
@@ -324,15 +338,6 @@ func New(cfg Config) (*Engine, error) {
 	e.slow.Enabled = !cfg.DisableSlowLog
 	e.arena.SecureDelete = cfg.SecureHeapDelete
 	e.procs.Scrub = cfg.ScrubProcesslist
-	if cfg.FS != nil {
-		fs, err := wrapEncryption(cfg.FS, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.attachPersist(fs, 0, 0, 0); err != nil {
-			return nil, err
-		}
-	}
 	return e, nil
 }
 
@@ -575,14 +580,20 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 		return nil, parseErr
 	}
 	switch st := pl.stmt.(type) {
-	case *sqlparse.CreateTable:
+	case *sqlparse.CreateTable, *sqlparse.CreateIndex, *sqlparse.DropTable:
 		e.locks.lockAll()
 		defer e.locks.unlockAll()
-		return e.execCreate(st, query, ts)
-	case *sqlparse.CreateIndex:
-		e.locks.lockAll()
-		defer e.locks.unlockAll()
-		return e.execCreateIndex(s, st, query, ts)
+		if err := e.admitDDL(s); err != nil {
+			return nil, err
+		}
+		switch st := st.(type) {
+		case *sqlparse.CreateTable:
+			return e.execCreate(st, query, ts)
+		case *sqlparse.CreateIndex:
+			return e.execCreateIndex(st, query, ts)
+		default:
+			return e.execDrop(st.(*sqlparse.DropTable), query, ts)
+		}
 	case *sqlparse.Insert:
 		return e.execInsert(s, st, pl, query, ts)
 	case *sqlparse.Select:
@@ -611,15 +622,6 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 		}
 		s.nextTxnReadOnly = st.ReadOnly
 		return &Result{}, nil
-	case *sqlparse.DropTable:
-		if s.txn != nil {
-			// DDL is not transactional; refusing inside a txn keeps the
-			// undo log from referencing a vanished table on rollback.
-			return nil, fmt.Errorf("engine: DROP TABLE inside an open transaction is not supported")
-		}
-		e.locks.lockAll()
-		defer e.locks.unlockAll()
-		return e.execDrop(st, query, ts)
 	case *sqlparse.Explain:
 		if st.Analyze {
 			// EXPLAIN ANALYZE runs the wrapped statement for real, through
@@ -635,12 +637,26 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 	}
 }
 
-func (e *Engine) execCreate(st *sqlparse.CreateTable, query string, ts int64) (*Result, error) {
+// admitDDL is the one admission rule for DDL, checked with every
+// stripe held. DDL is not transactional, so it is refused inside the
+// session's own open transaction: its rollback would replay undo
+// records against a catalog that changed under them. A durable engine
+// also refuses it while any transaction is open, because the
+// checkpoint DDL writes truncates the WAL files that hold open
+// transactions' undo information.
+func (e *Engine) admitDDL(s *Session) error {
+	if s.txn != nil {
+		return fmt.Errorf("engine: DDL inside an open transaction is not supported")
+	}
 	if e.persist != nil {
 		if n := e.openTxns.Load(); n != 0 {
-			return nil, fmt.Errorf("engine: DDL refused: %d open transaction(s)", n)
+			return fmt.Errorf("engine: DDL refused: %d open transaction(s)", n)
 		}
 	}
+	return nil
+}
+
+func (e *Engine) execCreate(st *sqlparse.CreateTable, query string, ts int64) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, exists := e.tables[st.Table]; exists {
@@ -693,11 +709,6 @@ func (e *Engine) execCreate(st *sqlparse.CreateTable, query string, ts int64) (*
 // in-flight MVCC reader keeps scanning the orphaned tree safely — but
 // the version store's chains for the table are discarded.
 func (e *Engine) execDrop(st *sqlparse.DropTable, query string, ts int64) (*Result, error) {
-	if e.persist != nil {
-		if n := e.openTxns.Load(); n != 0 {
-			return nil, fmt.Errorf("engine: DDL refused: %d open transaction(s)", n)
-		}
-	}
 	e.mu.Lock()
 	t, ok := e.tables[st.Table]
 	if !ok {
@@ -1141,18 +1152,19 @@ func (e *Engine) runScan(s *Session, pp *physicalPlan, vf *versionFilter) (*Resu
 	}, nil
 }
 
-// pkBounds extracts [lo, hi] bounds on the primary key from the WHERE
-// clause if every needed bound is present.
-func pkBounds(t *Table, where sqlparse.Where) (lo, hi sqlparse.Value, ok bool) {
-	pkName := t.Columns[t.PKIndex].Name
+// columnBounds extracts the predicate bounds on one column that an
+// index on it can use: an equality (eq=true, lo==hi) or both range
+// bounds, the tightest of each. The first equality predicate wins
+// outright. ok is false when neither is there.
+func columnBounds(col string, where sqlparse.Where) (lo, hi sqlparse.Value, eq, ok bool) {
 	var haveLo, haveHi bool
 	for _, p := range where {
-		if p.Column != pkName {
+		if p.Column != col {
 			continue
 		}
 		switch p.Op {
 		case sqlparse.OpEq:
-			return p.Arg, p.Arg, true
+			return p.Arg, p.Arg, true, true
 		case sqlparse.OpGe, sqlparse.OpGt:
 			if !haveLo || p.Arg.Compare(lo) > 0 {
 				lo, haveLo = p.Arg, true
@@ -1163,7 +1175,10 @@ func pkBounds(t *Table, where sqlparse.Where) (lo, hi sqlparse.Value, ok bool) {
 			}
 		}
 	}
-	return lo, hi, haveLo && haveHi
+	if haveLo && haveHi {
+		return lo, hi, false, true
+	}
+	return sqlparse.Value{}, sqlparse.Value{}, false, false
 }
 
 func selectColumns(t *Table, st *sqlparse.Select) []string {

@@ -60,15 +60,7 @@ func indexValueBounds(lo, hi sqlparse.Value) (sqlparse.Value, sqlparse.Value) {
 		sqlparse.StrValue(encodeOrdered(hi) + "\x00\xff")
 }
 
-func (e *Engine) execCreateIndex(s *Session, st *sqlparse.CreateIndex, query string, ts int64) (*Result, error) {
-	if s.txn != nil {
-		return nil, fmt.Errorf("engine: DDL inside a transaction is not supported")
-	}
-	if e.persist != nil {
-		if n := e.openTxns.Load(); n != 0 {
-			return nil, fmt.Errorf("engine: DDL refused: %d open transaction(s)", n)
-		}
-	}
+func (e *Engine) execCreateIndex(st *sqlparse.CreateIndex, query string, ts int64) (*Result, error) {
 	t, err := e.lookupTable(st.Table)
 	if err != nil {
 		return nil, err
@@ -182,32 +174,4 @@ func indexUpdateColumn(t *Table, pk sqlparse.Value, col int, oldVal, newVal sqlp
 		}
 	}
 	return nil
-}
-
-// indexBoundsFor extracts the predicate bounds usable with one index:
-// an equality (eq=true, lo==hi) or both range bounds on its column.
-// The first equality predicate wins outright, as it always has.
-func indexBoundsFor(ix *SecondaryIndex, where sqlparse.Where) (lo, hi sqlparse.Value, eq, ok bool) {
-	var haveLo, haveHi bool
-	for _, p := range where {
-		if p.Column != ix.Column {
-			continue
-		}
-		switch p.Op {
-		case sqlparse.OpEq:
-			return p.Arg, p.Arg, true, true
-		case sqlparse.OpGe, sqlparse.OpGt:
-			if !haveLo || p.Arg.Compare(lo) > 0 {
-				lo, haveLo = p.Arg, true
-			}
-		case sqlparse.OpLe, sqlparse.OpLt:
-			if !haveHi || p.Arg.Compare(hi) < 0 {
-				hi, haveHi = p.Arg, true
-			}
-		}
-	}
-	if haveLo && haveHi {
-		return lo, hi, false, true
-	}
-	return sqlparse.Value{}, sqlparse.Value{}, false, false
 }

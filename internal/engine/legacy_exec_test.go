@@ -151,7 +151,7 @@ func legacyScanWhere(e *Engine, t *Table, where sqlparse.Where) ([]storage.Recor
 		return true, nil
 	}
 
-	lo, hi, havePK := pkBounds(t, where)
+	lo, hi, _, havePK := columnBounds(t.Columns[t.PKIndex].Name, where)
 	var rows []storage.Record
 	switch {
 	case havePK && lo.Equal(hi):
@@ -215,7 +215,7 @@ func legacyScanWhere(e *Engine, t *Table, where sqlparse.Where) ([]storage.Recor
 // predicate wins.
 func indexBounds(indexes []*SecondaryIndex, where sqlparse.Where) (*SecondaryIndex, sqlparse.Value, sqlparse.Value, bool) {
 	for _, ix := range indexes {
-		if lo, hi, _, ok := indexBoundsFor(ix, where); ok {
+		if lo, hi, _, ok := columnBounds(ix.Column, where); ok {
 			return ix, lo, hi, true
 		}
 	}

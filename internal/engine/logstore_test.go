@@ -34,13 +34,17 @@ func durableLogs(t testing.TB, e *Engine) (redo, undo []wal.Record, evs []binlog
 			t.Fatalf("%s: bad tail at offset %d: %s", name, trunc.Offset, trunc.Reason)
 		}
 	}
-	var trunc *TruncationInfo
-	var err error
-	redo, _, trunc, err = parseLog(fs, FileRedo, wal.ParseLogReport)
-	check(FileRedo, trunc, err)
-	undo, _, trunc, err = parseLog(fs, FileUndo, wal.ParseLogReport)
-	check(FileUndo, trunc, err)
-	evs, _, trunc, err = parseLog(fs, FileBinlog, binlog.ParseWithReport)
+	walLog := func(name string, recs *[]wal.Record) {
+		_, _, trunc, err := readLog(fs, name, func(img []byte) storage.ParseReport {
+			return wal.WalkLog(img, func(r wal.Record) { *recs = append(*recs, r) })
+		})
+		check(name, trunc, err)
+	}
+	walLog(FileRedo, &redo)
+	walLog(FileUndo, &undo)
+	_, _, trunc, err := readLog(fs, FileBinlog, func(img []byte) storage.ParseReport {
+		return binlog.Walk(img, func(ev binlog.Event) { evs = append(evs, ev) })
+	})
 	check(FileBinlog, trunc, err)
 	return redo, undo, evs
 }

@@ -199,7 +199,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 		pp.dFilter = "Filter: " + ls.where.SQL()
 	}
 	n := t.rows.Load()
-	if lo, hi, ok := pkBounds(t, ls.where); ok {
+	if lo, hi, _, ok := columnBounds(pkName, ls.where); ok {
 		pp.lo, pp.hi = lo, hi
 		pp.residual = residualPreds(ls.preds, t.PKIndex, lo, hi)
 		pp.path = "pk-range"
@@ -223,7 +223,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 		bestEst        float64
 	)
 	for _, ix := range e.indexesOf(t) {
-		lo, hi, eq, ok := indexBoundsFor(ix, ls.where)
+		lo, hi, eq, ok := columnBounds(ix.Column, ls.where)
 		if !ok {
 			continue
 		}

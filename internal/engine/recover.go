@@ -39,8 +39,8 @@ type RecoveryReport struct {
 	UndoTruncated   *TruncationInfo
 	BinlogTruncated *TruncationInfo
 
-	TxnsCommitted  int // distinct txns with a commit marker
-	TxnsAborted    int // distinct txns with an abort marker
+	TxnsCommitted  int // commit markers in the redo log, one per committed txn
+	TxnsAborted    int // abort markers in the redo log, one per rolled-back txn
 	TxnsRolledBack int // loser txns rolled back by recovery
 	RecordsApplied int // redo records replayed into the trees
 	FramesSkipped  int // records skipped (pre-checkpoint LSN or inapplicable)
@@ -51,7 +51,7 @@ type RecoveryReport struct {
 
 // readLog reads one framed log file — a missing file is an empty log —
 // and walks its valid prefix with walk, which validates every frame it
-// passes and keeps what its caller needs of them. It returns how many
+// passes and does what its caller needs with each. It returns how many
 // frames are valid, the length of that prefix (where appends resume,
 // cutting off any torn tail) and the truncation to report, if the file
 // had a bad tail. A file that exists but cannot be read is an error,
@@ -69,30 +69,20 @@ func readLog(fs vfs.FS, name string, walk func([]byte) storage.ParseReport) (int
 	return rep.Frames, int64(len(img)), nil, nil
 }
 
-// parseLog is readLog with a parser: it also returns what parsed.
-func parseLog[T any](fs vfs.FS, name string, parse func([]byte) ([]T, storage.ParseReport)) ([]T, int64, *TruncationInfo, error) {
-	var items []T
-	_, off, trunc, err := readLog(fs, name, func(img []byte) storage.ParseReport {
-		var rep storage.ParseReport
-		items, rep = parse(img)
-		return rep
-	})
-	return items, off, trunc, err
-}
-
 // Recover opens a data directory, rebuilding engine state ARIES-style:
 // load the last checkpoint, repeat history from the redo log's valid
 // prefix, then roll back transactions that never reached a commit or
 // abort marker. Torn or corrupt log tails are truncated (and reported),
 // never fatal; a corrupt checkpoint is fatal (there is no state to
 // rebuild from) but still a clean error, never a panic. So is a
-// checkpoint or log file that exists but cannot be read, which
-// recovery then leaves as it lies.
+// checkpoint or log file that exists but cannot be read, and a redo
+// record that fails to replay; either way recovery leaves the directory
+// as it lies. New with Config.FS set opens its directory the same way.
 //
-// The returned engine is durable on fs and ready to serve. The report
-// is non-nil whenever the error is nil, and also on log-parse anomalies
-// that were handled; it is returned alongside fatal errors too, with
-// whatever was learned before the failure.
+// The returned engine is durable on fs (its Config().FS) and ready to
+// serve. The report is non-nil whenever the error is nil, and also on
+// log-parse anomalies that were handled; it is returned alongside
+// fatal errors too, with whatever was learned before the failure.
 func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 	return recoverWith(fs, cfg, (*Engine).applyRedo)
 }
@@ -103,21 +93,20 @@ type redoFunc func(e *Engine, r wal.Record) (undo wal.Record, applied bool, err 
 // recoverWith is Recover with the redo step passed in, so that a test
 // can hold applyRedo to a reference.
 func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryReport, error) {
+	cfg.FS = fs
 	// At-rest encryption wraps here, above everything recovery reads:
-	// the checkpoint, WAL parsing, and the reattached persistor all see
+	// the checkpoint, the log walks and the attached persistor all see
 	// plaintext, while fs below holds only ciphertext.
 	fs, err := wrapEncryption(fs, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.FS = nil // the persistor is attached manually, after truncation offsets are known
-	e, err := New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	rep := &RecoveryReport{}
 
+	// The engine is built once, around the tablespace it will serve:
+	// the checkpoint's, or an empty one if there is none yet.
 	var meta CheckpointMeta
+	ts := storage.NewTablespace()
 	img, err := fs.ReadFile(FileCheckpoint)
 	found := err == nil
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -130,20 +119,108 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 		}
 		rep.CheckpointFound = true
 		rep.CheckpointLSN = meta.LSN
-		if err := e.loadCheckpoint(meta, tsImage); err != nil {
-			return nil, rep, err
+		if ts, err = storage.LoadTablespace(tsImage); err != nil {
+			return nil, rep, fmt.Errorf("engine: checkpoint tablespace: %w", err)
 		}
-		rep.Tables = len(meta.Tables)
 	}
-
-	// Redo is replayed, so it is parsed whole. Of the undo file recovery
-	// needs only where its valid prefix ends, and of the binlog that and
-	// the last event, so those are walked: every frame is still decoded
-	// and validated, and none is kept.
-	redoRecs, redoOff, redoTrunc, err := parseLog(fs, FileRedo, wal.ParseLogReport)
+	e, err := build(cfg, ts)
 	if err != nil {
 		return nil, rep, err
 	}
+	if err := e.loadCatalog(meta); err != nil {
+		return nil, rep, err
+	}
+	rep.Tables = len(meta.Tables)
+
+	// Repeat history in one walk of the redo log: every post-checkpoint
+	// data record is replayed as it is decoded, in LSN order, winners
+	// and losers alike (losers' rollbacks are then redone logically
+	// below, exactly as ARIES repeats and compensates). Replaying a
+	// record also yields the pre-image that undoes it: the undo *file*
+	// may have lost its own tail in the crash, but replay order makes
+	// the pre-images exact. A transaction's pre-images are kept in open
+	// until its commit or abort marker passes; whatever is still open at
+	// the end of the walk is a loser. Txn 0 (records logged outside any
+	// transaction, e.g. by tooling driving the wal.Manager directly) is
+	// treated as committed, matching its pre-transaction semantics.
+	type openTxn struct {
+		txn, last uint64 // last: LSN of its latest applied record
+		undo      []wal.Record
+	}
+	open := make(map[uint64]*openTxn)
+	var spare []*openTxn // closed entries, reused: most close a few records after they open
+	maxLSN, maxTxn := meta.LSN, meta.Txn
+	var redoErr error
+	redoN, redoOff, redoTrunc, err := readLog(fs, FileRedo, func(img []byte) storage.ParseReport {
+		return wal.WalkLog(img, func(r wal.Record) {
+			if redoErr != nil {
+				return
+			}
+			maxLSN, maxTxn = max(maxLSN, r.LSN), max(maxTxn, r.Txn)
+			if r.Op.IsMarker() {
+				if r.Op == wal.OpCommit {
+					rep.TxnsCommitted++
+				} else {
+					rep.TxnsAborted++
+				}
+				if o := open[r.Txn]; o != nil {
+					delete(open, r.Txn)
+					clear(o.undo)
+					o.undo = o.undo[:0]
+					spare = append(spare, o)
+				}
+				// Resolve the transaction in the version store at its
+				// marker, mirroring the original commit/rollback-completion
+				// points. Pre-checkpoint markers are skipped: those
+				// transactions' sequences came with the checkpoint's
+				// serialized store.
+				if r.Txn != 0 && (!found || r.LSN > meta.LSN) {
+					e.versions.commit(r.Txn)
+				}
+				return
+			}
+			if found && r.LSN <= meta.LSN {
+				rep.FramesSkipped++
+				return
+			}
+			undo, applied, err := applyRedo(e, r)
+			if err != nil {
+				redoErr = fmt.Errorf("engine: redo LSN %d: %w", r.LSN, err)
+				return
+			}
+			if !applied {
+				rep.FramesSkipped++
+				return
+			}
+			rep.RecordsApplied++
+			if r.Txn != 0 {
+				o := open[r.Txn]
+				if o == nil {
+					if n := len(spare); n > 0 {
+						o, spare = spare[n-1], spare[:n-1]
+					} else {
+						o = new(openTxn)
+					}
+					o.txn = r.Txn
+					open[r.Txn] = o
+				}
+				o.undo = append(o.undo, undo)
+				o.last = r.LSN
+			}
+		})
+	})
+	rep.RedoRecords, rep.RedoTruncated = redoN, redoTrunc
+	if err == nil {
+		err = redoErr
+	}
+	if err != nil {
+		return nil, rep, err
+	}
+	rep.MaxLSN = maxLSN
+
+	// Of the undo file recovery needs only where its valid prefix ends,
+	// and of the binlog that and the last event: every frame is still
+	// decoded and validated, and none is kept.
 	undoN, undoOff, undoTrunc, err := readLog(fs, FileUndo, func(img []byte) storage.ParseReport {
 		return wal.WalkLog(img, func(wal.Record) {})
 	})
@@ -157,38 +234,8 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 	if err != nil {
 		return nil, rep, err
 	}
-	rep.RedoRecords, rep.UndoRecords, rep.BinlogEvents = len(redoRecs), undoN, blogN
-	rep.RedoTruncated, rep.UndoTruncated, rep.BinlogTruncated = redoTrunc, undoTrunc, blogTrunc
-
-	// Sort winners from losers. Txn 0 (records logged outside any
-	// transaction, e.g. by tooling driving the wal.Manager directly) is
-	// treated as committed, matching its pre-transaction semantics.
-	committed := make(map[uint64]bool)
-	aborted := make(map[uint64]bool)
-	seen := make(map[uint64]bool)
-	maxLSN := meta.LSN
-	maxTxn := meta.Txn
-	for _, r := range redoRecs {
-		if r.LSN > maxLSN {
-			maxLSN = r.LSN
-		}
-		if r.Txn > maxTxn {
-			maxTxn = r.Txn
-		}
-		switch r.Op {
-		case wal.OpCommit:
-			committed[r.Txn] = true
-		case wal.OpAbort:
-			aborted[r.Txn] = true
-		default:
-			if r.Txn != 0 {
-				seen[r.Txn] = true
-			}
-		}
-	}
-	rep.TxnsCommitted = len(committed)
-	rep.TxnsAborted = len(aborted)
-	rep.MaxLSN = maxLSN
+	rep.UndoRecords, rep.BinlogEvents = undoN, blogN
+	rep.UndoTruncated, rep.BinlogTruncated = undoTrunc, blogTrunc
 
 	// The logs stay in their files: nothing is read back into memory
 	// beyond the stamping floors new activity continues from.
@@ -198,62 +245,24 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 	e.wal.SetRecovered(maxLSN, maxTxn)
 
 	// Attach the durability sink at the valid-prefix offsets; this also
-	// truncates the torn tails off the files. From here on, compensation
-	// records logged below are persisted like any other write.
+	// truncates the torn tails off the files, now that every walk has
+	// succeeded. From here on, compensation records logged below are
+	// persisted like any other write.
 	if err := e.attachPersist(fs, redoOff, undoOff, blogOff); err != nil {
 		return nil, rep, err
-	}
-
-	// Repeat history: replay every post-checkpoint data record in LSN
-	// order, winners and losers alike (losers' rollbacks are then redone
-	// logically below, exactly as ARIES repeats and compensates). While
-	// replaying a loser's records, capture the pre-images needed to undo
-	// them: the undo *file* may have lost its own tail in the crash, but
-	// replay order makes the pre-images exact.
-	synth := make(map[uint64][]wal.Record)
-	loserMaxLSN := make(map[uint64]uint64)
-	for _, r := range redoRecs {
-		if r.Op.IsMarker() {
-			// Resolve the transaction in the version store at its marker,
-			// mirroring the original commit/rollback-completion points.
-			// Pre-checkpoint markers are skipped: those transactions'
-			// sequences came with the checkpoint's serialized store.
-			if r.Txn != 0 && (!found || r.LSN > meta.LSN) {
-				e.versions.commit(r.Txn)
-			}
-			continue
-		}
-		if found && r.LSN <= meta.LSN {
-			rep.FramesSkipped++
-			continue
-		}
-		loser := r.Txn != 0 && seen[r.Txn] && !committed[r.Txn] && !aborted[r.Txn]
-		undoRec, applied, err := applyRedo(e, r)
-		if err != nil {
-			return nil, rep, fmt.Errorf("engine: redo LSN %d: %w", r.LSN, err)
-		}
-		if !applied {
-			rep.FramesSkipped++
-			continue
-		}
-		rep.RecordsApplied++
-		if loser {
-			synth[r.Txn] = append(synth[r.Txn], undoRec)
-			loserMaxLSN[r.Txn] = r.LSN
-		}
 	}
 
 	// Undo losers, newest transaction first, logging compensations and
 	// an abort marker so a second crash finds only winners and aborted
 	// transactions — recovery converges.
-	losers := make([]uint64, 0, len(synth))
-	for txn := range synth {
-		losers = append(losers, txn)
+	losers := make([]*openTxn, 0, len(open))
+	for _, o := range open {
+		losers = append(losers, o)
 	}
-	sort.Slice(losers, func(i, j int) bool { return loserMaxLSN[losers[i]] > loserMaxLSN[losers[j]] })
-	for _, txn := range losers {
-		if err := e.rollbackTxn(txn, synth[txn]); err != nil {
-			return nil, rep, fmt.Errorf("engine: rolling back txn %d: %w", txn, err)
+	sort.Slice(losers, func(i, j int) bool { return losers[i].last > losers[j].last })
+	for _, o := range losers {
+		if err := e.rollbackTxn(o.txn, o.undo); err != nil {
+			return nil, rep, fmt.Errorf("engine: rolling back txn %d: %w", o.txn, err)
 		}
 		rep.TxnsRolledBack++
 	}
@@ -271,37 +280,24 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 	return e, rep, nil
 }
 
-// loadCheckpoint replaces the engine's fresh state with the checkpoint
-// image: tablespace, buffer pool, catalog, reopened B+ trees.
-func (e *Engine) loadCheckpoint(meta CheckpointMeta, tsImage []byte) error {
-	ts, err := storage.LoadTablespace(tsImage)
-	if err != nil {
-		return fmt.Errorf("engine: checkpoint tablespace: %w", err)
-	}
-	pool, err := bufpool.New(ts, e.cfg.BufferPoolPages)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ts = ts
-	e.pool = pool
-	e.tables = make(map[string]*Table, len(meta.Tables))
-	e.tablesByID = make(map[uint8]*Table, len(meta.Tables))
+// loadCatalog reopens a checkpoint's catalog over the engine's
+// tablespace: every table's and index's tree, row count and planner
+// statistics, and the version store.
+func (e *Engine) loadCatalog(meta CheckpointMeta) error {
 	for _, ct := range meta.Tables {
 		t := &Table{
 			ID:      ct.ID,
 			Name:    ct.Name,
 			Columns: ct.Columns,
 			PKIndex: ct.PK,
-			Tree:    btree.Open(ts, pool, ct.Root),
+			Tree:    btree.Open(e.ts, e.pool, ct.Root),
 		}
 		for _, ci := range ct.Indexes {
 			t.Indexes = append(t.Indexes, &SecondaryIndex{
 				Name:   ci.Name,
 				Column: ci.Column,
 				colIdx: ci.ColIdx,
-				Tree:   btree.Open(ts, pool, ci.Root),
+				Tree:   btree.Open(e.ts, e.pool, ci.Root),
 			})
 		}
 		sort.Slice(t.Indexes, func(i, j int) bool { return t.Indexes[i].Name < t.Indexes[j].Name })
@@ -322,7 +318,6 @@ func (e *Engine) loadCheckpoint(meta CheckpointMeta, tsImage []byte) error {
 		e.tablesByID[t.ID] = t
 	}
 	e.nextTableID = meta.NextTableID
-	e.wal.SetRecovered(meta.LSN, meta.Txn)
 	// The checkpointed version store comes back whole: every
 	// not-yet-purged pre-image — deleted rows included — survives the
 	// crash (and the WAL truncation the checkpoint performed), which is

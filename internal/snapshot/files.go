@@ -115,9 +115,11 @@ func ReadDirFS(fs vfs.FS) (*Snapshot, error) {
 			return nil, fmt.Errorf("snapshot: %s: %w", engine.FileCheckpoint, err)
 		}
 	}
-	_, redo := wal.ParseLogReport(d.RedoLog)
-	_, undo := wal.ParseLogReport(d.UndoLog)
-	_, blog := binlog.ParseWithReport(d.Binlog)
+	// Each log is walked, as recovery walks it, only for where its
+	// valid prefix ends: no record is kept.
+	redo := wal.WalkLog(d.RedoLog, func(wal.Record) {})
+	undo := wal.WalkLog(d.UndoLog, func(wal.Record) {})
+	blog := binlog.Walk(d.Binlog, func(binlog.Event) {})
 	for name, rep := range map[string]storage.ParseReport{engine.FileRedo: redo, engine.FileUndo: undo, engine.FileBinlog: blog} {
 		if rep.Truncated() {
 			if d.Truncated == nil {

@@ -16,9 +16,12 @@
 #     matches a statement prefix, the recovered binlog file never leads
 #     it), the checks that durable logs are read from their files (one
 #     store per log), recovery's one-descent replay and log walks against
-#     their references, and the commit-order failure tests re-run under
-#     -race with extra seeds, so fault schedules differ from the default
-#     test run's.
+#     their references, its one-pass loser rule on interleaved
+#     transactions, the checks that an engine opened on a directory
+#     serves that directory's data through its own pool and FS and that
+#     a failed recovery writes nothing, and the commit-order failure
+#     tests re-run under -race with extra seeds, so fault schedules
+#     differ from the default test run's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,7 +120,7 @@ fuzz ./internal/btree FuzzInPageSearchMatchesReference
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestRecoveryWalkMatchesParsers' |
+        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
