@@ -226,6 +226,9 @@ func openEngine(cfg engine.Config, datadir string) (*engine.Engine, error) {
 	if rep.RedoTruncated != nil {
 		fmt.Printf(" redo_truncated_at=%d (%s)", rep.RedoTruncated.Offset, rep.RedoTruncated.Reason)
 	}
+	if rep.UndoTruncated != nil {
+		fmt.Printf(" undo_truncated_at=%d (%s)", rep.UndoTruncated.Offset, rep.UndoTruncated.Reason)
+	}
 	if rep.BinlogTruncated != nil {
 		fmt.Printf(" binlog_truncated_at=%d (%s)", rep.BinlogTruncated.Offset, rep.BinlogTruncated.Reason)
 	}

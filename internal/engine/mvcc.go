@@ -92,6 +92,15 @@ type mvccStore struct {
 	tables  map[uint8]*tableVersions
 	views   map[*readView]struct{}
 
+	// replaying is set only while recovery walks the redo log, and
+	// extending while it also extends the chains the checkpoint restored
+	// (see replayWrite); filed names the replayed transactions that
+	// extended a chain, the only ones whose markers get a commit entry.
+	// All three are written before the engine is shared with any other
+	// goroutine.
+	replaying, extending bool
+	filed                map[uint64]struct{}
+
 	purgeRuns      uint64
 	purgedVersions uint64
 }
@@ -118,8 +127,12 @@ func (st *mvccStore) visibleLocked(v *readView, t uint64) bool {
 // as it was (nil for an INSERT — the row did not exist), deletedNow
 // reports whether the mutation removes the row from the tree, and txn
 // is the writer. Called once per mutated row, under the table's write
-// latch.
+// latch. While recovery replays the redo log it defers to replayWrite.
 func (st *mvccStore) noteWrite(t *Table, pk sqlparse.Value, pre storage.Record, deletedNow bool, txn uint64) {
+	if st.replaying {
+		st.replayWrite(t, pk, pre, deletedNow, txn)
+		return
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	tv := st.tables[t.ID]
@@ -140,6 +153,40 @@ func (st *mvccStore) noteWrite(t *Table, pk sqlparse.Value, pre storage.Record, 
 		tv.counter.Add(1)
 		return
 	}
+	c.supersede(pre, deletedNow, txn)
+}
+
+// replayWrite is noteWrite during redo replay: it starts no chain, and
+// extends one the store already holds — one the checkpoint brought
+// back — only when extending is set. No read view exists before Recover
+// returns, and every replayed transaction is resolved by then (winners
+// at their markers, losers by the rollback that follows the walk), so a
+// version replay would file is superseded by a state every view sees:
+// the first purge drops every chain it would land on whole. Only with
+// inline purge off can that purge be a long way off, and there the
+// checkpoint's chains grow as they did in the running engine. A table
+// with no chains costs one atomic load.
+func (st *mvccStore) replayWrite(t *Table, pk sqlparse.Value, pre storage.Record, deletedNow bool, txn uint64) {
+	if !st.extending || t.mvccChains.Load() == 0 {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	tv := st.tables[t.ID]
+	if tv == nil {
+		return
+	}
+	c := tv.chains[keyOf(pk)]
+	if c == nil {
+		return
+	}
+	c.supersede(pre, deletedNow, txn)
+	st.filed[txn] = struct{}{}
+}
+
+// supersede pushes the chain's newest state down as an old version and
+// makes txn's write the newest.
+func (c *chain) supersede(pre storage.Record, deletedNow bool, txn uint64) {
 	c.olds = append(c.olds, version{})
 	copy(c.olds[1:], c.olds)
 	c.olds[0] = version{row: pre, txn: c.latestTxn}
@@ -151,7 +198,12 @@ func (st *mvccStore) noteWrite(t *Table, pk sqlparse.Value, pre storage.Record, 
 // visible to views opened from here on. Rollback also calls it once
 // the compensations are applied: the chain's latest state then equals
 // the pre-transaction state, the intermediate versions stay invisible
-// to everyone, and purge can resolve the chain.
+// to everyone, and purge can resolve the chain. During redo replay every
+// marker still takes its sequence number, but only a transaction that
+// extended a chain is recorded: no chain names any other, so no view
+// could ever ask for its sequence. (A log holds one marker per
+// transaction; were one repeated, an unrecorded transaction would take a
+// second number — a gap in the sequence, which orders nothing.)
 func (st *mvccStore) commit(txn uint64) {
 	if txn == 0 {
 		return
@@ -162,7 +214,29 @@ func (st *mvccStore) commit(txn uint64) {
 		return
 	}
 	st.seq++
+	if st.replaying {
+		if _, ok := st.filed[txn]; !ok {
+			return
+		}
+		delete(st.filed, txn)
+	}
 	st.commits[txn] = st.seq
+}
+
+// beginReplay and endReplay bracket recovery's redo walk; extend says
+// whether replay extends the checkpoint's chains. A loser that extended
+// one is resolved after the walk, by rollbackTxn, like any rollback.
+func (st *mvccStore) beginReplay(extend bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.replaying, st.extending = true, extend
+	st.filed = make(map[uint64]struct{})
+}
+
+func (st *mvccStore) endReplay() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.replaying, st.extending, st.filed = false, false, nil
 }
 
 // newView opens and registers a read view at the current commit

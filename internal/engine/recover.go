@@ -143,6 +143,11 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 	// the end of the walk is a loser. Txn 0 (records logged outside any
 	// transaction, e.g. by tooling driving the wal.Manager directly) is
 	// treated as committed, matching its pre-transaction semantics.
+	// Replay repeats the trees, not the version store: during the walk
+	// the store files no version except onto a chain the checkpoint
+	// restored, and only with purge off (mvccStore.replayWrite) — no view
+	// can reach the rest, since none opens before every replayed
+	// transaction is resolved.
 	type openTxn struct {
 		txn, last uint64 // last: LSN of its latest applied record
 		undo      []wal.Record
@@ -151,6 +156,7 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 	var spare []*openTxn // closed entries, reused: most close a few records after they open
 	maxLSN, maxTxn := meta.LSN, meta.Txn
 	var redoErr error
+	e.versions.beginReplay(cfg.DisablePurge)
 	redoN, redoOff, redoTrunc, err := readLog(fs, FileRedo, func(img []byte) storage.ParseReport {
 		return wal.WalkLog(img, func(r wal.Record) {
 			if redoErr != nil {
@@ -171,9 +177,10 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 				}
 				// Resolve the transaction in the version store at its
 				// marker, mirroring the original commit/rollback-completion
-				// points. Pre-checkpoint markers are skipped: those
-				// transactions' sequences came with the checkpoint's
-				// serialized store.
+				// points: it takes the next commit sequence, and a commit
+				// entry if it extended a chain. Pre-checkpoint markers are
+				// skipped: those transactions' sequences came with the
+				// checkpoint's serialized store.
 				if r.Txn != 0 && (!found || r.LSN > meta.LSN) {
 					e.versions.commit(r.Txn)
 				}
@@ -209,6 +216,7 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 			}
 		})
 	})
+	e.versions.endReplay()
 	rep.RedoRecords, rep.RedoTruncated = redoN, redoTrunc
 	if err == nil {
 		err = redoErr

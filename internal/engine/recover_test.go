@@ -3,7 +3,10 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -398,4 +401,239 @@ func tearFile(t testing.TB, fs vfs.FS, name string, data []byte) {
 	if err := fs.SyncDir(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mvccStatusOf reads information_schema.mvcc_status as name → value.
+func mvccStatusOf(t testing.TB, e *Engine) map[string]int64 {
+	t.Helper()
+	res := mustExec(t, e.Connect("monitor"), "SELECT * FROM information_schema.mvcc_status")
+	out := make(map[string]int64)
+	for i, col := range res.Columns {
+		out[col] = res.Rows[0][i].Int
+	}
+	return out
+}
+
+// chainedKeys lists the store's chains as "table/pk", sorted.
+func chainedKeys(e *Engine) []string {
+	var out []string
+	for _, ce := range e.sortedChains() {
+		out = append(out, ce.table+"/"+ce.pk.String())
+	}
+	return out
+}
+
+// residueOf is VersionResidue restricted to the given primary keys.
+func residueOf(e *Engine, pks ...int64) []ResidueVersion {
+	var out []ResidueVersion
+	for _, v := range e.VersionResidue() {
+		if slices.Contains(pks, v.PK.Int) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestRecoveredStoreHoldsNoReplayedHistory: replaying a log over a
+// checkpoint with no chains files no version. The recovered store holds
+// only what loser rollback wrote after the walk — chains on the loser's
+// compensated keys, a commit entry for the loser — while every marker
+// still advances the commit sequence to what it was before replay
+// stopped filing versions.
+func TestRecoveredStoreHoldsNoReplayedHistory(t *testing.T) {
+	mem := vfs.NewMemFS()
+	e := seedDurable(t, mem)
+	s := e.Connect("app")
+	mustExec(t, s, "INSERT INTO accounts (id, owner, balance) VALUES (3, 'carol', 50)")
+	mustExec(t, s, "DELETE FROM accounts WHERE id = 3")
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO accounts (id, owner, balance) VALUES (4, 'dave', 5)")
+	mustExec(t, s, "COMMIT")
+	want := digestOf(t, e)
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "UPDATE accounts SET balance = 0 WHERE id = 1")
+	mustExec(t, s, "INSERT INTO accounts (id, owner, balance) VALUES (9, 'mallory', 1)")
+	mem.Crash()
+
+	r, rep, err := Recover(mem, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TxnsRolledBack != 1 {
+		t.Fatalf("TxnsRolledBack = %d, want 1", rep.TxnsRolledBack)
+	}
+	if got := digestOf(t, r); got != want {
+		t.Error("recovered digest differs from the pre-crash committed state")
+	}
+	if got, want := chainedKeys(r), []string{"accounts/1", "accounts/9"}; !slices.Equal(got, want) {
+		t.Errorf("recovered chains %v, want only the loser's keys %v", got, want)
+	}
+	// Five autocommit writes, one committed transaction and the loser's
+	// abort marker: the sequence the store reached before this change.
+	st := mvccStatusOf(t, r)
+	if st["seq"] != 7 {
+		t.Errorf("mvcc_status.seq = %d, want 7", st["seq"])
+	}
+	named := make(map[uint64]bool)
+	for _, ce := range r.sortedChains() {
+		named[ce.latestTxn] = true
+		for _, old := range ce.olds {
+			named[old.txn] = true
+		}
+	}
+	r.versions.mu.Lock()
+	for txn := range r.versions.commits {
+		if !named[txn] {
+			t.Errorf("commit entry for txn %d, which no chain names", txn)
+		}
+	}
+	r.versions.mu.Unlock()
+	if st["commits_tracked"] != 1 {
+		t.Errorf("commits_tracked = %d, want 1 (the loser)", st["commits_tracked"])
+	}
+}
+
+// checkpointedVault builds a vault with purge off whose checkpoint
+// holds chains on keys 1 and 2 and none on key 5, then changes all
+// three after the checkpoint: UPDATE 1 and 5, DELETE and re-INSERT 2.
+// It returns the directory after a crash and the running engine.
+func checkpointedVault(t *testing.T) (*vfs.MemFS, *Engine) {
+	t.Helper()
+	mem := vfs.NewMemFS()
+	cfg := Defaults()
+	cfg.FS = mem
+	cfg.DisablePurge = true
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.Connect("app")
+	mustExec(t, s, "CREATE TABLE vault (id INT PRIMARY KEY, card TEXT)")
+	mustExec(t, s, "INSERT INTO vault (id, card) VALUES (5, 'cc-5')")
+	e.PurgeVersions(0)
+	mustExec(t, s, "INSERT INTO vault (id, card) VALUES (1, 'cc-1')")
+	mustExec(t, s, "INSERT INTO vault (id, card) VALUES (2, 'cc-2')")
+	mustExec(t, s, "UPDATE vault SET card = 'cc-1b' WHERE id = 1")
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "UPDATE vault SET card = 'redacted-1' WHERE id = 1")
+	mustExec(t, s, "UPDATE vault SET card = 'redacted-5' WHERE id = 5")
+	mustExec(t, s, "DELETE FROM vault WHERE id = 2")
+	mustExec(t, s, "INSERT INTO vault (id, card) VALUES (2, 'new-2')")
+	mem.Crash()
+	return mem, e
+}
+
+// TestReplayExtendsCheckpointChains: with purge off, replay grows the
+// chains the checkpoint restored exactly as the running engine grew
+// them — same versions, newest first, same writers, Deleted following
+// the tree — and starts none on a key the checkpoint left unchained.
+// With purge on, the first purge drops every chain whole, so replay
+// leaves the checkpoint's chains as it wrote them.
+func TestReplayExtendsCheckpointChains(t *testing.T) {
+	mem, e := checkpointedVault(t)
+	want := residueOf(e, 1, 2)
+	if len(want) != 3 {
+		t.Fatalf("running engine holds %d versions on keys 1 and 2, want 3", len(want))
+	}
+	cfg := Defaults()
+	cfg.DisablePurge = true
+	r, _, err := Recover(cloneFS(t, mem), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := residueOf(r, 1, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered residue on chained keys\n got %+v\nwant %+v", got, want)
+	}
+	if got := chainedKeys(r); !slices.Equal(got, []string{"vault/1", "vault/2"}) {
+		t.Errorf("recovered chains %v, want vault/1 and vault/2 only", got)
+	}
+	if got, want := digestOf(t, r), digestOf(t, e); got != want {
+		t.Error("recovered digest differs from the running engine's")
+	}
+
+	p, _, err := Recover(cloneFS(t, mem), Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := chainedKeys(p); !slices.Equal(got, []string{"vault/1", "vault/2"}) {
+		t.Errorf("purge on: recovered chains %v, want the checkpoint's", got)
+	}
+	if got := residueOf(p, 1, 2); len(got) != 1 || got[0].Row[1].Str != "cc-1" {
+		t.Errorf("purge on: residue %+v, want the checkpoint's one row image", got)
+	}
+}
+
+// TestRecoveredRepeatableRead: after Recover, a REPEATABLE READ
+// transaction keeps reading its snapshot across a concurrent UPDATE,
+// both on a key whose chain the checkpoint restored and on one replay
+// left unchained, with purge off and on.
+func TestRecoveredRepeatableRead(t *testing.T) {
+	mem, _ := checkpointedVault(t)
+	for _, disablePurge := range []bool{true, false} {
+		cfg := Defaults()
+		cfg.DisablePurge = disablePurge
+		r, _, err := Recover(cloneFS(t, mem), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reader, writer := r.Connect("reader"), r.Connect("writer")
+		const q = "SELECT id, card FROM vault"
+		mustExec(t, reader, "BEGIN")
+		before := fmt.Sprint(mustExec(t, reader, q).Rows)
+		if before != "[[1 redacted-1] [2 new-2] [5 redacted-5]]" {
+			t.Fatalf("DisablePurge=%v: recovered rows %s", disablePurge, before)
+		}
+		mustExec(t, writer, "UPDATE vault SET card = 'later-1' WHERE id = 1")
+		mustExec(t, writer, "UPDATE vault SET card = 'later-5' WHERE id = 5")
+		if got := fmt.Sprint(mustExec(t, reader, q).Rows); got != before {
+			t.Errorf("DisablePurge=%v: snapshot read %s, want %s", disablePurge, got, before)
+		}
+		mustExec(t, reader, "COMMIT")
+		if got := fmt.Sprint(mustExec(t, reader, q).Rows); got != "[[1 later-1] [2 new-2] [5 later-5]]" {
+			t.Errorf("DisablePurge=%v: after COMMIT read %s", disablePurge, got)
+		}
+	}
+}
+
+// BenchmarkRecoverReplay times Recover replaying a log of autocommit
+// INSERTs, UPDATEs and DELETEs over a checkpoint with no chains, plus
+// one open transaction it rolls back. The directory is built once and
+// copied per iteration, both outside the timer. versions/op is what the
+// recovered version store holds: replay files nothing, so only the
+// loser's compensations put versions there.
+func BenchmarkRecoverReplay(b *testing.B) {
+	mem := vfs.NewMemFS()
+	e := durableEngine(b, mem)
+	s := e.Connect("app")
+	mustExec(b, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+	const rows = 2000
+	for i := 0; i < rows; i++ {
+		mustExec(b, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'row-%d')", i, i))
+	}
+	for i := 0; i < rows; i++ {
+		mustExec(b, s, fmt.Sprintf("UPDATE t SET v = 'upd-%d' WHERE id = %d", i, (i*7)%rows))
+	}
+	for i := 0; i < rows/4; i++ {
+		mustExec(b, s, fmt.Sprintf("DELETE FROM t WHERE id = %d", i*4))
+	}
+	mustExec(b, s, "BEGIN")
+	mustExec(b, s, "UPDATE t SET v = 'loser' WHERE id = 1")
+	mem.Crash()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	versions := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fs := cloneFS(b, mem)
+		b.StartTimer()
+		r, _, err := Recover(fs, Defaults())
+		if err != nil {
+			b.Fatal(err)
+		}
+		versions += r.versions.status().versions
+	}
+	b.ReportMetric(float64(versions)/float64(b.N), "versions/op")
 }

@@ -82,7 +82,7 @@ func recording(apply redoFunc, steps *[]redoStep) redoFunc {
 }
 
 // cloneFS copies every file of src into a fresh MemFS.
-func cloneFS(t *testing.T, src *vfs.MemFS) *vfs.MemFS {
+func cloneFS(t testing.TB, src *vfs.MemFS) *vfs.MemFS {
 	t.Helper()
 	dst := vfs.NewMemFS()
 	for _, name := range src.Names() {

@@ -22,7 +22,10 @@ import (
 // version store is a second, longer-lived copy of the history the
 // application believes is gone. The purge ablation quantifies the
 // knob: retention forever (DisablePurge), the default inline cadence,
-// and an aggressive full sweep before the crash.
+// and an aggressive full sweep before the crash. A fourth arm crashes
+// the inline cadence before its final checkpoint, so recovery replays
+// the whole workload from the redo log: what it resurrects is bounded
+// by what the running engine held.
 type E16Result struct {
 	Secrets int // secret rows planted in the vault table
 	Deleted int // vault rows the application deleted
@@ -40,7 +43,7 @@ type E16Arm struct {
 	PurgeRuns        int64 // purge sweeps the engine ran before the crash
 	PurgedVersions   int64 // versions those sweeps reclaimed
 	WALHadSecret     bool  // secret present in redo/undo bytes before checkpoint
-	WALHasSecret     bool  // secret present in redo/undo bytes after checkpoint (must be false)
+	WALHasSecret     bool  // secret present in redo/undo bytes at the crash (false once a checkpoint ran)
 }
 
 // Name implements Result.
@@ -68,10 +71,10 @@ const e16Secret = "cc-4111-0000-7393"
 
 // e16Arm runs one purge-policy arm end to end: plant secrets, churn
 // the bench tables through the mixed-transaction driver, redact and
-// delete the secrets, apply the arm's purge policy, checkpoint, crash,
-// recover, and read the version residue back out of the recovered
-// engine.
-func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive bool) (E16Arm, error) {
+// delete the secrets, apply the arm's purge policy, checkpoint (unless
+// noCkpt), crash, recover, and read the version residue back out of the
+// recovered engine.
+func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive, noCkpt bool) (E16Arm, error) {
 	arm := E16Arm{Arm: name}
 	mem := vfs.NewMemFS()
 	cfg.FS = mem
@@ -162,8 +165,10 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive bool)
 	if arm.WALHadSecret, err = e16WALSecret(mem); err != nil {
 		return arm, err
 	}
-	if err := e.Checkpoint(); err != nil {
-		return arm, err
+	if !noCkpt {
+		if err := e.Checkpoint(); err != nil {
+			return arm, err
+		}
 	}
 	if arm.WALHasSecret, err = e16WALSecret(mem); err != nil {
 		return arm, err
@@ -229,7 +234,10 @@ func e16PurgeCounters(s *engine.Session) (runs, purged int64, err error) {
 // the experiment's finding: with purge disabled, the overwritten and
 // deleted secrets come back wholesale; the default inline cadence
 // leaves whatever the last sweep had not reached; an aggressive
-// pre-crash sweep clears the channel entirely.
+// pre-crash sweep clears the channel entirely. The fourth arm crashes
+// the inline cadence with no final checkpoint: its history is still in
+// the WAL, and replaying it must not bring back into the version store
+// more than the running engine held.
 func E16VersionResidue(quick bool) (*E16Result, error) {
 	churn, secrets := 960, 16
 	if quick {
@@ -241,33 +249,39 @@ func E16VersionResidue(quick bool) (*E16Result, error) {
 		name       string
 		cfg        func() engine.Config
 		aggressive bool
+		noCkpt     bool
 	}
 	policies := []policy{
 		{"retain (purge off)", func() engine.Config {
 			cfg := engine.Defaults()
 			cfg.DisablePurge = true
 			return cfg
-		}, false},
+		}, false, false},
 		{"inline (default cadence)", func() engine.Config {
 			cfg := engine.Defaults()
 			cfg.PurgeEvery = 90
 			return cfg
-		}, false},
+		}, false, false},
 		{"aggressive (full sweep)", func() engine.Config {
 			cfg := engine.Defaults()
 			cfg.PurgeEvery = 90
 			return cfg
-		}, true},
+		}, true, false},
+		{"inline, crash pre-ckpt", func() engine.Config {
+			cfg := engine.Defaults()
+			cfg.PurgeEvery = 90
+			return cfg
+		}, false, true},
 	}
 	for _, p := range policies {
-		arm, err := e16Arm(p.name, churn, secrets, p.cfg(), p.aggressive)
+		arm, err := e16Arm(p.name, churn, secrets, p.cfg(), p.aggressive, p.noCkpt)
 		if err != nil {
 			return nil, fmt.Errorf("E16: %s: %w", p.name, err)
 		}
 		res.Arms = append(res.Arms, arm)
 	}
 
-	retain, inline, aggr := res.Arms[0], res.Arms[1], res.Arms[2]
+	retain, inline, aggr, replayed := res.Arms[0], res.Arms[1], res.Arms[2], res.Arms[3]
 	if retain.SecretsSurvived == 0 {
 		return nil, fmt.Errorf("E16: no secret survived recovery with purge disabled — residue channel not reproduced")
 	}
@@ -289,6 +303,10 @@ func E16VersionResidue(quick bool) (*E16Result, error) {
 	if retain.SurvivedVersions < inline.SurvivedVersions || inline.SurvivedVersions < aggr.SurvivedVersions {
 		return nil, fmt.Errorf("E16: residue not monotone in purge aggressiveness: %d / %d / %d",
 			retain.SurvivedVersions, inline.SurvivedVersions, aggr.SurvivedVersions)
+	}
+	if replayed.SurvivedVersions > replayed.PreCrashVersions {
+		return nil, fmt.Errorf("E16: recovery replayed %d versions into the store, the running engine held %d",
+			replayed.SurvivedVersions, replayed.PreCrashVersions)
 	}
 	return res, nil
 }

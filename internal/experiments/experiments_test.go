@@ -451,10 +451,10 @@ func TestE16VersionResidue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Arms) != 3 {
+	if len(res.Arms) != 4 {
 		t.Fatalf("arms = %d", len(res.Arms))
 	}
-	retain, aggr := res.Arms[0], res.Arms[2]
+	retain, aggr, replayed := res.Arms[0], res.Arms[2], res.Arms[3]
 	if retain.SecretsSurvived != res.Secrets {
 		t.Errorf("retain arm recovered %d of %d secrets", retain.SecretsSurvived, res.Secrets)
 	}
@@ -469,6 +469,15 @@ func TestE16VersionResidue(t *testing.T) {
 	}
 	if aggr.PurgedVersions == 0 {
 		t.Error("aggressive arm reclaimed nothing")
+	}
+	// With no final checkpoint the whole workload is replayed from the
+	// redo log, which must still hold the secret.
+	if !replayed.WALHasSecret {
+		t.Error("crash-before-checkpoint arm: secret gone from the WAL")
+	}
+	if replayed.SurvivedVersions > replayed.PreCrashVersions {
+		t.Errorf("recovery resurrected %d versions, the running engine held %d",
+			replayed.SurvivedVersions, replayed.PreCrashVersions)
 	}
 	if !strings.Contains(res.Render(), "E16") {
 		t.Error("render missing experiment id")

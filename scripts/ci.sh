@@ -19,9 +19,11 @@
 #     their references, its one-pass loser rule on interleaved
 #     transactions, the checks that an engine opened on a directory
 #     serves that directory's data through its own pool and FS and that
-#     a failed recovery writes nothing, and the commit-order failure
-#     tests re-run under -race with extra seeds, so fault schedules
-#     differ from the default test run's.
+#     a failed recovery writes nothing, the checks that replay files no
+#     version a read view could reach (only checkpoint-restored chains
+#     grow, and snapshot reads still hold after recovery), and the
+#     commit-order failure tests re-run under -race with extra seeds, so
+#     fault schedules differ from the default test run's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,7 +122,7 @@ fuzz ./internal/btree FuzzInPageSearchMatchesReference
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory' |
+        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
