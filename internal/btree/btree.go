@@ -11,6 +11,7 @@ package btree
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"snapdb/internal/bufpool"
@@ -108,14 +109,13 @@ func (t *Tree) Insert(rec storage.Record) error {
 		return err
 	}
 	if split != nil {
-		// Root split: build a new internal root over old root and the
-		// new sibling.
-		oldRootFirst, err := t.firstKeyOf(t.root)
-		if err != nil {
-			return err
-		}
+		// Root split: a new internal root over the old root, filed under
+		// −∞ (MinInt64 sorts below every int and every text key), and
+		// the new sibling. A split's left half keeps the −∞ entry and
+		// every other separator is a split median, so each separator
+		// bounds its child from below whatever order keys arrive in.
 		newRoot := t.ts.Allocate(storage.PageBTreeInternal)
-		left := storage.EncodeRecord(storage.Record{oldRootFirst, sqlparse.IntValue(int64(t.root))})
+		left := storage.EncodeRecord(storage.Record{sqlparse.IntValue(math.MinInt64), sqlparse.IntValue(int64(t.root))})
 		right := storage.EncodeRecord(storage.Record{split.key, sqlparse.IntValue(int64(split.page))})
 		if _, err := newRoot.InsertBytes(left); err != nil {
 			return err
@@ -126,25 +126,6 @@ func (t *Tree) Insert(rec storage.Record) error {
 		t.root = newRoot.ID()
 	}
 	return nil
-}
-
-func (t *Tree) firstKeyOf(id storage.PageID) (sqlparse.Value, error) {
-	p, err := t.ts.Get(id)
-	if err != nil {
-		return sqlparse.Value{}, err
-	}
-	slot, err := lowestSlot(p)
-	if err != nil {
-		return sqlparse.Value{}, err
-	}
-	if slot < 0 {
-		return sqlparse.Value{}, fmt.Errorf("btree: page %d is empty", id)
-	}
-	key, err := storage.DecodeKey(p.SlotBytes(slot))
-	if err != nil {
-		return sqlparse.Value{}, slotErr(p, slot, err)
-	}
-	return key, nil
 }
 
 // splitResult describes an upward-propagating split.

@@ -298,6 +298,68 @@ func TestLenAndHeightEmptyTree(t *testing.T) {
 	}
 }
 
+// TestRootSplitFilesUnderMinusInfinity pins the forensic surface of a
+// root split: the old root goes in under −∞ (math.MinInt64), so no
+// node's lowest entry names a key the table ever held — not the
+// smallest key present when the root split, and not a smaller one
+// inserted since. On an int-keyed tree the entry is as wide as any
+// other; on a text-keyed one it is shorter than a text separator.
+func TestRootSplitFilesUnderMinusInfinity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		key  func(i int) sqlparse.Value
+		pad  int
+	}{
+		{"int keys", intKey, 1000},
+		{"text keys", textKey, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, _, ts := newTree(t)
+			insert := func(i int) {
+				t.Helper()
+				if err := tr.Insert(storage.Record{tc.key(i), sqlparse.StrValue(strings.Repeat("p", tc.pad))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Keys from 1000 up until the root splits, then smaller and
+			// smaller ones until the tree grows a third level.
+			i := 1000
+			for h := 1; h < 2; h, _ = tr.Height() {
+				insert(i)
+				i++
+			}
+			for i = 999; ; i-- {
+				insert(i)
+				if h, _ := tr.Height(); h == 3 {
+					break
+				}
+			}
+			for id, level := tr.Root(), 1; level < 3; level++ {
+				p, err := ts.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ix, err := keysOf(p)
+				if err != nil || len(ix) < 2 {
+					t.Fatalf("level %d: key index %v (%v)", level, ix, err)
+				}
+				first, _, err := storage.DecodeRecord(p.SlotBytes(int(ix[0])))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !first[0].Equal(minusInf) {
+					t.Fatalf("level %d: node %d files its first child under %.12s, want math.MinInt64", level, id, first[0])
+				}
+				firstLen, nextLen := len(p.SlotBytes(int(ix[0]))), len(p.SlotBytes(int(ix[1])))
+				if intKeyed := tc.key(0).IsInt; intKeyed != (firstLen == nextLen) || firstLen > nextLen {
+					t.Fatalf("level %d: the −∞ entry is %d bytes, the next %d", level, firstLen, nextLen)
+				}
+				id = storage.PageID(first[1].Int)
+			}
+		})
+	}
+}
+
 // TestForgedLinksAreErrors: a tree whose links loop — a leaf that is
 // its own sibling, an internal node that is its own child — fails every
 // walk and descent with an error naming the page, once it has passed
@@ -355,8 +417,8 @@ func TestForgedLinksAreErrors(t *testing.T) {
 
 // benchTree builds a tree of n int keys (the even numbers from 0),
 // arriving in key order — every page ordered, so lookups bisect — or
-// shuffled after the smallest — nearly every page out of order, so
-// lookups bisect its key index. 40 000 keys make three levels.
+// shuffled — nearly every page out of order, so lookups bisect its key
+// index. 40 000 keys make three levels.
 func benchTree(tb testing.TB, n int, shuffled bool) *Tree {
 	tb.Helper()
 	tr, _, _ := newTree(tb)
@@ -365,7 +427,7 @@ func benchTree(tb testing.TB, n int, shuffled bool) *Tree {
 		order[i] = i
 	}
 	if shuffled {
-		rand.New(rand.NewSource(1)).Shuffle(n-1, func(i, j int) { order[i+1], order[j+1] = order[j+1], order[i+1] })
+		rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 	for _, i := range order {
 		if err := tr.Insert(intRec(int64(i)*2, "benchmark payload")); err != nil {

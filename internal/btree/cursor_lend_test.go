@@ -49,7 +49,7 @@ func passes(r storage.Record, preds []storage.Pred) bool {
 // checkLentWalk drives a lending, rejecting cursor under RecyclePoison
 // over one (bounds, mask, preds) and holds it to the owning cursor's
 // rows and page sequence.
-func checkLentWalk(t *testing.T, f *cursorFixture, bounded bool, lo, hi sqlparse.Value, need []bool, preds []storage.Pred) {
+func checkLentWalk(t *testing.T, f *modelTree, bounded bool, lo, hi sqlparse.Value, need []bool, preds []storage.Pred) {
 	t.Helper()
 	label := fmt.Sprintf("bounded=%v lo=%.12s hi=%.12s need=%v preds=%v", bounded, lo, hi, need, preds)
 	textFree := need != nil && len(need) == 4 && !need[1] && !need[3] && !(need[0] && !lo.IsInt)
@@ -123,7 +123,7 @@ func checkLentWalk(t *testing.T, f *cursorFixture, bounded bool, lo, hi sqlparse
 	}
 }
 
-// TestCursorLendAndReject runs checkLentWalk over the reference-walk
+// TestCursorLendAndReject runs checkLentWalk over the cursor
 // fixtures: every pair of bounds, the masks and predicate sets rotating
 // through them.
 func TestCursorLendAndReject(t *testing.T) {

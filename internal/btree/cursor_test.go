@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,188 +13,6 @@ import (
 	"snapdb/internal/storage"
 )
 
-// The reference traversals: Range, point, Scan and scanLeaves exactly
-// as they stood before Cursor replaced them (callback API, keys decoded
-// and sorted per leaf, records decoded one slot at a time), frozen here
-// so the property test below can hold the cursor to their page-fetch
-// sequence, not merely to their rows.
-
-// keyRef is a key-only view of a live slot, as the pre-cursor
-// traversals sorted and filtered them.
-type keyRef struct {
-	key  sqlparse.Value
-	slot int
-}
-
-func refDecodeKeys(p *storage.Page, dst []keyRef) ([]keyRef, error) {
-	dst = dst[:0]
-	for i := 0; i < p.SlotCount(); i++ {
-		b := p.SlotBytes(i)
-		if b == nil {
-			continue
-		}
-		k, err := storage.DecodeKey(b)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, keyRef{key: k, slot: i})
-	}
-	sort.SliceStable(dst, func(i, j int) bool { return dst[i].key.Compare(dst[j].key) < 0 })
-	return dst, nil
-}
-
-func refRange(t *Tree, lo, hi sqlparse.Value, fn func(storage.Record) bool) error {
-	leaf, _, err := refFindLeaf(t, lo)
-	if err != nil {
-		return err
-	}
-	if lo.Equal(hi) {
-		return refPoint(t, leaf, lo, fn)
-	}
-	var keys []keyRef
-	for {
-		keys, err = refDecodeKeys(leaf, keys)
-		if err != nil {
-			return err
-		}
-		for _, k := range keys {
-			if k.key.Compare(lo) < 0 {
-				continue
-			}
-			if k.key.Compare(hi) > 0 {
-				return nil
-			}
-			rec, err := decodeSlot(leaf, k.slot)
-			if err != nil {
-				return err
-			}
-			if !fn(rec) {
-				return nil
-			}
-		}
-		next := leaf.Next()
-		if next == storage.InvalidPage {
-			return nil
-		}
-		leaf, err = t.pool.Fetch(next)
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func refPoint(t *Tree, leaf *storage.Page, key sqlparse.Value, fn func(storage.Record) bool) error {
-	for {
-		matched := -1
-		beyond := false
-		for i := 0; i < leaf.SlotCount(); i++ {
-			b := leaf.SlotBytes(i)
-			if b == nil {
-				continue
-			}
-			k, err := storage.DecodeKey(b)
-			if err != nil {
-				return err
-			}
-			if k.Equal(key) {
-				matched = i
-			} else if k.Compare(key) > 0 {
-				beyond = true
-			}
-		}
-		if matched >= 0 {
-			rec, err := decodeSlot(leaf, matched)
-			if err != nil {
-				return err
-			}
-			if !fn(rec) {
-				return nil
-			}
-		}
-		if beyond {
-			return nil
-		}
-		next := leaf.Next()
-		if next == storage.InvalidPage {
-			return nil
-		}
-		var err error
-		leaf, err = t.pool.Fetch(next)
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func refScan(t *Tree, fn func(storage.Record) bool) error {
-	id := t.root
-	var leaf *storage.Page
-	for leaf == nil {
-		p, err := t.pool.Fetch(id)
-		if err != nil {
-			return err
-		}
-		if p.Type() == storage.PageBTreeLeaf {
-			leaf = p
-			break
-		}
-		entries, err := decodeEntries(p)
-		if err != nil {
-			return err
-		}
-		id = storage.PageID(entries[0].rec[1].Int)
-	}
-	for {
-		entries, err := decodeEntries(leaf)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if !fn(e.rec) {
-				return nil
-			}
-		}
-		next := leaf.Next()
-		if next == storage.InvalidPage {
-			return nil
-		}
-		leaf, err = t.pool.Fetch(next)
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// cursorFixture is one randomly built tree with its model and the
-// pool's fetch trace wired up.
-type cursorFixture struct {
-	tree  *Tree
-	model map[string]storage.Record // by key.String()
-	keys  []sqlparse.Value          // the whole key space, sorted, plus one beyond each end
-	trace []storage.PageID
-}
-
-// traced runs fn and returns the pages it fetched, in order.
-func (f *cursorFixture) traced(fn func()) []storage.PageID {
-	f.trace = nil
-	fn()
-	return f.trace
-}
-
-// expected is the naive reference walk: the model's records within
-// [lo, hi] (all of them when unbounded) in key order.
-func (f *cursorFixture) expected(bounded bool, lo, hi sqlparse.Value) []storage.Record {
-	var out []storage.Record
-	for _, r := range f.model {
-		if bounded && (r[0].Compare(lo) < 0 || r[0].Compare(hi) > 0) {
-			continue
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0].Compare(out[j][0]) < 0 })
-	return out
-}
-
 // buildCursorFixture grows a tree by seeded random insert / update /
 // delete over a key space of n keys. Records have four fields (key,
 // TEXT, INT, TEXT) with payload sizes that force leaf splits; makeKey
@@ -201,19 +20,9 @@ func (f *cursorFixture) expected(bounded bool, lo, hi sqlparse.Value) []storage.
 // that internal nodes split too, so a few dozen keys build three
 // levels. Random arrival order leaves pages unsorted, deletes leave dead
 // slots, and updates that outgrow their slot are re-inserted.
-//
-// The smallest key goes in first and is never deleted. Insert leaves a
-// node's first separator at the first key that node ever held, and a
-// leftmost leaf that later splits below that separator files its new
-// sibling in front of itself — after which Search and Scan both miss
-// the leaf (descending inserts lose rows the same way). That is a
-// write-path bug, present before the cursor and recorded on the ROADMAP;
-// this fixture keeps clear of it so the tree it reads is well-formed.
-func buildCursorFixture(t *testing.T, seed int64, n, ops int, makeKey func(i int) sqlparse.Value) *cursorFixture {
+func buildCursorFixture(t *testing.T, seed int64, n, ops int, makeKey func(i int) sqlparse.Value) *modelTree {
 	t.Helper()
-	tr, pool, _ := newTree(t)
-	f := &cursorFixture{tree: tr, model: make(map[string]storage.Record)}
-	pool.SetTraceFunc(func(id storage.PageID) { f.trace = append(f.trace, id) })
+	m := newModelTree(t)
 	rng := rand.New(rand.NewSource(seed))
 	rec := func(k sqlparse.Value) storage.Record {
 		return storage.Record{k,
@@ -222,37 +31,21 @@ func buildCursorFixture(t *testing.T, seed int64, n, ops int, makeKey func(i int
 			sqlparse.StrValue(strings.Repeat("q", rng.Intn(40)))}
 	}
 	for op := 0; op < ops; op++ {
-		i := rng.Intn(n)
-		if op == 0 {
-			i = 0
-		}
-		k := makeKey(i)
-		_, exists := f.model[k.String()]
-		switch {
+		k := makeKey(rng.Intn(n))
+		switch _, exists := m.model[k]; {
 		case !exists:
-			r := rec(k)
-			if err := tr.Insert(r); err != nil {
-				t.Fatal(err)
-			}
-			f.model[k.String()] = r
-		case i > 0 && rng.Intn(3) == 0:
-			if _, err := tr.Delete(k); err != nil {
-				t.Fatal(err)
-			}
-			delete(f.model, k.String())
+			m.insert(rec(k))
+		case rng.Intn(3) == 0:
+			m.delete(k)
 		default:
-			r := rec(k)
-			if _, err := tr.Update(k, r); err != nil {
-				t.Fatal(err)
-			}
-			f.model[k.String()] = r
+			m.update(rec(k))
 		}
 	}
 	for i := -1; i <= n; i++ {
-		f.keys = append(f.keys, makeKey(i))
+		m.keys = append(m.keys, makeKey(i))
 	}
-	sort.Slice(f.keys, func(i, j int) bool { return f.keys[i].Compare(f.keys[j]) < 0 })
-	return f
+	sort.Slice(m.keys, func(i, j int) bool { return m.keys[i].Compare(m.keys[j]) < 0 })
+	return m
 }
 
 func intKey(i int) sqlparse.Value { return sqlparse.IntValue(int64(i) * 3) }
@@ -286,33 +79,18 @@ func masked(r storage.Record, need []bool) storage.Record {
 	return out
 }
 
-// checkWalk holds one (bounds, mask) against the frozen reference: the
-// same rows in the same order, and the same page-fetch sequence from
+// checkCursor holds one (bounds, mask) to the model — the same rows in
+// key order — and to the fetch sequence the tree's shape implies, from
 // every way of driving the cursor.
-func checkWalk(t *testing.T, f *cursorFixture, bounded bool, lo, hi sqlparse.Value, need []bool) {
+func checkCursor(t *testing.T, f *modelTree, sh *shape, bounded bool, lo, hi sqlparse.Value, need []bool) {
 	t.Helper()
 	label := fmt.Sprintf("bounded=%v lo=%.12s hi=%.12s need=%v", bounded, lo, hi, need)
-
-	var refRows []storage.Record
-	collect := func(r storage.Record) bool { refRows = append(refRows, r); return true }
-	refTrace := f.traced(func() {
-		var err error
-		if bounded {
-			err = refRange(f.tree, lo, hi, collect)
-		} else {
-			err = refScan(f.tree, collect)
-		}
-		if err != nil {
-			t.Fatalf("%s: reference: %v", label, err)
-		}
-	})
-	if want := f.expected(bounded, lo, hi); !reflect.DeepEqual(refRows, want) {
-		t.Fatalf("%s: reference walk returned %d rows, model has %d", label, len(refRows), len(want))
-	}
+	full := f.expected(bounded, lo, hi)
 	var want []storage.Record
-	for _, r := range refRows {
+	for _, r := range full {
 		want = append(want, masked(r, need))
 	}
+	wantTrace := sh.walk(bounded, lo, hi)
 
 	// Next all the way.
 	var c Cursor
@@ -333,11 +111,11 @@ func checkWalk(t *testing.T, f *cursorFixture, bounded bool, lo, hi sqlparse.Val
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Next rows differ:\n got %v\nwant %v", label, got, want)
 	}
-	if !reflect.DeepEqual(trace, refTrace) {
-		t.Fatalf("%s: Next fetched %v, reference %v", label, trace, refTrace)
+	if !slices.Equal(trace, wantTrace) {
+		t.Fatalf("%s: Next fetched %v, the shape walks %v", label, trace, wantTrace)
 	}
-	if c.Fetches() != uint64(len(refTrace)) {
-		t.Fatalf("%s: Fetches() = %d, trace has %d", label, c.Fetches(), len(refTrace))
+	if c.Fetches() != uint64(len(trace)) {
+		t.Fatalf("%s: Fetches() = %d, trace has %d", label, c.Fetches(), len(trace))
 	}
 	if _, ok, err := c.Next(); ok || err != nil {
 		t.Fatalf("%s: Next after the end = %v, %v", label, ok, err)
@@ -366,38 +144,42 @@ func checkWalk(t *testing.T, f *cursorFixture, bounded bool, lo, hi sqlparse.Val
 				total += n
 			}
 		})
-		if total != len(want) || !reflect.DeepEqual(trace, refTrace) {
-			t.Fatalf("%s: Skip (after Next: %v) counted %d rows over %v, reference %d rows over %v",
-				label, first, total, trace, len(want), refTrace)
+		if total != len(want) || !slices.Equal(trace, wantTrace) {
+			t.Fatalf("%s: Skip (after Next: %v) counted %d rows over %v, the model has %d, the shape walks %v",
+				label, first, total, trace, len(want), wantTrace)
 		}
 	}
 
-	// The callback wrappers, complete and stopped after the first row.
-	type walkFn func(fn func(storage.Record) bool) error
-	refWalk := walkFn(func(fn func(storage.Record) bool) error { return refScan(f.tree, fn) })
-	treeWalk := walkFn(f.tree.Scan)
+	// The callback wrappers, complete and stopped after the first row:
+	// stopped, the walk fetches no leaf past the one holding that row.
+	walk := func(fn func(storage.Record) bool) error { return f.tree.Scan(fn) }
 	if bounded {
-		refWalk = func(fn func(storage.Record) bool) error { return refRange(f.tree, lo, hi, fn) }
-		treeWalk = func(fn func(storage.Record) bool) error { return f.tree.Range(lo, hi, fn) }
+		walk = func(fn func(storage.Record) bool) error { return f.tree.Range(lo, hi, fn) }
 	}
 	for _, stopAfter := range []int{-1, 1} {
-		run := func(walk walkFn) (rows []storage.Record, trace []storage.PageID) {
-			trace = f.traced(func() {
-				err := walk(func(r storage.Record) bool {
-					rows = append(rows, r)
-					return len(rows) != stopAfter
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+		wantRows, stopTrace := full, wantTrace
+		if stopAfter == 1 && len(full) > 0 {
+			wantRows = full[:1]
+			for i, id := range wantTrace {
+				if j, ok := sh.leafAt[id]; ok && slices.ContainsFunc(sh.leaves[j].keys, full[0][0].Equal) {
+					stopTrace = wantTrace[:i+1]
+					break
 				}
-			})
-			return rows, trace
+			}
 		}
-		refR, refT := run(refWalk)
-		gotR, gotT := run(treeWalk)
-		if !reflect.DeepEqual(gotR, refR) || !reflect.DeepEqual(gotT, refT) {
-			t.Fatalf("%s: wrapper (stop after %d) returned %d rows over %v, reference %d rows over %v",
-				label, stopAfter, len(gotR), gotT, len(refR), refT)
+		var rows []storage.Record
+		trace := f.traced(func() {
+			err := walk(func(r storage.Record) bool {
+				rows = append(rows, r)
+				return len(rows) != stopAfter
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		})
+		if !reflect.DeepEqual(rows, wantRows) || !slices.Equal(trace, stopTrace) {
+			t.Fatalf("%s: wrapper (stop after %d) returned %d rows over %v, the model has %d, the shape walks %v",
+				label, stopAfter, len(rows), trace, len(wantRows), stopTrace)
 		}
 	}
 }
@@ -406,9 +188,8 @@ func checkWalk(t *testing.T, f *cursorFixture, bounded bool, lo, hi sqlparse.Val
 // trees grown by random insert/update/delete — unsorted pages, dead
 // slots, re-inserted updates, one to three levels, and the empty tree —
 // every (lo, hi) over the key space and one key beyond each end
-// (lo == hi, lo > hi included) and every need mask yields the naive
-// reference's rows in order and the pre-cursor traversals' exact page
-// sequence.
+// (lo == hi, lo > hi included) and every need mask yields the model's
+// rows in order and the page sequence the tree's shape implies.
 func TestCursorMatchesReferenceWalk(t *testing.T) {
 	masks := cursorMasks()
 	for _, tc := range []struct {
@@ -429,15 +210,16 @@ func TestCursorMatchesReferenceWalk(t *testing.T) {
 			if h, err := f.tree.Height(); err != nil || h < tc.levels {
 				t.Fatalf("height = %d (%v), fixture is meant to reach %d levels", h, err, tc.levels)
 			}
+			sh := checkShape(t, f.tree)
 			for _, need := range masks {
-				checkWalk(t, f, false, sqlparse.Value{}, sqlparse.Value{}, need)
+				checkCursor(t, f, sh, false, sqlparse.Value{}, sqlparse.Value{}, need)
 			}
 			// Every pair of bounds; the masks rotate through them, so each
 			// mask meets ranges of every shape.
 			i := 0
 			for _, lo := range f.keys {
 				for _, hi := range f.keys {
-					checkWalk(t, f, true, lo, hi, masks[i%len(masks)])
+					checkCursor(t, f, sh, true, lo, hi, masks[i%len(masks)])
 					i++
 				}
 			}

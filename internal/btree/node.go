@@ -12,11 +12,9 @@ import (
 // (storage.CompareKey): nothing is decoded and nothing is allocated.
 // Slots are appended in arrival order, so lookups bisect the page's key
 // index (storage.Page.Keys) instead: its live slots sorted by key, ties
-// in slot order, which the page's own mutators keep. A lookup reads a
-// page's keys in the order the old decode-everything-and-stable-sort
-// lookup did and gives the answer it gave, on well-formed and on
-// malformed trees alike, so which page a descent fetches next never
-// depends on the order a page's slots arrived in.
+// in slot order, which the page's own mutators keep. Which page a
+// descent fetches next therefore never depends on the order a page's
+// slots arrived in.
 
 // keysOf returns p's key index, deriving it if p has none yet.
 func keysOf(p *storage.Page) ([]uint16, error) {
@@ -80,7 +78,10 @@ func lowestSlot(p *storage.Page) (int, error) {
 // routeSlot returns the slot of internal node p that routes key: the
 // one holding the largest separator <= key — the latest in slot order
 // if several hold it — or, when key precedes every separator,
-// lowestSlot. -1 means p has no live slot.
+// lowestSlot. -1 means p has no live slot. A node this package writes
+// files its first child under −∞ (Insert), so every key has a separator
+// <= it; the fallback is for trees written before that, whose first
+// separator is the first key the node ever held.
 func routeSlot(p *storage.Page, key sqlparse.Value) (int, error) {
 	ix, err := keysOf(p)
 	if err != nil {

@@ -11,7 +11,7 @@
 #     native-fuzz run — "never panic on garbage" is re-earned on every
 #     commit, not assumed from the seed corpus — and so does every fast
 #     path held to a reference (the lexer, CryptFS's keystream, a page's
-#     kept key index, in-page search).
+#     kept key index, in-page search), and the B+ tree held to a map.
 #   - crash torture seed matrix: the kill-point harness (recovered data
 #     matches a statement prefix, the recovered binlog file never leads
 #     it), the checks that durable logs are read from their files (one
@@ -65,7 +65,7 @@ go test ./...
 echo "== go test -race =="
 # -count=1: the race run is the gate for everything concurrent — the
 # CryptFS and MVCC differentials, the borrowed-row poison run, the
-# write-path round trips, the in-page search property tests — so it
+# write-path round trips, the in-page search and B+ tree model tests — so it
 # never answers from the test cache. Nothing below repeats a test it
 # already ran with the same flags; what follows differs from it in
 # seeds, -count, or kind.
@@ -118,6 +118,11 @@ fuzz ./internal/crypto/prim FuzzPageCipherKeystream
 # derived one and the linear passes the index replaced (kept in the
 # test file), so no descent routes differently.
 fuzz ./internal/btree FuzzInPageSearchMatchesReference
+# Nor this: whole-tree writes over int or text keys, in any order,
+# against a map-backed model, with every step's tree passing the shape
+# check (separators bound their children from below) and fetching the
+# pages its shape implies.
+fuzz ./internal/btree FuzzTreeMatchesModel
 
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
