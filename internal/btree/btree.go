@@ -204,7 +204,20 @@ func (t *Tree) split(p *storage.Page, key sqlparse.Value, enc []byte) (*splitRes
 		all = append(all, slices.Clone(p.SlotBytes(int(slot))))
 	}
 	all = slices.Insert(all, pos, enc)
+	// The median by count balances records of one size. With sizes
+	// skewed it can leave a half more than a page holds, so the split
+	// point moves toward that half until both fit — decided before p is
+	// rewritten, so a split that cannot succeed changes nothing.
 	mid := len(all) / 2
+	for mid < len(all)-1 && !storage.Fits(all[mid:]) {
+		mid++
+	}
+	for mid > 1 && !storage.Fits(all[:mid]) {
+		mid--
+	}
+	if !storage.Fits(all[:mid]) || !storage.Fits(all[mid:]) {
+		return nil, fmt.Errorf("btree: page %d: no split point leaves both halves a page", p.ID())
+	}
 	midKey, err := storage.DecodeKey(all[mid])
 	if err != nil {
 		return nil, err

@@ -196,6 +196,29 @@ func TestUpdateGrowingRecordAcrossPages(t *testing.T) {
 	}
 }
 
+// TestSplitSkewedRecordSizes: a leaf of many small records and a few
+// quarter-page ones, split at its median by count, would put every
+// large record in one half that no page holds. The split must choose a
+// point where both halves fit before it rewrites the leaf, or rows are
+// lost — whether the leaf overflows by an insert or by an update that
+// outgrows its slot.
+func TestSplitSkewedRecordSizes(t *testing.T) {
+	m := newModelTree(t)
+	big := strings.Repeat("b", 1000)
+	for k := int64(0); k < 30; k++ {
+		m.insert(intRec(k, "s"))
+	}
+	for k := int64(100); k < 104; k++ {
+		m.insert(intRec(k, big))
+	}
+	for k := int64(0); k < 30; k += 7 {
+		m.update(intRec(k, big))
+	}
+	sh := checkShape(t, m.tree)
+	m.checkKeys(sh)
+	m.checkWalk(sh, false, sqlparse.Value{}, sqlparse.Value{})
+}
+
 func TestRange(t *testing.T) {
 	tr, _, _ := newTree(t)
 	for k := int64(0); k < 500; k++ {

@@ -1,14 +1,12 @@
 package engine
 
-// Differential property test for the Volcano executor refactor: the
-// same randomized workload is pushed through the frozen legacy
-// executor (legacy_exec_test.go) and the production operator-tree
-// executor, and every observable surface must match statement by
-// statement — result rows, columns, affected/examined counts, access
-// path, cache provenance, error text — plus the complete forensic
-// artifact state at the end (general log, binlog, perfschema digests
-// and histories, heap arena) and, most importantly for the paper's
-// threat model, the exact buffer-pool page-fetch sequence.
+// Model-checked randomized SQL: every statement of a generated
+// workload is held to the SQL model and its page fetches to the trace
+// rule, and two arms of the same workload (plan cache warm and cold)
+// must leave every observable surface identical — results, the
+// complete forensic artifact state (general log, binlog, perfschema
+// digests and histories, heap arena) and, most importantly for the
+// paper's threat model, the exact buffer-pool page-fetch sequence.
 
 import (
 	"fmt"
@@ -43,7 +41,11 @@ func renderResult(res *Result, err error) string {
 // every access path and error branch the planner distinguishes:
 // point/range/secondary-index/full scans, projections, ORDER BY,
 // LIMIT, COUNT/SUM aggregates, mutations, transactions, mid-workload
-// DDL, and the full family of planning errors.
+// DDL, and the full family of planning errors — and three statement
+// shapes that once broke: a multi-row INSERT whose later tuple
+// duplicates a key, DML (bare and under EXPLAIN ANALYZE) in a READ
+// ONLY transaction, and EXPLAIN ANALYZE UPDATE/DELETE, which mutates
+// as the bare statement does.
 func randomWorkload(rng *rand.Rand) []string {
 	w := []string{
 		"CREATE TABLE items (id INT PRIMARY KEY, name TEXT, cat INT, score INT)",
@@ -61,6 +63,11 @@ func randomWorkload(rng *rand.Rand) []string {
 			return fmt.Sprintf("SELECT name, score FROM items WHERE id >= %d AND id <= %d", a, a+rng.Intn(12))
 		},
 		func() string { return fmt.Sprintf("SELECT name FROM items WHERE cat = %d", rng.Intn(9)) },
+		func() string {
+			// Primary-key bounds beat a bounded index column.
+			a := rng.Intn(55)
+			return fmt.Sprintf("SELECT id, cat FROM items WHERE cat = %d AND id >= %d AND id <= %d", rng.Intn(9), a, a+15)
+		},
 		func() string { return fmt.Sprintf("SELECT * FROM items WHERE score > %d", rng.Intn(100)) },
 		func() string {
 			a := rng.Intn(6)
@@ -127,6 +134,21 @@ func randomWorkload(rng *rand.Rand) []string {
 			return fmt.Sprintf("INSERT INTO logs (id, msg) VALUES (%d, 'm%d')", 1000+rng.Intn(100000), rng.Intn(10))
 		},
 		func() string { return "SELECT broken FROM" }, // parse error
+		func() string {
+			// A later tuple duplicates an earlier one: no row survives.
+			id := 2000 + rng.Intn(1000)
+			return fmt.Sprintf("INSERT INTO logs (id, msg) VALUES (%d, 'a'), (%d, 'b'), (%d, 'c')", id, id+1, id)
+		},
+		func() string {
+			// A later tuple may duplicate a stored row.
+			return fmt.Sprintf("INSERT INTO items (id, name, cat, score) VALUES (%d, 'x', 1, 1), (%d, 'y', 2, 2)",
+				100+rng.Intn(50), rng.Intn(70))
+		},
+		func() string {
+			// Must mutate exactly as the bare statement does.
+			return fmt.Sprintf("EXPLAIN ANALYZE UPDATE items SET score = %d WHERE cat = %d", rng.Intn(100), rng.Intn(9))
+		},
+		func() string { return fmt.Sprintf("EXPLAIN ANALYZE DELETE FROM items WHERE id = %d", 40+rng.Intn(40)) },
 	}
 	for i := 0; i < 220; i++ {
 		switch i {
@@ -143,61 +165,72 @@ func randomWorkload(rng *rand.Rand) []string {
 				"BEGIN",
 				"INSERT INTO items (id, name, cat, score) VALUES (901, 'txn2', 2, 2)",
 				"COMMIT")
+		case 190:
+			// DML, bare and under EXPLAIN ANALYZE, is refused in a READ
+			// ONLY transaction, and the table is unchanged.
+			w = append(w,
+				"SET TRANSACTION READ ONLY",
+				"BEGIN",
+				"SELECT COUNT(*) FROM items",
+				"UPDATE items SET score = 1 WHERE id = 3",
+				"EXPLAIN ANALYZE UPDATE items SET score = 1 WHERE cat = 2",
+				"EXPLAIN ANALYZE DELETE FROM items WHERE id = 4",
+				"DELETE FROM items WHERE cat = 5",
+				"INSERT INTO logs (id, msg) VALUES (7, 'ro')",
+				"SELECT COUNT(*) FROM items",
+				"COMMIT",
+				"SELECT * FROM items WHERE id >= 0 AND id <= 10")
 		}
 		w = append(w, kinds[rng.Intn(len(kinds))]())
 	}
 	return w
 }
 
-// TestDifferentialLegacyVsOperator holds the production read path to
-// the frozen legacy executor — the one reference every read-path
-// equivalence is checked against. The legacy inline sort is the naive
-// Sort+Limit plan and its access-path rule is first-match, so this
-// also proves that Top-N folding, index-order absorption and (on these
-// never-analyzed fixtures) cost-based index choice change the
-// CPU/memory profile, never the page-access profile. Two workload
-// seeds, each with the plan cache warm and emptied before every
-// statement (coldPlans).
+// TestDifferentialLegacyVsOperator holds the operator-tree executor to
+// the SQL model (model_test.go), statement by statement — rows in
+// order, columns, affected and examined counts, access path, cache
+// provenance, error text — and every SELECT, UPDATE and DELETE's
+// buffer-pool fetches to the trace rule, so Top-N folding, index-order
+// absorption and cost-based index choice (on these never-analyzed
+// fixtures) change the CPU and memory profile, never the page-access
+// profile. Two workload seeds, each run with the plan cache warm and
+// emptied after every statement; the two runs must also agree on every
+// surface.
 func TestDifferentialLegacyVsOperator(t *testing.T) {
+	warm := map[int64]runState{} // the plancache-on runs, for plancache-off to diff against
 	for _, cold := range []bool{false, true} {
-		name := "plancache-on"
+		name, opts := "plancache-on", checked
 		if cold {
-			name = "plancache-off"
+			name, opts = "plancache-off", checked|coldPlans
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{0xC0FFEE, 0xBEEF} {
-				t.Run(fmt.Sprintf("seed-%X", seed), func(t *testing.T) { runDifferential(t, seed, cold) })
+				t.Run(fmt.Sprintf("seed-%X", seed), func(t *testing.T) {
+					workload := randomWorkload(rand.New(rand.NewSource(seed)))
+					cfg := Defaults()
+					cfg.EnableGeneralLog = true
+					run := captureRun(t, cfg, workload, opts)
+					if cold {
+						on, ok := warm[seed]
+						if !ok {
+							on = captureRun(t, cfg, workload, checked)
+						}
+						diffRuns(t, workload, "plancache-on", "plancache-off", on, run, 0)
+						return
+					}
+					warm[seed] = run
+					// Sanity: the workload drove the executor through both
+					// sort shapes.
+					sawTopN, sawSort := false, false
+					for op := range run.operators {
+						sawTopN = sawTopN || strings.HasPrefix(op, "Top-N sort:")
+						sawSort = sawSort || strings.HasPrefix(op, "Sort:")
+					}
+					if !sawTopN || !sawSort {
+						t.Errorf("workload did not exercise both sort shapes (topn=%v sort=%v)", sawTopN, sawSort)
+					}
+				})
 			}
 		})
-	}
-}
-
-func runDifferential(t *testing.T, seed int64, cold bool) {
-	workload := randomWorkload(rand.New(rand.NewSource(seed)))
-	cfg := Defaults()
-	cfg.EnableGeneralLog = true
-
-	wrap := func(fn execFn) execFn { return fn }
-	if cold {
-		wrap = coldPlans
-	}
-	legacy := captureRun(t, cfg, workload, wrap(legacyExecute))
-	oper := captureRun(t, cfg, workload, wrap((*Engine).execute))
-
-	// The legacy executor predates stage events, so stages are excluded;
-	// every other surface must be byte-identical.
-	diffRuns(t, workload, "legacy", "operator", legacy, oper, surfStages)
-	if len(legacy.operators) != 0 {
-		t.Errorf("legacy executor unexpectedly recorded stage events: %v", legacy.operators)
-	}
-	// Sanity: the workload drove the operator arm through both sort
-	// shapes the legacy inline sort is being compared against.
-	sawTopN, sawSort := false, false
-	for op := range oper.operators {
-		sawTopN = sawTopN || strings.HasPrefix(op, "Top-N sort:")
-		sawSort = sawSort || strings.HasPrefix(op, "Sort:")
-	}
-	if !sawTopN || !sawSort {
-		t.Errorf("workload did not exercise both sort shapes (topn=%v sort=%v)", sawTopN, sawSort)
 	}
 }

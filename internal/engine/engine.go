@@ -357,7 +357,7 @@ type Session struct {
 	User string
 
 	// deadline is the running statement's absolute cutoff (zero when
-	// Config.StatementTimeout is off); executeWith arms it per statement
+	// Config.StatementTimeout is off); Execute arms it per statement
 	// and the exec scan leaves consult it via deadlineCheck.
 	deadline time.Time
 
@@ -423,17 +423,6 @@ type Result struct {
 	scanDesc string
 }
 
-// execFn is the statement-execution back half. Session.Execute uses
-// (*Engine).execute; the equivalence tests swap in a frozen copy of the
-// pre-operator executor to prove the refactor left every forensic
-// artifact byte-identical.
-type execFn func(e *Engine, s *Session, query string, pl *plan, parseErr error, ts int64) (*Result, error)
-
-// Execute runs one SQL statement on this session.
-func (s *Session) Execute(query string) (*Result, error) {
-	return s.executeWith(query, (*Engine).execute)
-}
-
 // NoteReplay records the arrival of a statement the server answered
 // from its exactly-once dedup cache instead of executing. Like MySQL's
 // general log, the log records arrivals, not executions — so a
@@ -461,8 +450,8 @@ func (s *Session) deadlineCheck() exec.DeadlineCheck {
 	}
 }
 
-// executeWith is Execute with the execution back half injected.
-func (s *Session) executeWith(query string, fn execFn) (*Result, error) {
+// Execute runs one SQL statement on this session.
+func (s *Session) Execute(query string) (*Result, error) {
 	e := s.eng
 	start := e.ExecClock()
 	ts := e.Clock()
@@ -511,7 +500,7 @@ func (s *Session) executeWith(query string, fn execFn) (*Result, error) {
 		e.perf.BeginStatementWithDigest(s.ID, query, digestHash, digestText, ts)
 	}
 
-	res, err := fn(e, s, query, pl, parseErr, ts)
+	res, err := e.execute(s, query, pl, parseErr, ts)
 
 	dur := e.ExecClock().Sub(start)
 	examined, returned := 0, 0

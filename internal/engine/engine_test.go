@@ -32,13 +32,21 @@ func mustExec(t testing.TB, s *Session, q string) *Result {
 
 func setupCustomers(t testing.TB, s *Session, n int) {
 	t.Helper()
-	mustExec(t, s, "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT, state TEXT, age INT)")
-	states := []string{"IN", "AZ", "NY", "CA"}
-	for i := 0; i < n; i++ {
-		q := fmt.Sprintf("INSERT INTO customers (id, name, state, age) VALUES (%d, 'name%d', '%s', %d)",
-			i, i, states[i%len(states)], 20+i%50)
+	for _, q := range customersFixture(n) {
 		mustExec(t, s, q)
 	}
+}
+
+// customersFixture creates customers and loads ids 0..n-1 into it:
+// state = [IN AZ NY CA][id%4], age = 20+id%50.
+func customersFixture(n int) []string {
+	stmts := []string{"CREATE TABLE customers (id INT PRIMARY KEY, name TEXT, state TEXT, age INT)"}
+	states := []string{"IN", "AZ", "NY", "CA"}
+	for i := 0; i < n; i++ {
+		stmts = append(stmts, fmt.Sprintf("INSERT INTO customers (id, name, state, age) VALUES (%d, 'name%d', '%s', %d)",
+			i, i, states[i%len(states)], 20+i%50))
+	}
+	return stmts
 }
 
 func TestCreateInsertSelect(t *testing.T) {

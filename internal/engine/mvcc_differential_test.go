@@ -1,14 +1,14 @@
 package engine
 
-// Differential property test for the MVCC read path: for workloads
-// with no cross-session read/write overlap — where snapshot reads and
-// current reads must agree — the engine's snapshot reads and a
-// reference arm that reads the tree as it stands (currentReadExecute)
-// must produce byte-identical observable surfaces: per-statement
-// results and errors, the binlog (including commit-time LSNs under the
-// WAL-first commit ordering), and the general log. The divergent cases
-// (reads during another session's open transaction) are asserted
-// directly in mvcc_test.go; this test proves the MVCC bookkeeping —
+// Differential property test for the MVCC read path: a two-session
+// workload is held to the SQL model, whose sessions read through views
+// of their own, and run under two purge cadences — every statement, and
+// never — which must leave every observable surface byte-identical:
+// per-statement results and errors, the fetch trace, the binlog
+// (including commit-time LSNs under the WAL-first commit ordering), and
+// the general log. The divergent cases (reads during another session's
+// open transaction) are asserted directly in mvcc_test.go and against
+// the model in overlapWorkload; this test proves the MVCC bookkeeping —
 // version chains, read views, inline purge, the commit resequencing —
 // never perturbs what a conflict-free client observes.
 
@@ -16,40 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"snapdb/internal/sqlparse"
 )
-
-// currentReadExecute is the reference arm: a SELECT on a user table
-// takes the table's shared stripe and reads the tree as it stands — no
-// read view, a nil version filter, the query cache always in play —
-// while every other statement runs the production executor.
-func currentReadExecute(e *Engine, s *Session, query string, pl *plan, parseErr error, ts int64) (*Result, error) {
-	if parseErr != nil {
-		return nil, parseErr
-	}
-	st, ok := pl.stmt.(*sqlparse.Select)
-	if !ok || isSystemTable(st.Table) {
-		return e.execute(s, query, pl, parseErr, ts)
-	}
-	mu := e.locks.shared(st.Table)
-	defer mu.RUnlock()
-	t, err := e.planTable(pl, st.Table)
-	if err != nil {
-		return nil, err
-	}
-	if cached, ok := e.qcache.Get(query); ok {
-		return &Result{Columns: selectColumns(t, st), Rows: cached, FromCache: true}, nil
-	}
-	pp := e.physSelect(pl, t, st)
-	res, err := e.runScan(s, pp, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Columns, res.AccessPath = selectColumns(t, st), pp.path
-	e.qcache.Put(query, t.Name, res.Rows)
-	return res, nil
-}
 
 // mvccDiffWorkload routes each statement to one of two sessions
 // ("0|SQL" / "1|SQL"). Transactions never overlap a foreign read: the
@@ -124,19 +91,22 @@ func mvccDiffWorkload(rng *rand.Rand) []string {
 	return w
 }
 
-// TestDifferentialMVCCVsLocking: on conflict-free workloads snapshot
-// reads and stripe-locked current reads must be byte-identical on every
-// surface, fetch trace included. It earns its keep under -race
-// (scripts/ci.sh's race run), where the detector watches the version
-// store, read views and inline purge under real session concurrency.
+// TestDifferentialMVCCVsLocking: on conflict-free workloads every read
+// matches the model, and purging after every statement or never must be
+// byte-identical on every surface, fetch trace included: when chains
+// are dropped decides what a version store holds, never what a read
+// sees or fetches. It earns its keep under -race (scripts/ci.sh's race
+// run), where the detector watches the version store, read views and
+// inline purge under real session concurrency.
 func TestDifferentialMVCCVsLocking(t *testing.T) {
 	workload := mvccDiffWorkload(rand.New(rand.NewSource(0xBEEF)))
 	cfg := Defaults()
 	cfg.EnableGeneralLog = true
-	cfg.PurgeEvery = 16 // exercise inline purge
-	mvcc := captureRun(t, cfg, workload, nil)
-	locking := captureRun(t, cfg, workload, currentReadExecute)
-	diffRuns(t, workload, "mvcc", "locking", mvcc, locking, 0)
+	cfg.PurgeEvery = 1
+	eager := captureRun(t, cfg, workload, checked)
+	cfg.DisablePurge = true
+	never := captureRun(t, cfg, workload, checked)
+	diffRuns(t, workload, "purge every statement", "purge never", eager, never, 0)
 }
 
 // TestStreamingGhostMerge holds the scan leaf's on-the-fly merge of

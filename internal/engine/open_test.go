@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
+	"snapdb/internal/sqlparse"
+	"snapdb/internal/storage"
 	"snapdb/internal/vfs"
 	"snapdb/internal/wal"
 )
@@ -290,14 +292,62 @@ func TestRecoverInterleavedLosers(t *testing.T) {
 
 // TestFailedReplayLeavesDirectory: a recovery that fails while
 // replaying leaves every file as it lay, the torn redo tail included.
-// Recovery used to cut the torn tails before it replayed a record.
+// Recovery used to cut the torn tails before it replayed a record. The
+// replay fails on a forged checkpoint: t's root names itself as the
+// child for its highest keys, so loading (which walks the leftmost
+// descent and the leaf chain) succeeds, and the first logged insert
+// above every separator descends into the loop.
 func TestFailedReplayLeavesDirectory(t *testing.T) {
 	mem := vfs.NewMemFS()
 	s := durableEngine(t, mem).Connect("app")
-	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 1)")
-	mustExec(t, s, "INSERT INTO t (id, v) VALUES (2, 2)")
+	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+	for id := 0; id < 60; id++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, '%0200d')", id, id))
+	}
+	mustExec(t, s, "CREATE TABLE pad (id INT PRIMARY KEY)") // checkpoints t as a two-level tree
+	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1000, 'x')")
+	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1001, 'y')")
 	mem.Crash()
+
+	img, err := mem.ReadFile(FileCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, ts, err := DecodeCheckpoint(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := meta.Tables[0].Root
+	page := ts[8+int(root)*storage.PageSize : 8+int(root+1)*storage.PageSize]
+	p, err := storage.LoadPage(page)
+	if err != nil || p.Type() != storage.PageBTreeInternal {
+		t.Fatalf("t's root page %d: %v, want an internal node", root, err)
+	}
+	var entries []storage.Record
+	for i := 0; i < p.SlotCount(); i++ {
+		if b := p.SlotBytes(i); b != nil {
+			rec, _, err := storage.DecodeRecord(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries, rec)
+		}
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i][0].Compare(entries[j][0]) < 0 })
+	entries[len(entries)-1][1] = sqlparse.IntValue(int64(root))
+	p.Format(root, storage.PageBTreeInternal)
+	for _, rec := range entries {
+		if _, err := p.InsertBytes(storage.EncodeRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copy(page, p.Bytes())
+	if img, err = EncodeCheckpoint(meta, ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFileAtomic(mem, FileCheckpoint, img); err != nil {
+		t.Fatal(err)
+	}
 	redo, err := mem.ReadFile(FileRedo)
 	if err != nil {
 		t.Fatal(err)
@@ -308,11 +358,8 @@ func TestFailedReplayLeavesDirectory(t *testing.T) {
 		before[name], _ = mem.ReadFile(name)
 	}
 
-	failing := func(*Engine, wal.Record) (wal.Record, bool, error) {
-		return wal.Record{}, false, errors.New("replay failed")
-	}
-	if _, _, err := recoverWith(mem, Defaults(), failing); err == nil || !strings.Contains(err.Error(), "replay failed") {
-		t.Fatalf("recoverWith err = %v, want the replay failure", err)
+	if _, _, err := Recover(mem, Defaults()); err == nil || !strings.Contains(err.Error(), "engine: redo LSN") || !strings.Contains(err.Error(), "loop") {
+		t.Fatalf("Recover err = %v, want the replay's descent to fail on the loop", err)
 	}
 	for _, name := range mem.Names() {
 		if after, _ := mem.ReadFile(name); !bytes.Equal(after, before[name]) {

@@ -172,9 +172,9 @@ func TestDifferentialParallelVsSerial(t *testing.T) {
 	workload := parallelWorkload()
 	cfg := parallelConfig()
 	cfg.EnableGeneralLog = true
-	par := captureRun(t, cfg, workload, nil)
+	par := captureRun(t, cfg, workload, 0)
 	cfg.MaxScanWorkers = 0
-	ser := captureRun(t, cfg, workload, nil)
+	ser := captureRun(t, cfg, workload, 0)
 	diffRuns(t, workload, "parallel", "serial", par, ser, surfFetches|surfStages)
 }
 
@@ -204,8 +204,8 @@ func TestPlanCacheLeakageEquivalenceParallel(t *testing.T) {
 	)
 	cfg := parallelConfig()
 	cfg.EnableGeneralLog = true
-	withCache := captureRun(t, cfg, workload, nil)
-	cold := captureRun(t, cfg, workload, coldPlans((*Engine).execute))
+	withCache := captureRun(t, cfg, workload, 0)
+	cold := captureRun(t, cfg, workload, coldPlans)
 	diffRuns(t, workload, "plancache-on", "plancache-cold", withCache, cold, surfFetches)
 }
 

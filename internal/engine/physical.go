@@ -187,7 +187,7 @@ func estIndexRows(t *Table, colIdx int, lo, hi sqlparse.Value, eq bool, n int64)
 // the lowest index name wins, which is exactly the order the
 // first-match rule used, and below the small-table floor a bounded
 // index always wins, so never-analyzed fixtures plan as they always
-// did (the legacy differential's frozen first-match reference holds
+// did (the SQL model's first-match rule, in the engine's tests, holds
 // the planner to that).
 func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 	t := ls.table

@@ -104,12 +104,12 @@ func TestPlanDoesNotOutliveItsTable(t *testing.T) {
 			mustExec(t, s, schema)
 			mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 'a')")
 
-			res, err := s.executeWith(tc.stmt, func(e *Engine, s *Session, q string, pl *plan, parseErr error, ts int64) (*Result, error) {
-				mustExec(t, ddl, "DROP TABLE t")
-				mustExec(t, ddl, schema)
-				mustExec(t, ddl, "INSERT INTO t (id, v) VALUES (7, 'new')")
-				return e.execute(s, q, pl, parseErr, ts)
-			})
+			// Plan the statement, land the DDL, then run the plan.
+			pl, _, parseErr := e.planFor(tc.stmt)
+			mustExec(t, ddl, "DROP TABLE t")
+			mustExec(t, ddl, schema)
+			mustExec(t, ddl, "INSERT INTO t (id, v) VALUES (7, 'new')")
+			res, err := e.execute(s, tc.stmt, pl, parseErr, e.Clock())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,17 +326,27 @@ type runState struct {
 	operators map[string]bool
 }
 
+// runOpt selects how captureRun drives one arm.
+type runOpt uint
+
+const (
+	// coldPlans empties the plan cache after every statement, so the
+	// next one parses and binds afresh: what a cache hit must be
+	// indistinguishable from.
+	coldPlans runOpt = 1 << iota
+	// checked holds every statement to the SQL model (model_test.go) as
+	// it runs, and its fetches to the trace rule.
+	checked
+)
+
 // captureRun replays workload on a fresh engine built from cfg, with a
 // deterministic clock ticking once per statement, and snapshots every
-// surface. An entry prefixed "N|" runs on session N (default 0); fn
-// substitutes the execution back half (nil = production). Statement
-// errors are outcomes, not failures.
-func captureRun(t *testing.T, cfg Config, workload []string, fn execFn) runState {
+// surface. An entry prefixed "N|" runs on session N (default 0).
+// Statement errors are outcomes, not failures.
+func captureRun(t testing.TB, cfg Config, workload []string, opts runOpt) runState {
 	t.Helper()
-	if fn == nil {
-		fn = (*Engine).execute
-	}
 	e, now := newEngine(t, cfg)
+	m := newSQLModel(cfg)
 	rs := runState{operators: make(map[string]bool)}
 	e.BufferPool().SetTraceFunc(func(id storage.PageID) { rs.trace = append(rs.trace, id) })
 	var sessions []*Session
@@ -350,8 +360,19 @@ func captureRun(t *testing.T, cfg Config, workload []string, fn execFn) runState
 			defer s.Close()
 			sessions = append(sessions, s)
 		}
+		var x expectation
+		if opts&checked != 0 {
+			x = m.expect(t, e, n, q)
+		}
 		*now++
-		res, err := sessions[n].executeWith(q, fn)
+		before := len(rs.trace)
+		res, err := sessions[n].Execute(q)
+		if opts&coldPlans != 0 {
+			e.plans.clear()
+		}
+		if opts&checked != 0 {
+			x.check(t, res, err, rs.trace[before:])
+		}
 		rs.outcomes = append(rs.outcomes, renderResult(res, err))
 		if res != nil {
 			for _, ev := range res.stages {
@@ -475,20 +496,9 @@ func TestPlanCacheLeakageEquivalence(t *testing.T) {
 
 	cfg := Defaults()
 	cfg.EnableGeneralLog = true
-	withCache := captureRun(t, cfg, workload, nil)
-	cold := captureRun(t, cfg, workload, coldPlans((*Engine).execute))
+	withCache := captureRun(t, cfg, workload, 0)
+	cold := captureRun(t, cfg, workload, coldPlans)
 	diffRuns(t, workload, "plancache-on", "plancache-cold", withCache, cold, 0)
-}
-
-// coldPlans wraps fn so that every statement finds the plan cache
-// empty: the cache is cleared as each statement finishes, so the next
-// one parses and binds afresh. It is the reference arm of the plan-cache
-// equivalences — what a cache hit must be indistinguishable from.
-func coldPlans(fn execFn) execFn {
-	return func(e *Engine, s *Session, q string, pl *plan, parseErr error, ts int64) (*Result, error) {
-		defer e.plans.clear()
-		return fn(e, s, q, pl, parseErr, ts)
-	}
 }
 
 // clear empties the cache.

@@ -84,15 +84,6 @@ func readLog(fs vfs.FS, name string, walk func([]byte) storage.ParseReport) (int
 // log-parse anomalies that were handled; it is returned alongside
 // fatal errors too, with whatever was learned before the failure.
 func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
-	return recoverWith(fs, cfg, (*Engine).applyRedo)
-}
-
-// redoFunc replays one redo record; see applyRedo.
-type redoFunc func(e *Engine, r wal.Record) (undo wal.Record, applied bool, err error)
-
-// recoverWith is Recover with the redo step passed in, so that a test
-// can hold applyRedo to a reference.
-func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryReport, error) {
 	cfg.FS = fs
 	// At-rest encryption wraps here, above everything recovery reads:
 	// the checkpoint, the log walks and the attached persistor all see
@@ -190,7 +181,7 @@ func recoverWith(fs vfs.FS, cfg Config, applyRedo redoFunc) (*Engine, *RecoveryR
 				rep.FramesSkipped++
 				return
 			}
-			undo, applied, err := applyRedo(e, r)
+			undo, applied, err := e.applyRedo(r)
 			if err != nil {
 				redoErr = fmt.Errorf("engine: redo LSN %d: %w", r.LSN, err)
 				return

@@ -1,84 +1,178 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"snapdb/internal/btree"
+	"snapdb/internal/bufpool"
 	"snapdb/internal/failpoint"
+	"snapdb/internal/sqlparse"
 	"snapdb/internal/storage"
 	"snapdb/internal/vfs"
 	"snapdb/internal/wal"
 )
 
-// refApplyRedo is applyRedo as it stood before it replayed each record
-// in one descent: a Search for the row first, then the row mutator,
-// which descends again. Frozen here as the reference
-// TestRedoOneDescentMatchesReference holds applyRedo to.
-func refApplyRedo(e *Engine, r wal.Record) (undo wal.Record, applied bool, err error) {
-	t, ok := e.TableByID(r.Table)
-	if !ok || len(r.Image) == 0 {
-		return wal.Record{}, false, nil
-	}
-	key := r.Image[:1]
-	cur, found, err := t.Tree.Search(key[0])
+// Recovery is held to properties, not to a copy of older code: the
+// recovered state is what an in-memory engine reaches running the
+// acknowledged statements minus the losers, and each redo record's
+// replay fetches what the per-record trace rule says and returns the
+// undo record that restores the row as replay found it.
+
+// replayTraced replays dir's redo log over its checkpoint one record at
+// a time, as Recover's walk does, and holds each record's fetches to the
+// per-record trace rule: one descent of the clustered tree to the
+// record's key, then the index entries a change re-keys — an insert's
+// and a delete's in every index of the table, an update's old and new
+// entry in the index on its column when the value changes — and for an
+// update one more clustered descent when it re-keyed an index (it read
+// the row first) and another when the new row outgrew its slot and was
+// re-inserted. A record replay skips (a key already present or already
+// gone) costs its one descent. It returns how many updates re-keyed an
+// index and how many outgrew their slot.
+func replayTraced(t *testing.T, what string, dir vfs.FS) (rekeyed, outgrown int) {
+	t.Helper()
+	img, err := dir.ReadFile(FileCheckpoint)
 	if err != nil {
-		return wal.Record{}, false, err
+		t.Fatalf("%s: %v", what, err)
 	}
-	switch r.Op {
-	case wal.OpInsert:
-		if found {
-			return wal.Record{}, false, nil
-		}
-		var redo wal.Record
-		redo, undo = wal.InsertRecords(r.Txn, r.Table, r.Image)
-		err = e.insertRow(t, redo.Image, r.Txn)
-	case wal.OpUpdate:
-		col := int(r.Column)
-		if !found || len(r.Image) < 2 || col >= len(cur) {
-			return wal.Record{}, false, nil
-		}
-		_, undo = wal.UpdateRecords(r.Txn, r.Table, key, r.Column, cur[col:col+1], r.Image[1:2])
-		err = e.updateRow(t, cur, []setOp{{idx: col, val: r.Image[1]}}, r.Txn)
-	case wal.OpDelete:
-		if !found {
-			return wal.Record{}, false, nil
-		}
-		_, undo = wal.DeleteRecords(r.Txn, r.Table, cur)
-		err = e.deleteRow(t, cur, r.Txn)
-	default:
-		return wal.Record{}, false, nil
+	meta, tsImage, err := DecodeCheckpoint(img)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return undo, err == nil, err
-}
-
-// redoStep is what one redo step returned, and the buffer pool as it
-// left it: LRU order, misses and evictions. Hits are not compared — the
-// one-descent replay exists to drop the second descent's.
-type redoStep struct {
-	undo              wal.Record
-	applied           bool
-	err               string
-	lru               []storage.PageID
-	misses, evictions uint64
-}
-
-// recording wraps a redo step so that every call is appended to steps.
-func recording(apply redoFunc, steps *[]redoStep) redoFunc {
-	return func(e *Engine, r wal.Record) (wal.Record, bool, error) {
-		undo, applied, err := apply(e, r)
-		_, misses, evictions := e.pool.Stats()
-		s := redoStep{undo: undo, applied: applied, lru: e.pool.LRUOrder(), misses: misses, evictions: evictions}
+	ts, err := storage.LoadTablespace(tsImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Defaults()
+	cfg.BufferPoolPages = 4 // every replay evicts
+	e, err := build(cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.loadCatalog(meta); err != nil {
+		t.Fatal(err)
+	}
+	side, err := bufpool.New(ts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// path is the descent to key in tree, read through side so that the
+	// engine's pool sees nothing.
+	path := func(tree *btree.Tree, key sqlparse.Value) []storage.PageID {
+		p, err := btree.Open(ts, side, tree.Root()).TraversalPath(key)
 		if err != nil {
-			s.err = err.Error()
+			t.Fatal(err)
 		}
-		*steps = append(*steps, s)
-		return undo, applied, err
+		return p
 	}
+	var fetched []storage.PageID
+	e.pool.SetTraceFunc(func(id storage.PageID) { fetched = append(fetched, id) })
+	redo, _ := dir.ReadFile(FileRedo)
+	e.versions.beginReplay(false)
+	defer e.versions.endReplay()
+	wal.WalkLog(redo, func(r wal.Record) {
+		if t.Failed() || r.Op.IsMarker() || r.LSN <= meta.LSN {
+			return
+		}
+		tab, ok := e.TableByID(r.Table)
+		if !ok || len(r.Image) == 0 {
+			t.Fatalf("%s: LSN %d names no table", what, r.LSN)
+		}
+		key := r.Image[0]
+		pk := path(tab.Tree, key)
+		cur, found, err := btree.Open(ts, side, tab.Tree.Root()).Search(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(pk)
+		var undo wal.Record
+		indexes := func(row storage.Record) {
+			for _, ix := range tab.Indexes {
+				want = append(want, path(ix.Tree, indexKey(row[ix.colIdx], key))...)
+			}
+		}
+		switch {
+		case r.Op == wal.OpInsert && !found:
+			undo = wal.Record{Op: wal.OpInsert, Column: wal.WholeRow, Image: storage.Record{key}}
+			indexes(r.Image)
+		case r.Op == wal.OpUpdate && found:
+			col := int(r.Column)
+			undo = wal.Record{Op: wal.OpUpdate, Column: r.Column, Image: storage.Record{key, cur[col]}}
+			if tab.indexed(col) {
+				if !cur[col].Equal(r.Image[1]) {
+					for _, ix := range tab.Indexes {
+						if ix.colIdx == col {
+							want = append(want, path(ix.Tree, indexKey(cur[col], key))...)
+							want = append(want, path(ix.Tree, indexKey(r.Image[1], key))...)
+						}
+					}
+					rekeyed++
+				}
+				want = append(want, pk...)
+			}
+		case r.Op == wal.OpDelete && found:
+			undo = wal.Record{Op: wal.OpDelete, Column: wal.WholeRow, Image: cur}
+			indexes(cur)
+		}
+		fetched = fetched[:0]
+		got, applied, err := e.applyRedo(r)
+		if err != nil {
+			t.Fatalf("%s: redo LSN %d: %v", what, r.LSN, err)
+		}
+		if r.Op == wal.OpUpdate && applied && slices.Equal(fetched, append(want, pk...)) {
+			outgrown++ // the re-insert's descent
+			want = append(want, pk...)
+		}
+		if !slices.Equal(fetched, want) {
+			t.Fatalf("%s: %v of key %s fetched %v; the trace rule says %v", what, r.Op, key, fetched, want)
+		}
+		if applied != (undo.Image != nil) {
+			t.Fatalf("%s: %v of key %s applied=%v; the tree held it: %v", what, r.Op, key, applied, found)
+		}
+		undo.Txn, undo.Table = r.Txn, r.Table
+		if applied && fmt.Sprint(got) != fmt.Sprint(undo) {
+			t.Fatalf("%s: %v of key %s returned undo %v, want %v", what, r.Op, key, got, undo)
+		}
+	})
+	return rekeyed, outgrown
+}
+
+// unitStarts runs stmts on a fresh in-memory engine and returns, for
+// every prefix length n, where the last unit that wrote a commit marker
+// in stmts[:n] starts — an autocommit statement that changed rows, or a
+// BEGIN whose COMMIT is in the prefix — or -1 if none did.
+func unitStarts(t *testing.T, stmts []string) []int {
+	e, _ := newEngine(t, Defaults())
+	s := e.Connect("ref")
+	out, last, begin := []int{-1}, -1, -1
+	for i, q := range stmts {
+		res := mustExec(t, s, q)
+		switch {
+		case q == "BEGIN":
+			begin = i
+		case q == "COMMIT":
+			last, begin = begin, -1
+		case q == "ROLLBACK":
+			begin = -1
+		case begin < 0 && res.RowsAffected > 0:
+			last = i
+		}
+		out = append(out, last)
+	}
+	return out
+}
+
+// lastRedoOp is the operation of the last valid record in dir's redo
+// log.
+func lastRedoOp(dir vfs.FS) wal.Op {
+	var op wal.Op
+	redo, _ := dir.ReadFile(FileRedo)
+	wal.WalkLog(redo, func(r wal.Record) { op = r.Op })
+	return op
 }
 
 // cloneFS copies every file of src into a fresh MemFS.
@@ -95,68 +189,6 @@ func cloneFS(t testing.TB, src *vfs.MemFS) *vfs.MemFS {
 		}
 	}
 	return dst
-}
-
-// twinRecover recovers two copies of dir, one through applyRedo and one
-// through refApplyRedo, and requires everything recovery produces to be
-// equal: the report, every redo step's undo record (the loser
-// pre-images recovery synthesizes among them), verdict and pool state
-// after it, the recovered state digest, the checkpoint image the
-// recovered engine would write, its pool's misses, evictions and dump,
-// and every file recovery left behind. It returns the report.
-func twinRecover(t *testing.T, what string, dir *vfs.MemFS, cfg Config) *RecoveryReport {
-	t.Helper()
-	fsGot, fsRef := cloneFS(t, dir), cloneFS(t, dir)
-	var gotSteps, refSteps []redoStep
-	got, gotRep, gotErr := recoverWith(fsGot, cfg, recording((*Engine).applyRedo, &gotSteps))
-	ref, refRep, refErr := recoverWith(fsRef, cfg, recording(refApplyRedo, &refSteps))
-	if gotErr != nil || refErr != nil {
-		t.Fatalf("%s: Recover = %v, reference %v", what, gotErr, refErr)
-	}
-	if !reflect.DeepEqual(gotRep, refRep) {
-		t.Fatalf("%s: report %+v, reference %+v", what, gotRep, refRep)
-	}
-	if len(gotSteps) != len(refSteps) {
-		t.Fatalf("%s: %d redo steps, reference %d", what, len(gotSteps), len(refSteps))
-	}
-	for i := range gotSteps {
-		if !reflect.DeepEqual(gotSteps[i], refSteps[i]) {
-			t.Fatalf("%s: redo step %d: %+v, reference %+v", what, i, gotSteps[i], refSteps[i])
-		}
-	}
-	if g, r := digestOf(t, got), digestOf(t, ref); g != r {
-		t.Fatalf("%s: state digest %s, reference %s", what, g, r)
-	}
-	gotImg, err := got.CheckpointImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refImg, err := ref.CheckpointImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotImg, refImg) {
-		t.Fatalf("%s: checkpoint images differ", what)
-	}
-	_, gotMiss, gotEvict := got.pool.Stats()
-	_, refMiss, refEvict := ref.pool.Stats()
-	if gotMiss != refMiss || gotEvict != refEvict || !bytes.Equal(got.pool.DumpFile(), ref.pool.DumpFile()) {
-		t.Fatalf("%s: pool misses/evictions %d/%d, reference %d/%d, or dumps differ", what, gotMiss, gotEvict, refMiss, refEvict)
-	}
-	names, refNames := fsGot.Names(), fsRef.Names()
-	slices.Sort(names)
-	slices.Sort(refNames)
-	if !slices.Equal(names, refNames) {
-		t.Fatalf("%s: files %v, reference %v", what, names, refNames)
-	}
-	for _, name := range names {
-		g, _ := fsGot.ReadFile(name)
-		r, _ := fsRef.ReadFile(name)
-		if !bytes.Equal(g, r) {
-			t.Fatalf("%s: %s differs from the reference's", what, name)
-		}
-	}
-	return gotRep
 }
 
 // replayScript writes rows big enough that a leaf holds two or three,
@@ -186,19 +218,22 @@ func replayScript() []string {
 	)
 }
 
-// TestRedoOneDescentMatchesReference holds the one-descent replay to
-// the two-descent one it replaced (refApplyRedo), through twinRecover,
+// TestRedoOneDescentMatchesReference holds recovery to its properties
 // on every kind of log recovery meets: the crash torture's kill-point
 // directories (losers in flight, torn tails), a log with indexed-column
-// updates and updates that outgrow their slot, and a log replayed over
-// a checkpoint that already holds its effects, where every record is
-// skipped. A small pool makes every replay evict.
+// updates and updates that outgrow their slot, and a log replayed over a
+// checkpoint that already holds its effects, where every record is
+// skipped. The recovered state digest must be that of an in-memory
+// engine that ran the acknowledged statements with the losers rolled
+// back, and every record's replay must follow the per-record trace rule
+// (replayTraced).
 func TestRedoOneDescentMatchesReference(t *testing.T) {
 	cfg := Defaults()
 	cfg.BufferPoolPages = 4
 
 	t.Run("kill-points", func(t *testing.T) {
 		stmts := tortureStmts()
+		refs, units := refStates(t, stmts), unitStarts(t, stmts)
 		dry := failpoint.New(1)
 		if got := runUntilError(vfs.NewFaultFS(vfs.NewMemFS(), dry), stmts); got != len(stmts) {
 			t.Fatalf("dry run failed at statement %d", got)
@@ -209,19 +244,56 @@ func TestRedoOneDescentMatchesReference(t *testing.T) {
 			mem := vfs.NewMemFS()
 			reg := failpoint.New(1)
 			reg.Arm("*", failpoint.KindCrash, uint64(k))
-			runUntilError(vfs.NewFaultFS(mem, reg), stmts)
+			acked := runUntilError(vfs.NewFaultFS(mem, reg), stmts)
 			mem.Crash()
-			rep := twinRecover(t, fmt.Sprintf("kill-point %d", k), mem, cfg)
+			what := fmt.Sprintf("kill-point %d", k)
+			_, err := mem.ReadFile(FileCheckpoint)
+			checkpointed := err == nil // else the crash came before the first DDL: no tree to replay into
+			if checkpointed {
+				replayTraced(t, what, mem)
+			}
+			r, rep, err := Recover(cloneFS(t, mem), cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
 			losers += rep.TxnsRolledBack
-			// And the same directory with its redo log's last frame torn:
-			// the transaction it ended becomes a loser.
-			if redo, _ := mem.ReadFile(FileRedo); len(redo) > 5 {
-				tearFile(t, mem, FileRedo, redo[:len(redo)-5])
-				rep := twinRecover(t, fmt.Sprintf("kill-point %d, torn", k), mem, cfg)
-				losers += rep.TxnsRolledBack
-				if rep.RedoTruncated != nil {
-					torn++
+			// The acknowledged statements, or those and the one in flight.
+			n, got := -1, digestOf(t, r)
+			for _, i := range []int{min(acked+1, len(stmts)), acked} {
+				if refs[i].digest == got {
+					n = i
+					break
 				}
+			}
+			if n < 0 {
+				t.Fatalf("%s: recovered state matches neither %d nor %d acknowledged statements", what, acked, acked+1)
+			}
+			// And the same directory with its redo log's last frame torn:
+			// the transaction it ended becomes a loser, so a torn commit
+			// marker takes its unit with it.
+			redo, _ := mem.ReadFile(FileRedo)
+			if len(redo) <= 5 {
+				continue
+			}
+			want := refs[n].digest
+			if lastRedoOp(mem) == wal.OpCommit {
+				want = refs[units[n]].digest
+			}
+			tearFile(t, mem, FileRedo, redo[:len(redo)-5])
+			what += ", torn"
+			if checkpointed {
+				replayTraced(t, what, mem)
+			}
+			r, rep, err = Recover(cloneFS(t, mem), cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			losers += rep.TxnsRolledBack
+			if rep.RedoTruncated != nil {
+				torn++
+			}
+			if digestOf(t, r) != want {
+				t.Fatalf("%s: recovered state is not the acknowledged statements' minus the torn unit", what)
 			}
 		}
 		if losers == 0 || torn == 0 {
@@ -231,12 +303,23 @@ func TestRedoOneDescentMatchesReference(t *testing.T) {
 
 	t.Run("indexed and outgrown updates", func(t *testing.T) {
 		mem := vfs.NewMemFS()
-		if acked := runUntilError(mem, replayScript()); acked != len(replayScript()) {
+		stmts := replayScript()
+		if acked := runUntilError(mem, stmts); acked != len(stmts) {
 			t.Fatalf("script stopped at statement %d", acked)
 		}
 		mem.Crash()
-		if rep := twinRecover(t, "replay script", mem, cfg); rep.TxnsRolledBack != 1 {
+		if rekeyed, outgrown := replayTraced(t, "replay script", mem); rekeyed == 0 || outgrown == 0 {
+			t.Fatalf("replay re-keyed %d index entries and re-inserted %d outgrown rows; want some of each", rekeyed, outgrown)
+		}
+		r, rep, err := Recover(cloneFS(t, mem), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TxnsRolledBack != 1 {
 			t.Fatalf("rolled back %d transactions, want the open one", rep.TxnsRolledBack)
+		}
+		if digestOf(t, r) != refStates(t, stmts)[len(stmts)].digest {
+			t.Fatal("recovered state is not the script's with its open transaction rolled back")
 		}
 	})
 
@@ -258,6 +341,7 @@ func TestRedoOneDescentMatchesReference(t *testing.T) {
 		for _, i := range rand.New(rand.NewSource(5)).Perm(100) {
 			mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'row %d')", 100+i, i))
 		}
+		want := digestOf(t, e)
 		// The checkpoint the last DDL wrote, replaced by the current state
 		// stamped with that DDL's LSN: every logged record is then
 		// replayed over a tree that already holds its effect.
@@ -284,9 +368,16 @@ func TestRedoOneDescentMatchesReference(t *testing.T) {
 		if err := vfs.WriteFileAtomic(mem, FileCheckpoint, img); err != nil {
 			t.Fatal(err)
 		}
-		rep := twinRecover(t, "replayed twice", mem, cfg)
+		replayTraced(t, "replayed twice", mem)
+		r, rep, err := Recover(cloneFS(t, mem), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if rep.RecordsApplied != 0 || rep.FramesSkipped != 34+100 {
 			t.Fatalf("applied %d, skipped %d of %d redo records; want every data record skipped", rep.RecordsApplied, rep.FramesSkipped, rep.RedoRecords)
+		}
+		if digestOf(t, r) != want {
+			t.Fatal("replaying every record over its own effect changed the state")
 		}
 	})
 }

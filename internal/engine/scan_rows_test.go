@@ -16,45 +16,8 @@ import (
 // The scan leaf's two economies — rows lent from one recycled slab, and
 // residual predicates evaluated before a row is decoded — held at the
 // statement surface: no stage row, EXPLAIN ANALYZE line, result or page
-// fetch may tell them from the plain execution that decodes every row
-// and filters above the leaf.
-
-// rowAtATimeExecute is that plain execution, as an execFn: the
-// production back half, except that a SELECT (bare or under EXPLAIN
-// ANALYZE) runs from a copy of its template whose residual list is
-// empty, so the Filter hands nothing down and does all the filtering
-// itself. Run under btree.RecycleNever no leaf lends either, and the
-// statement executes as it did before either economy existed.
-func rowAtATimeExecute(e *Engine, s *Session, query string, pl *plan, parseErr error, ts int64) (*Result, error) {
-	if parseErr != nil {
-		return nil, parseErr
-	}
-	st, analyze := pl.stmt, false
-	if ex, ok := st.(*sqlparse.Explain); ok && ex.Analyze {
-		st, analyze = ex.Stmt, true
-	}
-	sel, ok := st.(*sqlparse.Select)
-	if !ok || isSystemTable(sel.Table) {
-		return e.execute(s, query, pl, parseErr, ts)
-	}
-	ra, err := e.acquireRead(s, nil, sel.Table)
-	if err != nil {
-		return nil, err
-	}
-	defer ra.release(e)
-	pp := *e.buildSelectPlan(ra.table, sel)
-	pp.residual = nil
-	res, err := e.runScan(s, &pp, ra.vf)
-	if err != nil {
-		return nil, err
-	}
-	res.Columns, res.AccessPath = selectColumns(ra.table, sel), pp.path
-	if analyze {
-		res = &Result{Columns: []string{"EXPLAIN"}, Rows: analyzeLines("", res),
-			RowsExamined: res.RowsExamined, AccessPath: res.AccessPath, stages: res.stages}
-	}
-	return res, nil
-}
+// fetch may tell them apart from an execution that decodes every row and
+// filters above the leaf.
 
 // rejectedBy runs a SELECT's plan as the driver would for session s and
 // returns its rows with how many rows the leaf turned down undecoded.
@@ -89,24 +52,26 @@ type stmtSurfaces struct {
 	trace   []storage.PageID
 }
 
-// surfacesOf runs q, then EXPLAIN ANALYZE q, through fn under the given
-// recycle mode.
-func surfacesOf(t *testing.T, e *Engine, s *Session, q string, fn execFn, mode btree.RecycleMode) stmtSurfaces {
+// surfacesOf runs q, then EXPLAIN ANALYZE q, on session n of e under
+// the given recycle mode, holding both to the model m.
+func surfacesOf(t *testing.T, e *Engine, m *sqlModel, n int, s *Session, q string, mode btree.RecycleMode) stmtSurfaces {
 	t.Helper()
-	if fn == nil {
-		fn = (*Engine).execute
-	}
 	defer btree.SetRecycleMode(btree.SetRecycleMode(mode))
 	var out stmtSurfaces
 	e.BufferPool().SetTraceFunc(func(id storage.PageID) { out.trace = append(out.trace, id) })
 	defer e.BufferPool().SetTraceFunc(nil)
-	res, err := s.executeWith(q, fn)
+	x := m.expect(t, e, n, q)
+	res, err := s.Execute(q)
+	x.check(t, res, err, out.trace)
 	out.rows = renderResult(res, err)
 	e.PerfSchema().Reset()
-	res, err = s.executeWith("EXPLAIN ANALYZE "+q, fn)
+	before := len(out.trace)
+	x = m.expect(t, e, n, "EXPLAIN ANALYZE "+q)
+	res, err = s.Execute("EXPLAIN ANALYZE " + q)
 	if err != nil {
 		t.Fatalf("EXPLAIN ANALYZE %s: %v", q, err)
 	}
+	x.check(t, res, err, out.trace[before:])
 	out.analyze = renderResult(&Result{Rows: res.Rows}, nil)
 	out.stages = res.stages
 	out.history = e.PerfSchema().StagesHistory()
@@ -127,65 +92,89 @@ func triples(stages []perfschema.StageEvent) string {
 
 // TestStageTriplesMatchRowAtATime: for every plan shape the hand-off
 // and the loan touch — and the ones they must leave alone — each
-// operator's (examined, returned, fetches) triple, the EXPLAIN ANALYZE
-// text, the events_stages_history rows, the result and the page-fetch
-// sequence equal the row-at-a-time execution's, with and without live
-// version chains on the table; without chains they also equal the
-// frozen legacy executor's rows and fetches, and the examined/returned
-// pairs equal the figures worked out by hand below. A leaf that
-// rejected rows without accounting for them shows up here as a Filter
-// that examined only the survivors.
+// operator's (examined, returned) pair equals the figure worked out by
+// hand below, with and without live version chains on the table, and
+// with every lending cursor poisoning what it lent the stage rows, the
+// EXPLAIN ANALYZE text, the events_stages_history rows, the result and
+// the page-fetch sequence equal those of a run where nothing is lent;
+// rows and fetches are the SQL model's and the trace rule's. A leaf
+// that rejected rows without accounting for them shows up here as a
+// Filter that examined only the survivors.
 func TestStageTriplesMatchRowAtATime(t *testing.T) {
 	// customers: id 0..199, state = [IN AZ NY CA][id%4], age = 20+id%50.
+	// With chains, the writer's open transaction has moved id 0 to CA and
+	// id 3 to IN, deleted ids 7 and 100, moved id 20 to age 31 and
+	// inserted id 500 (CA, 31): the tree holds 199 rows, the reader sees
+	// the original 200, and a leaf examines tree rows but returns the
+	// rows the view sees.
 	cases := []struct {
-		sql     string
-		rejects bool   // the leaf turns rows down (when no view is armed)
-		want    string // examined/returned per operator, no chains
+		sql       string
+		rejects   bool   // the leaf turns rows down (when no view is armed)
+		want      string // examined/returned per operator, no chains
+		wantChain string // the same under the writer's open transaction
 	}{
 		{"SELECT name FROM customers WHERE state = 'CA'", true,
-			"Project(50,50) Filter(200,50) Table scan(200,200)"},
+			"Project(50,50) Filter(200,50) Table scan(200,200)",
+			"Project(50,50) Filter(200,50) Table scan(199,200)"},
 		{"SELECT name FROM customers WHERE id >= 20 AND id <= 119 AND state = 'NY'", true,
-			"Project(25,25) Filter(100,25) Range scan(100,100)"},
+			"Project(25,25) Filter(100,25) Range scan(100,100)",
+			"Project(25,25) Filter(100,25) Range scan(99,100)"},
 		{"SELECT id, name FROM customers WHERE id >= 20 AND id <= 119", false,
-			"Project(100,100) Filter(100,100) Range scan(100,100)"},
+			"Project(100,100) Filter(100,100) Range scan(100,100)",
+			"Project(100,100) Filter(100,100) Range scan(99,100)"},
 		{"SELECT id FROM customers WHERE id > 20 AND id < 30", true, // strict bounds are residual
+			"Project(9,9) Filter(11,9) Range scan(11,11)",
 			"Project(9,9) Filter(11,9) Range scan(11,11)"},
 		{"SELECT name FROM customers WHERE id = 7 AND state = 'CA'", false, // armed, and the one row passes
-			"Project(1,1) Filter(1,1) Point scan(1,1)"},
+			"Project(1,1) Filter(1,1) Point scan(1,1)",
+			"Project(1,1) Filter(1,1) Point scan(0,1)"}, // a ghost: nothing in the tree
 		{"SELECT name FROM customers WHERE id = 8 AND state = 'CA'", true,
+			"Project(0,0) Filter(1,0) Point scan(1,1)",
 			"Project(0,0) Filter(1,0) Point scan(1,1)"},
 		{"SELECT name FROM customers WHERE age >= 30 AND age <= 34 AND state = 'CA'", false,
-			"Project(4,4) Filter(20,4) Key lookup(20,20) Index range scan(20,20)"},
+			"Project(4,4) Filter(20,4) Key lookup(20,20) Index range scan(20,20)",
+			"Project(4,4) Filter(20,4) Key lookup(20,20) Index range scan(22,20)"}, // ids 20 and 500's new entries
 		{"SELECT name FROM customers WHERE state = 'CA' LIMIT 3", true,
-			"Limit(3,3) Project(3,3) Filter(12,3) Table scan(200,12)"},
+			"Limit(3,3) Project(3,3) Filter(12,3) Table scan(200,12)",
+			"Limit(3,3) Project(3,3) Filter(12,3) Table scan(199,12)"},
 		{"SELECT name FROM customers WHERE state = 'CA' LIMIT 0", false, // nothing is pulled
-			"Limit(0,0) Project(0,0) Filter(0,0) Table scan(200,0)"},
+			"Limit(0,0) Project(0,0) Filter(0,0) Table scan(200,0)",
+			"Limit(0,0) Project(0,0) Filter(0,0) Table scan(199,0)"},
 		{"SELECT name FROM customers WHERE state = 'CA' ORDER BY age DESC LIMIT 4", true,
-			"Project(4,4) Top-N sort(50,4) Filter(200,50) Table scan(200,200)"},
+			"Project(4,4) Top-N sort(50,4) Filter(200,50) Table scan(200,200)",
+			"Project(4,4) Top-N sort(50,4) Filter(200,50) Table scan(199,200)"},
 		{"SELECT name FROM customers WHERE state = 'CA' ORDER BY name", true,
-			"Project(50,50) Sort(50,50) Filter(200,50) Table scan(200,200)"},
+			"Project(50,50) Sort(50,50) Filter(200,50) Table scan(200,200)",
+			"Project(50,50) Sort(50,50) Filter(200,50) Table scan(199,200)"},
 		{"SELECT name FROM customers WHERE state = 'CA' ORDER BY id DESC LIMIT 2", false, // blocking leaf
-			"Limit(2,2) Project(2,2) Filter(5,2) Table scan(200,5)"},
+			"Limit(2,2) Project(2,2) Filter(5,2) Table scan(200,5)",
+			"Limit(2,2) Project(2,2) Filter(5,2) Table scan(199,5)"},
 		{"SELECT COUNT(*) FROM customers WHERE state = 'NY' AND id >= 0", true,
-			"Aggregate(50,1) Filter(200,50) Table scan(200,200)"},
+			"Aggregate(50,1) Filter(200,50) Table scan(200,200)",
+			"Aggregate(50,1) Filter(200,50) Table scan(199,200)"},
 		{"SELECT SUM(age) FROM customers WHERE id >= 10 AND id <= 59 AND state = 'AZ'", true,
+			"Aggregate(12,1) Filter(50,12) Range scan(50,50)",
 			"Aggregate(12,1) Filter(50,12) Range scan(50,50)"},
 		{"SELECT COUNT(*) FROM customers WHERE age != 20", true,
-			"Aggregate(196,1) Filter(200,196) Table scan(200,200)"},
+			"Aggregate(196,1) Filter(200,196) Table scan(200,200)",
+			"Aggregate(196,1) Filter(200,196) Table scan(199,200)"},
 		{"SELECT COUNT(*) FROM customers", false,
-			"Aggregate(200,1) Table scan(200,200)"},
+			"Aggregate(200,1) Table scan(200,200)",
+			"Aggregate(200,1) Table scan(199,200)"},
 	}
 	for _, chains := range []bool{false, true} {
 		t.Run(fmt.Sprintf("chains=%v", chains), func(t *testing.T) {
 			cfg := Defaults()
-			cfg.EnableQueryCache = false // every statement really scans, in both arms
+			cfg.EnableQueryCache = false // every statement really scans
 			cfg.BufferPoolPages = 8      // small enough that fetches miss and evict
 			e, _ := newEngine(t, cfg)
+			m := newSQLModel(cfg)
 			s, writer := e.Connect("app"), e.Connect("writer")
 			defer s.Close()
 			defer writer.Close()
-			setupCustomers(t, s, 200)
-			mustExec(t, s, "CREATE INDEX idx_age ON customers (age)")
+			for _, q := range append(customersFixture(200), "CREATE INDEX idx_age ON customers (age)") {
+				m.step(t, e, 0, s, q)
+			}
 			if chains {
 				// An open transaction: s reads the rows as they were.
 				for _, q := range []string{
@@ -197,47 +186,42 @@ func TestStageTriplesMatchRowAtATime(t *testing.T) {
 					"UPDATE customers SET age = 31 WHERE id = 20", // its index entry moved
 					"INSERT INTO customers (id, name, state, age) VALUES (500, 'late', 'CA', 31)",
 				} {
-					mustExec(t, writer, q)
+					m.step(t, e, 1, writer, q)
 				}
 			}
 			for _, c := range cases {
-				ref := surfacesOf(t, e, s, c.sql, rowAtATimeExecute, btree.RecycleNever)
-				got := surfacesOf(t, e, s, c.sql, nil, btree.RecyclePoison)
-				if got.rows != ref.rows {
-					t.Errorf("%s: rows differ from the row-at-a-time execution's:\n%s\nwant:\n%s", c.sql, got.rows, ref.rows)
+				owned := surfacesOf(t, e, m, 0, s, c.sql, btree.RecycleNever)
+				got := surfacesOf(t, e, m, 0, s, c.sql, btree.RecyclePoison)
+				if got.rows != owned.rows {
+					t.Errorf("%s: rows differ from the owned run's:\n%s\nwant:\n%s", c.sql, got.rows, owned.rows)
 				}
-				if got.analyze != ref.analyze {
-					t.Errorf("%s: EXPLAIN ANALYZE differs:\n%s\nrow-at-a-time:\n%s", c.sql, got.analyze, ref.analyze)
+				if got.analyze != owned.analyze {
+					t.Errorf("%s: EXPLAIN ANALYZE differs:\n%s\nowned:\n%s", c.sql, got.analyze, owned.analyze)
 				}
-				if !reflect.DeepEqual(got.stages, ref.stages) || !reflect.DeepEqual(got.history, ref.history) {
-					t.Errorf("%s: stage rows differ:\n%+v\nrow-at-a-time:\n%+v", c.sql, got.history, ref.history)
+				if !reflect.DeepEqual(got.stages, owned.stages) || !reflect.DeepEqual(got.history, owned.history) {
+					t.Errorf("%s: stage rows differ:\n%+v\nowned:\n%+v", c.sql, got.history, owned.history)
 				}
-				if !reflect.DeepEqual(got.trace, ref.trace) {
-					t.Errorf("%s: fetch trace differs: %v, row-at-a-time %v", c.sql, got.trace, ref.trace)
+				if !reflect.DeepEqual(got.trace, owned.trace) {
+					t.Errorf("%s: fetch trace differs: %v, owned %v", c.sql, got.trace, owned.trace)
 				}
 				_, rejected := rejectedBy(t, e, s, c.sql)
 				if want := c.rejects && !chains; (rejected > 0) != want {
 					t.Errorf("%s: the leaf turned down %d rows undecoded, want some: %v", c.sql, rejected, want)
 				}
+				want := c.want
 				if chains {
-					continue
+					want = c.wantChain
 				}
-				if tr := triples(got.stages); tr != c.want {
-					t.Errorf("%s: stages %s, want %s", c.sql, tr, c.want)
-				}
-				legacy := surfacesOf(t, e, s, c.sql, legacyExecute, btree.RecycleNever)
-				if got.rows != legacy.rows || !reflect.DeepEqual(got.trace[:len(got.trace)/2], legacy.trace[:len(legacy.trace)/2]) {
-					t.Errorf("%s: rows or fetches differ from the legacy executor's:\n%s\n%v\nlegacy:\n%s\n%v",
-						c.sql, got.rows, got.trace, legacy.rows, legacy.trace)
+				if tr := triples(got.stages); tr != want {
+					t.Errorf("%s: stages %s, want %s", c.sql, tr, want)
 				}
 			}
 			if chains {
 				return
 			}
 			// A DML scan half hands down too (it owns its rows, but filters
-			// like any plan); its stage rows have no reference arm to lean
-			// on, so they are pinned by hand.
-			res := mustExec(t, s, "EXPLAIN ANALYZE UPDATE customers SET age = 1 WHERE state = 'CA' AND id >= 100")
+			// like any plan); its stage rows are pinned by hand as well.
+			res := m.step(t, e, 0, s, "EXPLAIN ANALYZE UPDATE customers SET age = 1 WHERE state = 'CA' AND id >= 100")
 			if tr, want := triples(res.stages), "Filter(200,25) Table scan(200,200)"; tr != want || res.RowsAffected != 25 {
 				t.Errorf("UPDATE scan half: stages %s affected %d, want %s affected 25", tr, res.RowsAffected, want)
 			}
@@ -311,6 +295,8 @@ func overlapWorkload() []string {
 // a lending leaf, a DML row list, a ghost merge holding its tree row
 // across a page, a cached result — returns the sentinel instead of the
 // row, and every surface the differentials compare must be identical.
+// Both runs are held to the SQL model, so each pinned view's rows are
+// its snapshot's.
 func TestBorrowedRowsSurvivePoison(t *testing.T) {
 	workloads := map[string][]string{
 		"random-C0FFEE": randomWorkload(rand.New(rand.NewSource(0xC0FFEE))),
@@ -324,9 +310,9 @@ func TestBorrowedRowsSurvivePoison(t *testing.T) {
 			cfg := Defaults()
 			cfg.EnableGeneralLog = true
 			restore := btree.SetRecycleMode(btree.RecycleNever)
-			owned := captureRun(t, cfg, workload, nil)
+			owned := captureRun(t, cfg, workload, checked)
 			btree.SetRecycleMode(btree.RecyclePoison)
-			poisoned := captureRun(t, cfg, workload, nil)
+			poisoned := captureRun(t, cfg, workload, checked)
 			btree.SetRecycleMode(restore)
 			diffRuns(t, workload, "owned", "poisoned", owned, poisoned, 0)
 			for i, out := range poisoned.outcomes {

@@ -28,26 +28,28 @@ type limitRun struct {
 }
 
 // runOnFreshEngine loads the customers fixture (with idx_age), then
-// runs q through fn with the pool's fetch trace recording.
-func runOnFreshEngine(t *testing.T, q string, fn execFn) limitRun {
+// runs q with the pool's fetch trace recording, held to the SQL model
+// and the trace rule.
+func runOnFreshEngine(t *testing.T, q string) limitRun {
 	t.Helper()
-	if fn == nil {
-		fn = (*Engine).execute
-	}
 	cfg := Defaults()
 	cfg.BufferPoolPages = 8 // small enough that a scan's LRU order shows its tail
 	e, _ := newEngine(t, cfg)
+	m := newSQLModel(cfg)
 	s := e.Connect("app")
 	defer s.Close()
-	setupCustomers(t, s, 400)
-	mustExec(t, s, "CREATE INDEX idx_age ON customers (age)")
+	for _, fq := range append(customersFixture(400), "CREATE INDEX idx_age ON customers (age)") {
+		m.step(t, e, 0, s, fq)
+	}
 	var run limitRun
 	e.BufferPool().SetTraceFunc(func(id storage.PageID) { run.trace = append(run.trace, id) })
-	res, err := s.executeWith(q, fn)
+	x := m.expect(t, e, 0, q)
+	res, err := s.Execute(q)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
 	e.BufferPool().SetTraceFunc(nil)
+	x.check(t, res, err, run.trace)
 	run.rows = renderResult(&Result{Rows: res.Rows}, nil)
 	run.examined = res.RowsExamined
 	run.lru = e.BufferPool().LRUOrder()
@@ -59,12 +61,13 @@ func runOnFreshEngine(t *testing.T, q string, fn execFn) limitRun {
 // TestLimitNeverMovesTheLeaf: for LIMIT 0, 1 and n, with and without
 // ORDER BY, over every access path, the buffer-pool fetch trace, LRU
 // order, access counters, RowsExamined and the leaf's events_stages row
-// (examined, fetches) equal the un-LIMITed statement's — and the frozen
-// legacy executor's, which always scanned to the end. The one shape
-// left out is a bare LIMIT over an index path: its KeyLookup resolves
-// entries on demand, so (as before this leaf streamed) the clustered
-// searches it no longer needs are not made; the index leaf below it
-// still completes, which the last case pins.
+// (examined, fetches) equal the un-LIMITed statement's, and every run's
+// rows, examined count and fetches are the SQL model's and the trace
+// rule's, which walk the access path to its end. The one shape left out
+// is a bare LIMIT over an index path: its KeyLookup resolves entries on
+// demand, so the clustered searches it no longer needs are not made
+// (the trace rule stops its lookups at the row that fills the LIMIT);
+// the index leaf below it still completes, which the last case pins.
 func TestLimitNeverMovesTheLeaf(t *testing.T) {
 	bases := []string{
 		"SELECT name FROM customers",
@@ -78,30 +81,21 @@ func TestLimitNeverMovesTheLeaf(t *testing.T) {
 		"SELECT COUNT(*) FROM customers WHERE state = 'NY'",
 	}
 	for _, base := range bases {
-		full := runOnFreshEngine(t, base, nil)
+		full := runOnFreshEngine(t, base)
 		if len(full.trace) < 4 {
 			t.Fatalf("%s fetched only %d pages; the fixture is meant to span several leaves", base, len(full.trace))
 		}
 		for _, limit := range []int{0, 1, 7} {
 			q := fmt.Sprintf("%s LIMIT %d", base, limit)
-			got := runOnFreshEngine(t, q, nil)
-			legacy := runOnFreshEngine(t, q, legacyExecute)
-			if got.rows != legacy.rows {
-				t.Errorf("%s: rows differ from the legacy executor's:\n%s\nlegacy:\n%s", q, got.rows, legacy.rows)
+			got := runOnFreshEngine(t, q)
+			if !reflect.DeepEqual(got.trace, full.trace) {
+				t.Errorf("%s: fetch trace differs from the un-LIMITed statement's: %v vs %v", q, got.trace, full.trace)
 			}
-			for _, ref := range []struct {
-				name string
-				run  limitRun
-			}{{"the un-LIMITed statement", full}, {"the legacy executor", legacy}} {
-				if !reflect.DeepEqual(got.trace, ref.run.trace) {
-					t.Errorf("%s: fetch trace differs from %s: %v vs %v", q, ref.name, got.trace, ref.run.trace)
-				}
-				if !reflect.DeepEqual(got.lru, ref.run.lru) || got.hot != ref.run.hot {
-					t.Errorf("%s: LRU order or access counters differ from %s", q, ref.name)
-				}
-				if got.examined != ref.run.examined {
-					t.Errorf("%s: examined %d rows, %s %d", q, got.examined, ref.name, ref.run.examined)
-				}
+			if !reflect.DeepEqual(got.lru, full.lru) || got.hot != full.hot {
+				t.Errorf("%s: LRU order or access counters differ from the un-LIMITed statement's", q)
+			}
+			if got.examined != full.examined {
+				t.Errorf("%s: examined %d rows, the un-LIMITed statement %d", q, got.examined, full.examined)
 			}
 			leaf, fullLeaf := got.stages[len(got.stages)-1], full.stages[len(full.stages)-1]
 			if leaf.Operator != fullLeaf.Operator || leaf.RowsExamined != fullLeaf.RowsExamined || leaf.PoolFetches != fullLeaf.PoolFetches {
@@ -111,8 +105,8 @@ func TestLimitNeverMovesTheLeaf(t *testing.T) {
 	}
 
 	base := "SELECT name FROM customers WHERE age >= 30 AND age <= 34"
-	full := runOnFreshEngine(t, base, nil)
-	got := runOnFreshEngine(t, base+" LIMIT 2", nil)
+	full := runOnFreshEngine(t, base)
+	got := runOnFreshEngine(t, base+" LIMIT 2")
 	leaf, fullLeaf := got.stages[len(got.stages)-1], full.stages[len(full.stages)-1]
 	if !strings.HasPrefix(leaf.Operator, "Index range scan") ||
 		leaf.RowsExamined != fullLeaf.RowsExamined || leaf.PoolFetches != fullLeaf.PoolFetches || leaf.RowsReturned != 2 {
@@ -164,16 +158,15 @@ func maskWorkload(rng *rand.Rand) []string {
 	return append(w, reads...)
 }
 
-// TestColumnMaskIsComplete diffs maskWorkload against the frozen legacy
-// executor, which always decoded whole rows: results, examined counts,
-// fetch trace and logs must match with the plan cache warm and cold.
+// TestColumnMaskIsComplete holds maskWorkload to the SQL model, which
+// always reads whole rows: results, examined counts and fetches must be
+// the model's and the trace rule's with the plan cache warm and cold,
+// and the two runs must agree on every surface.
 func TestColumnMaskIsComplete(t *testing.T) {
 	workload := maskWorkload(rand.New(rand.NewSource(0x5EED)))
 	cfg := Defaults()
 	cfg.EnableGeneralLog = true
-	for _, wrap := range []func(execFn) execFn{func(fn execFn) execFn { return fn }, coldPlans} {
-		legacy := captureRun(t, cfg, workload, wrap(legacyExecute))
-		oper := captureRun(t, cfg, workload, wrap((*Engine).execute))
-		diffRuns(t, workload, "legacy", "operator", legacy, oper, surfStages)
-	}
+	warm := captureRun(t, cfg, workload, checked)
+	cold := captureRun(t, cfg, workload, checked|coldPlans)
+	diffRuns(t, workload, "plancache-on", "plancache-off", warm, cold, 0)
 }

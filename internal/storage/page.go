@@ -205,6 +205,16 @@ func (p *Page) FreeSpace() int {
 	return free - slotSize
 }
 
+// Fits reports whether recs, with their slots, fit together in one
+// empty page: whether InsertBytes takes each of them in turn.
+func Fits(recs [][]byte) bool {
+	n := pageHeaderSize + slotSize
+	for _, r := range recs {
+		n += len(r) + slotSize
+	}
+	return n <= PageSize
+}
+
 // ErrPageFull is returned when an insert does not fit.
 var ErrPageFull = fmt.Errorf("storage: page full")
 

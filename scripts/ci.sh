@@ -11,15 +11,21 @@
 #     native-fuzz run — "never panic on garbage" is re-earned on every
 #     commit, not assumed from the seed corpus — and so does every fast
 #     path held to a reference (the lexer, CryptFS's keystream, a page's
-#     kept key index, in-page search), and the B+ tree held to a map.
+#     kept key index, in-page search), the B+ tree held to a map, and
+#     the engine's SQL held to a map-backed SQL model.
 #   - crash torture seed matrix: the kill-point harness (recovered data
 #     matches a statement prefix, the recovered binlog file never leads
 #     it), the checks that durable logs are read from their files (one
-#     store per log), recovery's one-descent replay and log walks against
-#     their references, its one-pass loser rule on interleaved
+#     store per log), recovery's one-descent replay held to its
+#     properties (the recovered state is the acknowledged statements'
+#     minus the losers, and every record follows the per-record trace
+#     rule), its log walks against their parsers, SQL across key arrival
+#     orders held to the SQL model live and after recovery, its one-pass
+#     loser rule on interleaved
 #     transactions, the checks that an engine opened on a directory
 #     serves that directory's data through its own pool and FS and that
-#     a failed recovery writes nothing, the checks that replay files no
+#     a failed recovery (a forged checkpoint's looped descent) writes
+#     nothing, the checks that replay files no
 #     version a read view could reach (only checkpoint-restored chains
 #     grow, and snapshot reads still hold after recovery), and the
 #     commit-order failure tests re-run under -race with extra seeds, so
@@ -65,7 +71,7 @@ go test ./...
 echo "== go test -race =="
 # -count=1: the race run is the gate for everything concurrent — the
 # CryptFS and MVCC differentials, the borrowed-row poison run, the
-# write-path round trips, the in-page search and B+ tree model tests — so it
+# write-path round trips, the in-page search, B+ tree and SQL model tests — so it
 # never answers from the test cache. Nothing below repeats a test it
 # already ran with the same flags; what follows differs from it in
 # seeds, -count, or kind.
@@ -123,11 +129,14 @@ fuzz ./internal/btree FuzzInPageSearchMatchesReference
 # check (separators bound their children from below) and fetching the
 # pages its shape implies.
 fuzz ./internal/btree FuzzTreeMatchesModel
+# And this: decoded two-session SQL workloads held to the map-backed
+# SQL model, every statement's fetches to the trace rule.
+fuzz ./internal/engine FuzzSQLMatchesModel
 
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
+        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
