@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"snapdb/internal/sqlparse"
 )
 
 // newEngine returns an engine with a deterministic, manually advanced
@@ -336,6 +338,38 @@ func TestQueryCacheHitAndInvalidation(t *testing.T) {
 	third := mustExec(t, s, q)
 	if third.FromCache {
 		t.Error("cache not invalidated by table write")
+	}
+}
+
+// TestCachedResultsAreNotShared edits a returned row, on the miss that
+// filled the cache entry and on a hit served from it, and requires the
+// next identical SELECT to be served the original value: neither caller
+// holds the cache's own rows.
+func TestCachedResultsAreNotShared(t *testing.T) {
+	for _, arm := range []string{"miss", "hit"} {
+		t.Run(arm, func(t *testing.T) {
+			e, _ := newEngine(t, Defaults())
+			s := e.Connect("app")
+			setupCustomers(t, s, 10)
+			q := "SELECT id, name FROM customers WHERE id >= 2 AND id <= 4"
+			res := mustExec(t, s, q)
+			if arm == "hit" {
+				if res = mustExec(t, s, q); !res.FromCache {
+					t.Fatal("second execution missed the cache")
+				}
+			}
+			if len(res.Rows) != 3 || res.Rows[0][1].Str != "name2" {
+				t.Fatalf("rows = %v", res.Rows)
+			}
+			res.Rows[0][1] = sqlparse.StrValue("tampered")
+			again := mustExec(t, s, q)
+			if !again.FromCache {
+				t.Fatal("re-run missed the cache")
+			}
+			if got := again.Rows[0][1]; got != sqlparse.StrValue("name2") {
+				t.Errorf("re-run served %v after the caller edited its row, want name2", got)
+			}
+		})
 	}
 }
 

@@ -164,13 +164,47 @@ func (s *Server) idleTimeout() time.Duration {
 
 // Serve accepts connections on ln until Close. It blocks.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.adopt(ln) {
 		return errors.New("server: already closed")
 	}
+	return s.accept(ln)
+}
+
+// ListenAndServe listens on addr and serves. The returned channel
+// yields the bound address once listening (useful with ":0"). The
+// listener is the server's before the address is sent, so a Close that
+// follows the address closes it and ListenAndServe returns nil. A Close
+// that came first wins outright: the fresh listener is closed, nothing
+// is sent, and ListenAndServe returns nil.
+func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("server: listen: %w", err)
+	}
+	if !s.adopt(ln) {
+		_ = ln.Close()
+		return nil
+	}
+	if ready != nil {
+		ready <- ln.Addr()
+	}
+	return s.accept(ln)
+}
+
+// adopt records ln as the listener Close and Shutdown close, unless the
+// server is already closed.
+func (s *Server) adopt(ln net.Listener) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
 	s.ln = ln
-	s.mu.Unlock()
+	return true
+}
+
+// accept serves ln, once adopted, until Close.
+func (s *Server) accept(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -195,19 +229,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		go s.handle(conn)
 	}
-}
-
-// ListenAndServe listens on addr and serves. The returned channel
-// yields the bound address once listening (useful with ":0").
-func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen: %w", err)
-	}
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-	return s.Serve(ln)
 }
 
 // Close stops accepting, closes live connections immediately, and

@@ -356,3 +356,91 @@ func TestServeAfterCloseFails(t *testing.T) {
 		t.Error("Serve after Close succeeded")
 	}
 }
+
+// TestCloseRightAfterReady closes the server the moment ListenAndServe
+// has sent its address, when Serve may not have reached Accept yet. The
+// listener must already be the server's: ListenAndServe returns nil
+// and the address refuses connections.
+func TestCloseRightAfterReady(t *testing.T) {
+	e, err := engine.New(engine.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		srv := server.New(e)
+		ready := make(chan net.Addr, 1)
+		done := make(chan error, 1)
+		go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+		addr := (<-ready).String()
+		if err := srv.Close(); err != nil {
+			t.Fatalf("run %d: Close: %v", i, err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("run %d: ListenAndServe: %v", i, err)
+		}
+		if c, err := net.Dial("tcp", addr); err == nil {
+			c.Close()
+			t.Fatalf("run %d: %s still accepts after Close", i, addr)
+		}
+	}
+}
+
+// TestListenAndServeAfterClose: a Close that comes first wins; the
+// fresh listener is closed and nothing is served.
+func TestListenAndServeAfterClose(t *testing.T) {
+	e, err := engine.New(engine.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(e)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ready := make(chan net.Addr, 1)
+	if err := srv.ListenAndServe("127.0.0.1:0", ready); err != nil {
+		t.Errorf("ListenAndServe after Close: %v", err)
+	}
+	if len(ready) != 0 {
+		t.Error("ListenAndServe after Close sent an address")
+	}
+}
+
+// TestCachedEmptyResultReply: a zero-row SELECT served from the query
+// cache is framed as the uncached one is — the header line alone, with
+// only the cache flag and the examined count (none, on a hit) moved.
+func TestCachedEmptyResultReply(t *testing.T) {
+	addr, _, stop := startServer(t)
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	var replies []string
+	for _, q := range []string{
+		"CREATE TABLE empty (id INT PRIMARY KEY, v TEXT)",
+		"INSERT INTO empty (id, v) VALUES (1, 'a'), (2, 'b')",
+		"SELECT id, v FROM empty WHERE id >= 5",
+		"SELECT id, v FROM empty WHERE id >= 5",
+		"SELECT id FROM empty WHERE id = 1",
+	} {
+		if _, err := fmt.Fprintf(conn, "%s\n", q); err != nil {
+			t.Fatal(err)
+		}
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies = append(replies, line)
+	}
+	if !strings.HasPrefix(replies[2], "OK 0 0 0 ") || replies[3] != "OK 0 0 1 0\n" {
+		t.Errorf("uncached reply %q, cached reply %q; want %q and %q",
+			replies[2], replies[3], "OK 0 0 0 <examined>\n", "OK 0 0 1 0\n")
+	}
+	// The next reply starts right after each header: no COLS line or
+	// row followed either empty result.
+	if !strings.HasPrefix(replies[4], "OK 1 0 0 ") {
+		t.Errorf("reply after the cached empty result = %q", replies[4])
+	}
+}

@@ -82,7 +82,7 @@ echo "== bench smoke =="
 # no longer compiles or errors at runtime. Timing is meaningless at
 # -benchtime 1x; performance is judged by snapbench (go run ./bench,
 # contract in BENCHMARK.json).
-go test -run '^$' -bench . -benchtime 1x ./internal/btree ./internal/engine ./internal/engine/exec
+go test -run '^$' -bench . -benchtime 1x ./internal/btree ./internal/engine ./internal/engine/exec ./internal/querycache
 
 echo "== experiment transcript =="
 # The -quick transcript is an exact gate: cmd/experiments must print,
@@ -148,6 +148,10 @@ echo "== concurrent derivations and queues, ten times (-race) =="
 # interleavings.
 go test -race ./internal/btree -run 'TestLazyHintUnderConcurrentReaders' -count=10
 go test -race ./internal/commitq -count=10
+# The query cache's Get/Put/InvalidateTable/Entries from four
+# goroutines: a hit decodes its entry outside the lock, so each
+# schedule checks that a re-Put never writes bytes a reader holds.
+go test -race ./internal/querycache -run 'TestConcurrentUse' -count=10
 # Two goroutines on one CryptFS, shrinking files under each other's
 # remembered sizes.
 go test -race ./internal/vfs -count=10 \
