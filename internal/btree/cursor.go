@@ -29,9 +29,9 @@ type Cursor struct {
 
 	// How Next materializes a leaf (see Lend and Reject): lend recycles
 	// one value slab for the whole walk, textFree says need keeps no text
-	// field, preds are evaluated on the slot bytes before any decode.
+	// field, match is evaluated on the slot bytes before any decode.
 	lend, textFree bool
-	preds          []storage.Pred
+	match          *storage.Matcher
 	slab           storage.Record
 
 	started, done bool
@@ -75,13 +75,15 @@ func (c *Cursor) Lend(textFree bool) {
 	}
 }
 
-// Reject makes Next evaluate preds on each record's slot bytes
-// (storage.Match) and decode only the records that satisfy them all.
-// A rejected record still takes its place in what Next returns, as a
-// nil Record, and is still validated field by field: a leaf with a
-// corrupt record fails Next exactly as it does without Reject. Call it
-// before the first Next.
-func (c *Cursor) Reject(preds []storage.Pred) { c.preds = preds }
+// Reject makes Next evaluate m — conjuncts compiled for the table's
+// record layout — on each record's slot bytes and decode only the
+// records that satisfy them all. A rejected record still takes its
+// place in what Next returns, as a nil Record, and is still validated
+// field by field: a leaf with a corrupt record fails Next exactly as it
+// does without Reject (a record off m's layout is judged by
+// storage.Match, whose errors are the decoder's). A nil m rejects
+// nothing. Call it before the first Next.
+func (c *Cursor) Reject(m *storage.Matcher) { c.match = m }
 
 // RecycleMode is a test seam over Lend. Borrowed records that a caller
 // wrongly keeps usually go on reading right for a while; the modes
@@ -133,8 +135,8 @@ func (c *Cursor) Next() ([]storage.Record, bool, error) {
 	c.rows = c.rows[:0]
 	for _, slot := range c.slots {
 		b := leaf.SlotBytes(int(slot))
-		if c.preds != nil {
-			ok, err := storage.Match(b, c.preds)
+		if c.match != nil {
+			ok, err := c.match.Match(b)
 			if err != nil {
 				return nil, false, c.fail(leaf, int(slot), err)
 			}
@@ -185,6 +187,23 @@ var survivor = storage.Record{}
 // pool's shared one: exact under concurrent sessions, and free of the
 // pool lock.
 func (c *Cursor) Fetches() uint64 { return c.fetches }
+
+// Fold is Next for a caller that only counts and sums: it fetches the
+// same leaf and validates its live in-bounds records as Next does,
+// failing where Next fails with the same error, but decodes none. It
+// returns how many records Next would have (n), how many of them m
+// accepts, and the sum of m's SUM column over those, read in place.
+func (c *Cursor) Fold(m *storage.Matcher) (n, accepted int, sum int64, ok bool, err error) {
+	leaf, err := c.advance()
+	if leaf == nil {
+		return 0, 0, 0, false, err
+	}
+	accepted, sum, bad, err := m.Fold(leaf, c.slots)
+	if err != nil {
+		return 0, 0, 0, false, c.fail(leaf, int(bad), err)
+	}
+	return len(c.slots), accepted, sum, true, nil
+}
 
 // Skip is Next without the decode: it fetches the same leaf and returns
 // how many records Next would have.
@@ -242,12 +261,20 @@ func (c *Cursor) advance() (*storage.Page, error) {
 
 // collect points c.slots at leaf's live slots from lo up to hi (or
 // all of them, unbounded) and reports whether leaf holds a key beyond
-// hi. With lo > hi the window is empty, and a key >= lo is beyond.
+// hi. With lo > hi the window is empty, and a key >= lo is beyond. A
+// leaf whose first key is at least lo and whose last is at most hi —
+// every leaf of a long range but its two ends — lies wholly inside the
+// bounds: it takes its whole key index on those two comparisons, and
+// only a leaf that a bound falls in is bisected.
 func (c *Cursor) collect(leaf *storage.Page) (beyond bool, err error) {
 	ix, err := keysOf(leaf)
 	if err != nil || !c.bounded {
 		c.slots = ix
 		return false, err
+	}
+	if within(leaf, ix, c.lo, c.hi) {
+		c.slots = ix
+		return false, nil
 	}
 	from, err := bisect(leaf, ix, c.lo, false)
 	if err != nil {
@@ -260,6 +287,22 @@ func (c *Cursor) collect(leaf *storage.Page) (beyond bool, err error) {
 	to = max(from, to)
 	c.slots = ix[from:to]
 	return to < len(ix), nil
+}
+
+// within reports whether ix, leaf's key index, is non-empty and every
+// key in it lies in [lo, hi]: the window the two bisects would then
+// find is all of ix. A key that cannot be read answers false, and the
+// bisects report it as they always did.
+func within(leaf *storage.Page, ix []uint16, lo, hi sqlparse.Value) bool {
+	if len(ix) == 0 {
+		return false
+	}
+	c, err := storage.CompareKey(leaf.SlotBytes(int(ix[0])), lo)
+	if err != nil || c < 0 {
+		return false
+	}
+	c, err = storage.CompareKey(leaf.SlotBytes(int(ix[len(ix)-1])), hi)
+	return err == nil && c <= 0
 }
 
 // fail ends the walk on an undecodable slot.

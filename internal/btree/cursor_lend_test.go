@@ -36,6 +36,28 @@ func cursorPreds(lo sqlparse.Value) [][]storage.Pred {
 	}
 }
 
+// fixtureLayout is the cursor fixtures' record layout: the key's type,
+// then TEXT, INT, TEXT.
+func fixtureLayout(f *modelTree) []sqlparse.ColumnType {
+	key := sqlparse.TypeInt
+	for k := range f.model {
+		if !k.IsInt {
+			key = sqlparse.TypeText
+		}
+		break
+	}
+	return []sqlparse.ColumnType{key, sqlparse.TypeText, sqlparse.TypeInt, sqlparse.TypeText}
+}
+
+// compiled is what a scan leaf hands the cursor for preds: nil for
+// none, else preds compiled for layout.
+func compiled(preds []storage.Pred, layout []sqlparse.ColumnType) *storage.Matcher {
+	if preds == nil {
+		return nil
+	}
+	return storage.Compile(preds, layout, -1)
+}
+
 // passes is the reference verdict: decode, then compare Values.
 func passes(r storage.Record, preds []storage.Pred) bool {
 	for _, p := range preds {
@@ -86,7 +108,7 @@ func checkLentWalk(t *testing.T, f *modelTree, bounded bool, lo, hi sqlparse.Val
 	trace := f.traced(func() {
 		c.Init(f.tree, bounded, lo, hi, need)
 		c.Lend(textFree)
-		c.Reject(preds)
+		c.Reject(compiled(preds, fixtureLayout(f)))
 		for {
 			rows, ok, err := c.Next()
 			if err != nil {
@@ -200,12 +222,19 @@ func TestRejectedRowIsStillValidated(t *testing.T) {
 		}
 		b := leaf.SlotBytes(7)
 		b[2+9+9] = 0x7f // the third field's tag; key and second field stay readable
+		layout := []sqlparse.ColumnType{sqlparse.TypeInt, sqlparse.TypeInt, sqlparse.TypeText}
 		next := func(preds []storage.Pred) error {
 			var c Cursor
 			c.Init(tr, false, sqlparse.Value{}, sqlparse.Value{}, []bool{true, true, false})
 			c.Lend(true)
-			c.Reject(preds)
+			c.Reject(compiled(preds, layout))
 			_, _, err := c.Next()
+			return err
+		}
+		fold := func(preds []storage.Pred, sum int) error {
+			var c Cursor
+			c.Init(tr, false, sqlparse.Value{}, sqlparse.Value{}, nil)
+			_, _, _, _, err := c.Fold(storage.Compile(preds, layout, sum))
 			return err
 		}
 		plain := next(nil)
@@ -215,6 +244,13 @@ func TestRejectedRowIsStillValidated(t *testing.T) {
 		}
 		if rejecting == nil || rejecting.Error() != plain.Error() {
 			t.Errorf("rejecting Next (id = %d) = %v, want %v", arg, rejecting, plain)
+		}
+		for _, sum := range []int{-1, 1} {
+			for _, preds := range [][]storage.Pred{nil, {{Col: 0, Op: sqlparse.OpEq, Arg: sqlparse.IntValue(arg)}}} {
+				if err := fold(preds, sum); err == nil || err.Error() != plain.Error() {
+					t.Errorf("Fold (preds %v, sum %d) = %v, want %v", preds, sum, err, plain)
+				}
+			}
 		}
 	}
 }
@@ -234,7 +270,7 @@ func TestLentWalkAllocations(t *testing.T) {
 			var c Cursor
 			c.Init(tr, false, sqlparse.Value{}, sqlparse.Value{}, []bool{true, true, false})
 			c.Lend(true)
-			c.Reject(preds)
+			c.Reject(compiled(preds, []sqlparse.ColumnType{sqlparse.TypeInt, sqlparse.TypeInt, sqlparse.TypeText}))
 			for {
 				if _, ok, err := c.Next(); err != nil || !ok {
 					return
@@ -265,5 +301,84 @@ func TestLentWalkAllocations(t *testing.T) {
 		if b > 24 || b-a > 4 {
 			t.Errorf("keep=%v: %.0f allocations over 100 rows, %.0f over 2000: want the cursor's scratch growing to one leaf's size, the same for both", keep, a, b)
 		}
+	}
+}
+
+// TestCursorFoldMatchesNext holds Fold to the rejecting walk it stands
+// in for: over every pair of fixture bounds, each leaf's record count,
+// its accepted count and the sum of the INT field over those equal
+// what Next returns for that leaf (decoded, then compared), and the
+// walk fetches the same pages. The conjuncts are compiled for the
+// records' layout and for one they disagree with, where every record
+// falls back to storage.Match.
+func TestCursorFoldMatchesNext(t *testing.T) {
+	type leaf struct {
+		n, accepted int
+		sum         int64
+	}
+	for _, tc := range []struct {
+		name    string
+		seed    int64
+		n, ops  int
+		makeKey func(int) sqlparse.Value
+	}{
+		{"int-keys", 3, 60, 400, intKey},
+		{"text-keys", 5, 48, 300, textKey},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := buildCursorFixture(t, tc.seed, tc.n, tc.ops, tc.makeKey)
+			preds := cursorPreds(f.keys[len(f.keys)/2])
+			wrong := []sqlparse.ColumnType{sqlparse.TypeText, sqlparse.TypeInt, sqlparse.TypeText}
+			i := 0
+			for _, lo := range f.keys {
+				for _, hi := range f.keys {
+					ps := preds[i%len(preds)]
+					layout := fixtureLayout(f)
+					if i%3 == 0 {
+						layout = wrong
+					}
+					i++
+					var want, got []leaf
+					var c Cursor
+					refTrace := f.traced(func() {
+						c.Init(f.tree, true, lo, hi, nil)
+						for {
+							rows, ok, err := c.Next()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !ok {
+								return
+							}
+							l := leaf{n: len(rows)}
+							for _, r := range rows {
+								if passes(r, ps) {
+									l.accepted++
+									l.sum += r[2].Int
+								}
+							}
+							want = append(want, l)
+						}
+					})
+					m := storage.Compile(ps, layout, 2)
+					trace := f.traced(func() {
+						c.Init(f.tree, true, lo, hi, nil)
+						for {
+							n, acc, sum, ok, err := c.Fold(m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !ok {
+								return
+							}
+							got = append(got, leaf{n, acc, sum})
+						}
+					})
+					if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(trace, refTrace) {
+						t.Fatalf("[%v, %v] preds %v layout %v: Fold gave %v fetching %v; Next %v fetching %v", lo, hi, ps, layout, got, trace, want, refTrace)
+					}
+				}
+			}
+		})
 	}
 }

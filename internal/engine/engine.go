@@ -175,6 +175,9 @@ type Table struct {
 	Name    string
 	Columns []sqlparse.ColumnDef
 	PKIndex int
+	// layout is Columns' types, what plan templates compile their
+	// predicates for (storage.Compile).
+	layout  []sqlparse.ColumnType
 	Tree    *btree.Tree
 	Indexes []*SecondaryIndex // sorted by name
 
@@ -677,6 +680,7 @@ func (e *Engine) execCreate(st *sqlparse.CreateTable, query string, ts int64) (*
 		Name:    st.Table,
 		Columns: st.Columns,
 		PKIndex: pk,
+		layout:  columnTypes(st.Columns),
 		Tree:    btree.New(e.ts, e.pool),
 	}
 	e.tables[st.Table] = t

@@ -41,15 +41,20 @@
 //
 // The second thing the serial leaf may do for the plan above it is
 // reject before decode (Filter.PushDown, Scan.Reject): evaluate the
-// Filter's residual conjuncts on a row's page bytes and decode the row
-// only if it passes. That is off whenever an MVCC view is armed — the
-// tree row is then not the row the statement sees, so it has to be
-// decoded and resolved before any predicate means anything — and the
-// Filter does all the work, as it does above every other leaf.
+// Filter's residual conjuncts, compiled for the table's record layout,
+// on a row's page bytes and decode the row only if it passes. That is
+// off whenever an MVCC view is armed — the tree row is then not the
+// row the statement sees, so it has to be decoded and resolved before
+// any predicate means anything — and the Filter does all the work, as
+// it does above every other leaf. The third is to fold at the leaf
+// (Aggregate.FoldAtLeaf): under a COUNT or SUM, directly or through
+// one Filter, the leaf counts and sums each page where it lies and
+// hands up no row at all; an armed view keeps the row path there too.
 //
-// Neither shows in the stage rows. A rejected row is counted as
-// returned by the leaf and examined by the Filter, the rows a lent
-// slab saved were never counted anywhere, and the page fetches are the
+// None of this shows in the stage rows. A rejected row is counted as
+// returned by the leaf and examined by the Filter, a folded page's rows
+// are booked on every operator as if handed up, the rows a lent slab
+// saved were never counted anywhere, and the page fetches are the
 // cursor's, which does not know what its caller decodes: each
 // operator's (examined, returned, fetches) triple is what it was when
 // every row was decoded and handed up. That is deliberate. The triples

@@ -19,12 +19,16 @@ type Pred = storage.Pred
 // which re-checked every conjunct per visited row.
 //
 // A Filter directly above a streaming clustered Scan may hand that
-// leaf its residual conjuncts (PushDown). The leaf then turns rows
-// down before decoding them, and this operator sees only rows that
-// pass — which it still checks against every predicate, so nothing
-// about the result rests on the hand-off. Its counters do not show it:
-// Stats counts the rows the leaf rejected on its behalf as examined
-// here, as the leaf counts them returned (see Scan.Reject).
+// leaf its residual conjuncts, compiled for the table's record layout
+// (PushDown). The leaf then turns rows down before decoding them, and
+// this operator sees only rows that pass — which it still checks
+// against every predicate, so nothing about the result rests on the
+// hand-off. Its counters do not show it: Stats counts the rows the
+// leaf rejected on its behalf as examined here, as the leaf counts
+// them returned (see Scan.Reject). Under an Aggregate that folds at
+// the leaf, every predicate is evaluated on the page bytes instead and
+// no row passes through here at all; the counters are booked as if
+// they had (see Aggregate.FoldAtLeaf).
 type Filter struct {
 	input Operator
 	preds []Pred
@@ -41,9 +45,9 @@ func (f *Filter) Init(input Operator, preds []Pred, desc string) {
 }
 
 // PushDown hands residual — the conjuncts of f's predicates that leaf's
-// bounds do not already enforce — to leaf, which must be f's input.
-// Call it before Open.
-func (f *Filter) PushDown(leaf *Scan, residual []Pred) {
+// bounds do not already enforce, compiled for the table's layout — to
+// leaf, which must be f's input. Call it before Open.
+func (f *Filter) PushDown(leaf *Scan, residual *storage.Matcher) {
 	f.leaf = leaf
 	leaf.Reject(residual)
 }
@@ -78,6 +82,17 @@ func (f *Filter) Close() error { return f.input.Close() }
 
 func (f *Filter) Describe() string     { return f.desc }
 func (f *Filter) Children() []Operator { return []Operator{f.input} }
+
+// folded books what a folding leaf did in f's place: examined rows
+// reached the leaf, accepted of them pass every predicate. The rows
+// the leaf counted as rejected for f are not f's own (see Stats).
+func (f *Filter) folded(examined, accepted int) {
+	if f.leaf != nil {
+		examined = accepted
+	}
+	f.stats.RowsExamined += examined
+	f.stats.RowsReturned += accepted
+}
 
 // Stats counts in the rows the leaf below turned down for f.
 func (f *Filter) Stats() Stats {
@@ -212,6 +227,15 @@ func (s *Sort) Children() []Operator { return []Operator{s.input} }
 // Aggregate is a blocking single-group aggregate: COUNT(*) / COUNT(col)
 // or SUM(col) over the whole input. Unknown kinds fail Open with a
 // typed ErrUnsupportedAggregate.
+//
+// Directly above the serial clustered Scan, or above a Filter directly
+// above it, the aggregate may fold at the leaf (FoldAtLeaf): Open has
+// the cursor count each leaf page, and sum the SUM column, on the
+// page bytes, with every predicate of the Filter evaluated there, and
+// no row is decoded or handed up. Every operator's (examined,
+// returned, fetches) triple, the deadline checks and the errors are
+// those of the row-at-a-time fold. An armed MVCC view keeps the row
+// path: the tree row may not be the row the statement sees.
 type Aggregate struct {
 	input Operator
 	kind  sqlparse.AggKind
@@ -220,6 +244,13 @@ type Aggregate struct {
 	stats Stats
 	out   sqlparse.Value
 	done  bool
+
+	// leafFold, when set, is the Filter's predicates (none without
+	// one) compiled for the table's layout with col as the SUM column:
+	// what a folding leaf judges and sums each record with. folded says
+	// Open used it.
+	leafFold *storage.Matcher
+	folded   bool
 }
 
 // Init resets a in place (see Filter.Init). For AggSum, col must be a
@@ -227,6 +258,31 @@ type Aggregate struct {
 // or non-INT columns before the operator runs).
 func (a *Aggregate) Init(input Operator, kind sqlparse.AggKind, col int, desc string) {
 	*a = Aggregate{input: input, kind: kind, col: col, desc: desc}
+}
+
+// FoldAtLeaf lets Open fold at the leaf: a's input must be the
+// serial clustered Scan or a Filter directly above it, and m that
+// Filter's predicates (nil ones without it) compiled for the table's
+// layout, with a's SUM column. Whether the fold happens is decided at
+// Open: not when the leaf is blocking or an MVCC view is armed on it.
+// Call it before Open.
+func (a *Aggregate) FoldAtLeaf(m *storage.Matcher) { a.leafFold = m }
+
+// foldingLeaf returns the Scan whose pages Open folds and the Filter
+// between it and a, if any; a nil Scan means the row path.
+func (a *Aggregate) foldingLeaf() (*Scan, *Filter) {
+	if a.leafFold == nil {
+		return nil, nil
+	}
+	in, f := a.input, (*Filter)(nil)
+	if ff, ok := in.(*Filter); ok {
+		in, f = ff.input, ff
+	}
+	s, ok := in.(*Scan)
+	if !ok || s.blocking || s.vis != nil {
+		return nil, nil
+	}
+	return s, f
 }
 
 // Open drains the input and folds it into the aggregate value.
@@ -237,20 +293,9 @@ func (a *Aggregate) Open() error {
 	if err := a.input.Open(); err != nil {
 		return err
 	}
-	var count, sum int64
-	for {
-		r, ok, err := a.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		a.stats.RowsExamined++
-		count++
-		if a.kind == sqlparse.AggSum {
-			sum += r[a.col].Int
-		}
+	count, sum, err := a.fold()
+	if err != nil {
+		return err
 	}
 	if a.kind == sqlparse.AggCount {
 		a.out = sqlparse.IntValue(count)
@@ -259,6 +304,37 @@ func (a *Aggregate) Open() error {
 	}
 	return nil
 }
+
+// fold counts the input's rows and sums the SUM column over them: at
+// the leaf when foldingLeaf names one, else row by row.
+func (a *Aggregate) fold() (count, sum int64, err error) {
+	if leaf, f := a.foldingLeaf(); leaf != nil {
+		a.folded = true
+		if count, sum, err = leaf.fold(a.leafFold); err != nil {
+			return 0, 0, err
+		}
+		if f != nil {
+			f.folded(leaf.stats.RowsExamined, int(count))
+		}
+		a.stats.RowsExamined += int(count)
+		return count, sum, nil
+	}
+	for {
+		r, ok, err := a.input.Next()
+		if err != nil || !ok {
+			return count, sum, err
+		}
+		a.stats.RowsExamined++
+		count++
+		if a.kind == sqlparse.AggSum {
+			sum += r[a.col].Int
+		}
+	}
+}
+
+// Folded reports whether Open folds at the leaf (or tried to: an error
+// in the walk fails the fold, as it fails the row path).
+func (a *Aggregate) Folded() bool { return a.folded }
 
 // Next emits the single aggregate row.
 func (a *Aggregate) Next() (storage.Record, bool, error) {

@@ -56,6 +56,26 @@ func examine(st *Stats, dl DeadlineCheck) error {
 	return nil
 }
 
+// examineRun is examine for n rows at once, for a leaf that folds a
+// page instead of handing its rows up: the count lands where n calls
+// of examine would leave it, and the deadline is checked at the same
+// row boundaries — on an error, with the count at the row it fired on.
+func examineRun(st *Stats, dl DeadlineCheck, n int) error {
+	end := st.RowsExamined + n
+	for dl != nil {
+		next := (st.RowsExamined/deadlineCheckInterval + 1) * deadlineCheckInterval
+		if next > end {
+			break
+		}
+		st.RowsExamined = next
+		if err := dl(); err != nil {
+			return err
+		}
+	}
+	st.RowsExamined = end
+	return nil
+}
+
 // Scan is the serial scan leaf: one forward traversal of a tree — the
 // clustered tree's rows or a secondary index's entries — over [lo, hi]
 // when bounded, over every key otherwise. A point read is the range
@@ -74,9 +94,11 @@ func examine(st *Stats, dl DeadlineCheck) error {
 // How long an emitted row stays good is decided when the plan is built
 // (see Operator): a leaf that Lends hands out rows of the cursor's one
 // recycled slab, good until the following Next; any other hands out
-// rows the caller may keep. And a leaf given residual predicates
-// (Reject) has the cursor evaluate them on each row's page bytes and
-// decode only the rows that pass.
+// rows the caller may keep. A leaf given residual predicates (Reject)
+// has the cursor evaluate them on each row's page bytes and decode
+// only the rows that pass. And under an Aggregate that folds at the
+// leaf (Aggregate.FoldAtLeaf) it hands up no row at all: each page is
+// counted, and summed, where it lies.
 //
 // Built blocking, the leaf instead runs the whole traversal inside
 // Open and emits from a buffer. Two callers need that: rev (ORDER BY
@@ -95,8 +117,9 @@ type Scan struct {
 	blocking, rev bool
 
 	// residual are the Filter's conjuncts this leaf evaluates for it,
-	// rejected how many rows they have turned down so far (see Reject).
-	residual []Pred
+	// compiled for the table's layout; rejected is how many rows they
+	// have turned down so far (see Reject).
+	residual *storage.Matcher
 	rejected int
 
 	// dl, when set, is consulted every deadlineCheckInterval examined
@@ -138,16 +161,19 @@ func (s *Scan) Stats() Stats {
 func (s *Scan) Lend(textFree bool) { s.cur.Lend(textFree) }
 
 // Reject gives a streaming clustered leaf the conjuncts of the Filter
-// directly above it that its own bounds do not enforce. The cursor
-// evaluates them on each row's page bytes — validating the whole
-// record all the same, so a corrupt row fails the statement whether or
-// not it would have passed — and only rows that pass are decoded and
-// emitted. Every row is still examined one by one: counted and
-// deadline-checked. The rows turned down are counted as this
-// leaf's returned rows and the Filter's examined rows, because that is
-// what they were before the hand-off existed, and every operator's
-// (examined, returned, fetches) triple is a surface the paper's
-// attacker reads: it must not tell the two executions apart.
+// directly above it that its own bounds do not enforce, compiled once
+// per plan template for the table's record layout (storage.Compile).
+// The cursor evaluates them on each row's page bytes in one pass over
+// the record — validating the whole record all the same, so a corrupt
+// row fails the statement whether or not it would have passed, and a
+// record off the layout gets storage.Match's verdict and error — and
+// only rows that pass are decoded and emitted. Every row is still
+// examined one by one: counted and deadline-checked. The rows turned
+// down are counted as this leaf's returned rows and the Filter's
+// examined rows, because that is what they were before the hand-off
+// existed, and every operator's (examined, returned, fetches) triple
+// is a surface the paper's attacker reads: it must not tell the two
+// executions apart.
 //
 // The hand-off is dropped at Open when an MVCC view is armed. A tree
 // row that fails a predicate may stand for a visible version that
@@ -156,7 +182,7 @@ func (s *Scan) Lend(textFree bool) { s.cur.Lend(textFree) }
 // leaf drops it too: a Limit above a reversed buffer stops the Filter
 // part-way, and which rejected rows it would have reached by then is
 // not something a count can say.
-func (s *Scan) Reject(residual []Pred) { s.residual = residual }
+func (s *Scan) Reject(residual *storage.Matcher) { s.residual = residual }
 
 // Rejected is how many rows this leaf has turned down before decoding
 // them: zero for good when the hand-off was dropped.
@@ -175,7 +201,7 @@ func (s *Scan) Open() error {
 		}
 	}
 	s.opened = true
-	if s.vis == nil && !s.blocking && len(s.residual) > 0 {
+	if s.vis == nil && !s.blocking && s.residual != nil {
 		s.cur.Reject(s.residual)
 	}
 	if !s.blocking {
@@ -256,6 +282,39 @@ func (s *Scan) treeRow() (storage.Record, bool, error) {
 			return nil, false, nil
 		}
 		s.batch, s.bpos = batch, 0
+	}
+}
+
+// fold runs the whole traversal of an opened streaming leaf for the
+// Aggregate above it, which folds at the leaf: the cursor judges every
+// record with m on its page bytes, counting and summing the ones m
+// accepts in place, and decodes none. Every row is still examined —
+// counted, deadline-checked at the same boundaries — and the leaf's
+// counters end where handing each row up would have left them: a row
+// m turns down counts as returned and, when the Filter above handed
+// this leaf its conjuncts, as rejected for it (see Reject).
+func (s *Scan) fold(m *storage.Matcher) (count, sum int64, err error) {
+	for {
+		n, accepted, v, ok, err := s.cur.Fold(m)
+		if err != nil {
+			s.failed = true
+			return 0, 0, err
+		}
+		if !ok {
+			return count, sum, nil
+		}
+		if err := examineRun(&s.stats, s.dl, n); err != nil {
+			s.failed = true
+			return 0, 0, err
+		}
+		count += int64(accepted)
+		sum += v
+		if s.residual != nil {
+			s.stats.RowsReturned += accepted
+			s.rejected += n - accepted
+		} else {
+			s.stats.RowsReturned += n
+		}
 	}
 }
 

@@ -79,10 +79,11 @@ type physicalPlan struct {
 	need []bool
 
 	preds []exec.Pred
-	// residual are the preds a clustered path's bounds [lo, hi] do not
-	// already enforce: what the Filter may hand down to the leaf (see
-	// instantiate). A pk-range read with only bound predicates has none.
-	residual    []exec.Pred
+	// reject is the preds a clustered path's bounds [lo, hi] do not
+	// already enforce, compiled once for the table's record layout: what
+	// the Filter may hand down to the leaf (see instantiate). A pk-range
+	// read with only bound predicates has none (nil).
+	reject      *storage.Matcher
 	whereErr    error // raised before the scan runs
 	deferredErr error // raised after the scan drains
 
@@ -95,6 +96,7 @@ type physicalPlan struct {
 	agg          bool
 	aggKind      sqlparse.AggKind
 	aggCol       int
+	leafFold     *storage.Matcher // preds and the SUM column, for a fold at the clustered leaf
 	proj         []int
 	sortCol      int // -1 for none (or absorbed by the access path)
 	sortDesc     bool
@@ -201,7 +203,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 	n := t.rows.Load()
 	if lo, hi, _, ok := columnBounds(pkName, ls.where); ok {
 		pp.lo, pp.hi = lo, hi
-		pp.residual = residualPreds(ls.preds, t.PKIndex, lo, hi)
+		pp.reject = compileResidual(t, residualPreds(ls.preds, t.PKIndex, lo, hi))
 		pp.path = "pk-range"
 		if lo.Equal(hi) {
 			pp.kind = accessPKPoint
@@ -247,7 +249,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 		}
 	}
 	pp.kind = accessFull
-	pp.residual = ls.preds
+	pp.reject = compileResidual(t, ls.preds)
 	pp.path = "full-scan"
 	est := float64(n)
 	if est < 1 {
@@ -271,6 +273,25 @@ func residualPreds(preds []exec.Pred, pk int, lo, hi sqlparse.Value) []exec.Pred
 			continue
 		}
 		out = append(out, p)
+	}
+	return out
+}
+
+// compileResidual compiles a clustered leaf's residual conjuncts for
+// t's record layout; none compile to nil.
+func compileResidual(t *Table, residual []exec.Pred) *storage.Matcher {
+	if len(residual) == 0 {
+		return nil
+	}
+	return storage.Compile(residual, t.layout, -1)
+}
+
+// columnTypes is a table's record layout: its column types in schema
+// order.
+func columnTypes(cols []sqlparse.ColumnDef) []sqlparse.ColumnType {
+	out := make([]sqlparse.ColumnType, len(cols))
+	for i, c := range cols {
+		out[i] = c.Type
 	}
 	return out
 }
@@ -383,6 +404,13 @@ func (e *Engine) buildSelectPlan(t *Table, st *sqlparse.Select) *physicalPlan {
 		pp.aggKind = lp.aggExpr.Agg
 		pp.aggCol = lp.aggCol
 		pp.dAgg = "Aggregate: " + lp.aggExpr.SQL()
+		if pp.kind != accessIndex {
+			sum := -1
+			if pp.aggKind == sqlparse.AggSum {
+				sum = pp.aggCol
+			}
+			pp.leafFold = storage.Compile(pp.preds, t.layout, sum)
+		}
 		if lp.limit >= 0 {
 			pp.limit = lp.limit
 			pp.dLimit = fmt.Sprintf("Limit: %d", lp.limit)
@@ -641,8 +669,8 @@ func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 	}
 	if len(pp.preds) > 0 {
 		pi.filter.Init(root, pp.preds, pp.dFilter)
-		if root == exec.Operator(&pi.scan) && len(pp.residual) > 0 {
-			pi.filter.PushDown(&pi.scan, pp.residual)
+		if root == exec.Operator(&pi.scan) && pp.reject != nil {
+			pi.filter.PushDown(&pi.scan, pp.reject)
 		}
 		root = &pi.filter
 	}
@@ -653,6 +681,9 @@ func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 		switch {
 		case pp.agg:
 			pi.agg.Init(root, pp.aggKind, pp.aggCol, pp.dAgg)
+			if leaf == scanLeaf(&pi.scan) && pp.leafFold != nil {
+				pi.agg.FoldAtLeaf(pp.leafFold)
+			}
 			root = &pi.agg
 			if pp.limit >= 0 {
 				pi.limit.Init(root, pp.limit, pp.dLimit)

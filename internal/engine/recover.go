@@ -289,6 +289,7 @@ func (e *Engine) loadCatalog(meta CheckpointMeta) error {
 			Name:    ct.Name,
 			Columns: ct.Columns,
 			PKIndex: ct.PK,
+			layout:  columnTypes(ct.Columns),
 			Tree:    btree.Open(e.ts, e.pool, ct.Root),
 		}
 		for _, ci := range ct.Indexes {

@@ -33,12 +33,18 @@ type Entry struct {
 // encoded back to back in data, with the sizes that decoding them needs
 // (rows records, fields values in all, text bytes of string fields), so
 // a hit allocates the row slice, one value slab and one text slab, all
-// sized exactly. An entry is never written after encode builds it: a
-// re-Put swaps in a new one, so a reader may decode it outside the lock.
+// sized exactly. Those are never written after encode builds them: a
+// re-Put swaps in a new entry, so a reader may decode one outside the
+// lock. Only the links, which no reader follows, change under it.
 type entry struct {
 	query, table       string
 	rows, fields, text int
 	data               []byte
+
+	// lru is the entry's element of Cache.order; prev and next link the
+	// entries of its table (Cache.byTable).
+	lru        *list.Element
+	prev, next *entry
 }
 
 // Cache is an LRU query cache.
@@ -48,6 +54,10 @@ type Cache struct {
 	capacity int
 	order    *list.List // front = most recent; values are *entry
 	byQuery  map[string]*list.Element
+	// byTable heads, per table, the list of the entries whose query
+	// read it, so that a write's invalidation costs what it drops, not
+	// a walk of the whole LRU.
+	byTable map[string]*entry
 
 	hits, misses, invalidations uint64
 }
@@ -65,6 +75,7 @@ func New(capacity int) *Cache {
 		capacity: capacity,
 		order:    list.New(),
 		byQuery:  make(map[string]*list.Element),
+		byTable:  make(map[string]*entry),
 	}
 }
 
@@ -99,30 +110,81 @@ func (c *Cache) Put(query, table string, result []storage.Record) {
 	}
 	e := encode(query, table, result)
 	if el, ok := c.byQuery[query]; ok {
-		el.Value = e
+		c.replace(el.Value.(*entry), e)
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byQuery[query] = c.order.PushFront(e)
+	e.lru = c.order.PushFront(e)
+	c.byQuery[query] = e.lru
+	c.link(e)
 	if c.order.Len() > c.capacity {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.byQuery, back.Value.(*entry).query)
+		c.drop(c.order.Back().Value.(*entry))
 	}
 }
 
+// link puts e at the head of its table's list.
+func (c *Cache) link(e *entry) {
+	e.prev, e.next = nil, c.byTable[e.table]
+	if e.next != nil {
+		e.next.prev = e
+	}
+	c.byTable[e.table] = e
+}
+
+// replace puts e in old's place in the LRU and, when both read the
+// same table, in that table's list.
+func (c *Cache) replace(old, e *entry) {
+	e.lru = old.lru
+	e.lru.Value = e
+	if old.table != e.table {
+		c.unlink(old)
+		c.link(e)
+		return
+	}
+	e.prev, e.next = old.prev, old.next
+	if e.prev != nil {
+		e.prev.next = e
+	} else {
+		c.byTable[e.table] = e
+	}
+	if e.next != nil {
+		e.next.prev = e
+	}
+}
+
+// unlink takes e out of its table's list.
+func (c *Cache) unlink(e *entry) {
+	switch {
+	case e.prev != nil:
+		e.prev.next = e.next
+	case e.next != nil:
+		c.byTable[e.table] = e.next
+	default:
+		delete(c.byTable, e.table)
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// drop removes e from the cache.
+func (c *Cache) drop(e *entry) {
+	c.order.Remove(e.lru)
+	delete(c.byQuery, e.query)
+	c.unlink(e)
+}
+
 // InvalidateTable drops every entry whose query read the given table.
+// It costs what it drops: a table with no entries is one map miss.
 func (c *Cache) InvalidateTable(table string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*entry); e.table == table {
-			c.order.Remove(el)
-			delete(c.byQuery, e.query)
-			c.invalidations++
-		}
-		el = next
+	for e := c.byTable[table]; e != nil; {
+		next := e.next
+		c.drop(e)
+		c.invalidations++
+		e = next
 	}
 }
 

@@ -313,9 +313,115 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestInvalidateLeavesOtherTables: dropping table A's entries leaves
+// every entry of B where it was in the LRU order, and a table with no
+// entries drops nothing.
+func TestInvalidateLeavesOtherTables(t *testing.T) {
+	c := New(16)
+	for i := 0; i < 8; i++ {
+		table := []string{"a", "b"}[i%2]
+		c.Put(fmt.Sprintf("q%d", i), table, result(int64(i)))
+	}
+	c.Get("q2") // an a entry moves to the front
+	c.Get("q1") // and a b entry ahead of it
+	queries := func() (all, bOnly []string) {
+		for _, e := range c.Entries() {
+			all = append(all, e.Query)
+			if e.Table == "b" {
+				bOnly = append(bOnly, e.Query)
+			}
+		}
+		return all, bOnly
+	}
+	_, before := queries()
+	c.InvalidateTable("a")
+	after, _ := queries()
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("after invalidating a: %v, want b's entries in their order %v", after, before)
+	}
+	c.InvalidateTable("none")
+	if again, _ := queries(); !reflect.DeepEqual(again, before) {
+		t.Fatalf("invalidating a table with no entries left %v, want %v", again, before)
+	}
+	if _, _, inv := c.Stats(); inv != 4 {
+		t.Fatalf("invalidations = %d, want 4", inv)
+	}
+}
+
+// TestMatchesWalkingLRU holds the cache to the list it was before the
+// per-table index: a most-recent-first slice that Put, Get and
+// InvalidateTable walk in full. Random operations over few queries and
+// tables — re-Puts that move a query to another table, evictions from a
+// small capacity — leave the same entries in the same order with the
+// same hit, miss and invalidation counts.
+func TestMatchesWalkingLRU(t *testing.T) {
+	type ref struct{ query, table string }
+	const capacity = 6
+	rng := rand.New(rand.NewSource(43))
+	c := New(capacity)
+	var want []ref
+	var hits, misses, invalidations uint64
+	find := func(q string) int {
+		for i, r := range want {
+			if r.query == q {
+				return i
+			}
+		}
+		return -1
+	}
+	for step := 0; step < 5000; step++ {
+		q, table := fmt.Sprintf("q%d", rng.Intn(10)), fmt.Sprintf("t%d", rng.Intn(3))
+		switch rng.Intn(4) {
+		case 0:
+			c.InvalidateTable(table)
+			kept := want[:0]
+			for _, r := range want {
+				if r.table == table {
+					invalidations++
+				} else {
+					kept = append(kept, r)
+				}
+			}
+			want = kept
+		case 1:
+			_, ok := c.Get(q)
+			if i := find(q); i >= 0 {
+				hits++
+				r := want[i]
+				want = append([]ref{r}, append(want[:i:i], want[i+1:]...)...)
+			} else {
+				misses++
+			}
+			if ok != (find(q) >= 0) {
+				t.Fatalf("step %d: Get(%s) ok = %v", step, q, ok)
+			}
+		default:
+			c.Put(q, table, result(int64(step)))
+			if i := find(q); i >= 0 {
+				want = append(want[:i:i], want[i+1:]...)
+			}
+			want = append([]ref{{q, table}}, want...)
+			if len(want) > capacity {
+				want = want[:capacity]
+			}
+		}
+		var got []ref
+		for _, e := range c.Entries() {
+			got = append(got, ref{e.Query, e.Table})
+		}
+		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) || c.Len() != len(want) {
+			t.Fatalf("step %d: entries %v, want %v", step, got, want)
+		}
+		if h, m, inv := c.Stats(); h != hits || m != misses || inv != invalidations {
+			t.Fatalf("step %d: stats %d/%d/%d, want %d/%d/%d", step, h, m, inv, hits, misses, invalidations)
+		}
+	}
+}
+
 // BenchmarkQueryCache prices a Put (a miss filling its entry) and a Get
 // (a hit decoding it) for oltp_point's point read — one 48-byte text —
-// and for scan_analytic's range read — 500 rows of (id, 48-byte text).
+// and for scan_analytic's range read — 500 rows of (id, 48-byte text);
+// and an InvalidateTable that finds nothing to drop in a full cache.
 func BenchmarkQueryCache(b *testing.B) {
 	v := strings.Repeat("v", 48)
 	for _, n := range []int{1, 500} {
@@ -346,4 +452,21 @@ func BenchmarkQueryCache(b *testing.B) {
 			}
 		})
 	}
+	// Every write statement invalidates its table: on a full cache
+	// whose entries all read other tables, that should drop nothing and
+	// cost nothing like a walk of the cache.
+	b.Run("InvalidateTable/miss", func(b *testing.B) {
+		c := New(DefaultCapacity)
+		for i := 0; i < DefaultCapacity; i++ {
+			c.Put(fmt.Sprintf("q%d", i), fmt.Sprintf("t%d", i%4), nil)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.InvalidateTable("written")
+		}
+		if c.Len() != DefaultCapacity {
+			b.Fatalf("%d entries left", c.Len())
+		}
+	})
 }

@@ -3,6 +3,9 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,6 +46,89 @@ func agree(t *testing.T, b []byte, preds []Pred) {
 		t.Fatalf("Match(% x, %v): error %q, decoding says %q", b, preds, err, wantErr)
 	case err == nil && got != want:
 		t.Fatalf("Match(% x, %v) = %v, decoding says %v", b, preds, got, want)
+	}
+	for _, layout := range layoutsFor(b) {
+		for _, sum := range []int{-1, 0, 1, 2, 3} {
+			agreeCompiled(t, b, preds, layout, sum)
+		}
+	}
+}
+
+// testLayouts are the layouts every record is also compiled against,
+// besides its own: snapbench's table shape and two that disagree with
+// it.
+var testLayouts = [][]sqlparse.ColumnType{
+	{sqlparse.TypeInt, sqlparse.TypeInt, sqlparse.TypeText},
+	{sqlparse.TypeInt, sqlparse.TypeText, sqlparse.TypeInt},
+	{sqlparse.TypeInt, sqlparse.TypeInt, sqlparse.TypeText, sqlparse.TypeText},
+	nil,
+}
+
+// layoutOf reads the layout off the record b: the type of each field
+// its tags name, as far as they go.
+func layoutOf(b []byte) []sqlparse.ColumnType {
+	r, _, err := AppendDecoded(nil, b, nil, nil)
+	if err != nil {
+		return nil
+	}
+	out := make([]sqlparse.ColumnType, len(r))
+	for i, v := range r {
+		if !v.IsInt {
+			out[i] = sqlparse.TypeText
+		}
+	}
+	return out
+}
+
+func layoutsFor(b []byte) [][]sqlparse.ColumnType {
+	return append([][]sqlparse.ColumnType{layoutOf(b)}, testLayouts...)
+}
+
+// sumByDecode is matchSum's specification: Match's verdict and error,
+// and for a record that passes, field sum of the decoded record — its
+// Int, so 0 for text — or an error when the record has no such field.
+func sumByDecode(b []byte, preds []Pred, sum int) (bool, int64, error) {
+	ok, err := Match(b, preds)
+	if !ok || err != nil || sum < 0 {
+		return ok, 0, err
+	}
+	r, _, err := AppendDecoded(nil, b, nil, nil)
+	if err != nil {
+		return false, 0, err
+	}
+	if sum >= len(r) {
+		return true, 0, errBeyond
+	}
+	return true, r[sum].Int, nil
+}
+
+// agreeCompiled fails t unless preds compiled for layout (with SUM
+// column sum) give Match's verdict and Match's exact error on b, and
+// matchSum its specification's value. On a record of the layout the
+// compiled pass must answer by itself, without falling back.
+func agreeCompiled(t *testing.T, b []byte, preds []Pred, layout []sqlparse.ColumnType, sum int) {
+	t.Helper()
+	m := Compile(preds, layout, sum)
+	want, wantErr := Match(b, preds)
+	got, err := m.Match(b)
+	if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("compiled for %v: Match(% x, %v) = %v, %v; Match says %v, %v", layout, b, preds, got, err, want, wantErr)
+	}
+	wantOK, wantV, wantErr := sumByDecode(b, preds, sum)
+	gotOK, gotV, err := m.matchSum(b)
+	switch {
+	case gotOK != wantOK || gotV != wantV || (err == nil) != (wantErr == nil):
+		t.Fatalf("compiled for %v, sum %d: matchSum(% x, %v) = %v, %d, %v; decoding says %v, %d, %v", layout, sum, b, preds, gotOK, gotV, err, wantOK, wantV, wantErr)
+	case err != nil && wantErr != errBeyond && err.Error() != wantErr.Error():
+		t.Fatalf("compiled for %v, sum %d: matchSum(% x, %v) error %q, decoding says %q", layout, sum, b, preds, err, wantErr)
+	}
+	generic := sum >= len(layout)
+	for _, p := range preds {
+		generic = generic || p.Col < 0 || p.Col >= len(layout)
+	}
+	_, _, decErr := AppendDecoded(nil, b, nil, nil)
+	if _, fits, _ := m.walk(b); !fits && !generic && decErr == nil && reflect.DeepEqual(layout, layoutOf(b)) {
+		t.Fatalf("compiled for its own layout %v, record % x fell back to Match", layout, b)
 	}
 }
 
@@ -87,20 +173,74 @@ func TestMatchAgreesWithDecode(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { Match(long, preds) }); n != 0 {
 		t.Errorf("Match allocates %v times", n)
 	}
+	compiled := Compile(preds, layoutOf(long), 1)
+	if n := testing.AllocsPerRun(100, func() { compiled.matchSum(long) }); n != 0 {
+		t.Errorf("a compiled matchSum allocates %v times", n)
+	}
+}
+
+// TestCompiledEdges: the compiled intervals at the ends of int64 — an
+// argument of MinInt64 under < and MaxInt64 under > passes nothing, the
+// same arguments under <=, >= and != pass what they must — and
+// conjuncts whose kind disagrees with the column's, which the layout
+// decides once and for all.
+func TestCompiledEdges(t *testing.T) {
+	ints := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	ops := []sqlparse.CompareOp{sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe, sqlparse.CompareOp(-1)}
+	for _, f := range ints {
+		b := EncodeRecord(Record{sqlparse.IntValue(1), sqlparse.IntValue(f), sqlparse.StrValue("v")})
+		for _, a := range ints {
+			for _, op := range ops {
+				agree(t, b, []Pred{{Col: 1, Op: op, Arg: sqlparse.IntValue(a)}})
+			}
+		}
+		for _, op := range ops {
+			// Text against the INT column, int against the TEXT one.
+			agree(t, b, []Pred{{Col: 1, Op: op, Arg: sqlparse.StrValue("7")}})
+			agree(t, b, []Pred{{Col: 2, Op: op, Arg: sqlparse.IntValue(f)}})
+		}
+	}
+	for _, c := range []struct {
+		op   sqlparse.CompareOp
+		arg  int64
+		want bool
+	}{
+		{sqlparse.OpLt, math.MinInt64, false},
+		{sqlparse.OpGt, math.MaxInt64, false},
+		{sqlparse.OpLe, math.MinInt64, true},
+		{sqlparse.OpGe, math.MaxInt64, true},
+	} {
+		for _, f := range []int64{math.MinInt64, math.MaxInt64} {
+			b := EncodeRecord(Record{sqlparse.IntValue(f)})
+			m := Compile([]Pred{{Col: 0, Op: c.op, Arg: sqlparse.IntValue(c.arg)}}, []sqlparse.ColumnType{sqlparse.TypeInt}, -1)
+			ok, err := m.Match(b)
+			if want := c.want && f == c.arg; ok != want || err != nil {
+				t.Errorf("%d %v %d compiled = %v, %v; want %v", f, c.op, c.arg, ok, err, want)
+			}
+		}
+	}
 }
 
 // FuzzMatchVsDecode: page bytes are attacker-reachable (a tampered
 // tablespace is loaded as it is), so for arbitrary bytes and arbitrary
 // predicates, evaluating on the raw bytes and decoding then comparing
 // must agree on the verdict and on whether there is an error at all.
+// The same predicates compiled for the record's own layout, for the
+// fuzzed one (a byte per column, odd for TEXT) and for the fixed test
+// layouts — field count and tags agreeing with the bytes or not — must
+// give Match's verdict and Match's exact error, and matchSum, with the
+// fuzzed SUM column, the decoded record's value.
 func FuzzMatchVsDecode(f *testing.F) {
 	good := EncodeRecord(Record{sqlparse.IntValue(5), sqlparse.StrValue("text"), sqlparse.IntValue(9)})
-	f.Add(good, 0, 0, int64(5), "", true, 2, 4, int64(0), "9", false)
-	f.Add(good, 1, 5, int64(0), "text", false, 1, 2, int64(0), "u", false)
-	f.Add(good[:len(good)-3], 0, 1, int64(5), "", true, 0, 1, int64(5), "", true)
-	f.Add([]byte{0, 2, tagInt, 0, 0, 0, 0, 0, 0, 0, 1, 0x7f}, 0, 0, int64(1), "", true, 1, 0, int64(0), "", false)
-	f.Add(binary.BigEndian.AppendUint32([]byte{0, 1, tagText}, 1<<31), 0, 3, int64(0), "x", false, 0, 0, int64(0), "", true)
-	f.Fuzz(func(t *testing.T, b []byte, col1, op1 int, i1 int64, s1 string, int1 bool, col2, op2 int, i2 int64, s2 string, int2 bool) {
+	row := EncodeRecord(Record{sqlparse.IntValue(5), sqlparse.IntValue(3), sqlparse.StrValue("payload")})
+	f.Add(good, 0, 0, int64(5), "", true, 2, 4, int64(0), "9", false, []byte{0, 1, 0}, 2)
+	f.Add(good, 1, 5, int64(0), "text", false, 1, 2, int64(0), "u", false, []byte{0, 0, 1}, 0)
+	f.Add(good[:len(good)-3], 0, 1, int64(5), "", true, 0, 1, int64(5), "", true, []byte{0, 1, 0}, -1)
+	f.Add([]byte{0, 2, tagInt, 0, 0, 0, 0, 0, 0, 0, 1, 0x7f}, 0, 0, int64(1), "", true, 1, 0, int64(0), "", false, []byte{0, 0}, 1)
+	f.Add(binary.BigEndian.AppendUint32([]byte{0, 1, tagText}, 1<<31), 0, 3, int64(0), "x", false, 0, 0, int64(0), "", true, []byte{1}, 0)
+	f.Add(row, 1, int(sqlparse.OpLt), int64(math.MinInt64), "", true, 0, int(sqlparse.OpGt), int64(math.MaxInt64), "", true, []byte{0, 0, 1}, 1)
+	f.Add(row, 1, int(sqlparse.OpNe), int64(0), "3", false, 2, int(sqlparse.OpGe), int64(7), "", true, []byte{0, 0, 1}, 0)
+	f.Fuzz(func(t *testing.T, b []byte, col1, op1 int, i1 int64, s1 string, int1 bool, col2, op2 int, i2 int64, s2 string, int2 bool, shape []byte, sum int) {
 		arg := func(isInt bool, i int64, s string) sqlparse.Value {
 			if isInt {
 				return sqlparse.IntValue(i)
@@ -112,5 +252,73 @@ func FuzzMatchVsDecode(f *testing.F) {
 		agree(t, b, nil)
 		agree(t, b, []Pred{p1})
 		agree(t, b, []Pred{p1, p2})
+		if len(shape) > 64 {
+			shape = shape[:64]
+		}
+		layout := make([]sqlparse.ColumnType, len(shape))
+		for i, c := range shape {
+			if c&1 == 1 {
+				layout[i] = sqlparse.TypeText
+			}
+		}
+		for _, preds := range [][]Pred{nil, {p1}, {p1, p2}} {
+			agreeCompiled(t, b, preds, layout, sum)
+		}
+	})
+}
+
+// BenchmarkMatch prices the verdict on one hot page of snapbench's
+// (id INT, k INT, v TEXT) records, for scan_analytic's COUNT (k = ?,
+// id >= ?): Match walking the predicate list at every field, the same
+// conjuncts compiled for the layout, and the compiled leaf fold with
+// SUM(k). An op is the whole page; ns/row is per record.
+func BenchmarkMatch(b *testing.B) {
+	p := NewPage(1, PageBTreeLeaf)
+	for id := int64(0); ; id++ {
+		v := fmt.Sprintf("%08x-row-t-%d-%s", uint32(id)*2654435761, id, strings.Repeat("x", 48))
+		if _, err := p.InsertBytes(EncodeRecord(Record{sqlparse.IntValue(id), sqlparse.IntValue(id % 10), sqlparse.StrValue(v)})); err != nil {
+			break
+		}
+	}
+	slots, err := p.Keys()
+	if err != nil {
+		b.Fatal(err)
+	}
+	preds := []Pred{{Col: 1, Op: sqlparse.OpEq, Arg: sqlparse.IntValue(3)}, {Col: 0, Op: sqlparse.OpGe, Arg: sqlparse.IntValue(10)}}
+	layout := []sqlparse.ColumnType{sqlparse.TypeInt, sqlparse.TypeInt, sqlparse.TypeText}
+	run := func(name string, page func() int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if page() == 0 {
+					b.Fatal("nothing matched")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(slots)), "ns/row")
+		})
+	}
+	run("generic", func() int {
+		n := 0
+		for _, slot := range slots {
+			if ok, _ := Match(p.SlotBytes(int(slot)), preds); ok {
+				n++
+			}
+		}
+		return n
+	})
+	count := Compile(preds, layout, -1)
+	run("compiled", func() int {
+		n := 0
+		for _, slot := range slots {
+			if ok, _ := count.Match(p.SlotBytes(int(slot))); ok {
+				n++
+			}
+		}
+		return n
+	})
+	sum := Compile(preds, layout, 1)
+	run("fold-sum", func() int {
+		n, _, _, _ := sum.Fold(p, slots)
+		return n
 	})
 }

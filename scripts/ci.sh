@@ -82,7 +82,7 @@ echo "== bench smoke =="
 # no longer compiles or errors at runtime. Timing is meaningless at
 # -benchtime 1x; performance is judged by snapbench (go run ./bench,
 # contract in BENCHMARK.json).
-go test -run '^$' -bench . -benchtime 1x ./internal/btree ./internal/engine ./internal/engine/exec ./internal/querycache
+go test -run '^$' -bench . -benchtime 1x ./internal/btree ./internal/engine ./internal/engine/exec ./internal/querycache ./internal/storage
 
 echo "== experiment transcript =="
 # The -quick transcript is an exact gate: cmd/experiments must print,
