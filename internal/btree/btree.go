@@ -258,15 +258,27 @@ func (t *Tree) locate(key sqlparse.Value) (*storage.Page, int, bool, error) {
 // Search returns the record with the given key. Only the matching
 // slot is decoded.
 func (t *Tree) Search(key sqlparse.Value) (storage.Record, bool, error) {
-	leaf, slot, found, err := t.locate(key)
-	if err != nil || !found {
-		return nil, false, err
-	}
-	rec, err := decodeSlot(leaf, slot)
+	rec, found, _, err := t.Lookup(key)
+	return rec, found, err
+}
+
+// Lookup is Search that also reports how many pages its descent fetched
+// through the buffer pool, the leaf included. It is the lookup's own
+// count, not a sample of the pool's shared one, so no other session's
+// fetches can land in it.
+func (t *Tree) Lookup(key sqlparse.Value) (rec storage.Record, found bool, fetches int, err error) {
+	leaf, fetches, err := t.findLeaf(key, nil)
 	if err != nil {
-		return nil, false, err
+		return nil, false, 0, err
 	}
-	return rec, true, nil
+	slot, found, err := findSlot(leaf, key)
+	if err != nil || !found {
+		return nil, false, fetches, err
+	}
+	if rec, err = decodeSlot(leaf, slot); err != nil {
+		return nil, false, fetches, err
+	}
+	return rec, true, fetches, nil
 }
 
 // Delete removes the record with the given key, reporting whether it

@@ -133,19 +133,24 @@ func (m *modelTree) expected(bounded bool, lo, hi sqlparse.Value) []storage.Reco
 	return out
 }
 
-// checkLookup holds Search and TraversalPath of key to the model and to
-// the descent the shape routes it down.
+// checkLookup holds Lookup (Search with its fetch count) and
+// TraversalPath of key to the model and to the descent the shape routes
+// it down.
 func (m *modelTree) checkLookup(sh *shape, key sqlparse.Value) {
 	m.t.Helper()
 	want := sh.path(key)
 	var rec storage.Record
 	var found bool
+	var fetches int
 	var err error
-	if trace := m.traced(func() { rec, found, err = m.tree.Search(key) }); err != nil || !slices.Equal(trace, want) {
-		m.t.Fatalf("Search(%.12s) fetched %v (%v), the shape routes %v", key, trace, err, want)
+	if trace := m.traced(func() { rec, found, fetches, err = m.tree.Lookup(key) }); err != nil || !slices.Equal(trace, want) {
+		m.t.Fatalf("Lookup(%.12s) fetched %v (%v), the shape routes %v", key, trace, err, want)
+	}
+	if fetches != len(want) {
+		m.t.Fatalf("Lookup(%.12s) counts %d fetches, the shape routes %v", key, fetches, want)
 	}
 	if model, ok := m.model[key]; found != ok || !reflect.DeepEqual(rec, model) {
-		m.t.Fatalf("Search(%.12s) = %v, %v; the model holds %v, %v", key, rec, found, model, ok)
+		m.t.Fatalf("Lookup(%.12s) = %v, %v; the model holds %v, %v", key, rec, found, model, ok)
 	}
 	if path, err := m.tree.TraversalPath(key); err != nil || !slices.Equal(path, want) {
 		m.t.Fatalf("TraversalPath(%.12s) = %v (%v), the shape routes %v", key, path, err, want)

@@ -130,8 +130,9 @@ func (p *Pool) SetTraceFunc(fn func(storage.PageID)) {
 }
 
 // FetchCount returns the total number of fetches served (hits plus
-// misses). Operators sample it around their traversals to attribute
-// pool activity per plan node.
+// misses), by every session. Plan operators never sample it: each
+// counts its own fetches (see exec.Stats), which a shared counter
+// cannot give under concurrent sessions.
 func (p *Pool) FetchCount() uint64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

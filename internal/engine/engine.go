@@ -244,10 +244,6 @@ type Engine struct {
 	// the same forensic artifacts.
 	plans *planCache
 
-	// fc samples the buffer pool's cumulative fetch count; scan
-	// operators use it to attribute pool activity per plan node.
-	fc exec.FetchCounter
-
 	mu          sync.Mutex
 	ts          *storage.Tablespace
 	pool        *bufpool.Pool
@@ -318,7 +314,6 @@ func build(cfg Config, ts *storage.Tablespace) (*Engine, error) {
 		ExecClock:  time.Now,
 		ts:         ts,
 		pool:       pool,
-		fc:         pool.FetchCount,
 		wal:        wm,
 		binlog:     binlog.New(),
 		general:    dblog.NewGeneralLog(),
@@ -1121,7 +1116,7 @@ func (e *Engine) runScan(s *Session, pp *physicalPlan, vf *versionFilter) (*Resu
 	if pp.whereErr != nil {
 		return nil, pp.whereErr
 	}
-	pi := pp.instantiate(e.fc)
+	pi := pp.instantiate()
 	// Only the leaf runs an unbounded loop (its traversal, the part it
 	// finishes in Close included), so arming it bounds the whole tree;
 	// with no timeout the check is nil and the leaf runs exactly as the

@@ -3,7 +3,9 @@
 // assemble into trees. Each operator implements Open/Next/Close, so a
 // plan executes by pulling rows through the root; EXPLAIN renders the
 // same tree via Describe/Children, and per-operator runtime counters
-// (Stats) feed performance_schema's events_stages surface.
+// (Stats) feed performance_schema's events_stages surface. Each
+// operator counts its own page fetches there; none samples the buffer
+// pool's shared counter, which other sessions' fetches also move.
 //
 // One property is load-bearing for the paper's experiments: the scan
 // leaves fetch buffer-pool pages in exactly the order the pre-operator
@@ -71,22 +73,16 @@ import (
 // Stats holds one operator's runtime counters for a single execution.
 // RowsExamined counts rows (or index entries) the operator inspected,
 // RowsReturned counts rows it emitted, and PoolFetches counts the
-// buffer-pool page fetches its own work triggered (leaves and key
-// lookups only; pure row-at-a-time operators never touch pages).
+// buffer-pool page fetches its own work made. Every operator counts
+// its own, never a sample of the pool's shared counter, so the count is
+// exact under concurrent sessions: a Scan reads its cursor's, a
+// KeyLookup adds up its clustered descents, a ParallelScan sums its
+// partitions, and the operators above them never touch a page.
 type Stats struct {
 	RowsExamined int
 	RowsReturned int
 	PoolFetches  uint64
 }
-
-// FetchCounter samples the engine's cumulative buffer-pool fetch count.
-// KeyLookup samples it around each clustered search and ParallelScan
-// around its parallel phase, to attribute fetches per operator (the
-// serial Scan counts its cursor's own fetches instead). A nil
-// FetchCounter disables the attribution (counters stay zero); under
-// concurrent sessions the attribution is approximate, like any
-// shared-counter delta.
-type FetchCounter func() uint64
 
 // Operator is one node of a physical plan: a pull-based iterator.
 //
@@ -131,11 +127,3 @@ type DeadlineCheck func() error
 // checks: frequent enough to bound a runaway scan in microseconds of
 // overshoot, sparse enough to keep the clock read off the per-row path.
 const deadlineCheckInterval = 64
-
-// sampleFetches reads fc, tolerating nil.
-func sampleFetches(fc FetchCounter) uint64 {
-	if fc == nil {
-		return 0
-	}
-	return fc()
-}

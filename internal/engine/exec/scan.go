@@ -41,25 +41,11 @@ func (s *scanBase) Describe() string     { return s.desc }
 func (s *scanBase) Stats() Stats         { return s.stats }
 func (s *scanBase) Children() []Operator { return nil }
 
-// examine is the per-row step every traversal shares — the serial
-// leaf's and the partition workers': count the row, evaluate the armed
-// deadline check at every deadlineCheckInterval-th row (the scan
-// boundary where a runaway statement actually surfaces). A non-nil
-// error stops the traversal.
-func examine(st *Stats, dl DeadlineCheck) error {
-	st.RowsExamined++
-	if dl != nil && st.RowsExamined%deadlineCheckInterval == 0 {
-		if err := dl(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// examineRun is examine for n rows at once, for a leaf that folds a
-// page instead of handing its rows up: the count lands where n calls
-// of examine would leave it, and the deadline is checked at the same
-// row boundaries — on an error, with the count at the row it fired on.
+// examineRun is Scan.examineOne for n rows at once, for a leaf that
+// folds a page instead of handing its rows up: the count lands where n
+// calls of examineOne would leave it, and the deadline is checked at
+// the same row boundaries — on an error, with the count at the row it
+// fired on.
 func examineRun(st *Stats, dl DeadlineCheck, n int) error {
 	end := st.RowsExamined + n
 	for dl != nil {
@@ -318,14 +304,19 @@ func (s *Scan) fold(m *storage.Matcher) (count, sum int64, err error) {
 	}
 }
 
-// examineOne counts one tree row, marking the leaf failed if the
-// deadline fires on it.
+// examineOne is the leaf's per-row step: count the row and evaluate the
+// armed deadline check at every deadlineCheckInterval-th row (the scan
+// boundary where a runaway statement actually surfaces), marking the
+// leaf failed if it fires.
 func (s *Scan) examineOne() error {
-	err := examine(&s.stats, s.dl)
-	if err != nil {
-		s.failed = true
+	s.stats.RowsExamined++
+	if s.dl != nil && s.stats.RowsExamined%deadlineCheckInterval == 0 {
+		if err := s.dl(); err != nil {
+			s.failed = true
+			return err
+		}
 	}
-	return err
+	return nil
 }
 
 // Close completes the traversal the operators above cut short: the
@@ -382,7 +373,6 @@ type KeyLookup struct {
 	revCol    int // schema column for group-reverse emission; -1 disables
 	rows      []storage.Record
 	pos       int
-	fc        FetchCounter
 	stats     Stats
 
 	// resolver, when set, serves version-store rows for entries whose
@@ -391,12 +381,12 @@ type KeyLookup struct {
 }
 
 // Init resets k in place (see Scan.Init).
-func (k *KeyLookup) Init(input Operator, clustered *btree.Tree, indexName, desc string, revCol int, fc FetchCounter) {
-	*k = KeyLookup{input: input, clustered: clustered, indexName: indexName, desc: desc, revCol: revCol, fc: fc}
+func (k *KeyLookup) Init(input Operator, clustered *btree.Tree, indexName, desc string, revCol int) {
+	*k = KeyLookup{input: input, clustered: clustered, indexName: indexName, desc: desc, revCol: revCol}
 }
 
 // resolve searches the clustered tree for one index entry's pk,
-// attributing the fetches to this operator.
+// booking the pages that search fetched to this operator.
 func (k *KeyLookup) resolve(entry storage.Record) (storage.Record, error) {
 	pk := entry[1]
 	k.stats.RowsExamined++
@@ -405,9 +395,8 @@ func (k *KeyLookup) resolve(entry storage.Record) (storage.Record, error) {
 			return row, nil
 		}
 	}
-	before := sampleFetches(k.fc)
-	row, found, err := k.clustered.Search(pk)
-	k.stats.PoolFetches += sampleFetches(k.fc) - before
+	row, found, fetches, err := k.clustered.Lookup(pk)
+	k.stats.PoolFetches += uint64(fetches)
 	if err != nil {
 		return nil, err
 	}

@@ -53,9 +53,9 @@ func (e *Engine) execExplain(st *sqlparse.Explain) (*Result, error) {
 	if pp.deferredErr != nil {
 		return nil, pp.deferredErr
 	}
-	// Instantiate (without a fetch counter) purely to walk the tree
-	// shape; the operators are never opened, so nothing is fetched.
-	pi := pp.instantiate(nil)
+	// Instantiate purely to walk the tree shape; the operators are
+	// never opened, so nothing is fetched.
+	pi := pp.instantiate()
 	res := &Result{Columns: []string{"EXPLAIN"}, AccessPath: pp.path}
 	base := 0
 	if header != "" {

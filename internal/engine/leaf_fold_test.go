@@ -58,7 +58,7 @@ func foldedBy(t *testing.T, e *Engine, s *Session, q string) bool {
 	}
 	defer ra.release(e)
 	pp := e.buildSelectPlan(ra.table, sel)
-	pi := pp.instantiate(e.fc)
+	pi := pp.instantiate()
 	pi.armVisibility(pp, ra.vf)
 	pi.drain()
 	return pi.agg.Folded()

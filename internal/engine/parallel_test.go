@@ -4,10 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"snapdb/internal/btree"
+	"snapdb/internal/perfschema"
+	"snapdb/internal/sqlparse"
+	"snapdb/internal/storage"
 )
 
 // parallelConfig returns Defaults with the parallel scan armed
@@ -309,5 +317,212 @@ func TestParallelScanDeadline(t *testing.T) {
 	res = mustExec(t, s, "SELECT COUNT(*) FROM wide")
 	if res.Rows[0][0].Int != 600 {
 		t.Fatalf("post-timeout count = %d, want 600", res.Rows[0][0].Int)
+	}
+}
+
+// lastStages is the stage group of s's latest statement in the
+// events_stages history, root first.
+func lastStages(e *Engine, s *Session) []perfschema.StageEvent {
+	var group []perfschema.StageEvent
+	for _, ev := range e.PerfSchema().StagesHistory() {
+		if ev.Thread != s.ID {
+			continue
+		}
+		if ev.Seq == 0 {
+			group = nil
+		}
+		group = append(group, ev)
+	}
+	return group
+}
+
+// partitionBounds parses the key range out of a partition's operator
+// description.
+var partitionBounds = regexp.MustCompile(`between (-?\d+) and (-?\d+)\)$`)
+
+// cursorFetches is how many pages a serial cursor over [lo, hi] of tree
+// fetches.
+func cursorFetches(t *testing.T, tree *btree.Tree, lo, hi int64) uint64 {
+	t.Helper()
+	var c btree.Cursor
+	c.Init(tree, true, sqlparse.IntValue(lo), sqlparse.IntValue(hi), nil)
+	for {
+		_, ok, err := c.Skip()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return c.Fetches()
+		}
+	}
+}
+
+// TestStageFetchesAreOwn: every operator's stage row counts the page
+// fetches its own work made, whatever another session fetches beside
+// it. While a second session scans in a loop, a Key lookup stage reads
+// one clustered descent per entry it resolved, a parallel leaf reads
+// the sum of its partitions, and each partition reads what a serial
+// cursor over its bounds fetches.
+func TestStageFetchesAreOwn(t *testing.T) {
+	cfg := parallelConfig()
+	cfg.BufferPoolPages = 32 // the scanner beside keeps missing and evicting
+	e, _ := newEngine(t, cfg)
+	s := e.Connect("app")
+	defer s.Close()
+	setupWide(t, s, 2000)
+	mustExec(t, s, "CREATE INDEX idx_score ON wide (score)")
+	mustExec(t, s, "ANALYZE TABLE wide")
+	tbl, _ := e.Table("wide")
+	height, err := tbl.Tree.Height()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		other := e.Connect("scanner")
+		defer other.Close()
+		for !stop.Load() {
+			if _, err := other.Execute("SELECT COUNT(*) FROM wide WHERE name = 'x'"); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	defer func() {
+		stop.Store(true)
+		if err := <-done; err != nil {
+			t.Errorf("scanner session: %v", err)
+		}
+	}()
+
+	for i := 0; i < 200; i++ {
+		mustExec(t, s, fmt.Sprintf("SELECT name FROM wide WHERE score = %d", i%100))
+		var lookup *perfschema.StageEvent
+		for _, ev := range lastStages(e, s) {
+			if strings.Contains(ev.Operator, "Key lookup") {
+				lookup = &ev
+			}
+		}
+		if lookup == nil {
+			t.Fatalf("score = %d: no Key lookup stage", i%100)
+		}
+		if want := uint64(lookup.RowsExamined * height); lookup.PoolFetches != want {
+			t.Fatalf("score = %d: Key lookup resolved %d entries at height %d but reads fetches=%d, want %d",
+				i%100, lookup.RowsExamined, height, lookup.PoolFetches, want)
+		}
+	}
+
+	for i := 0; i < 50; i++ {
+		q := "SELECT * FROM wide WHERE score > 40"
+		if i%2 == 1 {
+			q = fmt.Sprintf("SELECT id FROM wide WHERE id >= %d AND id <= %d", i*30, i*30+3000)
+		}
+		mustExec(t, s, q)
+		var par *perfschema.StageEvent
+		var sum uint64
+		parts := 0
+		for _, ev := range lastStages(e, s) {
+			switch {
+			case strings.Contains(ev.Operator, "Parallel scan"):
+				par = &ev
+			case strings.Contains(ev.Operator, "Partition "):
+				m := partitionBounds.FindStringSubmatch(ev.Operator)
+				if m == nil {
+					t.Fatalf("%s: unparseable partition %q", q, ev.Operator)
+				}
+				lo, _ := strconv.ParseInt(m[1], 10, 64)
+				hi, _ := strconv.ParseInt(m[2], 10, 64)
+				if want := cursorFetches(t, tbl.Tree, lo, hi); ev.PoolFetches != want {
+					t.Fatalf("%s: %s reads fetches=%d, a serial cursor over its bounds fetches %d",
+						q, ev.Operator, ev.PoolFetches, want)
+				}
+				sum += ev.PoolFetches
+				parts++
+			}
+		}
+		if par == nil || parts != 4 {
+			t.Fatalf("%s: want a parallel leaf over 4 partitions, got leaf %v and %d partitions", q, par != nil, parts)
+		}
+		if par.PoolFetches != sum {
+			t.Fatalf("%s: parallel leaf reads fetches=%d, its partitions sum to %d", q, par.PoolFetches, sum)
+		}
+	}
+}
+
+// TestParallelScanCorruptSlot: a record with a forged field tag inside
+// one partition's range fails the parallel statement with the
+// *storage.SlotError the serial leaf fails with — same page, same slot,
+// same text. The sibling partitions stop, no worker outlives the
+// statement, and the session goes on working.
+func TestParallelScanCorruptSlot(t *testing.T) {
+	queries := []string{
+		"SELECT * FROM wide WHERE score > 40",
+		"SELECT name FROM wide WHERE id >= 0 AND id <= 3600",
+		"SELECT COUNT(*) FROM wide",
+	}
+	run := func(workers int) ([]error, *Session) {
+		cfg := parallelConfig()
+		cfg.MaxScanWorkers = workers
+		e, _ := newEngine(t, cfg)
+		s := e.Connect("app")
+		setupWide(t, s, 1200)
+		mustExec(t, s, "ANALYZE TABLE wide")
+		for _, q := range queries {
+			lines, _ := explainLines(t, s, "EXPLAIN "+q)
+			if got := strings.Contains(strings.Join(lines, "\n"), "Parallel scan"); got != (workers >= 2) {
+				t.Fatalf("workers=%d: %s parallel=%v", workers, q, got)
+			}
+		}
+		// The third field's tag of the middle record of the leaf that
+		// holds key 3570, in the last partition of every query, so that
+		// partitions before it in key order can be stopped by it: the
+		// key stays readable.
+		tbl, _ := e.Table("wide")
+		path, err := tbl.Tree.TraversalPath(sqlparse.IntValue(3570))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.ts.Get(path[len(path)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := p.Keys()
+		if err != nil || len(ix) < 8 {
+			t.Fatalf("leaf of key 3570: %d keys, %v", len(ix), err)
+		}
+		p.SlotBytes(int(ix[len(ix)/2]))[2+9+9] = 0x7f
+		baseline := runtime.NumGoroutine()
+		var errs []error
+		for _, q := range queries {
+			_, err := s.Execute(q)
+			errs = append(errs, err)
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("workers=%d: %s: %d goroutines after the statement, %d before", workers, q, runtime.NumGoroutine(), baseline)
+				}
+			}
+		}
+		return errs, s
+	}
+	parErrs, s := run(4)
+	defer s.Close()
+	serErrs, s2 := run(0)
+	defer s2.Close()
+	for i, q := range queries {
+		var pse, sse *storage.SlotError
+		if !errors.As(parErrs[i], &pse) || !errors.As(serErrs[i], &sse) {
+			t.Fatalf("%s: parallel err %v; serial %v; want *storage.SlotError from both", q, parErrs[i], serErrs[i])
+		}
+		if pse.Page != sse.Page || pse.Slot != sse.Slot || parErrs[i].Error() != serErrs[i].Error() {
+			t.Fatalf("%s: parallel %v; serial %v", q, parErrs[i], serErrs[i])
+		}
+	}
+	// A statement that reads no corrupt record still runs.
+	res := mustExec(t, s, "SELECT name FROM wide WHERE id = 30")
+	if len(res.Rows) != 1 || res.Rows[0][0].Str != "w10" {
+		t.Fatalf("after the failed scans: %v", res.Rows)
 	}
 }

@@ -553,15 +553,16 @@ type planInstance struct {
 
 // buildParallel decides, from live state, whether this execution fans
 // the clustered scan out across partition workers, and builds the
-// ParallelScan leaf if so. Returning nil keeps the scan serial. The
-// split points come from statistics (full scan) or the scan's own
+// ParallelScan leaf if so: one streaming exec.Scan per partition,
+// reading the plan's column mask. Returning nil keeps the scan serial.
+// The split points come from statistics (full scan) or the scan's own
 // bounds (pk-range), but the *outer* partition edges always extend to
 // the scan's true bounds — the key-space extremes for a full scan — so
 // stale statistics can only unbalance the partitions, never drop keys.
 // Everything read here (row count, stats bounds) is live, so a cached
 // template and a fresh build of the same statement partition
 // identically at the same execution point.
-func (pp *physicalPlan) buildParallel(fc exec.FetchCounter) *exec.ParallelScan {
+func (pp *physicalPlan) buildParallel() *exec.ParallelScan {
 	if pp.parWorkers < 2 {
 		return nil
 	}
@@ -591,7 +592,7 @@ func (pp *physicalPlan) buildParallel(fc exec.FetchCounter) *exec.ParallelScan {
 	}
 	step := span / uint64(k)
 	pkName := t.Columns[t.PKIndex].Name
-	parts := make([]exec.PartitionScan, k)
+	parts := make([]exec.Scan, k)
 	lo := outerLo
 	for i := 0; i < k; i++ {
 		hi := outerHi
@@ -600,14 +601,14 @@ func (pp *physicalPlan) buildParallel(fc exec.FetchCounter) *exec.ParallelScan {
 		}
 		desc := fmt.Sprintf("Partition %d/%d on %s (%s between %d and %d)",
 			i+1, k, t.Name, pkName, lo, hi)
-		parts[i].Init(t.Tree,
+		parts[i].Init(t.Tree, true,
 			sqlparse.Value{IsInt: true, Int: lo},
-			sqlparse.Value{IsInt: true, Int: hi}, desc)
+			sqlparse.Value{IsInt: true, Int: hi}, pp.need, false, false, desc)
 		lo = hi + 1
 	}
 	desc := fmt.Sprintf("Parallel scan on %s (workers=%d) (access=%s)", t.Name, k, pp.path)
 	par := new(exec.ParallelScan)
-	par.Init(desc, parts, n, fc)
+	par.Init(desc, parts)
 	return par
 }
 
@@ -636,17 +637,16 @@ func (pp *physicalPlan) needsText() bool {
 	return false
 }
 
-// instantiate builds fresh operators from the template. fc (may be nil)
-// lets the scan leaves attribute buffer-pool fetches per operator. It
-// is also where the row-lifetime contract (exec.Operator) is applied:
+// instantiate builds fresh operators from the template. It is also
+// where the row-lifetime contract (exec.Operator) is applied:
 // from the plan's shape alone it decides, once, whether the serial leaf
 // lends its rows and whether the Filter hands its residual conjuncts
 // down to it.
-func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
+func (pp *physicalPlan) instantiate() *planInstance {
 	t := pp.table
 	pi := &planInstance{}
 	var leaf scanLeaf
-	if par := pp.buildParallel(fc); par != nil {
+	if par := pp.buildParallel(); par != nil {
 		leaf = par
 	} else {
 		// An index leaf reads {composite key, pk} entries — the mask
@@ -664,7 +664,7 @@ func (pp *physicalPlan) instantiate(fc exec.FetchCounter) *planInstance {
 	}
 	var root exec.Operator = leaf
 	if pp.kind == accessIndex {
-		pi.lookup.Init(root, t.Tree, pp.ix.Name, pp.dLookup, pp.lookupRevCol, fc)
+		pi.lookup.Init(root, t.Tree, pp.ix.Name, pp.dLookup, pp.lookupRevCol)
 		root = &pi.lookup
 	}
 	if len(pp.preds) > 0 {

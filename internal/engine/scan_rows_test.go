@@ -34,7 +34,7 @@ func rejectedBy(t *testing.T, e *Engine, s *Session, q string) (rows []storage.R
 	}
 	defer ra.release(e)
 	pp := e.buildSelectPlan(ra.table, sel)
-	pi := pp.instantiate(e.fc)
+	pi := pp.instantiate()
 	pi.armVisibility(pp, ra.vf)
 	if rows, err = pi.drain(); err != nil {
 		t.Fatalf("%s: %v", q, err)

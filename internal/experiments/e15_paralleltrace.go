@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"snapdb/internal/engine"
+	"snapdb/internal/perfschema"
 	"snapdb/internal/storage"
 )
 
@@ -33,6 +34,10 @@ type E15Result struct {
 	SerialFetches   int // buffer-pool fetches across the serial scan queries
 	ParallelFetches int // same, parallel: extra per-partition tree descents
 
+	// Every parallel leaf's stage row books the sum of its partitions'
+	// fetches, each partition counting its own cursor's (must hold).
+	PartitionFetchesSum bool
+
 	// Where the traces first differ, and whether a second parallel run
 	// reproduces the first, are decided by the goroutine scheduler:
 	// Timing reports them, Render only that the traces differ.
@@ -52,6 +57,7 @@ func (r *E15Result) Render() string {
 	t.add("general log identical (must hold)", fmt.Sprintf("%v", r.GeneralIdentical))
 	t.add("fetch trace length serial -> parallel", fmt.Sprintf("%d -> %d", r.SerialFetches, r.ParallelFetches))
 	t.add("fetch trace diverges from serial (must hold)", fmt.Sprintf("%v", r.FirstDivergence >= 0))
+	t.add("partition fetches sum to leaf's (must hold)", fmt.Sprintf("%v", r.PartitionFetchesSum))
 	return "E15 (§4 extension): parallel scans scramble the fetch trace, not the artifacts\n" + t.String()
 }
 
@@ -76,8 +82,10 @@ func e15Queries() []string {
 // e15Run executes the setup and scan workload on one engine and
 // captures the per-query artifacts. The fetch trace covers only the
 // scan queries (tracing starts after setup), so serial and parallel
-// traces align from index zero.
-func e15Run(workers, rows int) (results string, binlog, general []string, trace []storage.PageID, err error) {
+// traces align from index zero. partsSum reports that every query ran
+// on a parallel leaf whose stage row books the sum of its partitions'
+// fetches.
+func e15Run(workers, rows int) (results string, binlog, general []string, trace []storage.PageID, partsSum bool, err error) {
 	cfg := engine.Defaults()
 	cfg.EnableGeneralLog = true
 	cfg.EnableQueryCache = false // every run must really scan
@@ -85,7 +93,7 @@ func e15Run(workers, rows int) (results string, binlog, general []string, trace 
 	cfg.MaxScanWorkers = workers // 0 keeps every scan serial
 	e, err := engine.New(cfg)
 	if err != nil {
-		return "", nil, nil, nil, err
+		return "", nil, nil, nil, false, err
 	}
 	now := int64(1_700_000_000)
 	e.Clock = func() int64 { now++; return now }
@@ -101,17 +109,19 @@ func e15Run(workers, rows int) (results string, binlog, general []string, trace 
 	setup = append(setup, "ANALYZE TABLE ledger")
 	for i, q := range setup {
 		if _, err := s.Execute(q); err != nil {
-			return "", nil, nil, nil, fmt.Errorf("setup %d: %w", i, err)
+			return "", nil, nil, nil, false, fmt.Errorf("setup %d: %w", i, err)
 		}
 	}
 
 	e.BufferPool().SetTraceFunc(func(id storage.PageID) { trace = append(trace, id) })
 	var sb strings.Builder
+	partsSum = true
 	for i, q := range e15Queries() {
 		res, err := s.Execute(q)
 		if err != nil {
-			return "", nil, nil, nil, fmt.Errorf("query %d (%q): %w", i, q, err)
+			return "", nil, nil, nil, false, fmt.Errorf("query %d (%q): %w", i, q, err)
 		}
+		partsSum = partsSum && parallelLeafSums(e.PerfSchema().StagesHistory())
 		fmt.Fprintf(&sb, "q%d cols=%v examined=%d\n", i, res.Columns, res.RowsExamined)
 		for _, r := range res.Rows {
 			for j, v := range r {
@@ -131,7 +141,30 @@ func e15Run(workers, rows int) (results string, binlog, general []string, trace 
 	for _, en := range e.GeneralLog().Entries() {
 		general = append(general, fmt.Sprintf("%d|%d|%s", en.Timestamp, en.Session, en.Statement))
 	}
-	return sb.String(), binlog, general, trace, nil
+	return sb.String(), binlog, general, trace, partsSum, nil
+}
+
+// parallelLeafSums reports whether the latest statement's stage group
+// in hist has a parallel leaf whose fetches are the sum of its
+// partitions'.
+func parallelLeafSums(hist []perfschema.StageEvent) bool {
+	start := 0
+	for i, ev := range hist {
+		if ev.Seq == 0 {
+			start = i
+		}
+	}
+	parallel := false
+	var leaf, parts uint64
+	for _, ev := range hist[start:] {
+		switch {
+		case strings.HasPrefix(ev.Operator, "Parallel scan"):
+			parallel, leaf = true, ev.PoolFetches
+		case strings.HasPrefix(ev.Operator, "Partition "):
+			parts += ev.PoolFetches
+		}
+	}
+	return parallel && leaf == parts
 }
 
 func sameStrings(a, b []string) bool {
@@ -160,29 +193,30 @@ func E15ParallelTrace(quick bool) (*E15Result, error) {
 		rows, workers = 6000, 2
 	}
 
-	serRes, serBlog, serGen, serTrace, err := e15Run(0, rows)
+	serRes, serBlog, serGen, serTrace, _, err := e15Run(0, rows)
 	if err != nil {
 		return nil, fmt.Errorf("E15: serial run: %w", err)
 	}
-	parRes, parBlog, parGen, parTrace, err := e15Run(workers, rows)
+	parRes, parBlog, parGen, parTrace, partsSum, err := e15Run(workers, rows)
 	if err != nil {
 		return nil, fmt.Errorf("E15: parallel run: %w", err)
 	}
-	_, _, _, parTrace2, err := e15Run(workers, rows)
+	_, _, _, parTrace2, _, err := e15Run(workers, rows)
 	if err != nil {
 		return nil, fmt.Errorf("E15: parallel rerun: %w", err)
 	}
 
 	res := &E15Result{
-		Rows:             rows,
-		Workers:          workers,
-		Queries:          len(e15Queries()),
-		ResultsIdentical: serRes == parRes,
-		BinlogIdentical:  sameStrings(serBlog, parBlog),
-		GeneralIdentical: sameStrings(serGen, parGen),
-		SerialFetches:    len(serTrace),
-		ParallelFetches:  len(parTrace),
-		FirstDivergence:  -1,
+		Rows:                rows,
+		Workers:             workers,
+		Queries:             len(e15Queries()),
+		ResultsIdentical:    serRes == parRes,
+		BinlogIdentical:     sameStrings(serBlog, parBlog),
+		GeneralIdentical:    sameStrings(serGen, parGen),
+		SerialFetches:       len(serTrace),
+		ParallelFetches:     len(parTrace),
+		PartitionFetchesSum: partsSum,
+		FirstDivergence:     -1,
 	}
 	n := len(serTrace)
 	if len(parTrace) < n {
@@ -218,6 +252,9 @@ func E15ParallelTrace(quick bool) (*E15Result, error) {
 	}
 	if res.FirstDivergence < 0 {
 		return nil, fmt.Errorf("E15: fetch traces never diverged — the scans did not run in parallel")
+	}
+	if !res.PartitionFetchesSum {
+		return nil, fmt.Errorf("E15: a parallel leaf's stage fetches are not the sum of its partitions'")
 	}
 	return res, nil
 }

@@ -441,6 +441,9 @@ func TestE15ParallelTrace(t *testing.T) {
 		t.Errorf("parallel fetches %d not above serial %d (per-partition descents missing?)",
 			res.ParallelFetches, res.SerialFetches)
 	}
+	if !res.PartitionFetchesSum {
+		t.Error("a parallel leaf's stage fetches are not the sum of its partitions'")
+	}
 	if !strings.Contains(res.Render(), "E15") {
 		t.Error("render missing experiment id")
 	}

@@ -152,6 +152,10 @@ go test -race ./internal/commitq -count=10
 # goroutines: a hit decodes its entry outside the lock, so each
 # schedule checks that a re-Put never writes bytes a reader holds.
 go test -race ./internal/querycache -run 'TestConcurrentUse' -count=10
+# Parallel scan partitions: workers joined by one WaitGroup and stopped
+# by one flag, each counting its own fetches while another session
+# scans beside them.
+go test -race -count=10 -run 'TestParallelScan|TestStageFetchesAreOwn' ./internal/engine
 # Two goroutines on one CryptFS, shrinking files under each other's
 # remembered sizes.
 go test -race ./internal/vfs -count=10 \
