@@ -47,7 +47,7 @@ func realMain(quick bool, run string) error {
 		matched = true
 		res, err := x.Run(quick)
 		if err != nil {
-			return fmt.Errorf("%s: %w", x.ID, err)
+			return err // it names the experiment already
 		}
 		fmt.Println(res.Render())
 		if t, ok := res.(experiments.Timed); ok {

@@ -85,12 +85,13 @@ type Config struct {
 
 	// Purge knobs. The engine always runs multi-version snapshot
 	// isolation: writers file each mutated row's pre-image into a version
-	// chain, SELECTs resolve against a read view without taking table
-	// locks, and a purge pass reclaims versions older than the oldest
-	// open view. DisablePurge retains every version forever — E16's
-	// worst-case residue arm. PurgeEvery is the statement interval
-	// between inline purge sweeps (default 256); each sweep examines
-	// every chain.
+	// chain, SELECTs resolve the chains in their primary-key range
+	// against a read view without taking table locks, and a purge pass
+	// reclaims versions older than the oldest open view. DisablePurge
+	// retains every version forever — E16's worst-case residue arm.
+	// PurgeEvery is the statement interval between inline purge sweeps
+	// (default 256); each sweep examines every chain, tables in id order
+	// and each table's chains in key order.
 	DisablePurge bool
 	PurgeEvery   int
 
@@ -1028,17 +1029,18 @@ func checkType(col sqlparse.ColumnDef, v sqlparse.Value) error {
 }
 
 // readAccess is what a SELECT holds while it runs: the table's read
-// latch plus, when the table has live version chains, the statement's
-// visibility filter — and no stripe, so the read sails past open
-// transactions.
+// latch plus, when some version chain of the table differs from the
+// tree for the statement's read view, that view — and no stripe, so the
+// read sails past open transactions.
 type readAccess struct {
 	table *Table
-	vf    *versionFilter // nil: the tree is exactly what the statement may see
-	view  *readView      // the ephemeral view to unregister, if any
+	view  *readView // nil: the tree is exactly what the statement may see
+	eph   *readView // the ephemeral view to unregister, if any
 }
 
 // acquireRead resolves the table, takes its read latch and opens the
-// statement's read view. On success the caller must release.
+// statement's read view, asking only whether the table differs from the
+// tree for it. On success the caller must release.
 func (e *Engine) acquireRead(s *Session, pl *plan, name string) (readAccess, error) {
 	var ra readAccess
 	var err error
@@ -1047,18 +1049,30 @@ func (e *Engine) acquireRead(s *Session, pl *plan, name string) (readAccess, err
 	}
 	ra.table.latch.RLock()
 	view, ephemeral := e.selectView(s, ra.table)
-	if view != nil {
-		ra.vf = e.versions.filterFor(ra.table, view)
-		if ephemeral {
-			ra.view = view
-		}
+	if ephemeral {
+		ra.eph = view
+	}
+	if view != nil && e.versions.differs(ra.table, view) {
+		ra.view = view
 	}
 	return ra, nil
 }
 
+// filter resolves the chains in pp's primary-key range against the
+// view (all of them on an index path or a full scan); nil when the tree
+// is the view there. The read latch keeps writers out since
+// acquireRead, and purge drops only what every view already sees.
+func (ra *readAccess) filter(e *Engine, pp *physicalPlan) versionFilter {
+	if ra.view == nil {
+		return nil
+	}
+	bounded := pp.kind == accessPKPoint || pp.kind == accessPKRange
+	return e.versions.filterFor(ra.table, ra.view, bounded, pp.lo, pp.hi)
+}
+
 func (ra *readAccess) release(e *Engine) {
-	if ra.view != nil {
-		e.versions.release(ra.view)
+	if ra.eph != nil {
+		e.versions.release(ra.eph)
 	}
 	ra.table.latch.RUnlock()
 }
@@ -1069,10 +1083,10 @@ func (ra *readAccess) release(e *Engine) {
 // evaluation, sorting, aggregation, projection, and LIMIT all live in
 // the operators (internal/engine/exec); the planning lives in
 // logical.go/physical.go. The query cache holds current reads, so it is
-// consulted and filled only when no version filter is in play — and
-// never for EXPLAIN ANALYZE (noCache), which wants genuine counters and
-// whose rendered tree is useless to cache. EXPLAIN ANALYZE also passes
-// pl == nil, which plans fresh.
+// consulted and filled only when no chain of the whole table differs
+// for the statement's view — and never for EXPLAIN ANALYZE (noCache),
+// which wants genuine counters and whose rendered tree is useless to
+// cache. EXPLAIN ANALYZE also passes pl == nil, which plans fresh.
 func (e *Engine) execSelect(s *Session, st *sqlparse.Select, pl *plan, query string, noCache bool) (*Result, error) {
 	if res, ok := e.systemSelect(st); ok {
 		// Served straight from the internally synchronized substrate
@@ -1085,14 +1099,14 @@ func (e *Engine) execSelect(s *Session, st *sqlparse.Select, pl *plan, query str
 	}
 	defer ra.release(e)
 	t := ra.table
-	useCache := ra.vf == nil && !noCache
+	useCache := ra.view == nil && !noCache
 	if useCache {
 		if cached, ok := e.qcache.Get(query); ok {
 			return &Result{Columns: selectColumns(t, st), Rows: cached, FromCache: true}, nil
 		}
 	}
 	pp := e.physSelect(pl, t, st)
-	res, err := e.runScan(s, pp, ra.vf)
+	res, err := e.runScan(s, pp, ra.filter(e, pp))
 	if err != nil {
 		return nil, err
 	}
@@ -1112,7 +1126,7 @@ func (e *Engine) execSelect(s *Session, st *sqlparse.Select, pl *plan, query str
 // The deadline arms only the scan: a timed-out UPDATE/DELETE aborts
 // here, before any WAL record or index mutation, so it has no partial
 // effects and is safe to resubmit.
-func (e *Engine) runScan(s *Session, pp *physicalPlan, vf *versionFilter) (*Result, error) {
+func (e *Engine) runScan(s *Session, pp *physicalPlan, vf versionFilter) (*Result, error) {
 	if pp.whereErr != nil {
 		return nil, pp.whereErr
 	}

@@ -59,7 +59,7 @@ func foldedBy(t *testing.T, e *Engine, s *Session, q string) bool {
 	defer ra.release(e)
 	pp := e.buildSelectPlan(ra.table, sel)
 	pi := pp.instantiate()
-	pi.armVisibility(pp, ra.vf)
+	pi.armVisibility(pp, ra.filter(e, pp))
 	pi.drain()
 	return pi.agg.Folded()
 }
@@ -174,10 +174,67 @@ func slicesEqual(a, b []storage.PageID) bool {
 	return true
 }
 
+// cleanRange reports whether q reads a primary-key range — a point or
+// both bounds on id, as the model's first-match rule finds them — that
+// holds none of keys: the range in which a statement resolves version
+// chains.
+func cleanRange(t *testing.T, q string, keys []int64) bool {
+	t.Helper()
+	st, err := sqlparse.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi, ok := bounds("id", st.(*sqlparse.Select).Where)
+	if !ok {
+		return false
+	}
+	for _, k := range keys {
+		if v := sqlparse.IntValue(k); v.Compare(lo) >= 0 && v.Compare(hi) <= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// edgePairs are aggregates whose primary-key range ends just short of
+// or just on each run [a, b] of chained keys: a range up to a-1 and
+// one up to a, one from b+1 and one from b, and the points a-1 and b.
+// The far bound is random but stays clear of the neighbouring runs.
+func edgePairs(rng *rand.Rand, runs [][2]int) []foldPair {
+	var out []foldPair
+	for i, r := range runs {
+		a, b := r[0], r[1]
+		below, above := -1000, 100000
+		if i > 0 {
+			below = runs[i-1][1] + 1
+		}
+		if i < len(runs)-1 {
+			above = runs[i+1][0] - 1
+		}
+		lo := below + rng.Intn(a-below)
+		hi := b + 1 + rng.Intn(above-b)
+		for _, q := range []string{
+			fmt.Sprintf("SELECT COUNT(*) FROM t WHERE id >= %d AND id <= %d", lo, a-1),
+			fmt.Sprintf("SELECT COUNT(*) FROM t WHERE id >= %d AND id <= %d", lo, a),
+			fmt.Sprintf("SELECT SUM(k) FROM t WHERE id >= %d AND id <= %d AND k != 2", b+1, hi),
+			fmt.Sprintf("SELECT SUM(k) FROM t WHERE id >= %d AND id <= %d AND k != 2", b, hi),
+			fmt.Sprintf("SELECT SUM(id) FROM t WHERE id = %d", a-1),
+			fmt.Sprintf("SELECT SUM(id) FROM t WHERE id = %d", b),
+		} {
+			out = append(out, foldPair{agg: q})
+		}
+	}
+	return out
+}
+
 // TestLeafFoldYieldsToViews: while another session's open transaction
-// has live version chains on the table, a reader's aggregate runs the
-// row path — its tree rows are not the rows it sees — and still answers
-// what the model answers; once the writer commits, the fold is back.
+// has live version chains on the table, a reader's aggregate folds
+// exactly when no chain it cannot see lies in the statement's
+// primary-key range; where one does, its tree rows are not the rows it
+// sees there, so it runs the row path. Either way it answers what the
+// model answers. Every round reads both ways around each of the
+// writer's runs of keys (10–12, 300–320, 5000). Once the writer
+// commits, every aggregate folds again.
 func TestLeafFoldYieldsToViews(t *testing.T) {
 	cfg := Defaults()
 	cfg.EnableQueryCache = false
@@ -200,13 +257,26 @@ func TestLeafFoldYieldsToViews(t *testing.T) {
 	} {
 		m.step(t, e, 1, writer, q)
 	}
-	reads := func(wantFold bool) {
+	runs := [][2]int{{10, 12}, {300, 320}, {5000, 5000}}
+	var chained []int64
+	for _, r := range runs {
+		for k := r[0]; k <= r[1]; k++ {
+			chained = append(chained, int64(k))
+		}
+	}
+	reads := func(committed bool) {
 		for round := 0; round < 4; round++ {
-			for _, p := range foldPairs(rng) {
-				if got := foldedBy(t, e, s, p.agg); got != wantFold {
-					t.Fatalf("%s: folded %v, want %v", p.agg, got, wantFold)
+			arms := make(map[bool]int)
+			for _, p := range append(foldPairs(rng), edgePairs(rng, runs)...) {
+				want := committed || cleanRange(t, p.agg, chained)
+				if got := foldedBy(t, e, s, p.agg); got != want {
+					t.Fatalf("%s: folded %v, want %v", p.agg, got, want)
 				}
+				arms[want]++
 				m.step(t, e, 0, s, p.agg)
+			}
+			if !committed && (arms[true] == 0 || arms[false] == 0) {
+				t.Fatalf("round %d: %d folded and %d not: want both", round, arms[true], arms[false])
 			}
 		}
 	}

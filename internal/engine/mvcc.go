@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"maps"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -23,6 +24,11 @@ import (
 // instead of blocking on the writer's stripe lock: SELECTs take no
 // table locks at all.
 //
+// Each table's chains sit in one slice sorted by primary key: writers
+// bisect to their key, a SELECT resolves only the chains in its range,
+// and purge, the checkpoint and the diagnostic walkers read them in
+// the order they lie.
+//
 // The cost, and the point of experiment E16, is a brand-new forensic
 // surface the paper predicts under "deleted data persists" (§4): every
 // old version — including rows the application deleted — survives in
@@ -30,21 +36,6 @@ import (
 // store is serialized into checkpoints, so the residue outlives even a
 // WAL truncation. What the redo log forgets, the version store still
 // remembers.
-
-// pkKey is a primary-key value in comparable form, usable as a map key.
-type pkKey struct {
-	isInt bool
-	i     int64
-	s     string
-}
-
-func keyOf(v sqlparse.Value) pkKey {
-	return pkKey{isInt: v.IsInt, i: v.Int, s: v.Str}
-}
-
-func (k pkKey) value() sqlparse.Value {
-	return sqlparse.Value{IsInt: k.isInt, Int: k.i, Str: k.s}
-}
 
 // version is one historical row state: the full row image (nil when
 // the row did not exist at that point) and the transaction that wrote
@@ -55,10 +46,11 @@ type version struct {
 	txn uint64
 }
 
-// chain is the version chain of one primary key: the tree (or its
+// chain is the version chain of primary key pk: the tree (or its
 // absence, when deleted is set) is the newest version, written by
 // latestTxn; olds holds the superseded versions newest-first.
 type chain struct {
+	pk        sqlparse.Value
 	latestTxn uint64
 	deleted   bool
 	olds      []version
@@ -73,12 +65,19 @@ type readView struct {
 	txn  uint64
 }
 
-// tableVersions is one table's slice of the store. counter aliases the
-// owning Table's mvccChains, the lock-free "does this table have any
-// chains at all" fast-path gate.
+// tableVersions is one table's slice of the store: its chains, sorted
+// by primary key with one chain per key. counter aliases the owning
+// Table's mvccChains, the lock-free "does this table have any chains at
+// all" fast-path gate.
 type tableVersions struct {
-	counter *mvccCounter
-	chains  map[pkKey]*chain
+	counter *atomic.Int64
+	chains  []chain
+}
+
+// find bisects tv's chains for pk: the index of its chain, or where one
+// would be inserted, and whether it is there.
+func (tv *tableVersions) find(pk sqlparse.Value) (int, bool) {
+	return slices.BinarySearchFunc(tv.chains, pk, func(c chain, pk sqlparse.Value) int { return c.pk.Compare(pk) })
 }
 
 // mvccStore is the engine-wide version store. All fields are guarded
@@ -87,9 +86,9 @@ type tableVersions struct {
 // bare by the purger.
 type mvccStore struct {
 	mu      sync.Mutex
-	seq     uint64            // commit sequence counter
-	commits map[uint64]uint64 // txn -> commit seq; absent = unresolved
-	tables  map[uint8]*tableVersions
+	seq     uint64             // commit sequence counter
+	commits map[uint64]uint64  // txn -> commit seq; absent = unresolved
+	tables  [256]tableVersions // by table id
 	views   map[*readView]struct{}
 
 	// replaying is set only while recovery walks the redo log, and
@@ -108,9 +107,32 @@ type mvccStore struct {
 func newMVCCStore() *mvccStore {
 	return &mvccStore{
 		commits: make(map[uint64]uint64),
-		tables:  make(map[uint8]*tableVersions),
 		views:   make(map[*readView]struct{}),
 	}
+}
+
+// chainAt returns table t's chain on pk, inserting an empty one where
+// the key belongs when it has none. An empty chain's newest state is
+// txn 0's, the ancient state every view sees. Caller holds st.mu.
+func (st *mvccStore) chainAt(t *Table, pk sqlparse.Value) *chain {
+	tv := &st.tables[t.ID]
+	tv.counter = &t.mvccChains
+	i, ok := tv.find(pk)
+	if !ok {
+		tv.chains = slices.Insert(tv.chains, i, chain{pk: pk})
+		tv.counter.Add(1)
+	}
+	return &tv.chains[i]
+}
+
+// oldestSnap is the snapshot of the oldest registered view, or the
+// current sequence when none is open. Caller holds st.mu.
+func (st *mvccStore) oldestSnap() uint64 {
+	oldest := st.seq
+	for v := range st.views {
+		oldest = min(oldest, v.snap)
+	}
+	return oldest
 }
 
 // visibleLocked reports whether a version written by txn t is visible
@@ -135,25 +157,8 @@ func (st *mvccStore) noteWrite(t *Table, pk sqlparse.Value, pre storage.Record, 
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tv := st.tables[t.ID]
-	if tv == nil {
-		tv = &tableVersions{counter: &t.mvccChains, chains: make(map[pkKey]*chain)}
-		st.tables[t.ID] = tv
-	}
-	k := keyOf(pk)
-	c := tv.chains[k]
-	if c == nil {
-		// First version on this key: the pre-image is the ancient state,
-		// visible to every view.
-		tv.chains[k] = &chain{
-			latestTxn: txn,
-			deleted:   deletedNow,
-			olds:      []version{{row: pre, txn: 0}},
-		}
-		tv.counter.Add(1)
-		return
-	}
-	c.supersede(pre, deletedNow, txn)
+	// On a key's first version the pre-image becomes the ancient state.
+	st.chainAt(t, pk).supersede(pre, deletedNow, txn)
 }
 
 // replayWrite is noteWrite during redo replay: it starts no chain, and
@@ -172,24 +177,19 @@ func (st *mvccStore) replayWrite(t *Table, pk sqlparse.Value, pre storage.Record
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tv := st.tables[t.ID]
-	if tv == nil {
+	tv := &st.tables[t.ID]
+	i, ok := tv.find(pk)
+	if !ok {
 		return
 	}
-	c := tv.chains[keyOf(pk)]
-	if c == nil {
-		return
-	}
-	c.supersede(pre, deletedNow, txn)
+	tv.chains[i].supersede(pre, deletedNow, txn)
 	st.filed[txn] = struct{}{}
 }
 
 // supersede pushes the chain's newest state down as an old version and
 // makes txn's write the newest.
 func (c *chain) supersede(pre storage.Record, deletedNow bool, txn uint64) {
-	c.olds = append(c.olds, version{})
-	copy(c.olds[1:], c.olds)
-	c.olds[0] = version{row: pre, txn: c.latestTxn}
+	c.olds = slices.Insert(c.olds, 0, version{row: pre, txn: c.latestTxn})
 	c.latestTxn = txn
 	c.deleted = deletedNow
 }
@@ -260,96 +260,107 @@ func (st *mvccStore) release(v *readView) {
 func (st *mvccStore) dropTable(id uint8) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	delete(st.tables, id)
+	st.tables[id] = tableVersions{}
 }
 
-// visEntry is one resolved chain in a versionFilter: the row version
-// the view sees (nil = the key is absent in the view) and whether the
-// tree still holds the key at all.
+// differs reports whether the tree is not exactly view v's state of
+// table t: whether some chain of t has a newest version v cannot see.
+// It stops at the first such chain and allocates nothing.
+func (st *mvccStore) differs(t *Table, v *readView) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	tv := &st.tables[t.ID]
+	for i := range tv.chains {
+		if !st.visibleLocked(v, tv.chains[i].latestTxn) {
+			return true
+		}
+	}
+	return false
+}
+
+// visEntry is one resolved chain in a versionFilter: its key, the row
+// version the view sees (nil = the key is absent in the view) and
+// whether the tree still holds the key at all.
 type visEntry struct {
+	pk         sqlparse.Value
 	row        storage.Record
 	treeAbsent bool
 }
 
-// versionFilter is a statement's immutable visibility snapshot: every
-// chained key of the scanned table resolved against the read view,
-// built once under st.mu so the scan itself touches no shared state.
-// The map holds only keys whose tree state is NOT what the view sees;
-// unlisted keys read straight from the tree.
-type versionFilter struct {
-	res map[pkKey]visEntry
-}
+// versionFilter is a statement's immutable visibility snapshot, built
+// once under st.mu: the chains in its primary-key range whose tree
+// state is NOT what the view sees, resolved against the view, in key
+// order. Unlisted keys read straight from the tree.
+type versionFilter []visEntry
 
-// filterFor resolves table t's chains against view v. Nil when the
-// table has no chains, or every chain's newest version is visible to v
-// (the tree is exactly the view).
-func (st *mvccStore) filterFor(t *Table, v *readView) *versionFilter {
+// filterFor resolves table t's chains in [lo, hi] (every chain when
+// not bounded) against view v. Nil when the tree is exactly the view
+// on that range.
+func (st *mvccStore) filterFor(t *Table, v *readView, bounded bool, lo, hi sqlparse.Value) versionFilter {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tv := st.tables[t.ID]
-	if tv == nil || len(tv.chains) == 0 {
-		return nil
+	tv := &st.tables[t.ID]
+	chains := tv.chains
+	if bounded {
+		i, _ := tv.find(lo)
+		chains = chains[i:]
 	}
-	var res map[pkKey]visEntry
-	for k, c := range tv.chains {
+	var f versionFilter
+	for i := range chains {
+		c := &chains[i]
+		if bounded && c.pk.Compare(hi) > 0 {
+			break
+		}
 		if st.visibleLocked(v, c.latestTxn) {
 			continue // tree state is the visible version
 		}
-		e := visEntry{treeAbsent: c.deleted}
+		e := visEntry{pk: c.pk, treeAbsent: c.deleted}
 		for _, old := range c.olds {
 			if st.visibleLocked(v, old.txn) {
 				e.row = old.row
 				break
 			}
 		}
-		if res == nil {
-			res = make(map[pkKey]visEntry)
-		}
-		res[k] = e
+		f = append(f, e)
 	}
-	if res == nil {
-		return nil
+	return f
+}
+
+// find bisects the filter for pk's entry; nil when pk has none.
+func (f versionFilter) find(pk sqlparse.Value) *visEntry {
+	if i, ok := slices.BinarySearchFunc(f, pk, func(e visEntry, pk sqlparse.Value) int { return e.pk.Compare(pk) }); ok {
+		return &f[i]
 	}
-	return &versionFilter{res: res}
+	return nil
 }
 
 // rowResolve is the clustered-scan hook: substitute a visited tree row
 // with the view's version, or suppress it when the view predates the
 // row.
-func (f *versionFilter) rowResolve(r storage.Record) (storage.Record, bool) {
-	e, ok := f.res[keyOf(r[0])]
-	if !ok {
-		return r, true
+func (f versionFilter) rowResolve(r storage.Record) (storage.Record, bool) {
+	if e := f.find(r[0]); e != nil {
+		return e.row, e.row != nil
 	}
-	if e.row == nil {
-		return nil, false
-	}
-	return e.row, true
+	return r, true
 }
 
 // rowGhosts returns the rows the view sees but the tree no longer
-// holds (deleted keys with a visible old version), restricted to
-// [lo, hi] when bounded, sorted by primary key.
-func (f *versionFilter) rowGhosts(bounded bool, lo, hi sqlparse.Value) []storage.Record {
+// holds (deleted keys with a visible old version), in key order.
+func (f versionFilter) rowGhosts() []storage.Record {
 	var out []storage.Record
-	for _, e := range f.res {
-		if !e.treeAbsent || e.row == nil {
-			continue
+	for _, e := range f {
+		if e.treeAbsent && e.row != nil {
+			out = append(out, e.row)
 		}
-		if bounded && (e.row[0].Compare(lo) < 0 || e.row[0].Compare(hi) > 0) {
-			continue
-		}
-		out = append(out, e.row)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0].Compare(out[j][0]) < 0 })
 	return out
 }
 
 // entryResolve is the secondary-index leaf hook: suppress every entry
 // whose primary key is chained away from the tree state — the visible
 // version's entry is re-emitted as a ghost at its own composite key.
-func (f *versionFilter) entryResolve(entry storage.Record) (storage.Record, bool) {
-	if _, ok := f.res[keyOf(entry[1])]; ok {
+func (f versionFilter) entryResolve(entry storage.Record) (storage.Record, bool) {
+	if f.find(entry[1]) != nil {
 		return nil, false
 	}
 	return entry, true
@@ -358,9 +369,9 @@ func (f *versionFilter) entryResolve(entry storage.Record) (storage.Record, bool
 // entryGhosts builds the index entries of the visible versions of
 // every chained key, restricted to the scan's composite-key bounds,
 // sorted by composite key. colIdx is the indexed schema column.
-func (f *versionFilter) entryGhosts(colIdx int, lo, hi sqlparse.Value) []storage.Record {
+func (f versionFilter) entryGhosts(colIdx int, lo, hi sqlparse.Value) []storage.Record {
 	var out []storage.Record
-	for _, e := range f.res {
+	for _, e := range f {
 		if e.row == nil || colIdx >= len(e.row) {
 			continue
 		}
@@ -370,26 +381,25 @@ func (f *versionFilter) entryGhosts(colIdx int, lo, hi sqlparse.Value) []storage
 		}
 		out = append(out, storage.Record{comp, e.row[0]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0].Compare(out[j][0]) < 0 })
+	slices.SortFunc(out, func(a, b storage.Record) int { return a[0].Compare(b[0]) })
 	return out
 }
 
 // lookupResolve serves a KeyLookup straight from the filter for
 // chained keys: the tree may not even hold the key (a ghost entry's
 // row was deleted), and when it does, its row is not the view's.
-func (f *versionFilter) lookupResolve(pk sqlparse.Value) (storage.Record, bool) {
-	e, ok := f.res[keyOf(pk)]
-	if !ok || e.row == nil {
-		return nil, false
+func (f versionFilter) lookupResolve(pk sqlparse.Value) (storage.Record, bool) {
+	if e := f.find(pk); e != nil {
+		return e.row, e.row != nil
 	}
-	return e.row, true
+	return nil, false
 }
 
 // armVisibility installs the filter's hooks on an instantiated plan:
 // row substitution + pk-ordered ghost merge on clustered leaves, entry
 // suppression + composite-ordered ghost merge + lookup interception on
 // index paths. A nil filter leaves the plan a current read.
-func (pi *planInstance) armVisibility(pp *physicalPlan, vf *versionFilter) {
+func (pi *planInstance) armVisibility(pp *physicalPlan, vf versionFilter) {
 	if vf == nil {
 		return
 	}
@@ -401,11 +411,7 @@ func (pi *planInstance) armVisibility(pp *physicalPlan, vf *versionFilter) {
 		}
 		pi.lookup.SetLookupResolver(vf.lookupResolve)
 	} else {
-		bounded := pp.kind == accessPKPoint || pp.kind == accessPKRange
-		vis = &exec.Visibility{
-			Resolve: vf.rowResolve,
-			Ghosts:  vf.rowGhosts(bounded, pp.lo, pp.hi),
-		}
+		vis = &exec.Visibility{Resolve: vf.rowResolve, Ghosts: vf.rowGhosts()}
 	}
 	pi.leaf.SetVisibility(vis)
 }
@@ -416,18 +422,15 @@ func (pi *planInstance) armVisibility(pp *physicalPlan, vf *versionFilter) {
 // visible to every view are dropped whole — including tombstones,
 // which is when a deleted row's last pre-image finally stops being
 // recoverable (E16's mitigation ablation measures exactly this
-// window). batch bounds the chains examined in one sweep; 0 sweeps
-// everything. Returns the number of versions reclaimed.
+// window). batch bounds the chains examined in one sweep — the first
+// ones in (table id, pk) order, so a bounded sweep reclaims the same
+// chains on every run; 0 sweeps everything. Returns the number of
+// versions reclaimed.
 func (st *mvccStore) purge(batch int) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.purgeRuns++
-	oldest := st.seq
-	for v := range st.views {
-		if v.snap < oldest {
-			oldest = v.snap
-		}
-	}
+	oldest := st.oldestSnap()
 	resolvedBefore := func(t uint64) bool {
 		if t == 0 {
 			return true
@@ -437,16 +440,17 @@ func (st *mvccStore) purge(batch int) int {
 	}
 	examined, removed := 0, 0
 	full := true
-	for _, tv := range st.tables {
-		for k, c := range tv.chains {
-			if batch > 0 && examined >= batch {
-				full = false
-				break
-			}
-			examined++
+	for id := range st.tables {
+		tv := &st.tables[id]
+		n := len(tv.chains)
+		if batch > 0 && examined+n > batch {
+			n, full = batch-examined, false
+		}
+		examined += n
+		kept := 0 // tv.chains[:kept] are the swept chains still live, in key order
+		for _, c := range tv.chains[:n] {
 			if resolvedBefore(c.latestTxn) {
 				removed += len(c.olds)
-				delete(tv.chains, k)
 				tv.counter.Add(-1)
 				continue
 			}
@@ -457,7 +461,10 @@ func (st *mvccStore) purge(batch int) int {
 					break
 				}
 			}
+			tv.chains[kept] = c
+			kept++
 		}
+		tv.chains = slices.Delete(tv.chains, kept, n)
 		if !full {
 			break
 		}
@@ -465,8 +472,8 @@ func (st *mvccStore) purge(batch int) int {
 	if full {
 		// Prune commit-sequence entries no chain references anymore.
 		referenced := make(map[uint64]bool)
-		for _, tv := range st.tables {
-			for _, c := range tv.chains {
+		for id := range st.tables {
+			for _, c := range st.tables[id].chains {
 				referenced[c.latestTxn] = true
 				for _, old := range c.olds {
 					referenced[old.txn] = true
@@ -484,10 +491,6 @@ func (st *mvccStore) purge(batch int) int {
 }
 
 // --- engine wiring ---
-
-// mvccCounter is the per-table chain counter the store aliases so it
-// can maintain each Table's lock-free fast-path gate.
-type mvccCounter = atomic.Int64
 
 // selectView returns the read view a SELECT on t resolves
 // against, or nil when the tree is exactly the view (no chains on the
@@ -552,12 +555,11 @@ func (e *Engine) VersionResidue() []ResidueVersion {
 }
 
 // chainEntry is one version chain as the diagnostic surfaces read it:
-// its table's name ("(dropped)" once the catalog no longer knows it),
-// its key, and a copy of the chain whose olds are cloned, so it reads
-// safely once the store is unlocked.
+// its table's name ("(dropped)" once the catalog no longer knows it)
+// and a copy of the chain whose olds are cloned, so it reads safely
+// once the store is unlocked.
 type chainEntry struct {
 	table string
-	pk    sqlparse.Value
 	chain
 }
 
@@ -565,33 +567,33 @@ type chainEntry struct {
 // name, pk) order, each chain's versions newest-first. It is the one
 // walker VersionResidue and information_schema.mvcc_version_store read.
 func (e *Engine) sortedChains() []chainEntry {
-	names := make(map[uint8]string)
+	var names [256]string
+	for id := range names {
+		names[id] = "(dropped)"
+	}
 	e.mu.Lock()
 	for id, t := range e.tablesByID {
 		names[id] = t.Name
 	}
 	e.mu.Unlock()
-	var out []chainEntry
 	st := e.versions
 	st.mu.Lock()
-	for id, tv := range st.tables {
-		name := names[id]
-		if name == "" {
-			name = "(dropped)"
+	defer st.mu.Unlock()
+	var ids []uint8
+	for id := range st.tables {
+		if len(st.tables[id].chains) > 0 {
+			ids = append(ids, uint8(id))
 		}
-		for k, c := range tv.chains {
-			ce := chainEntry{table: name, pk: k.value(), chain: *c}
+	}
+	slices.SortStableFunc(ids, func(a, b uint8) int { return strings.Compare(names[a], names[b]) })
+	var out []chainEntry
+	for _, id := range ids {
+		for _, c := range st.tables[id].chains {
+			ce := chainEntry{table: names[id], chain: c}
 			ce.olds = slices.Clone(c.olds)
 			out = append(out, ce)
 		}
 	}
-	st.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].table != out[j].table {
-			return out[i].table < out[j].table
-		}
-		return out[i].pk.Compare(out[j].pk) < 0
-	})
 	return out
 }
 
@@ -622,30 +624,22 @@ type ckptVersions struct {
 	Chains  []ckptChain
 }
 
-// ckptSnapshot serializes the store deterministically: chains sorted
-// by (table, pk); the commits map serializes with sorted keys.
+// ckptSnapshot serializes the store deterministically: chains in
+// (table id, pk) order, the order the store keeps them in; the commits
+// map serializes with sorted keys.
 func (st *mvccStore) ckptSnapshot() *ckptVersions {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := &ckptVersions{Seq: st.seq, Commits: make(map[uint64]uint64, len(st.commits))}
-	for txn, s := range st.commits {
-		out.Commits[txn] = s
-	}
-	for id, tv := range st.tables {
-		for k, c := range tv.chains {
-			cc := ckptChain{Table: id, PK: k.value(), LatestTxn: c.latestTxn, Deleted: c.deleted}
+	out := &ckptVersions{Seq: st.seq, Commits: maps.Clone(st.commits)}
+	for id := range st.tables {
+		for _, c := range st.tables[id].chains {
+			cc := ckptChain{Table: uint8(id), PK: c.pk, LatestTxn: c.latestTxn, Deleted: c.deleted}
 			for _, old := range c.olds {
 				cc.Olds = append(cc.Olds, ckptVersion{Row: old.row, Txn: old.txn})
 			}
 			out.Chains = append(out.Chains, cc)
 		}
 	}
-	sort.Slice(out.Chains, func(i, j int) bool {
-		if out.Chains[i].Table != out.Chains[j].Table {
-			return out.Chains[i].Table < out.Chains[j].Table
-		}
-		return out.Chains[i].PK.Compare(out.Chains[j].PK) < 0
-	})
 	if len(out.Chains) == 0 && len(out.Commits) == 0 && out.Seq == 0 {
 		return nil
 	}
@@ -654,7 +648,10 @@ func (st *mvccStore) ckptSnapshot() *ckptVersions {
 
 // loadCkpt restores a checkpointed version store. tables resolves
 // table ids to their (freshly reopened) catalog entries; chains of
-// unknown tables are dropped, like their WAL records.
+// unknown tables are dropped, like their WAL records. The checkpoint's
+// chains may come in any order and name a key twice (a forged or an
+// older directory): each is filed where its key belongs, and of two on
+// one key the later wins.
 func (st *mvccStore) loadCkpt(cv *ckptVersions, tables map[uint8]*Table) {
 	if cv == nil {
 		return
@@ -663,26 +660,18 @@ func (st *mvccStore) loadCkpt(cv *ckptVersions, tables map[uint8]*Table) {
 	defer st.mu.Unlock()
 	st.seq = cv.Seq
 	st.commits = make(map[uint64]uint64, len(cv.Commits))
-	for txn, s := range cv.Commits {
-		st.commits[txn] = s
-	}
-	st.tables = make(map[uint8]*tableVersions)
+	maps.Copy(st.commits, cv.Commits)
+	st.tables = [256]tableVersions{}
 	for _, cc := range cv.Chains {
 		t, ok := tables[cc.Table]
 		if !ok {
 			continue
 		}
-		tv := st.tables[cc.Table]
-		if tv == nil {
-			tv = &tableVersions{counter: &t.mvccChains, chains: make(map[pkKey]*chain)}
-			st.tables[cc.Table] = tv
-		}
-		c := &chain{latestTxn: cc.LatestTxn, deleted: cc.Deleted}
+		c := st.chainAt(t, cc.PK)
+		*c = chain{pk: cc.PK, latestTxn: cc.LatestTxn, deleted: cc.Deleted}
 		for _, old := range cc.Olds {
 			c.olds = append(c.olds, version{row: old.Row, txn: old.Txn})
 		}
-		tv.chains[keyOf(cc.PK)] = c
-		tv.counter.Add(1)
 	}
 }
 
@@ -704,19 +693,14 @@ func (st *mvccStore) status() mvccStatus {
 	s := mvccStatus{
 		seq:            st.seq,
 		views:          len(st.views),
-		oldestViewSnap: st.seq,
+		oldestViewSnap: st.oldestSnap(),
 		commitsTracked: len(st.commits),
 		purgeRuns:      st.purgeRuns,
 		purgedVersions: st.purgedVersions,
 	}
-	for v := range st.views {
-		if v.snap < s.oldestViewSnap {
-			s.oldestViewSnap = v.snap
-		}
-	}
-	for _, tv := range st.tables {
-		s.chains += len(tv.chains)
-		for _, c := range tv.chains {
+	for id := range st.tables {
+		s.chains += len(st.tables[id].chains)
+		for _, c := range st.tables[id].chains {
 			s.versions += len(c.olds)
 		}
 	}

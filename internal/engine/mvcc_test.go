@@ -6,12 +6,18 @@ package engine
 // checkpoint + recovery — the §4 residue channel E16 quantifies.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"snapdb/internal/sqlparse"
+	"snapdb/internal/storage"
 	"snapdb/internal/vfs"
 )
 
@@ -266,30 +272,114 @@ func TestMVCCPurgeRespectsOldestView(t *testing.T) {
 	}
 }
 
-func TestMVCCBoundedPurgeSweep(t *testing.T) {
+// purgeFixture is an engine with purge off whose tables, created in
+// the order given (so their ids follow it), each hold one chain per id:
+// every row is inserted and then updated, in the order ids lists them.
+func purgeFixture(t *testing.T, tables []string, ids []int) *Engine {
+	t.Helper()
 	cfg := Defaults()
 	cfg.DisablePurge = true
 	e, _ := newEngine(t, cfg)
 	s := e.Connect("app")
-	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	for i := 0; i < 6; i++ {
-		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 0)", i))
-		mustExec(t, s, fmt.Sprintf("UPDATE t SET v = 1 WHERE id = %d", i))
+	defer s.Close()
+	for _, name := range tables {
+		mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (id INT PRIMARY KEY, v INT)", name))
 	}
-	before := len(e.VersionResidue())
-	if before < 6 {
-		t.Fatalf("expected at least one retained version per row, got %d", before)
+	for _, id := range ids {
+		for _, name := range tables {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO %s (id, v) VALUES (%d, 0)", name, id))
+			mustExec(t, s, fmt.Sprintf("UPDATE %s SET v = 1 WHERE id = %d", name, id))
+		}
 	}
-	// A bounded sweep must reclaim something but not everything.
-	n := e.PurgeVersions(2)
-	mid := len(e.VersionResidue())
-	if n == 0 || mid == 0 || mid >= before {
-		t.Errorf("batch purge reclaimed %d versions, residue %d -> %d", n, before, mid)
+	return e
+}
+
+// TestMVCCBoundedPurgeSweep: a bounded sweep examines the first chains
+// in (table id, pk) order, whatever order the keys were written in, so
+// two engines fed the same history are left holding the same residue;
+// an unbounded sweep drains the rest. With two tables the lower id goes
+// first, though the other table's name sorts first.
+func TestMVCCBoundedPurgeSweep(t *testing.T) {
+	ids := []int{4, 1, 5, 0, 3, 2}
+	for _, c := range []struct {
+		tables []string
+		batch  int
+		left   []string // chainedKeys after the bounded sweep
+	}{
+		{[]string{"t"}, 2, []string{"t/2", "t/3", "t/4", "t/5"}},
+		{[]string{"zeta", "alpha"}, 8, []string{"alpha/2", "alpha/3", "alpha/4", "alpha/5"}},
+	} {
+		e := purgeFixture(t, c.tables, ids)
+		before := len(e.VersionResidue())
+		if before < len(ids)*len(c.tables) {
+			t.Fatalf("%v: expected at least one retained version per row, got %d", c.tables, before)
+		}
+		// Every chain here is dead, so the sweep drops each one it
+		// examines whole: two versions, the insert's and the update's.
+		if n := e.PurgeVersions(c.batch); n != 2*c.batch {
+			t.Errorf("%v: PurgeVersions(%d) reclaimed %d versions, want %d", c.tables, c.batch, n, 2*c.batch)
+		}
+		if got := chainedKeys(e); !reflect.DeepEqual(got, c.left) {
+			t.Errorf("%v: chains left after PurgeVersions(%d): %v, want %v", c.tables, c.batch, got, c.left)
+		}
+		twin := purgeFixture(t, c.tables, ids)
+		twin.PurgeVersions(c.batch)
+		if got, want := twin.VersionResidue(), e.VersionResidue(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: two engines with one history differ after PurgeVersions(%d):\n%+v\n%+v", c.tables, c.batch, got, want)
+		}
+		// Unbounded sweep drains the rest.
+		e.PurgeVersions(0)
+		if left := len(e.VersionResidue()); left != 0 {
+			t.Errorf("%v: %d versions left after full purge", c.tables, left)
+		}
 	}
-	// Unbounded sweep drains the rest.
-	e.PurgeVersions(0)
-	if left := len(e.VersionResidue()); left != 0 {
-		t.Errorf("%d versions left after full purge", left)
+}
+
+// TestLoadCheckpointChainsInAnyOrder: loadCkpt files a checkpoint's
+// chains by key, so a directory whose chains are shuffled and name one
+// key twice (the later entry wins) restores the same store as the
+// sorted checkpoint: the same residue, the same checkpoint bytes, and
+// each table's chain count counts the key once.
+func TestLoadCheckpointChainsInAnyOrder(t *testing.T) {
+	tables := []string{"zeta", "alpha"}
+	e := purgeFixture(t, tables, []int{7, 2, 9, 4, 0, 5, 8, 1})
+	sorted := e.versions.ckptSnapshot()
+	shuffled := *sorted
+	shuffled.Chains = slices.Clone(sorted.Chains)
+	rand.New(rand.NewSource(46)).Shuffle(len(shuffled.Chains), func(i, j int) {
+		shuffled.Chains[i], shuffled.Chains[j] = shuffled.Chains[j], shuffled.Chains[i]
+	})
+	// A stale entry for the first chain, ahead of the real one: the
+	// real one comes later and must win.
+	stale := shuffled.Chains[0]
+	stale.LatestTxn, stale.Deleted, stale.Olds = 999, true, []ckptVersion{{Row: storage.Record{stale.PK, sqlparse.IntValue(-1)}}}
+	shuffled.Chains = slices.Insert(shuffled.Chains, 0, stale)
+
+	restore := func(cv *ckptVersions) (*Engine, []byte) {
+		r := purgeFixture(t, tables, nil)
+		r.versions.loadCkpt(cv, r.tablesByID)
+		b, err := json.Marshal(r.versions.ckptSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, b
+	}
+	want, wantBytes := restore(sorted)
+	got, gotBytes := restore(&shuffled)
+	if !reflect.DeepEqual(want.VersionResidue(), e.VersionResidue()) {
+		t.Fatalf("the sorted checkpoint does not restore the residue it was taken from")
+	}
+	if !reflect.DeepEqual(got.VersionResidue(), want.VersionResidue()) {
+		t.Errorf("shuffled checkpoint restores residue\n%+v\nwant\n%+v", got.VersionResidue(), want.VersionResidue())
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Errorf("shuffled checkpoint re-serializes as\n%s\nwant\n%s", gotBytes, wantBytes)
+	}
+	for _, name := range tables {
+		gt, _ := got.Table(name)
+		if n := gt.mvccChains.Load(); n != 8 {
+			t.Errorf("%s: %d chains counted, want 8", name, n)
+		}
 	}
 }
 

@@ -35,15 +35,32 @@ type Timed interface {
 }
 
 // Experiment is one registry entry: the id cmd/experiments -run
-// accepts, which is also the Name of the Result that Run returns.
+// accepts, which is also the Name of the Result that Run returns. An
+// error from Run names the experiment once, at its start: "E15: …".
 type Experiment struct {
 	ID  string
 	Run func(quick bool) (Result, error)
 }
 
-// entry adapts a typed experiment function to a registry entry.
+// entry adapts a typed experiment function to a registry entry. Most
+// experiments start their own messages with their id; entry adds it to
+// those that do not, and never a second time.
 func entry[R Result](id string, run func(quick bool) (R, error)) Experiment {
-	return Experiment{ID: id, Run: func(quick bool) (Result, error) { return run(quick) }}
+	return Experiment{ID: id, Run: func(quick bool) (Result, error) {
+		res, err := run(quick)
+		if err != nil {
+			return nil, named(id, err)
+		}
+		return res, nil
+	}}
+}
+
+// named prefixes err with "id: " unless its message already starts so.
+func named(id string, err error) error {
+	if strings.HasPrefix(err.Error(), id+":") {
+		return err
+	}
+	return fmt.Errorf("%s: %w", id, err)
 }
 
 // Registry is every experiment, in transcript order. All,
@@ -118,7 +135,7 @@ func All(quick bool) ([]Result, error) {
 	for _, x := range Registry {
 		res, err := x.Run(quick)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", x.ID, err)
+			return nil, err
 		}
 		out = append(out, res)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"strconv"
@@ -555,5 +556,24 @@ func TestE14RetryResidue(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "E14") {
 		t.Error("render missing experiment id")
+	}
+}
+
+// TestRunErrorsNameTheirExperimentOnce: a registry entry's error starts
+// with the experiment's id exactly once, whether or not the
+// experiment's own message already did.
+func TestRunErrorsNameTheirExperimentOnce(t *testing.T) {
+	for _, c := range []struct{ msg, want string }{
+		{"E15: serial run: boom", "E15: serial run: boom"},
+		{"setup 3: boom", "E15: setup 3: boom"},
+		{"E1 vm: boom", "E15: E1 vm: boom"},
+		{"E15x: boom", "E15: E15x: boom"},
+	} {
+		base := errors.New(c.msg)
+		x := entry("E15", func(bool) (*E15Result, error) { return nil, base })
+		res, err := x.Run(true)
+		if res != nil || err == nil || err.Error() != c.want || !errors.Is(err, base) {
+			t.Errorf("%q: Run returned (%v, %v), want the error %q wrapping it", c.msg, res, err, c.want)
+		}
 	}
 }

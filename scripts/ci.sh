@@ -154,8 +154,10 @@ go test -race ./internal/commitq -count=10
 go test -race ./internal/querycache -run 'TestConcurrentUse' -count=10
 # Parallel scan partitions: workers joined by one WaitGroup and stopped
 # by one flag, each counting its own fetches while another session
-# scans beside them.
-go test -race -count=10 -run 'TestParallelScan|TestStageFetchesAreOwn' ./internal/engine
+# scans beside them; and range and point readers resolving only their
+# own ranges' version chains while a writer commits and rolls back and
+# inline purge trims the chains under them.
+go test -race -count=10 -run 'TestParallelScan|TestStageFetchesAreOwn|TestRangeViewsUnderPurge' ./internal/engine
 # Two goroutines on one CryptFS, shrinking files under each other's
 # remembered sizes.
 go test -race ./internal/vfs -count=10 \
