@@ -19,9 +19,10 @@ import (
 // tombstone on one inside bound and a newer row on the other, a
 // tombstone just outside each, and rows the reader's view predates on
 // the bounds of a third range. Every answer, the query cache's
-// included, is the SQL model's, from a reader in autocommit and from
-// one whose view predates the writer, before and after the writer
-// commits.
+// included, is the SQL model's and every read's fetches the trace
+// rule's (a parallel read's in any order), from a reader in autocommit
+// and from one whose view predates the writer, before and after the
+// writer commits.
 func TestRangeFilterResolvesOnlyItsRange(t *testing.T) {
 	reads := []string{
 		"SELECT * FROM t WHERE id >= 100 AND id <= 200",
@@ -66,17 +67,8 @@ func TestRangeFilterResolvesOnlyItsRange(t *testing.T) {
 			parallel := 0
 			read := func(n int, sess *Session, q string) {
 				t.Helper()
-				if workers < 2 {
-					m.step(t, e, n, sess, q)
-					return
-				}
-				// Partitions fetch concurrently, each descending from
-				// the root: the answer is held to the model, and the
-				// fetches, which no single btree call makes, are not.
-				x := m.expect(t, e, n, q)
-				res, err := sess.Execute(q)
-				x.check(t, res, err, x.fetches)
-				if err == nil && len(res.stages) > 0 && strings.HasPrefix(res.stages[len(res.stages)-1].Operator, "Partition") {
+				res := m.step(t, e, n, sess, q)
+				if res != nil && len(res.stages) > 0 && strings.HasPrefix(res.stages[len(res.stages)-1].Operator, "Partition") {
 					parallel++
 				}
 			}

@@ -203,11 +203,12 @@ func TestPlanCacheLeakageEquivalenceParallel(t *testing.T) {
 	workload = append(workload,
 		"ANALYZE TABLE wide",
 		"SELECT * FROM wide WHERE score > 40",
-		"SELECT * FROM wide WHERE score > 40", // plan-cache hit → cached template fans out
+		"SELECT * FROM wide WHERE score > 40", // second sighting: the plan cache admits it
 		"SELECT name FROM wide WHERE id >= 30 AND id <= 600",
 		"SELECT name FROM wide WHERE id >= 30 AND id <= 600",
+		"SELECT name FROM wide WHERE id >= 30 AND id <= 600",                   // plan-cache hit → cached template fans out
 		"INSERT INTO wide (id, grp, score, name) VALUES (10000, 1, 1, 'tail')", // widens pk bounds
-		"SELECT * FROM wide WHERE score > 40",                                  // re-partitioned against the widened bounds
+		"SELECT * FROM wide WHERE score > 40",                                  // a hit, re-partitioned against the widened bounds
 		"SELECT COUNT(*) FROM wide",
 	)
 	cfg := parallelConfig()

@@ -14,8 +14,17 @@ import (
 // entirely — which is why the key is the raw statement bytes rather than
 // the literal-collapsed digest: two statements with one digest but
 // different literals need different ASTs. The digest text and hash ride
-// in the entry so a hit also skips the three tokenize passes the digest
-// pipeline would otherwise pay.
+// in the entry so a hit also skips rendering and hashing the digest.
+//
+// Admission: a text is cached on its second sighting, not its first.
+// Each shard keeps a doorkeeper (TinyLFU's, without the frequency
+// sketch), a direct-mapped array of the text hashes of recent misses; a
+// miss whose hash is not in its slot records it there and caches
+// nothing. Most statements of a write or load workload are one-offs (a
+// fresh literal each time), and an entry for one holds an AST and the
+// statement text until it is evicted, usually unused, and can evict a
+// statement that repeats. A doorkeeper slot is a bare uint64, so what
+// it remembers is neither scanned by the collector nor query text.
 //
 // Invalidation is epoch-based: every DDL statement (CREATE TABLE,
 // CREATE INDEX) bumps the catalog epoch, and a lookup that finds an
@@ -41,10 +50,17 @@ const planShards = 16
 // planCacheEntries is the total plan-cache capacity, over all shards.
 const planCacheEntries = 4096
 
+// doorSlots is the doorkeeper's size per shard: it remembers four times
+// as many texts as the shard caches (on the traced snapbench pass, 1×
+// kept fewer repeats long enough to be admitted, and 16× gained little
+// more), in 8 KiB a shard.
+const doorSlots = 4 * planCacheEntries / planShards
+
 type planShard struct {
-	mu sync.Mutex
-	m  map[string]*list.Element
-	ll *list.List // front = most recently used
+	mu   sync.Mutex
+	m    map[string]*list.Element
+	ll   *list.List // front = most recently used
+	door [doorSlots]uint64
 }
 
 // plan is one cached statement pipeline entry.
@@ -81,8 +97,9 @@ func newPlanCache() *planCache {
 	return c
 }
 
-// shardFor hashes the statement text (FNV-1a) to a shard.
-func (c *planCache) shardFor(key string) *planShard {
+// planHash is the statement text's FNV-1a hash. Its low bits pick the
+// shard and the bits above them the shard's doorkeeper slot.
+func planHash(key string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -92,8 +109,12 @@ func (c *planCache) shardFor(key string) *planShard {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return &c.shards[h%planShards]
+	return h
 }
+
+func (c *planCache) shardFor(h uint64) *planShard { return &c.shards[h%planShards] }
+
+func doorSlot(h uint64) int { return int(h / planShards % doorSlots) }
 
 // Epoch returns the current catalog epoch.
 func (c *planCache) Epoch() uint64 { return c.epoch.Load() }
@@ -102,11 +123,11 @@ func (c *planCache) Epoch() uint64 { return c.epoch.Load() }
 // Called by DDL.
 func (c *planCache) bumpEpoch() { c.epoch.Add(1) }
 
-// lookup returns the cached plan for the statement, or nil. A stale
-// (pre-DDL) entry is evicted and reported as a miss.
-func (c *planCache) lookup(query string) *plan {
+// lookup returns the cached plan for the statement, whose planHash is
+// h, or nil. A stale (pre-DDL) entry is evicted and reported as a miss.
+func (c *planCache) lookup(query string, h uint64) *plan {
 	cur := c.epoch.Load()
-	sh := c.shardFor(query)
+	sh := c.shardFor(h)
 	sh.mu.Lock()
 	el, ok := sh.m[query]
 	if !ok {
@@ -128,13 +149,19 @@ func (c *planCache) lookup(query string) *plan {
 	return pl
 }
 
-// insert stores a freshly parsed plan, evicting the shard's LRU tail
-// beyond capacity. The plan's epoch must be the value observed before
+// insert stores a freshly parsed plan, whose key's planHash is h, if
+// the doorkeeper has seen h in its slot before, evicting the shard's
+// LRU tail beyond capacity; otherwise it records h in the slot and
+// stores nothing. The plan's epoch must be the value observed before
 // parsing began.
-func (c *planCache) insert(pl *plan) {
-	sh := c.shardFor(pl.key)
+func (c *planCache) insert(pl *plan, h uint64) {
+	sh := c.shardFor(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if slot := &sh.door[doorSlot(h)]; *slot != h {
+		*slot = h
+		return
+	}
 	if el, ok := sh.m[pl.key]; ok {
 		el.Value = pl
 		sh.ll.MoveToFront(el)
@@ -176,13 +203,15 @@ func (e *Engine) CatalogEpoch() uint64 { return e.plans.Epoch() }
 
 // planFor resolves the statement pipeline front half: a cache hit
 // returns the stored plan; a miss lexes once for both the parse and the
-// digest, binds, and (on success) caches. The digest text is computed
-// exactly once per cached statement text and reused by every later hit.
-// parse errors are returned with a nil plan and the statement's digest
-// text — failed statements are never cached, so the error surface is
-// identical on a hit and a miss.
+// digest, binds, and (on success) offers the plan to the cache, which
+// keeps it from the text's second sighting on. The digest text is
+// computed once per cached statement text and reused by every later
+// hit. Parse errors are returned with a nil plan and the statement's
+// digest text — failed statements are never cached, so the error
+// surface is identical on a hit and a miss.
 func (e *Engine) planFor(query string) (*plan, string, error) {
-	if pl := e.plans.lookup(query); pl != nil {
+	h := planHash(query)
+	if pl := e.plans.lookup(query, h); pl != nil {
 		return pl, pl.digest, nil
 	}
 	// Observe the epoch before parsing: a DDL that lands between here
@@ -200,7 +229,7 @@ func (e *Engine) planFor(query string) (*plan, string, error) {
 		epoch:  epoch,
 		bind:   e.bindPlan(stmt),
 	}
-	e.plans.insert(pl)
+	e.plans.insert(pl, h)
 	return pl, digest, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,23 +18,201 @@ func TestPlanCacheHitsOnRepeat(t *testing.T) {
 	setupCustomers(t, s, 10)
 
 	const q = "SELECT name FROM customers WHERE id = 3"
-	mustExec(t, s, q)
-	h0, m0, _ := e.PlanCacheStats()
+	mustExec(t, s, q) // first sighting: the doorkeeper records it
+	h0, m0, n0 := e.PlanCacheStats()
+	mustExec(t, s, q) // second sighting: the admitting miss
+	h1, m1, n1 := e.PlanCacheStats()
+	if h1 != h0 || m1 != m0+1 || n1 != n0+1 {
+		t.Errorf("first repeat: hits %d -> %d, misses %d -> %d, entries %d -> %d; want a miss that caches",
+			h0, h1, m0, m1, n0, n1)
+	}
 	for i := 0; i < 5; i++ {
 		res := mustExec(t, s, q)
 		if len(res.Rows) != 1 || res.Rows[0][0].Str != "name3" {
 			t.Fatalf("iteration %d: rows = %v", i, res.Rows)
 		}
 	}
-	h1, m1, entries := e.PlanCacheStats()
-	if h1-h0 != 5 {
-		t.Errorf("hits = %d, want 5 (stats %d/%d -> %d/%d)", h1-h0, h0, m0, h1, m1)
+	h2, m2, entries := e.PlanCacheStats()
+	if h2-h1 != 5 {
+		t.Errorf("hits = %d, want 5 (stats %d/%d -> %d/%d)", h2-h1, h1, m1, h2, m2)
 	}
-	if m1 != m0 {
-		t.Errorf("repeat executions missed the cache: misses %d -> %d", m0, m1)
+	if m2 != m1 {
+		t.Errorf("repeat executions missed the cache: misses %d -> %d", m1, m2)
 	}
 	if entries == 0 {
 		t.Error("cache reports no entries")
+	}
+}
+
+// doorCollision returns a statement of the form format (one %d) whose
+// text is not base but lands in base's doorkeeper slot.
+func doorCollision(t *testing.T, base, format string) string {
+	t.Helper()
+	want := planHash(base) % (planShards * doorSlots)
+	for i := 0; i < 1<<20; i++ {
+		q := fmt.Sprintf(format, i)
+		if q != base && planHash(q)%(planShards*doorSlots) == want {
+			return q
+		}
+	}
+	t.Fatalf("no text of the form %q shares a doorkeeper slot with %q", format, base)
+	return ""
+}
+
+// TestPlanCacheAdmitsOnSecondSighting: a text's first execution misses
+// and caches nothing, its second misses and caches, and the third and
+// later hit. A text whose doorkeeper slot another text took between
+// its sightings starts over.
+func TestPlanCacheAdmitsOnSecondSighting(t *testing.T) {
+	e, _ := newEngine(t, Defaults())
+	s := e.Connect("app")
+	defer s.Close()
+	setupCustomers(t, s, 10)
+
+	const q = "SELECT name FROM customers WHERE id = 4"
+	other := doorCollision(t, q, "SELECT name FROM customers WHERE id = %d")
+	sighting := func(stmt, what string, hit, cached bool) {
+		t.Helper()
+		h0, m0, n0 := e.PlanCacheStats()
+		mustExec(t, s, stmt)
+		h1, m1, n1 := e.PlanCacheStats()
+		wantH, wantM, wantN := h0, m0+1, n0
+		if hit {
+			wantH, wantM = h0+1, m0
+		} else if cached {
+			wantN++
+		}
+		if h1 != wantH || m1 != wantM || n1 != wantN {
+			t.Errorf("%s %q: hits %d -> %d, misses %d -> %d, entries %d -> %d; want hits %d, misses %d, entries %d",
+				what, stmt, h0, h1, m0, m1, n0, n1, wantH, wantM, wantN)
+		}
+	}
+	sighting(q, "1st sighting of", false, false)
+	sighting(q, "2nd sighting of", false, true)
+	sighting(q, "3rd sighting of", true, false)
+	sighting(q, "4th sighting of", true, false)
+
+	e.plans.clear()
+	sighting(q, "1st sighting of", false, false)
+	sighting(other, "a text in the same slot,", false, false)
+	sighting(q, "2nd sighting, slot taken, of", false, false)
+	sighting(q, "3rd sighting of", false, true)
+	sighting(q, "4th sighting of", true, false)
+}
+
+// TestLoadInsertsAreNotCached: a bulk load is one distinct multi-row
+// INSERT after another, none seen twice, so the cache holds none of
+// them (it used to keep every one, AST and text, until evicted).
+func TestLoadInsertsAreNotCached(t *testing.T) {
+	e, _ := newEngine(t, Defaults())
+	s := e.Connect("loader")
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE s0 (id INT PRIMARY KEY, k INT, v TEXT)")
+	const statements, rows = 1600, 50
+	var sb strings.Builder
+	for n := 0; n < statements; n++ {
+		sb.Reset()
+		sb.WriteString("INSERT INTO s0 (id, k, v) VALUES ")
+		for id := n * rows; id < (n+1)*rows; id++ {
+			if id > n*rows {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d, 'row-%06d')", id, id%10, id)
+		}
+		mustExec(t, s, sb.String())
+	}
+	if _, _, entries := e.PlanCacheStats(); entries != 0 {
+		t.Errorf("plan cache holds %d entries after %d distinct load INSERTs, want 0", entries, statements)
+	}
+}
+
+// TestOneOffsKeepRepeatersCached: 10 000 distinct writes interleaved
+// with one hot SELECT leave the cache holding the SELECT alone, and the
+// SELECT hits on every execution once admitted.
+func TestOneOffsKeepRepeatersCached(t *testing.T) {
+	e, _ := newEngine(t, Defaults())
+	s := e.Connect("app")
+	defer s.Close()
+	setupCustomers(t, s, 10)
+
+	const hot = "SELECT name FROM customers WHERE id = 7"
+	mustExec(t, s, hot)
+	mustExec(t, s, hot)
+	for i := 0; i < 10000; i++ {
+		mustExec(t, s, fmt.Sprintf("UPDATE customers SET age = %d WHERE id = %d", 20+i, i%10))
+		h0, _, _ := e.PlanCacheStats()
+		if res := mustExec(t, s, hot); len(res.Rows) != 1 || res.Rows[0][0].Str != "name7" {
+			t.Fatalf("hot SELECT %d: rows = %v", i, res.Rows)
+		}
+		if h1, _, _ := e.PlanCacheStats(); h1 != h0+1 {
+			t.Fatalf("hot SELECT %d missed the cache", i)
+		}
+	}
+	if n := e.plans.Len(); n != 1 {
+		t.Errorf("plan cache holds %d entries, want 1 (the hot SELECT)", n)
+	}
+}
+
+// TestPlanCacheConcurrentSessions: four sessions share some texts,
+// repeat texts of their own and run one-offs, so doorkeeper slots are
+// read and overwritten concurrently; every result must be right. Run
+// under -race it checks the doorkeeper is shard state like the rest.
+func TestPlanCacheConcurrentSessions(t *testing.T) {
+	cfg := Defaults()
+	cfg.EnableQueryCache = false // every read goes through its plan
+	e, _ := newEngine(t, cfg)
+	setup := e.Connect("setup")
+	mustExec(t, setup, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	for id := 0; id < 20; id++ {
+		mustExec(t, setup, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", id, id*10))
+	}
+	setup.Close()
+
+	const sessions, rounds = 4, 300
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for n := 0; n < sessions; n++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			s := e.Connect(fmt.Sprintf("s%d", n))
+			defer s.Close()
+			own := 16 + n // a row no other session writes
+			read := func(q string, want int64) error {
+				res, err := s.Execute(q)
+				if err != nil {
+					return fmt.Errorf("session %d: %q: %w", n, q, err)
+				}
+				if len(res.Rows) != 1 || res.Rows[0][0].Int != want {
+					return fmt.Errorf("session %d: %q = %v, want %d", n, q, res.Rows, want)
+				}
+				return nil
+			}
+			for i := 0; i < rounds; i++ {
+				shared := i % 16 // rows nobody writes, read by every session
+				if err := read(fmt.Sprintf("SELECT v FROM t WHERE id = %d", shared), int64(shared*10)); err != nil {
+					errs <- err
+					return
+				}
+				v := int64(1000*n + i)
+				if _, err := s.Execute(fmt.Sprintf("UPDATE t SET v = %d WHERE id = %d", v, own)); err != nil {
+					errs <- fmt.Errorf("session %d: %w", n, err)
+					return
+				}
+				if err := read(fmt.Sprintf("SELECT v FROM t WHERE id = %d", own), v); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(n)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if h, _, _ := e.PlanCacheStats(); h == 0 {
+		t.Error("no statement hit the plan cache")
 	}
 }
 
@@ -319,6 +498,7 @@ type runState struct {
 	lru          []storage.PageID
 	hot          string
 	hits, misses uint64
+	planHits     uint64
 	fs           forensicState
 	// operators is every operator description any statement's stage
 	// events carried — the history ring in fs.stages keeps only the
@@ -384,6 +564,7 @@ func captureRun(t testing.TB, cfg Config, workload []string, opts runOpt) runSta
 	rs.lru = e.BufferPool().LRUOrder()
 	rs.hot = fmt.Sprint(e.BufferPool().HotPages())
 	rs.hits, rs.misses, _ = e.BufferPool().Stats()
+	rs.planHits, _, _ = e.PlanCacheStats()
 	return rs
 }
 
@@ -453,27 +634,45 @@ func diffRuns(t *testing.T, workload []string, aName, bName string, a, b runStat
 // identical to an engine executing the same workload with the cache
 // emptied before every statement. If the cache ever short-circuits an
 // artifact write, the paper's experiments would silently under-report
-// leakage.
+// leakage. The workload holds every admission state: texts seen once
+// (recorded by the doorkeeper only), twice (the admitting miss), three
+// times and more (hits), and a text whose doorkeeper slot another text
+// takes between its sightings.
 func TestPlanCacheLeakageEquivalence(t *testing.T) {
+	const (
+		slotOwner = "SELECT balance FROM accounts WHERE id = 1"
+		collider  = "SELECT balance FROM accounts WHERE id = %d"
+	)
 	workload := []string{
 		"CREATE TABLE accounts (id INT PRIMARY KEY, owner TEXT, balance INT)",
 		"INSERT INTO accounts (id, owner, balance) VALUES (1, 'alice', 100)",
 		"INSERT INTO accounts (id, owner, balance) VALUES (2, 'bob', 250)",
 		"SELECT owner FROM accounts WHERE id = 1",
+		"SELECT owner FROM accounts WHERE id = 1", // admitted on its second sighting
 		"SELECT owner FROM accounts WHERE id = 1", // cache hit
-		"SELECT owner FROM accounts WHERE id = 2", // same digest, different literal
-		"SELECT * FROM missing",                   // resolution error, repeated
+		"SELECT owner FROM accounts WHERE id = 2", // same digest, different literal, seen once
+		slotOwner,
+		doorCollision(t, slotOwner, collider), // takes slotOwner's doorkeeper slot
+		slotOwner,                             // a second sighting the doorkeeper forgot: not admitted
+		slotOwner,                             // admitted
+		slotOwner,                             // hit
+		"SELECT * FROM missing",               // resolution error, repeated
 		"SELECT * FROM missing",
-		"THIS IS NOT SQL", // parse error, repeated
+		"SELECT * FROM missing", // hit: an unbound plan is cached too
+		"THIS IS NOT SQL",       // parse error, repeated
 		"THIS IS NOT SQL",
+		"THIS IS NOT SQL",
+		"UPDATE accounts SET balance = 175 WHERE id = 1",
 		"UPDATE accounts SET balance = 175 WHERE id = 1",
 		"UPDATE accounts SET balance = 175 WHERE id = 1", // hit on DML
 		"BEGIN",
 		"INSERT INTO accounts (id, owner, balance) VALUES (3, 'carol', 50)",
 		"ROLLBACK",
-		"CREATE INDEX idx_owner ON accounts (owner)", // DDL: invalidates
 		"SELECT id FROM accounts WHERE owner = 'bob'",
 		"SELECT id FROM accounts WHERE owner = 'bob'",
+		"CREATE INDEX idx_owner ON accounts (owner)",  // DDL: invalidates
+		"SELECT id FROM accounts WHERE owner = 'bob'", // stale entry: re-planned and re-admitted
+		"SELECT id FROM accounts WHERE owner = 'bob'", // hit
 		"DELETE FROM accounts WHERE id = 2",
 		"SELECT COUNT(*) FROM accounts",
 		"ANALYZE TABLE accounts",                      // statistics rebuild: bumps the plan epoch
@@ -482,14 +681,19 @@ func TestPlanCacheLeakageEquivalence(t *testing.T) {
 		"ANALYZE TABLE missing",                       // error path, repeated
 		"ANALYZE TABLE missing",
 		"SELECT owner FROM accounts ORDER BY balance DESC LIMIT 1",
+		"SELECT owner FROM accounts ORDER BY balance DESC LIMIT 1",
 		"SELECT owner FROM accounts ORDER BY balance DESC LIMIT 1", // hit on ORDER BY/LIMIT
 		"SELECT SUM(balance) FROM accounts WHERE id >= 1 AND id <= 3",
 		"SELECT owner FROM accounts ORDER BY balance LIMIT 0", // LIMIT 0: real, empty limit
 		"SELECT owner FROM accounts ORDER BY balance LIMIT 0",
+		"SELECT owner FROM accounts ORDER BY balance LIMIT 0",                             // hit
 		"SELECT id FROM accounts WHERE owner >= 'a' AND owner <= 'z' ORDER BY owner DESC", // index-order DESC
 		"SELECT id FROM accounts WHERE owner >= 'a' AND owner <= 'z' ORDER BY owner DESC",
+		"SELECT id FROM accounts WHERE owner >= 'a' AND owner <= 'z' ORDER BY owner DESC", // hit
+		"EXPLAIN SELECT id FROM accounts WHERE owner = 'alice'",
 		"EXPLAIN SELECT id FROM accounts WHERE owner = 'alice'",
 		"EXPLAIN SELECT id FROM accounts WHERE owner = 'alice'", // hit on EXPLAIN
+		"EXPLAIN ANALYZE SELECT owner FROM accounts ORDER BY balance DESC LIMIT 1",
 		"EXPLAIN ANALYZE SELECT owner FROM accounts ORDER BY balance DESC LIMIT 1",
 		"EXPLAIN ANALYZE SELECT owner FROM accounts ORDER BY balance DESC LIMIT 1", // hit on EXPLAIN ANALYZE
 	}
@@ -499,15 +703,74 @@ func TestPlanCacheLeakageEquivalence(t *testing.T) {
 	withCache := captureRun(t, cfg, workload, 0)
 	cold := captureRun(t, cfg, workload, coldPlans)
 	diffRuns(t, workload, "plancache-on", "plancache-cold", withCache, cold, 0)
+	// The warm arm hits on exactly the statements marked "hit".
+	if withCache.planHits != 11 || cold.planHits != 0 {
+		t.Errorf("plan-cache hits: warm %d, cold %d; want 11 and 0", withCache.planHits, cold.planHits)
+	}
 }
 
-// clear empties the cache.
+// clear empties the cache and its doorkeepers.
 func (c *planCache) clear() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		clear(sh.m)
 		sh.ll.Init()
+		sh.door = [doorSlots]uint64{}
 		sh.mu.Unlock()
+	}
+}
+
+// BenchmarkPlanFor measures the statement pipeline's front half on
+// three statement shapes: a write_crypt-shaped UPDATE with a fresh
+// literal every time (a one-off), a 50-row load INSERT (also one-off),
+// and a point SELECT that repeats (a hit). The one-off arms write the
+// iteration number into their text, which costs each of them the one
+// allocation a statement read off the wire makes anyway.
+func BenchmarkPlanFor(b *testing.B) {
+	var load strings.Builder
+	load.WriteString("INSERT INTO w0 (id, k, v) VALUES ")
+	for id := 0; id < 50; id++ {
+		if id > 0 {
+			load.WriteString(", ")
+		}
+		fmt.Fprintf(&load, "(%08d, %d, '%08x-row-00-%06d-0123456789abcdef01')", id, id%10, id*2654435761, id)
+	}
+	for _, arm := range []struct {
+		name, text string
+		oneOff     bool // the text's first "00000000" takes the iteration number
+	}{
+		{"oneoff-update", "UPDATE w2 SET v = 'upd-1-00000000-02-001234-xxxxxxxxxxxxxxxxxxxxxxxx' WHERE id = 1234", true},
+		{"load-insert", load.String(), true},
+		{"repeat-point", "SELECT v FROM w0 WHERE id = 42", false},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			e, _ := newEngine(b, Defaults())
+			s := e.Connect("bench")
+			defer s.Close()
+			for _, w := range []string{"w0", "w2"} {
+				mustExec(b, s, "CREATE TABLE "+w+" (id INT PRIMARY KEY, k INT, v TEXT)")
+			}
+			text := []byte(arm.text)
+			at := strings.Index(arm.text, "00000000")
+			q := arm.text
+			if !arm.oneOff { // admit it, so every timed call hits
+				e.planFor(q)
+				e.planFor(q)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if arm.oneOff {
+					for j, n := at+7, i; j >= at; j, n = j-1, n/10 {
+						text[j] = byte('0' + n%10)
+					}
+					q = string(text)
+				}
+				if _, _, err := e.planFor(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -259,16 +259,24 @@ func keyword(word string) string {
 // Tokenize lexes the whole input. The token slice is sized from the
 // input length so that a typical statement lexes in one allocation.
 func Tokenize(src string) ([]Token, error) {
+	toks, err := lexInto(make([]Token, 0, len(src)/3+4), src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lexInto appends src's tokens, up to and including TokEOF, to dst.
+func lexInto(dst []Token, src string) ([]Token, error) {
 	lx := Lexer{src: src}
-	toks := make([]Token, 0, len(src)/3+4)
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		toks = append(toks, t)
+		dst = append(dst, t)
 		if t.Kind == TokEOF {
-			return toks, nil
+			return dst, nil
 		}
 	}
 }

@@ -346,3 +346,41 @@ func TestParseDigestAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// raceEnabled is set under -race, where sync.Pool drops items at random
+// and allocation counts stop being exact.
+var raceEnabled bool
+
+// TestParseDigestLexesIntoReusedBuffer: ParseDigest lexes into a pooled
+// token buffer, so it allocates exactly what Parse does — the digest
+// string takes the place of Parse's token slice — and a loaded INSERT
+// costs no token slice sized from its text.
+func TestParseDigestLexesIntoReusedBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	check := func(name, src string) {
+		parse := testing.AllocsPerRun(100, func() { _, _ = Parse(src) })
+		got := testing.AllocsPerRun(100, func() { _, _, _ = ParseDigest(src) })
+		if got != parse {
+			t.Errorf("%s: ParseDigest makes %.0f allocs, Parse %.0f", name, got, parse)
+		}
+	}
+	check("load INSERT", loadInsert(50))
+	for _, w := range workloadShapes {
+		check(w.name, w.src)
+	}
+}
+
+// loadInsert is a loader's INSERT of rows rows.
+func loadInsert(rows int) string {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO s0 (id, k, v) VALUES ")
+	for id := 0; id < rows; id++ {
+		if id > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, '%08x-row-00-%06d-0123456789abcdef01')", id, id%10, id*2654435761, id)
+	}
+	return sb.String()
+}

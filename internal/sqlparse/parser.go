@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 )
 
 // ErrUnknownFunction reports a function call in a SELECT list that is
@@ -35,13 +36,39 @@ func Parse(src string) (Statement, error) {
 // ParseDigest is Parse and Digest from one lex pass: it returns what
 // Parse(src) returns, and Digest(src) beside it whether or not src
 // parses, so a failed statement is never lexed again for its digest.
+// It lexes into a pooled token buffer, so in steady state the lex
+// allocates nothing.
 func ParseDigest(src string) (Statement, string, error) {
-	toks, err := Tokenize(src)
+	buf := tokenBufs.Get().(*[]Token)
+	defer releaseTokens(buf)
+	toks, err := lexInto((*buf)[:0], src)
+	*buf = toks
 	if err != nil {
 		return nil, fallbackDigest(src), err
 	}
 	stmt, err := parseTokens(toks)
 	return stmt, renderDigest(toks, len(src)), err
+}
+
+// tokenBufs holds ParseDigest's token buffers. Nothing it returns keeps
+// a token — the AST and the digest hold strings, never the slice — so a
+// buffer is free once both are built.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+// maxPooledTokens bounds the buffers tokenBufs keeps: a buffer grown by
+// an outsized statement is left to the collector.
+const maxPooledTokens = 1 << 12
+
+// releaseTokens clears buf and hands it back to tokenBufs. The clearing
+// drops the token texts, substrings of the statement, so an idle buffer
+// keeps no query text alive.
+func releaseTokens(buf *[]Token) {
+	if cap(*buf) > maxPooledTokens {
+		return
+	}
+	clear(*buf)
+	*buf = (*buf)[:0]
+	tokenBufs.Put(buf)
 }
 
 // parseTokens parses one statement from toks, which end in TokEOF.

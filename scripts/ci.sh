@@ -156,8 +156,10 @@ go test -race ./internal/querycache -run 'TestConcurrentUse' -count=10
 # by one flag, each counting its own fetches while another session
 # scans beside them; and range and point readers resolving only their
 # own ranges' version chains while a writer commits and rolls back and
-# inline purge trims the chains under them.
-go test -race -count=10 -run 'TestParallelScan|TestStageFetchesAreOwn|TestRangeViewsUnderPurge' ./internal/engine
+# inline purge trims the chains under them. And the plan cache: sessions
+# hitting, admitting and invalidating plans, and reading and overwriting
+# the doorkeeper slots, under one shard lock.
+go test -race -count=10 -run 'TestParallelScan|TestStageFetchesAreOwn|TestRangeViewsUnderPurge|TestPlanCache' ./internal/engine
 # Two goroutines on one CryptFS, shrinking files under each other's
 # remembered sizes.
 go test -race ./internal/vfs -count=10 \
