@@ -14,6 +14,7 @@ package binlog
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 
 	"snapdb/internal/commitq"
@@ -230,13 +231,25 @@ func ParseWithReport(img []byte) ([]Event, storage.ParseReport) {
 // events of a Serialize image in order, validating each, and hands every
 // event of the valid prefix to fn.
 func Walk(img []byte, fn func(Event)) storage.ParseReport {
-	return storage.WalkFrames(img, "event", func(payload []byte) (int, error) {
+	return storage.WalkFrames(img, "event", decodeFrames(fn))
+}
+
+// WalkAt is Walk over the first size bytes of r, streamed in chunk-byte
+// reads (storage.WalkFramesAt). No event aliases the read buffer.
+func WalkAt(r io.ReaderAt, size int64, chunk int, fn func(Event)) (storage.ParseReport, error) {
+	return storage.WalkFramesAt(r, size, chunk, "event", decodeFrames(fn))
+}
+
+// decodeFrames decodes one frame's payload as an event and hands it to
+// fn if it fills the payload exactly.
+func decodeFrames(fn func(Event)) func(payload []byte) (int, error) {
+	return func(payload []byte) (int, error) {
 		ev, n, err := DecodeEvent(payload)
 		if err == nil && n == len(payload) {
 			fn(ev)
 		}
 		return n, err
-	})
+	}
 }
 
 // Parse decodes a Serialize image — the mysqlbinlog-equivalent reader a

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -34,18 +35,22 @@ func durableLogs(t testing.TB, e *Engine) (redo, undo []wal.Record, evs []binlog
 			t.Fatalf("%s: bad tail at offset %d: %s", name, trunc.Offset, trunc.Reason)
 		}
 	}
+	read := func(name string, walk func(r io.ReaderAt, size int64) (storage.ParseReport, error)) {
+		l := openLog(fs, name)
+		l.walk(nil, walk)
+		l.close()
+		check(name, l.trunc, l.err)
+	}
 	walLog := func(name string, recs *[]wal.Record) {
-		_, _, trunc, err := readLog(fs, name, func(img []byte) storage.ParseReport {
-			return wal.WalkLog(img, func(r wal.Record) { *recs = append(*recs, r) })
+		read(name, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
+			return wal.WalkLogAt(r, size, logChunk, func(r wal.Record) { *recs = append(*recs, r) })
 		})
-		check(name, trunc, err)
 	}
 	walLog(FileRedo, &redo)
 	walLog(FileUndo, &undo)
-	_, _, trunc, err := readLog(fs, FileBinlog, func(img []byte) storage.ParseReport {
-		return binlog.Walk(img, func(ev binlog.Event) { evs = append(evs, ev) })
+	read(FileBinlog, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
+		return binlog.WalkAt(r, size, logChunk, func(ev binlog.Event) { evs = append(evs, ev) })
 	})
-	check(FileBinlog, trunc, err)
 	return redo, undo, evs
 }
 

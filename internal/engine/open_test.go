@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
-	"snapdb/internal/sqlparse"
-	"snapdb/internal/storage"
 	"snapdb/internal/vfs"
 	"snapdb/internal/wal"
 )
@@ -296,65 +293,13 @@ func TestRecoverInterleavedLosers(t *testing.T) {
 // descent and the leaf chain) succeeds, and the first logged insert
 // above every separator descends into the loop.
 func TestFailedReplayLeavesDirectory(t *testing.T) {
-	mem := vfs.NewMemFS()
-	s := durableEngine(t, mem).Connect("app")
-	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
-	for id := 0; id < 60; id++ {
-		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, '%0200d')", id, id))
-	}
-	mustExec(t, s, "CREATE TABLE pad (id INT PRIMARY KEY)") // checkpoints t as a two-level tree
-	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1000, 'x')")
-	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1001, 'y')")
-	mem.Crash()
-
-	img, err := mem.ReadFile(FileCheckpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, ts, err := DecodeCheckpoint(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := meta.Tables[0].Root
-	page := ts[8+int(root)*storage.PageSize : 8+int(root+1)*storage.PageSize]
-	p, err := storage.LoadPage(page)
-	if err != nil || p.Type() != storage.PageBTreeInternal {
-		t.Fatalf("t's root page %d: %v, want an internal node", root, err)
-	}
-	var entries []storage.Record
-	for i := 0; i < p.SlotCount(); i++ {
-		if b := p.SlotBytes(i); b != nil {
-			rec, _, err := storage.DecodeRecord(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			entries = append(entries, rec)
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i][0].Compare(entries[j][0]) < 0 })
-	entries[len(entries)-1][1] = sqlparse.IntValue(int64(root))
-	p.Format(root, storage.PageBTreeInternal)
-	for _, rec := range entries {
-		if _, err := p.InsertBytes(storage.EncodeRecord(rec)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	copy(page, p.Bytes())
-	if img, err = EncodeCheckpoint(meta, ts); err != nil {
-		t.Fatal(err)
-	}
-	if err := vfs.WriteFileAtomic(mem, FileCheckpoint, img); err != nil {
-		t.Fatal(err)
-	}
+	mem := loopedDir(t)
 	redo, err := mem.ReadFile(FileRedo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tearFile(t, mem, FileRedo, redo[:len(redo)-3])
-	before := map[string][]byte{}
-	for _, name := range mem.Names() {
-		before[name], _ = mem.ReadFile(name)
-	}
+	before := dirBytes(t, mem)
 
 	if _, _, err := Recover(mem, Defaults()); err == nil || !strings.Contains(err.Error(), "engine: redo LSN") || !strings.Contains(err.Error(), "loop") {
 		t.Fatalf("Recover err = %v, want the replay's descent to fail on the loop", err)

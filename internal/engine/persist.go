@@ -3,9 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -36,17 +34,19 @@ type logFile struct {
 	buf  []byte
 }
 
-// openLogFile opens (or creates) name and cuts it back to off.
-func openLogFile(fs vfs.FS, name string, off int64) (logFile, error) {
-	f, err := fs.Open(name)
-	if errors.Is(err, os.ErrNotExist) {
-		f, err = fs.Create(name)
+// openLogFile takes over the handle recovery read l through, or
+// creates the file if it did not exist, and cuts it back to l's valid
+// prefix.
+func openLogFile(fs vfs.FS, l *logScan) (logFile, error) {
+	if l.f == nil {
+		f, err := fs.Create(l.name)
+		if err != nil {
+			return logFile{}, fmt.Errorf("engine: open %s: %w", l.name, err)
+		}
+		l.f = f
 	}
-	if err != nil {
-		return logFile{}, fmt.Errorf("engine: open %s: %w", name, err)
-	}
-	l := logFile{name: name, f: f}
-	return l, l.truncateTo(off)
+	lf := logFile{name: l.name, f: l.f}
+	return lf, lf.truncateTo(l.off)
 }
 
 // truncateTo durably cuts the file back to off and appends from there.
@@ -104,25 +104,30 @@ type persistor struct {
 	closed           bool
 }
 
-// attachPersist opens (or creates) the three append-only log files, cut
-// back to the given valid-prefix offsets — 0 for a fresh engine, the
-// parse-verified prefixes after recovery (cutting off any torn tail a
-// crash left) — and wires the persistor into the WAL and binlog
-// group-commit pipelines as their durability sink.
-func (e *Engine) attachPersist(fs vfs.FS, redoOff, undoOff, blogOff int64) error {
+// attachPersist appends to the three log files through the handles
+// recovery read them through (creating a file that did not exist), cut
+// back to their parse-verified valid prefixes (cutting off any torn
+// tail a crash left; an empty directory's are 0), and wires the
+// persistor into the WAL and binlog group-commit pipelines as their
+// durability sink. On error it closes the handles.
+func (e *Engine) attachPersist(fs vfs.FS, redo, undo, blog *logScan) error {
 	p := &persistor{fs: fs}
 	var err error
-	if p.redo, err = openLogFile(fs, FileRedo, redoOff); err != nil {
-		return err
+	if p.redo, err = openLogFile(fs, redo); err == nil {
+		if p.undo, err = openLogFile(fs, undo); err == nil {
+			p.blog, err = openLogFile(fs, blog)
+		}
 	}
-	if p.undo, err = openLogFile(fs, FileUndo, undoOff); err != nil {
-		return err
+	if err == nil {
+		if err = fs.SyncDir(); err != nil {
+			err = fmt.Errorf("engine: syncdir: %w", err)
+		}
 	}
-	if p.blog, err = openLogFile(fs, FileBinlog, blogOff); err != nil {
+	if err != nil {
+		redo.close()
+		undo.close()
+		blog.close()
 		return err
-	}
-	if err := fs.SyncDir(); err != nil {
-		return fmt.Errorf("engine: syncdir: %w", err)
 	}
 	e.persist, e.wal.Sink, e.binlog.Sink = p, p.appendWAL, p.appendBinlog
 	return nil

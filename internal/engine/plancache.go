@@ -97,8 +97,12 @@ func newPlanCache() *planCache {
 	return c
 }
 
-// planHash is the statement text's FNV-1a hash. Its low bits pick the
-// shard and the bits above them the shard's doorkeeper slot.
+// planHash is the statement text's FNV-1a hash, finished with
+// murmur3's fmix64. Its low bits pick the shard and the bits above them
+// the shard's doorkeeper slot. FNV-1a alone leaves its low k bits a
+// function of the low k bits of each byte only, so texts that differ in
+// their digits crowd into a few shards; the finaliser makes every
+// output bit depend on every input bit.
 func planHash(key string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -109,6 +113,11 @@ func planHash(key string) uint64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 

@@ -108,8 +108,20 @@ func TestLoadInsertsAreNotCached(t *testing.T) {
 	s := e.Connect("loader")
 	defer s.Close()
 	mustExec(t, s, "CREATE TABLE s0 (id INT PRIMARY KEY, k INT, v TEXT)")
+	texts := loadInserts()
+	for _, q := range texts {
+		mustExec(t, s, q)
+	}
+	if _, _, entries := e.PlanCacheStats(); entries != 0 {
+		t.Errorf("plan cache holds %d entries after %d distinct load INSERTs, want 0", entries, len(texts))
+	}
+}
+
+// loadInserts is 1 600 distinct 50-row load INSERTs into s0.
+func loadInserts() []string {
 	const statements, rows = 1600, 50
 	var sb strings.Builder
+	var out []string
 	for n := 0; n < statements; n++ {
 		sb.Reset()
 		sb.WriteString("INSERT INTO s0 (id, k, v) VALUES ")
@@ -119,10 +131,24 @@ func TestLoadInsertsAreNotCached(t *testing.T) {
 			}
 			fmt.Fprintf(&sb, "(%d, %d, 'row-%06d')", id, id%10, id)
 		}
-		mustExec(t, s, sb.String())
+		out = append(out, sb.String())
 	}
-	if _, _, entries := e.PlanCacheStats(); entries != 0 {
-		t.Errorf("plan cache holds %d entries after %d distinct load INSERTs, want 0", entries, statements)
+	return out
+}
+
+// TestPlanHashSpreadsLoadInserts: texts that differ only in their
+// digits spread over every shard, none holding twice its share. Plain
+// FNV-1a put the 1 600 load INSERTs in 4 of the 16 shards.
+func TestPlanHashSpreadsLoadInserts(t *testing.T) {
+	texts := loadInserts()
+	var perShard [planShards]int
+	for _, q := range texts {
+		perShard[planHash(q)%planShards]++
+	}
+	for i, n := range perShard {
+		if n == 0 || n > 2*len(texts)/planShards {
+			t.Fatalf("shard %d holds %d of %d texts; per shard: %v", i, n, len(texts), perShard)
+		}
 	}
 }
 

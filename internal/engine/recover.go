@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -49,24 +51,143 @@ type RecoveryReport struct {
 	MaxLSN           uint64
 }
 
-// readLog reads one framed log file — a missing file is an empty log —
-// and walks its valid prefix with walk, which validates every frame it
-// passes and does what its caller needs with each. It returns how many
-// frames are valid, the length of that prefix (where appends resume,
-// cutting off any torn tail) and the truncation to report, if the file
-// had a bad tail. A file that exists but cannot be read is an error,
-// not an empty log: recovery would otherwise cut it to zero bytes and
-// lose every record in it.
-func readLog(fs vfs.FS, name string, walk func([]byte) storage.ParseReport) (int, int64, *TruncationInfo, error) {
-	img, err := fs.ReadFile(name)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil, fmt.Errorf("engine: read %s: %w", name, err)
+// logChunk is how many bytes of a log recovery reads at a time, into
+// one reused buffer per log.
+const logChunk = 256 << 10
+
+// redoBatchLen is how many redo records the reader hands the replay at
+// a time. Batch boundaries fall every redoBatchLen records, so which
+// pre-images replay skips depends on the log alone.
+const redoBatchLen = 1024
+
+// redoBatches is how many batches circulate between the reader and the
+// replay: what the reader may decode ahead.
+const redoBatches = 4
+
+// logScan is one framed log file as recovery found it: the handle it
+// was read through, which the persistor goes on appending through, and
+// what the walk of its valid prefix learned.
+type logScan struct {
+	name   string
+	f      vfs.File        // nil: the file does not exist, an empty log
+	frames int             // valid frames
+	off    int64           // the valid prefix's length: where appends resume
+	trunc  *TruncationInfo // non-nil if the file had a bad tail
+	err    error           // the file exists but could not be opened or read
+}
+
+// openLog opens name for a walk. A missing file is an empty log. A file
+// that exists but cannot be opened or read is an error, not an empty
+// log: recovery would otherwise cut it to zero bytes and lose every
+// record in it.
+func openLog(fs vfs.FS, name string) *logScan {
+	l := &logScan{name: name}
+	f, err := fs.Open(name)
+	switch {
+	case err == nil:
+		l.f = f
+	case !errors.Is(err, os.ErrNotExist):
+		l.err = fmt.Errorf("engine: read %s: %w", name, err)
 	}
-	rep := walk(img)
+	return l
+}
+
+// walk streams the file's valid prefix through fn, which reads it from
+// r, and records what it found. Once stop is closed every read fails,
+// ending the walk early.
+func (l *logScan) walk(stop <-chan struct{}, fn func(r io.ReaderAt, size int64) (storage.ParseReport, error)) {
+	if l.f == nil || l.err != nil {
+		return
+	}
+	size, err := l.f.Size()
+	var rep storage.ParseReport
+	if err == nil {
+		rep, err = fn(stopReader{l.f, stop}, size)
+	}
+	l.frames = rep.Frames
+	if err != nil {
+		l.err = fmt.Errorf("engine: read %s: %w", l.name, err)
+		return
+	}
+	l.off = size
 	if rep.Truncated() {
-		return rep.Frames, int64(rep.TruncatedAt), &TruncationInfo{Offset: rep.TruncatedAt, Reason: rep.Reason}, nil
+		l.off, l.trunc = int64(rep.TruncatedAt), &TruncationInfo{Offset: rep.TruncatedAt, Reason: rep.Reason}
 	}
-	return rep.Frames, int64(len(img)), nil, nil
+}
+
+// close releases the handle of a log no persistor took.
+func (l *logScan) close() {
+	if l.f != nil {
+		_ = l.f.Close()
+		l.f = nil
+	}
+}
+
+// stopReader reads through r until stop is closed, and fails after.
+type stopReader struct {
+	r    io.ReaderAt
+	stop <-chan struct{}
+}
+
+var errRecoveryStopped = errors.New("engine: recovery stopped")
+
+func (s stopReader) ReadAt(p []byte, off int64) (int, error) {
+	select {
+	case <-s.stop:
+		return 0, errRecoveryStopped
+	default:
+		return s.r.ReadAt(p, off)
+	}
+}
+
+// redoBatch is a run of consecutive redo records, in log order.
+type redoBatch struct {
+	recs []wal.Record
+	// resolved[i]: recs[i]'s transaction commits or aborts later in
+	// this batch, so it cannot be a loser and replay builds no
+	// pre-image for recs[i].
+	resolved []bool
+}
+
+// streamRedo walks the redo log behind l, handing its records to the
+// replay in batches of redoBatchLen on out, which it closes when the
+// walk ends. It fills only batches it takes from free, and out has
+// room for all of them, so it never decodes more than redoBatches
+// batches ahead and never blocks on out.
+func streamRedo(l *logScan, free <-chan *redoBatch, out chan<- *redoBatch, stop <-chan struct{}) {
+	defer close(out)
+	var b *redoBatch
+	ends := make(map[uint64]bool) // transactions with a marker later in b
+	flush := func() {
+		for i := len(b.recs) - 1; i >= 0; i-- {
+			r := &b.recs[i]
+			if r.Op.IsMarker() {
+				ends[r.Txn] = true
+			}
+			b.resolved[i] = ends[r.Txn]
+		}
+		clear(ends)
+		out <- b
+		b = nil
+	}
+	l.walk(stop, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
+		return wal.WalkLogAt(r, size, logChunk, func(rec wal.Record) {
+			if b == nil {
+				select {
+				case b = <-free:
+					b.recs = b.recs[:0]
+				case <-stop:
+					return
+				}
+			}
+			if b.recs = append(b.recs, rec); len(b.recs) == redoBatchLen {
+				flush()
+			}
+		})
+	})
+	if b != nil && len(b.recs) > 0 {
+		flush()
+	}
 }
 
 // Recover opens a data directory, rebuilding engine state ARIES-style:
@@ -94,51 +215,64 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 	}
 	rep := &RecoveryReport{}
 
-	// The engine is built once, around the tablespace it will serve:
-	// the checkpoint's, or an empty one if there is none yet.
-	var meta CheckpointMeta
-	ts := storage.NewTablespace()
-	img, err := fs.ReadFile(FileCheckpoint)
-	found := err == nil
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, rep, fmt.Errorf("engine: read checkpoint: %w", err)
+	// Recovery reads while it replays. The logs are opened here, in
+	// order, and read through those handles by two goroutines: one
+	// streams the redo log and decodes it into batches for the replay
+	// on this one; the other walks the undo file and the binlog, which
+	// recovery only checks. Neither touches the pool or the tablespace.
+	// Both have ended before anything is decided from what they read,
+	// and on every return path.
+	redo, undo, blog := openLog(fs, FileRedo), openLog(fs, FileUndo), openLog(fs, FileBinlog)
+	stop := make(chan struct{})
+	// Each channel has room for every batch there is, so neither
+	// handing a batch over nor returning it ever blocks.
+	free, batches := make(chan *redoBatch, redoBatches), make(chan *redoBatch, redoBatches)
+	for range redoBatches {
+		free <- &redoBatch{recs: make([]wal.Record, 0, redoBatchLen), resolved: make([]bool, redoBatchLen)}
 	}
-	if found {
-		var tsImage []byte
-		if meta, tsImage, err = DecodeCheckpoint(img); err != nil {
-			return nil, rep, err
-		}
-		rep.CheckpointFound = true
-		rep.CheckpointLSN = meta.LSN
-		if ts, err = storage.LoadTablespace(tsImage); err != nil {
-			return nil, rep, fmt.Errorf("engine: checkpoint tablespace: %w", err)
-		}
-	}
-	e, err := build(cfg, ts)
-	if err != nil {
-		return nil, rep, err
-	}
-	if err := e.loadCatalog(meta); err != nil {
-		return nil, rep, err
-	}
-	rep.Tables = len(meta.Tables)
+	go streamRedo(redo, free, batches, stop)
+	// Of the undo file recovery needs only where its valid prefix ends,
+	// and of the binlog that and the last event: every frame is still
+	// decoded and validated, and none is kept.
+	var lastEv binlog.Event
+	walked := make(chan struct{})
+	go func() {
+		defer close(walked)
+		undo.walk(stop, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
+			return wal.WalkLogAt(r, size, logChunk, func(wal.Record) {})
+		})
+		blog.walk(stop, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
+			return binlog.WalkAt(r, size, logChunk, func(ev binlog.Event) { lastEv = ev })
+		})
+	}()
 
-	// Repeat history in one walk of the redo log: every post-checkpoint
-	// data record is replayed as it is decoded, in LSN order, winners
-	// and losers alike (losers' rollbacks are then redone logically
-	// below, exactly as ARIES repeats and compensates). Replaying a
-	// record also yields the pre-image that undoes it: the undo *file*
-	// may have lost its own tail in the crash, but replay order makes
-	// the pre-images exact. A transaction's pre-images are kept in open
-	// until its commit or abort marker passes; whatever is still open at
-	// the end of the walk is a loser. Txn 0 (records logged outside any
-	// transaction, e.g. by tooling driving the wal.Manager directly) is
-	// treated as committed, matching its pre-transaction semantics.
-	// Replay repeats the trees, not the version store: during the walk
-	// the store files no version except onto a chain the checkpoint
-	// restored, and only with purge off (mvccStore.replayWrite) — no view
-	// can reach the rest, since none opens before every replayed
-	// transaction is resolved.
+	// The engine is built once, around the tablespace it will serve:
+	// the checkpoint's, or an empty one if there is none yet. A
+	// checkpoint that fails stops the walks.
+	e, meta, found, ckptErr := openCheckpoint(fs, cfg, rep)
+	if ckptErr != nil {
+		close(stop)
+	}
+
+	// Repeat history: every post-checkpoint data record is replayed as
+	// the reader hands it over, in LSN order, winners and losers alike
+	// (losers' rollbacks are then redone logically below, exactly as
+	// ARIES repeats and compensates). Replaying a record can also yield
+	// the pre-image that undoes it: the undo *file* may have lost its
+	// own tail in the crash, but replay order makes the pre-images
+	// exact. A transaction's pre-images are kept in open until its
+	// commit or abort marker passes; whatever is still open at the end
+	// of the log is a loser. A record whose transaction ends later in
+	// the same batch cannot belong to a loser, so it builds none. Txn 0
+	// (records logged outside any transaction, e.g. by tooling driving
+	// the wal.Manager directly) is treated as committed, matching its
+	// pre-transaction semantics. Replay repeats the trees, not the
+	// version store: during the walk the store files no version except
+	// onto a chain the checkpoint restored, and only with purge off
+	// (mvccStore.replayWrite) — no view can reach the rest, since none
+	// opens before every replayed transaction is resolved. A record that
+	// fails to replay ends the replay, not the walk: a read error later
+	// in the log still comes first.
 	type openTxn struct {
 		txn, last uint64 // last: LSN of its latest applied record
 		undo      []wal.Record
@@ -147,12 +281,12 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 	var spare []*openTxn // closed entries, reused: most close a few records after they open
 	maxLSN, maxTxn := meta.LSN, meta.Txn
 	var redoErr error
-	e.versions.beginReplay(cfg.DisablePurge)
-	redoN, redoOff, redoTrunc, err := readLog(fs, FileRedo, func(img []byte) storage.ParseReport {
-		return wal.WalkLog(img, func(r wal.Record) {
-			if redoErr != nil {
-				return
-			}
+	if e != nil {
+		e.versions.beginReplay(cfg.DisablePurge)
+	}
+	for b := range batches {
+		for i := 0; e != nil && redoErr == nil && i < len(b.recs); i++ {
+			r := b.recs[i]
 			maxLSN, maxTxn = max(maxLSN, r.LSN), max(maxTxn, r.Txn)
 			if r.Op.IsMarker() {
 				if r.Op == wal.OpCommit {
@@ -175,23 +309,24 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 				if r.Txn != 0 && (!found || r.LSN > meta.LSN) {
 					e.versions.commit(r.Txn)
 				}
-				return
+				continue
 			}
 			if found && r.LSN <= meta.LSN {
 				rep.FramesSkipped++
-				return
+				continue
 			}
-			undo, applied, err := e.applyRedo(r)
+			keep := r.Txn != 0 && !b.resolved[i]
+			undo, applied, err := e.applyRedo(r, keep)
 			if err != nil {
 				redoErr = fmt.Errorf("engine: redo LSN %d: %w", r.LSN, err)
-				return
+				break
 			}
 			if !applied {
 				rep.FramesSkipped++
-				return
+				continue
 			}
 			rep.RecordsApplied++
-			if r.Txn != 0 {
+			if keep {
 				o := open[r.Txn]
 				if o == nil {
 					if n := len(spare); n > 0 {
@@ -205,40 +340,34 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 				o.undo = append(o.undo, undo)
 				o.last = r.LSN
 			}
-		})
-	})
-	e.versions.endReplay()
-	rep.RedoRecords, rep.RedoTruncated = redoN, redoTrunc
+		}
+		free <- b
+	}
+	<-walked
+	if e != nil {
+		e.versions.endReplay()
+	}
+
+	// The errors, in order: the checkpoint, reading the redo log,
+	// replaying it, then the undo file's and the binlog's walks.
+	err = ckptErr
 	if err == nil {
-		err = redoErr
+		rep.RedoRecords, rep.RedoTruncated = redo.frames, redo.trunc
+		err = cmp.Or(redo.err, redoErr, undo.err, blog.err)
 	}
 	if err != nil {
+		redo.close()
+		undo.close()
+		blog.close()
 		return nil, rep, err
 	}
 	rep.MaxLSN = maxLSN
-
-	// Of the undo file recovery needs only where its valid prefix ends,
-	// and of the binlog that and the last event: every frame is still
-	// decoded and validated, and none is kept.
-	undoN, undoOff, undoTrunc, err := readLog(fs, FileUndo, func(img []byte) storage.ParseReport {
-		return wal.WalkLog(img, func(wal.Record) {})
-	})
-	if err != nil {
-		return nil, rep, err
-	}
-	var lastEv binlog.Event
-	blogN, blogOff, blogTrunc, err := readLog(fs, FileBinlog, func(img []byte) storage.ParseReport {
-		return binlog.Walk(img, func(ev binlog.Event) { lastEv = ev })
-	})
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.UndoRecords, rep.BinlogEvents = undoN, blogN
-	rep.UndoTruncated, rep.BinlogTruncated = undoTrunc, blogTrunc
+	rep.UndoRecords, rep.BinlogEvents = undo.frames, blog.frames
+	rep.UndoTruncated, rep.BinlogTruncated = undo.trunc, blog.trunc
 
 	// The logs stay in their files: nothing is read back into memory
 	// beyond the stamping floors new activity continues from.
-	if blogN > 0 {
+	if blog.frames > 0 {
 		e.binlog.Prime(lastEv.Timestamp, lastEv.LSN)
 	}
 	e.wal.SetRecovered(maxLSN, maxTxn)
@@ -247,7 +376,7 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 	// truncates the torn tails off the files, now that every walk has
 	// succeeded. From here on, compensation records logged below are
 	// persisted like any other write.
-	if err := e.attachPersist(fs, redoOff, undoOff, blogOff); err != nil {
+	if err := e.attachPersist(fs, redo, undo, blog); err != nil {
 		return nil, rep, err
 	}
 
@@ -277,6 +406,37 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 		}
 	}
 	return e, rep, nil
+}
+
+// openCheckpoint builds the engine recovery replays into, around the
+// checkpoint's tablespace and catalog, or around an empty tablespace if
+// there is no checkpoint yet; found reports which.
+func openCheckpoint(fs vfs.FS, cfg Config, rep *RecoveryReport) (e *Engine, meta CheckpointMeta, found bool, err error) {
+	ts := storage.NewTablespace()
+	img, err := fs.ReadFile(FileCheckpoint)
+	found = err == nil
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, meta, false, fmt.Errorf("engine: read checkpoint: %w", err)
+	}
+	if found {
+		var tsImage []byte
+		if meta, tsImage, err = DecodeCheckpoint(img); err != nil {
+			return nil, meta, false, err
+		}
+		rep.CheckpointFound = true
+		rep.CheckpointLSN = meta.LSN
+		if ts, err = storage.LoadTablespace(tsImage); err != nil {
+			return nil, meta, false, fmt.Errorf("engine: checkpoint tablespace: %w", err)
+		}
+	}
+	if e, err = build(cfg, ts); err != nil {
+		return nil, meta, false, err
+	}
+	if err := e.loadCatalog(meta); err != nil {
+		return nil, meta, false, err
+	}
+	rep.Tables = len(meta.Tables)
+	return e, meta, found, nil
 }
 
 // loadCatalog reopens a checkpoint's catalog over the engine's
@@ -327,13 +487,14 @@ func (e *Engine) loadCatalog(meta CheckpointMeta) error {
 }
 
 // applyRedo replays one data record through the row mutators, in one
-// descent of the table's tree. It returns the undo record for the
-// change — the same record the forward path logged, rebuilt from the
-// row as replay finds it — and applied=false when the record is a no-op
-// against current state (already present / already gone, unknown
-// table, malformed image) — tolerated, counted by the caller, never
-// fatal. A skipped record still costs its descent.
-func (e *Engine) applyRedo(r wal.Record) (undo wal.Record, applied bool, err error) {
+// descent of the table's tree. With keep set it also returns the undo
+// record for the change — the same record the forward path logged,
+// rebuilt from the row as replay finds it; without, the zero Record. It
+// returns applied=false when the record is a no-op against current
+// state (already present / already gone, unknown table, malformed
+// image) — tolerated, counted by the caller, never fatal. A skipped
+// record still costs its descent.
+func (e *Engine) applyRedo(r wal.Record, keep bool) (undo wal.Record, applied bool, err error) {
 	t, ok := e.TableByID(r.Table)
 	if !ok || len(r.Image) == 0 {
 		return wal.Record{}, false, nil
@@ -341,25 +502,30 @@ func (e *Engine) applyRedo(r wal.Record) (undo wal.Record, applied bool, err err
 	key := r.Image[:1]
 	switch r.Op {
 	case wal.OpInsert:
-		// The tree refuses a present key before it changes anything.
-		var redo wal.Record
-		redo, undo = wal.InsertRecords(r.Txn, r.Table, r.Image)
-		if err = t.Tree.Insert(redo.Image); errors.Is(err, btree.ErrDuplicateKey) {
+		// The tree refuses a present key before it changes anything. The
+		// row is the record's own: the decoder allocated it, and nothing
+		// else holds it.
+		if err = t.Tree.Insert(r.Image); errors.Is(err, btree.ErrDuplicateKey) {
 			return wal.Record{}, false, nil
 		}
 		if err == nil {
-			err = e.insertedRow(t, redo.Image, r.Txn)
+			err = e.insertedRow(t, r.Image, r.Txn)
+		}
+		if keep {
+			_, undo = wal.InsertRecords(r.Txn, r.Table, r.Image)
 		}
 	case wal.OpUpdate:
 		col := int(r.Column)
 		var sets []setOp
 		// fits reports whether the stored row cur takes the record, and
-		// if so rebuilds its undo and its one SET.
+		// if so rebuilds its one SET and, if kept, its undo.
 		fits := func(cur storage.Record) bool {
 			if len(r.Image) < 2 || col >= len(cur) {
 				return false
 			}
-			_, undo = wal.UpdateRecords(r.Txn, r.Table, key, r.Column, cur[col:col+1], r.Image[1:2])
+			if keep {
+				_, undo = wal.UpdateRecords(r.Txn, r.Table, key, r.Column, cur[col:col+1], r.Image[1:2])
+			}
 			sets = []setOp{{idx: col, val: r.Image[1]}}
 			return true
 		}
@@ -386,7 +552,9 @@ func (e *Engine) applyRedo(r wal.Record) (undo wal.Record, applied bool, err err
 		if old, err = e.takeRow(t, key[0], r.Txn); old == nil {
 			return wal.Record{}, false, err
 		}
-		_, undo = wal.DeleteRecords(r.Txn, r.Table, old)
+		if keep {
+			_, undo = wal.DeleteRecords(r.Txn, r.Table, old)
+		}
 	default:
 		return wal.Record{}, false, nil
 	}

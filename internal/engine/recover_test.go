@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -254,8 +255,9 @@ func TestRecoverCorruptCheckpointIsCleanError(t *testing.T) {
 	}
 }
 
-// unreadableFS fails ReadFile of one existing file with EIO — a log
-// that is there but cannot be read, as opposed to a missing one.
+// unreadableFS fails every read of one existing file with EIO, whole
+// or through a handle — a log that is there but cannot be read, as
+// opposed to a missing one.
 type unreadableFS struct {
 	vfs.FS
 	name string
@@ -268,25 +270,44 @@ func (fs unreadableFS) ReadFile(name string) ([]byte, error) {
 	return fs.FS.ReadFile(name)
 }
 
+func (fs unreadableFS) Open(name string) (vfs.File, error) {
+	f, err := fs.FS.Open(name)
+	if err == nil && name == fs.name {
+		f = unreadableFile{f}
+	}
+	return f, err
+}
+
+type unreadableFile struct{ vfs.File }
+
+func (f unreadableFile) ReadAt(p []byte, off int64) (int, error) {
+	return 0, &os.PathError{Op: "read", Path: "unreadable", Err: syscall.EIO}
+}
+
 // TestRecoverUnreadableLogFailsCleanly: recovery used to parse an
 // unreadable redo, undo or binlog file as empty and then cut it to zero
 // bytes, losing every record written since the checkpoint. It must
-// fail with the read error and leave the file as it lies.
+// fail with the read error naming the file, leave every file as it
+// lies, and leave no goroutine of its own running.
 func TestRecoverUnreadableLogFailsCleanly(t *testing.T) {
 	for _, name := range []string{FileRedo, FileUndo, FileBinlog} {
 		t.Run(name, func(t *testing.T) {
 			mem := vfs.NewMemFS()
 			seedDurable(t, mem)
 			mem.Crash()
-			before, err := mem.ReadFile(name)
-			if err != nil || len(before) == 0 {
-				t.Fatalf("seeded %s: %d bytes, %v; want records", name, len(before), err)
+			before := dirBytes(t, mem)
+			if len(before[name]) == 0 {
+				t.Fatalf("seeded %s is empty; want records", name)
 			}
-			if _, _, err := Recover(unreadableFS{mem, name}, Defaults()); !errors.Is(err, syscall.EIO) {
+			base := runtime.NumGoroutine()
+			if _, _, err := Recover(unreadableFS{mem, name}, Defaults()); !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), name) {
 				t.Fatalf("Recover err = %v, want the EIO reading %s", err, name)
 			}
-			if after, _ := mem.ReadFile(name); !bytes.Equal(after, before) {
-				t.Fatalf("%s went from %d to %d bytes", name, len(before), len(after))
+			settle(t, base, name)
+			for file, was := range before {
+				if after, _ := mem.ReadFile(file); !bytes.Equal(after, was) {
+					t.Errorf("%s went from %d to %d bytes", file, len(was), len(after))
+				}
 			}
 		})
 	}
@@ -597,43 +618,62 @@ func TestRecoveredRepeatableRead(t *testing.T) {
 	}
 }
 
-// BenchmarkRecoverReplay times Recover replaying a log of autocommit
-// INSERTs, UPDATEs and DELETEs over a checkpoint with no chains, plus
-// one open transaction it rolls back. The directory is built once and
-// copied per iteration, both outside the timer. versions/op is what the
-// recovered version store holds: replay files nothing, so only the
-// loser's compensations put versions there.
+// BenchmarkRecoverReplay times Recover replaying a log of 22 501
+// records — autocommit INSERTs, UPDATEs and DELETEs over a checkpoint
+// with no chains, plus one open transaction it rolls back — plain and
+// under deterministic encryption at rest (what snapdbd -encrypt runs),
+// where the reader goroutine also decrypts. Each directory is built
+// once and copied per iteration, both outside the timer. versions/op is
+// what the recovered version store holds: replay files nothing, so only
+// the loser's compensations put versions there.
 func BenchmarkRecoverReplay(b *testing.B) {
-	mem := vfs.NewMemFS()
-	e := durableEngine(b, mem)
-	s := e.Connect("app")
-	mustExec(b, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
-	const rows = 2000
-	for i := 0; i < rows; i++ {
-		mustExec(b, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'row-%d')", i, i))
-	}
-	for i := 0; i < rows; i++ {
-		mustExec(b, s, fmt.Sprintf("UPDATE t SET v = 'upd-%d' WHERE id = %d", i, (i*7)%rows))
-	}
-	for i := 0; i < rows/4; i++ {
-		mustExec(b, s, fmt.Sprintf("DELETE FROM t WHERE id = %d", i*4))
-	}
-	mustExec(b, s, "BEGIN")
-	mustExec(b, s, "UPDATE t SET v = 'loser' WHERE id = 1")
-	mem.Crash()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	versions := 0
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fs := cloneFS(b, mem)
-		b.StartTimer()
-		r, _, err := Recover(fs, Defaults())
+	for _, arm := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Defaults()},
+		{"crypt", cryptCfg(true)},
+	} {
+		mem := vfs.NewMemFS()
+		cfg := arm.cfg
+		cfg.FS = syncFreeFS{mem} // every statement's writes land whole: the directory is what a crash leaves
+		e, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		versions += r.versions.status().versions
+		s := e.Connect("app")
+		mustExec(b, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+		const rows = 5000
+		for i := 0; i < rows; i++ {
+			mustExec(b, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'row-%d')", i, i))
+		}
+		for i := 0; i < rows; i++ {
+			mustExec(b, s, fmt.Sprintf("UPDATE t SET v = 'upd-%d' WHERE id = %d", i, (i*7)%rows))
+		}
+		for i := 0; i < rows/4; i++ {
+			mustExec(b, s, fmt.Sprintf("DELETE FROM t WHERE id = %d", i*4))
+		}
+		mustExec(b, s, "BEGIN")
+		mustExec(b, s, "UPDATE t SET v = 'loser' WHERE id = 1")
+		e.Close()
+
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			versions := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fs := cloneFS(b, mem)
+				b.StartTimer()
+				r, rep, err := Recover(fs, arm.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.RedoRecords != 22501 {
+					b.Fatalf("replayed a log of %d records, want 22 501", rep.RedoRecords)
+				}
+				versions += r.versions.status().versions
+			}
+			b.ReportMetric(float64(versions)/float64(b.N), "versions/op")
+		})
 	}
-	b.ReportMetric(float64(versions)/float64(b.N), "versions/op")
 }

@@ -119,7 +119,7 @@ func replayTraced(t *testing.T, what string, dir vfs.FS) (rekeyed, outgrown int)
 			indexes(cur)
 		}
 		fetched = fetched[:0]
-		got, applied, err := e.applyRedo(r)
+		got, applied, err := e.applyRedo(r, true)
 		if err != nil {
 			t.Fatalf("%s: redo LSN %d: %v", what, r.LSN, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Frame is the checksummed on-disk envelope for every log-structured
@@ -126,27 +127,96 @@ func (p ParseReport) Truncated() bool { return p.TruncatedAt >= 0 }
 func WalkFrames(img []byte, what string, decode func(payload []byte) (int, error)) ParseReport {
 	rep := ParseReport{TruncatedAt: -1}
 	for pos := 0; pos < len(img); {
-		payload, n, err := ReadFrame(img[pos:])
-		switch {
-		case errors.Is(err, ErrFrameTruncated):
-			rep.Reason = "torn frame"
-		case err != nil:
-			rep.Reason = err.Error()
-		default:
-			used, derr := decode(payload)
-			if derr == nil && used != len(payload) {
-				derr = fmt.Errorf("%d trailing bytes in frame", len(payload)-used)
-			}
-			if derr != nil {
-				rep.Reason = "bad " + what + ": " + derr.Error()
-			}
-		}
-		if rep.Reason != "" {
-			rep.TruncatedAt = pos
+		n, reason := walkFrame(img[pos:], what, decode)
+		if reason != "" {
+			rep.TruncatedAt, rep.Reason = pos, reason
 			return rep
 		}
 		rep.Frames++
 		pos += n
 	}
 	return rep
+}
+
+// WalkFramesAt is WalkFrames over the first size bytes of r, streamed
+// through one reused buffer of chunk bytes instead of read whole: decode
+// sees the same payloads, and the walk stops at the same offset for the
+// same reason. A payload aliases the buffer, so decode must not keep it.
+// A frame longer than the buffer grows it to fit, never past what is
+// left of the file (a length header beyond MaxFramePayload is
+// corruption, as ReadFrame says). An error reading r ends the walk: it
+// is returned with the report of the frames before it.
+func WalkFramesAt(r io.ReaderAt, size int64, chunk int, what string, decode func(payload []byte) (int, error)) (ParseReport, error) {
+	rep := ParseReport{TruncatedAt: -1}
+	buf := make([]byte, max(chunk, 1))
+	var base int64 // the file offset of buf[0]
+	lo, hi := 0, 0 // buf[lo:hi] is read and not yet walked
+	// fill reads until buf[lo:hi] holds need bytes or the rest of the
+	// file, whichever is less.
+	fill := func(need int) error {
+		need = int(min(int64(need), size-base-int64(lo)))
+		if hi-lo >= need {
+			return nil
+		}
+		base += int64(lo)
+		hi = copy(buf, buf[lo:hi])
+		lo = 0
+		if need > len(buf) {
+			grown := make([]byte, need)
+			copy(grown, buf[:hi])
+			buf = grown
+		}
+		for hi < need {
+			want := int(min(int64(len(buf)-hi), size-base-int64(hi)))
+			n, err := r.ReadAt(buf[hi:hi+want], base+int64(hi))
+			hi += n
+			if n < want {
+				if err == nil || errors.Is(err, io.EOF) {
+					err = io.ErrUnexpectedEOF
+				}
+				return err
+			}
+		}
+		return nil
+	}
+	for base+int64(lo) < size {
+		if err := fill(FrameHeaderSize); err != nil {
+			return rep, err
+		}
+		if hi-lo >= FrameHeaderSize {
+			if plen := binary.BigEndian.Uint32(buf[lo:]); plen <= MaxFramePayload {
+				if err := fill(FrameHeaderSize + int(plen)); err != nil {
+					return rep, err
+				}
+			}
+		}
+		n, reason := walkFrame(buf[lo:hi], what, decode)
+		if reason != "" {
+			rep.TruncatedAt, rep.Reason = int(base)+lo, reason
+			return rep, nil
+		}
+		rep.Frames++
+		lo += n
+	}
+	return rep, nil
+}
+
+// walkFrame reads the frame at the front of b and hands its payload to
+// decode. It returns the frame's length, or why a walk stops at it.
+func walkFrame(b []byte, what string, decode func(payload []byte) (int, error)) (int, string) {
+	payload, n, err := ReadFrame(b)
+	switch {
+	case errors.Is(err, ErrFrameTruncated):
+		return 0, "torn frame"
+	case err != nil:
+		return 0, err.Error()
+	}
+	used, err := decode(payload)
+	if err == nil && used != len(payload) {
+		err = fmt.Errorf("%d trailing bytes in frame", len(payload)-used)
+	}
+	if err != nil {
+		return 0, "bad " + what + ": " + err.Error()
+	}
+	return n, ""
 }

@@ -24,6 +24,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 
 	"snapdb/internal/commitq"
@@ -271,13 +272,26 @@ func ParseLogReport(img []byte) ([]Record, storage.ParseReport) {
 // records of a Serialize image in order, validating each, and hands
 // every record of the valid prefix to fn.
 func WalkLog(img []byte, fn func(Record)) storage.ParseReport {
-	return storage.WalkFrames(img, "record", func(payload []byte) (int, error) {
+	return storage.WalkFrames(img, "record", decodeFrames(fn))
+}
+
+// WalkLogAt is WalkLog over the first size bytes of r, streamed in
+// chunk-byte reads (storage.WalkFramesAt). No record aliases the read
+// buffer.
+func WalkLogAt(r io.ReaderAt, size int64, chunk int, fn func(Record)) (storage.ParseReport, error) {
+	return storage.WalkFramesAt(r, size, chunk, "record", decodeFrames(fn))
+}
+
+// decodeFrames decodes one frame's payload as a record and hands it to
+// fn if it fills the payload exactly.
+func decodeFrames(fn func(Record)) func(payload []byte) (int, error) {
+	return func(payload []byte) (int, error) {
 		r, n, err := DecodeRecord(payload)
 		if err == nil && n == len(payload) {
 			fn(r)
 		}
 		return n, err
-	})
+	}
 }
 
 // ParseLog parses a Serialize image back into records. It is resilient

@@ -22,7 +22,8 @@
 #     rule), its log walks against their parsers, SQL across key arrival
 #     orders held to the SQL model live and after recovery, its one-pass
 #     loser rule on interleaved
-#     transactions, the checks that an engine opened on a directory
+#     transactions and on transactions spanning replay batches, its
+#     failure paths (error order, no byte written, no goroutine left), the checks that an engine opened on a directory
 #     serves that directory's data through its own pool and FS and that
 #     a failed recovery (a forged checkpoint's looped descent) writes
 #     nothing, the checks that replay files no
@@ -103,6 +104,9 @@ fuzz ./internal/binlog FuzzParse
 fuzz ./internal/bufpool FuzzParseDump
 fuzz ./internal/bufpool FuzzDumpRoundTripBitflip
 fuzz ./internal/storage FuzzMatchVsDecode
+# Not a parser of its own: the streamed frame walk recovery reads every
+# log with, against the whole-image walk, in every chunk size.
+fuzz ./internal/storage FuzzStreamedWalkMatchesWalkFrames
 # Not a parser: a page's key index as its own mutators keep it, against
 # a fresh derivation and against a page that never derived one, so the
 # index stays true and no page byte moves.
@@ -136,7 +140,7 @@ fuzz ./internal/engine FuzzSQLMatchesModel
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
+        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestLosersAcrossBatches|TestPipelinedRecoveryFailures|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
@@ -158,8 +162,10 @@ go test -race ./internal/querycache -run 'TestConcurrentUse' -count=10
 # own ranges' version chains while a writer commits and rolls back and
 # inline purge trims the chains under them. And the plan cache: sessions
 # hitting, admitting and invalidating plans, and reading and overwriting
-# the doorkeeper slots, under one shard lock.
-go test -race -count=10 -run 'TestParallelScan|TestStageFetchesAreOwn|TestRangeViewsUnderPurge|TestPlanCache' ./internal/engine
+# the doorkeeper slots, under one shard lock. And recovery's pipeline: the
+# redo reader, the undo and binlog walks and the replay, interleaved ten
+# more ways, must recover two clones of one directory to the same bytes.
+go test -race -count=10 -run 'TestParallelScan|TestStageFetchesAreOwn|TestRangeViewsUnderPurge|TestPipelinedRecoveryIsDeterministic|TestPlanCache' ./internal/engine
 # Two goroutines on one CryptFS, shrinking files under each other's
 # remembered sizes.
 go test -race ./internal/vfs -count=10 \
