@@ -52,6 +52,18 @@ func (ev Event) AppendEncode(dst []byte) []byte {
 // DecodeEvent parses one encoded event, returning it and the bytes
 // consumed. It never panics on malformed input.
 func DecodeEvent(b []byte) (Event, int, error) {
+	ev, n, err := decodeHeader(b)
+	if err != nil {
+		return Event{}, 0, err
+	}
+	ev.Statement = string(b[eventHeaderSize:n])
+	return ev, n, nil
+}
+
+// decodeHeader is DecodeEvent without the statement text: the same
+// checks with the same errors, the event's timestamp and LSN, and the
+// bytes the event takes.
+func decodeHeader(b []byte) (Event, int, error) {
 	if len(b) < eventHeaderSize {
 		return Event{}, 0, fmt.Errorf("binlog: event header truncated (%d bytes)", len(b))
 	}
@@ -63,7 +75,6 @@ func DecodeEvent(b []byte) (Event, int, error) {
 	if len(b) < eventHeaderSize+n {
 		return Event{}, 0, fmt.Errorf("binlog: statement truncated (want %d bytes)", n)
 	}
-	ev.Statement = string(b[eventHeaderSize : eventHeaderSize+n])
 	return ev, eventHeaderSize + n, nil
 }
 
@@ -231,20 +242,27 @@ func ParseWithReport(img []byte) ([]Event, storage.ParseReport) {
 // events of a Serialize image in order, validating each, and hands every
 // event of the valid prefix to fn.
 func Walk(img []byte, fn func(Event)) storage.ParseReport {
-	return storage.WalkFrames(img, "event", decodeFrames(fn))
+	return storage.WalkFrames(img, "event", decodeFrames(DecodeEvent, fn))
 }
 
 // WalkAt is Walk over the first size bytes of r, streamed in chunk-byte
 // reads (storage.WalkFramesAt). No event aliases the read buffer.
 func WalkAt(r io.ReaderAt, size int64, chunk int, fn func(Event)) (storage.ParseReport, error) {
-	return storage.WalkFramesAt(r, size, chunk, "event", decodeFrames(fn))
+	return storage.WalkFramesAt(r, size, chunk, "event", decodeFrames(DecodeEvent, fn))
+}
+
+// WalkHeadersAt is WalkAt without the statement text: it reads and
+// checks every frame and event as WalkAt does, returning the same
+// report, but hands fn each event with an empty Statement, copying none.
+func WalkHeadersAt(r io.ReaderAt, size int64, chunk int, fn func(Event)) (storage.ParseReport, error) {
+	return storage.WalkFramesAt(r, size, chunk, "event", decodeFrames(decodeHeader, fn))
 }
 
 // decodeFrames decodes one frame's payload as an event and hands it to
 // fn if it fills the payload exactly.
-func decodeFrames(fn func(Event)) func(payload []byte) (int, error) {
+func decodeFrames(decode func([]byte) (Event, int, error), fn func(Event)) func(payload []byte) (int, error) {
 	return func(payload []byte) (int, error) {
-		ev, n, err := DecodeEvent(payload)
+		ev, n, err := decode(payload)
 		if err == nil && n == len(payload) {
 			fn(ev)
 		}

@@ -2,18 +2,26 @@ package binlog
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // FuzzDecodeEvent asserts event decoding never panics and consumed
-// bytes round-trip.
+// bytes round-trip, and that decodeHeader, which recovery's binlog walk
+// uses in its place, takes the same bytes with the same error and the
+// same timestamp and LSN.
 func FuzzDecodeEvent(f *testing.F) {
 	f.Add(Event{Timestamp: 100, LSN: 7, Statement: "INSERT INTO t VALUES (1)"}.Encode())
 	f.Add([]byte{})
 	f.Add(make([]byte, eventHeaderSize-1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev, n, err := DecodeEvent(data)
+		hd, hn, herr := decodeHeader(data)
+		if hn != n || fmt.Sprint(herr) != fmt.Sprint(err) ||
+			hd.Timestamp != ev.Timestamp || hd.LSN != ev.LSN || hd.Statement != "" {
+			t.Fatalf("decodeHeader = %+v, %d, %v; DecodeEvent %+v, %d, %v", hd, hn, herr, ev, n, err)
+		}
 		if err != nil {
 			return
 		}

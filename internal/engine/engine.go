@@ -1078,11 +1078,11 @@ func (ra *readAccess) release(e *Engine) {
 }
 
 // execSelect is the one SELECT driver: resolve the table and acquire
-// read access, consult the query cache, fetch (or build) the physical
-// template, run it, and package the result. The access path, predicate
-// evaluation, sorting, aggregation, projection, and LIMIT all live in
-// the operators (internal/engine/exec); the planning lives in
-// logical.go/physical.go. The query cache holds current reads, so it is
+// read access, fetch (or build) the physical template, consult the
+// query cache, run the template, and package the result. The access
+// path, predicate evaluation, sorting, aggregation, projection, and
+// LIMIT all live in the operators (internal/engine/exec); the planning
+// lives in physical.go. The query cache holds current reads, so it is
 // consulted and filled only when no chain of the whole table differs
 // for the statement's view — and never for EXPLAIN ANALYZE (noCache),
 // which wants genuine counters and whose rendered tree is useless to
@@ -1098,22 +1098,21 @@ func (e *Engine) execSelect(s *Session, st *sqlparse.Select, pl *plan, query str
 		return nil, err
 	}
 	defer ra.release(e)
-	t := ra.table
+	pp := e.templateFor(pl, ra.table, st)
 	useCache := ra.view == nil && !noCache
 	if useCache {
 		if cached, ok := e.qcache.Get(query); ok {
-			return &Result{Columns: selectColumns(t, st), Rows: cached, FromCache: true}, nil
+			return &Result{Columns: pp.cols, Rows: cached, FromCache: true}, nil
 		}
 	}
-	pp := e.physSelect(pl, t, st)
 	res, err := e.runScan(s, pp, ra.filter(e, pp))
 	if err != nil {
 		return nil, err
 	}
-	res.Columns = selectColumns(t, st)
+	res.Columns = pp.cols
 	res.AccessPath = pp.path
 	if useCache {
-		e.qcache.Put(query, t.Name, res.Rows)
+		e.qcache.Put(query, ra.table.Name, res.Rows)
 	}
 	return res, nil
 }
@@ -1183,46 +1182,6 @@ func columnBounds(col string, where sqlparse.Where) (lo, hi sqlparse.Value, eq, 
 	return sqlparse.Value{}, sqlparse.Value{}, false, false
 }
 
-func selectColumns(t *Table, st *sqlparse.Select) []string {
-	out := make([]string, 0, len(st.Exprs))
-	for _, ex := range st.Exprs {
-		switch {
-		case ex.Agg != sqlparse.AggNone:
-			out = append(out, ex.SQL())
-		case ex.Column == "*":
-			for _, c := range t.Columns {
-				out = append(out, c.Name)
-			}
-		default:
-			out = append(out, ex.Column)
-		}
-	}
-	return out
-}
-
-// projection maps select expressions to schema column indices,
-// expanding *.
-func projection(t *Table, exprs []sqlparse.SelectExpr) ([]int, error) {
-	out := make([]int, 0, len(exprs))
-	for _, ex := range exprs {
-		if ex.Agg != sqlparse.AggNone {
-			return nil, fmt.Errorf("engine: cannot mix aggregates and columns")
-		}
-		if ex.Column == "*" {
-			for i := range t.Columns {
-				out = append(out, i)
-			}
-			continue
-		}
-		idx := t.ColumnIndex(ex.Column)
-		if idx < 0 {
-			return nil, fmt.Errorf("engine: unknown column %q", ex.Column)
-		}
-		out = append(out, idx)
-	}
-	return out, nil
-}
-
 // execUpdate is the UPDATE entry function: the row list is the scan
 // half's match set (the same planner and operators as SELECT, minus
 // projection), and each row logs one byte-level change record per
@@ -1234,7 +1193,7 @@ func (e *Engine) execUpdate(s *Session, st *sqlparse.Update, pl *plan, query str
 	}
 	defer d.stripe.Unlock()
 	t := d.t
-	pp := e.physUpdate(pl, t, st)
+	pp := e.templateFor(pl, t, st)
 	res, err := e.runScan(s, pp, nil)
 	if err != nil {
 		return nil, err
@@ -1265,7 +1224,7 @@ func (e *Engine) execDelete(s *Session, st *sqlparse.Delete, pl *plan, query str
 		return nil, err
 	}
 	defer d.stripe.Unlock()
-	res, err := e.runScan(s, e.physDelete(pl, d.t, st), nil)
+	res, err := e.runScan(s, e.templateFor(pl, d.t, st), nil)
 	if err != nil {
 		return nil, err
 	}

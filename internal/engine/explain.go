@@ -9,44 +9,31 @@ import (
 )
 
 // execExplain renders the execution plan of the wrapped statement
-// without running it: the statement is lowered and templated through
-// the same two-stage planner execution uses, and the operator tree is
-// printed one node per row, indented by depth, each leaf naming its
-// access path. Planning errors (unknown columns, bad aggregates)
-// surface immediately — EXPLAIN never touches a page, so there is no
-// scan to sequence them after.
+// without running it: the statement is templated by the same planner
+// execution uses, and the operator tree is printed one node per row,
+// indented by depth, each leaf naming its access path. Planning errors
+// (unknown columns, bad aggregates) surface immediately — EXPLAIN never
+// touches a page, so there is no scan to sequence them after.
 func (e *Engine) execExplain(st *sqlparse.Explain) (*Result, error) {
-	var (
-		pp     *physicalPlan
-		header string
-	)
+	var name, header string
 	switch inner := st.Stmt.(type) {
 	case *sqlparse.Select:
 		if isSystemTable(inner.Table) {
 			return nil, fmt.Errorf("engine: cannot EXPLAIN system table %q", inner.Table)
 		}
-		t, err := e.lookupTable(inner.Table)
-		if err != nil {
-			return nil, err
-		}
-		pp = e.buildSelectPlan(t, inner)
+		name = inner.Table
 	case *sqlparse.Update:
-		t, err := e.lookupTable(inner.Table)
-		if err != nil {
-			return nil, err
-		}
-		pp = e.buildUpdatePlan(t, inner)
-		header = "Update: " + t.Name
+		name, header = inner.Table, "Update: "
 	case *sqlparse.Delete:
-		t, err := e.lookupTable(inner.Table)
-		if err != nil {
-			return nil, err
-		}
-		pp = e.buildDeletePlan(t, inner)
-		header = "Delete: " + t.Name
+		name, header = inner.Table, "Delete: "
 	default:
 		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE, and DELETE, not %s", st.Stmt.SQL())
 	}
+	t, err := e.lookupTable(name)
+	if err != nil {
+		return nil, err
+	}
+	pp := e.template(t, st.Stmt)
 	if pp.whereErr != nil {
 		return nil, pp.whereErr
 	}
@@ -59,7 +46,7 @@ func (e *Engine) execExplain(st *sqlparse.Explain) (*Result, error) {
 	res := &Result{Columns: []string{"EXPLAIN"}, AccessPath: pp.path}
 	base := 0
 	if header != "" {
-		res.Rows = append(res.Rows, storage.Record{sqlparse.StrValue("-> " + header)})
+		res.Rows = append(res.Rows, storage.Record{sqlparse.StrValue("-> " + header + t.Name)})
 		base = 1
 	}
 	for _, n := range pi.nodes {

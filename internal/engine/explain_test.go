@@ -147,6 +147,11 @@ func TestExplainMutationsAndErrors(t *testing.T) {
 		{"EXPLAIN SELECT SUM(name) FROM customers", "SUM over non-INT"},
 		{"EXPLAIN SELECT * FROM information_schema.processlist", "cannot EXPLAIN system table"},
 		{"EXPLAIN INSERT INTO customers (id, name, state, age) VALUES (99, 'x', 'IN', 1)", "EXPLAIN supports SELECT, UPDATE, and DELETE"},
+		{"EXPLAIN UPDATE customers SET nosuch = 1", `unknown column "nosuch" in SET`},
+		{"EXPLAIN UPDATE customers SET id = 5 WHERE age = 30", "updating the primary key is not supported"},
+		{"EXPLAIN UPDATE customers SET age = 'old'", `column "age" is INT, got string "old"`},
+		{"EXPLAIN DELETE FROM customers WHERE nosuch = 1", `unknown column "nosuch" in WHERE`},
+		{"EXPLAIN UPDATE nope SET age = 1", `unknown table "nope"`},
 	} {
 		_, err := s.Execute(tc.query)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -57,7 +57,7 @@ func foldedBy(t *testing.T, e *Engine, s *Session, q string) bool {
 		t.Fatal(err)
 	}
 	defer ra.release(e)
-	pp := e.buildSelectPlan(ra.table, sel)
+	pp := e.template(ra.table, sel)
 	pi := pp.instantiate()
 	pi.armVisibility(pp, ra.filter(e, pp))
 	pi.drain()

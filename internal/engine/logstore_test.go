@@ -333,3 +333,49 @@ func TestRecoveryWalkMatchesParsers(t *testing.T) {
 		}
 	}
 }
+
+// raceEnabled is set under -race, whose instrumentation allocates on
+// its own account.
+var raceEnabled bool
+
+// TestSideLogWalkAllocations holds recovery's undo and binlog walk to
+// what it keeps — where each valid prefix ends and the last event's
+// timestamp and LSN — so that what it allocates does not grow with the
+// logs: the walk over twenty times the statements allocates no more.
+func TestSideLogWalkAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	walk := func(stmts int) float64 {
+		mem := vfs.NewMemFS()
+		e := durableEngine(t, mem)
+		s := e.Connect("app")
+		mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+		for i := 0; i < stmts; i++ {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'row %d')", i, i))
+		}
+		_, undoRecs, evs := durableLogs(t, e)
+		e.Close()
+		stop := make(chan struct{})
+		var undo, blog *logScan
+		var last binlog.Event
+		allocs := testing.AllocsPerRun(5, func() {
+			undo, blog = openLog(mem, FileUndo), openLog(mem, FileBinlog)
+			last = checkSideLogs(undo, blog, stop)
+			undo.close()
+			blog.close()
+		})
+		want := evs[len(evs)-1]
+		if undo.frames != len(undoRecs) || undo.err != nil || undo.trunc != nil ||
+			blog.frames != len(evs) || blog.err != nil || blog.trunc != nil ||
+			last != (binlog.Event{Timestamp: want.Timestamp, LSN: want.LSN}) {
+			t.Fatalf("%d statements: walked %d undo records and %d events (errors %v, %v; truncations %v, %v), last %+v; the logs hold %d and %d, last %+v",
+				stmts, undo.frames, blog.frames, undo.err, blog.err, undo.trunc, blog.trunc, last, len(undoRecs), len(evs), want)
+		}
+		return allocs
+	}
+	short, long := walk(20), walk(400)
+	if long > short {
+		t.Errorf("the walk allocates %.0f times over 20 statements' logs, %.0f over 400's", short, long)
+	}
+}

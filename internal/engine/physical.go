@@ -11,12 +11,22 @@ import (
 	"snapdb/internal/storage"
 )
 
-// This file is the second planning stage: turning a logical plan into a
-// physical plan — an immutable operator-tree template. The template
-// fixes the access path (the choice the legacy scan made per execution)
-// and precomputes every operator's EXPLAIN description, so a plan-cache
-// hit skips planning entirely: execution just instantiates fresh
-// operators from the template and pulls.
+// This file is the planner: template resolves a parsed SELECT, UPDATE
+// or DELETE against its table into a physical plan — an immutable
+// operator-tree template. The template binds every column the statement
+// names, fixes the access path (the choice the legacy scan made per
+// execution) and precomputes every operator's EXPLAIN description, so a
+// plan-cache hit skips planning entirely: execution just instantiates
+// fresh operators from the template and pulls.
+//
+// Error *timing* is part of the engine's observable behaviour: the
+// legacy executor reported an unknown WHERE column before touching any
+// page, but reported aggregate/projection/ORDER BY/SET problems only
+// after the scan had run (and had therefore already perturbed the
+// buffer pool). The template records both instead of acting on them:
+// whereErr fires before the scan, deferredErr after it. The
+// leakage-equivalence tests diff the buffer-pool fetch stream across
+// both error classes.
 
 // Cost model. Costs are abstract row-visit units fed by the planner
 // statistics (stats.go): a sequential clustered row costs 1, an index
@@ -92,7 +102,10 @@ type physicalPlan struct {
 	// ordering (scanRev / lookupRevCol carry the DESC variants). limit
 	// is -1 for no LIMIT — LIMIT 0 is a real, empty limit. When both a
 	// sort node and a limit are present the tree gets a single TopN
-	// operator instead of Sort+Limit.
+	// operator instead of Sort+Limit. aggCol is the SUM column, -1 for
+	// COUNT (which, like the legacy aggregate, never resolves its
+	// argument).
+	cols         []string // result column names
 	agg          bool
 	aggKind      sqlparse.AggKind
 	aggCol       int
@@ -105,7 +118,7 @@ type physicalPlan struct {
 	scanRev      bool // PK-order DESC: leaf emits its buffer reversed
 	lookupRevCol int  // index-order DESC: KeyLookup group-reverse column, -1 off
 
-	// UPDATE shape.
+	// UPDATE shape: the validated assignments.
 	sets []setOp
 
 	// Cost-model outputs for the chosen path, computed at plan-build
@@ -116,7 +129,7 @@ type physicalPlan struct {
 	estRows int64
 	estCost float64
 
-	// Parallel-scan template knobs (buildSelectPlan sets them when the
+	// Parallel-scan template knobs (markParallel sets them when the
 	// statement is eligible; zero parWorkers keeps the scan serial).
 	// The split itself happens at instantiate time from live state, so
 	// a cached template and a fresh build partition identically.
@@ -125,6 +138,12 @@ type physicalPlan struct {
 
 	// Precomputed operator descriptions (EXPLAIN and events_stages).
 	dScan, dLookup, dFilter, dSort, dTopN, dAgg, dProj, dLimit string
+}
+
+// setOp is one validated UPDATE assignment.
+type setOp struct {
+	idx int
+	val sqlparse.Value
 }
 
 // setEst records the chosen path's estimates.
@@ -180,30 +199,39 @@ func estIndexRows(t *Table, colIdx int, lo, hi sqlparse.Value, eq bool, n int64)
 	return defaultRangeSelectivity * nf
 }
 
-// buildAccess chooses the access path for a lowered scan and fills the
-// scan-related template fields. Primary-key bounds always win (the
-// clustered tree serves them with no lookup step); after that the
-// planner scores every secondary index with a bounded predicate by
-// estimated matching rows and weighs the best against a full scan —
-// replacing the old first-matching-index-wins rule. On estimate ties
-// the lowest index name wins, which is exactly the order the
-// first-match rule used, and below the small-table floor a bounded
-// index always wins, so never-analyzed fixtures plan as they always
-// did (the SQL model's first-match rule, in the engine's tests, holds
-// the planner to that).
-func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
-	t := ls.table
-	pp.table = t
-	pp.preds = ls.preds
-	pp.whereErr = ls.whereErr
+// buildAccess starts t's template: it resolves the WHERE conjuncts,
+// chooses the access path and fills the scan-related fields (an unknown
+// WHERE column is the whereErr, raised before any page is fetched).
+// Primary-key bounds always win (the clustered tree serves them with no
+// lookup step); after that the planner scores every secondary index
+// with a bounded predicate by estimated matching rows and weighs the
+// best against a full scan — replacing the old first-matching-index-wins
+// rule. On estimate ties the lowest index name wins, which is exactly
+// the order the first-match rule used, and below the small-table floor
+// a bounded index always wins, so never-analyzed fixtures plan as they
+// always did (the SQL model's first-match rule, in the engine's tests,
+// holds the planner to that).
+func (e *Engine) buildAccess(t *Table, where sqlparse.Where) *physicalPlan {
+	pp := &physicalPlan{table: t, sortCol: -1, aggCol: -1, lookupRevCol: -1, limit: -1}
+	preds := make([]exec.Pred, len(where))
+	for i, p := range where {
+		idx := t.ColumnIndex(p.Column)
+		if idx < 0 {
+			pp.whereErr = fmt.Errorf("engine: unknown column %q in WHERE", p.Column)
+			preds = nil
+			break
+		}
+		preds[i] = exec.Pred{Col: idx, Op: p.Op, Arg: p.Arg}
+	}
+	pp.preds = preds
 	pkName := t.Columns[t.PKIndex].Name
-	if len(ls.where) > 0 {
-		pp.dFilter = "Filter: " + ls.where.SQL()
+	if len(where) > 0 {
+		pp.dFilter = "Filter: " + where.SQL()
 	}
 	n := t.rows.Load()
-	if lo, hi, _, ok := columnBounds(pkName, ls.where); ok {
+	if lo, hi, _, ok := columnBounds(pkName, where); ok {
 		pp.lo, pp.hi = lo, hi
-		pp.reject = compileResidual(t, residualPreds(ls.preds, t.PKIndex, lo, hi))
+		pp.reject = compileResidual(t, residualPreds(preds, t.PKIndex, lo, hi))
 		pp.path = "pk-range"
 		if lo.Equal(hi) {
 			pp.kind = accessPKPoint
@@ -217,7 +245,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 			pp.dScan = fmt.Sprintf("Range scan on %s using PRIMARY (%s between %s and %s) (access=pk-range)",
 				t.Name, pkName, lo.SQL(), hi.SQL())
 		}
-		return
+		return pp
 	}
 	var (
 		best           *SecondaryIndex
@@ -225,7 +253,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 		bestEst        float64
 	)
 	for _, ix := range e.indexesOf(t) {
-		lo, hi, eq, ok := columnBounds(ix.Column, ls.where)
+		lo, hi, eq, ok := columnBounds(ix.Column, where)
 		if !ok {
 			continue
 		}
@@ -245,11 +273,11 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 			pp.dScan = fmt.Sprintf("Index range scan on %s using %s (%s between %s and %s) (access=index:%s)",
 				t.Name, best.Name, best.Column, bestLo.SQL(), bestHi.SQL(), best.Name)
 			pp.dLookup = fmt.Sprintf("Key lookup on %s via %s", t.Name, best.Name)
-			return
+			return pp
 		}
 	}
 	pp.kind = accessFull
-	pp.reject = compileResidual(t, ls.preds)
+	pp.reject = compileResidual(t, preds)
 	pp.path = "full-scan"
 	est := float64(n)
 	if est < 1 {
@@ -257,6 +285,7 @@ func (e *Engine) buildAccess(pp *physicalPlan, ls logicalScan) {
 	}
 	pp.setEst(est, float64(n)*costSeqRow)
 	pp.dScan = fmt.Sprintf("Table scan on %s (access=full-scan)", t.Name)
+	return pp
 }
 
 // residualPreds returns the conjuncts that some key in [lo, hi] could
@@ -364,90 +393,152 @@ func (e *Engine) markParallel(pp *physicalPlan) {
 	pp.parMinRows = e.cfg.ParallelScanMinRows
 }
 
-// neededColumns is the SELECT's column mask (physicalPlan.need): the
-// primary key (MVCC resolution and the ghost merge read it), every
-// predicate column, and whatever the upper operators read — the
-// projection and the ORDER BY column, or the aggregate's argument.
-func neededColumns(t *Table, lp *logicalSelect) []bool {
-	need := make([]bool, len(t.Columns))
-	need[t.PKIndex] = true
-	for _, p := range lp.scan.preds {
-		need[p.Col] = true
-	}
-	for _, c := range lp.proj {
-		need[c] = true
-	}
-	for _, c := range []int{lp.sortCol, lp.aggCol} {
-		if c >= 0 {
-			need[c] = true
+// template resolves a SELECT, UPDATE or DELETE against t into its
+// physical plan: the WHERE conjuncts and the access path, then the
+// select list, ORDER BY and LIMIT, or the SET clause. Each resolution
+// failure is recorded, not returned (whereErr, deferredErr), so that
+// execution raises it at the legacy point. Any other statement has no
+// template.
+func (e *Engine) template(t *Table, stmt sqlparse.Statement) *physicalPlan {
+	switch st := stmt.(type) {
+	case *sqlparse.Select:
+		pp := e.buildAccess(t, st.Where)
+		pp.resolveSelect(st)
+		// Last: eligibility depends on the final scanRev.
+		e.markParallel(pp)
+		return pp
+	case *sqlparse.Update:
+		pp := e.buildAccess(t, st.Where)
+		sets := make([]setOp, 0, len(st.Set))
+		for _, a := range st.Set {
+			idx := t.ColumnIndex(a.Column)
+			switch {
+			case idx < 0:
+				pp.deferredErr = fmt.Errorf("engine: unknown column %q in SET", a.Column)
+			case idx == t.PKIndex:
+				pp.deferredErr = fmt.Errorf("engine: updating the primary key is not supported")
+			default:
+				pp.deferredErr = checkType(t.Columns[idx], a.Value)
+			}
+			if pp.deferredErr != nil {
+				return pp
+			}
+			sets = append(sets, setOp{idx, a.Value})
 		}
+		pp.sets = sets
+		return pp
+	case *sqlparse.Delete:
+		return e.buildAccess(t, st.Where)
 	}
-	return need
+	return nil
 }
 
-// buildSelectPlan lowers and templates a SELECT.
-func (e *Engine) buildSelectPlan(t *Table, st *sqlparse.Select) *physicalPlan {
-	lp := lowerSelect(t, st)
-	pp := &physicalPlan{sortCol: -1, aggCol: -1, lookupRevCol: -1, limit: -1}
-	e.buildAccess(pp, lp.scan)
-	pp.deferredErr = lp.deferredErr
-	if lp.deferredErr != nil {
-		e.markParallel(pp)
-		return pp
+// templateFor returns the statement's template, reusing the plan-cache
+// binding when it was resolved against t (epoch invalidation keeps it
+// current), else building fresh.
+func (e *Engine) templateFor(pl *plan, t *Table, stmt sqlparse.Statement) *physicalPlan {
+	if pl != nil && pl.bind.table == t && pl.bind.phys != nil {
+		return pl.bind.phys
 	}
-	// Only a resolved SELECT prunes: UPDATE/DELETE log whole row images,
-	// and a plan that will raise a resolution error has no reader to
-	// derive a mask from.
-	pp.need = neededColumns(t, &lp)
-	if lp.agg {
-		pp.agg = true
-		pp.aggKind = lp.aggExpr.Agg
-		pp.aggCol = lp.aggCol
-		pp.dAgg = "Aggregate: " + lp.aggExpr.SQL()
-		if pp.kind != accessIndex {
-			sum := -1
-			if pp.aggKind == sqlparse.AggSum {
-				sum = pp.aggCol
+	return e.template(t, stmt)
+}
+
+// resolveSelect binds a SELECT's select list, ORDER BY and LIMIT onto a
+// template whose access path is chosen: either one aggregate or a
+// projection, whose ordering the access path absorbs where it can.
+func (pp *physicalPlan) resolveSelect(st *sqlparse.Select) {
+	t := pp.table
+	if len(st.Exprs) == 1 && st.Exprs[0].Agg != sqlparse.AggNone {
+		ex := st.Exprs[0]
+		aggCol := -1
+		switch {
+		case st.OrderBy != "":
+			// The parser rejects this; guard against hand-built ASTs.
+			pp.deferredErr = fmt.Errorf("engine: %w", sqlparse.ErrAggregateOrderBy)
+		case ex.Agg == sqlparse.AggCount:
+			// COUNT ignores its argument (even an unknown column), as
+			// the legacy aggregate did.
+		case ex.Agg == sqlparse.AggSum:
+			aggCol = t.ColumnIndex(ex.Column)
+			if aggCol < 0 {
+				pp.deferredErr = fmt.Errorf("engine: unknown column %q in SUM", ex.Column)
+			} else if t.Columns[aggCol].Type != sqlparse.TypeInt {
+				pp.deferredErr = fmt.Errorf("engine: SUM over non-INT column %q", ex.Column)
 			}
-			pp.leafFold = storage.Compile(pp.preds, t.layout, sum)
+		default:
+			pp.deferredErr = fmt.Errorf("engine: %w", exec.ErrUnsupportedAggregate)
 		}
-		if lp.limit >= 0 {
-			pp.limit = lp.limit
-			pp.dLimit = fmt.Sprintf("Limit: %d", lp.limit)
+		if pp.deferredErr != nil {
+			return
 		}
-		e.markParallel(pp)
-		return pp
+		pp.need = neededColumns(t, pp.preds, nil, aggCol)
+		pp.agg, pp.aggKind, pp.aggCol = true, ex.Agg, aggCol
+		pp.cols = []string{ex.SQL()}
+		pp.dAgg = "Aggregate: " + pp.cols[0]
+		if pp.kind != accessIndex {
+			pp.leafFold = storage.Compile(pp.preds, t.layout, aggCol)
+		}
+		// LIMIT caps the single aggregate row (LIMIT 0 makes it empty).
+		if st.Limit >= 0 {
+			pp.limit = st.Limit
+			pp.dLimit = fmt.Sprintf("Limit: %d", st.Limit)
+		}
+		return
 	}
-	pp.proj = lp.proj
-	cols := make([]string, len(lp.proj))
-	for i, idx := range lp.proj {
-		cols[i] = t.Columns[idx].Name
+
+	proj := make([]int, 0, len(st.Exprs))
+	cols := make([]string, 0, len(st.Exprs))
+	for _, ex := range st.Exprs {
+		switch {
+		case ex.Agg != sqlparse.AggNone:
+			pp.deferredErr = fmt.Errorf("engine: cannot mix aggregates and columns")
+			return
+		case ex.Column == "*":
+			for i, c := range t.Columns {
+				proj = append(proj, i)
+				cols = append(cols, c.Name)
+			}
+		default:
+			idx := t.ColumnIndex(ex.Column)
+			if idx < 0 {
+				pp.deferredErr = fmt.Errorf("engine: unknown column %q", ex.Column)
+				return
+			}
+			proj = append(proj, idx)
+			cols = append(cols, ex.Column)
+		}
 	}
+	sortCol := -1
+	if st.OrderBy != "" {
+		if sortCol = t.ColumnIndex(st.OrderBy); sortCol < 0 {
+			pp.deferredErr = fmt.Errorf("engine: unknown ORDER BY column %q", st.OrderBy)
+			return
+		}
+	}
+	pp.need = neededColumns(t, pp.preds, proj, sortCol)
+	pp.proj, pp.cols = proj, cols
 	pp.dProj = "Project: " + strings.Join(cols, ", ")
-	if lp.limit >= 0 {
-		pp.limit = lp.limit
+	if st.Limit >= 0 {
+		pp.limit = st.Limit
 	}
-	if lp.sortCol >= 0 {
+	if sortCol >= 0 {
 		dir := "ASC"
-		if lp.sortDesc {
+		if st.Desc {
 			dir = "DESC"
 		}
-		name := t.Columns[lp.sortCol].Name
+		name := t.Columns[sortCol].Name
 		switch {
-		case pp.orderFromAccess(lp.sortCol, lp.sortDesc):
+		case pp.orderFromAccess(sortCol, st.Desc):
 			// The access path absorbs the ordering: no sort node at all.
 			// EXPLAIN shows the leaf carrying it.
 			pp.dScan = strings.TrimSuffix(pp.dScan, ")") + fmt.Sprintf(", order=%s %s)", name, dir)
-		case lp.limit >= 0:
+		case pp.limit >= 0:
 			// LIMIT over ORDER BY: one bounded-heap TopN replaces
 			// Sort+Limit.
-			pp.sortCol = lp.sortCol
-			pp.sortDesc = lp.sortDesc
-			pp.useTopN = true
-			pp.dTopN = fmt.Sprintf("Top-N sort: %s %s (limit %d)", name, dir, lp.limit)
+			pp.sortCol, pp.sortDesc, pp.useTopN = sortCol, st.Desc, true
+			pp.dTopN = fmt.Sprintf("Top-N sort: %s %s (limit %d)", name, dir, pp.limit)
 		default:
-			pp.sortCol = lp.sortCol
-			pp.sortDesc = lp.sortDesc
+			pp.sortCol, pp.sortDesc = sortCol, st.Desc
 			pp.dSort = fmt.Sprintf("Sort: %s %s", name, dir)
 		}
 	}
@@ -456,54 +547,27 @@ func (e *Engine) buildSelectPlan(t *Table, st *sqlparse.Select) *physicalPlan {
 	if pp.limit >= 0 && !pp.useTopN {
 		pp.dLimit = fmt.Sprintf("Limit: %d", pp.limit)
 	}
-	// After the sort absorption decisions: eligibility depends on the
-	// final scanRev.
-	e.markParallel(pp)
-	return pp
 }
 
-// buildUpdatePlan lowers and templates an UPDATE's scan half.
-func (e *Engine) buildUpdatePlan(t *Table, st *sqlparse.Update) *physicalPlan {
-	lm := lowerUpdate(t, st)
-	pp := &physicalPlan{sortCol: -1, aggCol: -1, lookupRevCol: -1, limit: -1}
-	e.buildAccess(pp, lm.scan)
-	pp.deferredErr = lm.deferredErr
-	pp.sets = lm.sets
-	return pp
-}
-
-// buildDeletePlan lowers and templates a DELETE's scan half.
-func (e *Engine) buildDeletePlan(t *Table, st *sqlparse.Delete) *physicalPlan {
-	lm := lowerDelete(t, st)
-	pp := &physicalPlan{sortCol: -1, aggCol: -1, lookupRevCol: -1, limit: -1}
-	e.buildAccess(pp, lm.scan)
-	return pp
-}
-
-// physSelect returns the statement's physical template, reusing the
-// plan-cache binding when it was resolved against t (epoch invalidation
-// keeps it current), else building fresh.
-func (e *Engine) physSelect(pl *plan, t *Table, st *sqlparse.Select) *physicalPlan {
-	if pl != nil && pl.bind.table == t && pl.bind.phys != nil {
-		return pl.bind.phys
+// neededColumns is a resolved SELECT's column mask (physicalPlan.need):
+// the primary key (MVCC resolution and the ghost merge read it), every
+// predicate column, and whatever the upper operators read — the
+// projection and the ORDER BY column, or the aggregate's argument (col,
+// -1 for none). UPDATE/DELETE log whole row images and a plan that will
+// raise a resolution error has no reader, so neither prunes.
+func neededColumns(t *Table, preds []exec.Pred, proj []int, col int) []bool {
+	need := make([]bool, len(t.Columns))
+	need[t.PKIndex] = true
+	for _, p := range preds {
+		need[p.Col] = true
 	}
-	return e.buildSelectPlan(t, st)
-}
-
-// physUpdate is physSelect for UPDATE.
-func (e *Engine) physUpdate(pl *plan, t *Table, st *sqlparse.Update) *physicalPlan {
-	if pl != nil && pl.bind.table == t && pl.bind.phys != nil {
-		return pl.bind.phys
+	for _, c := range proj {
+		need[c] = true
 	}
-	return e.buildUpdatePlan(t, st)
-}
-
-// physDelete is physSelect for DELETE.
-func (e *Engine) physDelete(pl *plan, t *Table, st *sqlparse.Delete) *physicalPlan {
-	if pl != nil && pl.bind.table == t && pl.bind.phys != nil {
-		return pl.bind.phys
+	if col >= 0 {
+		need[col] = true
 	}
-	return e.buildDeletePlan(t, st)
+	return need
 }
 
 // scanLeaf is the bottom operator of every plan — the serial exec.Scan

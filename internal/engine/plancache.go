@@ -79,12 +79,11 @@ type plan struct {
 // once the statement holds its lock.
 type planBindings struct {
 	table *Table
-	// phys is the resolved physical operator-tree template for SELECT,
-	// UPDATE, and DELETE statements (see physical.go). A plan-cache hit
-	// reuses it directly — no planning work at all on the hot path; the
-	// template is immutable and execution instantiates fresh operators
-	// from it. nil when the table could not be resolved or the statement
-	// kind has no scan.
+	// phys is the statement's template for SELECT, UPDATE, and DELETE
+	// statements (see physical.go). A plan-cache hit reuses it directly —
+	// no planning work at all on the hot path; the template is immutable
+	// and execution instantiates fresh operators from it. nil when the
+	// table could not be resolved or the statement kind has no scan.
 	phys *physicalPlan
 }
 
@@ -244,39 +243,34 @@ func (e *Engine) planFor(query string) (*plan, string, error) {
 
 // bindPlan resolves what the statement's execution will need from the
 // catalog, where that resolution is reusable: the table, and for the
-// scanning statement kinds the full physical plan template. Resolution
-// failures (unknown table) leave the binding empty; execution
-// re-resolves and produces the same error it always did. Unknown
-// columns and the like are *captured* by the template as whereErr or
-// deferredErr rather than failing the bind, so the error fires at the
-// same point in execution it always did.
+// scanning statement kinds its template. Resolution failures (unknown
+// table) leave the binding empty; execution re-resolves and produces
+// the same error it always did. Unknown columns and the like are
+// *captured* by the template as whereErr or deferredErr rather than
+// failing the bind, so the error fires at the same point in execution
+// it always did.
 func (e *Engine) bindPlan(stmt sqlparse.Statement) planBindings {
-	var b planBindings
+	var name string
 	switch st := stmt.(type) {
 	case *sqlparse.Select:
 		if isSystemTable(st.Table) {
-			return b
+			return planBindings{}
 		}
-		if t, ok := e.Table(st.Table); ok {
-			b.table = t
-			b.phys = e.buildSelectPlan(t, st)
-		}
+		name = st.Table
 	case *sqlparse.Update:
-		if t, ok := e.Table(st.Table); ok {
-			b.table = t
-			b.phys = e.buildUpdatePlan(t, st)
-		}
+		name = st.Table
 	case *sqlparse.Delete:
-		if t, ok := e.Table(st.Table); ok {
-			b.table = t
-			b.phys = e.buildDeletePlan(t, st)
-		}
+		name = st.Table
 	case *sqlparse.Insert:
-		if t, ok := e.Table(st.Table); ok {
-			b.table = t
-		}
+		name = st.Table
+	default:
+		return planBindings{}
 	}
-	return b
+	t, ok := e.Table(name)
+	if !ok {
+		return planBindings{}
+	}
+	return planBindings{table: t, phys: e.template(t, stmt)}
 }
 
 // planTable returns the plan's bound table while the plan's epoch is
@@ -285,8 +279,8 @@ func (e *Engine) bindPlan(stmt sqlparse.Statement) planBindings {
 // that landed since planFor has already bumped the epoch, and none can
 // land while the stripe is held. (A SELECT takes no stripe; a DROP that
 // lands after its check is a drop the read began before.) On a mismatch
-// the physXxx helpers see a table the binding was not resolved against
-// and build a fresh template. EXPLAIN ANALYZE passes no plan, so the
+// templateFor sees a table the binding was not resolved against and
+// builds a fresh template. EXPLAIN ANALYZE passes no plan, so the
 // catalog is asked.
 func (e *Engine) planTable(pl *plan, name string) (*Table, error) {
 	if pl != nil && pl.bind.table != nil && pl.epoch == e.plans.Epoch() {

@@ -115,6 +115,23 @@ func (l *logScan) walk(stop <-chan struct{}, fn func(r io.ReaderAt, size int64) 
 	}
 }
 
+// checkSideLogs walks the undo file and the binlog, which recovery only
+// checks: of the undo file it needs where the valid prefix ends, and of
+// the binlog that and the last event's timestamp and LSN (its Statement
+// is empty). Every frame is checked as the parsers check it, and
+// nothing is decoded that the walk does not keep, so what the walk
+// allocates does not grow with the logs.
+func checkSideLogs(undo, blog *logScan, stop <-chan struct{}) binlog.Event {
+	var last binlog.Event
+	undo.walk(stop, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
+		return wal.CheckLogAt(r, size, logChunk)
+	})
+	blog.walk(stop, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
+		return binlog.WalkHeadersAt(r, size, logChunk, func(ev binlog.Event) { last = ev })
+	})
+	return last
+}
+
 // close releases the handle of a log no persistor took.
 func (l *logScan) close() {
 	if l.f != nil {
@@ -231,19 +248,11 @@ func Recover(fs vfs.FS, cfg Config) (*Engine, *RecoveryReport, error) {
 		free <- &redoBatch{recs: make([]wal.Record, 0, redoBatchLen), resolved: make([]bool, redoBatchLen)}
 	}
 	go streamRedo(redo, free, batches, stop)
-	// Of the undo file recovery needs only where its valid prefix ends,
-	// and of the binlog that and the last event: every frame is still
-	// decoded and validated, and none is kept.
 	var lastEv binlog.Event
 	walked := make(chan struct{})
 	go func() {
 		defer close(walked)
-		undo.walk(stop, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
-			return wal.WalkLogAt(r, size, logChunk, func(wal.Record) {})
-		})
-		blog.walk(stop, func(r io.ReaderAt, size int64) (storage.ParseReport, error) {
-			return binlog.WalkAt(r, size, logChunk, func(ev binlog.Event) { lastEv = ev })
-		})
+		lastEv = checkSideLogs(undo, blog, stop)
 	}()
 
 	// The engine is built once, around the tablespace it will serve:

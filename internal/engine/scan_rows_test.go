@@ -33,7 +33,7 @@ func rejectedBy(t *testing.T, e *Engine, s *Session, q string) (rows []storage.R
 		t.Fatal(err)
 	}
 	defer ra.release(e)
-	pp := e.buildSelectPlan(ra.table, sel)
+	pp := e.template(ra.table, sel)
 	pi := pp.instantiate()
 	pi.armVisibility(pp, ra.filter(e, pp))
 	if rows, err = pi.drain(); err != nil {

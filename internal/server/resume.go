@@ -30,17 +30,17 @@ import (
 // recording surface.
 
 const (
-	// defaultDedupWindow is how many rendered replies a resumable
-	// session retains for replay. A reconnecting client replays at most
-	// one in-flight batch, so the window need only exceed the largest
-	// batch (ReliableConn chunks at reliableBatchChunk = 64).
-	defaultDedupWindow = 128
+	// dedupWindow is how many rendered replies a resumable session
+	// retains for replay. A reconnecting client replays at most one
+	// in-flight batch, so the window need only exceed the largest batch
+	// (ReliableConn chunks at reliableBatchChunk = 64).
+	dedupWindow = 128
 
-	// defaultResumeTTL is how long a detached resumable session (its
+	// resumeTTL is how long a detached resumable session (its
 	// connection dropped, no reconnect yet) is retained before being
 	// reaped. Mirrors the idle timeout's job: a client that never comes
 	// back must not pin an engine session forever.
-	defaultResumeTTL = time.Minute
+	resumeTTL = time.Minute
 )
 
 // cachedReply is one statement's retained outcome: the statement text
@@ -62,8 +62,7 @@ type resumeSession struct {
 
 	mu         sync.Mutex
 	lastSeq    uint64
-	replies    []cachedReply // ring, oldest first, ≤ window entries
-	window     int
+	replies    []cachedReply // ring, oldest first, ≤ dedupWindow entries
 	owner      net.Conn
 	detachedAt time.Time // zero while attached
 }
@@ -80,8 +79,8 @@ func (rs *resumeSession) dispatch(seq uint64, stmt string, exec func(string) []b
 		reply = exec(stmt)
 		rs.lastSeq = seq
 		rs.replies = append(rs.replies, cachedReply{seq: seq, stmt: stmt, reply: reply})
-		if len(rs.replies) > rs.window {
-			rs.replies = rs.replies[len(rs.replies)-rs.window:]
+		if len(rs.replies) > dedupWindow {
+			rs.replies = rs.replies[len(rs.replies)-dedupWindow:]
 		}
 		return reply, false, nil
 	case seq <= rs.lastSeq:
@@ -104,18 +103,6 @@ func (rs *resumeSession) dispatch(seq uint64, stmt string, exec func(string) []b
 type resumeRegistry struct {
 	mu       sync.Mutex
 	sessions map[string]*resumeSession
-	window   int
-	ttl      time.Duration
-}
-
-func newResumeRegistry(window int, ttl time.Duration) *resumeRegistry {
-	if window <= 0 {
-		window = defaultDedupWindow
-	}
-	if ttl <= 0 {
-		ttl = defaultResumeTTL
-	}
-	return &resumeRegistry{sessions: make(map[string]*resumeSession), window: window, ttl: ttl}
 }
 
 // newToken draws an unguessable session token. Resuming requires the
@@ -130,7 +117,7 @@ func newToken() string {
 
 // create registers a fresh resumable session owned by conn.
 func (rr *resumeRegistry) create(sess *engine.Session, conn net.Conn) *resumeSession {
-	rs := &resumeSession{token: newToken(), sess: sess, window: rr.window, owner: conn}
+	rs := &resumeSession{token: newToken(), sess: sess, owner: conn}
 	rr.mu.Lock()
 	rr.reapLocked(time.Now())
 	rr.sessions[rs.token] = rs
@@ -189,7 +176,7 @@ func (rr *resumeRegistry) release(rs *resumeSession) {
 func (rr *resumeRegistry) reapLocked(now time.Time) {
 	for tok, rs := range rr.sessions {
 		rs.mu.Lock()
-		expired := rs.owner == nil && !rs.detachedAt.IsZero() && now.Sub(rs.detachedAt) > rr.ttl
+		expired := rs.owner == nil && !rs.detachedAt.IsZero() && now.Sub(rs.detachedAt) > resumeTTL
 		rs.mu.Unlock()
 		if expired {
 			delete(rr.sessions, tok)
@@ -215,7 +202,7 @@ func (rr *resumeRegistry) closeAll() {
 // rows (secrets included) outlive their statements inside the retry
 // machinery.
 func (s *Server) RetainedReplies() [][]byte {
-	rr := s.resumeReg()
+	rr := s.resume
 	rr.mu.Lock()
 	sessions := make([]*resumeSession, 0, len(rr.sessions))
 	for _, rs := range rr.sessions {
@@ -237,7 +224,7 @@ func (s *Server) RetainedReplies() [][]byte {
 // currently retains (attached or awaiting resume). Orphans pin engine
 // sessions until the TTL fires — E14's session-retention metric.
 func (s *Server) ResumeSessionCount() int {
-	rr := s.resumeReg()
+	rr := s.resume
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
 	return len(rr.sessions)

@@ -133,7 +133,7 @@ func TestControlReplayReturnsCachedError(t *testing.T) {
 }
 
 func TestControlSequenceGapAndWindow(t *testing.T) {
-	addr, _, _, stop := startServerWith(t, func(srv *server.Server) { srv.DedupWindow = 2 })
+	addr, _, _, stop := startServerWith(t, nil)
 	defer stop()
 	s := dialRaw(t, addr)
 	s.send("!hello")
@@ -144,17 +144,20 @@ func TestControlSequenceGapAndWindow(t *testing.T) {
 		t.Fatalf("gap reply = %q", got)
 	}
 
+	// 129 statements: seq 1 falls out of the 128-entry window, and seq 2
+	// is the oldest it keeps.
 	s.send("!q 1 CREATE TABLE w (id INT PRIMARY KEY)")
 	s.expect("OK ")
-	s.send("!q 2 INSERT INTO w (id) VALUES (1)")
-	s.expect("OK ")
-	s.send("!q 3 INSERT INTO w (id) VALUES (2)")
-	s.expect("OK ")
-	// seq 1 has fallen out of the 2-entry window.
+	for seq := 2; seq <= 129; seq++ {
+		s.send(fmt.Sprintf("!q %d INSERT INTO w (id) VALUES (%d)", seq, seq))
+		s.expect("OK ")
+	}
 	s.send("!q 1 CREATE TABLE w (id INT PRIMARY KEY)")
 	if got := s.expect("ERR "); !strings.Contains(got, "replay window exceeded") {
 		t.Fatalf("window reply = %q", got)
 	}
+	s.send("!q 2 INSERT INTO w (id) VALUES (2)")
+	s.expect("OK ")
 }
 
 func TestResumeAcrossReconnect(t *testing.T) {

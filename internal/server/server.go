@@ -84,13 +84,6 @@ type Server struct {
 	// session's latency grow without bound). Zero means unlimited.
 	MaxConcurrent int
 
-	// DedupWindow is how many rendered replies each resumable session
-	// retains for exactly-once replay (0 = defaultDedupWindow), and
-	// ResumeTTL how long a detached session awaits its client before
-	// being reaped (0 = defaultResumeTTL). See resume.go.
-	DedupWindow int
-	ResumeTTL   time.Duration
-
 	// ErrorLog receives server-side diagnostics (panic stacks from
 	// safeExecute). Nil logs via the log package's standard logger.
 	ErrorLog *log.Logger
@@ -102,23 +95,16 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 	sem      chan struct{}   // admission slots, built lazily from MaxConcurrent
-	resume   *resumeRegistry // resumable sessions, built lazily from the knobs above
+	resume   *resumeRegistry // resumable sessions
 }
 
 // New creates a server for the engine.
 func New(e *engine.Engine) *Server {
-	return &Server{eng: e, conns: make(map[net.Conn]struct{})}
-}
-
-// resumeReg returns the resume registry, building it on first use so
-// the DedupWindow/ResumeTTL knobs set after New are honored.
-func (s *Server) resumeReg() *resumeRegistry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.resume == nil {
-		s.resume = newResumeRegistry(s.DedupWindow, s.ResumeTTL)
+	return &Server{
+		eng:    e,
+		conns:  make(map[net.Conn]struct{}),
+		resume: &resumeRegistry{sessions: make(map[string]*resumeSession)},
 	}
-	return s.resume
 }
 
 // admit acquires one statement-execution slot, returning its release
@@ -250,7 +236,7 @@ func (s *Server) Close() error {
 		err = ln.Close()
 	}
 	s.wg.Wait()
-	s.resumeReg().closeAll()
+	s.resume.closeAll()
 	return err
 }
 
@@ -304,7 +290,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = errors.Join(err, fmt.Errorf("server: drain incomplete: %w", ctx.Err()))
 	}
-	s.resumeReg().closeAll()
+	s.resume.closeAll()
 	return err
 }
 
@@ -323,7 +309,7 @@ func (s *Server) handle(conn net.Conn) {
 		if rs != nil {
 			// The engine session survives the connection, parked in the
 			// registry awaiting a !resume (or the TTL reaper).
-			s.resumeReg().detach(rs, conn)
+			s.resume.detach(rs, conn)
 		} else {
 			sess.Close()
 		}
@@ -420,7 +406,7 @@ func (s *Server) dispatchControl(conn net.Conn, sess *engine.Session, rs *resume
 			fmt.Fprintf(w, "!err %s\n", wire.Escape("session already established"))
 			return rs, false
 		}
-		rs = s.resumeReg().create(sess, conn)
+		rs = s.resume.create(sess, conn)
 		fmt.Fprintf(w, "!session %s\n", rs.token)
 		return rs, false
 	case "!resume":
@@ -428,7 +414,7 @@ func (s *Server) dispatchControl(conn net.Conn, sess *engine.Session, rs *resume
 			fmt.Fprintf(w, "!err %s\n", wire.Escape("session already established"))
 			return rs, false
 		}
-		got := s.resumeReg().attach(rest, conn)
+		got := s.resume.attach(rest, conn)
 		if got == nil {
 			fmt.Fprintf(w, "!err %s\n", wire.Escape("unknown or expired session token"))
 			return nil, false
@@ -459,7 +445,7 @@ func (s *Server) dispatchControl(conn net.Conn, sess *engine.Session, rs *resume
 		return rs, false
 	case "!bye":
 		if rs != nil {
-			s.resumeReg().release(rs)
+			s.resume.release(rs)
 		}
 		return rs, true
 	default:

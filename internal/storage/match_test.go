@@ -229,7 +229,9 @@ func TestCompiledEdges(t *testing.T) {
 // fuzzed one (a byte per column, odd for TEXT) and for the fixed test
 // layouts — field count and tags agreeing with the bytes or not — must
 // give Match's verdict and Match's exact error, and matchSum, with the
-// fuzzed SUM column, the decoded record's value.
+// fuzzed SUM column, the decoded record's value. RecordLen, which checks
+// the bytes without decoding them, must take what DecodeRecord takes and
+// fail with its exact error.
 func FuzzMatchVsDecode(f *testing.F) {
 	good := EncodeRecord(Record{sqlparse.IntValue(5), sqlparse.StrValue("text"), sqlparse.IntValue(9)})
 	row := EncodeRecord(Record{sqlparse.IntValue(5), sqlparse.IntValue(3), sqlparse.StrValue("payload")})
@@ -246,6 +248,10 @@ func FuzzMatchVsDecode(f *testing.F) {
 				return sqlparse.IntValue(i)
 			}
 			return sqlparse.StrValue(s)
+		}
+		_, wantN, wantErr := DecodeRecord(b)
+		if n, err := RecordLen(b); n != wantN || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("RecordLen = %d, %v; DecodeRecord took %d, %v", n, err, wantN, wantErr)
 		}
 		p1 := Pred{Col: col1, Op: sqlparse.CompareOp(op1), Arg: arg(int1, i1, s1)}
 		p2 := Pred{Col: col2, Op: sqlparse.CompareOp(op2), Arg: arg(int2, i2, s2)}

@@ -79,6 +79,44 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	return AppendDecoded(make(Record, 0, n), b, nil, nil)
 }
 
+// RecordLen checks the record encoded at the front of b as
+// DecodeRecord does — the same checks in the same order, with the same
+// errors — and returns the bytes it takes, decoding no field.
+func RecordLen(b []byte) (int, error) {
+	n, err := fieldCount(b)
+	if err != nil {
+		return 0, err
+	}
+	pos := 2
+	for i := 0; i < n; i++ {
+		if pos >= len(b) {
+			return 0, fmt.Errorf("storage: record field %d truncated", i)
+		}
+		tag := b[pos]
+		pos++
+		switch tag {
+		case tagInt:
+			if pos+8 > len(b) {
+				return 0, fmt.Errorf("storage: int field %d truncated", i)
+			}
+			pos += 8
+		case tagText:
+			if pos+4 > len(b) {
+				return 0, fmt.Errorf("storage: text length of field %d truncated", i)
+			}
+			l := int(binary.BigEndian.Uint32(b[pos:]))
+			pos += 4
+			if pos+l > len(b) {
+				return 0, fmt.Errorf("storage: text field %d truncated (want %d bytes)", i, l)
+			}
+			pos += l
+		default:
+			return 0, fmt.Errorf("storage: unknown field tag 0x%02x in field %d", tag, i)
+		}
+	}
+	return pos, nil
+}
+
 // fieldCount returns the number of fields the encoded record b declares.
 func fieldCount(b []byte) (int, error) {
 	if len(b) < 2 {

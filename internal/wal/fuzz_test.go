@@ -1,20 +1,28 @@
 package wal
 
 import (
+	"fmt"
 	"testing"
 )
 
 // FuzzDecodeRecord asserts DecodeRecord never panics and never reads
 // past the buffer, whatever bytes arrive — the property recovery
-// depends on when the tail of a crashed server's log is garbage.
+// depends on when the tail of a crashed server's log is garbage — and
+// that checkRecord, which recovery's undo walk uses in its place, takes
+// the same bytes and fails with the same error.
 func FuzzDecodeRecord(f *testing.F) {
 	r := Record{LSN: 9, Txn: 3, Op: OpUpdate, Table: 2, Column: 1, Image: row(7, "seed")}
 	f.Add(r.Encode())
 	f.Add([]byte{})
 	f.Add(make([]byte, headerSize))
 	f.Add(make([]byte, headerSize-1))
+	f.Add(append(r.Encode(), 1, 2))
+	f.Add(Record{Op: OpDelete, Image: row(1, "a")}.Encode()[:headerSize+5])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := DecodeRecord(data)
+		if cn, cerr := checkRecord(data); cn != n || fmt.Sprint(cerr) != fmt.Sprint(err) {
+			t.Fatalf("checkRecord = %d, %v; DecodeRecord took %d, %v", cn, cerr, n, err)
+		}
 		if err != nil {
 			return
 		}

@@ -117,8 +117,37 @@ func (r Record) AppendEncode(dst []byte) []byte {
 // DecodeRecord parses one record from b, returning it and the bytes
 // consumed. It never panics on malformed input.
 func DecodeRecord(b []byte) (Record, int, error) {
+	r, payload, err := decodeHeader(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	img, n, err := storage.DecodeRecord(payload)
+	if err = payloadErr(payload, n, err); err != nil {
+		return Record{}, 0, err
+	}
+	r.Image = img
+	return r, headerSize + len(payload), nil
+}
+
+// checkRecord is DecodeRecord without the record: the same checks with
+// the same errors, and the bytes the record takes, decoding nothing.
+func checkRecord(b []byte) (int, error) {
+	_, payload, err := decodeHeader(b)
+	if err != nil {
+		return 0, err
+	}
+	n, err := storage.RecordLen(payload)
+	if err = payloadErr(payload, n, err); err != nil {
+		return 0, err
+	}
+	return headerSize + len(payload), nil
+}
+
+// decodeHeader parses the record header at the front of b and returns
+// it with the payload it announces.
+func decodeHeader(b []byte) (Record, []byte, error) {
 	if len(b) < headerSize {
-		return Record{}, 0, fmt.Errorf("wal: record header truncated (%d bytes)", len(b))
+		return Record{}, nil, fmt.Errorf("wal: record header truncated (%d bytes)", len(b))
 	}
 	r := Record{
 		LSN:    binary.BigEndian.Uint64(b),
@@ -128,21 +157,25 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		Column: b[18],
 	}
 	if r.Op < OpInsert || r.Op > OpAbort {
-		return Record{}, 0, fmt.Errorf("wal: unknown op %d", b[16])
+		return Record{}, nil, fmt.Errorf("wal: unknown op %d", b[16])
 	}
 	plen := int(binary.BigEndian.Uint16(b[19:]))
 	if len(b) < headerSize+plen {
-		return Record{}, 0, fmt.Errorf("wal: record payload truncated (want %d bytes)", plen)
+		return Record{}, nil, fmt.Errorf("wal: record payload truncated (want %d bytes)", plen)
 	}
-	img, n, err := storage.DecodeRecord(b[headerSize : headerSize+plen])
+	return r, b[headerSize : headerSize+plen], nil
+}
+
+// payloadErr is the error of a payload decode that read n bytes of
+// payload and returned err.
+func payloadErr(payload []byte, n int, err error) error {
 	if err != nil {
-		return Record{}, 0, fmt.Errorf("wal: payload: %w", err)
+		return fmt.Errorf("wal: payload: %w", err)
 	}
-	if n != plen {
-		return Record{}, 0, fmt.Errorf("wal: payload has %d trailing bytes", plen-n)
+	if n != len(payload) {
+		return fmt.Errorf("wal: payload has %d trailing bytes", len(payload)-n)
 	}
-	r.Image = img
-	return r, headerSize + plen, nil
+	return nil
 }
 
 // Log is one circular log (redo or undo).
@@ -280,6 +313,13 @@ func WalkLog(img []byte, fn func(Record)) storage.ParseReport {
 // buffer.
 func WalkLogAt(r io.ReaderAt, size int64, chunk int, fn func(Record)) (storage.ParseReport, error) {
 	return storage.WalkFramesAt(r, size, chunk, "record", decodeFrames(fn))
+}
+
+// CheckLogAt is WalkLogAt with nothing handed over: it reads and checks
+// every frame and record as WalkLogAt does, returning the same report,
+// and decodes none of them.
+func CheckLogAt(r io.ReaderAt, size int64, chunk int) (storage.ParseReport, error) {
+	return storage.WalkFramesAt(r, size, chunk, "record", checkRecord)
 }
 
 // decodeFrames decodes one frame's payload as a record and hands it to
