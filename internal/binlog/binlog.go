@@ -17,7 +17,6 @@ import (
 	"io"
 	"sync"
 
-	"snapdb/internal/commitq"
 	"snapdb/internal/storage"
 )
 
@@ -81,84 +80,88 @@ func decodeHeader(b []byte) (Event, int, error) {
 // Log is the binary log. Its in-memory store grows without bound until
 // Purge is called, matching MySQL's default retention.
 //
-// Concurrent sessions commit through the group-commit queue (commitq,
-// which documents the ordering invariant): each event is stamped —
-// commit-time LSN from LSNSource, timestamp and LSN clamped to be
-// non-decreasing — as it is queued, so the on-disk binlog is monotone in
-// both. A transaction's buffered events commit as one contiguous batch,
-// like MySQL's binlog cache.
-//
-// Each flushed batch goes to one store: the Sink if one is attached
-// (a sink failure is reported to every caller whose events rode in that
-// batch), the in-memory events otherwise.
+// Every event is stamped as it is committed — timestamp and LSN clamped
+// to be non-decreasing — so the on-disk binlog is monotone in both. In
+// an engine the commit pipeline (wal.Manager) stamps each event as it
+// queues it behind its transaction's marker and stores it once the
+// marker is durable; CommitBatch is the same two steps for a log used on
+// its own. Each stored batch goes to one store: the Sink if one is
+// attached, the in-memory events otherwise.
 type Log struct {
-	mu     sync.Mutex // guards events
+	mu     sync.Mutex // guards events and the commit counts
 	events []Event    // the in-memory store, used only while Sink is nil
 
-	// LSNSource, when set (the engine wires it to wal.Manager.CurrentLSN),
-	// stamps each committed event with the engine LSN at commit time.
-	// Without it an event keeps its caller-supplied LSN (clamped).
-	LSNSource func() uint64
+	committed, flushes uint64
 
-	// Sink, if set, receives each flushed batch in place of the
+	// Sink, if set, receives each stored batch in place of the
 	// in-memory store — the persistence layer's durability hook. The
 	// slice is only valid during the call. Set it before concurrent use.
 	Sink func([]Event) error
 
-	q       *commitq.Queue[Event] // its lock also guards the stamp floors
+	// stampMu guards the stamp floors and buf. CommitBatch holds it
+	// through its store, so a log used on its own stores in stamp order.
+	stampMu sync.Mutex
 	lastTs  int64
 	lastLSN uint64
+	buf     []Event
 }
 
 // New creates an empty binlog.
-func New() *Log {
-	l := &Log{}
-	l.q = commitq.New(l.flush)
-	return l
-}
+func New() *Log { return &Log{} }
 
-// Commit stamps and records one event through the group-commit
-// pipeline, returning once it is in its store: durable if a Sink is
-// attached, in the in-memory log otherwise.
+// Commit stamps and stores one event, returning once it is in its
+// store: durable if a Sink is attached, in the in-memory log otherwise.
 func (l *Log) Commit(ev Event) error { return l.CommitBatch([]Event{ev}) }
 
-// CommitBatch commits a transaction's events as one contiguous,
-// stamped batch: as they are queued every event gets its commit-time
-// LSN (from LSNSource) and a timestamp clamped to the previous commit's,
-// so binlog order is non-decreasing in both fields. The caller's slice
-// is left untouched.
+// CommitBatch commits a transaction's events as one contiguous, stamped
+// batch: each keeps its caller-supplied LSN and timestamp, clamped to
+// the previous commit's, so binlog order is non-decreasing in both
+// fields. The caller's slice is left untouched.
 func (l *Log) CommitBatch(evs []Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
-	return l.q.Commit(func(pend []Event) []Event {
-		for _, ev := range evs {
-			if l.LSNSource != nil {
-				ev.LSN = l.LSNSource()
-			}
-			if ev.LSN < l.lastLSN {
-				ev.LSN = l.lastLSN
-			}
-			l.lastLSN = ev.LSN
-			if ev.Timestamp < l.lastTs {
-				ev.Timestamp = l.lastTs
-			}
-			l.lastTs = ev.Timestamp
-			pend = append(pend, ev)
-		}
-		return pend
-	})
+	l.stampMu.Lock()
+	defer l.stampMu.Unlock()
+	l.buf = l.buf[:0]
+	for _, ev := range evs {
+		l.buf = append(l.buf, l.stampLocked(ev, ev.LSN))
+	}
+	return l.Append(l.buf)
 }
 
-// flush is the queue leader's batch flush into the one store: the Sink
-// if attached, the in-memory log otherwise.
-func (l *Log) flush(batch []Event) error {
+// Stamp returns ev stamped for commit at lsn: its LSN and timestamp
+// clamped to be no lower than the last stamped event's. The caller
+// stores the stamped events in stamp order with Append.
+func (l *Log) Stamp(ev Event, lsn uint64) Event {
+	l.stampMu.Lock()
+	defer l.stampMu.Unlock()
+	return l.stampLocked(ev, lsn)
+}
+
+func (l *Log) stampLocked(ev Event, lsn uint64) Event {
+	ev.LSN = max(lsn, l.lastLSN)
+	l.lastLSN = ev.LSN
+	ev.Timestamp = max(ev.Timestamp, l.lastTs)
+	l.lastTs = ev.Timestamp
+	return ev
+}
+
+// Append stores a batch of stamped events: in the Sink if attached, in
+// the in-memory log otherwise. A sink failure stores nothing in memory.
+func (l *Log) Append(evs []Event) error {
 	if l.Sink != nil {
-		return l.Sink(batch)
+		if err := l.Sink(evs); err != nil {
+			return err
+		}
 	}
 	l.mu.Lock()
-	l.events = append(l.events, batch...)
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.Sink == nil {
+		l.events = append(l.events, evs...)
+	}
+	l.committed += uint64(len(evs))
+	l.flushes++
 	return nil
 }
 
@@ -166,19 +169,19 @@ func (l *Log) flush(batch []Event) error {
 // last event of the binlog file, so post-recovery commits continue
 // non-decreasing in timestamp and LSN.
 func (l *Log) Prime(ts int64, lsn uint64) {
-	l.q.Lock()
-	defer l.q.Unlock()
-	if ts > l.lastTs {
-		l.lastTs = ts
-	}
-	if lsn > l.lastLSN {
-		l.lastLSN = lsn
-	}
+	l.stampMu.Lock()
+	defer l.stampMu.Unlock()
+	l.lastTs = max(l.lastTs, ts)
+	l.lastLSN = max(l.lastLSN, lsn)
 }
 
-// GroupCommitStats reports committed event and batch-flush counts;
+// GroupCommitStats reports stored event and batch counts;
 // committed/flushes is the mean group size.
-func (l *Log) GroupCommitStats() (committed, flushes uint64) { return l.q.Stats() }
+func (l *Log) GroupCommitStats() (committed, flushes uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.committed, l.flushes
+}
 
 // Events returns all retained events, oldest first.
 func (l *Log) Events() []Event {

@@ -130,17 +130,11 @@ func BenchmarkCommit(b *testing.B) {
 
 func TestCommitStampsMonotoneOrder(t *testing.T) {
 	l := New()
-	var lsn uint64
-	l.LSNSource = func() uint64 { return lsn }
-
-	lsn = 10
-	l.Commit(Event{Timestamp: 100, Statement: "a"})
-	lsn = 30
-	l.Commit(Event{Timestamp: 200, Statement: "b"})
+	l.Commit(Event{Timestamp: 100, LSN: 10, Statement: "a"})
+	l.Commit(Event{Timestamp: 200, LSN: 30, Statement: "b"})
 	// A clock that runs backwards (or a slow writer stamped earlier)
 	// must not produce a regressing binlog: both fields clamp.
-	lsn = 20
-	l.Commit(Event{Timestamp: 150, Statement: "c"})
+	l.Commit(Event{Timestamp: 150, LSN: 20, Statement: "c"})
 
 	evs := l.Events()
 	if len(evs) != 3 {
@@ -157,7 +151,6 @@ func TestCommitStampsMonotoneOrder(t *testing.T) {
 func TestCommitConcurrentMonotone(t *testing.T) {
 	l := New()
 	var lsn atomic.Uint64
-	l.LSNSource = func() uint64 { return lsn.Add(1) }
 
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
@@ -166,7 +159,7 @@ func TestCommitConcurrentMonotone(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				l.Commit(Event{Timestamp: int64(100 + i), Statement: "s"})
+				l.Commit(Event{Timestamp: int64(100 + i), LSN: lsn.Add(1), Statement: "s"})
 			}
 		}(w)
 	}

@@ -8,9 +8,9 @@ import (
 
 // TestQueueConcurrentCommits drives the queue from many goroutines with
 // a flush function that fails exactly one batch, and checks the three
-// things wal.Manager and binlog.Log rely on: the flushed batches
-// concatenate to stamp order, the failed batch's error reaches every
-// commit that rode in it and no other, and the counters add up.
+// things wal.Manager relies on: the flushed batches concatenate to
+// stamp order, and the failed batch's error reaches every commit that
+// rode in it and no other.
 func TestQueueConcurrentCommits(t *testing.T) {
 	const goroutines, commits = 8, 200
 	boom := errors.New("boom")
@@ -46,7 +46,7 @@ func TestQueueConcurrentCommits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < commits; i++ {
 				var mine []int
-				err := q.Commit(func(pend []int) []int {
+				err := q.Wait(q.Enqueue(func(pend []int) []int {
 					// One or two items per commit, like a one-event and a
 					// transaction's multi-event binlog commit.
 					for n := 0; n <= (g+i)%2; n++ {
@@ -55,7 +55,7 @@ func TestQueueConcurrentCommits(t *testing.T) {
 						pend = append(pend, stamp)
 					}
 					return pend
-				})
+				}))
 				results <- outcome{mine, err}
 			}
 		}(g)
@@ -84,23 +84,86 @@ func TestQueueConcurrentCommits(t *testing.T) {
 			}
 		}
 	}
-	committed, flushes := q.Stats()
-	if committed != uint64(stamp) || flushes != uint64(flushNo) {
-		t.Errorf("Stats = (%d, %d), want (%d, %d)", committed, flushes, stamp, flushNo)
+}
+
+// TestEnqueuedItemsShareOneFlush pins group commit without waiting:
+// items enqueued by any number of callers ride the first flush anyone
+// waits for, and a ticket of that batch (or the Tail taken before it)
+// then returns without another flush.
+func TestEnqueuedItemsShareOneFlush(t *testing.T) {
+	var flushes [][]int
+	q := New(func(batch []int) error {
+		flushes = append(flushes, append([]int(nil), batch...))
+		return nil
+	})
+	if q.Tail().Pending() {
+		t.Fatal("an empty queue has a pending tail")
+	}
+	var tickets []Ticket
+	for i := 1; i <= 16; i++ {
+		tickets = append(tickets, q.Enqueue(func(pend []int) []int { return append(pend, i) }))
+	}
+	tail := q.Tail()
+	if err := q.Wait(tickets[15]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range append(tickets, tail) {
+		if err := q.Wait(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(flushes) != 1 || len(flushes[0]) != 16 || flushes[0][0] != 1 || flushes[0][15] != 16 {
+		t.Errorf("flushes = %v, want one batch of 1..16", flushes)
+	}
+	if err := q.Wait(q.Tail()); err != nil || len(flushes) != 1 {
+		t.Errorf("waiting on an empty tail flushed again: %v, %d flushes", err, len(flushes))
+	}
+}
+
+// TestTailCoversTheFlushInFlight: with nothing left to enqueue but a
+// batch still being flushed, Tail names that batch, so waiting on it
+// returns only once the flush in flight has finished.
+func TestTailCoversTheFlushInFlight(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var stored []int
+	q := New(func(batch []int) error {
+		close(entered)
+		<-release
+		stored = append(stored, batch...)
+		return nil
+	})
+	tk := q.Enqueue(func(pend []int) []int { return append(pend, 1) })
+	leader := make(chan error)
+	go func() { leader <- q.Wait(tk) }()
+	<-entered
+	tail := q.Tail()
+	if !tail.Pending() {
+		t.Fatal("Tail is empty while a batch is being flushed")
+	}
+	waited := make(chan error)
+	go func() { waited <- q.Wait(tail) }()
+	close(release)
+	if err := <-waited; err != nil || len(stored) != 1 {
+		t.Errorf("Wait(Tail()) returned %v with %d items stored, want nil after the flush", err, len(stored))
+	}
+	if err := <-leader; err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestCommitDoesNotAllocatePerCall pins the property snapbench's
 // engine.allocs_per_stmt rests on: with the stamp closure on the stack
-// and the batch buffers recycled, a commit costs one small allocation
-// (the batch's fate), however many it has been through.
+// and the batch buffers recycled, a commit — an enqueue and a wait on
+// its ticket — costs one small allocation (the batch's fate), however
+// many it has been through.
 func TestCommitDoesNotAllocatePerCall(t *testing.T) {
 	q := New(func([]int) error { return nil })
 	stamp := func(pend []int) []int { return append(pend, 1) }
+	commit := func() { _ = q.Wait(q.Enqueue(stamp)) }
 	for i := 0; i < 4; i++ { // grow both buffers
-		_ = q.Commit(stamp)
+		commit()
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = q.Commit(stamp) }); n > 1 {
-		t.Errorf("Commit allocates %.0f objects per call, want at most 1", n)
+	if n := testing.AllocsPerRun(100, commit); n > 1 {
+		t.Errorf("a commit allocates %.0f objects, want at most 1", n)
 	}
 }

@@ -200,7 +200,7 @@ func TestCrashTortureEncrypted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill-point %d: encrypted recovery failed: %v", k, err)
 		}
-		diverged, binlogLeads := checkRecovered(t, r, refs, acked)
+		diverged, binlogLeads := checkRecovered(t, r, refs, acked, acked+1)
 		if diverged {
 			t.Fatalf("kill-point %d diverged: acked %d statements, report %+v", k, acked, rep)
 		}
@@ -216,6 +216,10 @@ func TestCrashTortureEncrypted(t *testing.T) {
 		t.Errorf("%d of %d encrypted kill-points recover a binlog that leads the recovered data", leads, points)
 	}
 	t.Logf("%d encrypted kill-points over %d durable ops, all recovered consistently", points, total)
+
+	for _, seed := range tortureSeeds(t) {
+		t.Run(fmt.Sprintf("grouped/seed=%d", seed), func(t *testing.T) { tortureGrouped(t, cfg, seed) })
+	}
 }
 
 // TestCrashTortureBitFlipsEncrypted is satellite 4's end-to-end check:
@@ -226,7 +230,7 @@ func TestCrashTortureBitFlipsEncrypted(t *testing.T) {
 	stmts := tortureStmts()
 	cfg := cryptCfg(true)
 	cfg.EnableGeneralLog = false
-	for _, k := range []uint64{14, 18, 25, 33} {
+	for _, k := range []uint64{14, 18, 25, 29} {
 		mem := vfs.NewMemFS()
 		reg := failpoint.New(int64(k))
 		reg.Arm("write:"+FileRedo, failpoint.KindBitFlip, k)

@@ -97,7 +97,8 @@ type Config struct {
 
 	// FS, when set, makes the engine durable: every WAL and binlog
 	// group-commit batch is checksummed, appended and fsynced to files
-	// in this filesystem before the statement returns, DDL writes a
+	// in this filesystem before Execute returns (before Session.Flush,
+	// for a statement submitted into a pending group), DDL writes a
 	// crash-atomic checkpoint, and periodic buffer-pool dumps go to
 	// disk. Nil (the default) keeps the engine fully in-memory, as the
 	// experiments and most tests use it. New on an FS opens what it
@@ -329,9 +330,12 @@ func build(cfg Config, ts *storage.Tablespace) (*Engine, error) {
 		versions:   newMVCCStore(),
 		plans:      newPlanCache(),
 	}
-	// Binlog events are stamped with the engine LSN at commit time, the
-	// ordering the forensic LSN↔timestamp correlation consumes.
-	e.binlog.LSNSource = wm.CurrentLSN
+	// The WAL's commit pipeline carries the binlog's events behind their
+	// markers, stamped with the marker's LSN (the ordering the forensic
+	// LSN↔timestamp correlation consumes), and resolves each transaction
+	// in the version store once its marker is durable.
+	wm.Binlog = e.binlog
+	wm.Resolved = e.versions.commit
 	e.general.Enabled = cfg.EnableGeneralLog
 	e.qcache.Enabled = cfg.EnableQueryCache
 	e.slow.Enabled = !cfg.DisableSlowLog
@@ -372,6 +376,20 @@ type Session struct {
 	// BEGIN on this session (one-shot, like MySQL's statement-scoped
 	// form).
 	nextTxnReadOnly bool
+
+	// pending is the ticket of the last log entry the session queued and
+	// has not synced; held are the outcomes of its pending group's
+	// statements, which Flush hands to their replies.
+	pending wal.Ticket
+	held    []heldReply
+}
+
+// heldReply is one statement of a pending group: its outcome as
+// executed, and where it goes once the group's flush has settled it.
+type heldReply struct {
+	res   *Result
+	err   error
+	reply func(*Result, error)
 }
 
 // Connect opens a new session.
@@ -384,8 +402,11 @@ func (e *Engine) Connect(user string) *Session {
 	return &Session{eng: e, ID: id, User: user}
 }
 
-// Close ends the session.
-func (s *Session) Close() { s.eng.procs.Unregister(s.ID) }
+// Close flushes the session's pending group and ends the session.
+func (s *Session) Close() {
+	s.Flush()
+	s.eng.procs.Unregister(s.ID)
+}
 
 // rejectReadOnlyTxn refuses DML inside a SET TRANSACTION READ ONLY
 // transaction, like MySQL's ER_CANT_EXECUTE_IN_READ_ONLY_TRANSACTION.
@@ -449,8 +470,67 @@ func (s *Session) deadlineCheck() exec.DeadlineCheck {
 	}
 }
 
-// Execute runs one SQL statement on this session.
+// Execute runs one SQL statement on this session and returns once its
+// effects are durable: it is a group of one.
 func (s *Session) Execute(query string) (*Result, error) {
+	res, _, err := s.exec(query, false)
+	return res, err
+}
+
+// Submit runs one SQL statement as Execute does, except an autocommit
+// INSERT, UPDATE or DELETE: that one returns once applied and queued to
+// the logs, joins the session's pending group, and stays invisible to
+// other sessions until Flush makes the group durable and hands its
+// outcome to reply. Any other statement flushes the pending group first
+// and replies before Submit returns, so replies arrive in statement
+// order. A client that pipelines writes submits them all and then
+// flushes once: the group shares one durable step.
+func (s *Session) Submit(query string, reply func(*Result, error)) {
+	res, grouped, err := s.exec(query, true)
+	if grouped {
+		s.held = append(s.held, heldReply{res, err, reply})
+		return
+	}
+	reply(res, err)
+}
+
+// Flush makes the session's pending group durable — one flush of the
+// redo, undo and binlog records its statements queued — and then hands
+// each held outcome to its reply in order. If the flush failed, every
+// statement of the group that had succeeded fails with its error; if it
+// failed before the commit markers were durable, none of them ever
+// becomes visible.
+func (s *Session) Flush() {
+	if len(s.held) == 0 && !s.pending.Pending() {
+		return
+	}
+	err := s.sync()
+	for i := range s.held {
+		h := &s.held[i]
+		if err != nil && h.err == nil {
+			h.res, h.err = nil, err
+		}
+		h.reply(h.res, h.err)
+		*h = heldReply{}
+	}
+	s.held = s.held[:0]
+}
+
+// sync waits until every log entry the session queued is durable.
+func (s *Session) sync() error {
+	t := s.pending
+	s.pending = wal.Ticket{}
+	if err := s.eng.wal.Sync(t); err != nil {
+		return fmt.Errorf("engine: log flush: %w", err)
+	}
+	return nil
+}
+
+// exec runs one statement. With group set, an autocommit INSERT,
+// UPDATE or DELETE is left in the session's pending group (grouped
+// reports it); every other statement flushes that group first and is
+// synced before exec returns.
+func (s *Session) exec(query string, group bool) (res *Result, grouped bool, err error) {
 	e := s.eng
 	start := e.ExecClock()
 	ts := e.Clock()
@@ -471,6 +551,10 @@ func (s *Session) Execute(query string) (*Result, error) {
 	// byte-identical; a parse error is carried into execute and
 	// surfaces at the same point it always did.
 	pl, digestText, parseErr := e.planFor(query)
+	grouped = group && s.txn == nil && pl != nil && pl.isDML()
+	if !grouped {
+		s.Flush()
+	}
 	var digestHash string
 	if pl != nil {
 		digestHash = pl.dhash
@@ -499,7 +583,12 @@ func (s *Session) Execute(query string) (*Result, error) {
 		e.perf.BeginStatementWithDigest(s.ID, query, digestHash, digestText, ts)
 	}
 
-	res, err := e.execute(s, query, pl, parseErr, ts)
+	res, err = e.execute(s, query, pl, parseErr, ts)
+	if !grouped {
+		if serr := s.sync(); serr != nil && err == nil {
+			res, err = nil, serr
+		}
+	}
 
 	dur := e.ExecClock().Sub(start)
 	examined, returned := 0, 0
@@ -544,7 +633,7 @@ func (s *Session) Execute(query string) (*Result, error) {
 	if !e.cfg.DisablePurge && n%uint64(e.cfg.PurgeEvery) == 0 {
 		e.versions.purge(0)
 	}
-	return res, err
+	return res, grouped, err
 }
 
 // isSystemTable reports whether name is a virtual diagnostic table.
@@ -767,10 +856,14 @@ type dmlStmt struct {
 	undoStart int
 }
 
-// beginDML is the front half: read-only guard, exclusive stripe, table
-// resolution. On success the caller owns the stripe.
+// beginDML is the front half: read-only guard, failed-log guard,
+// exclusive stripe, table resolution. On success the caller owns the
+// stripe.
 func (e *Engine) beginDML(s *Session, verb, table string, pl *plan) (dmlStmt, error) {
 	if err := s.rejectReadOnlyTxn(verb); err != nil {
+		return dmlStmt{}, err
+	}
+	if err := e.persist.failure(); err != nil {
 		return dmlStmt{}, err
 	}
 	mu := e.locks.exclusive(table)
@@ -783,27 +876,26 @@ func (e *Engine) beginDML(s *Session, verb, table string, pl *plan) (dmlStmt, er
 }
 
 // logged takes the result of the wal.Tx* call that follows a row
-// mutator; reaching it means the mutator succeeded. The undo record is
-// kept even when the log write failed: the mutation is applied, and
-// compensation must find it to reverse it.
-func (d *dmlStmt) logged(_ uint64, undo wal.Record, err error) error {
+// mutator; reaching it means the mutator succeeded. It keeps the undo
+// record, which compensation reverses the row from, and the ticket,
+// which the session syncs.
+func (d *dmlStmt) logged(_ uint64, undo wal.Record, t wal.Ticket) {
 	d.s.noteUndo(undo)
 	if d.auto {
 		d.undo = append(d.undo, undo)
 	}
-	if err != nil {
-		return fmt.Errorf("engine: wal: %w", err)
-	}
-	return nil
+	d.s.pending = t
 }
 
 // run is the back half. res.Rows is the row list — the rows to insert,
-// or what the scan half matched — and mutate applies and logs one of
+// or what the scan half matched — and mutate applies and queues one of
 // them, under the table's write latch so that MVCC readers, which take
-// no stripe, never observe a half-applied statement. A statement that
-// changed rows ends through publish: in autocommit that is COMMIT's own
-// commitTxn, and a statement whose commit marker fails is compensated
-// like one that failed midway.
+// no stripe, never observe a half-applied statement. The latch covers
+// the queueing only: no log I/O runs under it. A statement that changed
+// rows ends through publish: in autocommit that queues COMMIT's own
+// commit order behind the rows, and the session syncs it with the rest
+// of its pending group; inside a transaction the rows are synced before
+// the statement returns, and a failed sync compensates the statement.
 func (d *dmlStmt) run(res *Result, query string, ts int64, mutate func(row storage.Record) error) (*Result, error) {
 	e, s, t := d.e, d.s, d.t
 	rows := res.Rows
@@ -828,12 +920,11 @@ func (d *dmlStmt) run(res *Result, query string, ts int64, mutate func(row stora
 	}
 	e.qcache.InvalidateTable(t.Name)
 	if len(rows) > 0 {
-		durable, err := s.publish(e, d.txn, binlog.Event{Timestamp: ts, Statement: query})
-		if !durable {
-			return nil, d.compensate(err)
-		}
-		if err != nil {
-			return nil, err
+		s.publish(e, d.txn, binlog.Event{Timestamp: ts, Statement: query})
+		if !d.auto {
+			if err := s.sync(); err != nil {
+				return nil, d.compensate(err)
+			}
 		}
 	}
 	e.maybeStatsDrift(t)
@@ -846,7 +937,7 @@ func (d *dmlStmt) run(res *Result, query string, ts int64, mutate func(row stora
 // statement, whose records leave the rollback buffer, and the
 // transaction stays open. A statement that changed nothing writes
 // nothing more. It returns the statement's error: cause, joined with
-// the rollback's own if that failed too (a dead log sink fails both).
+// the rollback's own if that failed too (a failed log fails both).
 func (d *dmlStmt) compensate(cause error) error {
 	undo, tx := d.undo, d.s.txn
 	if !d.auto {
@@ -861,10 +952,16 @@ func (d *dmlStmt) compensate(cause error) error {
 		// Resolved even if the rollback stopped short: the statement is
 		// over, and what compensation reached is the visible state.
 		d.e.versions.commit(d.txn)
-	} else if err = d.e.applyUndo(d.txn, undo); err == nil {
-		tx.mu.Lock()
-		tx.undo = tx.undo[:d.undoStart]
-		tx.mu.Unlock()
+	} else {
+		var last wal.Ticket
+		if last, err = d.e.applyUndo(d.txn, undo); err == nil {
+			tx.mu.Lock()
+			tx.undo = tx.undo[:d.undoStart]
+			tx.mu.Unlock()
+		}
+		if last.Pending() {
+			d.s.pending = last // synced when the statement returns
+		}
 	}
 	if err != nil {
 		return errors.Join(cause, fmt.Errorf("engine: statement rollback: %w", err))
@@ -989,7 +1086,8 @@ func (e *Engine) execInsert(s *Session, st *sqlparse.Insert, pl *plan, query str
 		if err := e.insertRow(d.t, row, d.txn); err != nil {
 			return err
 		}
-		return d.logged(e.wal.TxInsert(d.txn, d.t.ID, row))
+		d.logged(e.wal.TxInsert(d.txn, d.t.ID, row))
+		return nil
 	})
 }
 
@@ -1202,17 +1300,12 @@ func (e *Engine) execUpdate(s *Session, st *sqlparse.Update, pl *plan, query str
 		if err := e.updateRow(t, old, pp.sets, d.txn); err != nil {
 			return err
 		}
-		// Every column is logged and noted even past a failed write: the
-		// row was updated whole, so compensation must restore every column.
 		pk := old[t.PKIndex : t.PKIndex+1]
-		var first error
 		for _, op := range pp.sets {
-			if err := d.logged(e.wal.TxUpdate(d.txn, t.ID, pk, uint8(op.idx),
-				old[op.idx:op.idx+1], storage.Record{op.val})); first == nil {
-				first = err
-			}
+			d.logged(e.wal.TxUpdate(d.txn, t.ID, pk, uint8(op.idx),
+				old[op.idx:op.idx+1], storage.Record{op.val}))
 		}
-		return first
+		return nil
 	})
 }
 
@@ -1232,6 +1325,7 @@ func (e *Engine) execDelete(s *Session, st *sqlparse.Delete, pl *plan, query str
 		if err := e.deleteRow(d.t, old, d.txn); err != nil {
 			return err
 		}
-		return d.logged(e.wal.TxDelete(d.txn, d.t.ID, old))
+		d.logged(e.wal.TxDelete(d.txn, d.t.ID, old))
+		return nil
 	})
 }

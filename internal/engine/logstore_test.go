@@ -201,7 +201,7 @@ func TestCheckRecoveredSeesLeadingBinlog(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		return checkRecovered(t, r, refs, acked)
+		return checkRecovered(t, r, refs, acked, acked+1)
 	}
 	if diverged, leads := recoverAndCheck(); diverged || leads {
 		t.Fatalf("clean directory: diverged %v, binlog leads %v; want neither", diverged, leads)

@@ -62,12 +62,15 @@ func (l *logFile) truncateTo(off int64) error {
 }
 
 // appendBatch makes the batch encoded in each file's buf durable. The
-// durable-op sequence is a contract (the crash-torture schedule
-// enumerates it by ordinal): every file's write, then every file's
-// sync, in argument order, skipping files with nothing to append.
-// Offsets advance only after all of it succeeded: a failed or torn
-// batch is overwritten by the next one, and a crash leaves at worst a
-// torn tail that recovery truncates.
+// durable-op sequence is a contract (the crash-torture schedule and
+// TestDurableOpsPerStatement enumerate it by ordinal): every file's
+// write, then every file's sync, in argument order, skipping files with
+// nothing to append. A group-commit flush runs it twice — redo and undo,
+// then the binlog — so one flush of a group of autocommit statements is
+// six ops: redo write, undo write, redo sync, undo sync, binlog write,
+// binlog sync. Offsets advance only after all of it succeeded, and a
+// failed batch fails the persistor for good (see persistor.err): a
+// crash leaves at worst a torn tail that recovery truncates.
 func appendBatch(files ...*logFile) error {
 	for _, l := range files {
 		if len(l.buf) == 0 {
@@ -87,29 +90,42 @@ func appendBatch(files ...*logFile) error {
 	}
 	for _, l := range files {
 		l.off += int64(len(l.buf))
+		if cap(l.buf) > maxKeptBuf {
+			l.buf = nil // a bulk load's batch: not kept pinned for good
+		}
 	}
 	return nil
 }
 
+// maxKeptBuf is the largest encode buffer a logFile keeps for reuse.
+const maxKeptBuf = 64 << 10
+
 // persistor is the engine's durability sink and its logs' one store.
-// The WAL and binlog group commit leaders call into it with each
-// flushed batch; it appends the batch to the corresponding file inside
-// CRC32-C frames and fsyncs before the batch is acknowledged, so a
-// statement only returns success once its log records are on stable
-// storage. No copy of the batch is kept in memory.
+// The WAL's group-commit leader calls into it with each flushed batch:
+// the redo and undo records, then the binlog events. It appends each to
+// its file inside CRC32-C frames and fsyncs before the batch is
+// acknowledged, so a statement only returns success once its log
+// records are on stable storage. No copy of the batch is kept in
+// memory.
+//
+// A failed append is sticky: err keeps it, and every later append and
+// checkpoint fails without touching a file. A later batch may already
+// build on the failed batch's rows, which never became visible, so the
+// logs cannot go on past it; reopening the directory runs recovery.
 type persistor struct {
 	mu               sync.Mutex
 	fs               vfs.FS
 	redo, undo, blog logFile
 	closed           bool
+	err              error
 }
 
 // attachPersist appends to the three log files through the handles
 // recovery read them through (creating a file that did not exist), cut
 // back to their parse-verified valid prefixes (cutting off any torn
 // tail a crash left; an empty directory's are 0), and wires the
-// persistor into the WAL and binlog group-commit pipelines as their
-// durability sink. On error it closes the handles.
+// persistor into the WAL's group-commit pipeline as the durability
+// sink of its logs. On error it closes the handles.
 func (e *Engine) attachPersist(fs vfs.FS, redo, undo, blog *logScan) error {
 	p := &persistor{fs: fs}
 	var err error
@@ -138,9 +154,13 @@ func (e *Engine) attachPersist(fs vfs.FS, redo, undo, blog *logScan) error {
 func (p *persistor) appendWAL(redo, undo []wal.Record) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.refusal(); err != nil {
+		return err
+	}
 	p.redo.buf = storage.AppendFrames(p.redo.buf[:0], redo)
 	p.undo.buf = storage.AppendFrames(p.undo.buf[:0], undo)
-	return appendBatch(&p.redo, &p.undo)
+	p.err = appendBatch(&p.redo, &p.undo)
+	return p.err
 }
 
 // appendBinlog is the binlog.Log sink: persist one group-commit batch
@@ -148,8 +168,32 @@ func (p *persistor) appendWAL(redo, undo []wal.Record) error {
 func (p *persistor) appendBinlog(evs []binlog.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.refusal(); err != nil {
+		return err
+	}
 	p.blog.buf = storage.AppendFrames(p.blog.buf[:0], evs)
-	return appendBatch(&p.blog)
+	p.err = appendBatch(&p.blog)
+	return p.err
+}
+
+// failure is the error a write is refused with once an append has
+// failed, or nil; nil for an in-memory engine.
+func (p *persistor) failure() error {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.refusal()
+}
+
+// refusal is the error an append or checkpoint is refused with because
+// an earlier append failed, or nil. Caller holds p.mu.
+func (p *persistor) refusal() error {
+	if p.err == nil {
+		return nil
+	}
+	return fmt.Errorf("engine: logs unwritable since an earlier failure: %w", p.err)
 }
 
 // Close releases a durable engine's log file handles. It is idempotent;
@@ -273,11 +317,14 @@ func DecodeCheckpoint(img []byte) (CheckpointMeta, []byte, error) {
 // supersedes. A crash between the two steps is safe: recovery skips
 // WAL records at or below the checkpoint LSN.
 func (p *persistor) writeCheckpoint(img []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.refusal(); err != nil {
+		return err
+	}
 	if err := vfs.WriteFileAtomic(p.fs, FileCheckpoint, img); err != nil {
 		return fmt.Errorf("engine: checkpoint write: %w", err)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if err := p.redo.truncateTo(0); err != nil {
 		return err
 	}
@@ -326,10 +373,16 @@ func (e *Engine) CheckpointImage() ([]byte, error) {
 
 // checkpointLocked writes a checkpoint of the current engine state.
 // Callers must hold all table locks (the engine must be quiesced) and
-// have verified no transactions are open.
+// have verified no transactions are open. It first flushes every log
+// entry still queued — other sessions' pending groups included — so the
+// image supersedes all of the redo and undo it truncates, and every
+// transaction it captures is resolved.
 func (e *Engine) checkpointLocked() error {
 	if e.persist == nil {
 		return nil
+	}
+	if err := e.wal.SyncAll(); err != nil {
+		return err
 	}
 	img, err := e.CheckpointImage()
 	if err != nil {

@@ -73,6 +73,15 @@ type plan struct {
 	bind   planBindings
 }
 
+// isDML reports whether the statement is an INSERT, UPDATE or DELETE.
+func (p *plan) isDML() bool {
+	switch p.stmt.(type) {
+	case *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete:
+		return true
+	}
+	return false
+}
+
 // planBindings carries the catalog resolution work a plan can reuse
 // across executions. DROP TABLE can orphan the resolved *Table, so the
 // binding is only as good as the plan's epoch: planTable re-checks it

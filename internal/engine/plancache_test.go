@@ -315,6 +315,9 @@ func TestPlanDoesNotOutliveItsTable(t *testing.T) {
 			mustExec(t, ddl, schema)
 			mustExec(t, ddl, "INSERT INTO t (id, v) VALUES (7, 'new')")
 			res, err := e.execute(s, tc.stmt, pl, parseErr, e.Clock())
+			if err == nil {
+				err = s.sync() // what Execute does after execute
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -222,9 +222,7 @@ func (e *Engine) execAnalyzeTable(s *Session, st *sqlparse.AnalyzeTable, query s
 	t.rows.Store(rows) // the scan just counted the truth; resync the hint
 	// Cached plans hold access paths chosen under the old statistics.
 	e.plans.bumpEpoch()
-	if _, err := s.publish(e, 0, binlog.Event{Timestamp: ts, Statement: query}); err != nil {
-		return nil, err
-	}
+	s.publish(e, 0, binlog.Event{Timestamp: ts, Statement: query})
 	res := &Result{
 		Columns: []string{"table", "op", "status"},
 		Rows: []storage.Record{{

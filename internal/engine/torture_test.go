@@ -88,16 +88,17 @@ func refStates(t testing.TB, stmts []string) []tortureRef {
 	return out
 }
 
-// checkRecovered holds an engine recovered at a kill-point to the two
-// statement prefixes it may land on: the acked statements, or those plus
-// the one in flight. diverged: the data matches neither. binlogLeads:
-// the binlog file holds more events than the prefix the data matched —
-// a replica would apply writes the primary lost. (The longer prefix is
-// tried first: a prefix's binlog never shrinks as it grows.)
-func checkRecovered(t testing.TB, r *Engine, refs []tortureRef, acked int) (diverged, binlogLeads bool) {
+// checkRecovered holds an engine recovered at a kill-point to the
+// statement prefixes it may land on: any length from lo (the statements
+// acknowledged durable) to hi (those plus the ones in flight). diverged:
+// the data matches none. binlogLeads: the binlog file holds more events
+// than the prefix the data matched — a replica would apply writes the
+// primary lost. (Longer prefixes are tried first: a prefix's binlog
+// never shrinks as it grows.)
+func checkRecovered(t testing.TB, r *Engine, refs []tortureRef, lo, hi int) (diverged, binlogLeads bool) {
 	t.Helper()
 	got := digestOf(t, r)
-	for _, i := range []int{min(acked+1, len(refs)-1), acked} {
+	for i := min(hi, len(refs)-1); i >= lo; i-- {
 		if refs[i].digest == got {
 			_, _, evs := durableLogs(t, r)
 			return false, len(evs) > refs[i].binlog
@@ -133,6 +134,113 @@ func runUntilErrorCfg(fs vfs.FS, cfg Config, stmts []string) (acked int) {
 	return acked
 }
 
+// tortureSide is the grouped arm's second session: right after the
+// main session submits the keyed statement, while that statement's
+// group is still pending, the side session updates a row it wrote. The
+// side statement is durable on return, so its flush carries the pending
+// group's records too.
+var tortureSide = map[string]string{
+	"INSERT INTO users (id, name, karma) VALUES (4, 'user-04', 40)": "UPDATE users SET name = 'side-4' WHERE id = 4",
+	"UPDATE users SET karma = 999 WHERE id = 2":                     "UPDATE users SET name = 'side-2' WHERE id = 2",
+}
+
+// groupedStmts is tortureStmts with the side session's writes where
+// they run: the order the grouped arm's statements apply in.
+func groupedStmts() []string {
+	var out []string
+	for _, q := range tortureStmts() {
+		out = append(out, q)
+		if side, ok := tortureSide[q]; ok {
+			out = append(out, side)
+		}
+	}
+	return out
+}
+
+// runGrouped replays tortureStmts as the server runs a client that
+// pipelines all of them: every statement goes through Session.Submit,
+// so each run of autocommit writes is one group, synced when the next
+// other statement or the final Flush arrives, and the side session
+// writes into two pending groups. It stops at the first failed reply
+// and returns, in groupedStmts positions, how many statements were
+// synced (the acknowledged prefix) and how many were executed.
+func runGrouped(fs vfs.FS, cfg Config) (synced, executed int) {
+	cfg.FS = fs
+	e, err := New(cfg)
+	if err != nil {
+		return 0, 0
+	}
+	e.Clock = func() int64 { return 1_000_000 }
+	app, side := e.Connect("app"), e.Connect("side")
+	var acked []bool
+	failed := false
+	settle := func(i int, err error) {
+		acked[i] = err == nil
+		failed = failed || err != nil
+	}
+	for _, q := range tortureStmts() {
+		if failed {
+			break
+		}
+		i := len(acked)
+		acked = append(acked, false)
+		app.Submit(q, func(_ *Result, err error) { settle(i, err) })
+		if sq, ok := tortureSide[q]; ok && !failed {
+			acked = append(acked, false)
+			_, err := side.Execute(sq)
+			settle(i+1, err)
+		}
+	}
+	app.Flush()
+	for synced < len(acked) && acked[synced] {
+		synced++
+	}
+	return synced, len(acked)
+}
+
+// tortureGrouped is the grouped arm of the kill-point torture under
+// cfg: runGrouped crashed at every durable op, recovered, and held by
+// checkRecovered to a prefix between the synced and the executed
+// statements, with a binlog that never leads it.
+func tortureGrouped(t *testing.T, cfg Config, seed int64) {
+	stmts := groupedStmts()
+	refs := refStates(t, stmts)
+	dryReg := failpoint.New(seed)
+	if synced, _ := runGrouped(vfs.NewFaultFS(vfs.NewMemFS(), dryReg), cfg); synced != len(stmts) {
+		t.Fatalf("grouped dry run synced %d of %d statements", synced, len(stmts))
+	}
+	total := int(dryReg.TotalHits())
+	leads := 0
+	for k := 1; k <= total; k++ {
+		mem := vfs.NewMemFS()
+		reg := failpoint.New(seed)
+		reg.Arm("*", failpoint.KindCrash, uint64(k))
+		synced, executed := runGrouped(vfs.NewFaultFS(mem, reg), cfg)
+		if !reg.Crashed() {
+			t.Fatalf("kill-point %d never fired (synced %d)", k, synced)
+		}
+		mem.Crash()
+		r, rep, err := Recover(mem, cfg)
+		if err != nil {
+			t.Fatalf("kill-point %d: recovery failed: %v", k, err)
+		}
+		diverged, binlogLeads := checkRecovered(t, r, refs, synced, executed)
+		if diverged {
+			t.Fatalf("kill-point %d diverged: synced %d, executed %d statements, report %+v", k, synced, executed, rep)
+		}
+		if binlogLeads {
+			leads++
+		}
+	}
+	if total < 100 {
+		t.Errorf("only %d kill-points exercised, want >= 100", total)
+	}
+	if leads > 0 {
+		t.Errorf("%d of %d grouped kill-points recover a binlog that leads the recovered data", leads, total)
+	}
+	t.Logf("grouped seed %d: %d kill-points over %d durable ops, all recovered consistently", seed, total, total)
+}
+
 func tortureSeeds(t testing.TB) []int64 {
 	spec := os.Getenv("SNAPDB_TORTURE_SEEDS")
 	if spec == "" {
@@ -155,7 +263,8 @@ func tortureSeeds(t testing.TB) []int64 {
 // matches the reference prefix of acknowledged statements — the
 // in-flight statement may land either way, so digests for acked and
 // acked+1 are both legal — and that the recovered binlog never leads
-// the recovered data.
+// the recovered data. Its grouped arm (tortureGrouped) runs the same
+// workload through pending groups, as the server does.
 func TestCrashTortureKillPoints(t *testing.T) {
 	stmts := tortureStmts()
 	refs := refStates(t, stmts)
@@ -188,7 +297,7 @@ func TestCrashTortureKillPoints(t *testing.T) {
 				if err != nil {
 					t.Fatalf("kill-point %d: recovery failed: %v", k, err)
 				}
-				diverged, binlogLeads := checkRecovered(t, r, refs, acked)
+				diverged, binlogLeads := checkRecovered(t, r, refs, acked, acked+1)
 				if diverged {
 					t.Fatalf("kill-point %d diverged: acked %d statements, report %+v", k, acked, rep)
 				}
@@ -205,6 +314,7 @@ func TestCrashTortureKillPoints(t *testing.T) {
 			}
 			t.Logf("seed %d: %d kill-points over %d durable ops, all recovered consistently", seed, points, total)
 		})
+		t.Run(fmt.Sprintf("grouped/seed=%d", seed), func(t *testing.T) { tortureGrouped(t, Defaults(), seed) })
 	}
 }
 
@@ -255,11 +365,12 @@ func TestCrashTortureDroppedSyncs(t *testing.T) {
 func TestCrashTortureBitFlips(t *testing.T) {
 	stmts := tortureStmts()
 	// The workload's last DDL (CREATE INDEX, statement 9) checkpoints and
-	// truncates the redo file, legitimately erasing the 12 writes before
-	// it — so the flips must target later writes to hit surviving bytes.
+	// truncates the redo file, legitimately erasing the 6 writes before
+	// it — so the flips must target later writes (7..29, one per
+	// statement flush) to hit surviving bytes.
 	// The RedoTruncated assertion below fails loudly if these indices
 	// ever drift back behind the last checkpoint.
-	for _, k := range []uint64{14, 18, 25, 33} {
+	for _, k := range []uint64{14, 18, 25, 29} {
 		mem := vfs.NewMemFS()
 		reg := failpoint.New(int64(k))
 		reg.Arm("write:"+FileRedo, failpoint.KindBitFlip, k)

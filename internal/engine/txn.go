@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -61,50 +62,48 @@ func (s *Session) noteUndo(rec wal.Record) {
 
 // publish ends a statement that changed something. Inside an open
 // transaction its binlog event joins the transaction's buffer and COMMIT
-// publishes it; otherwise the statement is its own transaction txn and
-// commits now, through commitTxn — txn 0 when it logged nothing (ANALYZE
-// TABLE). durable is commitTxn's.
-func (s *Session) publish(e *Engine, txn uint64, ev binlog.Event) (durable bool, err error) {
+// publishes it; otherwise the statement is its own transaction txn —
+// txn 0 when it logged nothing (ANALYZE TABLE) — and commitTxn queues
+// its end, which the session syncs with the rest of its pending group.
+func (s *Session) publish(e *Engine, txn uint64, ev binlog.Event) {
 	if s.txn == nil {
-		return e.commitTxn(txn, txn != 0, []binlog.Event{ev})
+		s.pending = e.commitTxn(txn, txn != 0, []binlog.Event{ev})
+		return
 	}
 	if e.cfg.EnableBinlog {
 		s.txn.mu.Lock()
 		s.txn.binlogBuf = append(s.txn.binlogBuf, ev)
 		s.txn.mu.Unlock()
 	}
-	return true, nil
 }
 
-// commitTxn is the one commit order — COMMIT's, every autocommit
-// statement's, and (with nothing logged) ANALYZE TABLE's and DDL's:
+// commitTxn queues the one commit order — COMMIT's, every autocommit
+// statement's, and (with nothing logged) ANALYZE TABLE's and DDL's — and
+// returns the ticket to sync on. One flush then stores, in order:
 //
-//  1. the WAL commit marker, if txn logged anything: the durability
-//     point, after which recovery replays the changes;
-//  2. the binlog batch, stamped with the commit-time LSN and timestamp;
-//  3. the version store, which makes the changes the visible latest.
+//  1. the WAL commit marker, if txn logged anything, with the redo and
+//     undo records before it: the durability point, after which
+//     recovery replays the changes;
+//  2. the binlog batch, stamped with the marker's LSN and the commit
+//     timestamp;
 //
-// Nothing reaches the binlog before the marker is on disk, so a crash
-// anywhere leaves the recovered binlog at or behind the recovered data,
-// never ahead: a replica never applies a write the primary lost. If the
-// marker fails nothing happened (durable is false) and the caller either
-// compensates or keeps the transaction open. A binlog failure after it
-// is reported but cannot undo the commit.
-func (e *Engine) commitTxn(txn uint64, logged bool, evs []binlog.Event) (durable bool, err error) {
+// and then resolves txn in the version store (wal.Manager.Resolved),
+// which makes its changes the visible latest. Nothing reaches the
+// binlog before the marker is on disk, so a crash anywhere leaves the
+// recovered binlog at or behind the recovered data, never ahead: a
+// replica never applies a write the primary lost. If the flush fails
+// before the marker is durable, txn is not committed and never becomes
+// visible; a binlog failure after it is reported but cannot undo the
+// commit.
+func (e *Engine) commitTxn(txn uint64, logged bool, evs []binlog.Event) wal.Ticket {
+	op := wal.Op(0)
 	if logged {
-		if err := e.wal.LogCommit(txn); err != nil {
-			return false, fmt.Errorf("engine: wal commit: %w", err)
-		}
+		op = wal.OpCommit
 	}
-	var binlogErr error
-	if e.cfg.EnableBinlog {
-		binlogErr = e.binlog.CommitBatch(evs)
+	if !e.cfg.EnableBinlog {
+		evs = nil
 	}
-	e.versions.commit(txn)
-	if binlogErr != nil {
-		return true, fmt.Errorf("engine: binlog: %w", binlogErr)
-	}
-	return true, nil
+	return e.wal.EndTxn(txn, op, evs)
 }
 
 // commitDDL is every DDL statement's durability point. The catalog is
@@ -117,8 +116,7 @@ func (e *Engine) commitDDL(query string, ts int64) error {
 	if err := e.checkpointLocked(); err != nil {
 		return fmt.Errorf("engine: DDL checkpoint: %w", err)
 	}
-	_, err := e.commitTxn(0, false, []binlog.Event{{Timestamp: ts, Statement: query}})
-	return err
+	return e.wal.Sync(e.commitTxn(0, false, []binlog.Event{{Timestamp: ts, Statement: query}}))
 }
 
 // InTransaction reports whether the session has an open transaction.
@@ -143,10 +141,11 @@ func (e *Engine) execTxnControl(s *Session, st *sqlparse.TxnControl, ts int64) (
 		}
 		// Buffered statement events flush with the commit timestamp as
 		// one contiguous batch, as MySQL writes the binlog cache at
-		// commit. If the commit marker fails the transaction stays open:
-		// nothing is durable, and the client may retry or roll back.
-		// commitTxn resolves the versions before openTxns drops, so a
-		// checkpoint finds every chain resolved.
+		// commit. If the flush fails before the commit marker is durable
+		// the transaction stays open: nothing is durable, and the client
+		// may retry or roll back. The flush resolves the versions before
+		// openTxns drops, so a checkpoint finds every chain resolved.
+		txn := s.txn.walTxn
 		s.txn.mu.Lock()
 		logged := len(s.txn.undo) > 0
 		evs := s.txn.binlogBuf
@@ -154,13 +153,15 @@ func (e *Engine) execTxnControl(s *Session, st *sqlparse.TxnControl, ts int64) (
 		for i := range evs {
 			evs[i].Timestamp = ts
 		}
-		durable, err := e.commitTxn(s.txn.walTxn, logged, evs)
-		if !durable {
-			return nil, err
+		err := e.wal.Sync(e.commitTxn(txn, logged, evs))
+		if !logged {
+			e.versions.commit(txn) // no marker: nothing for the flush to resolve
+		} else if err != nil && !errors.Is(err, wal.ErrBinlog) {
+			return nil, fmt.Errorf("engine: commit: %w", err)
 		}
 		s.endTxn(e)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("engine: commit: %w", err)
 		}
 		return &Result{}, nil
 	case sqlparse.TxnRollback:
@@ -197,60 +198,66 @@ func (s *Session) endTxn(e *Engine) *txnState {
 }
 
 // rollbackTxn is the abort protocol — ROLLBACK's, a failed autocommit
-// statement's, and recovery's for a loser: undo the logged changes, log
-// the abort marker, resolve txn in the version store. The marker
-// records that the rollback ran to completion; after a crash, recovery
-// sees it and leaves the compensated state alone instead of undoing a
-// second time. Resolving txn makes the compensated (= pre-transaction)
-// state the visible latest; the intermediate versions stay invisible to
-// every view, and purge can reclaim the chains.
+// statement's, and recovery's for a loser: undo the logged changes,
+// queue the abort marker behind the compensations, and sync them all
+// in one step. The marker records that the rollback ran to completion;
+// after a crash, recovery sees it and leaves the compensated state alone
+// instead of undoing a second time. Its flush resolves txn in the
+// version store (a transaction that logged nothing is resolved here),
+// which makes the compensated (= pre-transaction) state the visible
+// latest; the intermediate versions stay invisible to every view, and
+// purge can reclaim the chains.
 func (e *Engine) rollbackTxn(txn uint64, undo []wal.Record) error {
-	if err := e.applyUndo(txn, undo); err != nil {
+	if _, err := e.applyUndo(txn, undo); err != nil {
 		return err
 	}
-	if len(undo) > 0 {
-		if err := e.wal.LogAbort(txn); err != nil {
-			return fmt.Errorf("abort marker: %w", err)
-		}
+	if len(undo) == 0 {
+		e.versions.commit(txn)
+		return nil
 	}
-	e.versions.commit(txn)
+	if err := e.wal.Sync(e.wal.EndTxn(txn, wal.OpAbort, nil)); err != nil {
+		return fmt.Errorf("abort marker: %w", err)
+	}
 	return nil
 }
 
-// applyUndo reverses a transaction's changes newest-first, logging
+// applyUndo reverses a transaction's changes newest-first, queueing
 // compensating records to the WAL under the same transaction id (as
 // InnoDB does) — which is exactly why §3 notes that even aborted
-// activity persists on disk.
-func (e *Engine) applyUndo(txn uint64, undo []wal.Record) error {
+// activity persists on disk. It returns the last compensation's ticket.
+func (e *Engine) applyUndo(txn uint64, undo []wal.Record) (wal.Ticket, error) {
+	var last wal.Ticket
 	for i := len(undo) - 1; i >= 0; i-- {
 		rec := undo[i]
 		t, ok := e.TableByID(rec.Table)
 		if !ok {
-			return fmt.Errorf("undo references unknown table %d", rec.Table)
+			return last, fmt.Errorf("undo references unknown table %d", rec.Table)
 		}
-		if err := e.undoRecord(t, txn, rec); err != nil {
-			return err
+		tk, err := e.undoRecord(t, txn, rec)
+		if err != nil {
+			return last, err
 		}
+		last = tk
 		e.qcache.InvalidateTable(t.Name)
 	}
-	return nil
+	return last, nil
 }
 
 // undoRecord reverses one undo record under the table's write latch
 // (MVCC readers take no stripes, so the latch is what keeps them from
 // observing a half-reversed row): look the row up, run the opposite row
-// mutator, and log the compensation under the same transaction. The
+// mutator, and queue the compensation under the same transaction. The
 // mutators file each compensation's pre-image too: the rolled-back
 // values join the version chains, where — as §3 predicts for aborted
-// activity — they remain recoverable.
-func (e *Engine) undoRecord(t *Table, txn uint64, rec wal.Record) error {
+// activity — they remain recoverable. A row with nothing to reverse
+// queues nothing and returns the zero ticket.
+func (e *Engine) undoRecord(t *Table, txn uint64, rec wal.Record) (tk wal.Ticket, err error) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	if len(rec.Image) < 1 {
-		return fmt.Errorf("corrupt %v-undo image", rec.Op)
+		return tk, fmt.Errorf("corrupt %v-undo image", rec.Op)
 	}
 	key := rec.Image[:1]
-	var logErr error
 	switch rec.Op {
 	case wal.OpInsert:
 		// Undo an insert: delete the row, if it is still there. The
@@ -258,43 +265,40 @@ func (e *Engine) undoRecord(t *Table, txn uint64, rec wal.Record) error {
 		// row for anyone to restore.
 		row, found, err := t.Tree.Search(key[0])
 		if err != nil || !found {
-			return err
+			return tk, err
 		}
 		if err := e.deleteRow(t, row, txn); err != nil {
-			return err
+			return tk, err
 		}
-		_, _, logErr = e.wal.TxDelete(txn, t.ID, key)
+		_, _, tk = e.wal.TxDelete(txn, t.ID, key)
 	case wal.OpUpdate:
 		// Undo an update: restore the old column value.
 		if len(rec.Image) < 2 {
-			return fmt.Errorf("corrupt update-undo image")
+			return tk, fmt.Errorf("corrupt update-undo image")
 		}
 		cur, found, err := t.Tree.Search(key[0])
 		if err != nil {
-			return err
+			return tk, err
 		}
 		if !found {
-			return fmt.Errorf("undo target row %s missing", key[0])
+			return tk, fmt.Errorf("undo target row %s missing", key[0])
 		}
 		col := int(rec.Column)
 		if col >= len(cur) {
-			return fmt.Errorf("undo column %d out of range", col)
+			return tk, fmt.Errorf("undo column %d out of range", col)
 		}
 		if err := e.updateRow(t, cur, []setOp{{idx: col, val: rec.Image[1]}}, txn); err != nil {
-			return err
+			return tk, err
 		}
-		_, _, logErr = e.wal.TxUpdate(txn, t.ID, key, rec.Column, cur[col:col+1], rec.Image[1:2])
+		_, _, tk = e.wal.TxUpdate(txn, t.ID, key, rec.Column, cur[col:col+1], rec.Image[1:2])
 	case wal.OpDelete:
 		// Undo a delete: reinsert the full old row.
 		if err := e.insertRow(t, rec.Image.Clone(), txn); err != nil {
-			return err
+			return tk, err
 		}
-		_, _, logErr = e.wal.TxInsert(txn, t.ID, rec.Image)
+		_, _, tk = e.wal.TxInsert(txn, t.ID, rec.Image)
 	default:
-		return fmt.Errorf("unknown undo op %v", rec.Op)
+		return tk, fmt.Errorf("unknown undo op %v", rec.Op)
 	}
-	if logErr != nil {
-		return fmt.Errorf("logging compensation: %w", logErr)
-	}
-	return nil
+	return tk, nil
 }

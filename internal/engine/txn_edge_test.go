@@ -88,15 +88,15 @@ func TestCommitCrashBetweenWALAndBinlog(t *testing.T) {
 	}
 }
 
-// TestStatementDurabilityFailures injects one I/O error into each
-// durable write of an autocommit INSERT — its data redo record, its
-// commit marker, its binlog event — and into the first column's redo
-// record of a two-column UPDATE, and holds the statement to one rule:
-// an error means it had no effect anywhere, so a second session reads
-// the table as before it and recovery rebuilds the same. The exception
-// is a binlog failure after the marker is durable: as with COMMIT, the
-// statement is committed, the error names the binlog, and the binlog
-// lacks it.
+// TestStatementDurabilityFailures injects one I/O error into each step
+// of an autocommit INSERT's one flush — the redo write that carries its
+// data record and its commit marker, the undo write, the redo sync, the
+// binlog write — and into the redo write of a two-column UPDATE, and
+// holds the statement to one rule: an error means it had no effect
+// anywhere, so a second session reads the table as before it and
+// recovery rebuilds the same. The exception is a binlog failure after
+// the marker is durable: as with COMMIT, the statement is committed,
+// the error names the binlog, and the binlog lacks it.
 func TestStatementDurabilityFailures(t *testing.T) {
 	const (
 		insert = "INSERT INTO t (id, v, n) VALUES (2, 'b', 2)"
@@ -108,7 +108,8 @@ func TestStatementDurabilityFailures(t *testing.T) {
 		committed         bool
 	}{
 		{"INSERT data redo write", insert, "write:" + FileRedo, 1, false},
-		{"INSERT commit marker write", insert, "write:" + FileRedo, 2, false},
+		{"INSERT undo write", insert, "write:" + FileUndo, 1, false},
+		{"INSERT redo sync", insert, "sync:" + FileRedo, 1, false},
 		{"INSERT binlog write", insert, "write:" + FileBinlog, 1, true},
 		{"UPDATE first column redo write", update, "write:" + FileRedo, 1, false},
 	} {

@@ -23,7 +23,11 @@
 // statement lines before reading replies, and replies come back in
 // order, one per statement. The server only flushes its write buffer
 // when its read buffer is drained, so a batch of N statements is
-// answered with close to one TCP flush instead of N.
+// answered with close to one TCP flush instead of N. The autocommit
+// writes among them form one group (engine.Session.Submit): they share
+// one durable log flush at that same boundary, and no reply of the
+// group leaves before that flush — a reply is never sent for a write
+// that is not yet durable, and never an OK for one whose flush failed.
 //
 // Control protocol (exactly-once retry, see resume.go): lines starting
 // with '!' are control lines, never SQL. A client opts in with
@@ -314,11 +318,24 @@ func (s *Server) handle(conn net.Conn) {
 			sess.Close()
 		}
 	}()
+	// current is the session plain statement lines run on.
+	current := func() *engine.Session {
+		if rs != nil {
+			return rs.sess
+		}
+		return sess
+	}
 
 	idle := s.idleTimeout()
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriter(conn)
-	defer w.Flush()
+	reply := func(res *engine.Result, err error) { writeReply(w, res, err) }
+	// Whatever ends the connection, the pending group is settled first
+	// and its replies go out with the rest.
+	defer func() {
+		current().Flush()
+		_ = w.Flush()
+	}()
 	var lineBuf []byte
 	var scratch bytes.Buffer
 	for {
@@ -348,6 +365,7 @@ func (s *Server) handle(conn net.Conn) {
 			// the stream is still in sync: report and keep the session.
 			// Closing silently (the old behavior) made a fat-fingered
 			// quote indistinguishable from a server crash.
+			current().Flush()
 			writeErr(w, errLineTooLong.Error())
 			if r.Buffered() == 0 {
 				if err := w.Flush(); err != nil {
@@ -364,30 +382,30 @@ func (s *Server) handle(conn net.Conn) {
 		// executing half a statement corrupts instead of helps.
 		if line != "" && (rerr == nil || errors.Is(rerr, io.EOF)) {
 			if line[0] == '!' {
+				current().Flush()
 				var done bool
 				rs, done = s.dispatchControl(conn, sess, rs, line, w, &scratch)
 				if done {
 					return
 				}
 			} else {
-				execSess := sess
-				if rs != nil {
-					execSess = rs.sess
-				}
-				s.execTo(w, execSess, line)
+				s.submitTo(w, current(), line, reply)
 			}
 		}
 		if rerr != nil {
 			return
 		}
-		// Pipelining: hold replies in the write buffer while more
-		// statements are already waiting in the read buffer, and flush
-		// once the client has nothing else in flight. A batch client
-		// writes all N statements before reading any reply, so this
-		// never deadlocks — and it turns N per-statement flushes into
-		// one. Interactive clients see no change: their read buffer is
-		// empty after each statement.
+		// Pipelining: while more statements are already waiting in the
+		// read buffer, an autocommit write joins the session's pending
+		// group and every reply waits in the write buffer. Once the
+		// client has nothing else in flight, one flush makes the group
+		// durable, and then its replies go out with one socket write. A
+		// batch client writes all N statements before reading any reply,
+		// so this never deadlocks — and it turns N per-statement log
+		// flushes and socket writes into one each. Interactive clients
+		// see no change: their read buffer is empty after each statement.
 		if r.Buffered() == 0 {
+			current().Flush()
 			if err := w.Flush(); err != nil {
 				return
 			}
@@ -461,23 +479,43 @@ func (rs *resumeSession) last() uint64 {
 	return rs.lastSeq
 }
 
-// execTo runs one statement under admission control and writes its
-// reply — ERR or OK framing — to w.
+// execTo runs one statement under admission control, durable on
+// return, and writes its reply — ERR or OK framing — to w.
 func (s *Server) execTo(w replyWriter, sess *engine.Session, line string) {
 	release := s.admit()
 	if release == nil {
-		// Rejected at the door: the reply is cheap and typed so stamped
-		// clients back off and retry instead of failing the statement.
-		writeErr(w, fmt.Sprintf("overloaded: too many concurrent statements (max %d)", s.MaxConcurrent))
+		s.overloaded(w)
 		return
 	}
 	res, err := safeExecute(sess, line, s.logf)
 	release()
-	if err != nil {
-		writeErr(w, err.Error())
-	} else {
-		writeResult(w, res)
+	writeReply(w, res, err)
+}
+
+// submitTo runs one plain statement line under admission control
+// through the session's pending group (engine.Session.Submit): reply
+// writes its reply to w once the group's flush has settled it. Replies
+// written straight to w settle the group first, so w stays in statement
+// order.
+func (s *Server) submitTo(w replyWriter, sess *engine.Session, line string, reply func(*engine.Result, error)) {
+	release := s.admit()
+	if release == nil {
+		sess.Flush()
+		s.overloaded(w)
+		return
 	}
+	defer release()
+	if err := recovered(line, s.logf, func() { sess.Submit(line, reply) }); err != nil {
+		sess.Flush()
+		reply(nil, err)
+	}
+}
+
+// overloaded writes the reply of a statement rejected at the door: cheap
+// and typed, so stamped clients back off and retry instead of failing
+// the statement.
+func (s *Server) overloaded(w replyWriter) {
+	writeErr(w, fmt.Sprintf("overloaded: too many concurrent statements (max %d)", s.MaxConcurrent))
 }
 
 // renderExec executes one statement and renders its reply into a fresh
@@ -544,25 +582,35 @@ func readLine(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 // alone ("internal error: ...") is useless for diagnosing the crash it
 // papered over.
 func safeExecute(sess *engine.Session, line string, logf func(string, ...any)) (res *engine.Result, err error) {
+	if perr := recovered(line, logf, func() { res, err = sess.Execute(line) }); perr != nil {
+		return nil, perr
+	}
+	return res, err
+}
+
+// recovered runs fn, the execution of statement line, and returns the
+// client-visible error of a panic under it (nil when there was none),
+// logging the panic with its stack to logf.
+func recovered(line string, logf func(string, ...any), fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if logf != nil {
 				logf("server: panic executing %q: %v\n%s", line, r, debug.Stack())
 			}
-			res = nil
 			err = fmt.Errorf("internal error: %v", r)
 		}
 	}()
 	if panicHook != nil {
 		panicHook(line)
 	}
-	return sess.Execute(line)
+	fn()
+	return nil
 }
 
-// panicHook, when non-nil, runs at the top of safeExecute. It exists
-// for tests only: the engine does not panic on any parseable input, so
-// exercising the recovery path end-to-end over a real connection needs
-// an injection point.
+// panicHook, when non-nil, runs before every statement that recovered
+// runs. It exists for tests only: the engine does not panic on any
+// parseable input, so exercising the recovery path end-to-end over a
+// real connection needs an injection point.
 var panicHook func(line string)
 
 // replyWriter is what reply rendering needs from its sink: the
@@ -588,6 +636,16 @@ func writeErr(w replyWriter, msg string) {
 // writer's own buffer keeps the digits off the heap.
 func writeInt(w replyWriter, n int64) {
 	w.Write(strconv.AppendInt(w.AvailableBuffer(), n, 10))
+}
+
+// writeReply writes one statement's reply: ERR if it failed, else its
+// OK framing.
+func writeReply(w replyWriter, res *engine.Result, err error) {
+	if err != nil {
+		writeErr(w, err.Error())
+	} else {
+		writeResult(w, res)
+	}
 }
 
 func writeResult(w replyWriter, res *engine.Result) {

@@ -431,6 +431,10 @@ func (c *cryptFile) sizeAt(off int64) (int64, error) {
 	return c.f.Size()
 }
 
+// maxKeptScratch is the largest scratch buffer a handle keeps between
+// writes.
+const maxKeptScratch = 64 << 10
+
 // scratch returns the handle's reusable buffer cut to n bytes.
 func (c *cryptFile) scratch(n int) []byte {
 	if cap(c.buf) < n {
@@ -455,6 +459,9 @@ func (c *cryptFile) writeSpan(p []byte, off int64) error {
 			return err
 		}
 		_, err := c.f.WriteAt(ct, off)
+		if cap(c.buf) > maxKeptScratch {
+			c.buf = nil // one huge write's buffer is not kept pinned
+		}
 		return err
 	}
 	tt, err := c.fs.loadTweaks(c.name)

@@ -23,10 +23,13 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
+	"snapdb/internal/binlog"
 	"snapdb/internal/commitq"
 	"snapdb/internal/storage"
 )
@@ -346,38 +349,73 @@ func ParseLog(img []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// pendEntry is one queued change in the group-commit pipeline. A
-// transaction marker is redo-only: its undo is the zero Record.
-type pendEntry struct{ redo, undo Record }
+// Ticket names the group-commit batch an enqueued change joined;
+// Manager.Sync on it returns once the change is in its store.
+type Ticket = commitq.Ticket
 
-// Manager owns the global LSN counter and the redo and undo logs, and
-// provides the typed logging entry points the engine calls.
+// ErrBinlog wraps a flush error raised after the batch's redo and undo
+// were stored: its transactions are committed, and only their binlog
+// events are lost.
+var ErrBinlog = errors.New("wal: committed, binlog write failed")
+
+// pendEntry is one queued item of the commit pipeline: a redo record
+// with its undo record (the zero Record for a transaction marker, which
+// is redo-only) or, when redo.Op is 0, one binlog event.
+type pendEntry struct {
+	redo, undo Record
+	ev         binlog.Event
+}
+
+// Manager owns the global LSN counter and the redo and undo logs,
+// provides the typed logging entry points the engine calls, and is the
+// engine's one commit pipeline: the binlog events a commit carries
+// travel through it behind their transaction's marker.
 //
-// Concurrent writers commit through the group-commit queue (commitq,
-// which documents the ordering invariant): each change gets its LSN as
-// it is queued, so both logs come out strictly LSN-ordered no matter how
-// statements interleave, and one leader flushes each batch.
+// Every change, marker and event goes through the group-commit queue
+// (commitq, which documents the ordering invariant). Each change gets
+// its LSN as it is queued, so both logs come out strictly LSN-ordered no
+// matter how statements interleave, and queueing does not wait: the
+// Tx* entry points and EndTxn return a Ticket, and Sync on it returns
+// once everything queued up to it is in its store. The first Sync while
+// no flush runs flushes every entry queued so far, whoever queued it.
 //
-// Each batch goes to one store. If a Sink is attached, the leader hands
-// the batch to it and nowhere else; a sink failure is reported to every
-// writer whose change rode in that batch. This is the durability hook:
-// the persistence layer syncs the batch to disk inside the sink, so a
-// statement only returns success once its log records are on stable
-// storage.
+// A flush writes in a fixed order. First the batch's redo and undo
+// records go to their one store: the Sink if one is attached (the
+// persistence layer writes and syncs both files inside it, so a
+// statement only returns success once its records are on stable
+// storage), the in-memory logs otherwise. Only then do the batch's
+// events go to the binlog's store, so no event is stored before its
+// marker. A Sink failure fails the batch for every waiter in it.
 type Manager struct {
 	q      *commitq.Queue[pendEntry] // its lock also guards lsn and txnSeq
 	lsn    uint64
 	txnSeq uint64
 
-	// Sink, if set, receives each flushed batch (redo records, and the
-	// undo records for entries that have them) in place of Redo and
-	// Undo. Set it before concurrent use.
+	// Sink, if set, receives each flushed batch's redo records, and the
+	// undo records for entries that have them, in place of Redo and Undo.
+	// Set it before concurrent use.
 	Sink func(redo, undo []Record) error
+
+	// Binlog stamps the events EndTxn queues and stores them when their
+	// batch flushes. Set it before concurrent use.
+	Binlog *binlog.Log
+
+	// Resolved, if set, is called with the transaction of each commit
+	// and abort marker a flush made durable, in log order, after the
+	// flush's binlog step (failed or not) and before any waiter of the
+	// batch returns. Set it before concurrent use.
+	Resolved func(txn uint64)
 
 	// Redo and Undo are the in-memory store, used only while no Sink is
 	// attached.
 	Redo *Log
 	Undo *Log
+
+	// The flush's scratch, touched only by the flushing leader.
+	redoBuf, undoBuf []Record
+	evBuf            []binlog.Event
+
+	committed, flushes atomic.Uint64 // redo records stored, and the flushes that stored them
 }
 
 // NewManager creates a manager with the given per-log capacities.
@@ -425,48 +463,115 @@ func (m *Manager) SetRecovered(lsn, txnSeq uint64) {
 	}
 }
 
-// commit runs one change through the group-commit queue, assigning its
-// LSN as it is enqueued: the LSN advances by size, the encoded size of
-// the change, matching InnoDB's byte-offset LSNs (which is what makes
-// the paper's LSN↔timestamp correlation linear in write volume). It
-// returns only after the change is in its store — durable if a Sink is
-// attached, in the in-memory logs otherwise — or after its batch's
-// flush failed.
-func (m *Manager) commit(redo, undo Record, size int) (uint64, Record, error) {
-	e := pendEntry{redo, undo}
-	err := m.q.Commit(func(pend []pendEntry) []pendEntry {
+// change queues one change, assigning its LSN as it is enqueued: the
+// LSN advances by size, the encoded size of the change, matching
+// InnoDB's byte-offset LSNs (which is what makes the paper's
+// LSN↔timestamp correlation linear in write volume).
+func (m *Manager) change(redo, undo Record, size int) (uint64, Record, Ticket) {
+	e := pendEntry{redo: redo, undo: undo}
+	t := m.q.Enqueue(func(pend []pendEntry) []pendEntry {
 		m.lsn += uint64(size)
-		e.redo.LSN = m.lsn
-		if e.undo.Op != 0 {
-			e.undo.LSN = m.lsn
-		}
+		e.redo.LSN, e.undo.LSN = m.lsn, m.lsn
 		return append(pend, e)
 	})
-	return e.redo.LSN, e.undo, err
+	return e.redo.LSN, e.undo, t
 }
 
-// flush is the queue leader's batch flush into the one store: the Sink
-// if attached, the in-memory logs otherwise.
+// EndTxn queues the end of txn: its marker op (OpCommit or OpAbort;
+// none when op is 0), then evs, each stamped by Binlog with the LSN the
+// marker took (the current LSN when there is none), in one critical
+// section. A flush that stores an event therefore holds its marker too.
+// With neither a marker nor events it queues nothing and returns the
+// zero Ticket.
+func (m *Manager) EndTxn(txn uint64, op Op, evs []binlog.Event) Ticket {
+	if op == 0 && len(evs) == 0 {
+		return Ticket{}
+	}
+	return m.q.Enqueue(func(pend []pendEntry) []pendEntry {
+		if op != 0 {
+			marker := Record{Txn: txn, Op: op, Column: WholeRow}
+			m.lsn += uint64(marker.EncodedSize())
+			marker.LSN = m.lsn
+			pend = append(pend, pendEntry{redo: marker})
+		}
+		for _, ev := range evs {
+			pend = append(pend, pendEntry{ev: m.Binlog.Stamp(ev, m.lsn)})
+		}
+		return pend
+	})
+}
+
+// Sync returns once everything queued up to t is in its store, flushing
+// it if no other flush does, or after its batch's flush failed.
+func (m *Manager) Sync(t Ticket) error { return m.q.Wait(t) }
+
+// SyncAll is Sync on everything queued so far.
+func (m *Manager) SyncAll() error { return m.q.Wait(m.q.Tail()) }
+
+// flush is the queue leader's batch flush: redo and undo into their one
+// store, then the events into the binlog's, then Resolved for the
+// markers.
 func (m *Manager) flush(batch []pendEntry) error {
-	redoBatch := make([]Record, 0, len(batch))
-	var undoBatch []Record
-	for _, be := range batch {
-		redoBatch = append(redoBatch, be.redo)
-		if be.undo.Op != 0 {
-			undoBatch = append(undoBatch, be.undo)
+	redo, undo, evs := m.redoBuf[:0], m.undoBuf[:0], m.evBuf[:0]
+	defer func() {
+		m.redoBuf, m.undoBuf, m.evBuf = reusable(redo), reusable(undo), reusable(evs)
+	}()
+	for i := range batch {
+		be := &batch[i]
+		switch {
+		case be.redo.Op == 0:
+			evs = append(evs, be.ev)
+		case be.undo.Op != 0:
+			undo = append(undo, be.undo)
+			fallthrough
+		default:
+			redo = append(redo, be.redo)
 		}
 	}
-	if m.Sink != nil {
-		return m.Sink(redoBatch, undoBatch)
+	if len(redo) > 0 {
+		if m.Sink != nil {
+			if err := m.Sink(redo, undo); err != nil {
+				return err
+			}
+		} else {
+			m.Redo.AppendBatch(redo)
+			m.Undo.AppendBatch(undo)
+		}
+		m.committed.Add(uint64(len(redo)))
+		m.flushes.Add(1)
 	}
-	m.Redo.AppendBatch(redoBatch)
-	m.Undo.AppendBatch(undoBatch)
-	return nil
+	var err error
+	if len(evs) > 0 {
+		if err = m.Binlog.Append(evs); err != nil {
+			err = fmt.Errorf("%w: %w", ErrBinlog, err)
+		}
+	}
+	if m.Resolved != nil {
+		for _, r := range redo {
+			if r.Op.IsMarker() {
+				m.Resolved(r.Txn)
+			}
+		}
+	}
+	return err
 }
 
-// GroupCommitStats reports how many changes have been committed and in
-// how many batch flushes; committed/flushes is the mean group size.
-func (m *Manager) GroupCommitStats() (committed, flushes uint64) { return m.q.Stats() }
+// reusable returns s cleared for reuse as flush scratch, or nil when it
+// grew past what a steady stream of groups needs: a bulk load's huge
+// group is not kept pinned.
+func reusable[T any](s []T) []T {
+	if cap(s) > 1024 {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// GroupCommitStats reports how many redo records have been stored and
+// in how many flushes; committed/flushes is the mean group size.
+func (m *Manager) GroupCommitStats() (committed, flushes uint64) {
+	return m.committed.Load(), m.flushes.Load()
+}
 
 // CurrentLSN returns the current LSN without advancing it.
 func (m *Manager) CurrentLSN() uint64 {
@@ -494,53 +599,54 @@ func DeleteRecords(txn uint64, table uint8, oldRow storage.Record) (redo, undo R
 		Record{Txn: txn, Op: OpDelete, Table: table, Column: WholeRow, Image: oldRow.Clone()}
 }
 
-// TxInsert records a row insertion by txn in both logs, returning the
-// LSN and the undo record (which transactions buffer for rollback). The
-// LSN advances by the encoded size of the row image the change carries.
-func (m *Manager) TxInsert(txn uint64, table uint8, row storage.Record) (uint64, Record, error) {
+// TxInsert queues a row insertion by txn in both logs, returning the
+// LSN, the undo record (which transactions buffer for rollback) and the
+// ticket to Sync on. The LSN advances by the encoded size of the row
+// image the change carries.
+func (m *Manager) TxInsert(txn uint64, table uint8, row storage.Record) (uint64, Record, Ticket) {
 	redo, undo := InsertRecords(txn, table, row)
-	return m.commit(redo, undo, redo.EncodedSize())
+	return m.change(redo, undo, redo.EncodedSize())
 }
 
-// TxUpdate records a single-column update by txn.
-func (m *Manager) TxUpdate(txn uint64, table uint8, key storage.Record, column uint8, oldVal, newVal storage.Record) (uint64, Record, error) {
+// TxUpdate queues a single-column update by txn.
+func (m *Manager) TxUpdate(txn uint64, table uint8, key storage.Record, column uint8, oldVal, newVal storage.Record) (uint64, Record, Ticket) {
 	redo, undo := UpdateRecords(txn, table, key, column, oldVal, newVal)
-	return m.commit(redo, undo, redo.EncodedSize())
+	return m.change(redo, undo, redo.EncodedSize())
 }
 
-// TxDelete records a row deletion by txn.
-func (m *Manager) TxDelete(txn uint64, table uint8, oldRow storage.Record) (uint64, Record, error) {
+// TxDelete queues a row deletion by txn.
+func (m *Manager) TxDelete(txn uint64, table uint8, oldRow storage.Record) (uint64, Record, Ticket) {
 	redo, undo := DeleteRecords(txn, table, oldRow)
-	return m.commit(redo, undo, undo.EncodedSize())
+	return m.change(redo, undo, undo.EncodedSize())
 }
 
-// LogCommit appends txn's commit marker to the redo log. Recovery
-// replays a transaction's changes only if this marker made it to disk —
-// it is the durability point of the transaction.
-func (m *Manager) LogCommit(txn uint64) error { return m.logMarker(txn, OpCommit) }
+// LogCommit appends txn's commit marker to the redo log and returns once
+// it is in its store. Recovery replays a transaction's changes only if
+// this marker made it to disk — it is the durability point of the
+// transaction.
+func (m *Manager) LogCommit(txn uint64) error { return m.Sync(m.EndTxn(txn, OpCommit, nil)) }
 
 // LogAbort appends txn's abort marker to the redo log, recording that
 // the transaction's changes were rolled back on purpose.
-func (m *Manager) LogAbort(txn uint64) error { return m.logMarker(txn, OpAbort) }
-
-func (m *Manager) logMarker(txn uint64, op Op) error {
-	marker := Record{Txn: txn, Op: op, Column: WholeRow}
-	_, _, err := m.commit(marker, Record{}, marker.EncodedSize())
-	return err
-}
+func (m *Manager) LogAbort(txn uint64) error { return m.Sync(m.EndTxn(txn, OpAbort, nil)) }
 
 // LogInsert records a row insertion outside any transaction (txn 0,
-// treated as committed by recovery).
+// treated as committed by recovery) and returns once it is in its store.
 func (m *Manager) LogInsert(table uint8, row storage.Record) (uint64, Record, error) {
-	return m.TxInsert(0, table, row)
+	return m.synced(m.TxInsert(0, table, row))
 }
 
 // LogUpdate records a single-column update outside any transaction.
 func (m *Manager) LogUpdate(table uint8, key storage.Record, column uint8, oldVal, newVal storage.Record) (uint64, Record, error) {
-	return m.TxUpdate(0, table, key, column, oldVal, newVal)
+	return m.synced(m.TxUpdate(0, table, key, column, oldVal, newVal))
 }
 
 // LogDelete records a row deletion outside any transaction.
 func (m *Manager) LogDelete(table uint8, oldRow storage.Record) (uint64, Record, error) {
-	return m.TxDelete(0, table, oldRow)
+	return m.synced(m.TxDelete(0, table, oldRow))
+}
+
+// synced syncs a queued change's ticket.
+func (m *Manager) synced(lsn uint64, undo Record, t Ticket) (uint64, Record, error) {
+	return lsn, undo, m.Sync(t)
 }

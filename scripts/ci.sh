@@ -15,7 +15,9 @@
 #     the engine's SQL held to a map-backed SQL model.
 #   - crash torture seed matrix: the kill-point harness (recovered data
 #     matches a statement prefix, the recovered binlog file never leads
-#     it), the checks that durable logs are read from their files (one
+#     it) in both arms, statements one at a time and submitted as
+#     pending groups (plain and encrypted), the durable-op counts per
+#     statement, the checks that durable logs are read from their files (one
 #     store per log), recovery's one-descent replay held to its
 #     properties (the recovered state is the acknowledged statements'
 #     minus the losers, and every record follows the per-record trace
@@ -140,7 +142,7 @@ fuzz ./internal/engine FuzzSQLMatchesModel
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestLosersAcrossBatches|TestPipelinedRecoveryFailures|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
+        -run 'TestCrashTorture|TestDurableOpsPerStatement|TestGroupedFlushWritesSameBytes|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestLosersAcrossBatches|TestPipelinedRecoveryFailures|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
