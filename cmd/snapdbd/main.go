@@ -26,7 +26,9 @@
 // -datadir makes the engine durable: logs, checkpoints, and the
 // buffer-pool dump persist under DIR, and boot runs crash recovery
 // over whatever a previous process left there. Without it the engine
-// is memory-only, as before.
+// writes the same files to a private in-memory directory, lost at
+// exit. Its redo and undo files grow until a DDL checkpoint truncates
+// them and its binlog for good: memory grows with the write volume.
 //
 // -encrypt encrypts the datadir at rest with the 32-byte key in
 // SNAPDB_ENCRYPTION_KEY (64 hex chars), deterministic per-page tweaks
@@ -73,7 +75,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7001", "listen address")
 	harden := flag.Bool("harden", false, "apply the hardened configuration")
-	datadir := flag.String("datadir", "", "persist to this directory and recover from it at boot (empty = memory-only)")
+	datadir := flag.String("datadir", "", "persist to this directory and recover from it at boot (empty = an in-memory directory, lost at exit, whose logs grow with every write)")
 	idle := flag.Duration("idle-timeout", server.DefaultIdleTimeout,
 		"close connections idle longer than this (0 or negative disables)")
 	stmtTimeout := flag.Duration("stmt-timeout", 0,
@@ -186,9 +188,9 @@ func wrapNetFaults(ln net.Listener) (net.Listener, error) {
 	return netfault.WrapListener(ln, netfault.Config{Reg: reg, Label: "srv"}), nil
 }
 
-// openEngine builds the engine: memory-only without a datadir, or
-// recovered from (and persisting to) the datadir, optionally wrapped
-// in the SNAPDB_FAILPOINTS fault injector.
+// openEngine builds the engine: on a private in-memory directory
+// without a datadir, or recovered from (and persisting to) the datadir,
+// optionally wrapped in the SNAPDB_FAILPOINTS fault injector.
 func openEngine(cfg engine.Config, datadir string) (*engine.Engine, error) {
 	if datadir == "" {
 		return engine.New(cfg)

@@ -7,6 +7,8 @@ import (
 	"snapdb/internal/crypto/prim"
 	"snapdb/internal/edb/arxx"
 	"snapdb/internal/engine"
+	"snapdb/internal/snapshot"
+	"snapdb/internal/wal"
 )
 
 // arxWithWorkload builds an Arx index over n distinct values and runs q
@@ -46,6 +48,17 @@ func arxWithWorkload(t testing.TB, n, q int, seed int64) (*arxx.Index, *engine.E
 	return ix, e, truth
 }
 
+// redoRecords is the redo file of e's data directory, as a disk thief
+// reads it.
+func redoRecords(t testing.TB, e *engine.Engine) []wal.Record {
+	t.Helper()
+	recs, err := wal.ParseLog(snapshot.Capture(e, snapshot.DiskTheft).Disk.RedoLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func arxTableID(t testing.TB, e *engine.Engine) uint8 {
 	t.Helper()
 	tbl, ok := e.Table("arx_idx")
@@ -57,7 +70,7 @@ func arxTableID(t testing.TB, e *engine.Engine) uint8 {
 
 func TestFromWALReconstructsTranscript(t *testing.T) {
 	ix, e, _ := arxWithWorkload(t, 50, 20, 1)
-	tr, err := FromWAL(e.WAL().Redo.Records(), arxTableID(t, e))
+	tr, err := FromWAL(redoRecords(t, e), arxTableID(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +99,7 @@ func TestFromWALEmptyAndForeignTables(t *testing.T) {
 		t.Errorf("empty WAL: %+v, err %v", tr, err)
 	}
 	_, e, _ := arxWithWorkload(t, 10, 2, 2)
-	tr, err = FromWAL(e.WAL().Redo.Records(), 99) // wrong table
+	tr, err = FromWAL(redoRecords(t, e), 99) // wrong table
 	if err != nil || len(tr.Visits) != 0 {
 		t.Errorf("foreign table: %+v, err %v", tr, err)
 	}
@@ -125,7 +138,7 @@ func TestOrderRecoveryNearPerfect(t *testing.T) {
 	}
 	const n, q = 60, 400
 	_, e, truth := arxWithWorkload(t, n, q, 4)
-	tr, err := FromWAL(e.WAL().Redo.Records(), arxTableID(t, e))
+	tr, err := FromWAL(redoRecords(t, e), arxTableID(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +163,7 @@ func TestFrequencyBaselineWeakerThanOrderAttack(t *testing.T) {
 	}
 	const n, q = 40, 300
 	_, e, truth := arxWithWorkload(t, n, q, 8)
-	tr, err := FromWAL(e.WAL().Redo.Records(), arxTableID(t, e))
+	tr, err := FromWAL(redoRecords(t, e), arxTableID(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +236,7 @@ func TestVisitMatchesArxTraversal(t *testing.T) {
 	if _, err := ix.RangeQuery(2, 5); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := FromWAL(e.WAL().Redo.Records(), arxTableID(t, e))
+	tr, err := FromWAL(redoRecords(t, e), arxTableID(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}

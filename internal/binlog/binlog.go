@@ -6,9 +6,11 @@
 // never purged without an explicit administrative command, and it gives
 // a disk-snapshot attacker both query text and timing.
 //
-// On disk (Serialize) every event travels inside a CRC32-C frame, so a
-// reader can stop cleanly at a torn or corrupt tail. Reader implements
-// the pre-installed mysqlbinlog-style utility view.
+// An engine keeps its binlog in one file of its data directory (the
+// Sink); only a Log used on its own keeps events in memory. On disk
+// (Serialize) every event travels inside a CRC32-C frame, so a reader
+// can stop cleanly at a torn or corrupt tail. Reader implements the
+// pre-installed mysqlbinlog-style utility view.
 package binlog
 
 import (
@@ -77,8 +79,9 @@ func decodeHeader(b []byte) (Event, int, error) {
 	return ev, eventHeaderSize + n, nil
 }
 
-// Log is the binary log. Its in-memory store grows without bound until
-// Purge is called, matching MySQL's default retention.
+// Log is the binary log. Its in-memory store grows without bound,
+// matching MySQL's default retention (only an explicit administrative
+// purge removes binlog content).
 //
 // Every event is stamped as it is committed — timestamp and LSN clamped
 // to be non-decreasing — so the on-disk binlog is monotone in both. In
@@ -197,20 +200,6 @@ func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.events)
-}
-
-// Purge discards all events up to (excluding) the first one with
-// timestamp >= before — the explicit administrative command the paper
-// notes is the only way binlog content disappears.
-func (l *Log) Purge(before int64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cut := 0
-	for cut < len(l.events) && l.events[cut].Timestamp < before {
-		cut++
-	}
-	l.events = append([]Event(nil), l.events[cut:]...)
-	return cut
 }
 
 // Serialize renders the log as a byte image (the on-disk binlog file):

@@ -91,24 +91,6 @@ func TestParseWithReportPresizes(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	l := New()
-	for i := int64(0); i < 10; i++ {
-		l.Commit(Event{Timestamp: i, LSN: uint64(i), Statement: "x"})
-	}
-	purged := l.Purge(5)
-	if purged != 5 {
-		t.Errorf("purged %d, want 5", purged)
-	}
-	evs := l.Events()
-	if len(evs) != 5 || evs[0].Timestamp != 5 {
-		t.Errorf("remaining = %+v", evs)
-	}
-	if l.Purge(0) != 0 {
-		t.Error("purge before oldest removed events")
-	}
-}
-
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(ts int64, lsn uint64, stmt string) bool {
 		ev := Event{Timestamp: ts, LSN: lsn, Statement: stmt}

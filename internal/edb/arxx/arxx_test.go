@@ -8,6 +8,7 @@ import (
 
 	"snapdb/internal/crypto/prim"
 	"snapdb/internal/engine"
+	"snapdb/internal/snapshot"
 	"snapdb/internal/wal"
 )
 
@@ -122,7 +123,15 @@ func TestRepairWritesLandInWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	walBefore := len(e.WAL().Redo.Records())
+	redo := func() []wal.Record {
+		t.Helper()
+		recs, err := wal.ParseLog(snapshot.Capture(e, snapshot.DiskTheft).Disk.RedoLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	walBefore := len(redo())
 	repairsBefore := ix.Repairs()
 	if _, err := ix.RangeQuery(20, 80); err != nil {
 		t.Fatal(err)
@@ -132,7 +141,7 @@ func TestRepairWritesLandInWAL(t *testing.T) {
 		t.Fatal("range query consumed no nodes")
 	}
 	var updates int
-	for _, r := range e.WAL().Redo.Records()[walBefore:] {
+	for _, r := range redo()[walBefore:] {
 		if r.Op == wal.OpUpdate {
 			updates++
 		}
@@ -213,7 +222,7 @@ func TestRepairStatementsAreOpaque(t *testing.T) {
 	if _, err := ix.RangeQuery(0, 1<<31); err != nil {
 		t.Fatal(err)
 	}
-	img := string(e.Binlog().Serialize())
+	img := string(snapshot.Capture(e, snapshot.DiskTheft).Disk.Binlog)
 	if strings.Contains(img, "31337") {
 		t.Error("plaintext value leaked into repair statement")
 	}

@@ -7,6 +7,7 @@ import (
 
 	"snapdb/internal/crypto/prim"
 	"snapdb/internal/engine"
+	"snapdb/internal/snapshot"
 	"snapdb/internal/sqlparse"
 )
 
@@ -79,7 +80,7 @@ func TestServerNeverSeesPlaintext(t *testing.T) {
 	seedPatients(t, p)
 	// The engine's binlog holds every INSERT as sent; no plaintext may
 	// appear.
-	img := string(e.Binlog().Serialize())
+	img := string(snapshot.Capture(e, snapshot.DiskTheft).Disk.Binlog)
 	for _, secret := range []string{"alice", "diabetes", "hiv", "insulin", "fever"} {
 		if strings.Contains(img, secret) {
 			t.Errorf("binlog contains plaintext %q", secret)

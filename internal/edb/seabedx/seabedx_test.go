@@ -6,6 +6,7 @@ import (
 
 	"snapdb/internal/crypto/prim"
 	"snapdb/internal/engine"
+	"snapdb/internal/snapshot"
 )
 
 func newEngine(t testing.TB) *engine.Engine {
@@ -108,7 +109,7 @@ func TestNoPlaintextReachesEngine(t *testing.T) {
 	if _, err := tbl.CountWhere("hiv"); err != nil {
 		t.Fatal(err)
 	}
-	img := string(e.Binlog().Serialize())
+	img := string(snapshot.Capture(e, snapshot.DiskTheft).Disk.Binlog)
 	for _, secret := range []string{"flu", "hiv", "rare-disease"} {
 		if strings.Contains(img, "'"+secret+"'") {
 			t.Errorf("binlog contains plaintext literal %q", secret)

@@ -90,11 +90,10 @@ func TestConcurrentMixedMultiTable(t *testing.T) {
 	}
 
 	// (b) WAL order: strictly increasing LSNs in both logs.
-	redo := e.WAL().Redo.Records()
+	redo, undo, evs := durableLogs(t, e)
 	if got := len(dataRecords(redo)); got != workers*perWorker {
 		t.Fatalf("redo data records = %d, want %d", got, workers*perWorker)
 	}
-	undo := e.WAL().Undo.Records()
 	for i := 1; i < len(redo); i++ {
 		if redo[i].LSN <= redo[i-1].LSN {
 			t.Fatalf("redo LSN order violated at %d: %d after %d", i, redo[i].LSN, redo[i-1].LSN)
@@ -108,7 +107,6 @@ func TestConcurrentMixedMultiTable(t *testing.T) {
 
 	// (b) Binlog order: timestamps and LSNs non-decreasing, and every
 	// event's LSN within the range the WAL actually reached.
-	evs := e.Binlog().Events()
 	if len(evs) != workers*perWorker+2 { // +2 CREATEs
 		t.Fatalf("binlog events = %d, want %d", len(evs), workers*perWorker+2)
 	}
@@ -169,10 +167,11 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Errorf("count = %d, want %d", res.Rows[0][0].Int, workers*perWorker)
 	}
 	// Every write made it into the WAL and binlog exactly once.
-	if got := len(dataRecords(e.WAL().Redo.Records())); got != workers*perWorker {
+	redo, _, evs := durableLogs(t, e)
+	if got := len(dataRecords(redo)); got != workers*perWorker {
 		t.Errorf("WAL data records = %d, want %d", got, workers*perWorker)
 	}
-	if got := e.Binlog().Len(); got != workers*perWorker+1 { // +1 CREATE
+	if got := len(evs); got != workers*perWorker+1 { // +1 CREATE
 		t.Errorf("binlog events = %d, want %d", got, workers*perWorker+1)
 	}
 }

@@ -51,7 +51,7 @@ func TestStatementTimeoutReturnsTypedError(t *testing.T) {
 func TestStatementTimeoutAbortsUpdateBeforeMutation(t *testing.T) {
 	e, s, step := timeoutEngine(t, 50*time.Millisecond)
 	setupCustomers(t, s, 200)
-	binlogBefore := len(e.Binlog().Events())
+	binlogBefore := len(durableBinlog(t, e))
 
 	*step = time.Second
 	_, err := s.Execute("UPDATE customers SET age = 99 WHERE state = 'CA'")
@@ -64,7 +64,7 @@ func TestStatementTimeoutAbortsUpdateBeforeMutation(t *testing.T) {
 	if got := res.Rows[0][0].Int; got != 0 {
 		t.Fatalf("timed-out UPDATE mutated %d rows", got)
 	}
-	if n := len(e.Binlog().Events()); n != binlogBefore {
+	if n := len(durableBinlog(t, e)); n != binlogBefore {
 		t.Fatalf("timed-out UPDATE emitted %d binlog events", n-binlogBefore)
 	}
 }

@@ -2,12 +2,13 @@
 // in the style of MySQL/InnoDB, assembled from the substrate packages.
 // Every artifact the paper's snapshot attacks exploit is wired in:
 //
-//   - writes go through circular undo/redo WALs (wal) and, when the
-//     binlog is enabled (the production default), into a timestamped
-//     statement binlog (binlog);
+//   - writes go through undo/redo WALs (wal) and, when the binlog is
+//     enabled (the production default), into a timestamped statement
+//     binlog (binlog), each kept in one file of the engine's data
+//     directory — Config.FS, or a private MemFS when that is nil;
 //   - reads traverse per-table B+ trees (btree) through a buffer pool
 //     (bufpool) that maintains LRU order, access counters, and a
-//     periodic dump file;
+//     periodic dump file in the same directory;
 //   - every statement is visible in the processlist (infoschema) while
 //     executing and lands in performance_schema's current/history/
 //     digest tables (perfschema);
@@ -95,13 +96,13 @@ type Config struct {
 	DisablePurge bool
 	PurgeEvery   int
 
-	// FS, when set, makes the engine durable: every WAL and binlog
+	// FS is the engine's data directory: every WAL and binlog
 	// group-commit batch is checksummed, appended and fsynced to files
-	// in this filesystem before Execute returns (before Session.Flush,
-	// for a statement submitted into a pending group), DDL writes a
-	// crash-atomic checkpoint, and periodic buffer-pool dumps go to
-	// disk. Nil (the default) keeps the engine fully in-memory, as the
-	// experiments and most tests use it. New on an FS opens what it
+	// in it before Execute returns (before Session.Flush, for a
+	// statement submitted into a pending group), DDL writes a
+	// crash-atomic checkpoint to it, and periodic buffer-pool dumps go
+	// there too. Nil (the default) opens a private MemFS directory, as
+	// the experiments and most tests use it. New on an FS opens what it
 	// finds there, exactly as Recover does (which also returns the
 	// report); an empty directory is a fresh engine.
 	FS vfs.FS
@@ -261,14 +262,13 @@ type Engine struct {
 	tablesByID  map[uint8]*Table
 	nextTableID uint8
 	nextSession int
-	bufpoolDump []byte // last periodic dump of the buffer pool
 
-	// persist is the durability sink; nil for an in-memory engine.
+	// persist is the durability sink and the logs' one store.
 	persist *persistor
 	// openTxns counts sessions with an open explicit transaction;
-	// checkpoints (and therefore DDL on a durable engine) refuse while
-	// it is nonzero, because open transactions' undo information lives
-	// in the WAL files a checkpoint truncates.
+	// checkpoints (and therefore DDL) refuse while it is nonzero,
+	// because open transactions' undo information lives in the WAL
+	// files a checkpoint truncates.
 	openTxns atomic.Int64
 
 	statements atomic.Uint64 // executed statement count, drives periodic dumps
@@ -285,16 +285,17 @@ type Engine struct {
 // experiments are deterministic).
 const DumpInterval = 100
 
-// New creates an engine with the given configuration. Without
-// cfg.FS it is in-memory and empty. With cfg.FS it is durable on that
-// FS and opened through Recover: an empty directory is a fresh engine,
-// and a data directory comes back as it was left.
+// New creates an engine with the given configuration, opened through
+// Recover on cfg.FS (report dropped): an empty directory is a fresh
+// engine, and a data directory comes back as it was left. Without
+// cfg.FS the directory is a new, private MemFS.
 func New(cfg Config) (*Engine, error) {
-	if cfg.FS != nil {
-		e, _, err := Recover(cfg.FS, cfg)
-		return e, err
+	fs := cfg.FS
+	if fs == nil {
+		fs = vfs.NewMemFS()
 	}
-	return build(cfg, storage.NewTablespace())
+	e, _, err := Recover(fs, cfg)
+	return e, err
 }
 
 // build is the engine's one constructor: an engine with an empty
@@ -616,16 +617,10 @@ func (s *Session) exec(query string, group bool) (res *Result, grouped bool, err
 
 	n := e.statements.Add(1)
 	if n%DumpInterval == 0 {
-		dump := e.pool.DumpFile()
-		e.mu.Lock()
-		e.bufpoolDump = dump
-		e.mu.Unlock()
-		if e.persist != nil {
-			// Best-effort, like MySQL's periodic dump: the statement
-			// already succeeded, and recovery validates the dump's
-			// checksum before trusting it.
-			_ = e.persist.writeDump(dump)
-		}
+		// Best-effort, like MySQL's periodic dump: the statement
+		// already succeeded, and recovery validates the dump's
+		// checksum before trusting it.
+		_ = e.persist.writeDump(e.pool.DumpFile())
 	}
 	// Inline MVCC purge, the deterministic analogue of InnoDB's purge
 	// thread. Statement-count driven so experiments can reproduce the
@@ -717,18 +712,16 @@ func (e *Engine) execute(s *Session, query string, pl *plan, parseErr error, ts 
 // admitDDL is the one admission rule for DDL, checked with every
 // stripe held. DDL is not transactional, so it is refused inside the
 // session's own open transaction: its rollback would replay undo
-// records against a catalog that changed under them. A durable engine
-// also refuses it while any transaction is open, because the
-// checkpoint DDL writes truncates the WAL files that hold open
-// transactions' undo information.
+// records against a catalog that changed under them. It is also
+// refused while any transaction is open, because the checkpoint DDL
+// writes truncates the WAL files that hold open transactions' undo
+// information.
 func (e *Engine) admitDDL(s *Session) error {
 	if s.txn != nil {
 		return fmt.Errorf("engine: DDL inside an open transaction is not supported")
 	}
-	if e.persist != nil {
-		if n := e.openTxns.Load(); n != 0 {
-			return fmt.Errorf("engine: DDL refused: %d open transaction(s)", n)
-		}
+	if n := e.openTxns.Load(); n != 0 {
+		return fmt.Errorf("engine: DDL refused: %d open transaction(s)", n)
 	}
 	return nil
 }

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"snapdb/internal/bufpool"
 	"snapdb/internal/sqlparse"
 )
 
@@ -265,7 +268,7 @@ func TestBinlogRecordsWritesWithTimestamps(t *testing.T) {
 	mustExec(t, s, "SELECT * FROM t WHERE id = 1") // reads must NOT hit the binlog
 	mustExec(t, s, "UPDATE t SET v = 'updated' WHERE id = 1")
 
-	evs := e.Binlog().Events()
+	_, _, evs := durableLogs(t, e)
 	if len(evs) != 3 { // create, insert, update
 		t.Fatalf("binlog has %d events: %+v", len(evs), evs)
 	}
@@ -292,7 +295,7 @@ func TestBinlogDisabled(t *testing.T) {
 	s := e.Connect("app")
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
 	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 1)")
-	if e.Binlog().Len() != 0 {
+	if _, _, evs := durableLogs(t, e); len(evs) != 0 {
 		t.Error("disabled binlog recorded events")
 	}
 }
@@ -305,8 +308,8 @@ func TestWALRecordsByteLevelChanges(t *testing.T) {
 	mustExec(t, s, "UPDATE t SET v = 'modified' WHERE id = 7")
 	mustExec(t, s, "DELETE FROM t WHERE id = 7")
 
-	redo := dataRecords(e.WAL().Redo.Records())
-	undo := e.WAL().Undo.Records()
+	redo, undo, _ := durableLogs(t, e)
+	redo = dataRecords(redo)
 	if len(redo) != 3 || len(undo) != 3 {
 		t.Fatalf("redo=%d undo=%d", len(redo), len(undo))
 	}
@@ -483,22 +486,38 @@ func TestGeneralLogOffByDefaultOnWhenEnabled(t *testing.T) {
 	}
 }
 
+// TestBufferPoolDumpWrittenPeriodically: the buffer-pool dump has one
+// store, its file, written every DumpInterval statements and again at
+// Shutdown.
 func TestBufferPoolDumpWrittenPeriodically(t *testing.T) {
 	e, _ := newEngine(t, Defaults())
 	s := e.Connect("app")
 	setupCustomers(t, s, 30)
-	if e.LastBufferPoolDump() == nil {
-		// 31 statements so far; force past the interval.
-		for i := 0; i < DumpInterval; i++ {
-			mustExec(t, s, "SELECT * FROM customers WHERE id = 1")
+	dump := func() []byte {
+		t.Helper()
+		b, err := e.Dir().ReadFile(FileBufferPool)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
 		}
+		return b
 	}
-	if e.LastBufferPoolDump() == nil {
-		t.Fatal("no periodic buffer pool dump written")
+	if dump() != nil {
+		t.Fatalf("a dump was written after %d statements, before the first interval", e.Statements())
 	}
-	shutdown := e.Shutdown()
-	if len(shutdown) == 0 {
-		t.Error("shutdown dump empty")
+	if err := e.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufpool.ParseDump(dump()); err != nil {
+		t.Fatalf("shutdown dump: %v", err)
+	}
+	if err := e.Dir().Remove(FileBufferPool); err != nil {
+		t.Fatal(err)
+	}
+	for e.Statements() < DumpInterval {
+		mustExec(t, s, "SELECT * FROM customers WHERE id = 1")
+	}
+	if _, err := bufpool.ParseDump(dump()); err != nil {
+		t.Fatalf("no periodic buffer pool dump written: %v", err)
 	}
 }
 

@@ -6,7 +6,9 @@ package engine
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -29,24 +31,22 @@ func submitAll(t testing.TB, s *Session, qs []string) {
 	s.Flush()
 }
 
-// TestDurableOpsPerStatement pins the durable-op cost of every kind of
-// statement — writes, syncs and every other mutating file operation,
-// counted as failpoint evaluations below a FaultFS — so that a change
-// to the commit pipeline's cadence shows as an exact count, not as a
-// timing. An autocommit write is one flush however many rows it
-// changes (redo, undo and binlog each written and synced), a pipelined
-// group of them is one flush too, a statement inside a transaction
-// writes and syncs its redo and undo at its ack, COMMIT writes and
-// syncs its marker and its binlog events, ROLLBACK its compensations and
-// abort marker in one step, and a SELECT touches nothing.
-func TestDurableOpsPerStatement(t *testing.T) {
-	reg := failpoint.New(1)
-	cfg := Defaults()
-	cfg.FS = vfs.NewFaultFS(vfs.NewMemFS(), reg)
-	e, _ := newEngine(t, cfg)
-	s := e.Connect("app")
-	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+var updateCost = flag.Bool("update", false, "rewrite testdata/cost.golden from this run")
 
+// TestDurableOpsPerStatement is the cost census: per statement class,
+// on a plain and a deterministic-CryptFS engine, the durable ops it
+// costs — writes, syncs and every other mutating file operation,
+// counted as failpoint evaluations below a FaultFS — and the bytes it
+// appends to the redo, undo and binlog files, read against
+// testdata/cost.golden. A change to the commit pipeline's cadence or to
+// a log's encoding shows as a diff of that file, not as a timing. An
+// autocommit write is one flush however many rows it changes (redo,
+// undo and binlog each written and synced), a pipelined group of them
+// is one flush too, a statement inside a transaction writes and syncs
+// its redo and undo at its ack, COMMIT writes and syncs its marker and
+// its binlog events, ROLLBACK its compensations and abort marker in one
+// step, and a SELECT touches nothing.
+func TestDurableOpsPerStatement(t *testing.T) {
 	rows := func(lo, n int) string {
 		var tuples []string
 		for i := lo; i < lo+n; i++ {
@@ -58,34 +58,80 @@ func TestDurableOpsPerStatement(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		group = append(group, rows(200+i, 1))
 	}
-	exec := func(q string) func() { return func() { mustExec(t, s, q) } }
-	for _, tc := range []struct {
+	census := []struct {
 		name string
-		run  func()
-		want uint64
+		stmt string // "" runs group
 	}{
-		{"autocommit INSERT, 1 row", exec(rows(1, 1)), 6},
-		{"autocommit INSERT, 50 rows", exec(rows(100, 50)), 6},
-		{"group of 16 single-row INSERTs", func() { submitAll(t, s, group) }, 6},
-		{"autocommit UPDATE, 1 row", exec("UPDATE t SET v = 'u' WHERE id = 1"), 6},
-		{"autocommit UPDATE, 50 rows", exec("UPDATE t SET v = 'u' WHERE id >= 100 AND id <= 149"), 6},
-		{"autocommit DELETE, 1 row", exec("DELETE FROM t WHERE id = 1"), 6},
-		{"autocommit DELETE, 50 rows", exec("DELETE FROM t WHERE id >= 100 AND id <= 149"), 6},
-		{"SELECT", exec("SELECT v FROM t WHERE id = 200"), 0},
-		{"BEGIN", exec("BEGIN"), 0},
-		{"UPDATE in a transaction", exec("UPDATE t SET v = 'x' WHERE id = 200"), 4},
-		{"INSERT in a transaction, 3 rows", exec(rows(300, 3)), 4},
-		{"COMMIT", exec("COMMIT"), 4},
-		{"BEGIN", exec("BEGIN"), 0},
-		{"DELETE in a transaction, 2 rows", exec("DELETE FROM t WHERE id >= 201 AND id <= 202"), 4},
-		{"UPDATE in a transaction, 2 rows", exec("UPDATE t SET v = 'y' WHERE id >= 203 AND id <= 204"), 4},
-		{"ROLLBACK", exec("ROLLBACK"), 4},
-	} {
-		before := reg.TotalHits()
-		tc.run()
-		if got := reg.TotalHits() - before; got != tc.want {
-			t.Errorf("%s: %d durable ops, want %d", tc.name, got, tc.want)
+		{"autocommit INSERT, 1 row", rows(1, 1)},
+		{"autocommit INSERT, 50 rows", rows(100, 50)},
+		{"group of 16 single-row INSERTs", ""},
+		{"autocommit UPDATE, 1 row", "UPDATE t SET v = 'u' WHERE id = 1"},
+		{"autocommit UPDATE, 50 rows", "UPDATE t SET v = 'u' WHERE id >= 100 AND id <= 149"},
+		{"autocommit DELETE, 1 row", "DELETE FROM t WHERE id = 1"},
+		{"autocommit DELETE, 50 rows", "DELETE FROM t WHERE id >= 100 AND id <= 149"},
+		{"SELECT", "SELECT v FROM t WHERE id = 200"},
+		{"BEGIN", "BEGIN"},
+		{"UPDATE in a transaction", "UPDATE t SET v = 'x' WHERE id = 200"},
+		{"INSERT in a transaction, 3 rows", rows(300, 3)},
+		{"COMMIT", "COMMIT"},
+		{"BEGIN", "BEGIN"},
+		{"DELETE in a transaction, 2 rows", "DELETE FROM t WHERE id >= 201 AND id <= 202"},
+		{"UPDATE in a transaction, 2 rows", "UPDATE t SET v = 'y' WHERE id >= 203 AND id <= 204"},
+		{"ROLLBACK", "ROLLBACK"},
+	}
+	logs := []string{FileRedo, FileUndo, FileBinlog}
+	var got strings.Builder
+	fmt.Fprintf(&got, "%-8s %-32s %4s %7s %7s %8s\n", "engine", "statement", "ops", "redo_B", "undo_B", "binlog_B")
+	for _, arm := range []struct {
+		name string
+		cfg  Config
+	}{{"plain", Defaults()}, {"cryptfs", cryptCfg(true)}} {
+		reg := failpoint.New(1)
+		mem := vfs.NewMemFS()
+		cfg := arm.cfg
+		cfg.FS = vfs.NewFaultFS(mem, reg)
+		e, _ := newEngine(t, cfg)
+		s := e.Connect("app")
+		mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+		// sizes reads the log files' lengths on the disk below every
+		// wrapper, which counts no durable op.
+		sizes := func() (out [3]int64) {
+			for i, name := range logs {
+				f, err := mem.Open(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[i], err = f.Size(); err != nil {
+					t.Fatal(err)
+				}
+				_ = f.Close()
+			}
+			return out
 		}
+		for _, c := range census {
+			ops, before := reg.TotalHits(), sizes()
+			if c.stmt == "" {
+				submitAll(t, s, group)
+			} else {
+				mustExec(t, s, c.stmt)
+			}
+			after := sizes()
+			fmt.Fprintf(&got, "%-8s %-32s %4d %7d %7d %8d\n", arm.name, c.name, reg.TotalHits()-ops,
+				after[0]-before[0], after[1]-before[1], after[2]-before[2])
+		}
+	}
+	const golden = "testdata/cost.golden"
+	if *updateCost {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want) != got.String() {
+		t.Errorf("cost census differs from %s (rerun with -update if the change is meant):\n--- want\n%s--- got\n%s", golden, want, got.String())
 	}
 }
 

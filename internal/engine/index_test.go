@@ -177,8 +177,8 @@ func TestIndexDDLInBinlog(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
 	mustExec(t, s, "CREATE INDEX idx_v ON t (v)")
 	found := false
-	for _, ev := range e.Binlog().Events() {
-		if strings.Contains(ev.Statement, "CREATE INDEX idx_v") {
+	for _, stmt := range durableBinlog(t, e) {
+		if strings.Contains(stmt, "CREATE INDEX idx_v") {
 			found = true
 		}
 	}

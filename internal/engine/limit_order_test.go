@@ -200,14 +200,14 @@ func TestExplainAnalyzeMutations(t *testing.T) {
 
 	// The binlog records the inner statements, replayable as-is.
 	var sawUpdate, sawDelete, sawExplain bool
-	for _, ev := range e.Binlog().Events() {
-		if strings.HasPrefix(ev.Statement, "UPDATE customers SET age = 99") {
+	for _, stmt := range durableBinlog(t, e) {
+		if strings.HasPrefix(stmt, "UPDATE customers SET age = 99") {
 			sawUpdate = true
 		}
-		if strings.HasPrefix(ev.Statement, "DELETE FROM customers") {
+		if strings.HasPrefix(stmt, "DELETE FROM customers") {
 			sawDelete = true
 		}
-		if strings.Contains(ev.Statement, "EXPLAIN") {
+		if strings.Contains(stmt, "EXPLAIN") {
 			sawExplain = true
 		}
 	}

@@ -13,19 +13,15 @@ import (
 	"snapdb/internal/wal"
 )
 
-// durableLogs reads a durable engine's redo, undo and binlog back from
-// its files — the one store a durable engine keeps its logs in — with
-// recovery's own reader. It reads through the engine's view of its
-// directory, so an encrypted engine's logs come back as plaintext. A
-// torn or corrupt tail fails the test: a live engine's files hold only
-// synced batches, and a recovered engine's were cut to their valid
-// prefix.
+// durableLogs reads an engine's redo, undo and binlog back from its
+// files — the one store an engine keeps its logs in — with recovery's
+// own reader. It reads through the engine's view of its directory, so
+// an encrypted engine's logs come back as plaintext. A torn or corrupt
+// tail fails the test: a live engine's files hold only synced batches,
+// and a recovered engine's were cut to their valid prefix.
 func durableLogs(t testing.TB, e *Engine) (redo, undo []wal.Record, evs []binlog.Event) {
 	t.Helper()
-	if e.persist == nil {
-		t.Fatal("durableLogs: the engine keeps its logs in memory")
-	}
-	fs := e.persist.fs
+	fs := e.Dir()
 	check := func(name string, trunc *TruncationInfo, err error) {
 		t.Helper()
 		if err != nil {
@@ -54,7 +50,7 @@ func durableLogs(t testing.TB, e *Engine) (redo, undo []wal.Record, evs []binlog
 	return redo, undo, evs
 }
 
-// durableBinlog is the statements of a durable engine's binlog file.
+// durableBinlog is the statements of an engine's binlog file.
 func durableBinlog(t testing.TB, e *Engine) []string {
 	t.Helper()
 	_, _, evs := durableLogs(t, e)
@@ -65,7 +61,7 @@ func durableBinlog(t testing.TB, e *Engine) []string {
 	return out
 }
 
-// logStoreScript is DDL first — a durable engine checkpoints at DDL,
+// logStoreScript is DDL first — an engine checkpoints at DDL,
 // which empties its redo and undo files — then every kind of logged
 // write: autocommit DML, a rolled-back and a committed transaction, and
 // a multi-row INSERT that fails on a duplicate key after its first
@@ -100,57 +96,11 @@ func runScript(t *testing.T, s *Session, stmts []string) {
 	}
 }
 
-// TestLogStoresAgree: a log's two stores — an in-memory engine's
-// circular logs and a durable engine's files — hold the same bytes for
-// the same statements, so what E1–E11 read through snapshot.Capture is
-// the format E13–E17 read through snapshot.ReadDirFS. The one
-// difference is retention: a durable engine checkpoints at DDL, which
-// empties its redo and undo files, and an in-memory engine never does.
-func TestLogStoresAgree(t *testing.T) {
-	mem := vfs.NewMemFS()
-	inMem, _ := newEngine(t, Defaults())
-	durable := durableEngine(t, mem)
-	runScript(t, inMem.Connect("app"), logStoreScript)
-	runScript(t, durable.Connect("app"), logStoreScript)
-
-	compare := func(when string, wantRedo, wantUndo []byte) {
-		t.Helper()
-		for _, c := range []struct {
-			name string
-			want []byte
-		}{
-			{FileRedo, wantRedo},
-			{FileUndo, wantUndo},
-			{FileBinlog, inMem.Binlog().Serialize()},
-		} {
-			file, err := mem.ReadFile(c.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(file, c.want) {
-				t.Errorf("%s: %s file holds %d B, the in-memory store %d B — not the same bytes", when, c.name, len(file), len(c.want))
-			}
-		}
-	}
-	compare("after the script", inMem.WAL().Redo.Serialize(), inMem.WAL().Undo.Serialize())
-	if inMem.WAL().Redo.Len() == 0 || inMem.WAL().Undo.Len() == 0 || inMem.Binlog().Len() == 0 {
-		t.Fatal("the script logged nothing: the comparison is vacuous")
-	}
-
-	const ddl = "CREATE INDEX idx_karma ON users (karma)"
-	mustExec(t, inMem.Connect("app"), ddl)
-	mustExec(t, durable.Connect("app"), ddl)
-	if inMem.WAL().Redo.Len() == 0 {
-		t.Error("an in-memory engine's DDL emptied its redo log")
-	}
-	compare("after a DDL checkpoint", nil, nil)
-}
-
-// TestDurableEngineHoldsNoLogHistory pins the memory bound of a durable
-// engine as a count: its logs live in their files only, so the
-// in-memory stores stay empty after a workload, and after recovery
-// plus more writes — recovery reads the files without loading them
-// back into memory.
+// TestDurableEngineHoldsNoLogHistory pins the memory bound of an engine
+// as a count: its logs live in their files only, so the in-memory
+// stores stay empty after a workload, and after recovery plus more
+// writes — recovery reads the files without loading them back into
+// memory.
 func TestDurableEngineHoldsNoLogHistory(t *testing.T) {
 	mem := vfs.NewMemFS()
 	e := durableEngine(t, mem)

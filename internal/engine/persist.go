@@ -14,7 +14,7 @@ import (
 	"snapdb/internal/wal"
 )
 
-// On-disk file names in a durable engine's data directory. A disk
+// On-disk file names in an engine's data directory. A disk
 // snapshot (internal/snapshot) is such a directory, under these names:
 // the forensic tooling reads a daemon's directory and a dump alike.
 const (
@@ -118,6 +118,8 @@ type persistor struct {
 	redo, undo, blog logFile
 	closed           bool
 	err              error
+
+	dumpMu sync.Mutex // serializes buffer-pool dumps, which share one temp file
 }
 
 // attachPersist appends to the three log files through the handles
@@ -177,11 +179,8 @@ func (p *persistor) appendBinlog(evs []binlog.Event) error {
 }
 
 // failure is the error a write is refused with once an append has
-// failed, or nil; nil for an in-memory engine.
+// failed, or nil.
 func (p *persistor) failure() error {
-	if p == nil {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.refusal()
@@ -196,15 +195,12 @@ func (p *persistor) refusal() error {
 	return fmt.Errorf("engine: logs unwritable since an earlier failure: %w", p.err)
 }
 
-// Close releases a durable engine's log file handles. It is idempotent;
-// the engine keeps serving reads, and writes fail because their log
-// records can no longer be made durable. Every acknowledged batch was
-// synced when it was appended, so a close error has nothing to lose.
+// Close releases the engine's log file handles. It is idempotent; the
+// engine keeps serving reads, and writes fail because their log records
+// can no longer be made durable. Every acknowledged batch was synced
+// when it was appended, so a close error has nothing to lose.
 func (e *Engine) Close() {
 	p := e.persist
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.closed {
@@ -213,8 +209,10 @@ func (e *Engine) Close() {
 	}
 }
 
-// writeDump persists the periodic buffer-pool dump crash-atomically.
+// writeDump persists a buffer-pool dump crash-atomically.
 func (p *persistor) writeDump(dump []byte) error {
+	p.dumpMu.Lock()
+	defer p.dumpMu.Unlock()
 	return vfs.WriteFileAtomic(p.fs, FileBufferPool, dump)
 }
 
@@ -378,9 +376,6 @@ func (e *Engine) CheckpointImage() ([]byte, error) {
 // image supersedes all of the redo and undo it truncates, and every
 // transaction it captures is resolved.
 func (e *Engine) checkpointLocked() error {
-	if e.persist == nil {
-		return nil
-	}
 	if err := e.wal.SyncAll(); err != nil {
 		return err
 	}
@@ -394,12 +389,8 @@ func (e *Engine) checkpointLocked() error {
 // Checkpoint quiesces the engine and persists a crash-atomic image of
 // the catalog and tablespace, truncating the WAL files it supersedes.
 // It refuses while any explicit transaction is open, because their
-// undo information lives in those WAL files. No-op for a non-durable
-// engine.
+// undo information lives in those WAL files.
 func (e *Engine) Checkpoint() error {
-	if e.persist == nil {
-		return nil
-	}
 	e.locks.lockAll()
 	defer e.locks.unlockAll()
 	if n := e.openTxns.Load(); n != 0 {

@@ -474,7 +474,7 @@ type forensicState struct {
 	statements uint64
 }
 
-func captureForensics(e *Engine) forensicState {
+func captureForensics(t testing.TB, e *Engine) forensicState {
 	var fs forensicState
 	for _, ev := range e.PerfSchema().StagesHistory() {
 		fs.stages = append(fs.stages, fmt.Sprintf("%d|%d|%s|%d|%d|%s|%d|%d|%d",
@@ -484,7 +484,8 @@ func captureForensics(e *Engine) forensicState {
 	for _, en := range e.GeneralLog().Entries() {
 		fs.general = append(fs.general, fmt.Sprintf("%d|%d|%s", en.Timestamp, en.Session, en.Statement))
 	}
-	for _, ev := range e.Binlog().Events() {
+	_, _, evs := durableLogs(t, e)
+	for _, ev := range evs {
 		fs.binlog = append(fs.binlog, fmt.Sprintf("%d|%d|%s", ev.Timestamp, ev.LSN, ev.Statement))
 	}
 	for _, row := range e.PerfSchema().DigestSummary() {
@@ -589,7 +590,7 @@ func captureRun(t testing.TB, cfg Config, workload []string, opts runOpt) runSta
 			}
 		}
 	}
-	rs.fs = captureForensics(e)
+	rs.fs = captureForensics(t, e)
 	rs.lru = e.BufferPool().LRUOrder()
 	rs.hot = fmt.Sprint(e.BufferPool().HotPages())
 	rs.hits, rs.misses, _ = e.BufferPool().Stats()

@@ -215,7 +215,8 @@ func streamRedo(l *logScan, free <-chan *redoBatch, out chan<- *redoBatch, stop 
 // rebuild from) but still a clean error, never a panic. So is a
 // checkpoint or log file that exists but cannot be read, and a redo
 // record that fails to replay; either way recovery leaves the directory
-// as it lies. New with Config.FS set opens its directory the same way.
+// as it lies. New opens its directory (Config.FS, or a new MemFS) the
+// same way.
 //
 // The returned engine is durable on fs (its Config().FS) and ready to
 // serve. The report is non-nil whenever the error is nil, and also on

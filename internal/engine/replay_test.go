@@ -25,7 +25,7 @@ func replayWorkload(t *testing.T) (*Engine, *int64) {
 
 func TestReplayBinlogFullRecovery(t *testing.T) {
 	src, _ := replayWorkload(t)
-	events := src.Binlog().Events()
+	_, _, events := durableLogs(t, src)
 
 	dst, _ := newEngine(t, Defaults())
 	applied, err := dst.ReplayBinlog(events, 0)
@@ -47,7 +47,7 @@ func TestReplayBinlogFullRecovery(t *testing.T) {
 
 func TestReplayBinlogPointInTime(t *testing.T) {
 	src, _ := replayWorkload(t)
-	events := src.Binlog().Events()
+	_, _, events := durableLogs(t, src)
 
 	dst, _ := newEngine(t, Defaults())
 	// Stop before the DELETE (which ran at 1_000_000 + 5*60).
@@ -94,7 +94,10 @@ func TestReplayStopsOnBadStatement(t *testing.T) {
 // for a plain deployment).
 func TestAttackerRebuildsDatabaseFromStolenBinlog(t *testing.T) {
 	victim, _ := replayWorkload(t)
-	stolen := victim.Binlog().Serialize() // bytes from the stolen disk
+	stolen, err := victim.Dir().ReadFile(FileBinlog) // bytes from the stolen disk
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	events, err := binlog.Parse(stolen)
 	if err != nil {

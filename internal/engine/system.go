@@ -12,6 +12,7 @@ import (
 	"snapdb/internal/querycache"
 	"snapdb/internal/sqlparse"
 	"snapdb/internal/storage"
+	"snapdb/internal/vfs"
 	"snapdb/internal/wal"
 )
 
@@ -218,12 +219,12 @@ func statementEventRow(ev perfschema.StatementEvent) storage.Record {
 // --- Accessors used by the snapshot and forensics packages. They
 // expose the engine's internal state exactly as a compromise would. ---
 
-// WAL returns the redo/undo log manager. A durable engine's records are
-// in its files, not in the manager's in-memory logs.
+// WAL returns the redo/undo log manager. The engine's records are in
+// its files (Dir), not in the manager's in-memory logs.
 func (e *Engine) WAL() *wal.Manager { return e.wal }
 
-// Binlog returns the binary log. A durable engine's events are in its
-// binlog file, not in the log's in-memory store.
+// Binlog returns the binary log. The engine's events are in its binlog
+// file (Dir), not in the log's in-memory store.
 func (e *Engine) Binlog() *binlog.Log { return e.binlog }
 
 // BufferPool returns the buffer pool.
@@ -258,31 +259,15 @@ func (e *Engine) TableByID(id uint8) (*Table, bool) {
 	return t, ok
 }
 
-// LastBufferPoolDump returns the most recent periodic buffer-pool dump
-// file image (written every DumpInterval statements), or nil if none
-// has been written yet.
-func (e *Engine) LastBufferPoolDump() []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.bufpoolDump == nil {
-		return nil
-	}
-	out := make([]byte, len(e.bufpoolDump))
-	copy(out, e.bufpoolDump)
-	return out
-}
+// Dir returns the engine's view of its data directory — the files its
+// logs, checkpoint and buffer-pool dump live in — decrypted when the
+// engine encrypts at rest. Readers only read it.
+func (e *Engine) Dir() vfs.FS { return e.persist.fs }
 
-// Shutdown flushes the buffer-pool dump the way MySQL does at shutdown
-// and returns it.
-func (e *Engine) Shutdown() []byte {
-	dump := e.pool.DumpFile()
-	e.mu.Lock()
-	e.bufpoolDump = dump
-	e.mu.Unlock()
-	out := make([]byte, len(dump))
-	copy(out, dump)
-	return out
-}
+// Shutdown writes the buffer-pool dump file (FileBufferPool) the way
+// MySQL does at shutdown; the periodic dump writes the same file every
+// DumpInterval statements.
+func (e *Engine) Shutdown() error { return e.persist.writeDump(e.pool.DumpFile()) }
 
 // Statements returns the number of executed statements.
 func (e *Engine) Statements() uint64 { return e.statements.Load() }

@@ -83,7 +83,8 @@ func refStates(t testing.TB, stmts []string) []tortureRef {
 		if open {
 			mustExec(t, s, "ROLLBACK")
 		}
-		out = append(out, tortureRef{digest: digestOf(t, e), binlog: e.Binlog().Len()})
+		_, _, evs := durableLogs(t, e)
+		out = append(out, tortureRef{digest: digestOf(t, e), binlog: len(evs)})
 	}
 	return out
 }

@@ -107,7 +107,7 @@ func (e *Engine) commitTxn(txn uint64, logged bool, evs []binlog.Event) wal.Tick
 }
 
 // commitDDL is every DDL statement's durability point. The catalog is
-// not WAL-logged, so a durable engine persists DDL by checkpointing —
+// not WAL-logged, so the engine persists DDL by checkpointing —
 // every later WAL record then references a table the checkpoint knows —
 // and only then binlogs the statement, so a crash between the two
 // leaves the recovered catalog ahead of the binlog, never behind it.

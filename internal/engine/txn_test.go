@@ -92,15 +92,15 @@ func TestTxnBinlogOnlyOnCommit(t *testing.T) {
 	e, now := newEngine(t, Defaults())
 	s := e.Connect("app")
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
-	before := e.Binlog().Len()
+	before := len(durableBinlog(t, e))
 
 	mustExec(t, s, "BEGIN")
 	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 'aborted-write')")
-	if e.Binlog().Len() != before {
+	if len(durableBinlog(t, e)) != before {
 		t.Error("uncommitted statement reached the binlog")
 	}
 	mustExec(t, s, "ROLLBACK")
-	if e.Binlog().Len() != before {
+	if len(durableBinlog(t, e)) != before {
 		t.Error("rolled-back statement reached the binlog")
 	}
 
@@ -109,7 +109,7 @@ func TestTxnBinlogOnlyOnCommit(t *testing.T) {
 	mustExec(t, s, "INSERT INTO t (id, v) VALUES (2, 'committed-write')")
 	*now = 5_000_100
 	mustExec(t, s, "COMMIT")
-	evs := e.Binlog().Events()
+	_, _, evs := durableLogs(t, e)
 	if len(evs) != before+1 {
 		t.Fatalf("binlog events = %d, want %d", len(evs), before+1)
 	}
@@ -129,11 +129,13 @@ func TestTxnAbortedWritesPersistInWAL(t *testing.T) {
 	e, _ := newEngine(t, Defaults())
 	s := e.Connect("app")
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
-	walBefore := len(e.WAL().Redo.Records())
+	redo, _, _ := durableLogs(t, e)
+	walBefore := len(redo)
 	mustExec(t, s, "BEGIN")
 	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 'secret-aborted-value')")
 	mustExec(t, s, "ROLLBACK")
-	recs := e.WAL().Redo.Records()[walBefore:]
+	redo, _, _ = durableLogs(t, e)
+	recs := redo[walBefore:]
 	if len(recs) != 3 { // the insert + the compensating delete + the abort marker
 		t.Fatalf("aborted txn left %d WAL records, want 3", len(recs))
 	}
@@ -172,9 +174,9 @@ func TestTxnIsolatedPerSession(t *testing.T) {
 	mustExec(t, a, "INSERT INTO t (id, v) VALUES (1, 1)")
 	// Session b is in autocommit; its write must hit the binlog
 	// immediately despite a's open transaction.
-	before := e.Binlog().Len()
+	before := len(durableBinlog(t, e))
 	mustExec(t, b, "INSERT INTO t (id, v) VALUES (2, 2)")
-	if e.Binlog().Len() != before+1 {
+	if len(durableBinlog(t, e)) != before+1 {
 		t.Error("autocommit write from another session was buffered")
 	}
 	mustExec(t, a, "ROLLBACK")

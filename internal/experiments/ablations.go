@@ -170,7 +170,14 @@ func ablatePoolPages(pages int) (AblationPoolRow, error) {
 		}
 	}
 	e.BufferPool().SetTraceFunc(nil)
-	ids, err := bufpool.ParseDump(e.Shutdown())
+	if err := e.Shutdown(); err != nil {
+		return row, err
+	}
+	dump, err := e.Dir().ReadFile(engine.FileBufferPool)
+	if err != nil {
+		return row, err
+	}
+	ids, err := bufpool.ParseDump(dump)
 	if err != nil {
 		return row, err
 	}

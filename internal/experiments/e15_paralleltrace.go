@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"snapdb/internal/binlog"
 	"snapdb/internal/engine"
 	"snapdb/internal/perfschema"
 	"snapdb/internal/storage"
@@ -85,7 +86,7 @@ func e15Queries() []string {
 // traces align from index zero. partsSum reports that every query ran
 // on a parallel leaf whose stage row books the sum of its partitions'
 // fetches.
-func e15Run(workers, rows int) (results string, binlog, general []string, trace []storage.PageID, partsSum bool, err error) {
+func e15Run(workers, rows int) (results string, blog, general []string, trace []storage.PageID, partsSum bool, err error) {
 	cfg := engine.Defaults()
 	cfg.EnableGeneralLog = true
 	cfg.EnableQueryCache = false // every run must really scan
@@ -135,13 +136,21 @@ func e15Run(workers, rows int) (results string, binlog, general []string, trace 
 	}
 	e.BufferPool().SetTraceFunc(nil)
 
-	for _, ev := range e.Binlog().Events() {
-		binlog = append(binlog, fmt.Sprintf("%d|%d|%s", ev.Timestamp, ev.LSN, ev.Statement))
+	img, err := e.Dir().ReadFile(engine.FileBinlog)
+	if err != nil {
+		return "", nil, nil, nil, false, err
+	}
+	evs, err := binlog.Parse(img)
+	if err != nil {
+		return "", nil, nil, nil, false, err
+	}
+	for _, ev := range evs {
+		blog = append(blog, fmt.Sprintf("%d|%d|%s", ev.Timestamp, ev.LSN, ev.Statement))
 	}
 	for _, en := range e.GeneralLog().Entries() {
 		general = append(general, fmt.Sprintf("%d|%d|%s", en.Timestamp, en.Session, en.Statement))
 	}
-	return sb.String(), binlog, general, trace, partsSum, nil
+	return sb.String(), blog, general, trace, partsSum, nil
 }
 
 // parallelLeafSums reports whether the latest statement's stage group

@@ -6,6 +6,7 @@ import (
 	"snapdb/internal/engine"
 	"snapdb/internal/forensics"
 	"snapdb/internal/snapshot"
+	"snapdb/internal/wal"
 )
 
 // E3Result reproduces §3's timing attack: the binlog holds (timestamp,
@@ -34,9 +35,9 @@ func (r *E3Result) Render() string {
 }
 
 // E3BinlogCorrelation runs a steady write workload under a synthetic
-// clock, purges the older half of the binlog (modelling its horizon),
-// and checks that the regression still dates the purged-era WAL
-// records accurately.
+// clock, cuts the older half off the stolen binlog (modelling its
+// retention horizon), and checks that the regression still dates the
+// purged-era WAL records accurately.
 func E3BinlogCorrelation(quick bool) (*E3Result, error) {
 	writes := 2000
 	if quick {
@@ -52,32 +53,42 @@ func E3BinlogCorrelation(quick bool) (*E3Result, error) {
 	if _, err := s.Execute("CREATE TABLE metrics (id INT PRIMARY KEY, v TEXT)"); err != nil {
 		return nil, err
 	}
-	trueTime := make(map[uint64]int64) // commit LSN -> true timestamp
+	start := now
 	for i := 0; i < writes; i++ {
 		now += 1 // one write per second
 		q := fmt.Sprintf("INSERT INTO metrics (id, v) VALUES (%d, 'sample-%06d')", i, i)
 		if _, err := s.Execute(q); err != nil {
 			return nil, err
 		}
-		// The statement's row change is the last data record in the log
-		// (an autocommit commit marker follows it, and marker records are
-		// invisible to write reconstruction).
-		recs := e.WAL().Redo.Records()
-		for j := len(recs) - 1; j >= 0; j-- {
-			if !recs[j].Op.IsMarker() {
-				trueTime[recs[j].LSN] = now
-				break
-			}
-		}
 	}
-	// The binlog horizon: purge everything before the halfway point.
-	horizon := int64(1_700_000_000) + int64(writes)/2
-	e.Binlog().Purge(horizon)
 
 	snap := snapshot.Capture(e, snapshot.DiskTheft)
+	// Ground truth, from one pass over the redo file: DDL is
+	// checkpointed, not logged, so its data records are the writes' row
+	// changes, one each, in statement order (the commit markers between
+	// them are invisible to write reconstruction).
+	recs, err := wal.ParseLog(snap.Disk.RedoLog)
+	if err != nil {
+		return nil, err
+	}
+	trueTime := make(map[uint64]int64, writes) // record LSN -> true timestamp
+	for _, r := range recs {
+		if !r.Op.IsMarker() {
+			trueTime[r.LSN] = start + int64(len(trueTime)) + 1
+		}
+	}
+	if len(trueTime) != writes {
+		return nil, fmt.Errorf("E3: the redo file holds %d row changes for %d writes", len(trueTime), writes)
+	}
 	events, err := forensics.CorrelatableEvents(snap.Disk.Binlog)
 	if err != nil {
 		return nil, err
+	}
+	// The binlog horizon: the stolen binlog holds nothing from before
+	// the halfway point, as after an administrator's purge.
+	horizon := start + int64(writes)/2
+	for len(events) > 0 && events[0].Timestamp < horizon {
+		events = events[1:]
 	}
 	corr, err := forensics.CorrelateBinlog(events)
 	if err != nil {

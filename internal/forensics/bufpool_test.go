@@ -31,7 +31,9 @@ func bufpoolVictim(t *testing.T, probe int64) *snapshot.Snapshot {
 	if _, err := s.Execute(fmt.Sprintf("SELECT v FROM t WHERE id = %d", probe)); err != nil {
 		t.Fatal(err)
 	}
-	e.Shutdown() // writes the buffer-pool dump, as MySQL does
+	if err := e.Shutdown(); err != nil { // writes the buffer-pool dump, as MySQL does
+		t.Fatal(err)
+	}
 	return snapshot.Capture(e, snapshot.DiskTheft)
 }
 

@@ -40,7 +40,15 @@ func TestReconstructWritesFromEngineWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writes, err := ReconstructWrites(e.WAL().Redo.Serialize(), e.WAL().Undo.Serialize(), catalogOf(e))
+	redo, err := e.Dir().ReadFile(engine.FileRedo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	undo, err := e.Dir().ReadFile(engine.FileUndo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes, err := ReconstructWrites(redo, undo, catalogOf(e))
 	if err != nil {
 		t.Fatal(err)
 	}

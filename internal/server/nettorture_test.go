@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"snapdb/internal/binlog"
 	"snapdb/internal/client"
 	"snapdb/internal/engine"
 	"snapdb/internal/failpoint"
@@ -129,20 +130,28 @@ func runWorkload(t testing.TB, ctx context.Context, rc *client.ReliableConn, stm
 }
 
 // snapshotArtifacts captures the forensic surfaces the harness diffs.
-func snapshotArtifacts(t testing.TB, e *engine.Engine) (digest string, binlog []string, general map[string]int) {
+func snapshotArtifacts(t testing.TB, e *engine.Engine) (digest string, blog []string, general map[string]int) {
 	t.Helper()
 	d, err := e.StateDigest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range e.Binlog().Events() {
-		binlog = append(binlog, ev.Statement)
+	img, err := e.Dir().ReadFile(engine.FileBinlog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := binlog.Parse(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		blog = append(blog, ev.Statement)
 	}
 	general = make(map[string]int)
 	for _, en := range e.GeneralLog().Entries() {
 		general[en.Statement]++
 	}
-	return d, binlog, general
+	return d, blog, general
 }
 
 func TestNetworkTortureExactlyOnce(t *testing.T) {

@@ -79,6 +79,38 @@ func (s *Snapshot) WriteDirFS(fs vfs.FS) error {
 	return nil
 }
 
+// fileDst is a file of a data directory and where its bytes go.
+type fileDst struct {
+	name string
+	dst  *[]byte
+}
+
+// logFiles is where the redo, undo and binlog files and the buffer-pool
+// dump of a data directory go in d.
+func (d *DiskState) logFiles() []fileDst {
+	return []fileDst{
+		{engine.FileRedo, &d.RedoLog},
+		{engine.FileUndo, &d.UndoLog},
+		{engine.FileBinlog, &d.Binlog},
+		{engine.FileBufferPool, &d.BufferPoolDump},
+	}
+}
+
+// readFiles reads each file of fs into its dst. Every file is
+// optional: a missing or empty one reads as nil.
+func readFiles(fs vfs.FS, files ...fileDst) error {
+	for _, f := range files {
+		b, err := fs.ReadFile(f.name)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("snapshot: reading %s: %w", f.name, err)
+		}
+		if len(b) > 0 {
+			*f.dst = b
+		}
+	}
+	return nil
+}
+
 // ReadDirFS reads a data directory the way the thief does: it only
 // reads. Nothing is truncated, replayed or rolled back — that is
 // recovery's job, and recovery destroys evidence (E13). Over a
@@ -92,25 +124,14 @@ func (s *Snapshot) WriteDirFS(fs vfs.FS) error {
 // treated as an error. Only a checkpoint that does not decode is
 // fatal: there is no tablespace or catalog to report.
 func ReadDirFS(fs vfs.FS) (*Snapshot, error) {
-	files := make(map[string][]byte)
-	for _, name := range []string{engine.FileCheckpoint, engine.FileRedo, engine.FileUndo, engine.FileBinlog, FileGeneralLog, FileSlowLog, engine.FileBufferPool} {
-		b, err := fs.ReadFile(name)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("snapshot: reading %s: %w", name, err)
-		}
-		if len(b) > 0 {
-			files[name] = b
-		}
+	d := &DiskState{}
+	var img, general, slow []byte
+	if err := readFiles(fs, append(d.logFiles(), fileDst{engine.FileCheckpoint, &img},
+		fileDst{FileGeneralLog, &general}, fileDst{FileSlowLog, &slow})...); err != nil {
+		return nil, err
 	}
-	d := &DiskState{
-		RedoLog:        files[engine.FileRedo],
-		UndoLog:        files[engine.FileUndo],
-		Binlog:         files[engine.FileBinlog],
-		GeneralLog:     string(files[FileGeneralLog]),
-		SlowLog:        string(files[FileSlowLog]),
-		BufferPoolDump: files[engine.FileBufferPool],
-	}
-	if img := files[engine.FileCheckpoint]; img != nil {
+	d.GeneralLog, d.SlowLog = string(general), string(slow)
+	if img != nil {
 		if err := d.setCheckpoint(img); err != nil {
 			return nil, fmt.Errorf("snapshot: %s: %w", engine.FileCheckpoint, err)
 		}

@@ -83,8 +83,59 @@ func loadedEngine(t *testing.T) *engine.Engine {
 	}
 	e.Clock = func() int64 { return 1_700_000_000 }
 	exec(t, e.Connect("app"), accountsWorkload...)
-	e.Shutdown()
+	if err := e.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
 	return e
+}
+
+// TestCaptureReadsTheDirectory: Capture's disk is the engine's data
+// directory — for the same statements, its redo, undo, binlog and
+// buffer-pool dump are byte for byte what ReadDirFS reads there, on a
+// plain engine and, through the key-holder's view, on a
+// deterministic-CryptFS one.
+func TestCaptureReadsTheDirectory(t *testing.T) {
+	for _, m := range diskModes[:2] {
+		t.Run(m.name, func(t *testing.T) {
+			raw := vfs.NewMemFS()
+			e, err := engine.New(m.config(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Clock = func() int64 { return 1_700_000_000 }
+			exec(t, e.Connect("app"), accountsWorkload...)
+			exec(t, e.Connect("app"), "BEGIN", "DELETE FROM accounts WHERE id = 1", "ROLLBACK")
+			if err := e.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			captured := snapshot.Capture(e, snapshot.DiskTheft).Disk
+			read, err := snapshot.ReadDirFS(m.view(t, raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct {
+				name          string
+				capture, read []byte
+			}{
+				{engine.FileRedo, captured.RedoLog, read.Disk.RedoLog},
+				{engine.FileUndo, captured.UndoLog, read.Disk.UndoLog},
+				{engine.FileBinlog, captured.Binlog, read.Disk.Binlog},
+				{engine.FileBufferPool, captured.BufferPoolDump, read.Disk.BufferPoolDump},
+			} {
+				if len(f.capture) == 0 || !bytes.Equal(f.capture, f.read) {
+					t.Errorf("%s: Capture holds %d B, ReadDirFS %d B, equal %v; want the same non-empty bytes",
+						f.name, len(f.capture), len(f.read), bytes.Equal(f.capture, f.read))
+				}
+				onDisk, err := raw.ReadFile(f.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ciphertext := !bytes.Equal(onDisk, f.capture); ciphertext != m.encrypted {
+					t.Errorf("%s: the disk differs from the captured bytes: %v, want %v", f.name, ciphertext, m.encrypted)
+				}
+			}
+		})
+	}
 }
 
 // dirBytes copies every file of a MemFS, for before/after comparison.

@@ -140,26 +140,30 @@ type Snapshot struct {
 }
 
 // Capture takes a snapshot of the engine under the given attack model.
-// Its disk state is an in-memory engine's: the logs come from the
-// engine's in-memory stores, which a durable engine leaves empty — its
-// logs live in its files, and its disk is ReadDirFS of its directory.
+// Its disk is the engine's data directory (engine.Dir, the decrypted
+// view of an engine that encrypts at rest): the redo, undo and binlog
+// files and the buffer-pool dump, byte for byte what ReadDirFS reads
+// there. The checkpoint is the live CheckpointImage, not the file:
+// snapdb writes tablespace pages only at a checkpoint, so the live
+// image stands in for the page cleaner that would have flushed them.
+// The query logs are the engine's, which keeps them in memory. A
+// directory that cannot be read panics, as does a checkpoint that does
+// not encode: only a failing disk or a change to
+// engine.CheckpointMeta can cause either.
 func Capture(e *engine.Engine, attack AttackType) *Snapshot {
 	s := &Snapshot{Attack: attack}
 	rev := attack.Reveals()
 	if rev.Logs {
 		s.Disk = &DiskState{
-			RedoLog:        e.WAL().Redo.Serialize(),
-			UndoLog:        e.WAL().Undo.Serialize(),
-			Binlog:         e.Binlog().Serialize(),
-			GeneralLog:     dblog.Render(e.GeneralLog().Entries()),
-			SlowLog:        dblog.Render(e.SlowLog().Entries()),
-			BufferPoolDump: e.LastBufferPoolDump(),
+			GeneralLog: dblog.Render(e.GeneralLog().Entries()),
+			SlowLog:    dblog.Render(e.SlowLog().Entries()),
 		}
-		// Only a change to engine.CheckpointMeta can make its own
-		// encoding fail to marshal or to decode.
-		ckpt, err := e.CheckpointImage()
+		err := readFiles(e.Dir(), s.Disk.logFiles()...)
 		if err == nil {
-			err = s.Disk.setCheckpoint(ckpt)
+			var ckpt []byte
+			if ckpt, err = e.CheckpointImage(); err == nil {
+				err = s.Disk.setCheckpoint(ckpt)
+			}
 		}
 		if err != nil {
 			panic(fmt.Sprintf("snapshot: %v", err))

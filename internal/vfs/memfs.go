@@ -1,9 +1,11 @@
 package vfs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -27,10 +29,28 @@ type MemFS struct {
 
 type memFile struct {
 	fs      *MemFS
-	data    []byte // volatile content
-	durData []byte // content at last Sync (nil = never synced)
+	data    []byte // volatile content; its capacity grows geometrically
+	durData []byte // content at last Sync
+	// dirty is the lowest offset of data changed since the last Sync:
+	// data and durData agree below it, so Sync copies only from there
+	// and a file that only grows costs linear time to write and sync.
+	dirty   int
 	name    string // volatile name, "" if unlinked
 	durName string // durable directory entry, "" if none
+}
+
+// resize sets the volatile length to n, zeroing whatever it exposes —
+// spare capacity may still hold bytes a shrink cut off.
+func (f *memFile) resize(n int) {
+	old := len(f.data)
+	if n <= old {
+		f.data = f.data[:n]
+		f.dirty = min(f.dirty, n)
+		return
+	}
+	f.data = slices.Grow(f.data, n-old)[:n]
+	clear(f.data[old:])
+	f.dirty = min(f.dirty, old)
 }
 
 // NewMemFS creates an empty in-memory filesystem.
@@ -47,7 +67,7 @@ func (fs *MemFS) Create(name string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if f, ok := fs.vol[name]; ok {
-		f.data = nil
+		f.resize(0)
 		return &memHandle{f: f}, nil
 	}
 	f := &memFile{fs: fs, name: name}
@@ -152,11 +172,7 @@ func (fs *MemFS) Crash() {
 	fs.vol = make(map[string]*memFile, len(fs.dur))
 	newDur := make(map[string]*memFile, len(fs.dur))
 	for name, f := range fs.dur {
-		data := make([]byte, len(f.durData))
-		copy(data, f.durData)
-		durData := make([]byte, len(f.durData))
-		copy(durData, f.durData)
-		nf := &memFile{fs: fs, data: data, durData: durData, name: name, durName: name}
+		nf := &memFile{fs: fs, data: bytes.Clone(f.durData), durData: bytes.Clone(f.durData), dirty: len(f.durData), name: name, durName: name}
 		fs.vol[name] = nf
 		newDur[name] = nf
 	}
@@ -185,12 +201,11 @@ func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
 	}
 	h.f.fs.mu.Lock()
 	defer h.f.fs.mu.Unlock()
-	end := off + int64(len(p))
-	if int64(len(h.f.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, h.f.data)
-		h.f.data = grown
+	end := int(off) + len(p)
+	if len(h.f.data) < end {
+		h.f.resize(end)
 	}
+	h.f.dirty = min(h.f.dirty, int(off))
 	copy(h.f.data[off:end], p)
 	return len(p), nil
 }
@@ -223,14 +238,16 @@ func (h *memHandle) Size() (int64, error) {
 // Sync makes the file's current content durable under its durable
 // directory entry (if it has one; a file created and synced but never
 // SyncDir'd is unreachable after a crash, like a real orphaned inode).
+// It copies only what changed since the last Sync.
 func (h *memHandle) Sync() error {
 	if h.closed {
 		return os.ErrClosed
 	}
 	h.f.fs.mu.Lock()
 	defer h.f.fs.mu.Unlock()
-	h.f.durData = make([]byte, len(h.f.data))
-	copy(h.f.durData, h.f.data)
+	f := h.f
+	f.durData = append(f.durData[:f.dirty], f.data[f.dirty:]...)
+	f.dirty = len(f.data)
 	return nil
 }
 
@@ -243,13 +260,7 @@ func (h *memHandle) Truncate(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("vfs: negative truncate size %d", size)
 	}
-	if int64(len(h.f.data)) > size {
-		h.f.data = h.f.data[:size]
-	} else if int64(len(h.f.data)) < size {
-		grown := make([]byte, size)
-		copy(grown, h.f.data)
-		h.f.data = grown
-	}
+	h.f.resize(int(size))
 	return nil
 }
 

@@ -7,13 +7,15 @@
 // write that a disk-snapshot attacker can replay with standard forensic
 // techniques.
 //
-// Each log has exactly one store. Without a Sink it is the in-memory
-// Log, which is circular: when it exceeds its capacity, the oldest
-// records fall off. The retention window therefore depends on write
-// volume and record size, which experiment E2 measures (the paper's
-// "50 MB stores 16 days of 20-byte writes at 1 write/s" estimate). With
-// a Sink attached — a durable engine's log files — the records go there
-// only, and the in-memory Log stays empty.
+// Each log has exactly one store. An engine always attaches a Sink —
+// the log files of its data directory — so the records go there only,
+// and the in-memory Log stays empty. Only a Manager used on its own
+// (E2's retention model, the ablations, the benchmark's probes) keeps
+// its records in the in-memory Log, which is circular: when it exceeds
+// its capacity, the oldest records fall off. The retention window
+// therefore depends on write volume and record size, which experiment
+// E2 measures (the paper's "50 MB stores 16 days of 20-byte writes at 1
+// write/s" estimate).
 //
 // On disk (Serialize) every record travels inside a CRC32-C frame
 // (storage.AppendFrame), so a reader can tell a torn tail from silent
@@ -407,7 +409,7 @@ type Manager struct {
 	Resolved func(txn uint64)
 
 	// Redo and Undo are the in-memory store, used only while no Sink is
-	// attached.
+	// attached: by a Manager used on its own, never by an engine's.
 	Redo *Log
 	Undo *Log
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"snapdb/internal/binlog"
 	"snapdb/internal/engine"
 )
 
@@ -21,7 +22,15 @@ func driverRun(t *testing.T, cfg DriverConfig) (*DriverResult, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, e.Binlog().Len()
+	img, err := e.Dir().ReadFile(engine.FileBinlog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := binlog.Parse(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, len(evs)
 }
 
 func TestDriverRunsMixedWorkload(t *testing.T) {

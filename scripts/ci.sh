@@ -10,15 +10,17 @@
 #     sidecars) gets a short
 #     native-fuzz run — "never panic on garbage" is re-earned on every
 #     commit, not assumed from the seed corpus — and so does every fast
-#     path held to a reference (the lexer, CryptFS's keystream, a page's
-#     kept key index, in-page search), the B+ tree held to a map, and
-#     the engine's SQL held to a map-backed SQL model.
+#     path held to a reference (the lexer, CryptFS's keystream, MemFS —
+#     the disk every engine without a data directory writes — against
+#     its copy-everything model, a page's kept key index, in-page
+#     search), the B+ tree held to a map, and the engine's SQL held to
+#     a map-backed SQL model.
 #   - crash torture seed matrix: the kill-point harness (recovered data
 #     matches a statement prefix, the recovered binlog file never leads
 #     it) in both arms, statements one at a time and submitted as
 #     pending groups (plain and encrypted), the durable-op counts per
-#     statement, the checks that durable logs are read from their files (one
-#     store per log), recovery's one-descent replay held to its
+#     statement, the check that the logs are read from their files (one
+#     store per log, one disk model for every engine), recovery's one-descent replay held to its
 #     properties (the recovered state is the acknowledged statements'
 #     minus the losers, and every record follows the per-record trace
 #     rule), its log walks against their parsers, SQL across key arrival
@@ -126,6 +128,10 @@ fuzz ./internal/vfs FuzzCryptFSSidecar
 # Not a parser: CryptFS's keystream and tweaks against their
 # block-at-a-time and HMAC references, so no ciphertext byte moves.
 fuzz ./internal/crypto/prim FuzzPageCipherKeystream
+# Nor this: MemFS's grow-in-place writes and dirty-range syncs against
+# the copy-everything algorithm (kept in the test file), crash
+# semantics included.
+fuzz ./internal/vfs FuzzMemFSMatchesModel
 # Nor this: in-page search through a page's kept key index, a freshly
 # derived one and the linear passes the index replaced (kept in the
 # test file), so no descent routes differently.
@@ -142,7 +148,7 @@ fuzz ./internal/engine FuzzSQLMatchesModel
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestDurableOpsPerStatement|TestGroupedFlushWritesSameBytes|TestCheckRecoveredSeesLeadingBinlog|TestLogStoresAgree|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestLosersAcrossBatches|TestPipelinedRecoveryFailures|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
+        -run 'TestCrashTorture|TestDurableOpsPerStatement|TestGroupedFlushWritesSameBytes|TestCheckRecoveredSeesLeadingBinlog|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestLosersAcrossBatches|TestPipelinedRecoveryFailures|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
