@@ -6,11 +6,12 @@
 // never purged without an explicit administrative command, and it gives
 // a disk-snapshot attacker both query text and timing.
 //
-// An engine keeps its binlog in one file of its data directory (the
-// Sink); only a Log used on its own keeps events in memory. On disk
-// (Serialize) every event travels inside a CRC32-C frame, so a reader
-// can stop cleanly at a torn or corrupt tail. Reader implements the
-// pre-installed mysqlbinlog-style utility view.
+// An engine keeps its binlog in one file of its data directory, framed
+// and stored by its commit pipeline (wal.Manager); only a Log used on
+// its own keeps events in memory. On disk (Serialize) every event
+// travels inside a CRC32-C frame, so a reader can stop cleanly at a
+// torn or corrupt tail. Reader implements the pre-installed
+// mysqlbinlog-style utility view.
 package binlog
 
 import (
@@ -79,63 +80,59 @@ func decodeHeader(b []byte) (Event, int, error) {
 	return ev, eventHeaderSize + n, nil
 }
 
-// Log is the binary log. Its in-memory store grows without bound,
+// Log is the binary log's stamping floor and commit counts, and, for a
+// Log used on its own, its in-memory store, which grows without bound,
 // matching MySQL's default retention (only an explicit administrative
 // purge removes binlog content).
 //
 // Every event is stamped as it is committed — timestamp and LSN clamped
 // to be non-decreasing — so the on-disk binlog is monotone in both. In
 // an engine the commit pipeline (wal.Manager) stamps each event as it
-// queues it behind its transaction's marker and stores it once the
-// marker is durable; CommitBatch is the same two steps for a log used on
-// its own. Each stored batch goes to one store: the Sink if one is
-// attached, the in-memory events otherwise.
+// frames it behind its transaction's marker, stores the frames in the
+// binlog file once the marker is durable, and reports them with Stored;
+// the engine's Log holds no events. CommitBatch stamps and stores in
+// memory, for a Log used on its own.
 type Log struct {
 	mu     sync.Mutex // guards events and the commit counts
-	events []Event    // the in-memory store, used only while Sink is nil
+	events []Event    // the in-memory store, filled only by CommitBatch
 
 	committed, flushes uint64
 
-	// Sink, if set, receives each stored batch in place of the
-	// in-memory store — the persistence layer's durability hook. The
-	// slice is only valid during the call. Set it before concurrent use.
-	Sink func([]Event) error
-
-	// stampMu guards the stamp floors and buf. CommitBatch holds it
-	// through its store, so a log used on its own stores in stamp order.
-	stampMu sync.Mutex
+	stampMu sync.Mutex // guards the stamp floors
 	lastTs  int64
 	lastLSN uint64
-	buf     []Event
 }
 
 // New creates an empty binlog.
 func New() *Log { return &Log{} }
 
-// Commit stamps and stores one event, returning once it is in its
-// store: durable if a Sink is attached, in the in-memory log otherwise.
+// Commit stamps one event and stores it in the in-memory log.
 func (l *Log) Commit(ev Event) error { return l.CommitBatch([]Event{ev}) }
 
 // CommitBatch commits a transaction's events as one contiguous, stamped
-// batch: each keeps its caller-supplied LSN and timestamp, clamped to
-// the previous commit's, so binlog order is non-decreasing in both
-// fields. The caller's slice is left untouched.
+// batch in the in-memory log: each keeps its caller-supplied LSN and
+// timestamp, clamped to the previous commit's, so binlog order is
+// non-decreasing in both fields. The caller's slice is left untouched.
+// The in-memory store cannot fail; the error is always nil.
 func (l *Log) CommitBatch(evs []Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
 	l.stampMu.Lock()
 	defer l.stampMu.Unlock()
-	l.buf = l.buf[:0]
+	l.mu.Lock()
 	for _, ev := range evs {
-		l.buf = append(l.buf, l.stampLocked(ev, ev.LSN))
+		l.events = append(l.events, l.stampLocked(ev, ev.LSN))
 	}
-	return l.Append(l.buf)
+	l.mu.Unlock()
+	l.Stored(len(evs))
+	return nil
 }
 
 // Stamp returns ev stamped for commit at lsn: its LSN and timestamp
 // clamped to be no lower than the last stamped event's. The caller
-// stores the stamped events in stamp order with Append.
+// stores the stamped events in stamp order and reports them with
+// Stored.
 func (l *Log) Stamp(ev Event, lsn uint64) Event {
 	l.stampMu.Lock()
 	defer l.stampMu.Unlock()
@@ -150,22 +147,12 @@ func (l *Log) stampLocked(ev Event, lsn uint64) Event {
 	return ev
 }
 
-// Append stores a batch of stamped events: in the Sink if attached, in
-// the in-memory log otherwise. A sink failure stores nothing in memory.
-func (l *Log) Append(evs []Event) error {
-	if l.Sink != nil {
-		if err := l.Sink(evs); err != nil {
-			return err
-		}
-	}
+// Stored counts one stored batch of n events.
+func (l *Log) Stored(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.Sink == nil {
-		l.events = append(l.events, evs...)
-	}
-	l.committed += uint64(len(evs))
+	l.committed += uint64(n)
 	l.flushes++
-	return nil
 }
 
 // Prime raises the monotone stamping floor. Recovery calls it with the

@@ -1,7 +1,6 @@
 package binlog
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -79,43 +78,6 @@ func TestParseWithReportTornAndCorrupt(t *testing.T) {
 	}
 	if len(evs) > 1 {
 		t.Errorf("corrupt image yielded %d events", len(evs))
-	}
-}
-
-func TestBinlogSinkErrorPropagates(t *testing.T) {
-	l := New()
-	boom := errors.New("binlog device gone")
-	l.Sink = func([]Event) error { return boom }
-	err := l.Commit(Event{Timestamp: 1, Statement: "INSERT INTO t VALUES (1)"})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Commit error = %v, want sink error", err)
-	}
-	if l.Len() != 0 {
-		t.Errorf("failed sink left %d events visible", l.Len())
-	}
-	l.Sink = nil
-	if err := l.Commit(Event{Timestamp: 2, Statement: "INSERT INTO t VALUES (2)"}); err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 1 {
-		t.Errorf("events after sink cleared = %d, want 1", l.Len())
-	}
-}
-
-// TestSinkReplacesMemoryStore: with a Sink attached the sink is the
-// binlog's one store — the in-memory log stays empty.
-func TestSinkReplacesMemoryStore(t *testing.T) {
-	l := New()
-	var sunk []Event
-	l.Sink = func(evs []Event) error { sunk = append(sunk, evs...); return nil }
-	if err := l.CommitBatch([]Event{{Timestamp: 1, Statement: "a"}, {Timestamp: 2, Statement: "b"}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sunk) != 2 || sunk[1].Statement != "b" {
-		t.Errorf("sink saw %+v, want both events in order", sunk)
-	}
-	if l.Len() != 0 {
-		t.Errorf("in-memory log holds %d events beside the sink, want 0", l.Len())
 	}
 }
 

@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// intQueue is a queue of int batches whose flush sees each batch as a
+// slice, reset for reuse after it.
+func intQueue(flush func([]int) error) *Queue[[]int] {
+	return New(func(b *[]int) error { return flush(*b) }, func(b *[]int) { *b = (*b)[:0] })
+}
+
 // TestQueueConcurrentCommits drives the queue from many goroutines with
 // a flush function that fails exactly one batch, and checks the three
 // things wal.Manager relies on: the flushed batches concatenate to
@@ -22,7 +28,7 @@ func TestQueueConcurrentCommits(t *testing.T) {
 		flushNo  int
 		failedAt = 5
 	)
-	q := New(func(batch []int) error {
+	q := intQueue(func(batch []int) error {
 		flushNo++
 		flushed = append(flushed, batch...)
 		if flushNo == failedAt {
@@ -46,15 +52,14 @@ func TestQueueConcurrentCommits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < commits; i++ {
 				var mine []int
-				err := q.Wait(q.Enqueue(func(pend []int) []int {
+				err := q.Wait(q.Enqueue(func(pend *[]int) {
 					// One or two items per commit, like a one-event and a
 					// transaction's multi-event binlog commit.
 					for n := 0; n <= (g+i)%2; n++ {
 						stamp++
 						mine = append(mine, stamp)
-						pend = append(pend, stamp)
+						*pend = append(*pend, stamp)
 					}
-					return pend
 				}))
 				results <- outcome{mine, err}
 			}
@@ -92,7 +97,7 @@ func TestQueueConcurrentCommits(t *testing.T) {
 // then returns without another flush.
 func TestEnqueuedItemsShareOneFlush(t *testing.T) {
 	var flushes [][]int
-	q := New(func(batch []int) error {
+	q := intQueue(func(batch []int) error {
 		flushes = append(flushes, append([]int(nil), batch...))
 		return nil
 	})
@@ -101,7 +106,7 @@ func TestEnqueuedItemsShareOneFlush(t *testing.T) {
 	}
 	var tickets []Ticket
 	for i := 1; i <= 16; i++ {
-		tickets = append(tickets, q.Enqueue(func(pend []int) []int { return append(pend, i) }))
+		tickets = append(tickets, q.Enqueue(func(pend *[]int) { *pend = append(*pend, i) }))
 	}
 	tail := q.Tail()
 	if err := q.Wait(tickets[15]); err != nil {
@@ -126,13 +131,13 @@ func TestEnqueuedItemsShareOneFlush(t *testing.T) {
 func TestTailCoversTheFlushInFlight(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var stored []int
-	q := New(func(batch []int) error {
+	q := intQueue(func(batch []int) error {
 		close(entered)
 		<-release
 		stored = append(stored, batch...)
 		return nil
 	})
-	tk := q.Enqueue(func(pend []int) []int { return append(pend, 1) })
+	tk := q.Enqueue(func(pend *[]int) { *pend = append(*pend, 1) })
 	leader := make(chan error)
 	go func() { leader <- q.Wait(tk) }()
 	<-entered
@@ -157,8 +162,8 @@ func TestTailCoversTheFlushInFlight(t *testing.T) {
 // its ticket — costs one small allocation (the batch's fate), however
 // many it has been through.
 func TestCommitDoesNotAllocatePerCall(t *testing.T) {
-	q := New(func([]int) error { return nil })
-	stamp := func(pend []int) []int { return append(pend, 1) }
+	q := intQueue(func([]int) error { return nil })
+	stamp := func(pend *[]int) { *pend = append(*pend, 1) }
 	commit := func() { _ = q.Wait(q.Enqueue(stamp)) }
 	for i := 0; i < 4; i++ { // grow both buffers
 		commit()

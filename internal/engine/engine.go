@@ -333,8 +333,8 @@ func build(cfg Config, ts *storage.Tablespace) (*Engine, error) {
 	}
 	// The WAL's commit pipeline carries the binlog's events behind their
 	// markers, stamped with the marker's LSN (the ordering the forensic
-	// LSN↔timestamp correlation consumes), and resolves each transaction
-	// in the version store once its marker is durable.
+	// LSN↔timestamp correlation consumes), and resolves each group's
+	// transactions in the version store once their markers are durable.
 	wm.Binlog = e.binlog
 	wm.Resolved = e.versions.commit
 	e.general.Enabled = cfg.EnableGeneralLog

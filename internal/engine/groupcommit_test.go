@@ -18,35 +18,48 @@ import (
 )
 
 // submitAll submits qs as one pipelined group and flushes it, failing
-// the test on any statement's error.
-func submitAll(t testing.TB, s *Session, qs []string) {
+// the test on any statement's error, and returns the rows the group
+// examined.
+func submitAll(t testing.TB, s *Session, qs []string) (examined int) {
 	t.Helper()
 	for _, q := range qs {
-		s.Submit(q, func(_ *Result, err error) {
+		s.Submit(q, func(res *Result, err error) {
 			if err != nil {
 				t.Errorf("Submit(%q): %v", q, err)
+				return
 			}
+			examined += res.RowsExamined
 		})
 	}
 	s.Flush()
+	return examined
 }
 
 var updateCost = flag.Bool("update", false, "rewrite testdata/cost.golden from this run")
 
-// TestDurableOpsPerStatement is the cost census: per statement class,
-// on a plain and a deterministic-CryptFS engine, the durable ops it
-// costs — writes, syncs and every other mutating file operation,
-// counted as failpoint evaluations below a FaultFS — and the bytes it
+// TestCostCensus is the cost census: per statement class, on a plain
+// and a deterministic-CryptFS engine, the durable ops it costs —
+// writes, syncs and every other mutating file operation, counted as
+// failpoint evaluations below a FaultFS — the buffer-pool fetches it
+// makes (hits and misses alike), the rows it examines, and the bytes it
 // appends to the redo, undo and binlog files, read against
-// testdata/cost.golden. A change to the commit pipeline's cadence or to
-// a log's encoding shows as a diff of that file, not as a timing. An
-// autocommit write is one flush however many rows it changes (redo,
-// undo and binlog each written and synced), a pipelined group of them
-// is one flush too, a statement inside a transaction writes and syncs
-// its redo and undo at its ack, COMMIT writes and syncs its marker and
-// its binlog events, ROLLBACK its compensations and abort marker in one
-// step, and a SELECT touches nothing.
-func TestDurableOpsPerStatement(t *testing.T) {
+// testdata/cost.golden. A change to the commit pipeline's cadence, to a
+// log's encoding or to a plan's page walk shows as a diff of that file,
+// not as a timing. An autocommit write is one flush however many rows it
+// changes (redo, undo and binlog each written and synced), a pipelined
+// group of them is one flush too, a statement inside a transaction
+// writes and syncs its redo and undo at its ack, COMMIT writes and syncs
+// its marker and its binlog events, ROLLBACK its compensations and abort
+// marker in one step, and a SELECT touches no file.
+//
+// The read rows run on a second table, r, with a secondary index on k:
+// a point SELECT on its first, second and third sighting (the plan cache
+// admits a text on its second, so the third is a plan-cache hit), a
+// pk range, a COUNT folded at the leaf, a top-N, an index lookup, and a
+// range read by a transaction whose view predates an UPDATE of it, so
+// every row it returns resolves a version chain. The query cache is off:
+// a repeated SELECT pays its plan and its pages, not a cached result.
+func TestCostCensus(t *testing.T) {
 	rows := func(lo, n int) string {
 		var tuples []string
 		for i := lo; i < lo+n; i++ {
@@ -58,30 +71,44 @@ func TestDurableOpsPerStatement(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		group = append(group, rows(200+i, 1))
 	}
+	const point = "SELECT v FROM r WHERE id = 77"
 	census := []struct {
-		name string
-		stmt string // "" runs group
+		name   string
+		stmt   string // "" runs group
+		reader bool   // run on the second session
 	}{
-		{"autocommit INSERT, 1 row", rows(1, 1)},
-		{"autocommit INSERT, 50 rows", rows(100, 50)},
-		{"group of 16 single-row INSERTs", ""},
-		{"autocommit UPDATE, 1 row", "UPDATE t SET v = 'u' WHERE id = 1"},
-		{"autocommit UPDATE, 50 rows", "UPDATE t SET v = 'u' WHERE id >= 100 AND id <= 149"},
-		{"autocommit DELETE, 1 row", "DELETE FROM t WHERE id = 1"},
-		{"autocommit DELETE, 50 rows", "DELETE FROM t WHERE id >= 100 AND id <= 149"},
-		{"SELECT", "SELECT v FROM t WHERE id = 200"},
-		{"BEGIN", "BEGIN"},
-		{"UPDATE in a transaction", "UPDATE t SET v = 'x' WHERE id = 200"},
-		{"INSERT in a transaction, 3 rows", rows(300, 3)},
-		{"COMMIT", "COMMIT"},
-		{"BEGIN", "BEGIN"},
-		{"DELETE in a transaction, 2 rows", "DELETE FROM t WHERE id >= 201 AND id <= 202"},
-		{"UPDATE in a transaction, 2 rows", "UPDATE t SET v = 'y' WHERE id >= 203 AND id <= 204"},
-		{"ROLLBACK", "ROLLBACK"},
+		{"autocommit INSERT, 1 row", rows(1, 1), false},
+		{"autocommit INSERT, 50 rows", rows(100, 50), false},
+		{"group of 16 single-row INSERTs", "", false},
+		{"autocommit UPDATE, 1 row", "UPDATE t SET v = 'u' WHERE id = 1", false},
+		{"autocommit UPDATE, 50 rows", "UPDATE t SET v = 'u' WHERE id >= 100 AND id <= 149", false},
+		{"autocommit DELETE, 1 row", "DELETE FROM t WHERE id = 1", false},
+		{"autocommit DELETE, 50 rows", "DELETE FROM t WHERE id >= 100 AND id <= 149", false},
+		{"SELECT", "SELECT v FROM t WHERE id = 200", false},
+		{"BEGIN", "BEGIN", false},
+		{"UPDATE in a transaction", "UPDATE t SET v = 'x' WHERE id = 200", false},
+		{"INSERT in a transaction, 3 rows", rows(300, 3), false},
+		{"COMMIT", "COMMIT", false},
+		{"BEGIN", "BEGIN", false},
+		{"DELETE in a transaction, 2 rows", "DELETE FROM t WHERE id >= 201 AND id <= 202", false},
+		{"UPDATE in a transaction, 2 rows", "UPDATE t SET v = 'y' WHERE id >= 203 AND id <= 204", false},
+		{"ROLLBACK", "ROLLBACK", false},
+		{"point SELECT, cold", point, false},
+		{"point SELECT, second sighting", point, false},
+		{"point SELECT, plan-cached", point, false},
+		{"pk-range SELECT, 100 rows", "SELECT id, v FROM r WHERE id >= 50 AND id < 150", false},
+		{"folded COUNT, 100 rows", "SELECT COUNT(*) FROM r WHERE id >= 50 AND id < 150", false},
+		{"ORDER BY v LIMIT 10", "SELECT id FROM r ORDER BY v LIMIT 10", false},
+		{"index lookup, 6 rows", "SELECT id, v FROM r WHERE k = 7", false},
+		{"BEGIN, reader", "BEGIN", true},
+		{"point SELECT, reader's view", "SELECT v FROM r WHERE id = 60", true},
+		{"autocommit UPDATE, 100 rows", "UPDATE r SET v = 'new' WHERE id >= 50 AND id < 150", false},
+		{"range SELECT over chains", "SELECT id, v FROM r WHERE id >= 50 AND id < 150", true},
+		{"COMMIT, reader", "COMMIT", true},
 	}
 	logs := []string{FileRedo, FileUndo, FileBinlog}
 	var got strings.Builder
-	fmt.Fprintf(&got, "%-8s %-32s %4s %7s %7s %8s\n", "engine", "statement", "ops", "redo_B", "undo_B", "binlog_B")
+	fmt.Fprintf(&got, "%-8s %-32s %4s %7s %8s %7s %7s %8s\n", "engine", "statement", "ops", "fetches", "examined", "redo_B", "undo_B", "binlog_B")
 	for _, arm := range []struct {
 		name string
 		cfg  Config
@@ -90,9 +117,19 @@ func TestDurableOpsPerStatement(t *testing.T) {
 		mem := vfs.NewMemFS()
 		cfg := arm.cfg
 		cfg.FS = vfs.NewFaultFS(mem, reg)
+		cfg.EnableQueryCache = false
 		e, _ := newEngine(t, cfg)
-		s := e.Connect("app")
+		s, reader := e.Connect("app"), e.Connect("reader")
+		mustExec(t, s, "CREATE TABLE r (id INT PRIMARY KEY, k INT, v TEXT)")
+		mustExec(t, s, "CREATE INDEX ik ON r (k)")
 		mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+		for lo := 0; lo < 300; lo += 50 {
+			var tuples []string
+			for i := lo; i < lo+50; i++ {
+				tuples = append(tuples, fmt.Sprintf("(%d, %d, 'r%d-%s')", i, i%50, i, strings.Repeat("x", 40)))
+			}
+			mustExec(t, s, "INSERT INTO r (id, k, v) VALUES "+strings.Join(tuples, ", "))
+		}
 		// sizes reads the log files' lengths on the disk below every
 		// wrapper, which counts no durable op.
 		sizes := func() (out [3]int64) {
@@ -109,14 +146,25 @@ func TestDurableOpsPerStatement(t *testing.T) {
 			return out
 		}
 		for _, c := range census {
-			ops, before := reg.TotalHits(), sizes()
-			if c.stmt == "" {
-				submitAll(t, s, group)
-			} else {
-				mustExec(t, s, c.stmt)
+			ops, fetches, before := reg.TotalHits(), e.pool.FetchCount(), sizes()
+			examined := 0
+			switch {
+			case c.stmt == "":
+				examined = submitAll(t, s, group)
+			case c.reader:
+				res := mustExec(t, reader, c.stmt)
+				examined = res.RowsExamined
+				for _, row := range res.Rows {
+					if row[len(row)-1].Str == "new" {
+						t.Fatalf("%s: the reader's view sees the later UPDATE: %v", c.name, row)
+					}
+				}
+			default:
+				examined = mustExec(t, s, c.stmt).RowsExamined
 			}
 			after := sizes()
-			fmt.Fprintf(&got, "%-8s %-32s %4d %7d %7d %8d\n", arm.name, c.name, reg.TotalHits()-ops,
+			fmt.Fprintf(&got, "%-8s %-32s %4d %7d %8d %7d %7d %8d\n", arm.name, c.name, reg.TotalHits()-ops,
+				e.pool.FetchCount()-fetches, examined,
 				after[0]-before[0], after[1]-before[1], after[2]-before[2])
 		}
 	}

@@ -194,33 +194,37 @@ func (c *chain) supersede(pre storage.Record, deletedNow bool, txn uint64) {
 	c.deleted = deletedNow
 }
 
-// commit assigns txn the next commit sequence, making its versions
-// visible to views opened from here on. Rollback also calls it once
-// the compensations are applied: the chain's latest state then equals
-// the pre-transaction state, the intermediate versions stay invisible
-// to everyone, and purge can resolve the chain. During redo replay every
-// marker still takes its sequence number, but only a transaction that
-// extended a chain is recorded: no chain names any other, so no view
-// could ever ask for its sequence. (A log holds one marker per
-// transaction; were one repeated, an unrecorded transaction would take a
-// second number — a gap in the sequence, which orders nothing.)
-func (st *mvccStore) commit(txn uint64) {
-	if txn == 0 {
-		return
-	}
+// commit assigns each of txns, in order, the next commit sequence,
+// making its versions visible to views opened from here on; a flush
+// resolves all of its group's markers under one lock. Rollback also
+// calls it once the compensations are applied: the chain's latest state
+// then equals the pre-transaction state, the intermediate versions stay
+// invisible to everyone, and purge can resolve the chain. During redo
+// replay every marker still takes its sequence number, but only a
+// transaction that extended a chain is recorded: no chain names any
+// other, so no view could ever ask for its sequence. (A log holds one
+// marker per transaction; were one repeated, an unrecorded transaction
+// would take a second number — a gap in the sequence, which orders
+// nothing.)
+func (st *mvccStore) commit(txns ...uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.commits[txn]; ok {
-		return
-	}
-	st.seq++
-	if st.replaying {
-		if _, ok := st.filed[txn]; !ok {
-			return
+	for _, txn := range txns {
+		if txn == 0 {
+			continue
 		}
-		delete(st.filed, txn)
+		if _, ok := st.commits[txn]; ok {
+			continue
+		}
+		st.seq++
+		if st.replaying {
+			if _, ok := st.filed[txn]; !ok {
+				continue
+			}
+			delete(st.filed, txn)
+		}
+		st.commits[txn] = st.seq
 	}
-	st.commits[txn] = st.seq
 }
 
 // beginReplay and endReplay bracket recovery's redo walk; extend says

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"snapdb/internal/binlog"
 	"snapdb/internal/sqlparse"
 	"snapdb/internal/storage"
 	"snapdb/internal/vfs"
@@ -25,13 +24,12 @@ const (
 	FileBufferPool = "ib_buffer_pool"
 )
 
-// logFile is one append-only framed log file: its handle, its durable
-// valid prefix, and the reused encode buffer of the batch being appended.
+// logFile is one append-only framed log file: its handle and its
+// durable valid prefix.
 type logFile struct {
 	name string
 	f    vfs.File
 	off  int64
-	buf  []byte
 }
 
 // openLogFile takes over the handle recovery read l through, or
@@ -61,52 +59,51 @@ func (l *logFile) truncateTo(off int64) error {
 	return nil
 }
 
-// appendBatch makes the batch encoded in each file's buf durable. The
-// durable-op sequence is a contract (the crash-torture schedule and
-// TestDurableOpsPerStatement enumerate it by ordinal): every file's
-// write, then every file's sync, in argument order, skipping files with
-// nothing to append. A group-commit flush runs it twice — redo and undo,
-// then the binlog — so one flush of a group of autocommit statements is
-// six ops: redo write, undo write, redo sync, undo sync, binlog write,
-// binlog sync. Offsets advance only after all of it succeeded, and a
-// failed batch fails the persistor for good (see persistor.err): a
-// crash leaves at worst a torn tail that recovery truncates.
-func appendBatch(files ...*logFile) error {
-	for _, l := range files {
-		if len(l.buf) == 0 {
+// logAppend is one file's share of a batch: the frames to append.
+type logAppend struct {
+	l   *logFile
+	buf []byte
+}
+
+// appendBatch makes each file's frames durable. The durable-op sequence
+// is a contract (the crash-torture schedule and TestCostCensus
+// enumerate it by ordinal): every file's write, then every file's sync,
+// in argument order, skipping files with nothing to append. A
+// group-commit flush runs it twice — redo and undo, then the binlog —
+// so one flush of a group of autocommit statements is six ops: redo
+// write, undo write, redo sync, undo sync, binlog write, binlog sync.
+// Offsets advance only after all of it succeeded, and a failed batch
+// fails the persistor for good (see persistor.err): a crash leaves at
+// worst a torn tail that recovery truncates.
+func appendBatch(files ...logAppend) error {
+	for _, a := range files {
+		if len(a.buf) == 0 {
 			continue
 		}
-		if _, err := l.f.WriteAt(l.buf, l.off); err != nil {
-			return fmt.Errorf("engine: %s append: %w", l.name, err)
+		if _, err := a.l.f.WriteAt(a.buf, a.l.off); err != nil {
+			return fmt.Errorf("engine: %s append: %w", a.l.name, err)
 		}
 	}
-	for _, l := range files {
-		if len(l.buf) == 0 {
+	for _, a := range files {
+		if len(a.buf) == 0 {
 			continue
 		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("engine: %s sync: %w", l.name, err)
+		if err := a.l.f.Sync(); err != nil {
+			return fmt.Errorf("engine: %s sync: %w", a.l.name, err)
 		}
 	}
-	for _, l := range files {
-		l.off += int64(len(l.buf))
-		if cap(l.buf) > maxKeptBuf {
-			l.buf = nil // a bulk load's batch: not kept pinned for good
-		}
+	for _, a := range files {
+		a.l.off += int64(len(a.buf))
 	}
 	return nil
 }
 
-// maxKeptBuf is the largest encode buffer a logFile keeps for reuse.
-const maxKeptBuf = 64 << 10
-
 // persistor is the engine's durability sink and its logs' one store.
-// The WAL's group-commit leader calls into it with each flushed batch:
-// the redo and undo records, then the binlog events. It appends each to
-// its file inside CRC32-C frames and fsyncs before the batch is
-// acknowledged, so a statement only returns success once its log
-// records are on stable storage. No copy of the batch is kept in
-// memory.
+// The WAL's group-commit leader hands it each flushed batch, already
+// framed: the redo and undo frames, then the binlog's. It appends each
+// to its file and fsyncs before the batch is acknowledged, so a
+// statement only returns success once its log records are on stable
+// storage. No copy of the batch is kept in memory.
 //
 // A failed append is sticky: err keeps it, and every later append and
 // checkpoint fails without touching a file. A later batch may already
@@ -147,35 +144,26 @@ func (e *Engine) attachPersist(fs vfs.FS, redo, undo, blog *logScan) error {
 		blog.close()
 		return err
 	}
-	e.persist, e.wal.Sink, e.binlog.Sink = p, p.appendWAL, p.appendBinlog
+	e.persist, e.wal.Sink = p, p.append
 	return nil
 }
 
-// appendWAL is the wal.Manager sink: persist one group-commit batch to
-// the redo and undo files.
-func (p *persistor) appendWAL(redo, undo []wal.Record) error {
+// append is the wal.Manager sink: persist one group-commit batch, its
+// redo and undo frames and then its binlog frames. A binlog failure
+// wraps wal.ErrBinlog: the batch's transactions are committed.
+func (p *persistor) append(b *wal.Batch) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.refusal(); err != nil {
 		return err
 	}
-	p.redo.buf = storage.AppendFrames(p.redo.buf[:0], redo)
-	p.undo.buf = storage.AppendFrames(p.undo.buf[:0], undo)
-	p.err = appendBatch(&p.redo, &p.undo)
-	return p.err
-}
-
-// appendBinlog is the binlog.Log sink: persist one group-commit batch
-// of events.
-func (p *persistor) appendBinlog(evs []binlog.Event) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.refusal(); err != nil {
-		return err
+	if p.err = appendBatch(logAppend{&p.redo, b.Redo}, logAppend{&p.undo, b.Undo}); p.err != nil {
+		return p.err
 	}
-	p.blog.buf = storage.AppendFrames(p.blog.buf[:0], evs)
-	p.err = appendBatch(&p.blog)
-	return p.err
+	if p.err = appendBatch(logAppend{&p.blog, b.Binlog}); p.err != nil {
+		return fmt.Errorf("%w: %w", wal.ErrBinlog, p.err)
+	}
+	return nil
 }
 
 // failure is the error a write is refused with once an append has

@@ -70,16 +70,22 @@ func ReadFrame(b []byte) (payload []byte, n int, err error) {
 	return payload, total, nil
 }
 
-// AppendFrames appends one frame per item to dst, encoding each payload
-// in place behind a reserved header; every framed log is written here.
+// AppendFramed appends it to dst as one frame, encoding the payload in
+// place behind a reserved header; every framed log is written here.
+func AppendFramed[T interface{ AppendEncode(dst []byte) []byte }](dst []byte, it T) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, FrameHeaderSize)...)
+	dst = it.AppendEncode(dst)
+	payload := dst[start+FrameHeaderSize:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// AppendFrames appends one frame per item to dst (AppendFramed).
 func AppendFrames[T interface{ AppendEncode(dst []byte) []byte }](dst []byte, items []T) []byte {
 	for _, it := range items {
-		start := len(dst)
-		dst = append(dst, make([]byte, FrameHeaderSize)...)
-		dst = it.AppendEncode(dst)
-		payload := dst[start+FrameHeaderSize:]
-		binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
-		binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+		dst = AppendFramed(dst, it)
 	}
 	return dst
 }

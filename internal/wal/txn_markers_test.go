@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"snapdb/internal/storage"
 )
 
 func TestMarkersRoundTrip(t *testing.T) {
@@ -91,7 +93,8 @@ func TestSinkErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk full")
-	m.Sink = func(redo, undo []Record) error { return boom }
+	store := m.Sink
+	m.Sink = func(*Batch) error { return boom }
 	if _, _, err := m.LogInsert(1, row(1, "x")); !errors.Is(err, boom) {
 		t.Fatalf("LogInsert error = %v, want sink error", err)
 	}
@@ -103,7 +106,7 @@ func TestSinkErrorPropagates(t *testing.T) {
 		t.Errorf("failed sink left %d undo records in memory", n)
 	}
 	// Clearing the failure makes commits flow again.
-	m.Sink = nil
+	m.Sink = store
 	if _, _, err := m.LogInsert(1, row(2, "y")); err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +115,17 @@ func TestSinkErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestSinkReplacesMemoryStore: with a Sink attached the sink is the
-// logs' one store — the in-memory logs stay empty.
+// TestSinkReplacesMemoryStore: with another Sink attached that sink is
+// the logs' one store — the in-memory logs stay empty.
 func TestSinkReplacesMemoryStore(t *testing.T) {
 	m, err := NewManager(1<<20, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sunkRedo, sunkUndo int
-	m.Sink = func(redo, undo []Record) error {
-		sunkRedo += len(redo)
-		sunkUndo += len(undo)
+	m.Sink = func(b *Batch) error {
+		sunkRedo += storage.CountFrames(b.Redo)
+		sunkUndo += storage.CountFrames(b.Undo)
 		return nil
 	}
 	tx := m.BeginTxn()
@@ -180,5 +183,29 @@ func TestParseLogReportCorruptMiddle(t *testing.T) {
 	// ...but errors when nothing parses at all.
 	if _, err := ParseLog(img[:3]); err == nil {
 		t.Error("ParseLog accepted an image with no parseable record")
+	}
+}
+
+// TestBatchResetKeepsSmallBuffers: a flushed batch is emptied for the
+// next group, its counts and markers cleared; a buffer up to 64 KiB is
+// kept for reuse and a larger one (a bulk load's group) is dropped.
+func TestBatchResetKeepsSmallBuffers(t *testing.T) {
+	b := Batch{
+		Redo:    make([]byte, 10, maxKept),
+		Undo:    make([]byte, 10, maxKept+1),
+		Binlog:  make([]byte, 10, 100),
+		Markers: []uint64{1, 2},
+		Records: 3,
+		Events:  1,
+	}
+	b.reset()
+	if len(b.Redo) != 0 || cap(b.Redo) != maxKept || cap(b.Binlog) != 100 {
+		t.Errorf("kept buffers: redo len %d cap %d, binlog cap %d; want empty with their arrays", len(b.Redo), cap(b.Redo), cap(b.Binlog))
+	}
+	if b.Undo != nil {
+		t.Errorf("a %d-byte buffer was kept, want it dropped", cap(b.Undo))
+	}
+	if len(b.Markers) != 0 || b.Records != 0 || b.Events != 0 {
+		t.Errorf("reset batch holds %d markers, %d records, %d events", len(b.Markers), b.Records, b.Events)
 	}
 }

@@ -7,18 +7,20 @@
 // write that a disk-snapshot attacker can replay with standard forensic
 // techniques.
 //
-// Each log has exactly one store. An engine always attaches a Sink —
-// the log files of its data directory — so the records go there only,
-// and the in-memory Log stays empty. Only a Manager used on its own
-// (E2's retention model, the ablations, the benchmark's probes) keeps
-// its records in the in-memory Log, which is circular: when it exceeds
-// its capacity, the oldest records fall off. The retention window
-// therefore depends on write volume and record size, which experiment
-// E2 measures (the paper's "50 MB stores 16 days of 20-byte writes at 1
+// Every change is framed as it is queued: the pending group-commit
+// Batch holds the bytes its flush will write, and one Sink stores it.
+// An engine's Sink is the log files of its data directory, so its
+// in-memory Logs stay empty. The Sink NewManager installs is the
+// in-memory store that a Manager used on its own keeps (E2's retention
+// model, the ablations, the benchmark's probes): a circular Log per
+// log, holding its framed image, from which the oldest records fall
+// off when it exceeds its capacity. The retention window therefore
+// depends on write volume and record size, which experiment E2
+// measures (the paper's "50 MB stores 16 days of 20-byte writes at 1
 // write/s" estimate).
 //
 // On disk (Serialize) every record travels inside a CRC32-C frame
-// (storage.AppendFrame), so a reader can tell a torn tail from silent
+// (storage.AppendFramed), so a reader can tell a torn tail from silent
 // corruption and stop the scan at the first bad frame instead of
 // misparsing garbage.
 package wal
@@ -183,15 +185,18 @@ func payloadErr(payload []byte, n int, err error) error {
 	return nil
 }
 
-// Log is one circular log (redo or undo).
+// Log is one circular log (redo or undo), held as its framed image:
+// the bytes Serialize returns, one CRC32-C frame per record. Its
+// capacity counts record payloads (Record.EncodedSize), not frame
+// headers: E2's retention figures are in record bytes.
 type Log struct {
 	mu       sync.Mutex
 	name     string
-	capacity int // bytes
+	capacity int // bytes of record payload
 
-	records []Record
-	sizes   []int
-	bytes   int
+	img     []byte // the retained records' frames, oldest first
+	n       int    // records in img
+	bytes   int    // their payload bytes
 	evicted uint64 // count of records that have fallen off the front
 }
 
@@ -213,46 +218,55 @@ func NewLog(name string, capacity int) (*Log, error) {
 func (l *Log) Append(r Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.appendLocked(r)
+	l.img = storage.AppendFramed(l.img, r)
+	l.n++
+	l.bytes += r.EncodedSize()
+	l.evict()
 }
 
-// AppendBatch adds records in order under one lock acquisition — the
-// flush half of the manager's group commit.
-func (l *Log) AppendBatch(recs []Record) {
+// AppendFrames adds the records framed in frames — whole frames, as a
+// Batch holds them — in order, evicting as Append does.
+func (l *Log) AppendFrames(frames []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, r := range recs {
-		l.appendLocked(r)
+	l.img = append(l.img, frames...)
+	for len(frames) > 0 {
+		size := payloadLen(frames)
+		l.n++
+		l.bytes += size
+		frames = frames[storage.FrameHeaderSize+size:]
 	}
+	l.evict()
 }
 
-func (l *Log) appendLocked(r Record) {
-	enc := r.EncodedSize()
-	l.records = append(l.records, r)
-	l.sizes = append(l.sizes, enc)
-	l.bytes += enc
-	for l.bytes > l.capacity && len(l.records) > 1 {
-		l.bytes -= l.sizes[0]
-		l.records = l.records[1:]
-		l.sizes = l.sizes[1:]
+// evict drops the oldest records while the log exceeds its capacity,
+// keeping at least the newest.
+func (l *Log) evict() {
+	for l.bytes > l.capacity && l.n > 1 {
+		size := payloadLen(l.img)
+		l.img = l.img[storage.FrameHeaderSize+size:]
+		l.n--
+		l.bytes -= size
 		l.evicted++
 	}
 }
+
+// payloadLen reads the payload length of the frame at the front of b.
+func payloadLen(b []byte) int { return int(binary.BigEndian.Uint32(b)) }
 
 // Records returns the retained records, oldest first.
 func (l *Log) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, len(l.records))
-	copy(out, l.records)
-	return out
+	recs, _ := ParseLogReport(l.img)
+	return recs
 }
 
 // Len returns the retained record count.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return l.n
 }
 
 // Bytes returns the retained encoded size.
@@ -275,19 +289,19 @@ func (l *Log) Evicted() uint64 {
 func (l *Log) OldestLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.records) == 0 {
+	if l.n == 0 {
 		return 0
 	}
-	return l.records[0].LSN
+	return binary.BigEndian.Uint64(l.img[storage.FrameHeaderSize:])
 }
 
-// Serialize renders the retained log as one byte image — the "file on
+// Serialize returns the retained log as one byte image — the "file on
 // disk" that a disk snapshot captures. Each record is wrapped in a
 // CRC32-C frame.
 func (l *Log) Serialize() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return storage.AppendFrames(make([]byte, 0, l.bytes+storage.FrameHeaderSize*len(l.records)), l.records)
+	return append(make([]byte, 0, len(l.img)), l.img...)
 }
 
 // ParseLogReport parses a Serialize image back into records, stopping
@@ -360,12 +374,36 @@ type Ticket = commitq.Ticket
 // events are lost.
 var ErrBinlog = errors.New("wal: committed, binlog write failed")
 
-// pendEntry is one queued item of the commit pipeline: a redo record
-// with its undo record (the zero Record for a transaction marker, which
-// is redo-only) or, when redo.Op is 0, one binlog event.
-type pendEntry struct {
-	redo, undo Record
-	ev         binlog.Event
+// Batch is one pending group: the frames its flush appends to the
+// redo, undo and binlog files, in queue order, and what the flush
+// reports about them. Manager.change and EndTxn frame every change,
+// marker and event into it under the queue lock, right after stamping
+// it, so the group holds bytes, not records.
+type Batch struct {
+	Redo, Undo, Binlog []byte   // CRC32-C frames (storage.AppendFramed)
+	Markers            []uint64 // the transactions of its commit and abort markers, in log order
+	Records, Events    int      // redo records and binlog events framed
+}
+
+// maxKept is the largest batch buffer kept for reuse: a bulk load's
+// group is left to the collector instead of staying pinned.
+const maxKept = 64 << 10
+
+// reset empties b for the next group, dropping any buffer over maxKept.
+// A kept buffer still holds its last group's frames beyond its length
+// until the next group overwrites them.
+func (b *Batch) reset() {
+	kept := func(buf []byte) []byte {
+		if cap(buf) > maxKept {
+			return nil
+		}
+		return buf[:0]
+	}
+	markers := b.Markers[:0]
+	if cap(markers)*8 > maxKept {
+		markers = nil
+	}
+	*b = Batch{Redo: kept(b.Redo), Undo: kept(b.Undo), Binlog: kept(b.Binlog), Markers: markers}
 }
 
 // Manager owns the global LSN counter and the redo and undo logs,
@@ -375,47 +413,47 @@ type pendEntry struct {
 //
 // Every change, marker and event goes through the group-commit queue
 // (commitq, which documents the ordering invariant). Each change gets
-// its LSN as it is queued, so both logs come out strictly LSN-ordered no
-// matter how statements interleave, and queueing does not wait: the
-// Tx* entry points and EndTxn return a Ticket, and Sync on it returns
-// once everything queued up to it is in its store. The first Sync while
-// no flush runs flushes every entry queued so far, whoever queued it.
+// its LSN as it is queued and is framed into the pending Batch at once,
+// so both logs come out strictly LSN-ordered no matter how statements
+// interleave, and queueing does not wait: the Tx* entry points and
+// EndTxn return a Ticket, and Sync on it returns once everything queued
+// up to it is in its store. The first Sync while no flush runs flushes
+// every entry queued so far, whoever queued it.
 //
-// A flush writes in a fixed order. First the batch's redo and undo
-// records go to their one store: the Sink if one is attached (the
-// persistence layer writes and syncs both files inside it, so a
-// statement only returns success once its records are on stable
-// storage), the in-memory logs otherwise. Only then do the batch's
-// events go to the binlog's store, so no event is stored before its
-// marker. A Sink failure fails the batch for every waiter in it.
+// A flush hands the batch to the one Sink, which stores it in a fixed
+// order: the redo and undo frames first (the persistence layer writes
+// and syncs both files, so a statement only returns success once its
+// records are on stable storage), then the binlog frames, so no event is
+// stored before its marker. A Sink failure fails the batch for every
+// waiter in it.
 type Manager struct {
-	q      *commitq.Queue[pendEntry] // its lock also guards lsn and txnSeq
+	q      *commitq.Queue[Batch] // its lock also guards lsn and txnSeq
 	lsn    uint64
 	txnSeq uint64
 
-	// Sink, if set, receives each flushed batch's redo records, and the
-	// undo records for entries that have them, in place of Redo and Undo.
-	// Set it before concurrent use.
-	Sink func(redo, undo []Record) error
+	// Sink stores each flushed batch, redo and undo before the binlog;
+	// an error raised after the redo and undo are stored wraps ErrBinlog.
+	// The batch is reused once Sink returns, so Sink keeps none of its
+	// bytes. NewManager installs the in-memory store (Redo and Undo); an
+	// engine replaces it with its log files. Set it before concurrent
+	// use.
+	Sink func(*Batch) error
 
-	// Binlog stamps the events EndTxn queues and stores them when their
-	// batch flushes. Set it before concurrent use.
+	// Binlog stamps the events EndTxn queues and counts them once their
+	// batch is stored. Set it before concurrent use.
 	Binlog *binlog.Log
 
-	// Resolved, if set, is called with the transaction of each commit
-	// and abort marker a flush made durable, in log order, after the
+	// Resolved, if set, is called with the transactions of the commit
+	// and abort markers a flush made durable, in log order, after the
 	// flush's binlog step (failed or not) and before any waiter of the
 	// batch returns. Set it before concurrent use.
-	Resolved func(txn uint64)
+	Resolved func(txns ...uint64)
 
-	// Redo and Undo are the in-memory store, used only while no Sink is
-	// attached: by a Manager used on its own, never by an engine's.
+	// Redo and Undo are the in-memory store that NewManager's Sink
+	// fills: a Manager used on its own keeps its records there, an
+	// engine's never does.
 	Redo *Log
 	Undo *Log
-
-	// The flush's scratch, touched only by the flushing leader.
-	redoBuf, undoBuf []Record
-	evBuf            []binlog.Event
 
 	committed, flushes atomic.Uint64 // redo records stored, and the flushes that stored them
 }
@@ -431,8 +469,18 @@ func NewManager(redoCapacity, undoCapacity int) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{Redo: redo, Undo: undo}
-	m.q = commitq.New(m.flush)
+	m.Sink = m.store
+	m.q = commitq.New(m.flush, (*Batch).reset)
 	return m, nil
+}
+
+// store is NewManager's Sink: the batch's redo and undo frames go to
+// Redo and Undo. A Manager on its own has no Binlog, so its batches
+// carry no events.
+func (m *Manager) store(b *Batch) error {
+	m.Redo.AppendFrames(b.Redo)
+	m.Undo.AppendFrames(b.Undo)
+	return nil
 }
 
 // BeginTxn allocates a transaction id. Every data change and its
@@ -470,13 +518,14 @@ func (m *Manager) SetRecovered(lsn, txnSeq uint64) {
 // InnoDB's byte-offset LSNs (which is what makes the paper's
 // LSN↔timestamp correlation linear in write volume).
 func (m *Manager) change(redo, undo Record, size int) (uint64, Record, Ticket) {
-	e := pendEntry{redo: redo, undo: undo}
-	t := m.q.Enqueue(func(pend []pendEntry) []pendEntry {
+	t := m.q.Enqueue(func(b *Batch) {
 		m.lsn += uint64(size)
-		e.redo.LSN, e.undo.LSN = m.lsn, m.lsn
-		return append(pend, e)
+		redo.LSN, undo.LSN = m.lsn, m.lsn
+		b.Redo = storage.AppendFramed(b.Redo, redo)
+		b.Undo = storage.AppendFramed(b.Undo, undo)
+		b.Records++
 	})
-	return e.redo.LSN, e.undo, t
+	return redo.LSN, undo, t
 }
 
 // EndTxn queues the end of txn: its marker op (OpCommit or OpAbort;
@@ -489,17 +538,19 @@ func (m *Manager) EndTxn(txn uint64, op Op, evs []binlog.Event) Ticket {
 	if op == 0 && len(evs) == 0 {
 		return Ticket{}
 	}
-	return m.q.Enqueue(func(pend []pendEntry) []pendEntry {
+	return m.q.Enqueue(func(b *Batch) {
 		if op != 0 {
 			marker := Record{Txn: txn, Op: op, Column: WholeRow}
 			m.lsn += uint64(marker.EncodedSize())
 			marker.LSN = m.lsn
-			pend = append(pend, pendEntry{redo: marker})
+			b.Redo = storage.AppendFramed(b.Redo, marker)
+			b.Records++
+			b.Markers = append(b.Markers, txn)
 		}
 		for _, ev := range evs {
-			pend = append(pend, pendEntry{ev: m.Binlog.Stamp(ev, m.lsn)})
+			b.Binlog = storage.AppendFramed(b.Binlog, m.Binlog.Stamp(ev, m.lsn))
 		}
-		return pend
+		b.Events += len(evs)
 	})
 }
 
@@ -510,63 +561,24 @@ func (m *Manager) Sync(t Ticket) error { return m.q.Wait(t) }
 // SyncAll is Sync on everything queued so far.
 func (m *Manager) SyncAll() error { return m.q.Wait(m.q.Tail()) }
 
-// flush is the queue leader's batch flush: redo and undo into their one
-// store, then the events into the binlog's, then Resolved for the
-// markers.
-func (m *Manager) flush(batch []pendEntry) error {
-	redo, undo, evs := m.redoBuf[:0], m.undoBuf[:0], m.evBuf[:0]
-	defer func() {
-		m.redoBuf, m.undoBuf, m.evBuf = reusable(redo), reusable(undo), reusable(evs)
-	}()
-	for i := range batch {
-		be := &batch[i]
-		switch {
-		case be.redo.Op == 0:
-			evs = append(evs, be.ev)
-		case be.undo.Op != 0:
-			undo = append(undo, be.undo)
-			fallthrough
-		default:
-			redo = append(redo, be.redo)
-		}
+// flush is the queue leader's batch flush: the batch into the Sink,
+// then the counts and Resolved for its markers.
+func (m *Manager) flush(b *Batch) error {
+	err := m.Sink(b)
+	if err != nil && !errors.Is(err, ErrBinlog) {
+		return err
 	}
-	if len(redo) > 0 {
-		if m.Sink != nil {
-			if err := m.Sink(redo, undo); err != nil {
-				return err
-			}
-		} else {
-			m.Redo.AppendBatch(redo)
-			m.Undo.AppendBatch(undo)
-		}
-		m.committed.Add(uint64(len(redo)))
+	if b.Records > 0 {
+		m.committed.Add(uint64(b.Records))
 		m.flushes.Add(1)
 	}
-	var err error
-	if len(evs) > 0 {
-		if err = m.Binlog.Append(evs); err != nil {
-			err = fmt.Errorf("%w: %w", ErrBinlog, err)
-		}
+	if err == nil && b.Events > 0 {
+		m.Binlog.Stored(b.Events)
 	}
-	if m.Resolved != nil {
-		for _, r := range redo {
-			if r.Op.IsMarker() {
-				m.Resolved(r.Txn)
-			}
-		}
+	if m.Resolved != nil && len(b.Markers) > 0 {
+		m.Resolved(b.Markers...)
 	}
 	return err
-}
-
-// reusable returns s cleared for reuse as flush scratch, or nil when it
-// grew past what a steady stream of groups needs: a bulk load's huge
-// group is not kept pinned.
-func reusable[T any](s []T) []T {
-	if cap(s) > 1024 {
-		return nil
-	}
-	clear(s)
-	return s[:0]
 }
 
 // GroupCommitStats reports how many redo records have been stored and

@@ -12,14 +12,16 @@
 #     commit, not assumed from the seed corpus — and so does every fast
 #     path held to a reference (the lexer, CryptFS's keystream, MemFS —
 #     the disk every engine without a data directory writes — against
-#     its copy-everything model, a page's kept key index, in-page
+#     its copy-everything model, the framed in-memory WAL against the
+#     record slice it replaced, a page's kept key index, in-page
 #     search), the B+ tree held to a map, and the engine's SQL held to
 #     a map-backed SQL model.
 #   - crash torture seed matrix: the kill-point harness (recovered data
 #     matches a statement prefix, the recovered binlog file never leads
 #     it) in both arms, statements one at a time and submitted as
-#     pending groups (plain and encrypted), the durable-op counts per
-#     statement, the check that the logs are read from their files (one
+#     pending groups (plain and encrypted), the cost census (durable
+#     ops, pool fetches, rows examined and log bytes per statement
+#     class), the check that the logs are read from their files (one
 #     store per log, one disk model for every engine), recovery's one-descent replay held to its
 #     properties (the recovered state is the acknowledged statements'
 #     minus the losers, and every record follows the per-record trace
@@ -103,6 +105,10 @@ echo "== fuzz smoke =="
 fuzz() { go test "$1" -run '^$' -fuzz "$2" -fuzztime "${FUZZTIME:-5s}"; }
 fuzz ./internal/wal FuzzDecodeRecord
 fuzz ./internal/wal FuzzParseLog
+# Not a parser: the circular Log over its framed image against the
+# record slice it replaced (kept in the test file), so E2's retention
+# and the WAL-granularity ablation keep their numbers.
+fuzz ./internal/wal FuzzLogMatchesModel
 fuzz ./internal/binlog FuzzDecodeEvent
 fuzz ./internal/binlog FuzzParse
 fuzz ./internal/bufpool FuzzParseDump
@@ -148,7 +154,7 @@ fuzz ./internal/engine FuzzSQLMatchesModel
 echo "== crash torture seed matrix (-race) =="
 SNAPDB_TORTURE_SEEDS="${SNAPDB_TORTURE_SEEDS:-1,7,42}" \
     go test -race ./internal/engine -count=1 -v \
-        -run 'TestCrashTorture|TestDurableOpsPerStatement|TestGroupedFlushWritesSameBytes|TestCheckRecoveredSeesLeadingBinlog|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestLosersAcrossBatches|TestPipelinedRecoveryFailures|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
+        -run 'TestCrashTorture|TestCostCensus|TestGroupedFlushWritesSameBytes|TestCheckRecoveredSeesLeadingBinlog|TestDurableEngineHoldsNoLogHistory|TestStatementAtomicity|TestCommitCrashBetweenWALAndBinlog|TestStatementDurabilityFailures|TestRedoOneDescentMatchesReference|TestSQLMatchesModel|TestRecoveryWalkMatchesParsers|TestRecoverInterleavedLosers|TestLosersAcrossBatches|TestPipelinedRecoveryFailures|TestRecoveredFetchCounterIsLive|TestRecoveredConfigFS|TestNewOpensDataDirectory|TestFailedReplayLeavesDirectory|TestRecoveredStoreHoldsNoReplayedHistory|TestReplayExtendsCheckpointChains|TestRecoveredRepeatableRead' |
     grep -E 'kill-points|--- (PASS|FAIL)'
 
 echo "== concurrent derivations and queues, ten times (-race) =="
