@@ -80,8 +80,8 @@ func (c *Cursor) Lend(textFree bool) {
 // records that satisfy them all. A rejected record still takes its
 // place in what Next returns, as a nil Record, and is still validated
 // field by field: a leaf with a corrupt record fails Next exactly as it
-// does without Reject (a record off m's layout is judged by
-// storage.Match, whose errors are the decoder's). A nil m rejects
+// does without Reject (a record off m's layout is decoded, so its
+// errors are the decoder's). A nil m rejects
 // nothing. Call it before the first Next.
 func (c *Cursor) Reject(m *storage.Matcher) { c.match = m }
 

@@ -310,7 +310,7 @@ func TestLentWalkAllocations(t *testing.T) {
 // what Next returns for that leaf (decoded, then compared), and the
 // walk fetches the same pages. The conjuncts are compiled for the
 // records' layout and for one they disagree with, where every record
-// falls back to storage.Match.
+// is decoded.
 func TestCursorFoldMatchesNext(t *testing.T) {
 	type leaf struct {
 		n, accepted int

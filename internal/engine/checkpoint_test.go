@@ -99,6 +99,35 @@ func TestForgedSlotDirectoryIsCleanError(t *testing.T) {
 	}
 }
 
+// TestForgedPrimaryKeyColumnIsRefused: a checkpoint naming a primary
+// key column other than 0 — which no engine writes, and every tree, log
+// image and version chain would misread — is refused with an error
+// naming the table, while the same checkpoint with PK 0 boots.
+func TestForgedPrimaryKeyColumnIsRefused(t *testing.T) {
+	img, err := seedDurable(t, vfs.NewMemFS()).CheckpointImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, ts, err := DecodeCheckpoint(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Tables[0].PK != 0 {
+		t.Fatalf("the engine wrote PK %d", meta.Tables[0].PK)
+	}
+	meta.Tables[0].PK = 1
+	forged, err := EncodeCheckpoint(meta, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recoverCheckpoint(t, forged); err == nil || !strings.Contains(err.Error(), meta.Tables[0].Name) {
+		t.Errorf("Recover on a checkpoint with PK 1: %v; want an error naming %q", err, meta.Tables[0].Name)
+	}
+	if _, err := recoverCheckpoint(t, img); err != nil {
+		t.Errorf("Recover on the unforged checkpoint: %v", err)
+	}
+}
+
 // forgePage1Image returns a copy of tablespace image ts whose page 1
 // is forge's edit of it.
 func forgePage1Image(t *testing.T, ts []byte, forge func(p *storage.Page)) []byte {

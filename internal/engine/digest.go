@@ -37,7 +37,7 @@ func (e *Engine) StateDigest() (string, error) {
 	for _, t := range tables {
 		writeStr("table")
 		writeStr(t.Name)
-		writeStr(fmt.Sprintf("id=%d pk=%d", t.ID, t.PKIndex))
+		writeStr(fmt.Sprintf("id=%d", t.ID))
 		for _, c := range t.Columns {
 			writeStr(fmt.Sprintf("col %s %d %v", c.Name, c.Type, c.PrimaryKey))
 		}

@@ -172,12 +172,13 @@ func (c Config) normalized() Config {
 // MVCC purge sweeps.
 const DefaultPurgeEvery = 256
 
-// Table is one table's catalog entry.
+// Table is one table's catalog entry. Its primary key is column 0, the
+// clustered tree's key: WAL images, version chains, ghosts and index
+// entries all read the key there.
 type Table struct {
 	ID      uint8
 	Name    string
 	Columns []sqlparse.ColumnDef
-	PKIndex int
 	// layout is Columns' types, what plan templates compile their
 	// predicates for (storage.Compile).
 	layout  []sqlparse.ColumnType
@@ -383,6 +384,11 @@ type Session struct {
 	// statements, which Flush hands to their replies.
 	pending wal.Ticket
 	held    []heldReply
+
+	// purgeDue is set when one of the session's statements made an
+	// inline purge sweep due; the sweep runs once that statement's
+	// group is resolved.
+	purgeDue bool
 }
 
 // heldReply is one statement of a pending group: its outcome as
@@ -472,9 +478,13 @@ func (s *Session) deadlineCheck() exec.DeadlineCheck {
 }
 
 // Execute runs one SQL statement on this session and returns once its
-// effects are durable: it is a group of one.
+// effects are durable: it is a group of one, Submit and Flush with the
+// outcome returned instead of handed to a reply.
 func (s *Session) Execute(query string) (*Result, error) {
-	res, _, err := s.exec(query, false)
+	res, _, err := s.exec(query)
+	if ferr := s.Flush(); ferr != nil && err == nil {
+		res, err = nil, ferr
+	}
 	return res, err
 }
 
@@ -487,7 +497,7 @@ func (s *Session) Execute(query string) (*Result, error) {
 // order. A client that pipelines writes submits them all and then
 // flushes once: the group shares one durable step.
 func (s *Session) Submit(query string, reply func(*Result, error)) {
-	res, grouped, err := s.exec(query, true)
+	res, grouped, err := s.exec(query)
 	if grouped {
 		s.held = append(s.held, heldReply{res, err, reply})
 		return
@@ -496,16 +506,18 @@ func (s *Session) Submit(query string, reply func(*Result, error)) {
 }
 
 // Flush makes the session's pending group durable — one flush of the
-// redo, undo and binlog records its statements queued — and then hands
-// each held outcome to its reply in order. If the flush failed, every
-// statement of the group that had succeeded fails with its error; if it
-// failed before the commit markers were durable, none of them ever
+// redo, undo and binlog records its statements queued — runs the purge
+// sweep one of them made due, and then hands each held outcome to its
+// reply in order. If the flush failed, every statement of the group
+// that had succeeded fails with its error, which Flush also returns; if
+// it failed before the commit markers were durable, none of them ever
 // becomes visible.
-func (s *Session) Flush() {
-	if len(s.held) == 0 && !s.pending.Pending() {
-		return
+func (s *Session) Flush() error {
+	if len(s.held) == 0 && !s.pending.Pending() && !s.purgeDue {
+		return nil
 	}
 	err := s.sync()
+	s.purge()
 	for i := range s.held {
 		h := &s.held[i]
 		if err != nil && h.err == nil {
@@ -515,6 +527,7 @@ func (s *Session) Flush() {
 		*h = heldReply{}
 	}
 	s.held = s.held[:0]
+	return err
 }
 
 // sync waits until every log entry the session queued is durable.
@@ -527,11 +540,21 @@ func (s *Session) sync() error {
 	return nil
 }
 
-// exec runs one statement. With group set, an autocommit INSERT,
-// UPDATE or DELETE is left in the session's pending group (grouped
-// reports it); every other statement flushes that group first and is
-// synced before exec returns.
-func (s *Session) exec(query string, group bool) (res *Result, grouped bool, err error) {
+// purge runs the inline MVCC sweep a statement of the session made due,
+// the deterministic analogue of InnoDB's purge thread. It is called
+// only once everything the session queued is resolved, so the sweep
+// reclaims what that statement's own group superseded.
+func (s *Session) purge() {
+	if s.purgeDue {
+		s.purgeDue = false
+		s.eng.versions.purge(0)
+	}
+}
+
+// exec runs one statement. An autocommit INSERT, UPDATE or DELETE is
+// left in the session's pending group (grouped reports it); every other
+// statement flushes that group first and is synced before exec returns.
+func (s *Session) exec(query string) (res *Result, grouped bool, err error) {
 	e := s.eng
 	start := e.ExecClock()
 	ts := e.Clock()
@@ -552,7 +575,7 @@ func (s *Session) exec(query string, group bool) (res *Result, grouped bool, err
 	// byte-identical; a parse error is carried into execute and
 	// surfaces at the same point it always did.
 	pl, digestText, parseErr := e.planFor(query)
-	grouped = group && s.txn == nil && pl != nil && pl.isDML()
+	grouped = s.txn == nil && pl != nil && pl.isDML()
 	if !grouped {
 		s.Flush()
 	}
@@ -622,11 +645,14 @@ func (s *Session) exec(query string, group bool) (res *Result, grouped bool, err
 		// checksum before trusting it.
 		_ = e.persist.writeDump(e.pool.DumpFile())
 	}
-	// Inline MVCC purge, the deterministic analogue of InnoDB's purge
-	// thread. Statement-count driven so experiments can reproduce the
-	// residue window exactly.
+	// Inline MVCC purge, statement-count driven so experiments can
+	// reproduce the residue window exactly. A grouped statement's sweep
+	// waits for its group's flush.
 	if !e.cfg.DisablePurge && n%uint64(e.cfg.PurgeEvery) == 0 {
-		e.versions.purge(0)
+		s.purgeDue = true
+	}
+	if !grouped {
+		s.purge()
 	}
 	return res, grouped, err
 }
@@ -757,7 +783,6 @@ func (e *Engine) execCreate(st *sqlparse.CreateTable, query string, ts int64) (*
 		ID:      e.nextTableID,
 		Name:    st.Table,
 		Columns: st.Columns,
-		PKIndex: pk,
 		layout:  columnTypes(st.Columns),
 		Tree:    btree.New(e.ts, e.pool),
 	}
@@ -990,7 +1015,7 @@ func (e *Engine) insertedRow(t *Table, row storage.Record, txn uint64) error {
 	if err := indexInsertRow(t, row); err != nil {
 		return err
 	}
-	e.versions.noteWrite(t, row[t.PKIndex], nil, false, txn)
+	e.versions.noteWrite(t, row[0], nil, false, txn)
 	t.rows.Add(1)
 	t.statsNoteInsert(row)
 	return nil
@@ -1003,7 +1028,7 @@ func (e *Engine) updateRow(t *Table, old storage.Record, sets []setOp, txn uint6
 	if err != nil {
 		return err
 	}
-	_, err = t.Tree.Update(old[t.PKIndex], updated)
+	_, err = t.Tree.Update(old[0], updated)
 	return err
 }
 
@@ -1013,7 +1038,7 @@ func (e *Engine) updateRow(t *Table, old storage.Record, sets []setOp, txn uint6
 // fetched between the tree's read and its write, where updateRow
 // fetches them between two descents.
 func (e *Engine) updatedRow(t *Table, old storage.Record, sets []setOp, txn uint64) (storage.Record, error) {
-	pk := old[t.PKIndex]
+	pk := old[0]
 	e.versions.noteWrite(t, pk, old, false, txn)
 	updated := old.Clone()
 	for _, op := range sets {
@@ -1030,7 +1055,7 @@ func (e *Engine) updatedRow(t *Table, old storage.Record, sets []setOp, txn uint
 // into the version chain as a tombstoned pre-image — the "deleted data
 // persists" residue E16 recovers until purge drops the chain.
 func (e *Engine) deleteRow(t *Table, old storage.Record, txn uint64) error {
-	pk := old[t.PKIndex]
+	pk := old[0]
 	e.versions.noteWrite(t, pk, old, true, txn)
 	if _, err := t.Tree.Delete(pk); err != nil {
 		return err
@@ -1293,7 +1318,7 @@ func (e *Engine) execUpdate(s *Session, st *sqlparse.Update, pl *plan, query str
 		if err := e.updateRow(t, old, pp.sets, d.txn); err != nil {
 			return err
 		}
-		pk := old[t.PKIndex : t.PKIndex+1]
+		pk := old[:1]
 		for _, op := range pp.sets {
 			d.logged(e.wal.TxUpdate(d.txn, t.ID, pk, uint8(op.idx),
 				old[op.idx:op.idx+1], storage.Record{op.val}))

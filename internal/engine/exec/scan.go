@@ -152,7 +152,7 @@ func (s *Scan) Lend(textFree bool) { s.cur.Lend(textFree) }
 // The cursor evaluates them on each row's page bytes in one pass over
 // the record — validating the whole record all the same, so a corrupt
 // row fails the statement whether or not it would have passed, and a
-// record off the layout gets storage.Match's verdict and error — and
+// record off the layout is decoded and gets the decoder's error — and
 // only rows that pass are decoded and emitted. Every row is still
 // examined one by one: counted and deadline-checked. The rows turned
 // down are counted as this leaf's returned rows and the Filter's

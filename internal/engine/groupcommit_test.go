@@ -59,6 +59,13 @@ var updateCost = flag.Bool("update", false, "rewrite testdata/cost.golden from t
 // range read by a transaction whose view predates an UPDATE of it, so
 // every row it returns resolves a version chain. The query cache is off:
 // a repeated SELECT pays its plan and its pages, not a cached result.
+//
+// The last two columns read the version store: the live version chains
+// after the statement and the versions purge reclaimed during it. The
+// inline sweep runs every 14 statements, so one falls due on the group's
+// third INSERT and the next on the UPDATE after the group: a due sweep
+// waits for its group's flush, so the group's own chains are reclaimed
+// in its row.
 func TestCostCensus(t *testing.T) {
 	rows := func(lo, n int) string {
 		var tuples []string
@@ -108,7 +115,7 @@ func TestCostCensus(t *testing.T) {
 	}
 	logs := []string{FileRedo, FileUndo, FileBinlog}
 	var got strings.Builder
-	fmt.Fprintf(&got, "%-8s %-32s %4s %7s %8s %7s %7s %8s\n", "engine", "statement", "ops", "fetches", "examined", "redo_B", "undo_B", "binlog_B")
+	fmt.Fprintf(&got, "%-8s %-32s %4s %7s %8s %7s %7s %8s %6s %6s\n", "engine", "statement", "ops", "fetches", "examined", "redo_B", "undo_B", "binlog_B", "chains", "purged")
 	for _, arm := range []struct {
 		name string
 		cfg  Config
@@ -118,6 +125,7 @@ func TestCostCensus(t *testing.T) {
 		cfg := arm.cfg
 		cfg.FS = vfs.NewFaultFS(mem, reg)
 		cfg.EnableQueryCache = false
+		cfg.PurgeEvery = 14
 		e, _ := newEngine(t, cfg)
 		s, reader := e.Connect("app"), e.Connect("reader")
 		mustExec(t, s, "CREATE TABLE r (id INT PRIMARY KEY, k INT, v TEXT)")
@@ -147,6 +155,7 @@ func TestCostCensus(t *testing.T) {
 		}
 		for _, c := range census {
 			ops, fetches, before := reg.TotalHits(), e.pool.FetchCount(), sizes()
+			purged := e.versions.status().purgedVersions
 			examined := 0
 			switch {
 			case c.stmt == "":
@@ -162,10 +171,10 @@ func TestCostCensus(t *testing.T) {
 			default:
 				examined = mustExec(t, s, c.stmt).RowsExamined
 			}
-			after := sizes()
-			fmt.Fprintf(&got, "%-8s %-32s %4d %7d %8d %7d %7d %8d\n", arm.name, c.name, reg.TotalHits()-ops,
+			after, mv := sizes(), e.versions.status()
+			fmt.Fprintf(&got, "%-8s %-32s %4d %7d %8d %7d %7d %8d %6d %6d\n", arm.name, c.name, reg.TotalHits()-ops,
 				e.pool.FetchCount()-fetches, examined,
-				after[0]-before[0], after[1]-before[1], after[2]-before[2])
+				after[0]-before[0], after[1]-before[1], after[2]-before[2], mv.chains, mv.purgedVersions-purged)
 		}
 	}
 	const golden = "testdata/cost.golden"

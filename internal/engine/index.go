@@ -69,7 +69,7 @@ func (e *Engine) execCreateIndex(st *sqlparse.CreateIndex, query string, ts int6
 	if colIdx < 0 {
 		return nil, fmt.Errorf("engine: unknown column %q in CREATE INDEX", st.Column)
 	}
-	if colIdx == t.PKIndex {
+	if colIdx == 0 {
 		return nil, fmt.Errorf("engine: column %q is the primary key; it is already indexed", st.Column)
 	}
 	e.mu.Lock()
@@ -93,7 +93,7 @@ func (e *Engine) execCreateIndex(st *sqlparse.CreateIndex, query string, ts int6
 
 	// Backfill from the clustered index.
 	err = t.Tree.Scan(func(r storage.Record) bool {
-		entry := storage.Record{indexKey(r[colIdx], r[t.PKIndex]), r[t.PKIndex]}
+		entry := storage.Record{indexKey(r[colIdx], r[0]), r[0]}
 		if insErr := ix.Tree.Insert(entry); insErr != nil {
 			err = insErr
 			return false
@@ -121,7 +121,7 @@ func (e *Engine) execCreateIndex(st *sqlparse.CreateIndex, query string, ts int6
 // indexInsertRow adds row to every secondary index of t.
 func indexInsertRow(t *Table, row storage.Record) error {
 	for _, ix := range t.Indexes {
-		entry := storage.Record{indexKey(row[ix.colIdx], row[t.PKIndex]), row[t.PKIndex]}
+		entry := storage.Record{indexKey(row[ix.colIdx], row[0]), row[0]}
 		if err := ix.Tree.Insert(entry); err != nil {
 			return fmt.Errorf("engine: index %q: %w", ix.Name, err)
 		}
@@ -132,12 +132,12 @@ func indexInsertRow(t *Table, row storage.Record) error {
 // indexDeleteRow removes row from every secondary index of t.
 func indexDeleteRow(t *Table, row storage.Record) error {
 	for _, ix := range t.Indexes {
-		found, err := ix.Tree.Delete(indexKey(row[ix.colIdx], row[t.PKIndex]))
+		found, err := ix.Tree.Delete(indexKey(row[ix.colIdx], row[0]))
 		if err != nil {
 			return fmt.Errorf("engine: index %q: %w", ix.Name, err)
 		}
 		if !found {
-			return fmt.Errorf("engine: index %q lost entry for pk %s", ix.Name, row[t.PKIndex])
+			return fmt.Errorf("engine: index %q lost entry for pk %s", ix.Name, row[0])
 		}
 	}
 	return nil

@@ -227,6 +227,8 @@ type CheckpointTable struct {
 	ID      uint8
 	Name    string
 	Columns []sqlparse.ColumnDef
+	// PK is the primary key's column: always 0, and a checkpoint that
+	// names another is refused.
 	PK      int
 	Root    storage.PageID
 	Indexes []ckptIndex
@@ -333,7 +335,6 @@ func (e *Engine) CheckpointImage() ([]byte, error) {
 			ID:      t.ID,
 			Name:    t.Name,
 			Columns: t.Columns,
-			PK:      t.PKIndex,
 			Root:    t.Tree.Root(),
 		}
 		for _, ix := range t.Indexes {

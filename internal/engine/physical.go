@@ -224,14 +224,14 @@ func (e *Engine) buildAccess(t *Table, where sqlparse.Where) *physicalPlan {
 		preds[i] = exec.Pred{Col: idx, Op: p.Op, Arg: p.Arg}
 	}
 	pp.preds = preds
-	pkName := t.Columns[t.PKIndex].Name
+	pkName := t.Columns[0].Name
 	if len(where) > 0 {
 		pp.dFilter = "Filter: " + where.SQL()
 	}
 	n := t.rows.Load()
 	if lo, hi, _, ok := columnBounds(pkName, where); ok {
 		pp.lo, pp.hi = lo, hi
-		pp.reject = compileResidual(t, residualPreds(preds, t.PKIndex, lo, hi))
+		pp.reject = compileResidual(t, residualPreds(preds, 0, lo, hi))
 		pp.path = "pk-range"
 		if lo.Equal(hi) {
 			pp.kind = accessPKPoint
@@ -240,7 +240,7 @@ func (e *Engine) buildAccess(t *Table, where sqlparse.Where) *physicalPlan {
 				t.Name, pkName, lo.SQL())
 		} else {
 			pp.kind = accessPKRange
-			est := estIndexRows(t, t.PKIndex, lo, hi, false, n)
+			est := estIndexRows(t, 0, lo, hi, false, n)
 			pp.setEst(est, costSeqRow*est)
 			pp.dScan = fmt.Sprintf("Range scan on %s using PRIMARY (%s between %s and %s) (access=pk-range)",
 				t.Name, pkName, lo.SQL(), hi.SQL())
@@ -333,19 +333,18 @@ func columnTypes(cols []sqlparse.ColumnDef) []sqlparse.ColumnType {
 // lookups (lookupRevCol) — so the page-fetch sequence is identical to
 // the Sort-based plan's.
 func (pp *physicalPlan) orderFromAccess(sortCol int, sortDesc bool) bool {
-	t := pp.table
 	switch pp.kind {
 	case accessFull, accessPKRange:
 		// The clustered tree emits primary-key ASC; keys are unique, so
 		// an exact reversal is a stable descending sort.
-		if sortCol != t.PKIndex {
+		if sortCol != 0 {
 			return false
 		}
 		pp.scanRev = sortDesc
 		return true
 	case accessPKPoint:
 		// At most one row: any order is satisfied.
-		return sortCol == t.PKIndex
+		return sortCol == 0
 	case accessIndex:
 		// The index leaf emits (value ASC, pk ASC) — exactly the stable
 		// ascending order. DESC is produced by the KeyLookup emitting
@@ -380,7 +379,7 @@ func (e *Engine) markParallel(pp *physicalPlan) {
 		return
 	}
 	t := pp.table
-	if t.Columns[t.PKIndex].Type != sqlparse.TypeInt {
+	if t.Columns[0].Type != sqlparse.TypeInt {
 		return
 	}
 	if pp.kind == accessPKRange && (!pp.lo.IsInt || !pp.hi.IsInt) {
@@ -415,7 +414,7 @@ func (e *Engine) template(t *Table, stmt sqlparse.Statement) *physicalPlan {
 			switch {
 			case idx < 0:
 				pp.deferredErr = fmt.Errorf("engine: unknown column %q in SET", a.Column)
-			case idx == t.PKIndex:
+			case idx == 0:
 				pp.deferredErr = fmt.Errorf("engine: updating the primary key is not supported")
 			default:
 				pp.deferredErr = checkType(t.Columns[idx], a.Value)
@@ -557,7 +556,7 @@ func (pp *physicalPlan) resolveSelect(st *sqlparse.Select) {
 // raise a resolution error has no reader, so neither prunes.
 func neededColumns(t *Table, preds []exec.Pred, proj []int, col int) []bool {
 	need := make([]bool, len(t.Columns))
-	need[t.PKIndex] = true
+	need[0] = true
 	for _, p := range preds {
 		need[p.Col] = true
 	}
@@ -640,7 +639,7 @@ func (pp *physicalPlan) buildParallel() *exec.ParallelScan {
 		outerLo, outerHi = pp.lo.Int, pp.hi.Int
 		splitLo, splitHi = outerLo, outerHi
 	} else {
-		cs, analyzed := t.statsFor(t.PKIndex)
+		cs, analyzed := t.statsFor(0)
 		if !analyzed || !cs.HaveMinMax {
 			// No key-space bounds to split on: a full scan fans out only
 			// on analyzed tables.
@@ -655,7 +654,7 @@ func (pp *physicalPlan) buildParallel() *exec.ParallelScan {
 		return nil
 	}
 	step := span / uint64(k)
-	pkName := t.Columns[t.PKIndex].Name
+	pkName := t.Columns[0].Name
 	parts := make([]exec.Scan, k)
 	lo := outerLo
 	for i := 0; i < k; i++ {

@@ -451,14 +451,18 @@ func openCheckpoint(fs vfs.FS, cfg Config, rep *RecoveryReport) (e *Engine, meta
 
 // loadCatalog reopens a checkpoint's catalog over the engine's
 // tablespace: every table's and index's tree, row count and planner
-// statistics, and the version store.
+// statistics, and the version store. A table whose primary key is not
+// column 0 is refused: every tree, log image and version chain keys on
+// column 0.
 func (e *Engine) loadCatalog(meta CheckpointMeta) error {
 	for _, ct := range meta.Tables {
+		if ct.PK != 0 {
+			return fmt.Errorf("engine: checkpoint table %q has its primary key in column %d; it must be column 0", ct.Name, ct.PK)
+		}
 		t := &Table{
 			ID:      ct.ID,
 			Name:    ct.Name,
 			Columns: ct.Columns,
-			PKIndex: ct.PK,
 			layout:  columnTypes(ct.Columns),
 			Tree:    btree.Open(e.ts, e.pool, ct.Root),
 		}

@@ -160,7 +160,7 @@ func (e *Engine) maybeStatsDrift(t *Table) {
 // order (map iteration is not ordered; callers sort for determinism
 // where it matters).
 func (t *Table) statCols() map[int]bool {
-	cols := map[int]bool{t.PKIndex: true}
+	cols := map[int]bool{0: true}
 	for _, ix := range t.Indexes {
 		cols[ix.colIdx] = true
 	}

@@ -31,7 +31,7 @@ func physicalState(t *testing.T, e *Engine) string {
 		for _, ix := range tb.Indexes {
 			want := make(map[string]bool, len(rows))
 			for _, r := range rows {
-				want[indexKey(r[ix.colIdx], r[tb.PKIndex]).Str] = true
+				want[indexKey(r[ix.colIdx], r[0]).Str] = true
 			}
 			n := 0
 			if err := ix.Tree.Scan(func(en storage.Record) bool {

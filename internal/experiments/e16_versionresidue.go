@@ -25,7 +25,10 @@ import (
 // and an aggressive full sweep before the crash. A fourth arm crashes
 // the inline cadence before its final checkpoint, so recovery replays
 // the whole workload from the redo log: what it resurrects is bounded
-// by what the running engine held.
+// by what the running engine held. A fifth arm runs the inline cadence
+// with the destroy statements pipelined in groups, the way snapdbd runs
+// a client's pipelined writes: where a group's boundaries fall decides
+// what the sweep it holds reclaims.
 type E16Result struct {
 	Secrets int // secret rows planted in the vault table
 	Deleted int // vault rows the application deleted
@@ -69,13 +72,28 @@ func (r *E16Result) Render() string {
 // application overwrites or deletes before the crash.
 const e16Secret = "cc-4111-0000-7393"
 
+// e16Policy is one arm's setup: its engine config, whether it sweeps
+// everything before the crash (aggressive), skips the final checkpoint
+// (noCkpt), and submits the destroy statements in pipelined groups of
+// e16Group (grouped) instead of one Execute each.
+type e16Policy struct {
+	name                        string
+	cfg                         func() engine.Config
+	aggressive, noCkpt, grouped bool
+}
+
+// e16Group is the grouped arm's pipeline depth, snapbench's write_crypt
+// batch size.
+const e16Group = 16
+
 // e16Arm runs one purge-policy arm end to end: plant secrets, churn
 // the bench tables through the mixed-transaction driver, redact and
 // delete the secrets, apply the arm's purge policy, checkpoint (unless
 // noCkpt), crash, recover, and read the version residue back out of the
 // recovered engine.
-func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive, noCkpt bool) (E16Arm, error) {
-	arm := E16Arm{Arm: name}
+func e16Arm(p e16Policy, churn, secrets int) (E16Arm, error) {
+	arm := E16Arm{Arm: p.name}
+	cfg := p.cfg()
 	mem := vfs.NewMemFS()
 	cfg.FS = mem
 	cfg.EnableQueryCache = false
@@ -125,19 +143,18 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive, noCk
 	// The application "destroys" the secrets: half are overwritten
 	// (the pre-image goes into the chain), half deleted outright (the
 	// full row goes into the chain as a tombstone version).
+	var destroy []string
 	for i := 0; i < secrets/2; i++ {
-		if _, err := s.Execute(fmt.Sprintf(
-			"UPDATE vault SET card = 'redacted-%04d' WHERE id = %d", i, i)); err != nil {
-			return arm, err
-		}
+		destroy = append(destroy, fmt.Sprintf("UPDATE vault SET card = 'redacted-%04d' WHERE id = %d", i, i))
 	}
 	for i := secrets / 2; i < secrets; i++ {
-		if _, err := s.Execute(fmt.Sprintf("DELETE FROM vault WHERE id = %d", i)); err != nil {
-			return arm, err
-		}
+		destroy = append(destroy, fmt.Sprintf("DELETE FROM vault WHERE id = %d", i))
+	}
+	if err := e16Destroy(s, destroy, p.grouped); err != nil {
+		return arm, err
 	}
 
-	if aggressive {
+	if p.aggressive {
 		// Full sweep with no view pinned: everything reclaimable goes.
 		e.PurgeVersions(0)
 	}
@@ -146,7 +163,7 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive, noCk
 	// the goroutine interleaving had made reclaimable by then. The
 	// counts repeat only if the last sweep ran after the churn, with
 	// nothing open; the churn length is chosen so that it does.
-	if every := uint64(cfg.PurgeEvery); !cfg.DisablePurge && !aggressive && e.Statements()/every == churnEnd/every {
+	if every := uint64(cfg.PurgeEvery); !cfg.DisablePurge && !p.aggressive && e.Statements()/every == churnEnd/every {
 		return arm, fmt.Errorf("no inline sweep between statement %d (churn ends) and %d (crash): version counts would depend on scheduling; adjust churn", churnEnd, e.Statements())
 	}
 	// Counter read first: the SELECT is itself a statement and may
@@ -165,7 +182,7 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive, noCk
 	if arm.WALHadSecret, err = e16WALSecret(mem); err != nil {
 		return arm, err
 	}
-	if !noCkpt {
+	if !p.noCkpt {
 		if err := e.Checkpoint(); err != nil {
 			return arm, err
 		}
@@ -196,6 +213,28 @@ func e16Arm(name string, churn, secrets int, cfg engine.Config, aggressive, noCk
 		}
 	}
 	return arm, nil
+}
+
+// e16Destroy runs the destroy statements one Execute each or, grouped,
+// submits them in pipelined groups of e16Group with one Flush each.
+func e16Destroy(s *engine.Session, stmts []string, grouped bool) error {
+	var first error
+	reply := func(_ *engine.Result, err error) {
+		if first == nil {
+			first = err
+		}
+	}
+	for i, q := range stmts {
+		if !grouped {
+			reply(s.Execute(q))
+			continue
+		}
+		s.Submit(q, reply)
+		if (i+1)%e16Group == 0 || i == len(stmts)-1 {
+			s.Flush()
+		}
+	}
+	return first
 }
 
 // e16WALSecret reports whether the secret literal is readable anywhere
@@ -237,7 +276,8 @@ func e16PurgeCounters(s *engine.Session) (runs, purged int64, err error) {
 // pre-crash sweep clears the channel entirely. The fourth arm crashes
 // the inline cadence with no final checkpoint: its history is still in
 // the WAL, and replaying it must not bring back into the version store
-// more than the running engine held.
+// more than the running engine held. The fifth is the inline cadence
+// with the destroy statements submitted as pipelined groups.
 func E16VersionResidue(quick bool) (*E16Result, error) {
 	churn, secrets := 960, 16
 	if quick {
@@ -245,36 +285,24 @@ func E16VersionResidue(quick bool) (*E16Result, error) {
 	}
 	res := &E16Result{Secrets: secrets, Deleted: secrets - secrets/2, Churn: churn}
 
-	type policy struct {
-		name       string
-		cfg        func() engine.Config
-		aggressive bool
-		noCkpt     bool
+	inlineCfg := func() engine.Config {
+		cfg := engine.Defaults()
+		cfg.PurgeEvery = 90
+		return cfg
 	}
-	policies := []policy{
-		{"retain (purge off)", func() engine.Config {
+	policies := []e16Policy{
+		{name: "retain (purge off)", cfg: func() engine.Config {
 			cfg := engine.Defaults()
 			cfg.DisablePurge = true
 			return cfg
-		}, false, false},
-		{"inline (default cadence)", func() engine.Config {
-			cfg := engine.Defaults()
-			cfg.PurgeEvery = 90
-			return cfg
-		}, false, false},
-		{"aggressive (full sweep)", func() engine.Config {
-			cfg := engine.Defaults()
-			cfg.PurgeEvery = 90
-			return cfg
-		}, true, false},
-		{"inline, crash pre-ckpt", func() engine.Config {
-			cfg := engine.Defaults()
-			cfg.PurgeEvery = 90
-			return cfg
-		}, false, true},
+		}},
+		{name: "inline (default cadence)", cfg: inlineCfg},
+		{name: "aggressive (full sweep)", cfg: inlineCfg, aggressive: true},
+		{name: "inline, crash pre-ckpt", cfg: inlineCfg, noCkpt: true},
+		{name: "inline, grouped", cfg: inlineCfg, grouped: true},
 	}
 	for _, p := range policies {
-		arm, err := e16Arm(p.name, churn, secrets, p.cfg(), p.aggressive, p.noCkpt)
+		arm, err := e16Arm(p, churn, secrets)
 		if err != nil {
 			return nil, fmt.Errorf("E16: %s: %w", p.name, err)
 		}

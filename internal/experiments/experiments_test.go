@@ -455,10 +455,10 @@ func TestE16VersionResidue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Arms) != 4 {
+	if len(res.Arms) != 5 {
 		t.Fatalf("arms = %d", len(res.Arms))
 	}
-	retain, aggr, replayed := res.Arms[0], res.Arms[2], res.Arms[3]
+	retain, inline, aggr, replayed, grouped := res.Arms[0], res.Arms[1], res.Arms[2], res.Arms[3], res.Arms[4]
 	if retain.SecretsSurvived != res.Secrets {
 		t.Errorf("retain arm recovered %d of %d secrets", retain.SecretsSurvived, res.Secrets)
 	}
@@ -482,6 +482,12 @@ func TestE16VersionResidue(t *testing.T) {
 	if replayed.SurvivedVersions > replayed.PreCrashVersions {
 		t.Errorf("recovery resurrected %d versions, the running engine held %d",
 			replayed.SurvivedVersions, replayed.PreCrashVersions)
+	}
+	// A sweep due inside a pipelined group runs once the group is
+	// resolved, so it reclaims at least what the same sweep reclaims
+	// between single statements.
+	if grouped.PreCrashVersions > inline.PreCrashVersions {
+		t.Errorf("grouped arm kept %d versions, the inline arm %d", grouped.PreCrashVersions, inline.PreCrashVersions)
 	}
 	if !strings.Contains(res.Render(), "E16") {
 		t.Error("render missing experiment id")

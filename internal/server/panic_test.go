@@ -12,32 +12,43 @@ import (
 	"snapdb/internal/engine"
 )
 
-func TestSafeExecutePassthrough(t *testing.T) {
+// TestRecoveredPassthrough: a statement that does not panic runs
+// through recovered untouched — its result and its own error, plain
+// SQL errors included, reach the caller unwrapped.
+func TestRecoveredPassthrough(t *testing.T) {
 	e, err := engine.New(engine.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess := e.Connect("panic-test")
 	defer sess.Close()
+	execute := func(line string) (res *engine.Result, err error) {
+		if perr := recovered(line, nil, func() { res, err = sess.Execute(line) }); perr != nil {
+			return nil, perr
+		}
+		return res, err
+	}
 
-	res, err := safeExecute(sess, "CREATE TABLE pt (id INT PRIMARY KEY, v TEXT)", nil)
+	res, err := execute("CREATE TABLE pt (id INT PRIMARY KEY, v TEXT)")
 	if err != nil || res == nil {
 		t.Fatalf("passthrough: res=%v err=%v", res, err)
 	}
-	if _, err := safeExecute(sess, "NOT REAL SQL", nil); err == nil ||
+	if _, err := execute("NOT REAL SQL"); err == nil ||
 		strings.Contains(err.Error(), "internal error") {
 		t.Fatalf("plain error should pass through unrecovered, got %v", err)
 	}
 }
 
-func TestSafeExecuteRecoversPanic(t *testing.T) {
+func TestRecoveredRecoversPanic(t *testing.T) {
 	// A nil session panics inside Execute with a nil dereference; the
 	// handler must get an error line back, not die — and the error log
 	// must capture the panic with its stack, because the client-visible
 	// message alone is useless for diagnosing the crash.
 	var logBuf strings.Builder
 	logf := func(format string, args ...any) { fmt.Fprintf(&logBuf, format, args...) }
-	res, err := safeExecute(nil, "SELECT 1", logf)
+	var sess *engine.Session
+	var res *engine.Result
+	err := recovered("SELECT 1", logf, func() { res, _ = sess.Execute("SELECT 1") })
 	if res != nil {
 		t.Error("panicking statement returned a result")
 	}

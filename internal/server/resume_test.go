@@ -160,6 +160,69 @@ func TestControlSequenceGapAndWindow(t *testing.T) {
 	s.expect("OK ")
 }
 
+// TestStampedRepliesMatchPlainLines: !q lines and plain lines take one
+// statement path, so the same statements draw byte-identical replies
+// either way — here on two fresh servers, each sent every line in one
+// write, so the plain side's run of INSERTs is one pending group (a
+// duplicate key among them) while each stamped statement is a group of
+// one.
+func TestStampedRepliesMatchPlainLines(t *testing.T) {
+	stmts := []string{
+		"CREATE TABLE g (id INT PRIMARY KEY, v TEXT)",
+		"INSERT INTO g (id, v) VALUES (1, 'a'), (2, 'b')",
+		"INSERT INTO g (id, v) VALUES (3, 'c')",
+		"INSERT INTO g (id, v) VALUES (2, 'dup')",
+		"UPDATE g SET v = 'bb' WHERE id = 2",
+		"DELETE FROM g WHERE id = 3",
+		"SELECT id, v FROM g",
+		"NOT REAL SQL",
+		"SELECT COUNT(*) FROM g",
+	}
+	replies := func(stamped bool) string {
+		addr, _, _, stop := startServerWith(t, nil)
+		defer stop()
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var req strings.Builder
+		if stamped {
+			req.WriteString("!hello\n")
+		}
+		for i, q := range stmts {
+			if stamped {
+				fmt.Fprintf(&req, "!q %d ", i+1)
+			}
+			req.WriteString(q + "\n")
+		}
+		if _, err := c.Write([]byte(req.String())); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.(*net.TCPConn).CloseWrite()
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var out strings.Builder
+		r := bufio.NewReader(c)
+		for {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				break
+			}
+			if !strings.HasPrefix(line, "!session ") {
+				out.WriteString(line)
+			}
+		}
+		return out.String()
+	}
+	plain, stamped := replies(false), replies(true)
+	if plain != stamped {
+		t.Fatalf("!q replies differ from plain-line replies:\n--- plain\n%s--- !q\n%s", plain, stamped)
+	}
+	if n := strings.Count(plain, "\n"); n < len(stmts) || !strings.Contains(plain, "ERR ") {
+		t.Fatalf("replies cover too little: %d lines\n%s", n, plain)
+	}
+}
+
 func TestResumeAcrossReconnect(t *testing.T) {
 	addr, srv, _, stop := startServerWith(t, nil)
 	defer stop()

@@ -89,7 +89,7 @@ type Server struct {
 	MaxConcurrent int
 
 	// ErrorLog receives server-side diagnostics (panic stacks from
-	// safeExecute). Nil logs via the log package's standard logger.
+	// recovered). Nil logs via the log package's standard logger.
 	ErrorLog *log.Logger
 
 	mu       sync.Mutex
@@ -479,24 +479,11 @@ func (rs *resumeSession) last() uint64 {
 	return rs.lastSeq
 }
 
-// execTo runs one statement under admission control, durable on
-// return, and writes its reply — ERR or OK framing — to w.
-func (s *Server) execTo(w replyWriter, sess *engine.Session, line string) {
-	release := s.admit()
-	if release == nil {
-		s.overloaded(w)
-		return
-	}
-	res, err := safeExecute(sess, line, s.logf)
-	release()
-	writeReply(w, res, err)
-}
-
-// submitTo runs one plain statement line under admission control
-// through the session's pending group (engine.Session.Submit): reply
-// writes its reply to w once the group's flush has settled it. Replies
-// written straight to w settle the group first, so w stays in statement
-// order.
+// submitTo runs one statement line under admission control through
+// the session's pending group (engine.Session.Submit): reply writes its
+// reply to w once the group's flush has settled it. Replies written
+// straight to w settle the group first, so w stays in statement order.
+// Plain lines and !q lines both run here.
 func (s *Server) submitTo(w replyWriter, sess *engine.Session, line string, reply func(*engine.Result, error)) {
 	release := s.admit()
 	if release == nil {
@@ -518,12 +505,14 @@ func (s *Server) overloaded(w replyWriter) {
 	writeErr(w, fmt.Sprintf("overloaded: too many concurrent statements (max %d)", s.MaxConcurrent))
 }
 
-// renderExec executes one statement and renders its reply into a fresh
-// byte slice — the form the dedup cache retains and replays verbatim,
-// so a replayed reply is byte-identical to the original.
+// renderExec executes one statement as a group of one and renders its
+// reply into a fresh byte slice — the form the dedup cache retains and
+// replays verbatim, so a replayed reply is byte-identical to the
+// original.
 func (s *Server) renderExec(sess *engine.Session, line string, scratch *bytes.Buffer) []byte {
 	scratch.Reset()
-	s.execTo(scratch, sess, line)
+	s.submitTo(scratch, sess, line, func(res *engine.Result, err error) { writeReply(scratch, res, err) })
+	sess.Flush()
 	return append([]byte(nil), scratch.Bytes()...)
 }
 
@@ -575,22 +564,12 @@ func readLine(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 	}
 }
 
-// safeExecute runs one statement, converting a panic anywhere under
-// Execute into a client-visible error: one poisoned statement must
-// cost its own session an error line, never the whole server process.
-// The panic and its full stack go to logf — the client-visible message
-// alone ("internal error: ...") is useless for diagnosing the crash it
-// papered over.
-func safeExecute(sess *engine.Session, line string, logf func(string, ...any)) (res *engine.Result, err error) {
-	if perr := recovered(line, logf, func() { res, err = sess.Execute(line) }); perr != nil {
-		return nil, perr
-	}
-	return res, err
-}
-
 // recovered runs fn, the execution of statement line, and returns the
-// client-visible error of a panic under it (nil when there was none),
-// logging the panic with its stack to logf.
+// client-visible error of a panic under it (nil when there was none):
+// one poisoned statement must cost its own session an error line, never
+// the whole server process. The panic and its full stack go to logf —
+// the client-visible message alone ("internal error: ...") is useless
+// for diagnosing the crash it papered over.
 func recovered(line string, logf func(string, ...any), fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -19,10 +19,11 @@ import (
 // byte comparison, and a conjunct whose verdict the layout already
 // fixes (a text argument against an INT column, or the reverse) is no
 // check at all. A record that is not of the layout — a forged or torn
-// one, or one written under another schema — falls back to Match with
-// the same Preds, so it gets Match's verdict and Match's error by
-// construction: compiling changes how much a record costs, never what
-// it answers.
+// one, or one written under another schema — is decoded and the Preds
+// are evaluated on its Values, so it gets the decoder's error and the
+// decoded verdict by construction: compiling changes how much a record
+// costs, never what it answers. (The planner compiles only resolved
+// columns of typed rows, so only a corrupt or forged record goes there.)
 //
 // A Matcher is immutable once compiled: one plan template's may be
 // shared by every session that runs it.
@@ -33,9 +34,9 @@ type Matcher struct {
 	never bool    // some conjunct fails every record of the layout
 	// sum is the INT field Fold adds up, -1 for none.
 	sum int
-	// generic sends every record to Match: some conjunct, or the SUM
+	// generic sends every record to judge: some conjunct, or the SUM
 	// field, lies outside the layout, so no record of it can be judged
-	// without Match's error.
+	// without judge's error.
 	generic bool
 
 	// Room for a narrow table's layout and a two-conjunct WHERE clause:
@@ -58,7 +59,7 @@ type check struct {
 // Compile compiles preds for records whose columns have the types in
 // layout. sum names an INT column whose values Fold adds up over the
 // records that pass; -1 for none. The layout is a promise about the
-// common case only: records that break it are still answered, by Match.
+// common case only: records that break it are still answered, by judge.
 func Compile(preds []Pred, layout []sqlparse.ColumnType, sum int) *Matcher {
 	m := &Matcher{preds: preds, sum: sum}
 	m.tags, m.steps = m.tagBuf[:0], m.stepBuf[:0]
@@ -137,14 +138,16 @@ func (m *Matcher) compileInt(p Pred) {
 }
 
 // Match reports whether the encoded record b satisfies m's conjuncts:
-// Match(b, preds) for the preds m was compiled from, verdict and error.
+// the verdict of the Preds m was compiled from on the decoded record,
+// or the decoder's error.
 func (m *Matcher) Match(b []byte) (bool, error) {
 	if !m.generic {
 		if ok, fits, _ := m.walk(b); fits {
 			return ok, nil
 		}
 	}
-	return Match(b, m.preds)
+	_, ok, err := m.judge(b)
+	return ok, err
 }
 
 // matchSum is Match that also returns, for a record that passes, the
@@ -157,18 +160,38 @@ func (m *Matcher) matchSum(b []byte) (bool, int64, error) {
 			return ok, v, nil
 		}
 	}
-	ok, err := Match(b, m.preds)
-	if !ok || err != nil || m.sum < 0 {
+	r, ok, err := m.judge(b)
+	switch {
+	case !ok || err != nil || m.sum < 0:
 		return ok, 0, err
+	case m.sum >= len(r):
+		return true, 0, fmt.Errorf("storage: SUM reads field %d beyond the record's %d", m.sum, len(r))
 	}
-	v, err := intField(b, m.sum)
-	return ok, v, err
+	return true, r[m.sum].Int, nil
+}
+
+// judge answers for a record off m's layout: it decodes b and evaluates
+// m's Preds on the Values — the decoder's error, or an error for a
+// predicate naming a field the record does not have.
+func (m *Matcher) judge(b []byte) (Record, bool, error) {
+	r, _, err := DecodeRecord(b)
+	if err != nil {
+		return nil, false, err
+	}
+	ok := true
+	for _, p := range m.preds {
+		if p.Col < 0 || p.Col >= len(r) {
+			return nil, false, fmt.Errorf("storage: predicate reads a field beyond the record's %d", len(r))
+		}
+		ok = ok && p.Op.Eval(r[p.Col].Compare(p.Arg))
+	}
+	return r, ok, nil
 }
 
 // Fold judges the records in slots, live slots of p, in order: it
 // returns how many m accepts and the sum of m's SUM column over them,
 // read in place, or stops at the first record that fails and returns
-// its slot with the error — Match's error, which is the decoder's.
+// its slot with the error, which is the decoder's.
 func (m *Matcher) Fold(p *Page, slots []uint16) (accepted int, sum int64, bad uint16, err error) {
 	for _, slot := range slots {
 		ok, v, err := m.matchSum(p.SlotBytes(int(slot)))
@@ -231,25 +254,4 @@ func (m *Matcher) walk(b []byte) (ok, fits bool, v int64) {
 		v = 0
 	}
 	return ok, true, v
-}
-
-// intField reads field col of a record Match has already walked: its
-// int, 0 for a text field, an error when the record is shorter.
-func intField(b []byte, col int) (int64, error) {
-	n := int(binary.BigEndian.Uint16(b))
-	if col >= n {
-		return 0, fmt.Errorf("storage: SUM reads field %d beyond the record's %d", col, n)
-	}
-	pos := 2
-	for i := 0; i < col; i++ {
-		if b[pos] == tagInt {
-			pos += 1 + 8
-		} else {
-			pos += 1 + 4 + int(binary.BigEndian.Uint32(b[pos+1:]))
-		}
-	}
-	if b[pos] != tagInt {
-		return 0, nil
-	}
-	return int64(binary.BigEndian.Uint64(b[pos+1:])), nil
 }

@@ -12,7 +12,7 @@ import (
 	"snapdb/internal/sqlparse"
 )
 
-// matchByDecode is Match's specification: decode the record, then
+// matchByDecode is a Matcher's specification: decode the record, then
 // evaluate every predicate on the decoded Values. A predicate naming a
 // field the record does not have is an error, as the decode error is.
 func matchByDecode(b []byte, preds []Pred) (bool, error) {
@@ -32,21 +32,10 @@ func matchByDecode(b []byte, preds []Pred) (bool, error) {
 
 var errBeyond = errors.New("predicate beyond the record")
 
-// agree fails t unless Match and the specification give the same
-// verdict and the same error — the same text for a decode error, any
-// error for a predicate beyond the record.
+// agree fails t unless preds compiled for b's own layout and for each
+// test layout, with every SUM column, agree with the specification.
 func agree(t *testing.T, b []byte, preds []Pred) {
 	t.Helper()
-	want, wantErr := matchByDecode(b, preds)
-	got, err := Match(b, preds)
-	switch {
-	case (err == nil) != (wantErr == nil):
-		t.Fatalf("Match(% x, %v): error %v, decoding says %v", b, preds, err, wantErr)
-	case err != nil && wantErr != errBeyond && err.Error() != wantErr.Error():
-		t.Fatalf("Match(% x, %v): error %q, decoding says %q", b, preds, err, wantErr)
-	case err == nil && got != want:
-		t.Fatalf("Match(% x, %v) = %v, decoding says %v", b, preds, got, want)
-	}
 	for _, layout := range layoutsFor(b) {
 		for _, sum := range []int{-1, 0, 1, 2, 3} {
 			agreeCompiled(t, b, preds, layout, sum)
@@ -84,11 +73,11 @@ func layoutsFor(b []byte) [][]sqlparse.ColumnType {
 	return append([][]sqlparse.ColumnType{layoutOf(b)}, testLayouts...)
 }
 
-// sumByDecode is matchSum's specification: Match's verdict and error,
-// and for a record that passes, field sum of the decoded record — its
-// Int, so 0 for text — or an error when the record has no such field.
+// sumByDecode is matchSum's specification: matchByDecode's verdict and
+// error, and for a record that passes, field sum of the decoded record —
+// its Int, so 0 for text — or an error when the record has no such field.
 func sumByDecode(b []byte, preds []Pred, sum int) (bool, int64, error) {
-	ok, err := Match(b, preds)
+	ok, err := matchByDecode(b, preds)
 	if !ok || err != nil || sum < 0 {
 		return ok, 0, err
 	}
@@ -103,16 +92,17 @@ func sumByDecode(b []byte, preds []Pred, sum int) (bool, int64, error) {
 }
 
 // agreeCompiled fails t unless preds compiled for layout (with SUM
-// column sum) give Match's verdict and Match's exact error on b, and
-// matchSum its specification's value. On a record of the layout the
-// compiled pass must answer by itself, without falling back.
+// column sum) give the decoded verdict on b and the decoder's exact
+// error (any error for a predicate beyond the record; then the verdict
+// is false), and matchSum its specification's value. On a record of the
+// layout the compiled pass must answer by itself, without decoding.
 func agreeCompiled(t *testing.T, b []byte, preds []Pred, layout []sqlparse.ColumnType, sum int) {
 	t.Helper()
 	m := Compile(preds, layout, sum)
-	want, wantErr := Match(b, preds)
+	want, wantErr := matchByDecode(b, preds)
 	got, err := m.Match(b)
-	if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("compiled for %v: Match(% x, %v) = %v, %v; Match says %v, %v", layout, b, preds, got, err, want, wantErr)
+	if got != want || (err == nil) != (wantErr == nil) || (err != nil && wantErr != errBeyond && err.Error() != wantErr.Error()) {
+		t.Fatalf("compiled for %v: Match(% x, %v) = %v, %v; decoding says %v, %v", layout, b, preds, got, err, want, wantErr)
 	}
 	wantOK, wantV, wantErr := sumByDecode(b, preds, sum)
 	gotOK, gotV, err := m.matchSum(b)
@@ -128,13 +118,14 @@ func agreeCompiled(t *testing.T, b []byte, preds []Pred, layout []sqlparse.Colum
 	}
 	_, _, decErr := AppendDecoded(nil, b, nil, nil)
 	if _, fits, _ := m.walk(b); !fits && !generic && decErr == nil && reflect.DeepEqual(layout, layoutOf(b)) {
-		t.Fatalf("compiled for its own layout %v, record % x fell back to Match", layout, b)
+		t.Fatalf("compiled for its own layout %v, record % x fell back to decoding", layout, b)
 	}
 }
 
 // TestMatchAgreesWithDecode: every operator against every ordering of
 // ints and text, arguments of the other kind, several conjuncts on one
-// field, truncations of a good record at every byte, and no allocation.
+// field, truncations of a good record at every byte, and no allocation
+// on the compiled pass.
 func TestMatchAgreesWithDecode(t *testing.T) {
 	vals := []sqlparse.Value{
 		sqlparse.IntValue(-1 << 63), sqlparse.IntValue(-1), sqlparse.IntValue(0), sqlparse.IntValue(7), sqlparse.IntValue(1<<63 - 1),
@@ -167,13 +158,10 @@ func TestMatchAgreesWithDecode(t *testing.T) {
 
 	long := EncodeRecord(Record{sqlparse.IntValue(5), sqlparse.IntValue(3), sqlparse.StrValue(strings.Repeat("v", 700))})
 	preds := []Pred{{Col: 1, Op: sqlparse.OpEq, Arg: sqlparse.IntValue(3)}, {Col: 2, Op: sqlparse.OpGe, Arg: sqlparse.StrValue(strings.Repeat("v", 699))}}
-	if ok, err := Match(long, preds); !ok || err != nil {
-		t.Fatalf("Match = %v, %v", ok, err)
-	}
-	if n := testing.AllocsPerRun(100, func() { Match(long, preds) }); n != 0 {
-		t.Errorf("Match allocates %v times", n)
-	}
 	compiled := Compile(preds, layoutOf(long), 1)
+	if ok, v, err := compiled.matchSum(long); !ok || v != 3 || err != nil {
+		t.Fatalf("matchSum = %v, %d, %v", ok, v, err)
+	}
 	if n := testing.AllocsPerRun(100, func() { compiled.matchSum(long) }); n != 0 {
 		t.Errorf("a compiled matchSum allocates %v times", n)
 	}
@@ -223,13 +211,12 @@ func TestCompiledEdges(t *testing.T) {
 
 // FuzzMatchVsDecode: page bytes are attacker-reachable (a tampered
 // tablespace is loaded as it is), so for arbitrary bytes and arbitrary
-// predicates, evaluating on the raw bytes and decoding then comparing
-// must agree on the verdict and on whether there is an error at all.
-// The same predicates compiled for the record's own layout, for the
-// fuzzed one (a byte per column, odd for TEXT) and for the fixed test
-// layouts — field count and tags agreeing with the bytes or not — must
-// give Match's verdict and Match's exact error, and matchSum, with the
-// fuzzed SUM column, the decoded record's value. RecordLen, which checks
+// predicates compiled for the record's own layout, for the fuzzed one
+// (a byte per column, odd for TEXT) and for the fixed test layouts —
+// field count and tags agreeing with the bytes or not — evaluating on
+// the raw bytes must give the decoded record's verdict and the
+// decoder's exact error, and matchSum, with the fuzzed SUM column, the
+// decoded record's value. RecordLen, which checks
 // the bytes without decoding them, must take what DecodeRecord takes and
 // fail with its exact error.
 func FuzzMatchVsDecode(f *testing.F) {
@@ -275,9 +262,10 @@ func FuzzMatchVsDecode(f *testing.F) {
 
 // BenchmarkMatch prices the verdict on one hot page of snapbench's
 // (id INT, k INT, v TEXT) records, for scan_analytic's COUNT (k = ?,
-// id >= ?): Match walking the predicate list at every field, the same
-// conjuncts compiled for the layout, and the compiled leaf fold with
-// SUM(k). An op is the whole page; ns/row is per record.
+// id >= ?): decoding each record and evaluating on its Values (what a
+// record off the layout costs), the same conjuncts compiled for the
+// layout, and the compiled leaf fold with SUM(k). An op is the whole
+// page; ns/row is per record.
 func BenchmarkMatch(b *testing.B) {
 	p := NewPage(1, PageBTreeLeaf)
 	for id := int64(0); ; id++ {
@@ -303,10 +291,11 @@ func BenchmarkMatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(slots)), "ns/row")
 		})
 	}
-	run("generic", func() int {
+	decode := Compile(preds, nil, -1)
+	run("decode", func() int {
 		n := 0
 		for _, slot := range slots {
-			if ok, _ := Match(p.SlotBytes(int(slot)), preds); ok {
+			if ok, _ := decode.Match(p.SlotBytes(int(slot))); ok {
 				n++
 			}
 		}

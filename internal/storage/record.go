@@ -291,64 +291,6 @@ type Pred struct {
 	Arg sqlparse.Value
 }
 
-// Match reports whether the encoded record b satisfies every pred,
-// comparing the fields where they lie as CompareKey does: no Value is
-// built and nothing is allocated. Its verdict is that of decoding b and
-// evaluating p.Op.Eval(r[p.Col].Compare(p.Arg)) for each pred, and it
-// walks and validates every field of b whatever the verdict, so it
-// fails on exactly the records AppendDecoded fails on, with the same
-// error — plus on a pred that names a field b does not have. (The walk
-// is AppendDecoded's, written out again: sharing one field reader
-// between them cost the decoders and CompareKey a third of their speed.)
-func Match(b []byte, preds []Pred) (bool, error) {
-	n, err := fieldCount(b)
-	if err != nil {
-		return false, err
-	}
-	ok, evaluated := true, 0
-	pos := 2
-	for i := 0; i < n; i++ {
-		if pos >= len(b) {
-			return false, fmt.Errorf("storage: record field %d truncated", i)
-		}
-		tag := b[pos]
-		pos++
-		var iv int64
-		var s []byte
-		switch tag {
-		case tagInt:
-			if pos+8 > len(b) {
-				return false, fmt.Errorf("storage: int field %d truncated", i)
-			}
-			iv = int64(binary.BigEndian.Uint64(b[pos:]))
-			pos += 8
-		case tagText:
-			if pos+4 > len(b) {
-				return false, fmt.Errorf("storage: text length of field %d truncated", i)
-			}
-			l := int(binary.BigEndian.Uint32(b[pos:]))
-			pos += 4
-			if pos+l > len(b) {
-				return false, fmt.Errorf("storage: text field %d truncated (want %d bytes)", i, l)
-			}
-			s = b[pos : pos+l]
-			pos += l
-		default:
-			return false, fmt.Errorf("storage: unknown field tag 0x%02x in field %d", tag, i)
-		}
-		for j := range preds {
-			if p := &preds[j]; p.Col == i {
-				evaluated++
-				ok = ok && p.Op.Eval(compareField(tag == tagInt, iv, s, p.Arg))
-			}
-		}
-	}
-	if evaluated != len(preds) {
-		return false, fmt.Errorf("storage: predicate reads a field beyond the record's %d", n)
-	}
-	return ok, nil
-}
-
 // compareField orders one encoded field — an int in i, else text in s —
 // against v as Value.Compare would order the decoded Value. (CompareKey
 // keeps its own copy of this switch: routed through a call here, the
